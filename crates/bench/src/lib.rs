@@ -1,14 +1,16 @@
-//! Experiment binaries and microbenchmarks for the EndBox reproduction.
+//! Experiment driver and microbenchmarks for the EndBox reproduction.
 //!
-//! The library itself is empty; everything lives in `src/bin/` (one
-//! `exp_*` binary per figure/table of the paper's §V evaluation, plus
-//! the scaling experiments this repo adds on top) and in
-//! `benches/microbench.rs` (Criterion groups: `batch_vs_single`,
-//! `shard_scaling`). Run an experiment with
-//! `cargo run --release -p endbox-bench --bin <name>`; the scaling
-//! binaries (`exp_fig10_scalability`, `exp_heavytail_dispatch`,
-//! `exp_rx_scaling`, `exp_async_ingress`) accept `--smoke` for a
-//! CI-sized run and emit machine-readable `BENCH_*.json` artifacts that
-//! CI validates and diffs. The full catalogue — what each binary
-//! measures and which artifact it writes — is tabulated in the
-//! repository `README.md`.
+//! The library itself is empty; everything lives in `src/bin/` and
+//! `benches/`:
+//!
+//! * `src/bin/exp.rs` — the one experiment driver.
+//!   `cargo run --release -p endbox-bench --bin exp -- <name>` runs one
+//!   figure/table of the paper's §V evaluation (or one of the scaling
+//!   experiments this repo adds on top), `exp all` runs them all
+//!   in-process, `exp check` evaluates `endbox::eval::CLAIMS` on
+//!   regenerated tables, and `exp` alone lists the catalogue. The
+//!   committed `BENCH_*.json` files are exactly what `exp all` writes.
+//! * `src/bin/exp_wallclock/` — the wall-clock benchmark named by the
+//!   root `BENCHMARK.json` (its own README documents it).
+//! * `benches/microbench.rs` — Criterion groups `batch_vs_single` and
+//!   `shard_scaling`.

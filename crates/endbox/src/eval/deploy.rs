@@ -1,13 +1,17 @@
 //! Deployments under evaluation and per-packet charge measurement.
 //!
-//! [`measure_charge`] builds the *real* functional stack (CA, attestation,
-//! handshake, enclave, Click), pushes sample packets through it, and reads
-//! the cycle meters — the resulting [`PacketCharge`] is then replayed
-//! through the [`endbox_netsim::pipeline`] timing layer. This keeps every
-//! reported number tied to the actual protocol/middlebox code.
+//! [`measure`] builds the *real* functional stack a [`MeasureSpec`]
+//! describes (CA, attestation, handshake, enclave, Click, and — for the
+//! sharded server — RX shards, workers and the socket front-end), pushes
+//! rounds of sample packets through it, and reads the cycle meters. The
+//! resulting [`PacketCharge`] is then replayed through the
+//! [`endbox_netsim::pipeline`] timing layer. This keeps every reported
+//! number tied to the actual protocol/middlebox code, and makes the spec
+//! the one place that says what a number measured.
 
-use crate::client::TrustLevel;
-use crate::scenario::Scenario;
+use crate::client::{EndBoxClient, TrustLevel};
+use crate::scenario::{Scenario, ShardedScenario};
+use crate::server::{ControllerStats, DEFAULT_DRAIN_QUOTA, DEFAULT_SHARD_BUDGET};
 use crate::use_cases::UseCase;
 use endbox_click::element::ElementEnv;
 use endbox_click::Router;
@@ -16,6 +20,7 @@ use endbox_netsim::net::TransportKind;
 use endbox_netsim::pipeline::PacketCharge;
 use endbox_netsim::traffic::benign_payload;
 use endbox_netsim::Packet;
+use endbox_vpn::shard::DispatchPolicy;
 use rand::SeedableRng;
 
 /// Cycles a plain (non-VPN) sender spends per packet in the kernel path —
@@ -66,890 +71,430 @@ impl Deployment {
     }
 }
 
-/// Measures the per-packet cycle charges of `deployment` for tunnel
-/// payloads of `payload_len` bytes by running `samples` packets through
-/// the real stack.
-///
-/// # Panics
-///
-/// Panics if the deployment cannot be constructed (a bug in the harness).
-pub fn measure_charge(deployment: Deployment, payload_len: usize, samples: usize) -> PacketCharge {
-    match deployment {
-        Deployment::VanillaClick(uc) => measure_vanilla_click(uc, payload_len, samples),
-        _ => measure_vpn_stack(deployment, payload_len, samples),
-    }
+/// The server a measured stack is built around.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Server {
+    /// The paper's set-up: one single-threaded server process per client
+    /// ([`crate::server::EndBoxServer`]), with the deployment's
+    /// server-side Click attached if it has one.
+    PerClient,
+    /// One [`crate::server::ShardedEndBoxServer`]: `rx_shards` framing
+    /// threads in front of `workers` crypto shards.
+    Sharded {
+        /// RX framing shards (== poll groups of the event loop).
+        rx_shards: usize,
+        /// Worker shards.
+        workers: usize,
+    },
 }
 
-fn measure_vpn_stack(deployment: Deployment, payload_len: usize, samples: usize) -> PacketCharge {
-    measure_vpn_stack_batched(deployment, payload_len, samples, 1)
+/// How a peer's packets of one round are sealed into records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Records {
+    /// One record coalescing all of the peer's packets (`send_batch`:
+    /// one enclave transition and one seal per round).
+    Batched,
+    /// One single-packet record per packet (`send_packet`), peers
+    /// interleaved packet by packet — no coalescing, so per-datagram
+    /// framing dominates the server work.
+    Single,
 }
 
-/// Like [`measure_charge`], but pushes `batch_size` packets per batch
-/// through the batched datapath (`send_batch` / batched server delivery).
-/// `batch_size == 1` degrades to the single-packet path. Returned charges
-/// are per packet.
-///
-/// # Panics
-///
-/// Panics if the deployment cannot be constructed, or for
-/// [`Deployment::VanillaClick`] with `batch_size > 1` (that deployment
-/// has no VPN; batch it at the router level instead).
-pub fn measure_charge_batched(
-    deployment: Deployment,
-    payload_len: usize,
-    samples: usize,
-    batch_size: usize,
-) -> PacketCharge {
-    match deployment {
-        Deployment::VanillaClick(uc) => {
-            assert_eq!(batch_size, 1, "vanilla Click has no VPN record batching");
-            measure_vanilla_click(uc, payload_len, samples)
+/// How a round's datagrams enter the server.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Doorway {
+    /// Handed straight to `receive_datagram(s)`: no sockets in the loop.
+    Call,
+    /// Shipped over the wire into per-peer server sockets and drained by
+    /// the [`crate::server::AsyncFrontEnd`] event loop.
+    EventLoop,
+}
+
+/// Who sets the sharded server's scheduling knobs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Control {
+    /// Hand-tuned: a fixed worker dispatch policy and the event loop's
+    /// static per-socket drain quota and per-shard budget.
+    Pinned {
+        /// Worker placement policy.
+        dispatch: DispatchPolicy,
+        /// Per-socket datagrams drained per scheduling pass.
+        drain_quota: usize,
+        /// Per-shard datagram budget per pump round.
+        shard_budget: usize,
+    },
+    /// The zero-knob closed-loop control plane
+    /// ([`crate::scenario::ScenarioBuilder::adaptive_control`]): adaptive
+    /// dispatch, demand-proportional budgets, online peer remap. Needs
+    /// [`Doorway::EventLoop`].
+    Controller,
+}
+
+impl Default for Control {
+    /// The builder defaults: load-aware dispatch, default quota/budget.
+    fn default() -> Self {
+        Control::Pinned {
+            dispatch: DispatchPolicy::default(),
+            drain_quota: DEFAULT_DRAIN_QUOTA,
+            shard_budget: DEFAULT_SHARD_BUDGET,
         }
-        _ => measure_vpn_stack_batched(deployment, payload_len, samples, batch_size),
     }
 }
 
-fn measure_vpn_stack_batched(
-    deployment: Deployment,
-    payload_len: usize,
-    samples: usize,
-    batch_size: usize,
-) -> PacketCharge {
-    let (trust, use_case, server_click) = match deployment {
-        Deployment::VanillaOpenVpn => (TrustLevel::Untrusted, UseCase::Nop, None),
-        Deployment::OpenVpnClick(uc) => (
-            TrustLevel::Untrusted,
-            UseCase::Nop,
-            Some(uc.server_click_config()),
-        ),
-        Deployment::EndBoxSim(uc) => (TrustLevel::Simulation, uc, None),
-        Deployment::EndBoxSgx(uc) => (TrustLevel::Hardware, uc, None),
-        Deployment::VanillaClick(_) => unreachable!("handled by caller"),
-    };
+/// What one [`measure`] run builds and drives: the independent variables
+/// of every experiment, and nothing else.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MeasureSpec {
+    /// Deployment (trust level, use case, server-side Click).
+    pub deployment: Deployment,
+    /// Tunnel payload bytes per packet.
+    pub payload_len: usize,
+    /// Measured rounds (after one un-metered warm-up round).
+    pub samples: usize,
+    /// Server flavour and geometry.
+    pub server: Server,
+    /// Connected peers, all sending every round.
+    pub peers: usize,
+    /// Record shape of a round.
+    pub records: Records,
+    /// Packets each peer sends per round (the base count under `zipf`).
+    pub per_peer: usize,
+    /// Scale each peer's packet count by the heavy-tailed weights of
+    /// [`crate::eval::scalability::heavy_tail_weights`] (a few elephants
+    /// dominate) instead of sending `per_peer` everywhere.
+    pub zipf: bool,
+    /// Ingress doorway.
+    pub doorway: Doorway,
+    /// Wire backend under the event loop's sockets.
+    pub transport: TransportKind,
+    /// Datagrams per bulk `recv_many` call of the event loop (`1` is the
+    /// per-datagram transport shape).
+    pub recv_bulk: usize,
+    /// Scheduling knobs, or the controller that replaces them.
+    pub control: Control,
+}
 
-    let mut builder = Scenario::enterprise(1, use_case).trust(trust).seed(0xbe9c);
-    if let Some(cfg) = &server_click {
-        builder = builder.server_click(cfg);
+impl MeasureSpec {
+    /// The §V single-flow set-up: one client sending one single-packet
+    /// record per round to its own server process.
+    pub fn single_flow(deployment: Deployment, payload_len: usize, samples: usize) -> Self {
+        MeasureSpec {
+            deployment,
+            payload_len,
+            samples,
+            server: Server::PerClient,
+            peers: 1,
+            records: Records::Single,
+            per_peer: 1,
+            zipf: false,
+            doorway: Doorway::Call,
+            transport: TransportKind::Virtual,
+            recv_bulk: DEFAULT_DRAIN_QUOTA,
+            control: Control::default(),
+        }
     }
-    let mut scenario = builder.build().expect("deployment must build");
 
-    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-    let payload = benign_payload(payload_len, &mut rng);
-    let client_meter = scenario.clients[0].meter().clone();
-    let server_meter = scenario.server_meter.clone();
-
-    // Warm-up packet (first-use costs stay out of the steady state).
-    scenario.send_from_client(0, &payload).expect("warm-up");
-    client_meter.take();
-    server_meter.take();
-
-    let build_packet = || {
-        Packet::tcp(
-            Scenario::client_addr(0),
-            Scenario::network_addr(),
-            40_000,
-            5001,
-            0,
-            &payload,
-        )
-    };
-
-    let mut wire_bytes_total = 0usize;
-    let mut fragments_total = 0usize;
-    for _ in 0..samples {
-        let datagrams = if batch_size == 1 {
-            let datagrams = scenario.clients[0]
-                .send_packet(build_packet())
-                .expect("send");
-            for d in &datagrams {
-                scenario.server.receive_datagram(0, d).expect("deliver");
-            }
-            datagrams
+    /// Like [`MeasureSpec::single_flow`], but coalescing `batch` packets
+    /// per record and enclave transition (`1` is the single-packet path).
+    pub fn batched_flow(
+        deployment: Deployment,
+        payload_len: usize,
+        samples: usize,
+        batch: usize,
+    ) -> Self {
+        let records = if batch == 1 {
+            Records::Single
         } else {
-            let packets: Vec<Packet> = (0..batch_size).map(|_| build_packet()).collect();
-            let datagrams = scenario.clients[0].send_batch(packets).expect("send batch");
-            for d in &datagrams {
-                scenario.server.receive_datagram(0, d).expect("deliver");
-            }
-            datagrams
+            Records::Batched
         };
-        fragments_total += datagrams.len();
-        wire_bytes_total += datagrams.iter().map(Vec::len).sum::<usize>();
+        MeasureSpec {
+            records,
+            per_peer: batch,
+            ..Self::single_flow(deployment, payload_len, samples)
+        }
     }
 
-    let packets_total = (samples * batch_size) as u64;
-    PacketCharge {
-        payload_bytes: payload_len + 40, // payload + IP/TCP headers
-        wire_bytes: wire_bytes_total / packets_total as usize,
-        fragments: (fragments_total.div_ceil(samples * batch_size)).max(1),
-        client_cycles: client_meter.take() / packets_total,
-        server_cycles: server_meter.take() / packets_total,
-        rx_cycles: 0,
-        dropped: false,
+    /// EndBox-SGX NOP at 1 500 B on the sharded server, call-driven with
+    /// the builder's default knobs — the base every scaling sweep
+    /// overrides.
+    pub fn sharded(rx_shards: usize, workers: usize) -> Self {
+        MeasureSpec {
+            server: Server::Sharded { rx_shards, workers },
+            ..Self::single_flow(Deployment::EndBoxSgx(UseCase::Nop), 1_500, 8)
+        }
     }
 }
 
-/// Measures per-packet cycle charges on the **sharded** EndBox-SGX stack:
-/// `n_clients` real clients each seal `batch_size`-packet batches, and
-/// every round's datagrams go through a [`crate::ShardedEndBoxServer`]
-/// with `workers` shard threads in one multi-client dispatch. Returned
-/// charges are per packet; the worker threads charge the shared server
-/// meter, so the *total* per-packet work matches the single server — the
-/// sharding win is modelled by the timing layer's worker flows
-/// (`server_worker_shards`), fed by this measured charge.
-///
-/// # Panics
-///
-/// Panics if the deployment cannot be constructed.
-pub fn measure_charge_sharded(
-    use_case: UseCase,
-    payload_len: usize,
-    samples: usize,
-    batch_size: usize,
-    workers: usize,
-) -> PacketCharge {
-    const N_CLIENTS: usize = 2;
-    let mut scenario = Scenario::enterprise(N_CLIENTS, use_case)
-        .trust(TrustLevel::Hardware)
-        .seed(0xbe9c)
-        .build_sharded(workers)
-        .expect("sharded deployment must build");
+/// What [`measure`] read off the stack.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Measured {
+    /// Per-packet charges. [`PacketCharge::rx_cycles`] is the share of
+    /// `server_cycles` that runs on the RX lanes: per-datagram framing
+    /// plus, through the event loop, the socket receives.
+    pub charge: PacketCharge,
+    /// Event-loop wakeups per drained datagram — the amortisation input
+    /// to [`endbox_netsim::pipeline::AsyncFrontEndModel::event_driven`].
+    /// `1.0` through [`Doorway::Call`]: a call-driven front-end pays one
+    /// wakeup per datagram by definition.
+    pub wakeups_per_datagram: f64,
+    /// Datagrams moved per socket call — the amortisation input to
+    /// [`endbox_netsim::pipeline::SyscallBatchModel::bulk`], bounded by
+    /// the per-socket queue depth at drain time. `1.0` through
+    /// [`Doorway::Call`].
+    pub datagrams_per_call: f64,
+    /// What the control plane did (all zeros unless
+    /// [`Control::Controller`] or an adaptive dispatch policy acted).
+    pub controller: ControllerStats,
+}
 
-    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-    let payload = benign_payload(payload_len, &mut rng);
-    let client_meters: Vec<CycleMeter> =
-        scenario.clients.iter().map(|c| c.meter().clone()).collect();
-    let server_meter = scenario.server_meter.clone();
+/// The real stack under measurement.
+enum Stack {
+    PerClient(Box<Scenario>),
+    Sharded(Box<ShardedScenario>),
+}
 
-    let build_packet = |idx: usize, seq: u32| {
-        Packet::tcp(
-            Scenario::client_addr(idx),
-            Scenario::network_addr(),
-            40_000 + idx as u16,
-            5001,
-            seq,
-            &payload,
-        )
-    };
-    let round_batches = |seq: u32| -> Vec<(usize, Vec<Packet>)> {
-        (0..N_CLIENTS)
-            .map(|idx| {
-                (
-                    idx,
-                    (0..batch_size)
-                        .map(|i| build_packet(idx, seq + i as u32))
-                        .collect(),
-                )
-            })
-            .collect()
-    };
-
-    // Warm-up round (first-use costs stay out of the steady state).
-    scenario
-        .send_packet_batches_from_all(round_batches(0))
-        .expect("warm-up");
-    for m in &client_meters {
-        m.take();
-    }
-    server_meter.take();
-
-    let mut wire_bytes_total = 0usize;
-    let mut fragments_total = 0usize;
-    for round in 0..samples {
-        // Seal on every client, then one sharded server dispatch — the
-        // same split `send_packet_batches_from_all` performs, done here by
-        // hand so the wire datagrams can be measured.
-        let mut datagrams: Vec<(u64, Vec<u8>)> = Vec::new();
-        for (idx, packets) in round_batches((round * batch_size) as u32) {
-            for d in scenario.clients[idx].send_batch(packets).expect("send") {
-                datagrams.push((idx as u64, d));
+impl Stack {
+    fn build(spec: &MeasureSpec) -> Stack {
+        let (trust, use_case, server_click) = match spec.deployment {
+            Deployment::VanillaOpenVpn => (TrustLevel::Untrusted, UseCase::Nop, None),
+            Deployment::OpenVpnClick(uc) => (
+                TrustLevel::Untrusted,
+                UseCase::Nop,
+                Some(uc.server_click_config()),
+            ),
+            Deployment::EndBoxSim(uc) => (TrustLevel::Simulation, uc, None),
+            Deployment::EndBoxSgx(uc) => (TrustLevel::Hardware, uc, None),
+            Deployment::VanillaClick(_) => unreachable!("has no VPN stack"),
+        };
+        let event_loop = spec.doorway == Doorway::EventLoop;
+        let mut builder = Scenario::enterprise(spec.peers, use_case)
+            .trust(trust)
+            .seed(0xbe9c)
+            .transport(spec.transport)
+            .async_ingress(event_loop);
+        if let Some(cfg) = &server_click {
+            builder = builder.server_click(cfg);
+        }
+        builder = match spec.control {
+            Control::Pinned { dispatch, .. } => builder.dispatch(dispatch),
+            Control::Controller => {
+                assert!(event_loop, "the controller lives in the event loop");
+                builder.adaptive_control(true)
+            }
+        };
+        match spec.server {
+            Server::PerClient => {
+                assert!(!event_loop, "the per-client server is call-driven");
+                Stack::PerClient(Box::new(builder.build().expect("deployment must build")))
+            }
+            Server::Sharded { rx_shards, workers } => {
+                let mut scenario = builder
+                    .rx_shards(rx_shards)
+                    .build_sharded(workers)
+                    .expect("sharded deployment must build");
+                if event_loop {
+                    scenario.set_recv_bulk(spec.recv_bulk);
+                    if let Control::Pinned {
+                        drain_quota,
+                        shard_budget,
+                        ..
+                    } = spec.control
+                    {
+                        scenario.set_async_budget(drain_quota, shard_budget);
+                    }
+                }
+                Stack::Sharded(Box::new(scenario))
             }
         }
-        fragments_total += datagrams.len();
-        wire_bytes_total += datagrams.iter().map(|(_, d)| d.len()).sum::<usize>();
-        for result in scenario.server.receive_datagrams(datagrams) {
-            result.expect("deliver");
+    }
+
+    fn clients(&mut self) -> &mut [EndBoxClient] {
+        match self {
+            Stack::PerClient(s) => &mut s.clients,
+            Stack::Sharded(s) => &mut s.clients,
         }
     }
 
-    let packets_total = (samples * batch_size * N_CLIENTS) as u64;
-    let client_cycles: u64 = client_meters.iter().map(CycleMeter::take).sum::<u64>();
-    PacketCharge {
-        payload_bytes: payload_len + 40, // payload + IP/TCP headers
-        wire_bytes: wire_bytes_total / packets_total as usize,
-        fragments: (fragments_total.div_ceil(samples * batch_size * N_CLIENTS)).max(1),
-        client_cycles: client_cycles / packets_total,
-        server_cycles: server_meter.take() / packets_total,
-        // The RX pool's amortised per-packet framing share: one
-        // `vpn_server_per_fragment` per wire datagram, spread over the
-        // packets a batched record coalesces.
-        rx_cycles: CostModel::calibrated().vpn_server_per_fragment * fragments_total as u64
-            / packets_total,
-        dropped: false,
+    fn server_meter(&self) -> CycleMeter {
+        match self {
+            Stack::PerClient(s) => s.server_meter.clone(),
+            Stack::Sharded(s) => s.server_meter.clone(),
+        }
     }
-}
 
-/// Condenses the totals of a small-record measurement run into a
-/// per-packet [`PacketCharge`]. Shared by [`measure_charge_rx`] and
-/// [`measure_charge_async`] so the charge arithmetic (header constant,
-/// fragment rounding, RX-lane share) cannot drift between the
-/// call-driven and event-driven measurements their comparison rests on;
-/// `socket_rx_cycles_total` is the socket-receive work the RX lanes paid
-/// (0 when ingress is call-driven — no sockets in the loop).
-fn small_record_charge(
-    payload_len: usize,
-    packets_total: u64,
-    wire_bytes_total: usize,
-    fragments_total: usize,
-    client_cycles: u64,
-    server_cycles: u64,
-    socket_rx_cycles_total: u64,
-) -> PacketCharge {
-    let fragments = (fragments_total as u64).div_ceil(packets_total).max(1) as usize;
-    PacketCharge {
-        payload_bytes: payload_len + 40, // payload + IP/TCP headers
-        wire_bytes: wire_bytes_total / packets_total as usize,
-        fragments,
-        client_cycles: client_cycles / packets_total,
-        server_cycles: server_cycles / packets_total,
-        // The RX-lane share: per-datagram framing plus whatever socket
-        // receives the front-end performed (both run on RX threads).
-        rx_cycles: CostModel::calibrated().vpn_server_per_fragment * fragments as u64
-            + socket_rx_cycles_total / packets_total,
-        dropped: false,
-    }
-}
-
-/// Measures per-packet charges on the sharded stack under the
-/// **many-peer small-record mix** that stresses the RX front-end:
-/// `n_peers` real clients each seal single-packet records (no record
-/// coalescing, so per-datagram reassembly/framing dominates the server
-/// work), and every round's interleaved datagrams go through one
-/// [`crate::ShardedEndBoxServer::receive_datagrams`] dispatch against a
-/// server running `rx_shards` RX framing threads and `workers` crypto
-/// shards. The returned charge splits out [`PacketCharge::rx_cycles`] —
-/// the framing cost the RX pool paid (`vpn_server_per_fragment` per wire
-/// datagram) — so the timing layer can run the RX lanes separately from
-/// the worker lanes; the per-packet total is the measured total either
-/// way.
-///
-/// # Panics
-///
-/// Panics if the deployment cannot be constructed.
-pub fn measure_charge_rx(
-    use_case: UseCase,
-    payload_len: usize,
-    samples: usize,
-    workers: usize,
-    rx_shards: usize,
-) -> PacketCharge {
-    const N_PEERS: usize = 6;
-    const SINGLES_PER_PEER: usize = 4;
-    let mut scenario = Scenario::enterprise(N_PEERS, use_case)
-        .trust(TrustLevel::Hardware)
-        .seed(0xbe9c)
-        .rx_shards(rx_shards)
-        .build_sharded(workers)
-        .expect("sharded deployment must build");
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-    let payload = benign_payload(payload_len, &mut rng);
-    let client_meters: Vec<CycleMeter> =
-        scenario.clients.iter().map(|c| c.meter().clone()).collect();
-    let server_meter = scenario.server_meter.clone();
-
-    let mut round = |seq: u32| -> Vec<(u64, Vec<u8>)> {
-        let mut datagrams: Vec<(u64, Vec<u8>)> = Vec::new();
-        // Peers interleave datagram-by-datagram: every record is its own
-        // datagram (small-record mix), so the RX pool sees the worst-case
-        // per-datagram framing load.
-        for i in 0..SINGLES_PER_PEER {
-            for idx in 0..N_PEERS {
-                let pkt = Packet::tcp(
-                    Scenario::client_addr(idx),
-                    Scenario::network_addr(),
-                    40_000 + idx as u16,
-                    5001,
-                    seq + i as u32,
-                    &payload,
-                );
-                for d in scenario.clients[idx].send_packet(pkt).expect("send") {
-                    datagrams.push((idx as u64, d));
+    /// One round: peer `idx` seals `sizes[idx]` packets, then everything
+    /// enters the server through the spec's doorway (the event loop
+    /// drains to idle). Returns (wire datagrams, wire bytes).
+    fn round(
+        &mut self,
+        spec: &MeasureSpec,
+        sizes: &[usize],
+        payload: &[u8],
+        seq: u32,
+    ) -> (usize, usize) {
+        let packet = |idx: usize, i: usize| {
+            Packet::tcp(
+                Scenario::client_addr(idx),
+                Scenario::network_addr(),
+                40_000 + idx as u16,
+                5001,
+                seq + i as u32,
+                payload,
+            )
+        };
+        // One entry per sealed record, in wire order.
+        let mut records: Vec<(u64, Vec<Vec<u8>>)> = Vec::new();
+        let clients = self.clients();
+        match spec.records {
+            Records::Batched => {
+                for (idx, &n) in sizes.iter().enumerate() {
+                    let packets = (0..n).map(|i| packet(idx, i)).collect();
+                    let sealed = clients[idx].send_batch(packets).expect("send batch");
+                    records.push((idx as u64, sealed));
+                }
+            }
+            Records::Single => {
+                for i in 0..sizes.iter().copied().max().unwrap_or(0) {
+                    for (idx, _) in sizes.iter().enumerate().filter(|(_, &n)| i < n) {
+                        let sealed = clients[idx].send_packet(packet(idx, i)).expect("send");
+                        records.push((idx as u64, sealed));
+                    }
                 }
             }
         }
-        datagrams
-    };
-
-    // Warm-up round (first-use costs stay out of the steady state).
-    for result in scenario.server.receive_datagrams(round(0)) {
-        result.expect("deliver");
-    }
-    for m in &client_meters {
-        m.take();
-    }
-    server_meter.take();
-
-    let mut wire_bytes_total = 0usize;
-    let mut fragments_total = 0usize;
-    for r in 1..=samples {
-        let datagrams = round((r * SINGLES_PER_PEER) as u32);
-        fragments_total += datagrams.len();
-        wire_bytes_total += datagrams.iter().map(|(_, d)| d.len()).sum::<usize>();
-        for result in scenario.server.receive_datagrams(datagrams) {
-            result.expect("deliver");
-        }
-    }
-
-    let packets_total = (samples * SINGLES_PER_PEER * N_PEERS) as u64;
-    let client_cycles: u64 = client_meters.iter().map(CycleMeter::take).sum::<u64>();
-    small_record_charge(
-        payload_len,
-        packets_total,
-        wire_bytes_total,
-        fragments_total,
-        client_cycles,
-        server_meter.take(),
-        0,
-    )
-}
-
-/// Measures per-packet charges on the sharded stack with the
-/// **event-driven socket front-end** in the loop: the many-peer
-/// small-record mix of [`measure_charge_rx`], but every datagram rides
-/// the virtual wire into a per-peer server socket and the
-/// [`crate::server::AsyncFrontEnd`] drains it (one poll group per RX
-/// shard). Socket receives charge the server meter, so
-/// [`PacketCharge::server_cycles`] includes the socket-layer work, and
-/// [`PacketCharge::rx_cycles`] carries the framing + socket share that
-/// runs on the RX lanes.
-///
-/// Returns the charge plus the measured **wakeups-per-datagram** ratio of
-/// the event loop ([`crate::server::AsyncIngressStats`]): the
-/// amortisation input to
-/// [`endbox_netsim::pipeline::AsyncFrontEndModel::event_driven`] (a
-/// call-driven front-end pays one wakeup per datagram by definition; the
-/// event-loop cost itself is priced by the timing layer, not metered
-/// here).
-///
-/// # Panics
-///
-/// Panics if the deployment cannot be constructed.
-pub fn measure_charge_async(
-    use_case: UseCase,
-    payload_len: usize,
-    samples: usize,
-    workers: usize,
-    rx_shards: usize,
-) -> (PacketCharge, f64) {
-    const N_PEERS: usize = 8;
-    const SINGLES_PER_PEER: usize = 8;
-    let mut scenario = Scenario::enterprise(N_PEERS, use_case)
-        .trust(TrustLevel::Hardware)
-        .seed(0xbe9c)
-        .rx_shards(rx_shards)
-        .async_ingress(true)
-        .build_sharded(workers)
-        .expect("sharded deployment must build");
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-    let payload = benign_payload(payload_len, &mut rng);
-    let client_meters: Vec<CycleMeter> =
-        scenario.clients.iter().map(|c| c.meter().clone()).collect();
-    let server_meter = scenario.server_meter.clone();
-
-    // One round: peers interleave single-packet records (the small-record
-    // RX mix), each sealed datagram shipped through the peer's socket,
-    // then one event-loop drain.
-    let run_round = |scenario: &mut crate::scenario::ShardedScenario, seq: u32| -> (usize, usize) {
-        let mut datagrams = 0usize;
-        let mut wire_bytes = 0usize;
-        for i in 0..SINGLES_PER_PEER {
-            for idx in 0..N_PEERS {
-                let pkt = Packet::tcp(
-                    Scenario::client_addr(idx),
-                    Scenario::network_addr(),
-                    40_000 + idx as u16,
-                    5001,
-                    seq + i as u32,
-                    &payload,
-                );
-                let sealed = scenario.clients[idx].send_packet(pkt).expect("send");
-                datagrams += sealed.len();
-                wire_bytes += sealed.iter().map(Vec::len).sum::<usize>();
-                scenario.send_wire_datagrams(idx as u64, sealed);
+        let datagrams = records.iter().map(|(_, d)| d.len()).sum();
+        let wire_bytes = records.iter().flat_map(|(_, d)| d).map(Vec::len).sum();
+        match (self, spec.doorway) {
+            (Stack::PerClient(s), _) => {
+                for (peer, sealed) in &records {
+                    for d in sealed {
+                        s.server.receive_datagram(*peer, d).expect("deliver");
+                    }
+                }
             }
-        }
-        for (_, result) in scenario.pump_async() {
-            result.expect("deliver");
+            (Stack::Sharded(s), Doorway::Call) => {
+                let flat = records
+                    .into_iter()
+                    .flat_map(|(peer, sealed)| sealed.into_iter().map(move |d| (peer, d)))
+                    .collect();
+                for result in s.server.receive_datagrams(flat) {
+                    result.expect("deliver");
+                }
+            }
+            (Stack::Sharded(s), Doorway::EventLoop) => {
+                for (peer, sealed) in records {
+                    s.send_wire_datagrams(peer, sealed);
+                }
+                for (_, result) in s.pump_async() {
+                    result.expect("deliver");
+                }
+            }
         }
         (datagrams, wire_bytes)
-    };
-
-    // Warm-up round (first-use costs stay out of the steady state).
-    run_round(&mut scenario, 0);
-    for m in &client_meters {
-        m.take();
     }
-    server_meter.take();
-    let warm_stats = scenario.async_stats();
-
-    let mut wire_bytes_total = 0usize;
-    let mut fragments_total = 0usize;
-    for r in 1..=samples {
-        let (frags, bytes) = run_round(&mut scenario, (r * SINGLES_PER_PEER) as u32);
-        fragments_total += frags;
-        wire_bytes_total += bytes;
-    }
-    let stats = scenario.async_stats();
-    let wakeups = stats.wakeups - warm_stats.wakeups;
-    let drained = stats.datagrams - warm_stats.datagrams;
-    assert_eq!(drained as usize, fragments_total, "every datagram drained");
-    let wakeups_per_datagram = wakeups as f64 / drained.max(1) as f64;
-
-    let packets_total = (samples * SINGLES_PER_PEER * N_PEERS) as u64;
-    let client_cycles: u64 = client_meters.iter().map(CycleMeter::take).sum::<u64>();
-    let cost = CostModel::calibrated();
-    let socket_rx_cycles = cost.socket_recv_fixed * fragments_total as u64
-        + (cost.socket_per_byte * wire_bytes_total as f64) as u64;
-    let charge = small_record_charge(
-        payload_len,
-        packets_total,
-        wire_bytes_total,
-        fragments_total,
-        client_cycles,
-        server_meter.take(),
-        socket_rx_cycles,
-    );
-    (charge, wakeups_per_datagram)
 }
 
-/// Measures per-packet charges of one **datapath configuration** under
-/// the heavy-tailed small-record mix that the self-tuning control plane
-/// targets: every peer seals single-packet records sized by the Zipf
-/// weights of [`crate::eval::scalability::heavy_tail_weights`] (a few
-/// elephants dominate the socket backlog), every datagram rides the wire
-/// into a per-peer server socket, and the
-/// [`crate::server::AsyncFrontEnd`] drains it.
+/// Measures the per-packet cycle charges of the stack `spec` describes:
+/// builds it, runs one warm-up round (first-use costs stay out of the
+/// steady state) and `spec.samples` metered rounds, and condenses the
+/// meters into a per-packet [`PacketCharge`] plus the event loop's
+/// amortisation ratios. Worker and RX threads charge the shared server
+/// meter, so the per-packet *total* is geometry-independent — sharding
+/// wins are modelled by the timing layer's lanes, fed by this charge.
 ///
-/// The configuration is the experiment's independent variable:
-///
-/// * `dispatch` — the worker placement policy
-///   ([`endbox_vpn::shard::DispatchPolicy`]), including
-///   `DispatchPolicy::Adaptive` (rate-derived thresholds plus work
-///   stealing);
-/// * `knobs` — `Some((drain_quota, shard_budget))` pins the front-end's
-///   static scheduling knobs; `None` arms the closed-loop controller
-///   instead (demand-proportional budgets, token buckets, online peer
-///   remap — zero knobs).
-///
-/// Returns the per-packet charge, the measured wakeups-per-datagram
-/// amortisation of the event loop (the input to
-/// [`endbox_netsim::pipeline::AsyncFrontEndModel::event_driven`]: tight
-/// static budgets force extra drain rounds under skew, and that shows up
-/// here as a worse ratio), and the final
-/// [`crate::server::ControllerStats`] snapshot (all zeros for static
-/// configurations).
+/// What moves with the wire backend, and nothing else: the server
+/// sockets are metered through that backend's
+/// [`endbox_netsim::net::WireEndpoint::cost_profile`], the RX-lane
+/// boundary share uses the same [`TransportKind::profile`], and backends
+/// with [`TransportKind::bypasses_kernel_rx`] shed the in-kernel receive
+/// share ([`CostModel::kernel_rx_per_fragment`], a strict part of
+/// `vpn_server_per_fragment`) from both the server total and the RX
+/// share, keeping `rx_cycles ⊆ server_cycles`.
 ///
 /// # Panics
 ///
-/// Panics if the deployment cannot be constructed.
-pub fn measure_charge_adaptive(
-    use_case: UseCase,
-    payload_len: usize,
-    samples: usize,
-    workers: usize,
-    rx_shards: usize,
-    dispatch: endbox_vpn::shard::DispatchPolicy,
-    knobs: Option<(usize, usize)>,
-) -> (PacketCharge, f64, crate::server::ControllerStats) {
-    // 8 peers at 2 RX shards puts both Zipf elephants (peers 0 and 4)
-    // in poll group 0; base batch 24 makes that group's per-round
-    // backlog (~43 datagrams) deep enough that starved static budgets
-    // pay extra drain rounds and the controller's hot-group law
-    // (2x the other groups' mean, 3-round debounce) actually fires.
-    const N_PEERS: usize = 8;
-    const BASE_BATCH: usize = 24;
-    let mut builder = Scenario::enterprise(N_PEERS, use_case)
-        .trust(TrustLevel::Hardware)
-        .seed(0xbe9c)
-        .rx_shards(rx_shards)
-        .dispatch(dispatch)
-        .async_ingress(true);
-    if knobs.is_none() {
-        builder = builder.adaptive_control(true);
+/// Panics if the stack cannot be constructed or a delivery fails (a bug
+/// in the harness), or on a contradictory spec: the event loop or the
+/// controller without the sharded server, or a server-side Click on it.
+pub fn measure(spec: &MeasureSpec) -> Measured {
+    if let Deployment::VanillaClick(uc) = spec.deployment {
+        return Measured {
+            charge: measure_vanilla_click(uc, spec.payload_len, spec.samples),
+            wakeups_per_datagram: 1.0,
+            datagrams_per_call: 1.0,
+            controller: ControllerStats::default(),
+        };
     }
-    let mut scenario = builder.build_sharded(workers).expect("sharded deployment");
-    if let Some((quota, budget)) = knobs {
-        scenario.set_async_budget(quota, budget);
-    }
-
-    let weights = crate::eval::scalability::heavy_tail_weights(N_PEERS);
-    let sizes = crate::scenario::ShardedScenario::heavy_tail_batch_sizes(&weights, BASE_BATCH);
-    let round_packets: usize = sizes.iter().sum();
-
+    let mut stack = Stack::build(spec);
+    let sizes = if spec.zipf {
+        let weights = crate::eval::scalability::heavy_tail_weights(spec.peers);
+        ShardedScenario::heavy_tail_batch_sizes(&weights, spec.per_peer)
+    } else {
+        vec![spec.per_peer; spec.peers]
+    };
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-    let payload = benign_payload(payload_len, &mut rng);
+    let payload = benign_payload(spec.payload_len, &mut rng);
     let client_meters: Vec<CycleMeter> =
-        scenario.clients.iter().map(|c| c.meter().clone()).collect();
-    let server_meter = scenario.server_meter.clone();
+        stack.clients().iter().map(|c| c.meter().clone()).collect();
+    let server_meter = stack.server_meter();
 
-    // One round: every peer seals its weighted share of single-packet
-    // records (elephants flood their own sockets), all datagrams go on
-    // the wire, then the event loop drains to idle — under tight static
-    // knobs that takes many pump rounds; under the controller the
-    // budgets follow the skew.
-    let run_round = |scenario: &mut crate::scenario::ShardedScenario, seq: u32| -> (usize, usize) {
-        let mut datagrams = 0usize;
-        let mut wire_bytes = 0usize;
-        for (idx, &n) in sizes.iter().enumerate() {
-            for i in 0..n {
-                let pkt = Packet::tcp(
-                    Scenario::client_addr(idx),
-                    Scenario::network_addr(),
-                    40_000 + idx as u16,
-                    5001,
-                    seq + i as u32,
-                    &payload,
-                );
-                let sealed = scenario.clients[idx].send_packet(pkt).expect("send");
-                datagrams += sealed.len();
-                wire_bytes += sealed.iter().map(Vec::len).sum::<usize>();
-                scenario.send_wire_datagrams(idx as u64, sealed);
-            }
-        }
-        for (_, result) in scenario.pump_async() {
-            result.expect("deliver");
-        }
-        (datagrams, wire_bytes)
-    };
-
-    // Warm-up round (first-use costs stay out of the steady state).
-    run_round(&mut scenario, 0);
+    stack.round(spec, &sizes, &payload, 0);
     for m in &client_meters {
         m.take();
     }
     server_meter.take();
-    let warm_stats = scenario.async_stats();
+    let event_loop = match &stack {
+        Stack::Sharded(s) if spec.doorway == Doorway::EventLoop => Some(s.async_stats()),
+        _ => None,
+    };
 
-    let mut wire_bytes_total = 0usize;
-    let mut fragments_total = 0usize;
-    for r in 1..=samples {
-        let (frags, bytes) = run_round(&mut scenario, (r * BASE_BATCH) as u32);
-        fragments_total += frags;
-        wire_bytes_total += bytes;
+    let (mut datagrams, mut wire_bytes) = (0usize, 0usize);
+    for r in 1..=spec.samples {
+        let (d, b) = stack.round(spec, &sizes, &payload, (r * spec.per_peer) as u32);
+        datagrams += d;
+        wire_bytes += b;
     }
-    let stats = scenario.async_stats();
-    let wakeups = stats.wakeups - warm_stats.wakeups;
-    let drained = stats.datagrams - warm_stats.datagrams;
-    assert_eq!(drained as usize, fragments_total, "every datagram drained");
-    let wakeups_per_datagram = wakeups as f64 / drained.max(1) as f64;
 
-    let packets_total = (samples * round_packets) as u64;
-    let client_cycles: u64 = client_meters.iter().map(CycleMeter::take).sum::<u64>();
+    let packets = (spec.samples * sizes.iter().sum::<usize>()) as u64;
     let cost = CostModel::calibrated();
-    let socket_rx_cycles = cost.socket_recv_fixed * fragments_total as u64
-        + (cost.socket_per_byte * wire_bytes_total as f64) as u64;
-    let charge = small_record_charge(
-        payload_len,
-        packets_total,
-        wire_bytes_total,
-        fragments_total,
-        client_cycles,
-        server_meter.take(),
-        socket_rx_cycles,
-    );
-    (charge, wakeups_per_datagram, scenario.controller_stats())
-}
-
-/// Measures per-packet charges on the sharded stack with **bulk socket
-/// I/O** in the loop: the event-driven mix of [`measure_charge_async`],
-/// but the front-end drains each socket with `recv_many` calls of up to
-/// `recv_bulk` datagrams (the `recvmmsg` shape; `1` degenerates to the
-/// per-datagram transport). The drained datagrams, their dispatch order
-/// and the metered charge are identical at every bulk size — only the
-/// call count moves, which is exactly why one measured charge replays
-/// honestly under every [`endbox_netsim::pipeline::SyscallBatchModel`].
-///
-/// Returns the charge plus the measured **datagrams-per-call** ratio
-/// ([`crate::server::AsyncIngressStats::io_calls`]): the amortisation
-/// input to [`endbox_netsim::pipeline::SyscallBatchModel::bulk`]. The
-/// queue depth bounds the achievable ratio (a call cannot move more
-/// than is waiting), so this mix queues twice as deep per peer as the
-/// async mix before each drain.
-///
-/// # Panics
-///
-/// Panics if the deployment cannot be constructed.
-pub fn measure_charge_wire(
-    use_case: UseCase,
-    payload_len: usize,
-    samples: usize,
-    workers: usize,
-    rx_shards: usize,
-    recv_bulk: usize,
-) -> (PacketCharge, f64) {
-    measure_charge_transport(
-        use_case,
-        payload_len,
-        samples,
-        workers,
-        rx_shards,
-        recv_bulk,
-        TransportKind::Virtual,
-    )
-}
-
-/// Generalises [`measure_charge_wire`] over the transport backend: the
-/// identical bulk small-record mix, but the async wire runs on `kind`
-/// and the charge carries that backend's boundary costs.
-///
-/// Three things move with the backend, nothing else:
-///
-/// 1. **Metered boundary charges** — the server-side sockets are
-///    metered through
-///    [`endbox_netsim::net::WireEndpoint::cost_profile`], so ring/XDP
-///    receives charge `descriptor_per_frame` (and, for XDP, zero
-///    per-byte copy) instead of the socket shape. The measured
-///    `server_cycles` reflect this automatically.
-/// 2. **The RX-lane boundary share** — the analytic socket share handed
-///    to the charge split uses [`TransportKind::profile`], matching
-///    what the meter was actually charged.
-/// 3. **The in-kernel receive path** — backends with
-///    [`TransportKind::bypasses_kernel_rx`] deliver frames by
-///    descriptor from the shared arena, shedding the in-kernel share of
-///    the per-fragment receive work
-///    ([`CostModel::kernel_rx_per_fragment`], a strict part of
-///    `vpn_server_per_fragment`). That share is subtracted from both
-///    the server total and the RX-lane framing share, keeping
-///    `rx_cycles ⊆ server_cycles` consistent.
-///
-/// Returns the charge plus the measured datagrams-per-call ratio, as
-/// [`measure_charge_wire`] does.
-///
-/// # Panics
-///
-/// Panics if the deployment cannot be constructed.
-pub fn measure_charge_transport(
-    use_case: UseCase,
-    payload_len: usize,
-    samples: usize,
-    workers: usize,
-    rx_shards: usize,
-    recv_bulk: usize,
-    kind: TransportKind,
-) -> (PacketCharge, f64) {
-    const N_PEERS: usize = 8;
-    const SINGLES_PER_PEER: usize = 16;
-    let mut scenario = Scenario::enterprise(N_PEERS, use_case)
-        .trust(TrustLevel::Hardware)
-        .seed(0xbe9c)
-        .rx_shards(rx_shards)
-        .async_ingress(true)
-        .transport(kind)
-        .build_sharded(workers)
-        .expect("sharded deployment must build");
-    scenario.set_recv_bulk(recv_bulk);
-    // Let one scheduling pass cover a whole bulk batch: the fairness
-    // quota must not artificially cap the measured amortisation.
-    scenario.set_async_budget(
-        recv_bulk.max(crate::server::DEFAULT_DRAIN_QUOTA),
-        crate::server::DEFAULT_SHARD_BUDGET,
-    );
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-    let payload = benign_payload(payload_len, &mut rng);
-    let client_meters: Vec<CycleMeter> =
-        scenario.clients.iter().map(|c| c.meter().clone()).collect();
-    let server_meter = scenario.server_meter.clone();
-
-    // One round: peers interleave single-packet records, all datagrams
-    // queue in the per-peer sockets, then one event-loop drain moves
-    // them with bulk receives.
-    let run_round = |scenario: &mut crate::scenario::ShardedScenario, seq: u32| -> (usize, usize) {
-        let mut datagrams = 0usize;
-        let mut wire_bytes = 0usize;
-        for i in 0..SINGLES_PER_PEER {
-            for idx in 0..N_PEERS {
-                let pkt = Packet::tcp(
-                    Scenario::client_addr(idx),
-                    Scenario::network_addr(),
-                    40_000 + idx as u16,
-                    5001,
-                    seq + i as u32,
-                    &payload,
-                );
-                let sealed = scenario.clients[idx].send_packet(pkt).expect("send");
-                datagrams += sealed.len();
-                wire_bytes += sealed.iter().map(Vec::len).sum::<usize>();
-                scenario.send_wire_datagrams(idx as u64, sealed);
-            }
-        }
-        for (_, result) in scenario.pump_async() {
-            result.expect("deliver");
-        }
-        (datagrams, wire_bytes)
-    };
-
-    // Warm-up round (first-use costs stay out of the steady state).
-    run_round(&mut scenario, 0);
-    for m in &client_meters {
-        m.take();
-    }
-    server_meter.take();
-    let warm_stats = scenario.async_stats();
-
-    let mut wire_bytes_total = 0usize;
-    let mut fragments_total = 0usize;
-    for r in 1..=samples {
-        let (frags, bytes) = run_round(&mut scenario, (r * SINGLES_PER_PEER) as u32);
-        fragments_total += frags;
-        wire_bytes_total += bytes;
-    }
-    let stats = scenario.async_stats();
-    let io_calls = stats.io_calls - warm_stats.io_calls;
-    let drained = stats.datagrams - warm_stats.datagrams;
-    assert_eq!(drained as usize, fragments_total, "every datagram drained");
-    let datagrams_per_call = drained as f64 / io_calls.max(1) as f64;
-
-    let packets_total = (samples * SINGLES_PER_PEER * N_PEERS) as u64;
-    let client_cycles: u64 = client_meters.iter().map(CycleMeter::take).sum::<u64>();
-    let cost = CostModel::calibrated();
-    let profile = kind.profile(&cost);
-    let boundary_rx_cycles = profile.recv_fixed * fragments_total as u64
-        + (profile.per_byte * wire_bytes_total as f64) as u64;
-    let mut server_cycles_total = server_meter.take();
-    if kind.bypasses_kernel_rx() {
-        // Descriptor delivery from the shared arena skips the in-kernel
-        // receive path; shed its share of the per-fragment receive work
-        // from the server total (the framing share is adjusted below).
-        server_cycles_total = server_cycles_total
-            .saturating_sub(cost.kernel_rx_per_fragment * fragments_total as u64);
-    }
-    let mut charge = small_record_charge(
-        payload_len,
-        packets_total,
-        wire_bytes_total,
-        fragments_total,
-        client_cycles,
-        server_cycles_total,
-        boundary_rx_cycles,
-    );
-    if kind.bypasses_kernel_rx() {
-        // The RX-lane framing share sheds the same in-kernel cycles
-        // (kernel_rx_per_fragment < vpn_server_per_fragment is asserted
-        // in the cost model, so this never underflows the framing part).
-        charge.rx_cycles = charge
-            .rx_cycles
-            .saturating_sub(cost.kernel_rx_per_fragment * charge.fragments as u64);
-    }
-    (charge, datagrams_per_call)
-}
-
-/// Like [`measure_charge_sharded`], but drives a **heavy-tailed**
-/// multi-client load mix (Zipf weights from
-/// [`crate::eval::scalability::heavy_tail_weights`]) through a sharded
-/// server running the given [`endbox_vpn::shard::DispatchPolicy`] — the
-/// real-stack
-/// measurement behind the dispatcher comparison. Returned charges are per
-/// packet; the throughput difference between the policies is a queueing
-/// effect the timing layer reproduces from this charge plus the same load
-/// mix.
-///
-/// # Panics
-///
-/// Panics if the deployment cannot be constructed.
-pub fn measure_charge_sharded_mix(
-    use_case: UseCase,
-    payload_len: usize,
-    samples: usize,
-    batch_size: usize,
-    workers: usize,
-    dispatch: endbox_vpn::shard::DispatchPolicy,
-) -> PacketCharge {
-    const N_CLIENTS: usize = 8;
-    let mut scenario = Scenario::enterprise(N_CLIENTS, use_case)
-        .trust(TrustLevel::Hardware)
-        .seed(0xbe9c)
-        .dispatch(dispatch)
-        .build_sharded(workers)
-        .expect("sharded deployment must build");
-    let weights = crate::eval::scalability::heavy_tail_weights(N_CLIENTS);
-
-    let sizes = crate::scenario::ShardedScenario::heavy_tail_batch_sizes(&weights, batch_size);
-    let round_packets: usize = sizes.iter().sum();
-
-    let client_meters: Vec<CycleMeter> =
-        scenario.clients.iter().map(|c| c.meter().clone()).collect();
-    let server_meter = scenario.server_meter.clone();
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-    let payload = benign_payload(payload_len, &mut rng);
-    let round_batches = |seq: u32| -> Vec<(usize, Vec<Packet>)> {
-        sizes
-            .iter()
-            .enumerate()
-            .map(|(idx, &n)| {
-                (
-                    idx,
-                    (0..n)
-                        .map(|i| {
-                            Packet::tcp(
-                                Scenario::client_addr(idx),
-                                Scenario::network_addr(),
-                                40_000 + idx as u16,
-                                5001,
-                                seq + i as u32,
-                                &payload,
-                            )
-                        })
-                        .collect(),
-                )
-            })
-            .collect()
-    };
-
-    // Warm-up round.
-    scenario
-        .send_packet_batches_from_all(round_batches(0))
-        .expect("warm-up");
-    for m in &client_meters {
-        m.take();
-    }
-    server_meter.take();
-
-    // Seal on every client (sized by its weight), then one pipelined
-    // dispatch — the same split `send_heavy_tailed_round` performs, done
-    // by hand so the real wire datagrams can be measured.
-    let mut wire_bytes_total = 0usize;
-    let mut fragments_total = 0usize;
-    for round in 1..=samples {
-        let mut datagrams: Vec<(u64, Vec<u8>)> = Vec::new();
-        for (idx, packets) in round_batches((round * batch_size) as u32) {
-            for d in scenario.clients[idx].send_batch(packets).expect("send") {
-                datagrams.push((idx as u64, d));
-            }
-        }
-        fragments_total += datagrams.len();
-        wire_bytes_total += datagrams.iter().map(|(_, d)| d.len()).sum::<usize>();
-        for result in scenario.server.receive_datagrams(datagrams) {
-            result.expect("deliver");
+    let mut server_cycles = server_meter.take();
+    let mut framing_cycles = cost.vpn_server_per_fragment * datagrams as u64;
+    let mut boundary_cycles = 0;
+    let (mut wakeups_per_datagram, mut datagrams_per_call) = (1.0, 1.0);
+    let mut controller = ControllerStats::default();
+    if let (Stack::Sharded(s), Some(warm)) = (&stack, event_loop) {
+        let stats = s.async_stats();
+        let drained = stats.datagrams - warm.datagrams;
+        assert_eq!(drained as usize, datagrams, "every datagram drained");
+        wakeups_per_datagram = (stats.wakeups - warm.wakeups) as f64 / drained.max(1) as f64;
+        datagrams_per_call = drained as f64 / (stats.io_calls - warm.io_calls).max(1) as f64;
+        controller = s.controller_stats();
+        let profile = spec.transport.profile(&cost);
+        boundary_cycles =
+            profile.recv_fixed * datagrams as u64 + (profile.per_byte * wire_bytes as f64) as u64;
+        if spec.transport.bypasses_kernel_rx() {
+            // kernel_rx_per_fragment < vpn_server_per_fragment is asserted
+            // in the cost model, so the framing share never underflows.
+            let shed = cost.kernel_rx_per_fragment * datagrams as u64;
+            server_cycles = server_cycles.saturating_sub(shed);
+            framing_cycles -= shed;
         }
     }
-
-    let packets_total = (samples * round_packets) as u64;
-    let client_cycles: u64 = client_meters.iter().map(CycleMeter::take).sum::<u64>();
-    PacketCharge {
-        payload_bytes: payload_len + 40, // payload + IP/TCP headers
-        wire_bytes: wire_bytes_total / packets_total.max(1) as usize,
-        fragments: (fragments_total as u64)
-            .div_ceil(packets_total.max(1))
-            .max(1) as usize,
-        client_cycles: client_cycles / packets_total.max(1),
-        server_cycles: server_meter.take() / packets_total.max(1),
-        rx_cycles: CostModel::calibrated().vpn_server_per_fragment * fragments_total as u64
-            / packets_total.max(1),
+    let client_cycles: u64 = client_meters.iter().map(CycleMeter::take).sum();
+    let charge = PacketCharge {
+        payload_bytes: spec.payload_len + 40, // payload + IP/TCP headers
+        wire_bytes: wire_bytes / packets as usize,
+        fragments: (datagrams as u64).div_ceil(packets).max(1) as usize,
+        client_cycles: client_cycles / packets,
+        server_cycles: server_cycles / packets,
+        rx_cycles: framing_cycles / packets + boundary_cycles / packets,
         dropped: false,
+    };
+    Measured {
+        charge,
+        wakeups_per_datagram,
+        datagrams_per_call,
+        controller,
     }
 }
 
@@ -1004,11 +549,15 @@ fn measure_vanilla_click(use_case: UseCase, payload_len: usize, samples: usize) 
 mod tests {
     use super::*;
 
+    fn charge(deployment: Deployment, payload_len: usize, samples: usize) -> PacketCharge {
+        measure(&MeasureSpec::single_flow(deployment, payload_len, samples)).charge
+    }
+
     #[test]
     fn endbox_sgx_costs_more_than_sim_than_vanilla() {
-        let vanilla = measure_charge(Deployment::VanillaOpenVpn, 1500, 8);
-        let sim = measure_charge(Deployment::EndBoxSim(UseCase::Nop), 1500, 8);
-        let sgx = measure_charge(Deployment::EndBoxSgx(UseCase::Nop), 1500, 8);
+        let vanilla = charge(Deployment::VanillaOpenVpn, 1500, 8);
+        let sim = charge(Deployment::EndBoxSim(UseCase::Nop), 1500, 8);
+        let sgx = charge(Deployment::EndBoxSgx(UseCase::Nop), 1500, 8);
         assert!(
             vanilla.client_cycles < sim.client_cycles,
             "vanilla {} < sim {}",
@@ -1028,8 +577,8 @@ mod tests {
 
     #[test]
     fn openvpn_click_moves_cost_to_server() {
-        let vanilla = measure_charge(Deployment::VanillaOpenVpn, 1500, 8);
-        let with_click = measure_charge(Deployment::OpenVpnClick(UseCase::Idps), 1500, 8);
+        let vanilla = charge(Deployment::VanillaOpenVpn, 1500, 8);
+        let with_click = charge(Deployment::OpenVpnClick(UseCase::Idps), 1500, 8);
         assert!(with_click.server_cycles > vanilla.server_cycles + 3_000);
         // Client side stays vanilla.
         assert!(with_click.client_cycles.abs_diff(vanilla.client_cycles) < 4_000);
@@ -1037,14 +586,14 @@ mod tests {
 
     #[test]
     fn idps_costs_more_than_nop_on_endbox() {
-        let nop = measure_charge(Deployment::EndBoxSgx(UseCase::Nop), 1500, 8);
-        let idps = measure_charge(Deployment::EndBoxSgx(UseCase::Idps), 1500, 8);
+        let nop = charge(Deployment::EndBoxSgx(UseCase::Nop), 1500, 8);
+        let idps = charge(Deployment::EndBoxSgx(UseCase::Idps), 1500, 8);
         assert!(idps.client_cycles > nop.client_cycles + 10_000);
     }
 
     #[test]
     fn large_payloads_fragment() {
-        let charge = measure_charge(Deployment::VanillaOpenVpn, 32_768, 4);
+        let charge = charge(Deployment::VanillaOpenVpn, 32_768, 4);
         assert!(
             charge.fragments >= 4,
             "32KB spans several datagrams: {}",
@@ -1055,7 +604,20 @@ mod tests {
 
     #[test]
     fn vanilla_click_is_server_bound() {
-        let c = measure_charge(Deployment::VanillaClick(UseCase::Nop), 1500, 8);
+        let c = charge(Deployment::VanillaClick(UseCase::Nop), 1500, 8);
         assert!(c.server_cycles > c.client_cycles);
+    }
+
+    #[test]
+    fn call_doorway_reports_unit_amortisation_and_an_idle_controller() {
+        let m = measure(&MeasureSpec {
+            peers: 2,
+            per_peer: 4,
+            samples: 2,
+            ..MeasureSpec::sharded(1, 2)
+        });
+        assert_eq!((m.wakeups_per_datagram, m.datagrams_per_call), (1.0, 1.0));
+        assert_eq!(m.controller, ControllerStats::default());
+        assert!(m.charge.rx_cycles > 0 && m.charge.rx_cycles <= m.charge.server_cycles);
     }
 }

@@ -1,7 +1,7 @@
 //! Latency experiments: Fig. 6 (page-load CDF), Fig. 7 (redirection
 //! RTTs), Table I (HTTPS GET latency), Fig. 11 (reconfiguration impact).
 
-use super::deploy::{measure_charge, Deployment};
+use super::deploy::{measure, Deployment, MeasureSpec};
 use crate::use_cases::UseCase;
 use endbox_netsim::http::{PageCatalogue, PageLoadModel};
 use endbox_netsim::pipeline::{unloaded_latency, Leg};
@@ -76,7 +76,7 @@ pub fn ping_rtt(method: Redirection) -> SimDuration {
                 Redirection::Local => Deployment::OpenVpnClick(UseCase::Nop),
                 _ => Deployment::EndBoxSgx(UseCase::Nop),
             };
-            let charge = measure_charge(deployment, 64, 8);
+            let charge = measure(&MeasureSpec::single_flow(deployment, 64, 8)).charge;
             for _ in 0..2 {
                 legs.push(Leg::Fixed(LOCAL_DETOUR_ONE_WAY));
                 legs.push(Leg::Cycles {
@@ -95,7 +95,12 @@ pub fn ping_rtt(method: Redirection) -> SimDuration {
             } else {
                 US_EAST_ONE_WAY
             };
-            let charge = measure_charge(Deployment::OpenVpnClick(UseCase::Nop), 64, 8);
+            let charge = measure(&MeasureSpec::single_flow(
+                Deployment::OpenVpnClick(UseCase::Nop),
+                64,
+                8,
+            ))
+            .charge;
             for _ in 0..2 {
                 legs.push(Leg::Fixed(extra));
                 legs.push(Leg::Cycles {
@@ -132,7 +137,12 @@ pub fn fig6(n_pages: usize) -> (Cdf, Cdf) {
     // Direct browsing RTT vs the same RTT plus EndBox's per-packet
     // processing (measured on the real stack).
     let base_rtt = SimDuration::from_millis(30);
-    let charge = measure_charge(Deployment::EndBoxSgx(UseCase::Nop), 1_024, 8);
+    let charge = measure(&MeasureSpec::single_flow(
+        Deployment::EndBoxSgx(UseCase::Nop),
+        1_024,
+        8,
+    ))
+    .charge;
     let endbox_extra = SimDuration::from_cycles(charge.client_cycles, CLASS_A_HZ)
         + SimDuration::from_cycles(charge.server_cycles, CLASS_B_HZ);
     let endbox_rtt = base_rtt + endbox_extra + endbox_extra; // both directions
@@ -211,9 +221,19 @@ pub struct PingSample {
 pub fn fig11(endbox: bool) -> Vec<PingSample> {
     let cost = endbox_netsim::CostModel::calibrated();
     let charge = if endbox {
-        measure_charge(Deployment::EndBoxSgx(UseCase::Firewall), 64, 8)
+        measure(&MeasureSpec::single_flow(
+            Deployment::EndBoxSgx(UseCase::Firewall),
+            64,
+            8,
+        ))
+        .charge
     } else {
-        measure_charge(Deployment::OpenVpnClick(UseCase::Firewall), 64, 8)
+        measure(&MeasureSpec::single_flow(
+            Deployment::OpenVpnClick(UseCase::Firewall),
+            64,
+            8,
+        ))
+        .charge
     };
     let base_rtt_ms = unloaded_latency(&[
         Leg::Cycles {

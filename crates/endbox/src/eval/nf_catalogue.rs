@@ -23,9 +23,10 @@
 //! Each mix is measured twice on fresh scenarios: per-packet ecalls
 //! (`batch = 1`) vs the batched datapath (`batch = 16`). The win comes
 //! from amortising the enclave transition, Click traversal set-up and
-//! record seal over the batch; the assert floor of 1.3x is wired into
-//! `exp_nf_catalogue` and CI.
+//! record seal over the batch; the 1.3x floor is a row of
+//! [`crate::eval::CLAIMS`].
 
+use super::table::{cells, Table};
 use crate::scenario::Scenario;
 use crate::server::Delivery;
 use crate::use_cases::UseCase;
@@ -35,8 +36,8 @@ use endbox_netsim::traffic::benign_payload;
 use endbox_netsim::Packet;
 use rand::SeedableRng;
 
-/// Batch depth of the batched datapath run (matches the default of
-/// [`crate::eval::throughput::batch_size`]).
+/// Batch depth of the batched datapath run (matches
+/// [`crate::eval::throughput::DEFAULT_BATCH_SIZE`]).
 pub const NF_BATCH: usize = 16;
 
 /// The three traffic mixes, in report order.
@@ -120,25 +121,6 @@ pub struct NfChainStats {
     pub conformed: u64,
     /// Copies produced by the accounting `Tee` branch.
     pub fanout_copies: u64,
-}
-
-/// One mix's batched-vs-single comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NfMixResult {
-    /// Mix name (see [`NF_MIXES`]).
-    pub mix: &'static str,
-    /// Packets per replay of the mix.
-    pub packets: usize,
-    /// Mean IP datagram length of the mix in bytes.
-    pub avg_bytes: usize,
-    /// Single-packet datapath throughput (Mbps).
-    pub single_mbps: f64,
-    /// Batched datapath throughput (Mbps), batch depth [`NF_BATCH`].
-    pub batched_mbps: f64,
-    /// `batched_mbps / single_mbps`.
-    pub speedup: f64,
-    /// Stateful-element activity of the batched run.
-    pub stats: NfChainStats,
 }
 
 fn replay_mbps(charge: PacketCharge) -> f64 {
@@ -255,28 +237,82 @@ fn drive(scenario: &mut Scenario, packets: &[Packet], batch_size: usize) -> (usi
     (wire, frags)
 }
 
-/// Runs the full grid: every mix, single vs batched.
-pub fn fig_nf_catalogue(samples: usize) -> Vec<NfMixResult> {
-    NF_MIXES
-        .iter()
-        .map(|&mix| {
-            let packets = mix_packets(mix);
-            let avg_bytes = packets.iter().map(Packet::len).sum::<usize>() / packets.len();
-            let (single_charge, _) = run_mix(mix, 1, samples);
-            let (batched_charge, stats) = run_mix(mix, NF_BATCH, samples);
-            let single_mbps = replay_mbps(single_charge);
-            let batched_mbps = replay_mbps(batched_charge);
-            NfMixResult {
-                mix,
-                packets: packets.len(),
-                avg_bytes,
-                single_mbps,
-                batched_mbps,
-                speedup: batched_mbps / single_mbps,
-                stats,
-            }
-        })
-        .collect()
+/// Replays of each mix per measurement.
+const NF_SAMPLES: usize = 6;
+
+/// `BENCH_nf.json` — the full grid: every mix, per-packet ecalls vs the
+/// batch-[`NF_BATCH`] datapath, plus the stateful chain's activity in the
+/// batched run.
+///
+/// # Panics
+///
+/// Panics if a replay reorders or drops packets, or if the stateful
+/// chain did no stateful work (the NAT saw no flows, or the token bucket
+/// did not conform exactly the NAT-rewritten stream).
+pub fn nf_catalogue() -> Table {
+    let mut table = Table::new(
+        "nf",
+        format!(
+            "Stateful NF catalogue: ConnTracker -> IPRewriter (NAT) -> TokenBucket with Tee \
+             accounting fan-out\n    EndBox SGX[NOP] stack, chain installed via the Fig. 5 \
+             cycle; per-packet ecalls vs batch-{NF_BATCH} datapath, {NF_SAMPLES} replays per \
+             mix; delivery order asserted on every replay"
+        ),
+        &[
+            ("mix", 0),
+            ("packets", 0),
+            ("avg_bytes", 0),
+            ("batch", 0),
+            ("single_mbps", 4),
+            ("batched_mbps", 4),
+            ("speedup", 4),
+            ("nat_flows", 0),
+            ("nat_rewritten", 0),
+            ("conn_flows", 0),
+            ("conformed", 0),
+            ("fanout_copies", 0),
+        ],
+        (
+            &[],
+            "mix",
+            &[
+                "packets",
+                "avg_bytes",
+                "single_mbps",
+                "batched_mbps",
+                "speedup",
+                "nat_flows",
+                "nat_rewritten",
+                "conn_flows",
+                "conformed",
+                "fanout_copies",
+            ],
+        ),
+    );
+    for mix in NF_MIXES {
+        let packets = mix_packets(mix);
+        let avg_bytes = packets.iter().map(Packet::len).sum::<usize>() / packets.len();
+        let single_mbps = replay_mbps(run_mix(mix, 1, NF_SAMPLES).0);
+        let (batched_charge, stats) = run_mix(mix, NF_BATCH, NF_SAMPLES);
+        let batched_mbps = replay_mbps(batched_charge);
+        assert!(stats.nat_flows > 0, "{mix}: NAT saw no flows");
+        assert_eq!(
+            stats.conformed, stats.nat_rewritten,
+            "{mix}: token bucket must conform exactly the NAT-rewritten stream"
+        );
+        let stats = [
+            stats.nat_flows,
+            stats.nat_rewritten,
+            stats.conn_flows,
+            stats.conformed,
+            stats.fanout_copies,
+        ];
+        let speedup = batched_mbps / single_mbps;
+        let keys = cells![mix, packets.len(), avg_bytes, NF_BATCH];
+        let mbps = cells![single_mbps, batched_mbps, speedup];
+        table.push(keys.chain(mbps).chain(stats.map(Into::into)));
+    }
+    table
 }
 
 #[cfg(test)]

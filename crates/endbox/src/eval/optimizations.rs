@@ -198,19 +198,11 @@ pub struct BatchingAblation {
 /// Click traversal and one sealed record per **batch**. Measured on
 /// EndBox-SGX NOP at 1 500 B, like the transition ablation.
 pub fn batching_ablation(batch_size: usize) -> BatchingAblation {
-    use crate::eval::deploy::{measure_charge_batched, Deployment};
-    let single = replay_mbps(measure_charge_batched(
-        Deployment::EndBoxSgx(crate::use_cases::UseCase::Nop),
-        1_500,
-        16,
-        1,
-    ));
-    let batched = replay_mbps(measure_charge_batched(
-        Deployment::EndBoxSgx(crate::use_cases::UseCase::Nop),
-        1_500,
-        16,
-        batch_size,
-    ));
+    use crate::eval::deploy::{measure, Deployment, MeasureSpec};
+    let sgx_nop = Deployment::EndBoxSgx(crate::use_cases::UseCase::Nop);
+    let mbps =
+        |batch| replay_mbps(measure(&MeasureSpec::batched_flow(sgx_nop, 1_500, 16, batch)).charge);
+    let (single, batched) = (mbps(1), mbps(batch_size));
     BatchingAblation {
         batch_size,
         single_mbps: single,
@@ -237,22 +229,18 @@ pub struct BatchSizePoint {
 /// (the paper's per-client Fig. 10 rate, 200 Mbps).
 const BATCH_FILL_REFERENCE_BPS: f64 = 200e6;
 
-/// The adaptive-batch-sizing ablation: sweeps the batch-size knob
-/// ([`crate::eval::throughput::batch_size`] defaults to 16) and reports
+/// The batch-sizing ablation: sweeps the record batch size around
+/// [`crate::eval::throughput::DEFAULT_BATCH_SIZE`] and reports
 /// both sides of the trade-off — throughput keeps rising with depth while
 /// the batch-fill latency grows linearly, which is why the default stays
 /// at a modest 16.
 pub fn batch_size_ablation(sizes: &[usize]) -> Vec<BatchSizePoint> {
-    use crate::eval::deploy::{measure_charge_batched, Deployment};
+    use crate::eval::deploy::{measure, Deployment, MeasureSpec};
     sizes
         .iter()
         .map(|&batch| {
-            let charge = measure_charge_batched(
-                Deployment::EndBoxSgx(crate::use_cases::UseCase::Nop),
-                1_500,
-                16,
-                batch,
-            );
+            let sgx_nop = Deployment::EndBoxSgx(crate::use_cases::UseCase::Nop);
+            let charge = measure(&MeasureSpec::batched_flow(sgx_nop, 1_500, 16, batch)).charge;
             let mbps = replay_mbps(charge);
             let fill_us =
                 (batch.saturating_sub(1) as f64) * 1_500.0 * 8.0 / BATCH_FILL_REFERENCE_BPS * 1e6;

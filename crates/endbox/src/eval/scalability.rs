@@ -1,33 +1,182 @@
-//! Fig. 10: server-side aggregate throughput and CPU usage as the number
-//! of clients grows (200 Mbps offered per client, 1 500 B packets) — plus
-//! the sharded multi-worker extension: the same sweep on the batched
-//! EndBox-SGX path with the server running N worker shards instead of one
-//! process per client.
+//! Fig. 10 — server-side aggregate throughput and CPU usage as the number
+//! of clients grows (200 Mbps offered per client, 1 500 B packets) — and
+//! the scaling experiments this repository adds on top: worker shards,
+//! load-aware dispatch, RX shards, the event-driven front-end, bulk socket
+//! I/O, transport backends, the self-tuning controller and online
+//! resizing.
+//!
+//! Every experiment is the same two steps: [`measure`] the per-packet
+//! charge of one real stack (the [`MeasureSpec`] says which), then
+//! [`replay`] it through the timing layer's lanes at each client count.
+//! Each returns one [`Table`]; those listed in
+//! [`crate::eval::ARTIFACTS`] are committed as `BENCH_*.json`.
 
-use super::deploy::{measure_charge, measure_charge_sharded, Deployment};
+use super::deploy::{measure, Control, Deployment, Doorway, MeasureSpec, Measured, Records};
+use super::table::{cells, Cell, Table};
+use super::throughput::DEFAULT_BATCH_SIZE;
+use crate::server::{DEFAULT_DRAIN_QUOTA, DEFAULT_SHARD_BUDGET};
 use crate::use_cases::UseCase;
+use endbox_netsim::cost::CostModel;
 use endbox_netsim::net::TransportKind;
-use endbox_netsim::pipeline::PacketCharge;
-use endbox_netsim::pipeline::{run_scalability, ScalabilityConfig, ScalabilityResult};
+use endbox_netsim::pipeline::{
+    run_scalability, AsyncFrontEndModel, PacketCharge, ScalabilityConfig, ScalabilityResult,
+    SyscallBatchModel,
+};
 use endbox_netsim::resource::MachineSpec;
 use endbox_netsim::time::SimDuration;
-
-/// One scalability data point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalabilityPoint {
-    /// Deployment measured.
-    pub deployment: String,
-    /// Connected clients.
-    pub clients: usize,
-    /// Aggregate server-side goodput in Gbps.
-    pub gbps: f64,
-    /// Server CPU utilisation in [0, 1].
-    pub server_cpu: f64,
-}
+use endbox_netsim::traffic::{diurnal_trace, flash_crowd_trace, TraceStep};
+use endbox_vpn::shard::DispatchPolicy;
 
 /// Client counts plotted in Fig. 10.
 pub fn client_counts() -> [usize; 9] {
     [1, 5, 10, 15, 20, 30, 40, 50, 60]
+}
+
+/// Worker-shard counts swept by the sharded Fig. 10 extension.
+pub fn worker_counts() -> [usize; 4] {
+    [1, 2, 4, 8]
+}
+
+/// RX-shard counts swept by the RX-scaling experiment.
+pub fn rx_shard_counts() -> [usize; 3] {
+    [1, 2, 4]
+}
+
+/// Payload size of the RX-bound small-record mix (bytes). Small records
+/// mean one wire datagram per record, so the per-packet framing share is
+/// maximal — exactly the regime where a single RX thread is the serial
+/// bottleneck.
+pub const RX_MIX_PAYLOAD: usize = 256;
+
+/// Offered load per peer of the small-record mix (bits/s). Many cheap
+/// peers, not a few elephants: the aggregate packet rate is what
+/// saturates a framing lane.
+pub const RX_MIX_PER_CLIENT_BPS: u64 = 20_000_000;
+
+/// Peer counts of the small-record sweeps.
+const RX_MIX_CLIENTS: [usize; 6] = [20, 40, 60, 80, 100, 120];
+
+/// Peer counts of the two transport-boundary sweeps.
+const BOUNDARY_CLIENTS: [usize; 3] = [40, 80, 120];
+
+/// Bulk sizes swept by the syscall-batching comparison: `1` is the
+/// per-datagram transport (one `recvfrom` per wire datagram), the rest
+/// hand the kernel a `recvmmsg`-shaped vector of up to N datagrams per
+/// crossing.
+pub const WIRE_BULK_SIZES: [usize; 4] = [1, 8, 32, 128];
+
+/// Bulk size of the transport-backend comparison: every backend drains
+/// with `recv_many(32)` vectors, so the socket baseline is exactly the
+/// bulk-32 row of [`syscall_batch`] and the ring/bypass wins are
+/// attributable to the boundary model alone, not to batching depth.
+pub const TRANSPORT_BACKEND_BULK: usize = 32;
+
+/// Off-peak client count of the offered-load traces.
+pub const TRACE_BASE: usize = 10;
+
+/// Peak client count of the offered-load traces. Deliberately in the
+/// *lane-imbalance* regime of the 2-RX-shard server: the crowd's Zipf
+/// elephants all home on RX lane 0 (even client ids), whose offered load
+/// exceeds twice a lane's capacity while the odd lane still has idle
+/// headroom — so online re-homing converts real throughput, and a
+/// configuration that cannot remap leaves the cold lane underused. Far
+/// past this (say 60 clients at the same per-client rate) *both* lanes
+/// saturate and every configuration converges to the same aggregate
+/// ceiling, which would measure nothing.
+pub const TRACE_PEAK: usize = 30;
+
+/// Steps per offered-load trace.
+const TRACE_STEPS: usize = 12;
+
+/// The lane model every sweep shares: a 20 ms window, five client
+/// machines, no scheduler contention, and the paper's
+/// one-process-per-client server until a sweep says otherwise.
+fn lanes(per_client_bps: u64, payload_bytes: usize) -> ScalabilityConfig {
+    ScalabilityConfig {
+        per_client_bps,
+        payload_bytes,
+        duration: SimDuration::from_millis(20),
+        contention_per_excess_process: 0.0,
+        ..ScalabilityConfig::default()
+    }
+}
+
+/// Fig. 10's offered load (200 Mbps of 1 500 B packets per client) into
+/// one server process with `workers` shard flows, RX work folded into
+/// the worker lanes.
+fn fig10_lanes(workers: usize) -> ScalabilityConfig {
+    ScalabilityConfig {
+        server_worker_shards: Some(workers),
+        ..lanes(200_000_000, 1_500)
+    }
+}
+
+/// The small-record mix's offered load into `rx_shards` serial framing
+/// lanes in front of `workers` shard flows.
+fn rx_mix_lanes(charge: &PacketCharge, rx_shards: usize, workers: usize) -> ScalabilityConfig {
+    ScalabilityConfig {
+        server_worker_shards: Some(workers),
+        rx_shards: Some(rx_shards),
+        ..lanes(RX_MIX_PER_CLIENT_BPS, charge.payload_bytes)
+    }
+}
+
+/// Replays one measured charge through the timing layer: `clients`
+/// clients on class-A machines offer `lanes`' load to a class-B server
+/// modelled by `lanes`; `crowd` skews the per-client load by
+/// [`heavy_tail_weights`] (aggregate unchanged).
+pub fn replay(
+    charge: PacketCharge,
+    lanes: &ScalabilityConfig,
+    clients: usize,
+    crowd: bool,
+) -> ScalabilityResult {
+    let cfg = ScalabilityConfig {
+        n_clients: clients,
+        client_load_weights: crowd.then(|| heavy_tail_weights(clients)),
+        ..lanes.clone()
+    };
+    run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), charge, &cfg)
+}
+
+/// The `gbps`, `mpps`, `server_cpu` cells of one replayed sweep row.
+fn perf(charge: &PacketCharge, r: &ScalabilityResult) -> impl Iterator<Item = Cell> {
+    let mpps = r.gbps * 1e9 / (charge.payload_bytes as f64 * 8.0) / 1e6;
+    cells![r.gbps, mpps, r.server_cpu]
+}
+
+/// A sweep table's columns: integer/label `keys`, the three [`perf`]
+/// columns, then `extra` measured columns.
+fn columns(keys: &[&'static str], extra: &[(&'static str, usize)]) -> Vec<(&'static str, usize)> {
+    let mut out: Vec<_> = keys.iter().map(|&k| (k, 0)).collect();
+    out.extend([("gbps", 4), ("mpps", 5), ("server_cpu", 4)]);
+    out.extend(extra);
+    out
+}
+
+/// The many-peer small-record mix on the sharded EndBox-SGX NOP stack:
+/// `peers` peers each send `per_peer` single-packet records per round.
+fn small_record_mix(
+    rx_shards: usize,
+    workers: usize,
+    peers: usize,
+    per_peer: usize,
+) -> MeasureSpec {
+    MeasureSpec {
+        payload_len: RX_MIX_PAYLOAD,
+        samples: 6,
+        peers,
+        per_peer,
+        ..MeasureSpec::sharded(rx_shards, workers)
+    }
+}
+
+fn mix_title(what: &str, stack: &str) -> String {
+    format!(
+        "Many-peer small-record mix ({RX_MIX_PAYLOAD} B payloads, {} Mbps/peer, single-record \
+         datagrams): {what}\n    batched EndBox SGX[NOP] stack, {stack}",
+        RX_MIX_PER_CLIENT_BPS / 1_000_000
+    )
 }
 
 /// Scheduler-pressure penalty: the OpenVPN+Click baseline crosses two
@@ -38,195 +187,111 @@ pub fn client_counts() -> [usize; 9] {
 /// vanilla OpenVPN (no per-packet IPC) plateaus flat (§V-E, Fig. 10a).
 const SCHED_PENALTY_PER_EXCESS_PROC: f64 = 0.015;
 
-/// Adjusts a measured charge for the process pressure at `n_clients`.
-fn charge_at_scale(
-    deployment: Deployment,
-    base: PacketCharge,
-    vanilla_server_cycles: u64,
-    n_clients: usize,
-    hw_threads: usize,
-) -> PacketCharge {
-    let mut charge = base;
-    if matches!(deployment, Deployment::OpenVpnClick(_)) {
-        let procs = n_clients * deployment.server_procs_per_client();
-        let excess = procs.saturating_sub(hw_threads) as f64;
+/// The paper's Fig. 10 sweep over `deployments` (one server process per
+/// client, or one for everything under vanilla Click): columns
+/// `deployment`, `clients`, `gbps`, `server_cpu`.
+fn paper_fig10(title: &str, deployments: &[Deployment]) -> Table {
+    let mut table = Table::new(
+        "fig10_paper",
+        title.to_string(),
+        &[
+            ("deployment", 0),
+            ("clients", 0),
+            ("gbps", 2),
+            ("server_cpu", 2),
+        ],
+        (&["deployment"], "clients", &["gbps", "server_cpu"]),
+    );
+    let single = |d| measure(&MeasureSpec::single_flow(d, 1_500, 16)).charge;
+    let hw_threads = MachineSpec::class_b().cores * 2;
+    for &deployment in deployments {
+        let base = single(deployment);
         // The Click-side share of the per-packet work (fetch + IPC +
         // elements) is what the scheduler pressure amplifies.
-        let click_side = base.server_cycles.saturating_sub(vanilla_server_cycles);
-        charge.server_cycles = base.server_cycles
-            + (click_side as f64 * SCHED_PENALTY_PER_EXCESS_PROC * excess) as u64;
+        let click_side = match deployment {
+            Deployment::OpenVpnClick(_) => base
+                .server_cycles
+                .saturating_sub(single(Deployment::VanillaOpenVpn).server_cycles),
+            _ => 0,
+        };
+        let lanes = ScalabilityConfig {
+            server_procs_per_client: deployment.server_procs_per_client(),
+            server_single_process: deployment.server_single_process(),
+            ..lanes(200_000_000, 1_500)
+        };
+        for n in client_counts() {
+            let procs = n * deployment.server_procs_per_client();
+            let excess = procs.saturating_sub(hw_threads) as f64;
+            let mut charge = base;
+            charge.server_cycles +=
+                (click_side as f64 * SCHED_PENALTY_PER_EXCESS_PROC * excess) as u64;
+            let r = replay(charge, &lanes, n, false);
+            table.push(cells![deployment.name(), n, r.gbps, r.server_cpu]);
+        }
     }
-    charge
+    table
 }
 
-/// Runs the sweep for one deployment.
-pub fn sweep(deployment: Deployment) -> Vec<ScalabilityPoint> {
-    let base = measure_charge(deployment, 1_500, 16);
-    let vanilla_server = if matches!(deployment, Deployment::OpenVpnClick(_)) {
-        measure_charge(Deployment::VanillaOpenVpn, 1_500, 16).server_cycles
-    } else {
-        base.server_cycles
-    };
-    let hw_threads = MachineSpec::class_b().cores * 2;
-    client_counts()
-        .into_iter()
-        .map(|n| {
-            let charge = charge_at_scale(deployment, base, vanilla_server, n, hw_threads);
-            let cfg = ScalabilityConfig {
-                n_clients: n,
-                per_client_bps: 200_000_000,
-                payload_bytes: 1_500,
-                duration: SimDuration::from_millis(20),
-                n_client_machines: 5,
-                contention_per_excess_process: 0.0,
-                server_procs_per_client: deployment.server_procs_per_client(),
-                server_single_process: deployment.server_single_process(),
-                server_worker_shards: None,
-                client_load_weights: None,
-                load_aware_dispatch: false,
-                rx_shards: None,
-                rx_remap: false,
-                async_front_end: None,
-                syscall_batch: None,
-            };
-            let r: ScalabilityResult =
-                run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), charge, &cfg);
-            ScalabilityPoint {
-                deployment: deployment.name(),
-                clients: n,
-                gbps: r.gbps,
-                server_cpu: r.server_cpu,
-            }
-        })
-        .collect()
+/// The Fig. 10 sweep for one deployment.
+pub fn sweep(deployment: Deployment) -> Table {
+    paper_fig10(&deployment.name(), &[deployment])
 }
 
 /// Fig. 10a: the four deployments with the NOP function.
-pub fn fig10a() -> Vec<ScalabilityPoint> {
-    let mut out = Vec::new();
-    for d in [
-        Deployment::VanillaOpenVpn,
-        Deployment::EndBoxSgx(UseCase::Nop),
-        Deployment::VanillaClick(UseCase::Nop),
-        Deployment::OpenVpnClick(UseCase::Nop),
-    ] {
-        out.extend(sweep(d));
-    }
-    out
+pub fn fig10a() -> Table {
+    paper_fig10(
+        "Fig. 10a: NOP use case, different deployments",
+        &[
+            Deployment::VanillaOpenVpn,
+            Deployment::EndBoxSgx(UseCase::Nop),
+            Deployment::VanillaClick(UseCase::Nop),
+            Deployment::OpenVpnClick(UseCase::Nop),
+        ],
+    )
 }
 
 /// Fig. 10b: the five use cases on EndBox SGX and OpenVPN+Click.
-pub fn fig10b() -> Vec<ScalabilityPoint> {
-    let mut out = Vec::new();
-    for uc in UseCase::all() {
-        out.extend(sweep(Deployment::EndBoxSgx(uc)));
-        out.extend(sweep(Deployment::OpenVpnClick(uc)));
-    }
-    out
+pub fn fig10b() -> Table {
+    let deployments: Vec<Deployment> = UseCase::all()
+        .into_iter()
+        .flat_map(|uc| [Deployment::EndBoxSgx(uc), Deployment::OpenVpnClick(uc)])
+        .collect();
+    paper_fig10(
+        "Fig. 10b: five use cases, EndBox vs OpenVPN+Click",
+        &deployments,
+    )
 }
 
-/// One data point of the sharded multi-worker sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedScalabilityPoint {
-    /// Deployment measured (e.g. `EndBox SGX[NOP] sharded`).
-    pub deployment: String,
-    /// Connected clients.
-    pub clients: usize,
-    /// Server worker shards.
-    pub workers: usize,
-    /// Packets coalesced per sealed record.
-    pub batch: usize,
-    /// Aggregate server-side goodput in Gbps.
-    pub gbps: f64,
-    /// Aggregate server-side packet rate in Mpps.
-    pub mpps: f64,
-    /// Server CPU utilisation in [0, 1].
-    pub server_cpu: f64,
-}
-
-/// Worker-shard counts swept by the sharded Fig. 10 extension.
-pub fn worker_counts() -> [usize; 4] {
-    [1, 2, 4, 8]
-}
-
-/// Runs the sharded sweep for one use case: per-packet charges are
-/// measured on the **real** sharded stack
-/// ([`measure_charge_sharded`]: N worker threads, multi-client batched
-/// dispatch, per-shard pools), then replayed through the timing layer
-/// with the server modelled as one process with `workers` shard flows.
-pub fn sweep_sharded(
-    use_case: UseCase,
-    workers: usize,
-    batch: usize,
-    clients: &[usize],
-) -> Vec<ShardedScalabilityPoint> {
-    let charge = measure_charge_sharded(use_case, 1_500, 8, batch, workers);
-    clients
-        .iter()
-        .map(|&n| {
-            let cfg = ScalabilityConfig {
-                n_clients: n,
-                per_client_bps: 200_000_000,
-                payload_bytes: 1_500,
-                duration: SimDuration::from_millis(20),
-                n_client_machines: 5,
-                contention_per_excess_process: 0.0,
-                server_procs_per_client: 1,
-                server_single_process: false,
-                server_worker_shards: Some(workers),
-                client_load_weights: None,
-                load_aware_dispatch: false,
-                rx_shards: None,
-                rx_remap: false,
-                async_front_end: None,
-                syscall_batch: None,
-            };
-            let r: ScalabilityResult =
-                run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), charge, &cfg);
-            ShardedScalabilityPoint {
-                deployment: format!("{} sharded", Deployment::EndBoxSgx(use_case).name()),
-                clients: n,
-                workers,
-                batch,
-                gbps: r.gbps,
-                mpps: r.gbps * 1e9 / (charge.payload_bytes as f64 * 8.0) / 1e6,
-                server_cpu: r.server_cpu,
-            }
-        })
-        .collect()
-}
-
-/// The sharded Fig. 10 extension: the batched EndBox-SGX path (NOP use
-/// case) for every worker count in [`worker_counts`].
-pub fn fig10_sharded(batch: usize, clients: &[usize]) -> Vec<ShardedScalabilityPoint> {
-    let mut out = Vec::new();
+/// `BENCH_fig10.json` — the sharded Fig. 10 extension: two real clients
+/// seal [`DEFAULT_BATCH_SIZE`]-packet records into a sharded server with
+/// 1/2/4/8 worker threads; the charge replays with the server as one
+/// process of that many shard flows.
+pub fn fig10_sharded() -> Table {
+    let batch = DEFAULT_BATCH_SIZE;
+    let mut table = Table::new(
+        "fig10",
+        format!(
+            "Sharded multi-worker server: batched EndBox SGX[NOP], batch={batch} \
+             (workers x clients)"
+        ),
+        &columns(&["deployment", "clients", "workers", "batch"], &[]),
+        (&["workers"], "clients", &["gbps", "mpps"]),
+    );
     for workers in worker_counts() {
-        out.extend(sweep_sharded(UseCase::Nop, workers, batch, clients));
+        let charge = measure(&MeasureSpec {
+            peers: 2,
+            records: Records::Batched,
+            per_peer: batch,
+            ..MeasureSpec::sharded(1, workers)
+        })
+        .charge;
+        for n in client_counts() {
+            let r = replay(charge, &fig10_lanes(workers), n, false);
+            let name = format!("{} sharded", Deployment::EndBoxSgx(UseCase::Nop).name());
+            table.push(cells![name, n, workers, batch].chain(perf(&charge, &r)));
+        }
     }
-    out
-}
-
-/// One data point of the heavy-tailed load-mix sweep: the same sharded
-/// stack, driven by a skewed per-client offered load, under either
-/// dispatch policy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HeavyTailPoint {
-    /// Dispatch policy (`"static"` or `"load-aware"`).
-    pub policy: String,
-    /// Connected clients.
-    pub clients: usize,
-    /// Server worker shards.
-    pub workers: usize,
-    /// Packets coalesced per sealed record.
-    pub batch: usize,
-    /// Aggregate server-side goodput in Gbps.
-    pub gbps: f64,
-    /// Aggregate server-side packet rate in Mpps.
-    pub mpps: f64,
-    /// Server CPU utilisation in [0, 1].
-    pub server_cpu: f64,
-    /// Session migrations the dispatcher performed in the window.
-    pub migrations: u64,
+    table
 }
 
 /// The heavy-tailed per-client load mix: a Zipf(α = 1.2) weight per rank,
@@ -251,890 +316,415 @@ pub fn heavy_tail_weights(n_clients: usize) -> Vec<f64> {
     weights
 }
 
-/// Runs the heavy-tailed sweep for one policy: per-packet charges are
-/// measured on the **real** sharded stack running the matching dispatch
-/// policy and a skewed multi-client batch mix
-/// ([`super::deploy::measure_charge_sharded_mix`]), then replayed through
-/// the timing layer with the same Zipf load mix and dispatcher model.
-pub fn sweep_heavy_tail(
-    use_case: UseCase,
-    workers: usize,
-    batch: usize,
-    clients: &[usize],
-    load_aware: bool,
-) -> Vec<HeavyTailPoint> {
-    let policy = if load_aware {
-        endbox_vpn::shard::DispatchPolicy::load_aware()
-    } else {
-        endbox_vpn::shard::DispatchPolicy::Static
-    };
-    let charge =
-        super::deploy::measure_charge_sharded_mix(use_case, 1_500, 8, batch, workers, policy);
-    clients
-        .iter()
-        .map(|&n| {
-            let cfg = ScalabilityConfig {
-                n_clients: n,
-                per_client_bps: 200_000_000,
-                payload_bytes: 1_500,
-                duration: SimDuration::from_millis(20),
-                n_client_machines: 5,
-                contention_per_excess_process: 0.0,
-                server_procs_per_client: 1,
-                server_single_process: false,
-                server_worker_shards: Some(workers),
-                client_load_weights: Some(heavy_tail_weights(n)),
-                load_aware_dispatch: load_aware,
-                rx_shards: None,
-                rx_remap: false,
-                async_front_end: None,
-                syscall_batch: None,
-            };
-            let r: ScalabilityResult =
-                run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), charge, &cfg);
-            HeavyTailPoint {
-                policy: if load_aware { "load-aware" } else { "static" }.to_string(),
-                clients: n,
-                workers,
-                batch,
-                gbps: r.gbps,
-                mpps: r.gbps * 1e9 / (charge.payload_bytes as f64 * 8.0) / 1e6,
-                server_cpu: r.server_cpu,
-                migrations: r.migrations,
-            }
-        })
-        .collect()
-}
-
-/// The heavy-tail dispatcher comparison: static affinity vs load-aware
-/// dispatch on the batched EndBox-SGX path (NOP use case) at 4 worker
-/// shards, across `clients`.
-pub fn fig_heavy_tail(batch: usize, clients: &[usize]) -> Vec<HeavyTailPoint> {
-    let mut out = Vec::new();
-    for load_aware in [false, true] {
-        out.extend(sweep_heavy_tail(
-            UseCase::Nop,
-            4,
-            batch,
-            clients,
-            load_aware,
-        ));
+/// The heavy-tailed batched measurement behind the dispatcher comparison:
+/// eight clients seal Zipf-sized records into a 4-worker server running
+/// `dispatch`.
+fn heavy_tail_spec(dispatch: DispatchPolicy) -> MeasureSpec {
+    MeasureSpec {
+        peers: 8,
+        records: Records::Batched,
+        per_peer: DEFAULT_BATCH_SIZE,
+        zipf: true,
+        control: Control::Pinned {
+            dispatch,
+            drain_quota: DEFAULT_DRAIN_QUOTA,
+            shard_budget: DEFAULT_SHARD_BUDGET,
+        },
+        ..MeasureSpec::sharded(1, 4)
     }
-    out
 }
 
-/// One data point of the RX-sharding sweep: the sharded stack under the
-/// many-peer **small-record** mix (no record coalescing, so per-datagram
-/// framing dominates), with the RX front-end running `rx_shards` framing
-/// threads.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RxScalingPoint {
-    /// Connected clients (peers).
-    pub clients: usize,
-    /// RX framing shards.
-    pub rx_shards: usize,
-    /// Server worker shards.
-    pub workers: usize,
-    /// Aggregate server-side goodput in Gbps.
-    pub gbps: f64,
-    /// Aggregate server-side packet rate in Mpps.
-    pub mpps: f64,
-    /// Server CPU utilisation in [0, 1].
-    pub server_cpu: f64,
+/// `BENCH_heavytail.json` — static affinity vs load-aware dispatch under
+/// the Zipf mix whose elephants collide on one home shard, at 4 worker
+/// shards. Each policy is measured on the real stack running it, then
+/// replayed with the same mix and the matching dispatcher model; the win
+/// is a queueing effect the timing layer reproduces.
+pub fn heavy_tail() -> Table {
+    let mut table = Table::new(
+        "heavytail",
+        format!(
+            "Heavy-tailed load mix (Zipf 1.2, colliding elephants): static affinity vs \
+             load-aware dispatch\n    batched EndBox SGX[NOP], batch={DEFAULT_BATCH_SIZE}, \
+             4 worker shards"
+        ),
+        &columns(
+            &["policy", "clients", "workers", "batch"],
+            &[("migrations", 0)],
+        ),
+        (&["policy"], "clients", &["gbps", "migrations"]),
+    );
+    for (policy, dispatch) in [
+        ("static", DispatchPolicy::Static),
+        ("load-aware", DispatchPolicy::load_aware()),
+    ] {
+        let charge = measure(&heavy_tail_spec(dispatch)).charge;
+        let lanes = ScalabilityConfig {
+            load_aware_dispatch: dispatch != DispatchPolicy::Static,
+            ..fig10_lanes(4)
+        };
+        for n in [10, 20, 30, 40, 50, 60] {
+            let r = replay(charge, &lanes, n, true);
+            let keys = cells![policy, n, 4usize, DEFAULT_BATCH_SIZE];
+            table.push(keys.chain(perf(&charge, &r)).chain(cells![r.migrations]));
+        }
+    }
+    table
 }
 
-/// RX-shard counts swept by the RX-scaling experiment.
-pub fn rx_shard_counts() -> [usize; 3] {
-    [1, 2, 4]
-}
-
-/// Payload size of the RX-bound small-record mix (bytes). Small records
-/// mean one wire datagram per record, so the per-packet framing share is
-/// maximal — exactly the regime where the single RX thread of the PR 3
-/// pipeline became the serial bottleneck.
-pub const RX_MIX_PAYLOAD: usize = 256;
-
-/// Offered load per peer in the RX sweep (bits/s). Many cheap peers, not
-/// a few elephants: the aggregate packet rate is what saturates a framing
-/// lane.
-pub const RX_MIX_PER_CLIENT_BPS: u64 = 20_000_000;
-
-/// Runs the RX-sharding sweep: per-packet charges are measured on the
-/// **real** sharded stack with an `rx_shards`-wide [`crate::server::RxShardPool`]
-/// ([`super::deploy::measure_charge_rx`]: many peers, single-record
-/// datagrams, one pipelined dispatch per round), then replayed through
-/// the timing layer with the RX front-end modelled as `rx_shards` serial
-/// framing lanes in front of the worker shards.
-pub fn sweep_rx_shards(
-    use_case: UseCase,
-    rx_shards: usize,
-    workers: usize,
-    clients: &[usize],
-) -> Vec<RxScalingPoint> {
-    let charge = super::deploy::measure_charge_rx(use_case, RX_MIX_PAYLOAD, 6, workers, rx_shards);
-    clients
-        .iter()
-        .map(|&n| {
-            let cfg = ScalabilityConfig {
-                n_clients: n,
-                per_client_bps: RX_MIX_PER_CLIENT_BPS,
-                payload_bytes: charge.payload_bytes,
-                duration: SimDuration::from_millis(20),
-                n_client_machines: 5,
-                contention_per_excess_process: 0.0,
-                server_procs_per_client: 1,
-                server_single_process: false,
-                server_worker_shards: Some(workers),
-                client_load_weights: None,
-                load_aware_dispatch: false,
-                rx_shards: Some(rx_shards),
-                rx_remap: false,
-                async_front_end: None,
-                syscall_batch: None,
-            };
-            let r: ScalabilityResult =
-                run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), charge, &cfg);
-            RxScalingPoint {
-                clients: n,
-                rx_shards,
-                workers,
-                gbps: r.gbps,
-                mpps: r.gbps * 1e9 / (charge.payload_bytes as f64 * 8.0) / 1e6,
-                server_cpu: r.server_cpu,
-            }
-        })
-        .collect()
-}
-
-/// The RX-scaling comparison: the many-peer small-record mix on the
-/// batched EndBox-SGX stack (NOP use case, 4 worker shards) for every RX
-/// shard count in [`rx_shard_counts`].
-pub fn fig_rx_scaling(clients: &[usize]) -> Vec<RxScalingPoint> {
-    let mut out = Vec::new();
+/// `BENCH_rx.json` — RX front-end sharding: six peers interleave
+/// single-record datagrams into a server with K RX framing threads (4
+/// workers); the charge replays with K serial framing lanes
+/// (completion-ordered hand-off) in front of the worker flows.
+pub fn rx_scaling() -> Table {
+    let mut table = Table::new(
+        "rx",
+        mix_title(
+            "RX front-end sharding",
+            &format!("4 worker shards, RX shards K in {:?}", rx_shard_counts()),
+        ),
+        &columns(&["clients", "rx_shards", "workers"], &[]),
+        (&["rx_shards"], "clients", &["mpps", "server_cpu"]),
+    );
     for k in rx_shard_counts() {
-        out.extend(sweep_rx_shards(UseCase::Nop, k, 4, clients));
+        let charge = measure(&small_record_mix(k, 4, 6, 4)).charge;
+        for n in RX_MIX_CLIENTS {
+            let r = replay(charge, &rx_mix_lanes(&charge, k, 4), n, false);
+            table.push(cells![n, k, 4usize].chain(perf(&charge, &r)));
+        }
     }
-    out
+    table
 }
 
-/// One data point of the socket-front-end comparison: the sharded stack
-/// under the many-peer small-record mix, ingesting either through a
-/// call-driven front-end (one blocking receive — one event-loop wakeup —
-/// per wire datagram) or through the event-driven
-/// [`crate::server::AsyncFrontEnd`] (wakeups amortised over the drain
-/// batch).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AsyncIngressPoint {
-    /// `"call-driven"` or `"event-driven"`.
-    pub mode: String,
-    /// Connected clients (peers).
-    pub clients: usize,
-    /// RX framing shards (== poll groups).
-    pub rx_shards: usize,
-    /// Server worker shards.
-    pub workers: usize,
-    /// Aggregate server-side goodput in Gbps.
-    pub gbps: f64,
-    /// Aggregate server-side packet rate in Mpps.
-    pub mpps: f64,
-    /// Server CPU utilisation in [0, 1].
-    pub server_cpu: f64,
-    /// Event-loop wakeups per packet priced by the timing model
-    /// (per-datagram ratio × fragments; 1.0 for the call-driven
-    /// front-end on the single-datagram small-record mix).
-    pub wakeups_per_packet: f64,
-}
-
-/// Runs the socket-front-end sweep for one mode: the per-packet charge
-/// *and* the event loop's wakeups-per-datagram amortisation are measured
-/// on the **real** stack with the `AsyncFrontEnd` in the loop
-/// ([`super::deploy::measure_charge_async`]), then replayed through the
-/// timing layer with the event-loop wakeup priced per packet on the RX
-/// lanes ([`endbox_netsim::pipeline::AsyncFrontEndModel`]). The
-/// call-driven baseline replays the **same measured charge** with one
-/// wakeup per datagram — the only modelled difference between the modes
-/// is the wakeup amortisation, which is precisely the event-driven
-/// front-end's contribution.
-pub fn sweep_async_ingress(
-    use_case: UseCase,
-    rx_shards: usize,
-    workers: usize,
-    clients: &[usize],
-    event_driven: bool,
-) -> Vec<AsyncIngressPoint> {
-    let (charge, measured_ratio) =
-        super::deploy::measure_charge_async(use_case, RX_MIX_PAYLOAD, 6, workers, rx_shards);
-    sweep_async_ingress_measured(
-        charge,
-        measured_ratio,
-        rx_shards,
-        workers,
-        clients,
-        event_driven,
-    )
-}
-
-/// The replay half of [`sweep_async_ingress`], for callers comparing both
-/// modes against **one** real-stack measurement (the comparison's whole
-/// point is that only the modelled wakeup amortisation differs).
-pub fn sweep_async_ingress_measured(
-    charge: PacketCharge,
-    measured_ratio: f64,
-    rx_shards: usize,
-    workers: usize,
-    clients: &[usize],
-    event_driven: bool,
-) -> Vec<AsyncIngressPoint> {
-    let wakeup = endbox_netsim::cost::CostModel::calibrated().event_loop_wakeup;
-    let model = if event_driven {
-        endbox_netsim::pipeline::AsyncFrontEndModel::event_driven(wakeup, measured_ratio)
-    } else {
-        endbox_netsim::pipeline::AsyncFrontEndModel::call_driven(wakeup)
-    };
-    clients
-        .iter()
-        .map(|&n| {
-            let cfg = ScalabilityConfig {
-                n_clients: n,
-                per_client_bps: RX_MIX_PER_CLIENT_BPS,
-                payload_bytes: charge.payload_bytes,
-                duration: SimDuration::from_millis(20),
-                n_client_machines: 5,
-                contention_per_excess_process: 0.0,
-                server_procs_per_client: 1,
-                server_single_process: false,
-                server_worker_shards: Some(workers),
-                client_load_weights: None,
-                load_aware_dispatch: false,
-                rx_shards: Some(rx_shards),
-                rx_remap: false,
-                async_front_end: Some(model),
-                syscall_batch: None,
-            };
-            let r: ScalabilityResult =
-                run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), charge, &cfg);
-            AsyncIngressPoint {
-                mode: if event_driven {
-                    "event-driven"
-                } else {
-                    "call-driven"
-                }
-                .to_string(),
-                clients: n,
-                rx_shards,
-                workers,
-                gbps: r.gbps,
-                mpps: r.gbps * 1e9 / (charge.payload_bytes as f64 * 8.0) / 1e6,
-                server_cpu: r.server_cpu,
-                wakeups_per_packet: model.wakeups_per_datagram * charge.fragments.max(1) as f64,
-            }
-        })
-        .collect()
-}
-
-/// The socket-front-end comparison: call-driven vs event-driven ingestion
-/// of the many-peer small-record mix on the batched EndBox-SGX stack
-/// (NOP use case, 4 RX shards, 4 worker shards), across `clients`.
-pub fn fig_async_ingress(clients: &[usize]) -> Vec<AsyncIngressPoint> {
-    let (charge, ratio) =
-        super::deploy::measure_charge_async(UseCase::Nop, RX_MIX_PAYLOAD, 6, 4, 4);
-    let mut out = Vec::new();
-    for event_driven in [false, true] {
-        out.extend(sweep_async_ingress_measured(
-            charge,
-            ratio,
-            4,
-            4,
-            clients,
-            event_driven,
-        ));
-    }
-    out
-}
-
-/// Bulk sizes swept by the syscall-batching comparison: `1` is the
-/// per-datagram transport (one `recvfrom` per wire datagram), the rest
-/// hand the kernel a `recvmmsg`-shaped vector of up to N datagrams per
-/// crossing.
-pub const WIRE_BULK_SIZES: [usize; 4] = [1, 8, 32, 128];
-
-/// One data point of the syscall-batching comparison: the sharded stack
-/// under the many-peer small-record mix, draining its sockets with bulk
-/// `recv_many` calls of up to `bulk` datagrams. The per-datagram socket
-/// work is metered identically at every bulk size; only the per-call
-/// syscall charge ([`endbox_netsim::pipeline::SyscallBatchModel`]) is
-/// amortised over the *measured* datagrams-per-call ratio.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SyscallBatchPoint {
-    /// Requested bulk size (datagrams per `recv_many` call).
-    pub bulk: usize,
-    /// Connected clients (peers).
-    pub clients: usize,
-    /// RX framing shards (== poll groups).
-    pub rx_shards: usize,
-    /// Server worker shards.
-    pub workers: usize,
-    /// Aggregate server-side goodput in Gbps.
-    pub gbps: f64,
-    /// Aggregate server-side packet rate in Mpps.
-    pub mpps: f64,
-    /// Server CPU utilisation in [0, 1].
-    pub server_cpu: f64,
-    /// Datagrams moved per socket call, measured on the real stack
-    /// (bounded above by the per-socket queue depth at drain time).
-    pub datagrams_per_call: f64,
-}
-
-/// The replay half of [`sweep_syscall_batch`], for callers replaying one
-/// real-stack measurement across client counts. `measured_ratio` below
-/// 1.0 (the per-datagram front-end pays a final empty dry-check call per
-/// socket) is clamped: a syscall never moves less than one datagram.
-pub fn sweep_syscall_batch_measured(
-    charge: PacketCharge,
-    bulk: usize,
-    measured_ratio: f64,
-    rx_shards: usize,
-    workers: usize,
-    clients: &[usize],
-) -> Vec<SyscallBatchPoint> {
-    let per_call = endbox_netsim::cost::CostModel::calibrated().syscall_per_call;
-    let model = if bulk <= 1 {
-        endbox_netsim::pipeline::SyscallBatchModel::per_datagram(per_call)
-    } else {
-        endbox_netsim::pipeline::SyscallBatchModel::bulk(per_call, measured_ratio.max(1.0))
-    };
-    clients
-        .iter()
-        .map(|&n| {
-            let cfg = ScalabilityConfig {
-                n_clients: n,
-                per_client_bps: RX_MIX_PER_CLIENT_BPS,
-                payload_bytes: charge.payload_bytes,
-                duration: SimDuration::from_millis(20),
-                n_client_machines: 5,
-                contention_per_excess_process: 0.0,
-                server_procs_per_client: 1,
-                server_single_process: false,
-                server_worker_shards: Some(workers),
-                client_load_weights: None,
-                load_aware_dispatch: false,
-                rx_shards: Some(rx_shards),
-                rx_remap: false,
-                async_front_end: None,
-                syscall_batch: Some(model),
-            };
-            let r: ScalabilityResult =
-                run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), charge, &cfg);
-            SyscallBatchPoint {
-                bulk,
-                clients: n,
-                rx_shards,
-                workers,
-                gbps: r.gbps,
-                mpps: r.gbps * 1e9 / (charge.payload_bytes as f64 * 8.0) / 1e6,
-                server_cpu: r.server_cpu,
-                datagrams_per_call: model.datagrams_per_call,
-            }
-        })
-        .collect()
-}
-
-/// Runs the syscall-batching sweep for one bulk size: the per-packet
-/// charge *and* the datagrams-per-call amortisation are measured on the
-/// **real** stack draining through `recv_many(bulk)`
-/// ([`super::deploy::measure_charge_wire`]), then replayed through the
-/// timing layer with the per-call syscall cost spread over the measured
-/// ratio on the RX lanes. All bulk sizes replay the same metered
-/// per-datagram work — the only modelled difference is how many kernel
-/// crossings that work needs.
-pub fn sweep_syscall_batch(
-    use_case: UseCase,
-    bulk: usize,
-    rx_shards: usize,
-    workers: usize,
-    clients: &[usize],
-) -> Vec<SyscallBatchPoint> {
-    let (charge, ratio) =
-        super::deploy::measure_charge_wire(use_case, RX_MIX_PAYLOAD, 6, workers, rx_shards, bulk);
-    sweep_syscall_batch_measured(charge, bulk, ratio, rx_shards, workers, clients)
-}
-
-/// The syscall-batching comparison: the many-peer small-record mix on
-/// the batched EndBox-SGX stack (NOP use case, 2 RX shards, 4 worker
-/// shards) for every bulk size in [`WIRE_BULK_SIZES`], across `clients`.
-pub fn fig_syscall_batch(clients: &[usize]) -> Vec<SyscallBatchPoint> {
-    let mut out = Vec::new();
-    for bulk in WIRE_BULK_SIZES {
-        out.extend(sweep_syscall_batch(UseCase::Nop, bulk, 2, 4, clients));
-    }
-    out
-}
-
-/// Bulk size of the transport-backend comparison: every backend drains
-/// with `recv_many(32)` vectors, so the socket baseline is exactly the
-/// bulk-32 row of [`fig_syscall_batch`] and the ring/bypass wins are
-/// attributable to the boundary model alone, not to batching depth.
-pub const TRANSPORT_BACKEND_BULK: usize = 32;
-
-/// One data point of the transport-backend comparison
-/// ([`fig_transport_backend`]): the sharded stack under the many-peer
-/// small-record mix on one wire backend, with that backend's calibrated
-/// boundary costs in both the metered charge and the replayed boundary
-/// model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransportBackendPoint {
-    /// Boundary model of the row: `"socket"` (bulk-32 `recvmmsg`
-    /// shape), `"ring"` (SQ/CQ doorbell) or `"xdp-frame"` (zero-copy
-    /// descriptor hand-off).
-    pub backend: &'static str,
-    /// Connected clients (peers).
-    pub clients: usize,
-    /// RX framing shards (== poll groups).
-    pub rx_shards: usize,
-    /// Server worker shards.
-    pub workers: usize,
-    /// Aggregate server-side goodput in Gbps.
-    pub gbps: f64,
-    /// Aggregate server-side packet rate in Mpps.
-    pub mpps: f64,
-    /// Server CPU utilisation in [0, 1].
-    pub server_cpu: f64,
-    /// Datagrams moved per boundary crossing, measured on the real
-    /// stack (doorbell batches for the ring; moot for the bypass
-    /// backend, whose crossings are free).
-    pub datagrams_per_call: f64,
-}
-
-/// Display label of `kind`'s boundary model in the transport-backend
-/// comparison. [`TransportKind::Virtual`] carries the calibrated
-/// OS-socket cost shape ([`endbox_netsim::net::WireCostProfile::socket`]
-/// — identical metered charges to the real-socket backend, which the
-/// parity suite asserts), so both socket-shaped backends label as
-/// `"socket"`.
-fn backend_label(kind: TransportKind) -> &'static str {
-    match kind {
-        TransportKind::Virtual | TransportKind::OsSocket => "socket",
-        TransportKind::Ring => "ring",
-        TransportKind::XdpFrame => "xdp-frame",
+/// The event-driven measurement behind [`async_ingress`]: the
+/// small-record mix (8 peers × 8 records) riding the wire into per-peer
+/// sockets that the event loop drains, 4 RX shards (one poll group
+/// each), 4 workers.
+pub fn async_ingress_spec() -> MeasureSpec {
+    MeasureSpec {
+        doorway: Doorway::EventLoop,
+        ..small_record_mix(4, 4, 8, 8)
     }
 }
 
-/// Runs the transport-backend sweep for one backend: the per-packet
-/// charge (with `kind`'s boundary costs, via
-/// [`super::deploy::measure_charge_transport`]) and the
-/// datagrams-per-call amortisation are measured on the **real** stack
-/// draining through `recv_many(32)`, then replayed through the timing
-/// layer with `kind`'s boundary model on the RX lanes:
+/// `BENCH_async.json` — call-driven vs event-driven socket front-end.
+/// Both modes replay **one** real-stack measurement
+/// ([`async_ingress_spec`]); the only modelled difference is the wakeup
+/// amortisation — one wakeup per datagram against the measured ratio —
+/// which is precisely the event-driven front-end's contribution.
+pub fn async_ingress() -> Table {
+    let mut table = Table::new(
+        "async",
+        mix_title(
+            "socket front-end comparison",
+            "4 worker shards, 4 RX shards (one poll group each)",
+        ),
+        &columns(
+            &["mode", "clients", "rx_shards", "workers"],
+            &[("wakeups_per_packet", 4)],
+        ),
+        (&["mode"], "clients", &["mpps", "server_cpu"]),
+    );
+    let m = measure(&async_ingress_spec());
+    let wakeup = CostModel::calibrated().event_loop_wakeup;
+    for (mode, model) in [
+        ("call-driven", AsyncFrontEndModel::call_driven(wakeup)),
+        (
+            "event-driven",
+            AsyncFrontEndModel::event_driven(wakeup, m.wakeups_per_datagram),
+        ),
+    ] {
+        let lanes = ScalabilityConfig {
+            async_front_end: Some(model),
+            ..rx_mix_lanes(&m.charge, 4, 4)
+        };
+        for n in RX_MIX_CLIENTS {
+            let r = replay(m.charge, &lanes, n, false);
+            let wakeups_per_packet = model.wakeups_per_datagram * m.charge.fragments.max(1) as f64;
+            let keys = cells![mode, n, 4usize, 4usize];
+            table.push(
+                keys.chain(perf(&m.charge, &r))
+                    .chain(cells![wakeups_per_packet]),
+            );
+        }
+    }
+    table
+}
+
+/// The bulk-draining measurement behind [`syscall_batch`] and
+/// [`transport_backend`]: the event-driven small-record mix over `kind`,
+/// queued twice as deep per peer as [`async_ingress_spec`] (a call cannot
+/// move more than is waiting), drained with `recv_many(bulk)`, 2 RX
+/// shards, 4 workers. The drain quota covers a whole bulk batch so the
+/// fairness grain does not cap the measured amortisation.
+pub fn boundary_spec(kind: TransportKind, bulk: usize) -> MeasureSpec {
+    MeasureSpec {
+        doorway: Doorway::EventLoop,
+        transport: kind,
+        recv_bulk: bulk,
+        control: Control::Pinned {
+            dispatch: DispatchPolicy::default(),
+            drain_quota: bulk.max(DEFAULT_DRAIN_QUOTA),
+            shard_budget: DEFAULT_SHARD_BUDGET,
+        },
+        ..small_record_mix(2, 4, 8, 16)
+    }
+}
+
+/// One boundary model's rows: measures [`boundary_spec`] and replays it
+/// with `kind`'s crossing cost spread over the measured
+/// datagrams-per-call ratio on the RX lanes —
 ///
 /// - socket shape: [`SyscallBatchModel::bulk`] with the calibrated
-///   per-syscall cost over the measured ratio (the bulk-32 row of the
-///   syscall-batching sweep, bit-identical baseline);
+///   per-syscall cost ([`SyscallBatchModel::per_datagram`] at bulk 1;
+///   a measured ratio below 1.0 — the final empty dry-check call per
+///   socket — is clamped: a syscall never moves less than one datagram);
 /// - ring: [`SyscallBatchModel::ring_doorbell`] — one
-///   [`endbox_netsim::cost::CostModel::doorbell_per_batch`] charge per
-///   submitted batch, amortised over the same measured ratio;
-/// - XDP frame: [`SyscallBatchModel::kernel_bypass`] — boundary
-///   crossings are free; frames arrive by descriptor from the shared
-///   arena.
+///   [`CostModel::doorbell_per_batch`] per submitted batch;
+/// - XDP frame: [`SyscallBatchModel::kernel_bypass`] — crossings are
+///   free; frames arrive by descriptor from the shared arena.
 ///
-/// [`SyscallBatchModel::bulk`]: endbox_netsim::pipeline::SyscallBatchModel::bulk
-/// [`SyscallBatchModel::ring_doorbell`]: endbox_netsim::pipeline::SyscallBatchModel::ring_doorbell
-/// [`SyscallBatchModel::kernel_bypass`]: endbox_netsim::pipeline::SyscallBatchModel::kernel_bypass
-pub fn sweep_transport_backend(
-    use_case: UseCase,
-    kind: TransportKind,
-    rx_shards: usize,
-    workers: usize,
-    clients: &[usize],
-) -> Vec<TransportBackendPoint> {
-    let (charge, ratio) = super::deploy::measure_charge_transport(
-        use_case,
-        RX_MIX_PAYLOAD,
-        6,
-        workers,
-        rx_shards,
-        TRANSPORT_BACKEND_BULK,
-        kind,
-    );
-    let cost = endbox_netsim::cost::CostModel::calibrated();
+/// Yields, per peer count, `(clients, [gbps, mpps, server_cpu,
+/// datagrams_per_call])`.
+fn boundary_rows(kind: TransportKind, bulk: usize) -> Vec<(usize, Vec<Cell>)> {
+    let m = measure(&boundary_spec(kind, bulk));
+    let cost = CostModel::calibrated();
+    let ratio = m.datagrams_per_call.max(1.0);
     let model = match kind {
-        TransportKind::Virtual | TransportKind::OsSocket => {
-            endbox_netsim::pipeline::SyscallBatchModel::bulk(cost.syscall_per_call, ratio.max(1.0))
+        TransportKind::Virtual | TransportKind::OsSocket if bulk <= 1 => {
+            SyscallBatchModel::per_datagram(cost.syscall_per_call)
         }
-        TransportKind::Ring => endbox_netsim::pipeline::SyscallBatchModel::ring_doorbell(
-            cost.doorbell_per_batch,
-            ratio.max(1.0),
-        ),
-        TransportKind::XdpFrame => endbox_netsim::pipeline::SyscallBatchModel::kernel_bypass(),
+        TransportKind::Virtual | TransportKind::OsSocket => {
+            SyscallBatchModel::bulk(cost.syscall_per_call, ratio)
+        }
+        TransportKind::Ring => SyscallBatchModel::ring_doorbell(cost.doorbell_per_batch, ratio),
+        TransportKind::XdpFrame => SyscallBatchModel::kernel_bypass(),
     };
-    clients
-        .iter()
-        .map(|&n| {
-            let cfg = ScalabilityConfig {
-                n_clients: n,
-                per_client_bps: RX_MIX_PER_CLIENT_BPS,
-                payload_bytes: charge.payload_bytes,
-                duration: SimDuration::from_millis(20),
-                n_client_machines: 5,
-                contention_per_excess_process: 0.0,
-                server_procs_per_client: 1,
-                server_single_process: false,
-                server_worker_shards: Some(workers),
-                client_load_weights: None,
-                load_aware_dispatch: false,
-                rx_shards: Some(rx_shards),
-                rx_remap: false,
-                async_front_end: None,
-                syscall_batch: Some(model),
-            };
-            let r: ScalabilityResult =
-                run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), charge, &cfg);
-            TransportBackendPoint {
-                backend: backend_label(kind),
-                clients: n,
-                rx_shards,
-                workers,
-                gbps: r.gbps,
-                mpps: r.gbps * 1e9 / (charge.payload_bytes as f64 * 8.0) / 1e6,
-                server_cpu: r.server_cpu,
-                datagrams_per_call: model.datagrams_per_call,
-            }
+    let lanes = ScalabilityConfig {
+        syscall_batch: Some(model),
+        ..rx_mix_lanes(&m.charge, 2, 4)
+    };
+    BOUNDARY_CLIENTS
+        .into_iter()
+        .map(|n| {
+            let r = replay(m.charge, &lanes, n, false);
+            let measured = perf(&m.charge, &r).chain(cells![model.datagrams_per_call]);
+            (n, measured.collect())
         })
         .collect()
 }
 
-/// The transport-backend comparison behind `BENCH_transport.json`: the
-/// many-peer small-record mix on the batched EndBox-SGX stack (NOP use
-/// case, 2 RX shards, 4 worker shards, bulk-32 drains) for the three
-/// boundary models — bulk socket, submission/completion ring and
-/// zero-copy frame bypass — across `clients`.
-pub fn fig_transport_backend(clients: &[usize]) -> Vec<TransportBackendPoint> {
-    let mut out = Vec::new();
-    for kind in [
-        TransportKind::Virtual,
-        TransportKind::Ring,
-        TransportKind::XdpFrame,
-    ] {
-        out.extend(sweep_transport_backend(UseCase::Nop, kind, 2, 4, clients));
+/// `BENCH_wire.json` — syscall-batched transport: the small-record mix
+/// drained with `recv_many` vectors of every size in
+/// [`WIRE_BULK_SIZES`]. The metered per-datagram work is identical at
+/// every bulk size; only the kernel crossings it needs move.
+pub fn syscall_batch() -> Table {
+    let mut table = Table::new(
+        "wire",
+        mix_title(
+            "syscall-batched transport comparison",
+            &format!("4 worker shards, 2 RX shards, recv_many bulk sizes {WIRE_BULK_SIZES:?}"),
+        ),
+        &columns(
+            &["bulk", "clients", "rx_shards", "workers"],
+            &[("datagrams_per_call", 4)],
+        ),
+        (
+            &["bulk"],
+            "clients",
+            &["mpps", "server_cpu", "datagrams_per_call"],
+        ),
+    );
+    for bulk in WIRE_BULK_SIZES {
+        for (n, measured) in boundary_rows(TransportKind::Virtual, bulk) {
+            table.push(cells![bulk, n, 2usize, 4usize].chain(measured));
+        }
     }
-    out
+    table
 }
 
-/// One datapath configuration of the adaptive-control comparison
-/// ([`fig_adaptive_control`]): a worker dispatch policy plus the socket
-/// front-end's static scheduling knobs — or, for the controller row,
-/// neither (the closed-loop control plane derives everything at
-/// runtime).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Row label (`"static-small"`, …, `"controller"`).
-    pub name: &'static str,
-    /// Worker placement policy.
-    pub dispatch: endbox_vpn::shard::DispatchPolicy,
-    /// `Some((drain_quota, shard_budget))` pins the front-end's static
-    /// knobs; `None` arms the zero-knob controller.
-    pub knobs: Option<(usize, usize)>,
+/// `BENCH_transport.json` — bulk sockets vs submission/completion ring vs
+/// zero-copy frame bypass, all draining the identical mix with
+/// `recv_many(32)`. [`TransportKind::Virtual`] carries the calibrated
+/// OS-socket cost shape (identical metered charges to the real-socket
+/// backend, which the parity suite asserts), so it is the `"socket"`
+/// row.
+pub fn transport_backend() -> Table {
+    let mut table = Table::new(
+        "transport",
+        mix_title(
+            "transport-backend comparison",
+            &format!(
+                "4 worker shards, 2 RX shards, recv_many bulk {TRANSPORT_BACKEND_BULK}; \
+                 boundary models: bulk socket vs SQ/CQ ring doorbell vs zero-copy frame bypass"
+            ),
+        ),
+        &columns(
+            &["backend", "clients", "rx_shards", "workers", "bulk"],
+            &[("datagrams_per_call", 4)],
+        ),
+        (
+            &["backend"],
+            "clients",
+            &["mpps", "server_cpu", "datagrams_per_call"],
+        ),
+    );
+    for (backend, kind) in [
+        ("socket", TransportKind::Virtual),
+        ("ring", TransportKind::Ring),
+        ("xdp-frame", TransportKind::XdpFrame),
+    ] {
+        for (n, measured) in boundary_rows(kind, TRANSPORT_BACKEND_BULK) {
+            let keys = cells![backend, n, 2usize, 4usize, TRANSPORT_BACKEND_BULK];
+            table.push(keys.chain(measured));
+        }
+    }
+    table
 }
 
 /// The hand-tuned static grid the controller competes against: every
 /// combination of dispatch policy (fixed affinity vs eager load-aware)
-/// and front-end budget sizing (starved vs generous), plus the
-/// controller itself. The grid brackets the tuning space — under
-/// uniform off-peak load the large-budget rows win; under the crowd's
-/// skew the load-aware rows win — so "within 5% of the best row at
-/// every step" means the controller never needed the hand-tuning at
-/// all.
-pub const ADAPTIVE_CONFIGS: [AdaptiveConfig; 5] = [
-    AdaptiveConfig {
-        name: "static-small",
-        dispatch: endbox_vpn::shard::DispatchPolicy::Static,
-        knobs: Some((1, 4)),
-    },
-    AdaptiveConfig {
-        name: "static-large",
-        dispatch: endbox_vpn::shard::DispatchPolicy::Static,
-        knobs: Some((32, 1024)),
-    },
-    AdaptiveConfig {
-        name: "aware-small",
-        dispatch: endbox_vpn::shard::DispatchPolicy::LoadAware {
-            imbalance_bytes: 1_000,
-            max_migrations_per_dispatch: 2,
-        },
-        knobs: Some((1, 4)),
-    },
-    AdaptiveConfig {
-        name: "aware-large",
-        dispatch: endbox_vpn::shard::DispatchPolicy::LoadAware {
-            imbalance_bytes: 1_000,
-            max_migrations_per_dispatch: 2,
-        },
-        knobs: Some((32, 1024)),
-    },
-    AdaptiveConfig {
-        name: "controller",
-        dispatch: endbox_vpn::shard::DispatchPolicy::Adaptive,
-        knobs: None,
-    },
-];
+/// and front-end budget sizing (starved vs generous). The grid brackets
+/// the tuning space — under uniform off-peak load the large-budget rows
+/// win; under the crowd's skew the load-aware rows win — so "within 5%
+/// of the best row at every step" means the controller never needed the
+/// hand-tuning at all.
+pub const STATIC_CONFIGS: [&str; 4] =
+    ["static-small", "static-large", "aware-small", "aware-large"];
 
-/// One data point of the adaptive-control comparison: one configuration
-/// replayed at one step of an offered-load trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveControlPoint {
-    /// Configuration row ([`AdaptiveConfig::name`]).
-    pub config: &'static str,
-    /// Trace name (`"flash-crowd"` or `"diurnal"`).
-    pub trace: &'static str,
-    /// Step index within the trace.
-    pub step: usize,
-    /// Connected clients at this step.
-    pub clients: usize,
-    /// Whether the step sits in the trace's heavy-tailed crowd phase.
-    pub crowd: bool,
-    /// Aggregate server-side goodput in Gbps.
-    pub gbps: f64,
-    /// Aggregate server-side packet rate in Mpps.
-    pub mpps: f64,
-    /// Server CPU utilisation in [0, 1].
-    pub server_cpu: f64,
+/// [`STATIC_CONFIGS`] plus the zero-knob controller, with their knobs.
+fn adaptive_configs() -> [(&'static str, Control); 5] {
+    let eager = DispatchPolicy::LoadAware {
+        imbalance_bytes: 1_000,
+        max_migrations_per_dispatch: 2,
+    };
+    let pinned = |dispatch, drain_quota, shard_budget| Control::Pinned {
+        dispatch,
+        drain_quota,
+        shard_budget,
+    };
+    [
+        (STATIC_CONFIGS[0], pinned(DispatchPolicy::Static, 1, 4)),
+        (STATIC_CONFIGS[1], pinned(DispatchPolicy::Static, 32, 1024)),
+        (STATIC_CONFIGS[2], pinned(eager, 1, 4)),
+        (STATIC_CONFIGS[3], pinned(eager, 32, 1024)),
+        ("controller", Control::Controller),
+    ]
 }
 
-/// Runs the adaptive-control sweep for one configuration: the
-/// per-packet charge *and* the event loop's wakeups-per-datagram
-/// amortisation are measured on the **real** stack under the
-/// heavy-tailed small-record mix with that configuration's dispatch
-/// policy and budget knobs in force
-/// ([`super::deploy::measure_charge_adaptive`] — starved static budgets
-/// force extra drain rounds and the measured ratio carries that), then
-/// every step of every trace replays through the timing layer: crowd
-/// steps with the Zipf load mix ([`heavy_tail_weights`]), off-peak
-/// steps uniform, the dispatcher model matching the policy.
-pub fn sweep_adaptive_control(
-    use_case: UseCase,
+/// The measurement behind [`adaptive_control`] and [`elastic_resize`]:
+/// the heavy-tailed small-record mix through the event loop under
+/// `control`. 8 peers at 2 RX shards puts both Zipf elephants (peers 0
+/// and 4) in poll group 0; base batch 24 makes that group's per-round
+/// backlog (~43 datagrams) deep enough that starved static budgets pay
+/// extra drain rounds — a worse measured wakeup ratio — and the
+/// controller's hot-group law (2x the other groups' mean, 3-round
+/// debounce) actually fires.
+pub fn controlled_spec(rx_shards: usize, workers: usize, control: Control) -> MeasureSpec {
+    MeasureSpec {
+        doorway: Doorway::EventLoop,
+        zipf: true,
+        control,
+        ..small_record_mix(rx_shards, workers, 8, 24)
+    }
+}
+
+/// Replays one [`controlled_spec`] measurement at one trace step: crowd
+/// steps carry the Zipf skew, and online RX re-homing is modelled only
+/// for a configuration whose *measured* run demonstrably performed
+/// remaps — static configurations have no control plane and keep
+/// `client mod k` homing for the whole run.
+fn replay_step(
+    m: &Measured,
     rx_shards: usize,
     workers: usize,
-    config: &AdaptiveConfig,
-    traces: &[(&'static str, Vec<endbox_netsim::traffic::TraceStep>)],
-) -> Vec<AdaptiveControlPoint> {
-    let (charge, ratio, stats) = super::deploy::measure_charge_adaptive(
-        use_case,
-        RX_MIX_PAYLOAD,
-        6,
-        workers,
-        rx_shards,
-        config.dispatch,
-        config.knobs,
-    );
-    let wakeup = endbox_netsim::cost::CostModel::calibrated().event_loop_wakeup;
-    let model = endbox_netsim::pipeline::AsyncFrontEndModel::event_driven(wakeup, ratio);
-    let load_aware = !matches!(config.dispatch, endbox_vpn::shard::DispatchPolicy::Static);
-    // The replay only models online RX re-homing for a configuration
-    // whose *measured* run demonstrably performed remaps — static
-    // configurations have no control plane and keep `client mod k`
-    // homing for the whole run.
-    let rx_remap = stats.remaps > 0;
-    let mut out = Vec::new();
-    for (trace_name, trace) in traces {
-        for s in trace {
-            let cfg = ScalabilityConfig {
-                n_clients: s.clients,
-                per_client_bps: RX_MIX_PER_CLIENT_BPS,
-                payload_bytes: charge.payload_bytes,
-                duration: SimDuration::from_millis(20),
-                n_client_machines: 5,
-                contention_per_excess_process: 0.0,
-                server_procs_per_client: 1,
-                server_single_process: false,
-                server_worker_shards: Some(workers),
-                client_load_weights: s.crowd.then(|| heavy_tail_weights(s.clients)),
-                load_aware_dispatch: load_aware,
-                rx_shards: Some(rx_shards),
-                rx_remap,
-                async_front_end: Some(model),
-                syscall_batch: None,
-            };
-            let r: ScalabilityResult =
-                run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), charge, &cfg);
-            out.push(AdaptiveControlPoint {
-                config: config.name,
-                trace: trace_name,
-                step: s.step,
-                clients: s.clients,
-                crowd: s.crowd,
-                gbps: r.gbps,
-                mpps: r.gbps * 1e9 / (charge.payload_bytes as f64 * 8.0) / 1e6,
-                server_cpu: r.server_cpu,
-            });
-        }
-    }
-    out
+    load_aware: bool,
+    step: &TraceStep,
+) -> impl Iterator<Item = Cell> {
+    let wakeup = CostModel::calibrated().event_loop_wakeup;
+    let lanes = ScalabilityConfig {
+        load_aware_dispatch: load_aware,
+        rx_remap: m.controller.remaps > 0,
+        async_front_end: Some(AsyncFrontEndModel::event_driven(
+            wakeup,
+            m.wakeups_per_datagram,
+        )),
+        ..rx_mix_lanes(&m.charge, rx_shards, workers)
+    };
+    perf(
+        &m.charge,
+        &replay(m.charge, &lanes, step.clients, step.crowd),
+    )
 }
 
-/// The adaptive-control comparison behind `BENCH_adaptive.json`: every
-/// configuration of [`ADAPTIVE_CONFIGS`] replayed over a flash-crowd
-/// trace and a diurnal trace of `points` steps each
-/// ([`ADAPTIVE_TRACE_BASE`] → [`ADAPTIVE_TRACE_PEAK`] clients, NOP use
-/// case, 2 RX shards, 4 worker shards). Each configuration is
-/// measured on the real stack exactly once; only the offered load moves
-/// across steps.
-pub fn fig_adaptive_control(points: usize) -> Vec<AdaptiveControlPoint> {
-    let traces = vec![
+fn trace_title(what: &str, stack: &str) -> String {
+    format!(
+        "Heavy-tailed small-record mix ({RX_MIX_PAYLOAD} B payloads, {} Mbps/peer) over \
+         offered-load traces: {what}\n    batched EndBox SGX[NOP] stack, {stack}; \
+         {TRACE_BASE} -> {TRACE_PEAK} clients over {TRACE_STEPS} steps; crowd-phase steps \
+         carry the Zipf skew",
+        RX_MIX_PER_CLIENT_BPS / 1_000_000
+    )
+}
+
+/// `BENCH_adaptive.json` — the zero-knob controller vs the hand-tuned
+/// [`STATIC_CONFIGS`] over a flash-crowd and a diurnal trace (2 RX
+/// shards, 4 workers). Each configuration is measured on the real stack
+/// exactly once; only the offered load moves across steps.
+pub fn adaptive_control() -> Table {
+    let mut table = Table::new(
+        "adaptive",
+        trace_title(
+            "zero-knob controller vs hand-tuned static configs",
+            "4 worker shards, 2 RX shards; flash-crowd + diurnal traces",
+        ),
+        &columns(&["config", "trace", "step", "clients", "crowd"], &[]),
+        (&["trace", "config"], "step", &["gbps"]),
+    );
+    let traces = [
         (
             "flash-crowd",
-            endbox_netsim::traffic::flash_crowd_trace(
-                ADAPTIVE_TRACE_BASE,
-                ADAPTIVE_TRACE_PEAK,
-                points,
-            ),
+            flash_crowd_trace(TRACE_BASE, TRACE_PEAK, TRACE_STEPS),
         ),
         (
             "diurnal",
-            endbox_netsim::traffic::diurnal_trace(ADAPTIVE_TRACE_BASE, ADAPTIVE_TRACE_PEAK, points),
+            diurnal_trace(TRACE_BASE, TRACE_PEAK, TRACE_STEPS),
         ),
     ];
-    let mut out = Vec::new();
-    for config in &ADAPTIVE_CONFIGS {
-        out.extend(sweep_adaptive_control(UseCase::Nop, 2, 4, config, &traces));
-    }
-    out
-}
-
-/// Off-peak client count of the adaptive-control traces.
-pub const ADAPTIVE_TRACE_BASE: usize = 10;
-
-/// Peak client count of the adaptive-control traces. Deliberately in the
-/// *lane-imbalance* regime of the 2-RX-shard server: the crowd's Zipf
-/// elephants all home on RX lane 0 (even client ids), whose offered load
-/// exceeds twice a lane's capacity while the odd lane still has idle
-/// headroom — so online re-homing converts real throughput, and a
-/// configuration that cannot remap leaves the cold lane underused. Far
-/// past this (say 60 clients at the same per-client rate) *both* lanes
-/// saturate and every configuration converges to the same aggregate
-/// ceiling, which would measure nothing.
-pub const ADAPTIVE_TRACE_PEAK: usize = 30;
-
-/// The zero-knob acceptance margins over a [`fig_adaptive_control`]
-/// result set: `(worst_vs_best, peak_vs_worst)` where
-///
-/// * `worst_vs_best` is the controller's throughput relative to the
-///   **best** static configuration, minimised over every `(trace,
-///   step)` — the "never needed hand-tuning" bar (>= 0.95 required);
-/// * `peak_vs_worst` is the controller's throughput relative to the
-///   **worst** static configuration at each trace's peak step (most
-///   clients, crowd phase), minimised over traces — the "mis-tuning
-///   costs real throughput" bar (>= 1.3 required).
-///
-/// # Panics
-///
-/// Panics if `points` lacks a controller row or static rows for some
-/// step (a malformed sweep).
-pub fn adaptive_control_margins(points: &[AdaptiveControlPoint]) -> (f64, f64) {
-    let mut worst_vs_best = f64::INFINITY;
-    let mut peak_vs_worst = f64::INFINITY;
-    for trace in ["flash-crowd", "diurnal"] {
-        let steps: Vec<usize> = points
-            .iter()
-            .filter(|p| p.trace == trace)
-            .map(|p| p.step)
-            .collect();
-        let max_step = steps.iter().copied().max().expect("trace has steps");
-        let peak_step = points
-            .iter()
-            .filter(|p| p.trace == trace)
-            .max_by(|a, b| (a.clients, a.crowd).cmp(&(b.clients, b.crowd)))
-            .expect("trace has steps")
-            .step;
-        for step in 0..=max_step {
-            let at = |config: &str| -> f64 {
-                points
-                    .iter()
-                    .find(|p| p.trace == trace && p.step == step && p.config == config)
-                    .unwrap_or_else(|| panic!("missing {config} at {trace} step {step}"))
-                    .gbps
-            };
-            let ctrl = at("controller");
-            let statics: Vec<f64> = ADAPTIVE_CONFIGS
-                .iter()
-                .filter(|c| c.knobs.is_some())
-                .map(|c| at(c.name))
-                .collect();
-            let best = statics.iter().cloned().fold(f64::MIN, f64::max);
-            let worst = statics.iter().cloned().fold(f64::MAX, f64::min);
-            worst_vs_best = worst_vs_best.min(ctrl / best);
-            if step == peak_step {
-                peak_vs_worst = peak_vs_worst.min(ctrl / worst);
+    for (config, control) in adaptive_configs() {
+        let m = measure(&controlled_spec(2, 4, control));
+        let load_aware = !matches!(
+            control,
+            Control::Pinned {
+                dispatch: DispatchPolicy::Static,
+                ..
+            }
+        );
+        for (trace, steps) in &traces {
+            for s in steps {
+                let keys = cells![config, *trace, s.step, s.clients, s.crowd];
+                table.push(keys.chain(replay_step(&m, 2, 4, load_aware, s)));
             }
         }
     }
-    (worst_vs_best, peak_vs_worst)
+    table
 }
 
-/// One rung of the fixed capacity ladder the elastic server competes
-/// against: an operator who picked this `(rx_shards, workers)` geometry
-/// up front and cannot change it as the diurnal load moves.
-#[derive(Debug, Clone, Copy)]
-pub struct ElasticConfig {
-    /// Row label (`"fixed-small"`, `"fixed-mid"`, `"fixed-large"`).
-    pub name: &'static str,
-    /// RX framing shards, fixed for the whole trace.
-    pub rx_shards: usize,
-    /// Worker shards, fixed for the whole trace.
-    pub workers: usize,
-}
-
-/// The fixed ladder behind `BENCH_elastic.json`. The rungs bracket the
-/// diurnal demand range: `fixed-small` is right-sized for the trough
-/// (and saturates at the peak), `fixed-large` is right-sized for the
-/// peak (and idles at the trough), `fixed-mid` splits the difference.
-/// The elastic row moves along exactly this ladder — its per-step
-/// geometry is a rung, so "elastic within 10% of the best rung at every
-/// step" means online resizing recovers the whole fixed tuning space.
-pub const ELASTIC_LADDER: [ElasticConfig; 3] = [
-    ElasticConfig {
-        name: "fixed-small",
-        rx_shards: 1,
-        workers: 1,
-    },
-    ElasticConfig {
-        name: "fixed-mid",
-        rx_shards: 2,
-        workers: 4,
-    },
-    ElasticConfig {
-        name: "fixed-large",
-        rx_shards: 4,
-        workers: 8,
-    },
+/// The fixed `(name, rx_shards, workers)` capacity ladder the elastic
+/// server competes against: an operator who picked one rung up front and
+/// cannot change it as the diurnal load moves. The rungs bracket the
+/// demand range — `fixed-small` is right-sized for the trough (and
+/// saturates at the peak), `fixed-large` for the peak (and idles at the
+/// trough). The elastic row moves along exactly this ladder, so "elastic
+/// within 10% of the best rung at every step" means online resizing
+/// recovers the whole fixed tuning space.
+pub const ELASTIC_LADDER: [(&str, usize, usize); 3] = [
+    ("fixed-small", 1, 1),
+    ("fixed-mid", 2, 4),
+    ("fixed-large", 4, 8),
 ];
 
-/// One data point of the structural-elasticity comparison: one capacity
-/// configuration (a fixed ladder rung, or the elastic server at the
-/// geometry its resize law holds at this step) replayed at one step of
-/// the diurnal trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ElasticResizePoint {
-    /// Row label: a [`ELASTIC_LADDER`] rung name, or `"elastic"`.
-    pub config: &'static str,
-    /// Step index within the diurnal trace.
-    pub step: usize,
-    /// Connected clients at this step.
-    pub clients: usize,
-    /// Whether the step sits in the trace's heavy-tailed peak phase.
-    pub crowd: bool,
-    /// RX shards serving this step.
-    pub rx_shards: usize,
-    /// Worker shards serving this step.
-    pub workers: usize,
-    /// Aggregate server-side goodput in Gbps.
-    pub gbps: f64,
-    /// Aggregate server-side packet rate in Mpps.
-    pub mpps: f64,
-    /// Server CPU utilisation in [0, 1].
-    pub server_cpu: f64,
-}
-
-/// The ladder rung the resize law settles on for one trace step: the
-/// trace-level projection of the control law in
+/// The [`ELASTIC_LADDER`] rung (by index) the resize law settles on for
+/// one trace step: the trace-level projection of the control law in
 /// `AsyncFrontEnd::control_round` (the live law folds socket backlog
 /// into demand EWMAs each round; over a whole step the EWMA converges
 /// onto the offered load, so the step's client count is the demand
@@ -1142,163 +732,52 @@ pub struct ElasticResizePoint {
 /// trough picks the smallest rung, the peak the largest — mirroring
 /// `desired = ceil(demand / RESIZE_TARGET_DEMAND)` with the trace's
 /// peak normalised onto `fixed-large`.
-pub fn elastic_rung_for(clients: usize, peak: usize) -> &'static ElasticConfig {
-    let top = ELASTIC_LADDER[ELASTIC_LADDER.len() - 1].rx_shards;
-    let desired = (clients * top).div_ceil(peak.max(1)).max(1);
+pub fn elastic_rung_for(clients: usize, peak: usize) -> usize {
+    let top = ELASTIC_LADDER.len() - 1;
+    let desired = (clients * ELASTIC_LADDER[top].1)
+        .div_ceil(peak.max(1))
+        .max(1);
     ELASTIC_LADDER
         .iter()
-        .find(|c| c.rx_shards >= desired)
-        .unwrap_or(&ELASTIC_LADDER[ELASTIC_LADDER.len() - 1])
+        .position(|rung| rung.1 >= desired)
+        .unwrap_or(top)
 }
 
-/// Measures one `(rx_shards, workers)` geometry on the real stack (the
-/// per-packet charge and the event loop's wakeup amortisation, with the
-/// full adaptive control plane live, as in [`sweep_adaptive_control`])
-/// and replays every step of the diurnal trace through the timing layer
-/// at that geometry. `config` is the row label; `geometry_of` picks the
-/// per-step geometry — a fixed rung returns itself, the elastic row
-/// follows [`elastic_rung_for`].
-/// Memoized real-stack measurement for one `(rx_shards, workers)`
-/// geometry: the per-packet charge, the wakeup amortisation ratio, and
-/// whether the measured run performed RX re-homes.
-type MeasuredGeometry = (PacketCharge, f64, bool);
-
-pub fn sweep_elastic(
-    use_case: UseCase,
-    config: &'static str,
-    trace: &[endbox_netsim::traffic::TraceStep],
-    geometry_of: impl Fn(&endbox_netsim::traffic::TraceStep) -> (usize, usize),
-) -> Vec<ElasticResizePoint> {
-    let mut out = Vec::new();
-    let mut measured: Vec<((usize, usize), MeasuredGeometry)> = Vec::new();
-    for s in trace {
-        let (rx_shards, workers) = geometry_of(s);
-        let (charge, ratio, rx_remap) =
-            match measured.iter().find(|(g, _)| *g == (rx_shards, workers)) {
-                Some((_, m)) => *m,
-                None => {
-                    let (charge, ratio, stats) = super::deploy::measure_charge_adaptive(
-                        use_case,
-                        RX_MIX_PAYLOAD,
-                        6,
-                        workers,
-                        rx_shards,
-                        endbox_vpn::shard::DispatchPolicy::Adaptive,
-                        None,
-                    );
-                    let m = (charge, ratio, stats.remaps > 0);
-                    measured.push(((rx_shards, workers), m));
-                    m
-                }
-            };
-        let wakeup = endbox_netsim::cost::CostModel::calibrated().event_loop_wakeup;
-        let model = endbox_netsim::pipeline::AsyncFrontEndModel::event_driven(wakeup, ratio);
-        let cfg = ScalabilityConfig {
-            n_clients: s.clients,
-            per_client_bps: RX_MIX_PER_CLIENT_BPS,
-            payload_bytes: charge.payload_bytes,
-            duration: SimDuration::from_millis(20),
-            n_client_machines: 5,
-            contention_per_excess_process: 0.0,
-            server_procs_per_client: 1,
-            server_single_process: false,
-            server_worker_shards: Some(workers),
-            client_load_weights: s.crowd.then(|| heavy_tail_weights(s.clients)),
-            load_aware_dispatch: true,
-            rx_shards: Some(rx_shards),
-            rx_remap,
-            async_front_end: Some(model),
-            syscall_batch: None,
-        };
-        let r: ScalabilityResult =
-            run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), charge, &cfg);
-        out.push(ElasticResizePoint {
-            config,
-            step: s.step,
-            clients: s.clients,
-            crowd: s.crowd,
-            rx_shards,
-            workers,
-            gbps: r.gbps,
-            mpps: r.gbps * 1e9 / (charge.payload_bytes as f64 * 8.0) / 1e6,
-            server_cpu: r.server_cpu,
-        });
-    }
-    out
-}
-
-/// The structural-elasticity comparison behind `BENCH_elastic.json`:
-/// every fixed rung of [`ELASTIC_LADDER`] plus the elastic row replayed
-/// over a diurnal trace of `points` steps ([`ADAPTIVE_TRACE_BASE`] →
-/// [`ADAPTIVE_TRACE_PEAK`] clients, NOP use case). Fixed rungs keep one
-/// geometry for the whole trace; the elastic row's geometry follows the
-/// resize law step by step ([`elastic_rung_for`]), so capacity tracks
-/// the diurnal curve.
-pub fn fig_elastic_resize(points: usize) -> Vec<ElasticResizePoint> {
-    let trace =
-        endbox_netsim::traffic::diurnal_trace(ADAPTIVE_TRACE_BASE, ADAPTIVE_TRACE_PEAK, points);
-    let mut out = Vec::new();
-    for rung in &ELASTIC_LADDER {
-        out.extend(sweep_elastic(UseCase::Nop, rung.name, &trace, |_| {
-            (rung.rx_shards, rung.workers)
-        }));
-    }
-    out.extend(sweep_elastic(UseCase::Nop, "elastic", &trace, |s| {
-        let rung = elastic_rung_for(s.clients, ADAPTIVE_TRACE_PEAK);
-        (rung.rx_shards, rung.workers)
-    }));
-    out
-}
-
-/// The elasticity acceptance margins over a [`fig_elastic_resize`]
-/// result set: `(worst_vs_best, peak_vs_smallest)` where
-///
-/// * `worst_vs_best` is the elastic row's throughput relative to the
-///   **best** fixed rung, minimised over every diurnal step — the
-///   "elastic never needed a pre-sized pool" bar (>= 0.90 required);
-/// * `peak_vs_smallest` is the elastic row's throughput relative to the
-///   smallest fixed rung at the trace's peak step — the "under-sizing
-///   costs real throughput" bar (>= 1.3 required).
-///
-/// # Panics
-///
-/// Panics if `points` lacks an elastic row or fixed rows for some step
-/// (a malformed sweep).
-pub fn elastic_margins(points: &[ElasticResizePoint]) -> (f64, f64) {
-    let max_step = points
-        .iter()
-        .map(|p| p.step)
-        .max()
-        .expect("sweep has steps");
-    let peak_step = points
-        .iter()
-        .max_by(|a, b| (a.clients, a.crowd).cmp(&(b.clients, b.crowd)))
-        .expect("sweep has steps")
-        .step;
-    let mut worst_vs_best = f64::INFINITY;
-    let mut peak_vs_smallest = f64::INFINITY;
-    for step in 0..=max_step {
-        let at = |config: &str| -> f64 {
-            points
-                .iter()
-                .find(|p| p.step == step && p.config == config)
-                .unwrap_or_else(|| panic!("missing {config} at step {step}"))
-                .gbps
-        };
-        let elastic = at("elastic");
-        let best = ELASTIC_LADDER
-            .iter()
-            .map(|c| at(c.name))
-            .fold(f64::MIN, f64::max);
-        worst_vs_best = worst_vs_best.min(elastic / best);
-        if step == peak_step {
-            peak_vs_smallest = elastic / at(ELASTIC_LADDER[0].name);
+/// `BENCH_elastic.json` — online RX/worker resizing vs the fixed
+/// [`ELASTIC_LADDER`] over the diurnal trace. Every geometry is measured
+/// once on the real stack with the full control plane live; fixed rungs
+/// replay one geometry for the whole trace, the `elastic` row follows
+/// [`elastic_rung_for`] step by step, so capacity tracks the curve.
+pub fn elastic_resize() -> Table {
+    let mut table = Table::new(
+        "elastic",
+        trace_title(
+            "online RX/worker resizing vs fixed capacity rungs",
+            "ladder (K,N) in {(1,1), (2,4), (4,8)}; diurnal trace",
+        ),
+        &columns(
+            &["config", "step", "clients", "crowd", "rx_shards", "workers"],
+            &[],
+        ),
+        (&["config"], "step", &["gbps", "rx_shards"]),
+    );
+    let trace = diurnal_trace(TRACE_BASE, TRACE_PEAK, TRACE_STEPS);
+    let rungs = ELASTIC_LADDER.map(|(_, rx_shards, workers)| {
+        measure(&controlled_spec(rx_shards, workers, Control::Controller))
+    });
+    let fixed = (0..ELASTIC_LADDER.len()).map(|rung| (ELASTIC_LADDER[rung].0, Some(rung)));
+    for (config, fixed_rung) in fixed.chain([("elastic", None)]) {
+        for s in &trace {
+            let rung = fixed_rung.unwrap_or_else(|| elastic_rung_for(s.clients, TRACE_PEAK));
+            let (_, rx_shards, workers) = ELASTIC_LADDER[rung];
+            let keys = cells![config, s.step, s.clients, s.crowd, rx_shards, workers];
+            table.push(keys.chain(replay_step(&rungs[rung], rx_shards, workers, true, s)));
         }
     }
-    (worst_vs_best, peak_vs_smallest)
+    table
 }
 
-/// Real-stack elasticity demo for the bench bin: drives a flood then
+/// Real-stack elasticity demo for the `exp` driver: drives a flood then
 /// sustained idleness through a live elastic scenario
 /// (`ScenarioBuilder::elastic`) and returns the resulting
 /// [`crate::server::ResizeStats`] — the law must have both grown and
@@ -1349,41 +828,30 @@ pub fn elastic_capacity_demo() -> crate::server::ResizeStats {
     scenario.resize_stats()
 }
 
-/// Convenience: the aggregate throughput at a specific client count.
-pub fn gbps_at(points: &[ScalabilityPoint], deployment: &str, clients: usize) -> Option<f64> {
-    points
-        .iter()
-        .find(|p| p.deployment == deployment && p.clients == clients)
-        .map(|p| p.gbps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn at(table: &Table, clients: usize) -> f64 {
+        table.get(&[("clients", &clients.to_string())], "gbps")
+    }
+
     #[test]
     fn endbox_scales_linearly_until_server_saturates() {
         let points = sweep(Deployment::EndBoxSgx(UseCase::Nop));
-        let at = |n| gbps_at(&points, &Deployment::EndBoxSgx(UseCase::Nop).name(), n).unwrap();
         // Linear region: 5 -> 10 -> 20 clients roughly doubles.
-        assert!(
-            (at(10) / at(5) - 2.0).abs() < 0.2,
-            "{} vs {}",
-            at(10),
-            at(5)
-        );
-        assert!((at(20) / at(10) - 2.0).abs() < 0.2);
+        let (a5, a10, a20) = (at(&points, 5), at(&points, 10), at(&points, 20));
+        assert!((a10 / a5 - 2.0).abs() < 0.2, "{a10} vs {a5}");
+        assert!((a20 / a10 - 2.0).abs() < 0.2);
         // Plateau at roughly the paper's 6.5 Gbps (±20%).
-        let plateau = at(60);
+        let plateau = at(&points, 60);
         assert!((plateau - 6.5).abs() / 6.5 < 0.2, "plateau {plateau}");
     }
 
     #[test]
     fn endbox_beats_openvpn_click_at_sixty_clients() {
-        let endbox = sweep(Deployment::EndBoxSgx(UseCase::Firewall));
-        let central = sweep(Deployment::OpenVpnClick(UseCase::Firewall));
-        let e = endbox.last().unwrap().gbps;
-        let c = central.last().unwrap().gbps;
+        let e = at(&sweep(Deployment::EndBoxSgx(UseCase::Firewall)), 60);
+        let c = at(&sweep(Deployment::OpenVpnClick(UseCase::Firewall)), 60);
         // Paper: 2.6x for lightweight use cases.
         let factor = e / c;
         assert!(factor > 1.8, "EndBox should win clearly: {factor:.2}x");
@@ -1391,10 +859,8 @@ mod tests {
 
     #[test]
     fn compute_heavy_use_cases_widen_the_gap() {
-        let light = sweep(Deployment::OpenVpnClick(UseCase::Firewall));
-        let heavy = sweep(Deployment::OpenVpnClick(UseCase::Idps));
-        let l = light.last().unwrap().gbps;
-        let h = heavy.last().unwrap().gbps;
+        let l = at(&sweep(Deployment::OpenVpnClick(UseCase::Firewall)), 60);
+        let h = at(&sweep(Deployment::OpenVpnClick(UseCase::Idps)), 60);
         assert!(
             h < l,
             "IDPS saturates the central server earlier: {h} vs {l}"
@@ -1402,17 +868,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_batched_path_scales_with_workers() {
-        // The acceptance bar: ≥2x aggregate throughput at 4 workers vs 1
-        // on the batched EndBox-SGX path.
-        let one = sweep_sharded(UseCase::Nop, 1, 16, &[60]);
-        let four = sweep_sharded(UseCase::Nop, 4, 16, &[60]);
-        let (g1, g4) = (one[0].gbps, four[0].gbps);
-        assert!(
-            g4 >= 2.0 * g1,
-            "4 workers must at least double 1 worker: {g1:.2} vs {g4:.2} Gbps"
-        );
-        assert!(one[0].mpps > 0.0 && four[0].mpps > one[0].mpps);
+    fn server_cpu_saturates_for_central_deployments() {
+        let points = sweep(Deployment::OpenVpnClick(UseCase::Idps));
+        let cpu = points.get(&[("clients", "60")], "server_cpu");
+        assert!(cpu > 0.9, "central middlebox CPU-bound: {cpu}");
+    }
+
+    fn fig10_charge(workers: usize) -> PacketCharge {
+        measure(&MeasureSpec {
+            peers: 2,
+            records: Records::Batched,
+            per_peer: DEFAULT_BATCH_SIZE,
+            ..MeasureSpec::sharded(1, workers)
+        })
+        .charge
     }
 
     #[test]
@@ -1420,8 +889,7 @@ mod tests {
         // Sharding redistributes the per-packet work, it must not change
         // its total: the measured per-packet server cycles of a 4-worker
         // sharded stack stay close to the 1-worker stack's.
-        let one = measure_charge_sharded(UseCase::Nop, 1_500, 4, 16, 1);
-        let four = measure_charge_sharded(UseCase::Nop, 1_500, 4, 16, 4);
+        let (one, four) = (fig10_charge(1), fig10_charge(4));
         let tol = one.server_cycles / 5;
         assert!(
             four.server_cycles.abs_diff(one.server_cycles) <= tol.max(2_000),
@@ -1433,46 +901,16 @@ mod tests {
     }
 
     #[test]
-    fn load_aware_dispatch_beats_static_affinity_under_heavy_tail() {
-        // The acceptance bar: at 60 clients on 4 workers, a heavy-tailed
-        // load mix whose elephants collide on one home shard must cost
-        // static affinity ≥ 1.3x throughput vs the load-aware dispatcher.
-        let stat = sweep_heavy_tail(UseCase::Nop, 4, 16, &[60], false);
-        let aware = sweep_heavy_tail(UseCase::Nop, 4, 16, &[60], true);
-        let (g_stat, g_aware) = (stat[0].gbps, aware[0].gbps);
-        assert!(
-            g_aware >= 1.3 * g_stat,
-            "load-aware must win ≥1.3x under the heavy tail: \
-             static {g_stat:.2} vs load-aware {g_aware:.2} Gbps"
-        );
-        assert_eq!(stat[0].migrations, 0);
-        assert!(aware[0].migrations > 0, "the win must come from migrations");
-    }
-
-    #[test]
     fn load_aware_dispatch_keeps_uniform_fig10_numbers() {
         // The guard-rail: under the *uniform* Fig. 10 load the dispatcher
         // must be within 5% of static affinity.
-        let charge = measure_charge_sharded(UseCase::Nop, 1_500, 8, 16, 4);
+        let charge = fig10_charge(4);
         let run = |load_aware: bool| {
-            let cfg = ScalabilityConfig {
-                n_clients: 60,
-                per_client_bps: 200_000_000,
-                payload_bytes: 1_500,
-                duration: SimDuration::from_millis(20),
-                n_client_machines: 5,
-                contention_per_excess_process: 0.0,
-                server_procs_per_client: 1,
-                server_single_process: false,
-                server_worker_shards: Some(4),
-                client_load_weights: None,
+            let lanes = ScalabilityConfig {
                 load_aware_dispatch: load_aware,
-                rx_shards: None,
-                rx_remap: false,
-                async_front_end: None,
-                syscall_batch: None,
+                ..fig10_lanes(4)
             };
-            run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), charge, &cfg).gbps
+            replay(charge, &lanes, 60, false).gbps
         };
         let (g_stat, g_aware) = (run(false), run(true));
         assert!(
@@ -1482,11 +920,26 @@ mod tests {
     }
 
     #[test]
+    fn heavy_tail_win_comes_from_migrations() {
+        let replay_at_60 = |dispatch: DispatchPolicy| {
+            let lanes = ScalabilityConfig {
+                load_aware_dispatch: dispatch != DispatchPolicy::Static,
+                ..fig10_lanes(4)
+            };
+            replay(measure(&heavy_tail_spec(dispatch)).charge, &lanes, 60, true)
+        };
+        let stat = replay_at_60(DispatchPolicy::Static);
+        let aware = replay_at_60(DispatchPolicy::load_aware());
+        assert_eq!(stat.migrations, 0);
+        assert!(aware.migrations > 0 && aware.gbps > stat.gbps);
+    }
+
+    #[test]
     fn rx_mix_is_framing_dominated() {
         // The many-peer small-record mix must actually be RX-bound:
         // per-datagram framing has to carry the majority of the per-packet
         // server work, or the sweep measures the wrong bottleneck.
-        let charge = super::super::deploy::measure_charge_rx(UseCase::Nop, RX_MIX_PAYLOAD, 4, 4, 1);
+        let charge = measure(&small_record_mix(1, 4, 6, 4)).charge;
         assert!(
             charge.rx_cycles * 2 >= charge.server_cycles,
             "framing must dominate the small-record mix: rx {} of {} total",
@@ -1498,29 +951,16 @@ mod tests {
     }
 
     #[test]
-    fn rx_sharding_scales_many_peer_small_record_ingress() {
-        // The acceptance bar: at high peer counts on the small-record mix
-        // (where the PR 3 single RX thread is the serial bottleneck), 4 RX
-        // shards must deliver >= 1.3x the aggregate throughput of 1.
-        let one = sweep_rx_shards(UseCase::Nop, 1, 4, &[120]);
-        let four = sweep_rx_shards(UseCase::Nop, 4, 4, &[120]);
-        let (g1, g4) = (one[0].gbps, four[0].gbps);
-        assert!(
-            g4 >= 1.3 * g1,
-            "4 RX shards must win >=1.3x at 120 peers: {g1:.3} vs {g4:.3} Gbps"
-        );
-        assert!(one[0].mpps > 0.0 && four[0].mpps > one[0].mpps);
-    }
-
-    #[test]
     fn rx_sharding_win_grows_with_peer_count() {
         // At low peer counts even one RX lane keeps up (the win must come
         // from saturation, not from a modelling constant); at high counts
         // the single lane pins the ceiling.
-        let one = sweep_rx_shards(UseCase::Nop, 1, 4, &[20, 120]);
-        let four = sweep_rx_shards(UseCase::Nop, 4, 4, &[20, 120]);
-        let low = four[0].gbps / one[0].gbps;
-        let high = four[1].gbps / one[1].gbps;
+        let table = rx_scaling();
+        let win = |clients: &str| {
+            table.get(&[("rx_shards", "4"), ("clients", clients)], "gbps")
+                / table.get(&[("rx_shards", "1"), ("clients", clients)], "gbps")
+        };
+        let (low, high) = (win("20"), win("120"));
         assert!(
             high > low,
             "the RX-sharding win must grow with peers: {low:.2}x at 20 vs {high:.2}x at 120"
@@ -1529,22 +969,20 @@ mod tests {
 
     #[test]
     fn uniform_fig10_numbers_unmoved_by_rx_pool() {
-        // The guard-rail: the RX refactor must not move the uniform
-        // Fig. 10 sharded numbers (big batched records amortise framing to
-        // a sliver per packet, and the shipped sweep keeps the legacy
-        // folded-RX timing model). 9.92 Gbps at 60 clients / 4 workers is
-        // the pre-RX-pool baseline.
-        let points = sweep_sharded(UseCase::Nop, 4, 16, &[60]);
-        let gbps = points[0].gbps;
+        // The guard-rail: the RX pool must not move the uniform Fig. 10
+        // sharded numbers (big batched records amortise framing to a
+        // sliver per packet, and the sweep keeps RX folded into the
+        // worker lanes). 9.92 Gbps at 60 clients / 4 workers is the
+        // pre-RX-pool baseline.
+        let charge = fig10_charge(4);
+        let gbps = replay(charge, &fig10_lanes(4), 60, false).gbps;
         assert!(
             (gbps - 9.92).abs() / 9.92 < 0.05,
             "uniform Fig. 10 must stay within 5% of the baseline: {gbps:.2} Gbps"
         );
         // And the batched path's measured framing share really is a
-        // minority — the reason the uniform numbers cannot move (on the
-        // small-record mix it is the majority; see
+        // minority (on the small-record mix it is the majority; see
         // `rx_mix_is_framing_dominated`).
-        let charge = measure_charge_sharded(UseCase::Nop, 1_500, 8, 16, 4);
         assert!(
             charge.rx_cycles * 2 <= charge.server_cycles,
             "batched records must amortise framing: rx {} of {}",
@@ -1559,127 +997,58 @@ mod tests {
         // amortisation: with 8 ready peers per round, the event loop
         // drains many datagrams per wakeup, so the ratio sits far below
         // the call-driven front-end's 1.0.
-        let (charge, ratio) =
-            super::super::deploy::measure_charge_async(UseCase::Nop, RX_MIX_PAYLOAD, 4, 4, 4);
+        let m = measure(&async_ingress_spec());
         assert!(
-            ratio < 0.5,
-            "event loop must amortise wakeups well below call-driven: {ratio:.3}"
+            m.wakeups_per_datagram > 0.0 && m.wakeups_per_datagram < 0.5,
+            "event loop must amortise wakeups well below call-driven: {:.3}",
+            m.wakeups_per_datagram
         );
-        assert!(ratio > 0.0, "wakeups must be counted at all");
-        assert_eq!(charge.fragments, 1, "small records must not fragment");
+        assert_eq!(m.charge.fragments, 1, "small records must not fragment");
         assert!(
-            charge.rx_cycles <= charge.server_cycles,
+            m.charge.rx_cycles <= m.charge.server_cycles,
             "rx share (framing + socket) within the measured total: rx {} of {}",
-            charge.rx_cycles,
-            charge.server_cycles
+            m.charge.rx_cycles,
+            m.charge.server_cycles
         );
-    }
-
-    #[test]
-    fn event_driven_front_end_beats_call_driven_at_high_peer_counts() {
-        // The acceptance bar: at 120 peers on the small-record mix, the
-        // event-driven front-end must deliver >= 1.3x the aggregate
-        // throughput of the call-driven one (same measured charge; the
-        // only difference is the wakeup amortisation).
-        let (charge, ratio) =
-            super::super::deploy::measure_charge_async(UseCase::Nop, RX_MIX_PAYLOAD, 6, 4, 4);
-        let call = sweep_async_ingress_measured(charge, ratio, 4, 4, &[120], false);
-        let event = sweep_async_ingress_measured(charge, ratio, 4, 4, &[120], true);
-        let (g_call, g_event) = (call[0].gbps, event[0].gbps);
-        assert!(
-            g_event >= 1.3 * g_call,
-            "event-driven must win >=1.3x at 120 peers: {g_call:.3} vs {g_event:.3} Gbps"
-        );
-        assert!(call[0].wakeups_per_packet == 1.0);
-        assert!(event[0].wakeups_per_packet < 0.5);
     }
 
     #[test]
     fn bulk_socket_io_amortises_syscalls_on_the_small_record_mix() {
-        // The measured input to the syscall model must show real
-        // amortisation: with 16 datagrams queued per peer socket at
-        // drain time, a bulk-32 `recv_many` front-end moves many
-        // datagrams per call, while the per-datagram front-end cannot
-        // exceed one (its dry-check tail even drags it slightly below).
-        let (charge_1, ratio_1) =
-            super::super::deploy::measure_charge_wire(UseCase::Nop, RX_MIX_PAYLOAD, 4, 4, 2, 1);
-        let (charge_32, ratio_32) =
-            super::super::deploy::measure_charge_wire(UseCase::Nop, RX_MIX_PAYLOAD, 4, 4, 2, 32);
-        assert!(ratio_1 <= 1.0, "per-datagram drain: {ratio_1:.3}");
+        // With 16 datagrams queued per peer socket at drain time, a
+        // bulk-32 `recv_many` front-end moves many datagrams per call,
+        // while the per-datagram front-end cannot exceed one (its
+        // dry-check tail even drags it slightly below).
+        let one = measure(&boundary_spec(TransportKind::Virtual, 1));
+        let bulk = measure(&boundary_spec(TransportKind::Virtual, 32));
         assert!(
-            ratio_32 >= 8.0,
-            "bulk-32 must amortise across deep queues: {ratio_32:.3}"
+            one.datagrams_per_call <= 1.0,
+            "{:.3}",
+            one.datagrams_per_call
+        );
+        assert!(
+            bulk.datagrams_per_call >= 8.0,
+            "bulk-32 must amortise across deep queues: {:.3}",
+            bulk.datagrams_per_call
         );
         // The drained application work is bulk-invariant: identical
         // record mix, identical fragment shape.
-        assert_eq!(charge_1.fragments, charge_32.fragments);
-        assert_eq!(charge_1.payload_bytes, charge_32.payload_bytes);
-    }
-
-    #[test]
-    fn bulk_32_beats_per_datagram_at_120_peers() {
-        // The acceptance bar: at 120 peers on the small-record mix, the
-        // bulk-32 transport must deliver >= 1.5x the aggregate
-        // throughput of the per-datagram one (same metered work; the
-        // only modelled difference is the syscall amortisation).
-        let (charge_1, ratio_1) =
-            super::super::deploy::measure_charge_wire(UseCase::Nop, RX_MIX_PAYLOAD, 6, 4, 2, 1);
-        let (charge_32, ratio_32) =
-            super::super::deploy::measure_charge_wire(UseCase::Nop, RX_MIX_PAYLOAD, 6, 4, 2, 32);
-        let per = sweep_syscall_batch_measured(charge_1, 1, ratio_1, 2, 4, &[120]);
-        let bulk = sweep_syscall_batch_measured(charge_32, 32, ratio_32, 2, 4, &[120]);
-        let (g_per, g_bulk) = (per[0].gbps, bulk[0].gbps);
-        assert!(
-            g_bulk >= 1.5 * g_per,
-            "bulk-32 must win >=1.5x at 120 peers: {g_per:.3} vs {g_bulk:.3} Gbps"
-        );
-        assert!(per[0].datagrams_per_call == 1.0);
-        assert!(bulk[0].datagrams_per_call >= 8.0);
+        assert_eq!(one.charge.fragments, bulk.charge.fragments);
+        assert_eq!(one.charge.payload_bytes, bulk.charge.payload_bytes);
     }
 
     #[test]
     fn transport_backend_charges_shed_boundary_and_kernel_costs() {
-        // The measured inputs to the backend comparison must separate
-        // cleanly: the record mix and fragment shape are
-        // backend-invariant, while ring/XDP charges shed the in-kernel
-        // receive share and the socket boundary costs.
-        let socket = super::super::deploy::measure_charge_transport(
-            UseCase::Nop,
-            RX_MIX_PAYLOAD,
-            4,
-            4,
-            2,
-            TRANSPORT_BACKEND_BULK,
-            TransportKind::Virtual,
-        )
-        .0;
-        let ring = super::super::deploy::measure_charge_transport(
-            UseCase::Nop,
-            RX_MIX_PAYLOAD,
-            4,
-            4,
-            2,
-            TRANSPORT_BACKEND_BULK,
-            TransportKind::Ring,
-        )
-        .0;
-        let xdp = super::super::deploy::measure_charge_transport(
-            UseCase::Nop,
-            RX_MIX_PAYLOAD,
-            4,
-            4,
-            2,
-            TRANSPORT_BACKEND_BULK,
-            TransportKind::XdpFrame,
-        )
-        .0;
+        // The record mix and fragment shape are backend-invariant, while
+        // ring/XDP charges shed the in-kernel receive share and the
+        // socket boundary costs.
+        let charge = |kind| measure(&boundary_spec(kind, TRANSPORT_BACKEND_BULK)).charge;
+        let socket = charge(TransportKind::Virtual);
+        let ring = charge(TransportKind::Ring);
+        let xdp = charge(TransportKind::XdpFrame);
         assert_eq!(socket.fragments, ring.fragments);
         assert_eq!(socket.fragments, xdp.fragments);
         assert_eq!(socket.payload_bytes, xdp.payload_bytes);
-        // Kernel-bypass delivery sheds at least the in-kernel receive
-        // share per fragment from both the server total and the RX lane.
-        let cost = endbox_netsim::cost::CostModel::calibrated();
-        let shed = cost.kernel_rx_per_fragment * socket.fragments as u64;
+        let shed = CostModel::calibrated().kernel_rx_per_fragment * socket.fragments as u64;
         assert!(
             ring.server_cycles + shed <= socket.server_cycles,
             "ring server: {} vs socket {}",
@@ -1694,88 +1063,22 @@ mod tests {
     }
 
     #[test]
-    fn ring_and_bypass_beat_bulk_sockets_at_120_peers() {
-        // The acceptance bars: at 120 peers on the small-record mix,
-        // the ring backend must deliver >= 1.3x and the zero-copy frame
-        // backend >= 1.6x the aggregate throughput of the bulk-32
-        // socket baseline (identical drained work; the differences are
-        // the calibrated boundary models).
-        let points = fig_transport_backend(&[120]);
-        let gbps = |backend: &str| {
-            points
-                .iter()
-                .find(|p| p.backend == backend && p.clients == 120)
-                .map(|p| p.gbps)
-                .expect("one row per backend")
-        };
-        let (socket, ring, xdp) = (gbps("socket"), gbps("ring"), gbps("xdp-frame"));
-        assert!(
-            ring >= 1.3 * socket,
-            "ring must win >=1.3x at 120 peers: {socket:.3} vs {ring:.3} Gbps"
-        );
-        assert!(
-            xdp >= 1.6 * socket,
-            "xdp must win >=1.6x at 120 peers: {socket:.3} vs {xdp:.3} Gbps"
-        );
-        assert!(
-            xdp >= ring,
-            "zero-copy must not lose to the ring: {ring:.3} vs {xdp:.3} Gbps"
-        );
-    }
-
-    #[test]
-    fn adaptive_controller_holds_both_margin_bars() {
-        // The acceptance bars for the zero-knob control plane, on the
-        // CI-sized trace: within 5% of the *best* hand-tuned static
-        // configuration at every step of both traces, and >= 1.3x the
-        // *worst* static configuration at the sweep peak.
-        let points = fig_adaptive_control(6);
-        let (worst_vs_best, peak_vs_worst) = adaptive_control_margins(&points);
-        assert!(
-            worst_vs_best >= 0.95,
-            "controller fell behind the best static config: {worst_vs_best:.3}x"
-        );
-        assert!(
-            peak_vs_worst >= 1.3,
-            "controller win over the worst static config regressed at the peak: \
-             {peak_vs_worst:.2}x"
-        );
-    }
-
-    #[test]
-    fn elastic_resize_holds_both_margin_bars() {
-        // The acceptance bars for structural elasticity, on the
-        // CI-sized trace: within 10% of the *best* fixed (K, N) rung at
-        // every diurnal step, and >= 1.3x the smallest fixed rung at
-        // the peak.
-        let points = fig_elastic_resize(6);
-        let (worst_vs_best, peak_vs_smallest) = elastic_margins(&points);
-        assert!(
-            worst_vs_best >= 0.90,
-            "elastic fell behind the best fixed rung: {worst_vs_best:.3}x"
-        );
-        assert!(
-            peak_vs_smallest >= 1.3,
-            "elastic win over the smallest fixed rung regressed at the peak: \
-             {peak_vs_smallest:.2}x"
-        );
-    }
-
-    #[test]
     fn elastic_rung_tracks_the_diurnal_curve() {
         // The trough picks the smallest rung, the peak the largest,
         // and the rung never shrinks while demand grows.
-        let peak = ADAPTIVE_TRACE_PEAK;
-        assert_eq!(elastic_rung_for(1, peak).name, "fixed-small");
-        assert_eq!(elastic_rung_for(peak, peak).name, "fixed-large");
+        assert_eq!(elastic_rung_for(1, TRACE_PEAK), 0);
+        assert_eq!(
+            elastic_rung_for(TRACE_PEAK, TRACE_PEAK),
+            ELASTIC_LADDER.len() - 1
+        );
         let mut last = 0;
-        for clients in 1..=peak {
-            let rung = elastic_rung_for(clients, peak);
+        for clients in 1..=TRACE_PEAK {
+            let rung = elastic_rung_for(clients, TRACE_PEAK);
             assert!(
-                rung.rx_shards >= last,
+                rung >= last,
                 "rung shrank while demand grew at {clients} clients"
             );
-            last = rung.rx_shards;
+            last = rung;
         }
     }
 
@@ -1805,17 +1108,6 @@ mod tests {
             elephants / total > 0.5,
             "heavy tail must be heavy: {:.2}",
             elephants / total
-        );
-    }
-
-    #[test]
-    fn server_cpu_saturates_for_central_deployments() {
-        let points = sweep(Deployment::OpenVpnClick(UseCase::Idps));
-        let last = points.last().unwrap();
-        assert!(
-            last.server_cpu > 0.9,
-            "central middlebox CPU-bound: {}",
-            last.server_cpu
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Single-flow throughput experiments: Fig. 8 (packet-size sweep) and
 //! Fig. 9 (per-use-case throughput at 1 500 B).
 
-use super::deploy::{measure_charge, measure_charge_batched, Deployment};
+use super::deploy::{measure, Deployment, MeasureSpec};
 use crate::use_cases::UseCase;
 use endbox_netsim::pipeline::{run_single_flow, ThroughputResult};
 use endbox_netsim::resource::{Link, MachineSpec};
@@ -10,26 +10,10 @@ use endbox_netsim::resource::{Link, MachineSpec};
 const REPLAY_PACKETS: usize = 2_000;
 /// Real packets pushed through the functional stack per data point.
 const MEASURE_SAMPLES: usize = 16;
-/// Default packets coalesced per record on the batched datapath data
-/// points (overridable via the `ENDBOX_BATCH_SIZE` environment variable —
-/// see [`batch_size`]; the latency-vs-throughput trade-off behind the
-/// choice is quantified by
+/// Packets coalesced per record on the batched datapath data points (the
+/// latency-vs-throughput trade-off behind the choice is quantified by
 /// [`crate::eval::optimizations::batch_size_ablation`]).
 pub const DEFAULT_BATCH_SIZE: usize = 16;
-
-/// Parses a batch-size override; `None`/garbage/0 fall back to
-/// [`DEFAULT_BATCH_SIZE`].
-pub fn parse_batch_size(raw: Option<&str>) -> usize {
-    raw.and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&b| b >= 1)
-        .unwrap_or(DEFAULT_BATCH_SIZE)
-}
-
-/// The batch size in force for batched eval rows: `ENDBOX_BATCH_SIZE`
-/// from the environment, or [`DEFAULT_BATCH_SIZE`].
-pub fn batch_size() -> usize {
-    parse_batch_size(std::env::var("ENDBOX_BATCH_SIZE").ok().as_deref())
-}
 
 /// One measured point.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,7 +29,12 @@ pub struct ThroughputPoint {
 /// Runs one single-flow measurement (two class-A machines, 10 Gbps link —
 /// the §V-D setup).
 pub fn single_flow_mbps(deployment: Deployment, payload: usize) -> f64 {
-    let charge = measure_charge(deployment, payload, MEASURE_SAMPLES);
+    let charge = measure(&MeasureSpec::single_flow(
+        deployment,
+        payload,
+        MEASURE_SAMPLES,
+    ))
+    .charge;
     let mut link = Link::ten_gbps();
     let result: ThroughputResult = run_single_flow(
         MachineSpec::class_a(),
@@ -59,7 +48,8 @@ pub fn single_flow_mbps(deployment: Deployment, payload: usize) -> f64 {
 /// Like [`single_flow_mbps`], but on the batched datapath: `batch`
 /// packets per enclave transition and per sealed record.
 pub fn single_flow_mbps_batched(deployment: Deployment, payload: usize, batch: usize) -> f64 {
-    let charge = measure_charge_batched(deployment, payload, MEASURE_SAMPLES, batch);
+    let spec = MeasureSpec::batched_flow(deployment, payload, MEASURE_SAMPLES, batch);
+    let charge = measure(&spec).charge;
     let mut link = Link::ten_gbps();
     let result: ThroughputResult = run_single_flow(
         MachineSpec::class_a(),
@@ -102,11 +92,11 @@ pub fn fig8() -> Vec<ThroughputPoint> {
 }
 
 /// Fig. 8 companion: the same sweep on the batched datapath
-/// ([`batch_size`] packets per record) for the two bracketing set-ups —
+/// ([`DEFAULT_BATCH_SIZE`] packets per record) for the two bracketing set-ups —
 /// vanilla OpenVPN (record coalescing only) and EndBox SGX (record
 /// coalescing + one enclave transition per batch).
 pub fn fig8_batched() -> Vec<ThroughputPoint> {
-    let batch = batch_size();
+    let batch = DEFAULT_BATCH_SIZE;
     let mut out = Vec::new();
     for deployment in [
         Deployment::VanillaOpenVpn,
@@ -190,15 +180,6 @@ mod tests {
             diff < 0.02,
             "batch=1 must degrade to the single path: {single} vs {batch1}"
         );
-    }
-
-    #[test]
-    fn batch_size_knob_parses_and_defaults() {
-        assert_eq!(parse_batch_size(None), DEFAULT_BATCH_SIZE);
-        assert_eq!(parse_batch_size(Some("8")), 8);
-        assert_eq!(parse_batch_size(Some(" 32 ")), 32);
-        assert_eq!(parse_batch_size(Some("0")), DEFAULT_BATCH_SIZE);
-        assert_eq!(parse_batch_size(Some("not a number")), DEFAULT_BATCH_SIZE);
     }
 
     #[test]

@@ -194,7 +194,7 @@ impl WireCostProfile {
 /// Selector for the wire backend a scenario or benchmark builds its
 /// transport from — one name per [`Transport`] implementation, with the
 /// backend's metering profile and kernel-bypass shape attached so the
-/// measurement layer (`measure_charge_wire` and friends) can price a
+/// measurement layer (`endbox::eval::deploy::measure`) can price a
 /// backend without instantiating it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
@@ -285,8 +285,20 @@ pub trait WireEndpoint: Send + Sync + std::fmt::Debug {
     fn readable(&self) -> bool;
 
     /// Queue depth: datagrams received by the wire but not yet drained.
-    /// The OS backend cannot see kernel queue depth and reports `1` when
-    /// readable, `0` otherwise.
+    ///
+    /// **Known limitation.** The OS backend cannot see the kernel's queue
+    /// depth: [`OsWire`] endpoints answer `usize::from(self.readable())`
+    /// — one `peek_from` syscall returning `1` when anything is queued,
+    /// `0` otherwise. Everything the server's control plane derives from
+    /// this value therefore counts readable *sockets*, not queued
+    /// datagrams, over the only real transport: the front-end's
+    /// `backlog()`, the per-group demand EWMAs behind the remap and
+    /// resize laws (`RESIZE_TARGET_DEMAND` is calibrated in datagrams),
+    /// and the demand-proportional split in `plan_budgets`. Outcomes are
+    /// unaffected (the controller only moves scheduling; the
+    /// controller-on OS-socket parity grid in `tests/bulk_ingress.rs`
+    /// pins that), but a deep queue behind one socket looks no hotter
+    /// than a single waiting datagram.
     fn pending(&self) -> usize;
 
     /// The per-datagram metering profile of this backend — what metered

@@ -91,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // client's batch in one multi-client dispatch. Results are
     // byte-identical to the single-threaded server (the parity grids in
     // tests/ are the proof); the sharding win shows up in
-    // `exp_fig10_scalability` / `exp_rx_scaling`.
+    // `exp fig10_scalability` / `exp rx_scaling`.
     let mut sharded = Scenario::enterprise(4, UseCase::Idps)
         .seed(11)
         .rx_shards(2)

@@ -15,8 +15,8 @@ use endbox::use_cases::UseCase;
 fn headline_scalability_claim() {
     let endbox = sweep(Deployment::EndBoxSgx(UseCase::Idps));
     let central = sweep(Deployment::OpenVpnClick(UseCase::Idps));
-    let e60 = endbox.last().unwrap().gbps;
-    let c60 = central.last().unwrap().gbps;
+    let e60 = endbox.get(&[("clients", "60")], "gbps");
+    let c60 = central.get(&[("clients", "60")], "gbps");
     let factor = e60 / c60;
     assert!(
         (2.2..=4.5).contains(&factor),
@@ -26,9 +26,10 @@ fn headline_scalability_claim() {
     // Linearity: correlation of throughput with client count below the
     // saturation knee.
     let pre_knee: Vec<(f64, f64)> = endbox
-        .iter()
-        .filter(|p| p.clients <= 30)
-        .map(|p| (p.clients as f64, p.gbps))
+        .column("clients")
+        .into_iter()
+        .zip(endbox.column("gbps"))
+        .filter(|(clients, _)| *clients <= 30.0)
         .collect();
     for w in pre_knee.windows(2) {
         let slope = (w[1].1 - w[0].1) / (w[1].0 - w[0].0);
@@ -108,18 +109,19 @@ fn reconfiguration_ratio() {
 /// *decreases* beyond its peak; EndBox tracks vanilla OpenVPN.
 #[test]
 fn fig10a_deployment_shapes() {
-    let vanilla = sweep(Deployment::VanillaOpenVpn);
-    let endbox = sweep(Deployment::EndBoxSgx(UseCase::Nop));
-    let click = sweep(Deployment::VanillaClick(UseCase::Nop));
-    let central = sweep(Deployment::OpenVpnClick(UseCase::Nop));
+    let gbps = |d| sweep(d).column("gbps");
+    let vanilla = gbps(Deployment::VanillaOpenVpn);
+    let endbox = gbps(Deployment::EndBoxSgx(UseCase::Nop));
+    let click = gbps(Deployment::VanillaClick(UseCase::Nop));
+    let central = gbps(Deployment::OpenVpnClick(UseCase::Nop));
 
     // EndBox == vanilla OpenVPN server-side (within 5%).
     for (v, e) in vanilla.iter().zip(endbox.iter()) {
-        assert!((v.gbps - e.gbps).abs() / v.gbps.max(0.1) < 0.05);
+        assert!((v - e).abs() / v.max(0.1) < 0.05);
     }
     // Vanilla Click plateaus below the VPN plateau (single process).
-    let click_plateau = click.last().unwrap().gbps;
-    let vpn_plateau = vanilla.last().unwrap().gbps;
+    let click_plateau = *click.last().unwrap();
+    let vpn_plateau = *vanilla.last().unwrap();
     assert!(
         click_plateau < vpn_plateau,
         "{click_plateau} < {vpn_plateau}"
@@ -129,8 +131,8 @@ fn fig10a_deployment_shapes() {
         "paper: ~5.5 Gbps; got {click_plateau:.1}"
     );
     // OpenVPN+Click decreases after its peak.
-    let peak = central.iter().map(|p| p.gbps).fold(0.0f64, f64::max);
-    let last = central.last().unwrap().gbps;
+    let peak = central.iter().copied().fold(0.0f64, f64::max);
+    let last = *central.last().unwrap();
     assert!(
         last < peak * 0.95,
         "central middlebox declines: peak {peak:.2}, 60cl {last:.2}"

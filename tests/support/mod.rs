@@ -564,20 +564,23 @@ pub fn run_async_bulk(
 /// [`run_async_bulk`] over the **OS-socket** backend: the same schedule
 /// rides real loopback UDP sockets (wire stamps survive the kernel
 /// round-trip in the OS wire header), so the outcomes must still be
-/// byte-identical to the single-threaded reference. Only call when
+/// byte-identical to the single-threaded reference. `policy: None`
+/// runs the self-tuning control plane instead of a pinned policy, as in
+/// [`run_async_adaptive`] — over this backend the controller sees
+/// `pending()` as 0/1 per socket, not a queue depth. Only call when
 /// [`endbox_netsim::net::OsWire::available`].
 pub fn run_async_os(
     schedule: &Schedule,
     rx_shards: usize,
     workers: usize,
-    policy: DispatchPolicy,
+    policy: Option<DispatchPolicy>,
     recv_bulk: usize,
 ) -> Vec<Out> {
     run_async_configured(
         schedule,
         rx_shards,
         workers,
-        Some(policy),
+        policy,
         Some(recv_bulk),
         TransportKind::OsSocket,
     )
@@ -909,7 +912,8 @@ pub fn assert_schedule_parity_bulk_on(schedule: &Schedule, grid: &[(usize, usize
 
 /// Asserts byte-identical outcomes between the single-threaded reference
 /// and the **OS-socket** backend (real loopback UDP) over `grid`, at
-/// both the per-datagram and the production bulk size. Skips (with a
+/// both the per-datagram and the production bulk size, under pinned
+/// static dispatch and under the self-tuning controller. Skips (with a
 /// note) when the sandbox forbids loopback sockets — set
 /// `ENDBOX_REQUIRE_OS_SOCKET=1` to turn the skip into a failure.
 pub fn assert_schedule_parity_os(schedule: &Schedule, grid: &[(usize, usize)]) {
@@ -925,14 +929,17 @@ pub fn assert_schedule_parity_os(schedule: &Schedule, grid: &[(usize, usize)]) {
     }
     let reference = run_single(schedule);
     for &(rx, workers) in grid {
-        for bulk in [1usize, 32] {
-            let got = run_async_os(schedule, rx, workers, DispatchPolicy::Static, bulk);
-            assert_eq!(
-                got, reference,
-                "schedule `{}` diverged from the single-threaded server over the \
-                 OS-socket backend at rx_shards={rx} workers={workers} bulk={bulk}",
-                schedule.name
-            );
+        for policy in [Some(DispatchPolicy::Static), None] {
+            for bulk in [1usize, 32] {
+                let got = run_async_os(schedule, rx, workers, policy, bulk);
+                assert_eq!(
+                    got, reference,
+                    "schedule `{}` diverged from the single-threaded server over the \
+                     OS-socket backend at rx_shards={rx} workers={workers} bulk={bulk} \
+                     policy={policy:?} (None = controller)",
+                    schedule.name
+                );
+            }
         }
     }
 }
