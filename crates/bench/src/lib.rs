@@ -1,7 +1,6 @@
-//! Experiment driver and microbenchmarks for the EndBox reproduction.
+//! Experiment driver and wall-clock benchmark for the EndBox reproduction.
 //!
-//! The library itself is empty; everything lives in `src/bin/` and
-//! `benches/`:
+//! The library itself is empty; everything lives in `src/bin/`:
 //!
 //! * `src/bin/exp.rs` — the one experiment driver.
 //!   `cargo run --release -p endbox-bench --bin exp -- <name>` runs one
@@ -11,6 +10,7 @@
 //!   regenerated tables, and `exp` alone lists the catalogue. The
 //!   committed `BENCH_*.json` files are exactly what `exp all` writes.
 //! * `src/bin/exp_wallclock/` — the wall-clock benchmark named by the
-//!   root `BENCHMARK.json` (its own README documents it).
-//! * `benches/microbench.rs` — Criterion groups `batch_vs_single` and
-//!   `shard_scaling`.
+//!   root `BENCHMARK.json` (its own README documents it). Its
+//!   single-layer replays are where per-primitive wall-clock numbers
+//!   (crypto ns/B, seal/open ns/pkt, …) come from, with medians and
+//!   spread.

@@ -38,6 +38,8 @@
 //! assert_eq!(router.read_handler("c", "count").as_deref(), Some("1"));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod config;
 pub mod element;
 pub mod elements;

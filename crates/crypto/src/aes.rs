@@ -1,10 +1,19 @@
-//! AES-128 block cipher (FIPS 197).
+//! AES-128 block cipher (FIPS 197), on one of two backends.
 //!
-//! A byte-oriented implementation: clear, portable, and fast enough for a
-//! simulation. The EndBox cost model charges the cycle budget of a real
-//! software AES independently of this implementation's wall-clock speed.
-
-use std::sync::OnceLock;
+//! * **AES-NI** (`crate::hw`, x86-64 only): key schedule, `aesenc`/`aesdec`
+//!   rounds and the CBC loops run on the CPU's AES unit — serial encrypt
+//!   (CBC chains every block on the previous one), eight blocks in flight
+//!   for decrypt.
+//! * **Portable**: the byte-oriented implementation below — clear, and an
+//!   order of magnitude slower (a `gmul` loop per `inv_mix_columns` byte).
+//!   It is the only path on CPUs without AES-NI and the reference the
+//!   hardware path is tested against.
+//!
+//! [`Aes128::new`] picks the backend once, from
+//! `is_x86_feature_detected!("aes")`; nothing else selects it — no cargo
+//! feature, no environment variable. The EndBox cost model charges the
+//! cycle budget of a real software AES independently of either backend's
+//! wall-clock speed.
 
 /// AES block size in bytes.
 pub const BLOCK_LEN: usize = 16;
@@ -30,16 +39,15 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-fn inv_sbox() -> &'static [u8; 256] {
-    static INV: OnceLock<[u8; 256]> = OnceLock::new();
-    INV.get_or_init(|| {
-        let mut inv = [0u8; 256];
-        for (i, &s) in SBOX.iter().enumerate() {
-            inv[s as usize] = i as u8;
-        }
-        inv
-    })
-}
+const INV_SBOX: [u8; 256] = {
+    let mut inv = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        inv[SBOX[i] as usize] = i as u8;
+        i += 1;
+    }
+    inv
+};
 
 /// Multiply by x in GF(2^8) with the AES polynomial.
 #[inline]
@@ -73,7 +81,14 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; BLOCK_LEN]; 11],
+    backend: Backend,
+}
+
+#[derive(Clone)]
+enum Backend {
+    #[cfg(target_arch = "x86_64")]
+    AesNi(crate::hw::AesNi),
+    Portable(Portable),
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -84,8 +99,65 @@ impl std::fmt::Debug for Aes128 {
 }
 
 impl Aes128 {
-    /// Expands `key` into the 11 round keys.
+    /// Expands `key` into the 11 round keys, on the AES-NI unit when the
+    /// CPU has one.
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hw) = crate::hw::AesNi::new(key) {
+            return Aes128 {
+                backend: Backend::AesNi(hw),
+            };
+        }
+        Aes128 {
+            backend: Backend::Portable(Portable::new(key)),
+        }
+    }
+
+    /// Encrypts a single 16-byte block.
+    pub fn encrypt_block(&self, block: &[u8; BLOCK_LEN]) -> [u8; BLOCK_LEN] {
+        match &self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::AesNi(hw) => hw.encrypt_block(block),
+            Backend::Portable(p) => p.encrypt_block(block),
+        }
+    }
+
+    /// Decrypts a single 16-byte block.
+    pub fn decrypt_block(&self, block: &[u8; BLOCK_LEN]) -> [u8; BLOCK_LEN] {
+        match &self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::AesNi(hw) => hw.decrypt_block(block),
+            Backend::Portable(p) => p.decrypt_block(block),
+        }
+    }
+
+    /// CBC-encrypts `data` (whole blocks, already padded) in place.
+    pub(crate) fn cbc_encrypt_blocks(&self, iv: &[u8; BLOCK_LEN], data: &mut [u8]) {
+        match &self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::AesNi(hw) => hw.cbc_encrypt(iv, data),
+            Backend::Portable(p) => p.cbc_encrypt(iv, data),
+        }
+    }
+
+    /// CBC-decrypts `data` (whole blocks) in place; padding stays.
+    pub(crate) fn cbc_decrypt_blocks(&self, iv: &[u8; BLOCK_LEN], data: &mut [u8]) {
+        match &self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::AesNi(hw) => hw.cbc_decrypt(iv, data),
+            Backend::Portable(p) => p.cbc_decrypt(iv, data),
+        }
+    }
+}
+
+/// The portable backend: an expanded key and byte-oriented rounds.
+#[derive(Clone)]
+pub(crate) struct Portable {
+    round_keys: [[u8; BLOCK_LEN]; 11],
+}
+
+impl Portable {
+    pub(crate) fn new(key: &[u8; KEY_LEN]) -> Self {
         let mut w = [[0u8; 4]; 44];
         for i in 0..4 {
             w[i] = [key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]];
@@ -111,11 +183,10 @@ impl Aes128 {
                 round_keys[r][4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
             }
         }
-        Aes128 { round_keys }
+        Portable { round_keys }
     }
 
-    /// Encrypts a single 16-byte block.
-    pub fn encrypt_block(&self, block: &[u8; BLOCK_LEN]) -> [u8; BLOCK_LEN] {
+    pub(crate) fn encrypt_block(&self, block: &[u8; BLOCK_LEN]) -> [u8; BLOCK_LEN] {
         let mut s = *block;
         add_round_key(&mut s, &self.round_keys[0]);
         for round in 1..10 {
@@ -130,8 +201,7 @@ impl Aes128 {
         s
     }
 
-    /// Decrypts a single 16-byte block.
-    pub fn decrypt_block(&self, block: &[u8; BLOCK_LEN]) -> [u8; BLOCK_LEN] {
+    pub(crate) fn decrypt_block(&self, block: &[u8; BLOCK_LEN]) -> [u8; BLOCK_LEN] {
         let mut s = *block;
         add_round_key(&mut s, &self.round_keys[10]);
         for round in (1..10).rev() {
@@ -144,6 +214,31 @@ impl Aes128 {
         inv_sub_bytes(&mut s);
         add_round_key(&mut s, &self.round_keys[0]);
         s
+    }
+
+    pub(crate) fn cbc_encrypt(&self, iv: &[u8; BLOCK_LEN], data: &mut [u8]) {
+        let mut prev = *iv;
+        for chunk in data.chunks_exact_mut(BLOCK_LEN) {
+            for i in 0..BLOCK_LEN {
+                chunk[i] ^= prev[i];
+            }
+            let block: [u8; BLOCK_LEN] = (&*chunk).try_into().unwrap();
+            prev = self.encrypt_block(&block);
+            chunk.copy_from_slice(&prev);
+        }
+    }
+
+    pub(crate) fn cbc_decrypt(&self, iv: &[u8; BLOCK_LEN], data: &mut [u8]) {
+        let mut prev = *iv;
+        for chunk in data.chunks_exact_mut(BLOCK_LEN) {
+            let block: [u8; BLOCK_LEN] = (&*chunk).try_into().unwrap();
+            let mut pt = self.decrypt_block(&block);
+            for i in 0..BLOCK_LEN {
+                pt[i] ^= prev[i];
+            }
+            prev = block;
+            chunk.copy_from_slice(&pt);
+        }
     }
 }
 
@@ -163,9 +258,8 @@ fn sub_bytes(s: &mut [u8; 16]) {
 }
 
 fn inv_sub_bytes(s: &mut [u8; 16]) {
-    let inv = inv_sbox();
     for b in s.iter_mut() {
-        *b = inv[*b as usize];
+        *b = INV_SBOX[*b as usize];
     }
 }
 
@@ -267,6 +361,49 @@ mod tests {
             assert_eq!(gmul(b, 2), xtime(b));
             assert_eq!(gmul(b, 1), b);
             assert_eq!(gmul(b, 3), xtime(b) ^ b);
+        }
+    }
+
+    /// Both backends, called directly: byte-equal on a block and on CBC
+    /// in both directions, for random keys, IVs and lengths. The hardware
+    /// half is skipped on a CPU without AES-NI.
+    #[cfg(target_arch = "x86_64")]
+    mod backends_agree {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn block_and_cbc(
+                key in prop::array::uniform16(any::<u8>()),
+                iv in prop::array::uniform16(any::<u8>()),
+                block in prop::array::uniform16(any::<u8>()),
+                data in prop::collection::vec(any::<u8>(), 0..4097),
+            ) {
+                let Some(hw) = crate::hw::AesNi::new(&key) else {
+                    return;
+                };
+                let portable = Portable::new(&key);
+                prop_assert_eq!(hw.encrypt_block(&block), portable.encrypt_block(&block));
+                prop_assert_eq!(hw.decrypt_block(&block), portable.decrypt_block(&block));
+
+                // Whole blocks only: padding is the mode's job, not the
+                // backend's.
+                let data = &data[..data.len() - data.len() % BLOCK_LEN];
+                let (mut a, mut b) = (data.to_vec(), data.to_vec());
+                hw.cbc_encrypt(&iv, &mut a);
+                portable.cbc_encrypt(&iv, &mut b);
+                prop_assert_eq!(&a, &b);
+                // Decrypt arbitrary bytes too, not only valid ciphertext.
+                let (mut c, mut d) = (data.to_vec(), data.to_vec());
+                hw.cbc_decrypt(&iv, &mut c);
+                portable.cbc_decrypt(&iv, &mut d);
+                prop_assert_eq!(c, d);
+                hw.cbc_decrypt(&iv, &mut a);
+                prop_assert_eq!(a, data);
+            }
         }
     }
 

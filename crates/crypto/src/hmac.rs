@@ -4,17 +4,25 @@ use crate::sha256::{sha256, Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Streaming HMAC-SHA256.
 ///
+/// A context holds the two SHA-256 midstates of its key — the hash state
+/// after the ipad block and after the opad block — so everything that
+/// depends only on the key is computed once, in [`HmacSha256::new`].
+/// Cloning a freshly keyed context is therefore the cheap way to MAC many
+/// messages under one key (the data channel keeps one per direction):
+///
 /// ```
-/// use endbox_crypto::hmac::HmacSha256;
-/// let mut m = HmacSha256::new(b"key");
-/// m.update(b"msg");
-/// let tag = m.finalize();
-/// assert_eq!(tag, endbox_crypto::hmac::hmac_sha256(b"key", b"msg"));
+/// use endbox_crypto::hmac::{hmac_sha256, HmacSha256};
+/// let keyed = HmacSha256::new(b"key");
+/// for msg in [&b"first"[..], b"second"] {
+///     let mut m = keyed.clone();
+///     m.update(msg);
+///     assert_eq!(m.finalize(), hmac_sha256(b"key", msg));
+/// }
 /// ```
 #[derive(Debug, Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK_LEN],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -26,18 +34,11 @@ impl HmacSha256 {
         } else {
             k[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = k[i] ^ 0x36;
-            opad[i] = k[i] ^ 0x5c;
-        }
         let mut inner = Sha256::new();
-        inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            opad_key: opad,
-        }
+        inner.update(&k.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&k.map(|b| b ^ 0x5c));
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message bytes.
@@ -46,12 +47,9 @@ impl HmacSha256 {
     }
 
     /// Returns the 32-byte tag.
-    pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
-        outer.finalize()
+    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+        self.outer.update(&self.inner.finalize());
+        self.outer.finalize()
     }
 
     /// Verifies `tag` against the absorbed message in constant time.
@@ -137,6 +135,58 @@ mod tests {
             hex::encode(&tag),
             "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
         );
+    }
+
+    /// RFC 4231 cases 1–4, 6 and 7 through one keyed context cloned per
+    /// message — the way the data channel uses it.
+    #[test]
+    fn rfc4231_through_cloned_midstates() {
+        let case4_key: Vec<u8> = (1..=25).collect();
+        let cases: [(&[u8], &[u8], &str); 6] = [
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                &case4_key,
+                &[0xcd; 50],
+                "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+            ),
+            (
+                &[0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            (
+                &[0xaa; 131],
+                b"This is a test using a larger than block-size key and a larger \
+                  than block-size data. The key needs to be hashed before being \
+                  used by the HMAC algorithm.",
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ];
+        for (key, msg, want) in cases {
+            let keyed = HmacSha256::new(key);
+            // Twice from the same midstates: keying is not consumed.
+            for _ in 0..2 {
+                let mut m = keyed.clone();
+                let (head, tail) = msg.split_at(msg.len() / 2);
+                m.update(head);
+                m.update(tail);
+                assert_eq!(hex::encode(&m.finalize()), want);
+            }
+        }
     }
 
     #[test]

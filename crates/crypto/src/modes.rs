@@ -7,6 +7,52 @@
 use crate::aes::{Aes128, BLOCK_LEN};
 use crate::CryptoError;
 
+/// Pads `buf[from..]` with PKCS#7 and encrypts it with AES-128-CBC where
+/// it lies; `buf[..from]` (a header, an IV) is left alone. Afterwards
+/// `buf[from..]` is a non-zero multiple of the block size.
+///
+/// This is how a record is sealed in one buffer: the caller writes the IV
+/// and the plaintext into `buf`, encrypts from `from`, then appends the
+/// tag — no second copy of the payload is ever made.
+///
+/// # Panics
+///
+/// Panics if `from > buf.len()`.
+pub fn cbc_encrypt_in_place(aes: &Aes128, iv: &[u8; BLOCK_LEN], buf: &mut Vec<u8>, from: usize) {
+    let pad = BLOCK_LEN - ((buf.len() - from) % BLOCK_LEN);
+    buf.resize(buf.len() + pad, pad as u8);
+    aes.cbc_encrypt_blocks(iv, &mut buf[from..]);
+}
+
+/// Decrypts AES-128-CBC `data` where it lies and checks the PKCS#7
+/// padding. Returns the plaintext length: the plaintext is
+/// `data[..len]`, the bytes after it are padding.
+///
+/// # Errors
+///
+/// [`CryptoError::InvalidLength`] if `data` is empty or not a multiple of
+/// the block size (nothing is written), [`CryptoError::InvalidPadding`]
+/// if the padding is malformed.
+pub fn cbc_decrypt_in_place(
+    aes: &Aes128,
+    iv: &[u8; BLOCK_LEN],
+    data: &mut [u8],
+) -> Result<usize, CryptoError> {
+    if data.is_empty() || !data.len().is_multiple_of(BLOCK_LEN) {
+        return Err(CryptoError::InvalidLength);
+    }
+    aes.cbc_decrypt_blocks(iv, data);
+    let pad = data[data.len() - 1] as usize;
+    if pad == 0 || pad > BLOCK_LEN {
+        return Err(CryptoError::InvalidPadding);
+    }
+    let len = data.len() - pad;
+    if !data[len..].iter().all(|&b| b as usize == pad) {
+        return Err(CryptoError::InvalidPadding);
+    }
+    Ok(len)
+}
+
 /// Encrypts `plaintext` with AES-128-CBC and PKCS#7 padding.
 ///
 /// The output is always a non-zero multiple of the block size.
@@ -20,21 +66,9 @@ use crate::CryptoError;
 /// assert_eq!(pt, b"attack at dawn");
 /// ```
 pub fn cbc_encrypt(aes: &Aes128, iv: &[u8; BLOCK_LEN], plaintext: &[u8]) -> Vec<u8> {
-    let pad = BLOCK_LEN - (plaintext.len() % BLOCK_LEN);
-    let mut data = Vec::with_capacity(plaintext.len() + pad);
+    let mut data = Vec::with_capacity(plaintext.len() + BLOCK_LEN);
     data.extend_from_slice(plaintext);
-    data.extend(std::iter::repeat_n(pad as u8, pad));
-
-    let mut prev = *iv;
-    for chunk in data.chunks_exact_mut(BLOCK_LEN) {
-        for i in 0..BLOCK_LEN {
-            chunk[i] ^= prev[i];
-        }
-        let block: [u8; BLOCK_LEN] = (&*chunk).try_into().unwrap();
-        let ct = aes.encrypt_block(&block);
-        chunk.copy_from_slice(&ct);
-        prev = ct;
-    }
+    cbc_encrypt_in_place(aes, iv, &mut data, 0);
     data
 }
 
@@ -50,28 +84,9 @@ pub fn cbc_decrypt(
     iv: &[u8; BLOCK_LEN],
     ciphertext: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
-    if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(BLOCK_LEN) {
-        return Err(CryptoError::InvalidLength);
-    }
-    let mut out = Vec::with_capacity(ciphertext.len());
-    let mut prev = *iv;
-    for chunk in ciphertext.chunks_exact(BLOCK_LEN) {
-        let block: [u8; BLOCK_LEN] = chunk.try_into().unwrap();
-        let mut pt = aes.decrypt_block(&block);
-        for i in 0..BLOCK_LEN {
-            pt[i] ^= prev[i];
-        }
-        prev = block;
-        out.extend_from_slice(&pt);
-    }
-    let pad = *out.last().unwrap() as usize;
-    if pad == 0 || pad > BLOCK_LEN || pad > out.len() {
-        return Err(CryptoError::InvalidPadding);
-    }
-    if !out[out.len() - pad..].iter().all(|&b| b as usize == pad) {
-        return Err(CryptoError::InvalidPadding);
-    }
-    out.truncate(out.len() - pad);
+    let mut out = ciphertext.to_vec();
+    let len = cbc_decrypt_in_place(aes, iv, &mut out)?;
+    out.truncate(len);
     Ok(out)
 }
 
@@ -105,20 +120,66 @@ mod tests {
         Aes128::new(&hex::decode_array::<16>("2b7e151628aed2a6abf7158809cf4f3c").unwrap())
     }
 
+    /// SP 800-38A F.2.1 (encrypt) and F.2.2 (decrypt): all four blocks.
     #[test]
     fn sp800_38a_cbc() {
         let aes = nist_key();
         let iv = hex::decode_array::<16>("000102030405060708090a0b0c0d0e0f").unwrap();
-        let pt = hex::decode("6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51")
-            .unwrap();
+        let pt = hex::decode(
+            "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51\
+             30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710",
+        )
+        .unwrap();
+        let want = "7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2\
+                    73bed6b8e3c1743b7116e69e222295163ff1caa1681fac09120eca307586e1a7";
         let ct = cbc_encrypt(&aes, &iv, &pt);
-        // First two blocks match the NIST vector; the third is our padding.
-        assert_eq!(
-            hex::encode(&ct[..32]),
-            "7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2"
-        );
-        assert_eq!(ct.len(), 48);
+        // The NIST vector has no padding; ours adds a fifth block.
+        assert_eq!(hex::encode(&ct[..64]), want);
+        assert_eq!(ct.len(), 80);
         assert_eq!(cbc_decrypt(&aes, &iv, &ct).unwrap(), pt);
+
+        // F.2.2 proper: the four vector blocks alone, decrypted without
+        // the padding check.
+        let mut blocks = hex::decode(want).unwrap();
+        aes.cbc_decrypt_blocks(&iv, &mut blocks);
+        assert_eq!(blocks, pt);
+    }
+
+    #[test]
+    fn in_place_matches_wrappers_at_every_length() {
+        let aes = nist_key();
+        let iv = [0x24u8; 16];
+        for len in 0..=64usize {
+            let pt: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let ct = cbc_encrypt(&aes, &iv, &pt);
+
+            // Encrypt behind a header that must survive untouched.
+            let mut buf = b"header".to_vec();
+            buf.extend_from_slice(&pt);
+            cbc_encrypt_in_place(&aes, &iv, &mut buf, 6);
+            assert_eq!(&buf[..6], b"header", "len {len}");
+            assert_eq!(&buf[6..], &ct[..], "len {len}");
+
+            let body = &mut buf[6..];
+            let n = cbc_decrypt_in_place(&aes, &iv, body).unwrap();
+            assert_eq!(&body[..n], &pt[..], "len {len}");
+            assert_eq!(cbc_decrypt(&aes, &iv, &ct).unwrap(), pt, "len {len}");
+        }
+    }
+
+    #[test]
+    fn in_place_decrypt_rejects_bad_lengths_without_writing() {
+        let aes = nist_key();
+        let mut data = [0x5au8; 17];
+        assert_eq!(
+            cbc_decrypt_in_place(&aes, &[0; 16], &mut data),
+            Err(CryptoError::InvalidLength)
+        );
+        assert_eq!(data, [0x5au8; 17]);
+        assert_eq!(
+            cbc_decrypt_in_place(&aes, &[0; 16], &mut []),
+            Err(CryptoError::InvalidLength)
+        );
     }
 
     #[test]

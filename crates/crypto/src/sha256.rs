@@ -1,11 +1,17 @@
 //! SHA-256 (FIPS 180-4), streaming and one-shot.
+//!
+//! The compression function runs on the CPU's SHA extensions when
+//! [`Sha256::new`] finds `sha`, `ssse3` and `sse4.1` (x86-64 only), over
+//! whole multi-block slices of the caller's data; otherwise — and as the
+//! reference the hardware path is tested against — on the scalar
+//! implementation below.
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
 /// Internal block size in bytes.
 pub const BLOCK_LEN: usize = 64;
 
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -35,6 +41,8 @@ pub struct Sha256 {
     buffer: [u8; BLOCK_LEN],
     buffered: usize,
     total_len: u64,
+    #[cfg(target_arch = "x86_64")]
+    hw: Option<crate::hw::ShaNi>,
 }
 
 impl Default for Sha256 {
@@ -44,13 +52,27 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a fresh hasher.
+    /// Creates a fresh hasher, on the SHA extensions when the CPU has
+    /// them.
     pub fn new() -> Self {
         Sha256 {
             state: H0,
             buffer: [0; BLOCK_LEN],
             buffered: 0,
             total_len: 0,
+            #[cfg(target_arch = "x86_64")]
+            hw: crate::hw::ShaNi::detect(),
+        }
+    }
+
+    /// A hasher pinned to the scalar compression function (the reference
+    /// in backend-equality tests).
+    #[cfg(test)]
+    pub(crate) fn portable() -> Self {
+        Sha256 {
+            #[cfg(target_arch = "x86_64")]
+            hw: None,
+            ..Self::new()
         }
     }
 
@@ -63,35 +85,30 @@ impl Sha256 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&rest[..take]);
             self.buffered += take;
             rest = &rest[take..];
-            if self.buffered == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < BLOCK_LEN {
+                return;
             }
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffered = 0;
         }
-        while rest.len() >= BLOCK_LEN {
-            let (block, tail) = rest.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
-        }
-        if !rest.is_empty() {
-            self.buffer[..rest.len()].copy_from_slice(rest);
-            self.buffered = rest.len();
-        }
+        let (blocks, tail) = rest.split_at(rest.len() - rest.len() % BLOCK_LEN);
+        self.compress(blocks);
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
     }
 
     /// Consumes the hasher and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+        // Padding: 0x80, zeros to 56 mod 64, 64-bit big-endian bit length.
+        let mut pad = [0u8; 2 * BLOCK_LEN];
+        let n = self.buffered;
+        pad[..n].copy_from_slice(&self.buffer[..n]);
+        pad[n] = 0x80;
+        let padded = if n < 56 { BLOCK_LEN } else { 2 * BLOCK_LEN };
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian bit length.
-        self.update_padding(&[0x80]);
-        while self.buffered != 56 {
-            self.update_padding(&[0]);
-        }
-        self.update_padding(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffered, 0);
+        pad[padded - 8..padded].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&pad[..padded]);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -99,63 +116,56 @@ impl Sha256 {
         out
     }
 
-    /// `update` without counting towards the message length (padding bytes).
-    fn update_padding(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buffer[self.buffered] = b;
-            self.buffered += 1;
-            if self.buffered == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
-            }
+    /// Compresses `blocks` (a whole number of 64-byte blocks).
+    fn compress(&mut self, blocks: &[u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hw) = self.hw {
+            return hw.compress(&mut self.state, blocks);
+        }
+        for block in blocks.chunks_exact(BLOCK_LEN) {
+            compress_portable(&mut self.state, block.try_into().expect("chunks_exact"));
         }
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
+fn compress_portable(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -219,6 +229,36 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), want, "split at {split}");
+        }
+    }
+
+    /// The SHA-extension path and the scalar path, byte-equal for random
+    /// messages of every length class, fed in one piece and in two.
+    /// Without the extensions both hashers are scalar and the test is
+    /// vacuous.
+    mod backends_agree {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn digest(
+                data in prop::collection::vec(any::<u8>(), 0..4097),
+                split in any::<prop::sample::Index>(),
+            ) {
+                let mut portable = Sha256::portable();
+                portable.update(&data);
+                let want = portable.finalize();
+                prop_assert_eq!(sha256(&data), want);
+
+                let at = split.index(data.len() + 1);
+                let mut h = Sha256::new();
+                h.update(&data[..at]);
+                h.update(&data[at..]);
+                prop_assert_eq!(h.finalize(), want);
+            }
         }
     }
 

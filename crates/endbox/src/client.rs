@@ -242,7 +242,7 @@ impl EndBoxClient {
         let Some(bytes) = self.reassembler.push(datagram)? else {
             return Err(EndBoxError::NotReady("handshake response incomplete"));
         };
-        let record = Record::from_bytes(&bytes)?;
+        let record = Record::from_vec(bytes)?;
         if record.opcode != Opcode::HandshakeResp {
             return Err(EndBoxError::Vpn(endbox_vpn::VpnError::Malformed(
                 "expected HandshakeResp",
@@ -329,7 +329,7 @@ impl EndBoxClient {
         let Some(bytes) = self.reassembler.push(datagram)? else {
             return Ok(Vec::new());
         };
-        let record = Record::from_bytes(&bytes)?;
+        let record = Record::from_vec(bytes)?;
         self.dispatch_record(&record)
     }
 
@@ -386,7 +386,7 @@ impl EndBoxClient {
         let Some(bytes) = self.reassembler.push(datagram)? else {
             return Ok(None);
         };
-        let record = Record::from_bytes(&bytes)?;
+        let record = Record::from_vec(bytes)?;
         if record.opcode == Opcode::DataBatch {
             // A batched record can deliver several packets; this
             // single-packet entry point cannot represent that without
@@ -490,8 +490,9 @@ impl EndBoxClient {
     fn fragment_record(&mut self, record: &Record) -> Vec<Vec<u8>> {
         // Fragmentation/encapsulation happens outside the enclave on the
         // sealed bytes (Fig. 3).
-        let bytes = record.to_bytes();
-        let frags = self.fragmenter.fragment(&bytes, self.cost.mtu_payload);
+        let frags = self
+            .fragmenter
+            .fragment_record(record, self.cost.mtu_payload);
         self.meter
             .add(self.cost.vpn_per_fragment * frags.len() as u64);
         self.stats.datagrams_out += frags.len() as u64;

@@ -555,15 +555,19 @@ impl EnclaveApp {
                     .channel
                     .as_mut()
                     .ok_or(EndBoxError::NotReady("no established channel"))?;
-                let payload = channel.open(record)?;
+                // Decrypt into one of the pool's own buffers, which then
+                // backs the packet as it is — the server shards'
+                // single-record path, mirrored.
+                let mut payload = state.pool.take(record.payload.len());
+                if let Err(e) = channel.open_into(record, &mut payload) {
+                    state.pool.give(payload);
+                    return Err(e.into());
+                }
                 services.charge(
                     services.cost_model().partition_per_packet
                         + (services.cost_model().partition_per_byte * payload.len() as f64) as u64,
                 );
                 services.charge_epc_traffic(payload.len());
-                // Zero-copy adoption: the decrypt's own allocation becomes
-                // the pool-managed packet backing store, mirroring the
-                // server shards' single-record path.
                 let packet = Packet::from_vec_in(&state.pool, payload)
                     .map_err(|_| EndBoxError::Vpn(VpnError::Malformed("bad tunnelled packet")))?;
 

@@ -46,6 +46,8 @@
 //! assert_eq!(delivered.app_payload(), b"hello network");
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod attacks;
 pub mod ca;
 pub mod client;

@@ -170,8 +170,9 @@ impl ServerIo {
     }
 
     fn fragment(&mut self, record: &Record) -> Vec<Vec<u8>> {
-        let bytes = record.to_bytes();
-        let frags = self.fragmenter.fragment(&bytes, self.cost.mtu_payload);
+        let frags = self
+            .fragmenter
+            .fragment_record(record, self.cost.mtu_payload);
         self.meter
             .add(self.cost.vpn_server_per_fragment * frags.len() as u64);
         frags
@@ -270,7 +271,7 @@ impl EndBoxServer {
         else {
             return Ok(Delivery::Pending);
         };
-        let record = Record::from_bytes(&bytes)?;
+        let record = Record::from_vec(bytes)?;
         let now_secs = self.io.now_secs();
         let event = self.vpn.handle_record(&record, now_secs).map_err(|e| {
             self.rejected += 1;
@@ -292,8 +293,8 @@ impl EndBoxServer {
                 session_id,
                 payload,
             } => {
-                // Zero-copy adoption: the decrypt allocation becomes the
-                // pool-managed backing store of the delivered packet.
+                // The payload was decrypted into one of the shard pool's
+                // buffers; it backs the delivered packet as it is.
                 let pool = self.vpn.shard().pool().clone();
                 let mut packet = Packet::from_vec_in(&pool, payload).map_err(|_| {
                     EndBoxError::Vpn(endbox_vpn::VpnError::Malformed("bad tunnelled packet"))
@@ -599,10 +600,13 @@ fn rx_shard_loop(
                     meter.add(cost.vpn_server_per_fragment);
                     datagrams += 1;
                     let reasm = reassemblers.entry(peer).or_default();
-                    let outcome = match reasm.push(&datagram) {
+                    // The datagram is ours: it is adopted as the
+                    // reassembly piece, and a completed record's bytes
+                    // become its payload — no copy on either step.
+                    let outcome = match reasm.push_owned(datagram) {
                         Err(e) => RxOutcome::Reassembly(e),
                         Ok(None) => RxOutcome::Pending,
-                        Ok(Some(bytes)) => match Record::from_bytes(&bytes) {
+                        Ok(Some(bytes)) => match Record::from_vec(bytes) {
                             Err(e) => RxOutcome::Malformed(e),
                             Ok(record) => RxOutcome::Record(record),
                         },
@@ -1454,8 +1458,8 @@ impl ShardedEndBoxServer {
     ) -> Result<Vec<Vec<u8>>, EndBoxError> {
         let total: usize = packets.iter().map(Packet::len).sum();
         self.io.charge_egress(packets.len(), total);
-        let payloads: Vec<Vec<u8>> = packets.iter().map(|p| p.bytes().to_vec()).collect();
-        let record = self.vpn.seal_batch_to_client(session_id, payloads)?;
+        let payloads: Vec<&[u8]> = packets.iter().map(Packet::bytes).collect();
+        let record = self.vpn.seal_batch_to_client(session_id, &payloads)?;
         Ok(self.io.fragment(&record))
     }
 

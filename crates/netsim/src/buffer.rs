@@ -10,9 +10,10 @@
 //! * [`BufferPool`] — a shared free-list of `Vec<u8>` backing stores.
 //!   Packets built through the `*_in` constructors draw their buffer from
 //!   the pool and return it on drop, so a steady-state forwarding loop
-//!   performs no heap allocation per packet. [`PoolStats`] exposes
-//!   fresh-allocation vs reuse counters so benchmarks can *measure* the
-//!   win instead of asserting it.
+//!   takes and gives in balance and the pool holds its working set.
+//!   Retention is bounded in bytes ([`DEFAULT_MAX_BYTES`]). [`PoolStats`]
+//!   exposes fresh-allocation vs reuse counters so benchmarks can
+//!   *measure* the win instead of asserting it.
 //! * [`PacketBatch`] — an ordered collection of packets moved through the
 //!   stack as one unit: one router invocation, one enclave transition,
 //!   one sealed VPN record for many tun-level packets.
@@ -22,10 +23,12 @@
 //! * A batch preserves packet order across every layer boundary; batch
 //!   processing is byte-identical to N single-packet calls
 //!   (property-tested in `tests/batch_parity.rs`).
-//! * A pooled packet's backing store returns to its pool on drop — in
-//!   steady state a forwarding loop performs no heap allocation
-//!   ([`PoolStats::reuse_fraction`] measures this on both the server
-//!   shards and the client's in-enclave pool).
+//! * A pooled packet's backing store returns to its pool on drop
+//!   ([`PoolStats::reuse_fraction`] measures the recycling on both the
+//!   server shards and the client's in-enclave pool). Record-sized
+//!   decrypt buffers are *not* donated to packet pools: they recycle
+//!   through their data channel, so a packet pool only ever holds
+//!   packet-sized buffers.
 //! * Batch-granular pool traffic ([`BufferPool::take_many`] /
 //!   [`BufferPool::give_many`] / [`recycle_packets`]) takes one lock
 //!   acquisition per batch, counted by [`PoolStats::batched_ops`].
@@ -42,7 +45,7 @@ pub struct PoolStats {
     pub reused: u64,
     /// Buffers returned to the free list.
     pub returned: u64,
-    /// Buffers dropped because the free list was full.
+    /// Buffers dropped because keeping them would exceed the byte limit.
     pub discarded: u64,
     /// Batch-granular operations ([`BufferPool::take_many`] /
     /// [`BufferPool::give_many`] calls), each of which acquired the pool
@@ -70,13 +73,48 @@ impl PoolStats {
 #[derive(Debug, Default)]
 struct PoolInner {
     free: Vec<Vec<u8>>,
+    /// Sum of the capacities on `free` — what the pool pins while idle.
+    free_bytes: usize,
     stats: PoolStats,
 }
 
-/// Default bound on the free list; beyond this, returned buffers are
-/// simply freed. Generous enough for deep batches, small enough that an
-/// idle pool does not pin memory.
-const DEFAULT_MAX_BUFFERS: usize = 4_096;
+impl PoolInner {
+    fn take(&mut self, min_capacity: usize) -> Vec<u8> {
+        match self.free.pop() {
+            Some(mut buf) => {
+                self.stats.reused += 1;
+                self.free_bytes -= buf.capacity();
+                buf.clear();
+                buf.reserve(min_capacity);
+                buf
+            }
+            None => {
+                self.stats.fresh_allocs += 1;
+                Vec::with_capacity(min_capacity)
+            }
+        }
+    }
+
+    fn give(&mut self, mut buf: Vec<u8>, max_bytes: usize) {
+        if buf.capacity() == 0 {
+            return;
+        }
+        if self.free_bytes + buf.capacity() <= max_bytes {
+            buf.clear();
+            self.free_bytes += buf.capacity();
+            self.free.push(buf);
+            self.stats.returned += 1;
+        } else {
+            self.stats.discarded += 1;
+        }
+    }
+}
+
+/// Default bound on the bytes an idle pool retains; beyond this, returned
+/// buffers are simply freed. Room for a few thousand MTU-sized packet
+/// buffers (deep batches), small enough that an idle pool does not pin
+/// memory — and, being a byte bound, it holds whatever size arrives.
+pub const DEFAULT_MAX_BYTES: usize = 4 << 20;
 
 /// A shared, thread-safe pool of recycled packet backing stores.
 ///
@@ -84,72 +122,54 @@ const DEFAULT_MAX_BUFFERS: usize = 4_096;
 /// attached to a [`Packet`] makes the packet return its buffer here when
 /// dropped (see [`Packet::from_vec_in`] and the pooled constructors).
 ///
-/// Each take/give acquires the pool mutex once, so dropping a batch of N
-/// pooled packets costs N uncontended lock round-trips — tens of
-/// nanoseconds each, well below the per-packet costs the pool removes
-/// (heap allocation) and the datapath amortises (ecalls, record
-/// sealing). Batch-granular recycling under one lock acquisition is a
-/// ROADMAP open item for heavily multi-threaded datapaths, where the
-/// shared mutex would serialise otherwise-independent workers.
-#[derive(Debug, Clone, Default)]
+/// Retention is bounded in **bytes** (the capacities on the free list
+/// never sum to more than the limit), so a pool that is given more than
+/// it is asked for — a datapath that donates foreign allocations —
+/// stops growing at a known size instead of at a buffer count times
+/// whatever capacity arrived. A balanced datapath (every `take` matched
+/// by a `give`) retains exactly its in-flight working set.
+///
+/// Each take/give acquires the pool mutex once; the batch-granular
+/// [`BufferPool::take_many`] / [`BufferPool::give_many`] acquire it once
+/// per batch.
+#[derive(Debug, Clone)]
 pub struct BufferPool {
     inner: Arc<Mutex<PoolInner>>,
-    max_buffers: usize,
+    max_bytes: usize,
+}
+
+impl Default for BufferPool {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl BufferPool {
-    /// Creates an empty pool with the default free-list bound.
+    /// Creates an empty pool retaining at most [`DEFAULT_MAX_BYTES`].
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_MAX_BUFFERS)
+        Self::with_byte_limit(DEFAULT_MAX_BYTES)
     }
 
-    /// Creates an empty pool retaining at most `max_buffers` free buffers.
-    pub fn with_capacity(max_buffers: usize) -> Self {
+    /// Creates an empty pool whose free list retains at most `max_bytes`
+    /// of buffer capacity.
+    pub fn with_byte_limit(max_bytes: usize) -> Self {
         BufferPool {
             inner: Arc::default(),
-            max_buffers,
+            max_bytes,
         }
     }
 
     /// Takes a cleared buffer with at least `min_capacity` bytes of
     /// capacity, reusing a recycled one when available.
     pub fn take(&self, min_capacity: usize) -> Vec<u8> {
-        let mut inner = self.inner.lock().unwrap();
-        match inner.free.pop() {
-            Some(mut buf) => {
-                inner.stats.reused += 1;
-                buf.clear();
-                if buf.capacity() < min_capacity {
-                    buf.reserve(min_capacity);
-                }
-                buf
-            }
-            None => {
-                inner.stats.fresh_allocs += 1;
-                Vec::with_capacity(min_capacity)
-            }
-        }
+        self.inner.lock().unwrap().take(min_capacity)
     }
 
-    /// Returns a buffer to the free list (freed instead if the list is
-    /// full or the buffer has no capacity worth keeping).
-    pub fn give(&self, mut buf: Vec<u8>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        let max = if self.max_buffers == 0 {
-            DEFAULT_MAX_BUFFERS
-        } else {
-            self.max_buffers
-        };
-        let mut inner = self.inner.lock().unwrap();
-        if inner.free.len() < max {
-            buf.clear();
-            inner.free.push(buf);
-            inner.stats.returned += 1;
-        } else {
-            inner.stats.discarded += 1;
-        }
+    /// Returns a buffer to the free list (freed instead if that would
+    /// take the list over its byte limit, or the buffer has no capacity
+    /// worth keeping).
+    pub fn give(&self, buf: Vec<u8>) {
+        self.inner.lock().unwrap().give(buf, self.max_bytes);
     }
 
     /// Takes `n` cleared buffers of at least `min_capacity` bytes each,
@@ -157,49 +177,18 @@ impl BufferPool {
     /// buffer with [`BufferPool::take`]) — the batch-granular recycling
     /// that keeps per-shard workers from serialising on the pool lock.
     pub fn take_many(&self, n: usize, min_capacity: usize) -> Vec<Vec<u8>> {
-        let mut out = Vec::with_capacity(n);
         let mut inner = self.inner.lock().unwrap();
         inner.stats.batched_ops += 1;
-        for _ in 0..n {
-            match inner.free.pop() {
-                Some(mut buf) => {
-                    inner.stats.reused += 1;
-                    buf.clear();
-                    if buf.capacity() < min_capacity {
-                        buf.reserve(min_capacity);
-                    }
-                    out.push(buf);
-                }
-                None => {
-                    inner.stats.fresh_allocs += 1;
-                    out.push(Vec::with_capacity(min_capacity));
-                }
-            }
-        }
-        out
+        (0..n).map(|_| inner.take(min_capacity)).collect()
     }
 
     /// Returns a whole batch of buffers under **one** lock acquisition
     /// (the batch-granular counterpart of [`BufferPool::give`]).
     pub fn give_many<I: IntoIterator<Item = Vec<u8>>>(&self, bufs: I) {
-        let max = if self.max_buffers == 0 {
-            DEFAULT_MAX_BUFFERS
-        } else {
-            self.max_buffers
-        };
         let mut inner = self.inner.lock().unwrap();
         inner.stats.batched_ops += 1;
-        for mut buf in bufs {
-            if buf.capacity() == 0 {
-                continue;
-            }
-            if inner.free.len() < max {
-                buf.clear();
-                inner.free.push(buf);
-                inner.stats.returned += 1;
-            } else {
-                inner.stats.discarded += 1;
-            }
+        for buf in bufs {
+            inner.give(buf, self.max_bytes);
         }
     }
 
@@ -216,6 +205,12 @@ impl BufferPool {
     /// Number of buffers currently on the free list.
     pub fn free_buffers(&self) -> usize {
         self.inner.lock().unwrap().free.len()
+    }
+
+    /// Bytes of capacity currently retained on the free list (never more
+    /// than the pool's byte limit).
+    pub fn free_bytes(&self) -> usize {
+        self.inner.lock().unwrap().free_bytes
     }
 }
 
@@ -396,14 +391,25 @@ mod tests {
     }
 
     #[test]
-    fn pool_respects_capacity_bound() {
-        let pool = BufferPool::with_capacity(2);
+    fn pool_respects_byte_limit_whatever_the_buffer_size() {
+        let pool = BufferPool::with_byte_limit(40);
         for _ in 0..4 {
             pool.give(Vec::with_capacity(16));
         }
         assert_eq!(pool.free_buffers(), 2);
+        assert_eq!(pool.free_bytes(), 32);
         assert_eq!(pool.stats().returned, 2);
         assert_eq!(pool.stats().discarded, 2);
+        // A large buffer is held to the same bound, not counted as "one".
+        pool.give(Vec::with_capacity(24_000));
+        assert_eq!(pool.free_buffers(), 2);
+        assert_eq!(pool.stats().discarded, 3);
+        // Taking frees room; growing a taken buffer is the taker's memory.
+        let big = pool.take(1024);
+        assert!(big.capacity() >= 1024);
+        assert_eq!(pool.free_bytes(), 16);
+        pool.give(big);
+        assert_eq!(pool.free_bytes(), 16, "over the limit: freed");
     }
 
     #[test]
@@ -465,8 +471,8 @@ mod tests {
     }
 
     #[test]
-    fn give_many_respects_capacity_bound() {
-        let pool = BufferPool::with_capacity(3);
+    fn give_many_respects_byte_limit() {
+        let pool = BufferPool::with_byte_limit(3 * 16);
         pool.give_many((0..5).map(|_| Vec::with_capacity(16)));
         assert_eq!(pool.free_buffers(), 3);
         assert_eq!(pool.stats().returned, 3);

@@ -37,6 +37,8 @@
 //! Everything is deterministic: all randomness comes from caller-seeded
 //! RNGs, so every experiment is reproducible bit-for-bit.
 
+#![deny(unsafe_code)]
+
 pub mod buffer;
 pub mod cost;
 pub mod http;

@@ -19,6 +19,8 @@
 //! calls, no memory-encryption overhead) — the paper evaluates both
 //! (EndBox-SGX vs EndBox-SIM).
 
+#![deny(unsafe_code)]
+
 pub mod attestation;
 pub mod enclave;
 pub mod epc;

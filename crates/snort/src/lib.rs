@@ -21,6 +21,8 @@
 //! assert_eq!(compiled.rule_count(), 1);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod aho;
 pub mod community;
 pub mod engine;

@@ -7,14 +7,31 @@
 //! by applying integrity protection", §IV-A), and a payload-sampled mode
 //! used by bulk scalability simulations (full cycle cost charged, payload
 //! bytes not individually encrypted — see DESIGN.md §4).
+//!
+//! # One buffer per record
+//!
+//! A sealed payload is `[IV ‖ ciphertext ‖ tag]` (the IV and the
+//! encryption are absent from the integrity-only suites). `seal` builds it
+//! in the one `Vec` the [`Record`] will own: IV first, the plaintext (for
+//! a batch, the frames straight from [`frame::encode_into`]) after it,
+//! PKCS#7 padding and CBC encryption where the bytes lie, then the MAC
+//! appended. `open` checks the MAC over the borrowed body **first** and
+//! touches neither the replay window nor any output buffer until it
+//! verifies — a forged record learns nothing from padding — then decrypts
+//! into a recycled buffer: the caller's ([`DataChannel::open_into`]) or,
+//! for batches, one that [`BatchFrames`] returns to the channel when it
+//! is dropped. Every key-dependent HMAC state (ipad/opad midstates, for
+//! both directions and for the IV derivation) is computed once, when the
+//! channel is built.
 
 use crate::error::VpnError;
-use crate::proto::{Opcode, Record};
+use crate::proto::{frame, Opcode, Record};
 use crate::replay::ReplayWindow;
-use endbox_crypto::aes::Aes128;
+use endbox_crypto::aes::{Aes128, BLOCK_LEN};
 use endbox_crypto::hmac::{hkdf, HmacSha256};
-use endbox_crypto::modes::{cbc_decrypt, cbc_encrypt};
+use endbox_crypto::modes::{cbc_decrypt_in_place, cbc_encrypt_in_place};
 use endbox_netsim::cost::{CostModel, CycleMeter};
+use endbox_netsim::BufferPool;
 
 /// Data-channel protection level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -80,17 +97,31 @@ impl SessionKeys {
 const TAG_LEN: usize = 32;
 const IV_LEN: usize = 16;
 
+/// Decrypt-buffer capacity a channel keeps between records: a few
+/// maximum-size batch blobs, so callers holding several [`BatchFrames`]
+/// at once still recycle, and an idle channel pins little.
+const BLOB_RETENTION_BYTES: usize = 256 * 1024;
+
 /// The decoded view of a [`Opcode::DataBatch`] record: the decrypted blob
 /// plus the byte range of each frame inside it.
 ///
 /// Produced by [`DataChannel::open_batch_frames`] with **one copy total**
 /// (the decrypt itself): frames are offset/length handles into the blob,
 /// not per-frame `Vec`s, so callers materialise packets straight from the
-/// slices (e.g. into pool-recycled buffers) in a single pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// slices (e.g. into pool-recycled buffers) in a single pass. The blob is
+/// on loan from the channel that opened the record and goes back to it
+/// when the view is dropped.
+#[derive(Debug)]
 pub struct BatchFrames {
     blob: Vec<u8>,
     ranges: Vec<std::ops::Range<usize>>,
+    home: BufferPool,
+}
+
+impl Drop for BatchFrames {
+    fn drop(&mut self) {
+        self.home.give(std::mem::take(&mut self.blob));
+    }
 }
 
 impl BatchFrames {
@@ -129,31 +160,30 @@ impl BatchFrames {
     pub fn to_vecs(&self) -> Vec<Vec<u8>> {
         self.iter().map(<[u8]>::to_vec).collect()
     }
-
-    /// Consumes the view, returning the decrypted blob so callers can
-    /// recycle its allocation (e.g. hand it to a buffer pool).
-    pub fn into_blob(self) -> Vec<u8> {
-        self.blob
-    }
 }
 
 /// One endpoint's view of an established data channel.
 ///
-/// The AES key schedules are expanded **once per direction** at channel
-/// construction and cached (`send_aes`/`recv_aes`): the session keys are
-/// fixed for the channel's lifetime, so `seal`/`open` must never re-run
-/// the 10-round key expansion on the per-record hot path.
+/// Everything that depends only on the session keys is expanded **once
+/// per direction** at channel construction and cached: the AES key
+/// schedules (`send_aes`/`recv_aes`) and the keyed HMAC contexts
+/// (`send_mac`/`recv_mac`/`iv_mac`, cloned per record). `seal`/`open`
+/// must never re-run a key expansion on the per-record hot path.
 #[derive(Debug)]
 pub struct DataChannel {
     suite: CipherSuite,
-    send: DirectionKeys,
-    recv: DirectionKeys,
     send_aes: Aes128,
     recv_aes: Aes128,
+    send_mac: HmacSha256,
+    recv_mac: HmacSha256,
+    /// Keyed with the send encryption key; derives the per-packet IV.
+    iv_mac: HmacSha256,
     next_send_id: u64,
     replay: ReplayWindow,
     meter: CycleMeter,
     cost: CostModel,
+    /// Decrypt buffers of opened batch records, between uses.
+    blobs: BufferPool,
 }
 
 impl DataChannel {
@@ -164,19 +194,13 @@ impl DataChannel {
         meter: CycleMeter,
         cost: CostModel,
     ) -> Self {
-        let send = keys.client_to_server.clone();
-        let recv = keys.server_to_client.clone();
-        DataChannel {
+        Self::new(
+            &keys.client_to_server,
+            &keys.server_to_client,
             suite,
-            send_aes: Aes128::new(&send.enc),
-            recv_aes: Aes128::new(&recv.enc),
-            send,
-            recv,
-            next_send_id: 1,
-            replay: ReplayWindow::new(),
             meter,
             cost,
-        }
+        )
     }
 
     /// Server-side channel (sends with server-to-client keys).
@@ -186,18 +210,34 @@ impl DataChannel {
         meter: CycleMeter,
         cost: CostModel,
     ) -> Self {
-        let send = keys.server_to_client.clone();
-        let recv = keys.client_to_server.clone();
+        Self::new(
+            &keys.server_to_client,
+            &keys.client_to_server,
+            suite,
+            meter,
+            cost,
+        )
+    }
+
+    fn new(
+        send: &DirectionKeys,
+        recv: &DirectionKeys,
+        suite: CipherSuite,
+        meter: CycleMeter,
+        cost: CostModel,
+    ) -> Self {
         DataChannel {
             suite,
             send_aes: Aes128::new(&send.enc),
             recv_aes: Aes128::new(&recv.enc),
-            send,
-            recv,
+            send_mac: HmacSha256::new(&send.mac),
+            recv_mac: HmacSha256::new(&recv.mac),
+            iv_mac: HmacSha256::new(&send.enc),
             next_send_id: 1,
             replay: ReplayWindow::new(),
             meter,
             cost,
+            blobs: BufferPool::with_byte_limit(BLOB_RETENTION_BYTES),
         }
     }
 
@@ -208,38 +248,60 @@ impl DataChannel {
 
     /// Seals `plaintext` into a record.
     pub fn seal(&mut self, opcode: Opcode, session_id: u64, plaintext: &[u8]) -> Record {
+        self.seal_with(opcode, session_id, plaintext.len(), |body| {
+            body.extend_from_slice(plaintext);
+        })
+    }
+
+    /// Seals several tunnel packets into **one** [`Opcode::DataBatch`]
+    /// record (the §IV batching optimisation): one IV, one MAC and one
+    /// fixed per-record crypto charge amortised across the whole batch,
+    /// instead of one of each per packet.
+    pub fn seal_batch(&mut self, session_id: u64, payloads: &[&[u8]]) -> Record {
+        let total: usize = payloads.iter().map(|p| p.len()).sum();
+        let plain_len = frame::overhead(payloads.len()) + total;
+        self.seal_with(Opcode::DataBatch, session_id, plain_len, |body| {
+            frame::encode_into(body, payloads);
+        })
+    }
+
+    /// Builds the sealed payload in one buffer: `write` appends the
+    /// `plain_len` plaintext bytes right after the IV, where they are
+    /// then padded, encrypted and MACed.
+    fn seal_with(
+        &mut self,
+        opcode: Opcode,
+        session_id: u64,
+        plain_len: usize,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Record {
         let packet_id = self.next_send_id;
         self.next_send_id += 1;
-        self.charge(plaintext.len());
-        let payload = match self.suite {
+        self.charge(plain_len);
+        let mut body = Vec::with_capacity(IV_LEN + plain_len + BLOCK_LEN + TAG_LEN);
+        let tag = match self.suite {
             CipherSuite::Aes128CbcHmac => {
                 let iv = self.derive_iv(packet_id);
-                let ct = cbc_encrypt(&self.send_aes, &iv, plaintext);
-                let mut body = Vec::with_capacity(IV_LEN + ct.len() + TAG_LEN);
                 body.extend_from_slice(&iv);
-                body.extend_from_slice(&ct);
-                let tag = Self::tag(&self.send.mac, opcode, packet_id, &body);
-                body.extend_from_slice(&tag);
-                body
+                write(&mut body);
+                cbc_encrypt_in_place(&self.send_aes, &iv, &mut body, IV_LEN);
+                Self::tag(&self.send_mac, opcode, packet_id, &body)
             }
             CipherSuite::IntegrityOnly => {
-                let mut body = plaintext.to_vec();
-                let tag = Self::tag(&self.send.mac, opcode, packet_id, &body);
-                body.extend_from_slice(&tag);
-                body
+                write(&mut body);
+                Self::tag(&self.send_mac, opcode, packet_id, &body)
             }
             CipherSuite::SampledPayload => {
-                let mut body = plaintext.to_vec();
-                let tag = Self::sampled_tag(&self.send.mac, opcode, packet_id, &body);
-                body.extend_from_slice(&tag);
-                body
+                write(&mut body);
+                Self::sampled_tag(&self.send_mac, opcode, packet_id, &body)
             }
         };
+        body.extend_from_slice(&tag);
         Record {
             opcode,
             session_id,
             packet_id,
-            payload,
+            payload: body,
         }
     }
 
@@ -252,15 +314,31 @@ impl DataChannel {
     /// [`VpnError::Replay`] for repeated packet ids,
     /// [`VpnError::Malformed`] on framing problems.
     pub fn open(&mut self, record: &Record) -> Result<Vec<u8>, VpnError> {
+        let mut out = Vec::new();
+        self.open_into(record, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`DataChannel::open`] into a buffer the caller recycles: `out` is
+    /// cleared, then holds exactly the plaintext. The MAC is verified on
+    /// the borrowed record body before anything else happens, so a record
+    /// that fails authentication moves neither the replay window nor a
+    /// byte of `out`; on any error `out` is left empty.
+    ///
+    /// # Errors
+    ///
+    /// See [`DataChannel::open`].
+    pub fn open_into(&mut self, record: &Record, out: &mut Vec<u8>) -> Result<(), VpnError> {
+        out.clear();
         if record.payload.len() < TAG_LEN {
             return Err(VpnError::Malformed("sealed payload too short"));
         }
         let (body, tag) = record.payload.split_at(record.payload.len() - TAG_LEN);
         let expected = match self.suite {
             CipherSuite::SampledPayload => {
-                Self::sampled_tag(&self.recv.mac, record.opcode, record.packet_id, body)
+                Self::sampled_tag(&self.recv_mac, record.opcode, record.packet_id, body)
             }
-            _ => Self::tag(&self.recv.mac, record.opcode, record.packet_id, body),
+            _ => Self::tag(&self.recv_mac, record.opcode, record.packet_id, body),
         };
         if !endbox_crypto::ct_eq(&expected, tag) {
             return Err(VpnError::AuthenticationFailed);
@@ -271,28 +349,32 @@ impl DataChannel {
         self.charge(body.len());
         match self.suite {
             CipherSuite::Aes128CbcHmac => {
-                if body.len() < IV_LEN + 16 {
+                if body.len() < IV_LEN + BLOCK_LEN {
                     return Err(VpnError::Malformed("ciphertext too short"));
                 }
-                let iv: [u8; IV_LEN] = body[..IV_LEN].try_into().unwrap();
-                cbc_decrypt(&self.recv_aes, &iv, &body[IV_LEN..])
-                    .map_err(|_| VpnError::AuthenticationFailed)
+                let (iv, ciphertext) = body.split_at(IV_LEN);
+                let iv: &[u8; IV_LEN] = iv.try_into().expect("split at IV_LEN");
+                out.extend_from_slice(ciphertext);
+                match cbc_decrypt_in_place(&self.recv_aes, iv, out) {
+                    Ok(len) => out.truncate(len),
+                    Err(_) => {
+                        out.clear();
+                        return Err(VpnError::AuthenticationFailed);
+                    }
+                }
             }
-            CipherSuite::IntegrityOnly | CipherSuite::SampledPayload => Ok(body.to_vec()),
+            CipherSuite::IntegrityOnly | CipherSuite::SampledPayload => {
+                out.extend_from_slice(body);
+            }
         }
-    }
-
-    /// Seals several tunnel packets into **one** [`Opcode::DataBatch`]
-    /// record (the §IV batching optimisation): one IV, one MAC and one
-    /// fixed per-record crypto charge amortised across the whole batch,
-    /// instead of one of each per packet.
-    pub fn seal_batch(&mut self, session_id: u64, payloads: &[&[u8]]) -> Record {
-        let blob = crate::proto::frame::encode(payloads);
-        self.seal(Opcode::DataBatch, session_id, &blob)
+        Ok(())
     }
 
     /// Opens a [`Opcode::DataBatch`] record as frame handles into the
     /// decrypted blob — one copy total (the decrypt), no per-frame copy.
+    /// The blob is one of this channel's recycled buffers and returns to
+    /// it when the [`BatchFrames`] is dropped, so steady-state opening
+    /// allocates no blob at all.
     ///
     /// # Errors
     ///
@@ -302,9 +384,16 @@ impl DataChannel {
         if record.opcode != Opcode::DataBatch {
             return Err(VpnError::Malformed("expected DataBatch record"));
         }
-        let blob = self.open(record)?;
-        let ranges = crate::proto::frame::decode(&blob)?;
-        Ok(BatchFrames { blob, ranges })
+        // From here the blob goes home on every path: `BatchFrames` gives
+        // it back when dropped, `?` included.
+        let mut frames = BatchFrames {
+            blob: self.blobs.take(record.payload.len()),
+            ranges: Vec::new(),
+            home: self.blobs.clone(),
+        };
+        self.open_into(record, &mut frames.blob)?;
+        frames.ranges = frame::decode(&frames.blob)?;
+        Ok(frames)
     }
 
     /// Number of records sealed so far.
@@ -331,15 +420,15 @@ impl DataChannel {
 
     /// Deterministic per-packet IV (unique per packet id; see module docs).
     fn derive_iv(&self, packet_id: u64) -> [u8; IV_LEN] {
-        let mut m = HmacSha256::new(&self.send.enc);
+        let mut m = self.iv_mac.clone();
         m.update(b"iv");
         m.update(&packet_id.to_be_bytes());
         let d = m.finalize();
         d[..IV_LEN].try_into().unwrap()
     }
 
-    fn tag(key: &[u8; 32], opcode: Opcode, packet_id: u64, body: &[u8]) -> [u8; TAG_LEN] {
-        let mut m = HmacSha256::new(key);
+    fn tag(keyed: &HmacSha256, opcode: Opcode, packet_id: u64, body: &[u8]) -> [u8; TAG_LEN] {
+        let mut m = keyed.clone();
         m.update(&[opcode.to_u8()]);
         m.update(&packet_id.to_be_bytes());
         m.update(body);
@@ -347,8 +436,13 @@ impl DataChannel {
     }
 
     /// MAC over a payload sample: first/last 32 bytes + length.
-    fn sampled_tag(key: &[u8; 32], opcode: Opcode, packet_id: u64, body: &[u8]) -> [u8; TAG_LEN] {
-        let mut m = HmacSha256::new(key);
+    fn sampled_tag(
+        keyed: &HmacSha256,
+        opcode: Opcode,
+        packet_id: u64,
+        body: &[u8],
+    ) -> [u8; TAG_LEN] {
+        let mut m = keyed.clone();
         m.update(&[opcode.to_u8(), 0xfe]);
         m.update(&packet_id.to_be_bytes());
         m.update(&(body.len() as u64).to_be_bytes());
@@ -456,6 +550,151 @@ mod tests {
         let mut rec = c.seal(Opcode::Data, 1, b"payload");
         rec.packet_id += 1; // try to evade replay window
         assert_eq!(s.open(&rec), Err(VpnError::AuthenticationFailed));
+    }
+
+    /// MAC before decrypt: whatever is wrong with a record — tag, body,
+    /// truncation, a body that is not whole blocks — the verdict is the
+    /// one the parent gave, the replay window has not moved (the genuine
+    /// record still opens afterwards) and the caller's recycled buffer
+    /// holds nothing, least of all its previous plaintext.
+    #[test]
+    fn rejected_records_touch_neither_window_nor_buffer() {
+        let (mut c, mut s) = pair(CipherSuite::Aes128CbcHmac);
+        let genuine = c.seal(Opcode::Data, 1, &[0x61; 100]);
+        let n = genuine.payload.len();
+        let damaged = |f: &dyn Fn(&mut Vec<u8>)| {
+            let mut rec = genuine.clone();
+            f(&mut rec.payload);
+            rec
+        };
+        let cases = [
+            (
+                "tag bit",
+                damaged(&|p| p[n - 1] ^= 1),
+                VpnError::AuthenticationFailed,
+            ),
+            (
+                "body bit",
+                damaged(&|p| p[IV_LEN + 3] ^= 0x10),
+                VpnError::AuthenticationFailed,
+            ),
+            (
+                "iv bit",
+                damaged(&|p| p[0] ^= 0x80),
+                VpnError::AuthenticationFailed,
+            ),
+            (
+                "cut below IV + one block",
+                damaged(&|p| p.truncate(IV_LEN + 8 + TAG_LEN)),
+                VpnError::AuthenticationFailed,
+            ),
+            (
+                "cut below a tag",
+                damaged(&|p| p.truncate(TAG_LEN - 1)),
+                VpnError::Malformed("sealed payload too short"),
+            ),
+            (
+                "body not whole blocks",
+                damaged(&|p| {
+                    p.remove(IV_LEN + 5);
+                }),
+                VpnError::AuthenticationFailed,
+            ),
+        ];
+        let mut out = b"plaintext of the previous record".to_vec();
+        for (what, rec, want) in cases {
+            assert_eq!(s.open_into(&rec, &mut out), Err(want), "{what}");
+            assert!(out.is_empty(), "{what}");
+            assert!(s.replay_is_empty(), "{what}: window moved");
+            out.extend_from_slice(b"plaintext of the previous record");
+        }
+        s.open_into(&genuine, &mut out).unwrap();
+        assert_eq!(out, [0x61; 100]);
+    }
+
+    /// The same for records whose MAC *verifies* but whose body the CBC
+    /// suite cannot decrypt (sealed under the integrity-only suite with
+    /// the same keys): the error is the parent's, and no plaintext or
+    /// stale byte comes out.
+    #[test]
+    fn authentic_but_undecryptable_bodies_yield_no_bytes() {
+        let k = keys();
+        let cost = CostModel::calibrated();
+        let mut plain = DataChannel::client(
+            &k,
+            CipherSuite::IntegrityOnly,
+            CycleMeter::new(),
+            cost.clone(),
+        );
+        let mut s = DataChannel::server(&k, CipherSuite::Aes128CbcHmac, CycleMeter::new(), cost);
+        let mut out = b"stale".to_vec();
+        let short = plain.seal(Opcode::Data, 1, &[7; 10]);
+        assert_eq!(
+            s.open_into(&short, &mut out),
+            Err(VpnError::Malformed("ciphertext too short"))
+        );
+        assert!(out.is_empty());
+        let ragged = plain.seal(Opcode::Data, 1, &[7; IV_LEN + 24]);
+        assert_eq!(
+            s.open_into(&ragged, &mut out),
+            Err(VpnError::AuthenticationFailed)
+        );
+        assert!(out.is_empty());
+        let bad_padding = plain.seal(Opcode::Data, 1, &[7; IV_LEN + 32]);
+        assert_eq!(
+            s.open_into(&bad_padding, &mut out),
+            Err(VpnError::AuthenticationFailed)
+        );
+        assert!(out.is_empty());
+    }
+
+    /// A batch blob is on loan: dropping the frames hands it back, and the
+    /// next record decrypts into the same allocation.
+    #[test]
+    fn batch_blob_returns_to_its_channel() {
+        let (mut c, mut s) = pair(CipherSuite::Aes128CbcHmac);
+        let payloads: Vec<&[u8]> = vec![&[1; 700], &[2; 700]];
+        let frames = s.open_batch_frames(&c.seal_batch(1, &payloads)).unwrap();
+        let first = frames.frame(0).as_ptr();
+        drop(frames);
+        assert_eq!(s.blobs.free_buffers(), 1);
+        let frames = s.open_batch_frames(&c.seal_batch(1, &payloads)).unwrap();
+        assert_eq!(frames.frame(0).as_ptr(), first, "same buffer, recycled");
+        assert_eq!(s.blobs.stats().fresh_allocs, 1);
+        // A rejected record borrows and returns too.
+        let mut forged = c.seal_batch(1, &payloads);
+        forged.payload[20] ^= 1;
+        assert!(s.open_batch_frames(&forged).is_err());
+        drop(frames);
+        assert_eq!(s.blobs.free_buffers(), 2);
+        assert_eq!(s.blobs.stats().discarded, 0);
+    }
+
+    /// The sealed payload is built in the one buffer the record owns, and
+    /// its bytes are what the parent's blob → padded copy → body copy
+    /// produced: IV, then CBC of the framed batch, then the tag over both.
+    #[test]
+    fn seal_batch_layout_is_iv_ciphertext_tag() {
+        use endbox_crypto::hmac::HmacSha256;
+        use endbox_crypto::modes::cbc_encrypt;
+        let k = keys();
+        let (mut c, _) = pair(CipherSuite::Aes128CbcHmac);
+        let payloads: Vec<&[u8]> = vec![b"first packet", b"", b"third tunnelled packet"];
+        let rec = c.seal_batch(7, &payloads);
+
+        let mut m = HmacSha256::new(&k.client_to_server.enc);
+        m.update(b"iv");
+        m.update(&1u64.to_be_bytes());
+        let iv: [u8; 16] = m.finalize()[..16].try_into().unwrap();
+        let aes = Aes128::new(&k.client_to_server.enc);
+        let mut want = iv.to_vec();
+        want.extend(cbc_encrypt(&aes, &iv, &frame::encode(&payloads)));
+        let mut m = HmacSha256::new(&k.client_to_server.mac);
+        m.update(&[Opcode::DataBatch.to_u8()]);
+        m.update(&1u64.to_be_bytes());
+        m.update(&want);
+        want.extend(m.finalize());
+        assert_eq!(rec.payload, want);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! tampered fragment is caught later by the record MAC.
 
 use crate::error::VpnError;
-use crate::wire::Reader;
+use crate::proto::Record;
 use endbox_netsim::BufferPool;
 use std::collections::HashMap;
 
@@ -34,7 +34,7 @@ impl Fragmenter {
     ///
     /// Panics if `mtu_payload` is zero.
     pub fn fragment(&mut self, record_bytes: &[u8], mtu_payload: usize) -> Vec<Vec<u8>> {
-        self.fragment_with(record_bytes, mtu_payload, Vec::with_capacity)
+        self.fragment_with(&[record_bytes], mtu_payload, Vec::with_capacity)
     }
 
     /// Like [`Fragmenter::fragment`], but drawing each datagram's buffer
@@ -51,38 +51,64 @@ impl Fragmenter {
         mtu_payload: usize,
         pool: &BufferPool,
     ) -> Vec<Vec<u8>> {
-        self.fragment_with(record_bytes, mtu_payload, |cap| pool.take(cap))
+        self.fragment_with(&[record_bytes], mtu_payload, |cap| pool.take(cap))
     }
 
-    /// Shared splitting core: `alloc` supplies each datagram's (empty)
-    /// backing buffer, sized for header + chunk.
+    /// Fragments a record without serialising it first: the datagrams are
+    /// cut straight from the record header and the sealed payload, so the
+    /// payload is copied once (into its datagrams) instead of twice.
+    /// Output bytes are identical to fragmenting
+    /// [`Record::to_bytes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mtu_payload` is zero.
+    pub fn fragment_record(&mut self, record: &Record, mtu_payload: usize) -> Vec<Vec<u8>> {
+        self.fragment_with(
+            &[&record.header(), &record.payload],
+            mtu_payload,
+            Vec::with_capacity,
+        )
+    }
+
+    /// Shared splitting core over the concatenation of `parts`: `alloc`
+    /// supplies each datagram's (empty) backing buffer, sized for header +
+    /// chunk.
     fn fragment_with(
         &mut self,
-        record_bytes: &[u8],
+        parts: &[&[u8]],
         mtu_payload: usize,
         alloc: impl Fn(usize) -> Vec<u8>,
     ) -> Vec<Vec<u8>> {
         assert!(mtu_payload > 0, "mtu must be positive");
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
-        let chunks: Vec<&[u8]> = if record_bytes.is_empty() {
-            vec![&[][..]]
-        } else {
-            record_bytes.chunks(mtu_payload).collect()
-        };
-        let total = chunks.len() as u16;
-        chunks
-            .into_iter()
-            .enumerate()
-            .map(|(i, chunk)| {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        // An empty record still travels as one (empty) fragment.
+        let count = len.div_ceil(mtu_payload).max(1);
+        let total = count as u16;
+        let mut parts = parts.iter();
+        let mut rest: &[u8] = &[];
+        (0..count)
+            .map(|i| {
+                let mut need = (len - i * mtu_payload).min(mtu_payload);
                 // Header laid out exactly as `Writer` would (big-endian
                 // u32 id, u16 index, u16 total), written straight into
                 // the caller-supplied buffer.
-                let mut buf = alloc(FRAG_HEADER_LEN + chunk.len());
+                let mut buf = alloc(FRAG_HEADER_LEN + need);
                 buf.extend_from_slice(&id.to_be_bytes());
                 buf.extend_from_slice(&(i as u16).to_be_bytes());
                 buf.extend_from_slice(&total.to_be_bytes());
-                buf.extend_from_slice(chunk);
+                while need > 0 {
+                    if rest.is_empty() {
+                        rest = parts.next().expect("parts hold `len` bytes");
+                        continue;
+                    }
+                    let (now, later) = rest.split_at(need.min(rest.len()));
+                    buf.extend_from_slice(now);
+                    rest = later;
+                    need -= now.len();
+                }
                 buf
             })
             .collect()
@@ -91,6 +117,7 @@ impl Fragmenter {
 
 #[derive(Debug)]
 struct Partial {
+    /// Whole datagrams (fragment header included), by fragment index.
     pieces: Vec<Option<Vec<u8>>>,
     received: usize,
     /// Insertion order, for eviction.
@@ -130,19 +157,32 @@ impl Reassembler {
     ///
     /// [`VpnError::Fragmentation`] on malformed or inconsistent fragments.
     pub fn push(&mut self, datagram: &[u8]) -> Result<Option<Vec<u8>>, VpnError> {
-        let mut r = Reader::new(datagram);
-        let id = r
-            .u32()
-            .map_err(|_| VpnError::Fragmentation("truncated header"))?;
-        let index = r
-            .u16()
-            .map_err(|_| VpnError::Fragmentation("truncated header"))? as usize;
-        let total = r
-            .u16()
-            .map_err(|_| VpnError::Fragmentation("truncated header"))? as usize;
-        let chunk = r.rest().to_vec();
+        self.push_owned(datagram.to_vec())
+    }
+
+    /// [`Reassembler::push`] for a caller that owns the datagram (a socket
+    /// drain, a receive batch): the buffer is adopted instead of copied.
+    /// A record that fits one datagram comes back in that very buffer,
+    /// with the fragment header shifted out — no allocation at all; a
+    /// fragmented one is held as its datagrams and copied once, into the
+    /// returned record.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reassembler::push`].
+    pub fn push_owned(&mut self, mut datagram: Vec<u8>) -> Result<Option<Vec<u8>>, VpnError> {
+        let Some(header) = datagram.first_chunk::<FRAG_HEADER_LEN>() else {
+            return Err(VpnError::Fragmentation("truncated header"));
+        };
+        let id = u32::from_be_bytes(header[..4].try_into().expect("4 of 8"));
+        let index = u16::from_be_bytes(header[4..6].try_into().expect("2 of 8")) as usize;
+        let total = u16::from_be_bytes(header[6..].try_into().expect("2 of 8")) as usize;
         if total == 0 || index >= total {
             return Err(VpnError::Fragmentation("index out of range"));
+        }
+        if total == 1 && !self.partials.contains_key(&id) {
+            datagram.drain(..FRAG_HEADER_LEN);
+            return Ok(Some(datagram));
         }
         if !self.partials.contains_key(&id) && self.partials.len() >= MAX_PENDING {
             // Evict the oldest incomplete record (fragment-flood defence).
@@ -164,14 +204,20 @@ impl Reassembler {
             return Err(VpnError::Fragmentation("total mismatch across fragments"));
         }
         if partial.pieces[index].is_none() {
-            partial.pieces[index] = Some(chunk);
+            partial.pieces[index] = Some(datagram);
             partial.received += 1;
         }
         if partial.received == total {
             let partial = self.partials.remove(&id).unwrap();
-            let mut out = Vec::new();
-            for piece in partial.pieces {
-                out.extend_from_slice(&piece.unwrap());
+            let chunks = || {
+                partial
+                    .pieces
+                    .iter()
+                    .map(|piece| &piece.as_ref().expect("all received")[FRAG_HEADER_LEN..])
+            };
+            let mut out = Vec::with_capacity(chunks().map(<[u8]>::len).sum());
+            for chunk in chunks() {
+                out.extend_from_slice(chunk);
             }
             return Ok(Some(out));
         }
@@ -189,7 +235,13 @@ impl Reassembler {
     pub fn pending_bytes(&self) -> usize {
         self.partials
             .values()
-            .map(|p| p.pieces.iter().flatten().map(Vec::len).sum::<usize>())
+            .map(|p| {
+                p.pieces
+                    .iter()
+                    .flatten()
+                    .map(|piece| piece.len() - FRAG_HEADER_LEN)
+                    .sum::<usize>()
+            })
             .sum()
     }
 }
@@ -328,6 +380,51 @@ mod tests {
             stats.handed_out(),
             stats.returned + stats.discarded + c.len() as u64
         );
+    }
+
+    #[test]
+    fn fragment_record_equals_fragmenting_its_bytes() {
+        use crate::proto::{Opcode, RECORD_OVERHEAD};
+        for payload_len in [0usize, 1, 90, 979, 980, 2500] {
+            let record = Record {
+                opcode: Opcode::DataBatch,
+                session_id: 7,
+                packet_id: 9,
+                payload: (0..payload_len).map(|i| (i % 251) as u8).collect(),
+            };
+            // MTUs that cut inside the header, at its end, and past it.
+            for mtu in [1usize, 5, RECORD_OVERHEAD, RECORD_OVERHEAD + 1, 1000] {
+                let (mut a, mut b) = (Fragmenter::new(), Fragmenter::new());
+                assert_eq!(
+                    a.fragment_record(&record, mtu),
+                    b.fragment(&record.to_bytes(), mtu),
+                    "payload {payload_len}, mtu {mtu}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn owned_datagrams_are_adopted_not_copied() {
+        let mut f = Fragmenter::new();
+        let mut r = Reassembler::new();
+        // One fragment: the record comes back in the datagram's own buffer.
+        let datagram = f.fragment(b"fits one datagram", 1000).pop().unwrap();
+        let buffer = datagram.as_ptr();
+        let record = r.push_owned(datagram).unwrap().unwrap();
+        assert_eq!(record, b"fits one datagram");
+        assert_eq!(record.as_ptr(), buffer);
+        assert_eq!(r.pending(), 0);
+        // Several: same bytes as the borrowing path, accounting included.
+        let data: Vec<u8> = (0..2500u16).map(|i| (i % 251) as u8).collect();
+        let mut frags = f.fragment(&data, 1000);
+        let last = frags.pop().unwrap();
+        for frag in frags {
+            assert!(r.push_owned(frag).unwrap().is_none());
+        }
+        assert_eq!(r.pending_bytes(), 2000);
+        assert_eq!(r.push_owned(last).unwrap().unwrap(), data);
+        assert_eq!(r.push_owned(vec![1, 2, 3]), r.push(&[1, 2, 3]));
     }
 
     #[test]

@@ -32,6 +32,8 @@
 //!   table partitioned across N worker threads with session-id-affine
 //!   routing, per-shard buffer pools and deterministic re-merge.
 
+#![deny(unsafe_code)]
+
 pub mod cert;
 pub mod channel;
 pub mod endpoint;

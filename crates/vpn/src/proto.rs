@@ -2,7 +2,7 @@
 //! server is one record.
 
 use crate::error::VpnError;
-use crate::wire::{Reader, Writer};
+use crate::wire::Reader;
 
 /// Record type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,10 +61,11 @@ pub mod frame {
         4 + 4 * n
     }
 
-    /// Encodes `payloads` into one blob, appending to `out` (which is
-    /// cleared first so callers can recycle the buffer).
+    /// Appends the encoding of `payloads` to `out`, after whatever it
+    /// already holds — the data channel writes a batch straight behind
+    /// the record's IV this way, so the frames are never copied again
+    /// before they are encrypted.
     pub fn encode_into(out: &mut Vec<u8>, payloads: &[&[u8]]) {
-        out.clear();
         let total: usize = payloads.iter().map(|p| p.len()).sum();
         out.reserve(overhead(payloads.len()) + total);
         out.extend_from_slice(&(payloads.len() as u32).to_be_bytes());
@@ -152,12 +153,11 @@ pub mod frame {
         }
 
         #[test]
-        fn encode_into_recycles_buffer() {
-            let mut buf = encode(&[b"aaaa"]);
-            let cap = buf.capacity();
-            encode_into(&mut buf, &[b"b"]);
-            assert_eq!(decode(&buf).unwrap().len(), 1);
-            assert!(buf.capacity() >= cap.min(buf.len()));
+        fn encode_into_appends_behind_a_prefix() {
+            let mut buf = b"sixteen byte iv!".to_vec();
+            encode_into(&mut buf, &[b"aaaa", b"b"]);
+            assert_eq!(&buf[..16], b"sixteen byte iv!");
+            assert_eq!(&buf[16..], &encode(&[b"aaaa", b"b"])[..]);
         }
     }
 }
@@ -179,14 +179,39 @@ pub struct Record {
 pub const RECORD_OVERHEAD: usize = 1 + 8 + 8 + 4;
 
 impl Record {
-    /// Serialises to wire bytes.
+    /// The [`RECORD_OVERHEAD`] bytes that precede the payload on the
+    /// wire: opcode, session id, packet id, payload length.
+    pub fn header(&self) -> [u8; RECORD_OVERHEAD] {
+        let mut h = [0u8; RECORD_OVERHEAD];
+        h[0] = self.opcode.to_u8();
+        h[1..9].copy_from_slice(&self.session_id.to_be_bytes());
+        h[9..17].copy_from_slice(&self.packet_id.to_be_bytes());
+        h[17..].copy_from_slice(&(self.payload.len() as u32).to_be_bytes());
+        h
+    }
+
+    /// Serialises to wire bytes. (The datapath never needs the record
+    /// contiguous: [`crate::frag::Fragmenter::fragment_record`] cuts
+    /// datagrams straight from the header and the payload.)
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u8(self.opcode.to_u8())
-            .u64(self.session_id)
-            .u64(self.packet_id)
-            .bytes(&self.payload);
-        w.finish()
+        let mut out = Vec::with_capacity(RECORD_OVERHEAD + self.payload.len());
+        out.extend_from_slice(&self.header());
+        out.extend_from_slice(&self.payload);
+        out
+    }
+
+    /// Validates wire bytes as exactly one record and returns the header
+    /// fields; the payload is then `bytes[RECORD_OVERHEAD..]`.
+    fn parse_header(bytes: &[u8]) -> Result<(Opcode, u64, u64), VpnError> {
+        let mut r = Reader::new(bytes);
+        let opcode = Opcode::from_u8(r.u8()?)?;
+        let session_id = r.u64()?;
+        let packet_id = r.u64()?;
+        r.bytes()?;
+        if !r.is_empty() {
+            return Err(VpnError::Malformed("trailing bytes after record"));
+        }
+        Ok((opcode, session_id, packet_id))
     }
 
     /// Parses from wire bytes.
@@ -195,19 +220,30 @@ impl Record {
     ///
     /// [`VpnError::Malformed`] on truncation or unknown opcodes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Record, VpnError> {
-        let mut r = Reader::new(bytes);
-        let opcode = Opcode::from_u8(r.u8()?)?;
-        let session_id = r.u64()?;
-        let packet_id = r.u64()?;
-        let payload = r.bytes()?.to_vec();
-        if !r.is_empty() {
-            return Err(VpnError::Malformed("trailing bytes after record"));
-        }
+        let (opcode, session_id, packet_id) = Self::parse_header(bytes)?;
         Ok(Record {
             opcode,
             session_id,
             packet_id,
-            payload,
+            payload: bytes[RECORD_OVERHEAD..].to_vec(),
+        })
+    }
+
+    /// [`Record::from_bytes`] for a caller that owns the wire bytes (a
+    /// reassembled record): the buffer itself becomes the payload, with
+    /// the header shifted out in place — no second allocation.
+    ///
+    /// # Errors
+    ///
+    /// As [`Record::from_bytes`].
+    pub fn from_vec(mut bytes: Vec<u8>) -> Result<Record, VpnError> {
+        let (opcode, session_id, packet_id) = Self::parse_header(&bytes)?;
+        bytes.drain(..RECORD_OVERHEAD);
+        Ok(Record {
+            opcode,
+            session_id,
+            packet_id,
+            payload: bytes,
         })
     }
 }
@@ -226,7 +262,9 @@ mod tests {
         };
         let bytes = rec.to_bytes();
         assert_eq!(bytes.len(), RECORD_OVERHEAD + 3);
+        assert_eq!(bytes[..RECORD_OVERHEAD], rec.header());
         assert_eq!(Record::from_bytes(&bytes).unwrap(), rec);
+        assert_eq!(Record::from_vec(bytes).unwrap(), rec);
     }
 
     #[test]
@@ -264,5 +302,10 @@ mod tests {
             Record::from_bytes(&ok),
             Err(VpnError::Malformed("trailing bytes after record"))
         );
+        assert_eq!(
+            Record::from_vec(ok),
+            Err(VpnError::Malformed("trailing bytes after record"))
+        );
+        assert!(Record::from_vec(vec![3; RECORD_OVERHEAD - 1]).is_err());
     }
 }

@@ -207,9 +207,11 @@ pub enum ShardEvent {
 }
 
 /// Materialises batch frames into pool-backed packets in **one pass**:
-/// one `take_many` for the whole batch, one copy per frame (out of the
-/// decrypted blob straight into a recycled buffer), and the blob's own
-/// allocation is handed to the pool afterwards.
+/// one `take_many` for the whole batch and one copy per frame (out of the
+/// decrypted blob straight into a recycled buffer). `pool` is handed
+/// nothing it did not lend: dropping `frames` returns the blob to the
+/// channel that decrypted it, and every buffer taken here comes back when
+/// its packet is dropped, so takes and gives balance.
 ///
 /// # Errors
 ///
@@ -236,7 +238,6 @@ pub fn materialize_frames(pool: &BufferPool, frames: BatchFrames) -> Result<Pack
     if bufs.len() > 0 {
         pool.give_many(bufs);
     }
-    pool.give(frames.into_blob());
     if bad {
         Err(VpnError::Malformed("bad tunnelled packet"))
     } else {
@@ -359,9 +360,20 @@ impl VpnShard {
     ///
     /// Policy, session and channel failures.
     pub fn open_data(&mut self, record: &Record, now_secs: u64) -> Result<Vec<u8>, VpnError> {
-        self.checked_session(record.session_id, now_secs)?
-            .channel
-            .open(record)
+        // The plaintext lands in one of the shard's own buffers, which the
+        // delivery path hands back as the packet's backing store: the
+        // pool is given what it lent, not a fresh allocation per record.
+        let mut buf = self.pool.take(record.payload.len());
+        let opened = self
+            .checked_session(record.session_id, now_secs)
+            .and_then(|session| session.channel.open_into(record, &mut buf));
+        match opened {
+            Ok(()) => Ok(buf),
+            Err(e) => {
+                self.pool.give(buf);
+                Err(e)
+            }
+        }
     }
 
     /// Opens a `DataBatch` record into frame handles (no per-frame copy).
@@ -448,8 +460,8 @@ impl VpnShard {
         match record.opcode {
             Opcode::Data => {
                 let payload = self.open_data(record, now_secs)?;
-                // Zero-copy adoption: the decrypt's own allocation becomes
-                // the pool-managed packet backing store.
+                // The pooled buffer the record was decrypted into becomes
+                // the packet's backing store as it is.
                 let packet = Packet::from_vec_in(&self.pool, payload)
                     .map_err(|_| VpnError::Malformed("bad tunnelled packet"))?;
                 Ok(ShardEvent::Packet {
@@ -563,12 +575,6 @@ enum ShardRequest {
         opcode: Opcode,
         payload: Vec<u8>,
     },
-    /// Seal several payloads as one batch record.
-    SealBatch {
-        seq: u64,
-        session_id: u64,
-        payloads: Vec<Vec<u8>>,
-    },
     /// Snapshot one session.
     Query { seq: u64, session_id: u64 },
     /// Detach a session so it can migrate to another shard.
@@ -631,17 +637,6 @@ fn worker_loop(
                 let _ = tx.send(WorkerReply {
                     seq,
                     body: ReplyBody::Sealed(shard.seal_to_client(session_id, opcode, &payload)),
-                });
-            }
-            ShardRequest::SealBatch {
-                seq,
-                session_id,
-                payloads,
-            } => {
-                let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-                let _ = tx.send(WorkerReply {
-                    seq,
-                    body: ReplyBody::Sealed(shard.seal_batch_to_client(session_id, &refs)),
                 });
             }
             ShardRequest::Query { seq, session_id } => {
@@ -806,7 +801,7 @@ impl ShardedVpnServer {
     /// returning how many sessions were migrated off retiring workers.
     ///
     /// Growing spawns fresh workers and replicates the current
-    /// [`ConfigPolicy`] to each before any record can route there, so a
+    /// `ConfigPolicy` to each before any record can route there, so a
     /// new worker never sees a stale policy. Shrinking drains every
     /// session a retiring worker owns to its new home under the reduced
     /// count via the same blocking extract→install round-trip a
@@ -1340,19 +1335,13 @@ impl ShardedVpnServer {
     pub fn seal_batch_to_client(
         &mut self,
         session_id: u64,
-        payloads: Vec<Vec<u8>>,
+        payloads: &[&[u8]],
     ) -> Result<Record, VpnError> {
-        let shard = self.shard_of(session_id);
-        let seq = self.next_seq();
-        self.sealed_round_trip(
-            shard,
-            seq,
-            ShardRequest::SealBatch {
-                seq,
-                session_id,
-                payloads,
-            },
-        )
+        // A batch record is the seal of its framed payloads, so the frames
+        // cross to the owning shard as one blob — one allocation for the
+        // whole batch, and the worker needs no batch-specific request.
+        let blob = crate::proto::frame::encode(payloads);
+        self.seal_to_client(session_id, Opcode::DataBatch, blob)
     }
 
     /// Builds the periodic server ping for a session (Fig. 5 step 4).
@@ -1850,10 +1839,52 @@ mod tests {
         }
         let stats = pool.stats();
         assert_eq!(stats.batched_ops, 1, "one take_many for the whole batch");
-        // Dropping the batch returns every buffer (plus the adopted blob
-        // was already given).
+        // The pool lent four buffers and gets exactly those four back:
+        // the decrypted blob went home to the channel, not in here.
         drop(batch);
-        assert_eq!(pool.stats().returned, 5);
+        assert_eq!(pool.stats().handed_out(), 4);
+        assert_eq!(pool.stats().returned, 4);
+    }
+
+    /// Takes and gives balance: after the first round fills the pools,
+    /// a thousand more leave the packet pool exactly as it was (at the
+    /// parent it grew by one record blob per round, up to its cap).
+    #[test]
+    fn seal_open_materialize_drop_conserves_the_pool() {
+        let pool = BufferPool::new();
+        let keys = SessionKeys::derive(&[7u8; 32], &[1u8; 32], &[2u8; 32]);
+        let cost = CostModel::calibrated();
+        for suite in [CipherSuite::Aes128CbcHmac, CipherSuite::IntegrityOnly] {
+            let mut c = DataChannel::client(&keys, suite, CycleMeter::new(), cost.clone());
+            let mut s = DataChannel::server(&keys, suite, CycleMeter::new(), cost.clone());
+            let pkts: Vec<Packet> = (0..16)
+                .map(|i| {
+                    Packet::udp(
+                        std::net::Ipv4Addr::new(10, 0, 0, 1),
+                        std::net::Ipv4Addr::new(10, 0, 1, 1),
+                        1,
+                        i + 1,
+                        &[i as u8; 1432],
+                    )
+                })
+                .collect();
+            let refs: Vec<&[u8]> = pkts.iter().map(Packet::bytes).collect();
+            let mut round = || {
+                let rec = c.seal_batch(5, &refs);
+                let frames = s.open_batch_frames(&rec).unwrap();
+                drop(materialize_frames(&pool, frames).unwrap());
+            };
+            round();
+            let warm = (pool.free_buffers(), pool.free_bytes(), pool.stats());
+            for _ in 0..1_000 {
+                round();
+            }
+            assert_eq!((pool.free_buffers(), pool.free_bytes()), (warm.0, warm.1));
+            assert_eq!(warm.0, 16, "one packet buffer per frame, no blob");
+            let stats = pool.stats();
+            assert_eq!(stats.fresh_allocs, warm.2.fresh_allocs, "{suite:?}");
+            assert_eq!(stats.discarded, 0);
+        }
     }
 
     #[test]
