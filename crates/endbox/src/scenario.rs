@@ -197,29 +197,13 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Runs the async wire over the real OS-socket backend
-    /// ([`OsWire`]: loopback UDP sockets) instead of the in-process
-    /// [`VirtualWire`] (default off; only meaningful together with
-    /// [`ScenarioBuilder::async_ingress`]). Application-level results
-    /// are byte-identical across backends — the stamp-carrying wire
-    /// header preserves the re-merge ordering contract — which the
-    /// parity tests assert. Check [`OsWire::available`] first in
-    /// environments that may forbid socket creation. Sugar for
-    /// [`ScenarioBuilder::transport`] with
-    /// [`TransportKind::OsSocket`].
-    pub fn os_transport(mut self, on: bool) -> Self {
-        self.transport = if on {
-            TransportKind::OsSocket
-        } else {
-            TransportKind::Virtual
-        };
-        self
-    }
-
     /// Selects the async wire backend (default
     /// [`TransportKind::Virtual`]; only meaningful together with
     /// [`ScenarioBuilder::async_ingress`]). Application-level results
-    /// are byte-identical across all four backends; only the metered
+    /// are byte-identical across all four backends — over [`OsWire`]
+    /// (real loopback UDP; check [`OsWire::available`] where socket
+    /// creation may be forbidden) the stamp-carrying wire header
+    /// preserves the re-merge ordering contract — and only the metered
     /// boundary costs differ ([`TransportKind::profile`]). For the
     /// [`TransportKind::Ring`] and [`TransportKind::XdpFrame`] backends
     /// the client links' egress buffers come from the backend's
@@ -845,7 +829,7 @@ pub struct ShardedScenario {
     pub clock: SharedClock,
     cost: CostModel,
     /// The pluggable wire behind the sockets: [`VirtualWire`] by
-    /// default, [`OsWire`] with [`ScenarioBuilder::os_transport`]
+    /// default, or what [`ScenarioBuilder::transport`] selected
     /// (`Some` iff built with [`ScenarioBuilder::async_ingress`]).
     wire: Option<Arc<dyn Transport>>,
     /// The event-driven socket front-end

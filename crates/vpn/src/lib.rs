@@ -31,6 +31,9 @@
 //! * [`shard`] — the sharded multi-worker server datapath: the session
 //!   table partitioned across N worker threads with session-id-affine
 //!   routing, per-shard buffer pools and deterministic re-merge.
+//! * [`pool`] — the owner-thread pool both threaded stages run on (the
+//!   session workers here, the RX framing shards in `endbox::server`):
+//!   spawn, retire, join and thread-death reporting, written once.
 
 #![deny(unsafe_code)]
 
@@ -41,6 +44,7 @@ pub mod error;
 pub mod frag;
 pub mod handshake;
 pub mod ping;
+pub mod pool;
 pub mod proto;
 pub mod replay;
 pub mod server;

@@ -12,10 +12,12 @@
 //!   is exactly one inline shard plus the handshake front-end, so the
 //!   single-threaded and sharded servers share one implementation of the
 //!   datapath and cannot drift apart.
-//! * [`ShardedVpnServer`] spawns one worker thread per shard and talks to
-//!   them over crossbeam channels. The front-end keeps the handshake
-//!   state (identity, session-id allocator, RNG) and the authoritative
-//!   copy of the config policy; workers own everything per-session.
+//! * [`ShardedVpnServer`] runs one worker thread per shard on an
+//!   [`OwnerPool`] (per-worker request channels, one shared reply
+//!   channel, loud failure when a worker dies). The front-end keeps the
+//!   handshake state (identity, session-id allocator, RNG) and the
+//!   authoritative copy of the config policy; workers own everything
+//!   per-session.
 //!
 //! # Routing invariants
 //!
@@ -29,9 +31,12 @@
 //!    session is still processed by its (current) owning shard — which is
 //!    what keeps per-session replay windows and channel state
 //!    single-writer without locks. The replay window and channel state
-//!    travel inside the [`ServerSession`] when it migrates; per-peer
-//!    reassembly state never lives on a shard (it is pinned to the RX
-//!    front-end) and never migrates.
+//!    travel inside the [`ServerSession`] when it moves, and
+//!    `ShardedVpnServer::migrate` is the only function that moves one —
+//!    load-aware rebalancing, adaptive stealing and worker-pool shrinks
+//!    all call it. Per-peer reassembly state never lives on a worker: it
+//!    belongs to the RX stage, which relocates it by its own rules
+//!    (`docs/architecture.md` §4.3 states both sets side by side).
 //! 2. **Per-shard FIFO.** Each worker processes its requests in the order
 //!    the front-end sent them. Combined with single-owner routing and
 //!    boundary-only migration this preserves the per-session record order
@@ -73,12 +78,12 @@ use crate::channel::{BatchFrames, CipherSuite, DataChannel};
 use crate::error::VpnError;
 use crate::handshake::{server_respond, ClientHello, ClientInfo, HandshakeConfig};
 use crate::ping::PingMessage;
+use crate::pool::{OwnerPool, Replies};
 use crate::proto::{Opcode, Record};
 use crate::server::ServerEvent;
 use endbox_netsim::cost::{CostModel, CycleMeter};
 use endbox_netsim::{BufferPool, Packet, PacketBatch};
 use std::collections::HashMap;
-use std::thread::JoinHandle;
 
 /// Server-side state for one client session.
 #[derive(Debug)]
@@ -577,17 +582,21 @@ enum ShardRequest {
     },
     /// Snapshot one session.
     Query { seq: u64, session_id: u64 },
-    /// Detach a session so it can migrate to another shard.
-    Extract { seq: u64, session_id: u64 },
-    /// Detach a session **only if** its replay window is still empty —
+    /// Detach a session so it can migrate to another shard. With
+    /// `only_if_idle`, **only if** its replay window is still empty —
     /// the steal-safety predicate, evaluated authoritatively on the
     /// owning shard thread (the front-end's view of "fresh" could race
     /// a record the shard already accepted). Replies
-    /// [`ReplyBody::Extracted`]`(None)` if the session is busy or gone,
-    /// and the session stays put.
-    ExtractIfIdle { seq: u64, session_id: u64 },
-    /// Exit the worker loop.
-    Shutdown,
+    /// [`ReplyBody::Extracted`]`(None)` if the session is gone, or busy
+    /// under `only_if_idle` — then it stays put.
+    Extract {
+        seq: u64,
+        session_id: u64,
+        only_if_idle: bool,
+    },
+    /// Panic with the next request in hand: a worker death mid-dispatch.
+    #[cfg(test)]
+    Die,
 }
 
 enum ReplyBody {
@@ -605,7 +614,7 @@ struct WorkerReply {
 fn worker_loop(
     mut shard: VpnShard,
     rx: crossbeam::channel::Receiver<ShardRequest>,
-    tx: crossbeam::channel::UnboundedSender<WorkerReply>,
+    tx: Replies<WorkerReply>,
 ) {
     while let Ok(request) = rx.recv() {
         match request {
@@ -618,7 +627,7 @@ fn worker_loop(
                     .into_iter()
                     .map(|(idx, record)| (idx, shard.handle_record_delivery(&record, now_secs)))
                     .collect();
-                let _ = tx.send(WorkerReply {
+                tx.send(WorkerReply {
                     seq,
                     body: ReplyBody::Records(results),
                 });
@@ -634,7 +643,7 @@ fn worker_loop(
                 opcode,
                 payload,
             } => {
-                let _ = tx.send(WorkerReply {
+                tx.send(WorkerReply {
                     seq,
                     body: ReplyBody::Sealed(shard.seal_to_client(session_id, opcode, &payload)),
                 });
@@ -644,24 +653,31 @@ fn worker_loop(
                     info: s.info.clone(),
                     reported_config_version: s.reported_config_version,
                 });
-                let _ = tx.send(WorkerReply {
+                tx.send(WorkerReply {
                     seq,
                     body: ReplyBody::Session(snapshot),
                 });
             }
-            ShardRequest::Extract { seq, session_id } => {
-                let _ = tx.send(WorkerReply {
+            ShardRequest::Extract {
+                seq,
+                session_id,
+                only_if_idle,
+            } => {
+                let session = if only_if_idle {
+                    shard.extract_if_idle(session_id)
+                } else {
+                    shard.extract(session_id)
+                };
+                tx.send(WorkerReply {
                     seq,
-                    body: ReplyBody::Extracted(shard.extract(session_id).map(Box::new)),
+                    body: ReplyBody::Extracted(session.map(Box::new)),
                 });
             }
-            ShardRequest::ExtractIfIdle { seq, session_id } => {
-                let _ = tx.send(WorkerReply {
-                    seq,
-                    body: ReplyBody::Extracted(shard.extract_if_idle(session_id).map(Box::new)),
-                });
+            #[cfg(test)]
+            ShardRequest::Die => {
+                let _in_hand = rx.recv();
+                panic!("injected worker death mid-dispatch");
             }
-            ShardRequest::Shutdown => break,
         }
     }
 }
@@ -677,13 +693,8 @@ pub struct ShardedVpnServer {
     rng: rand::rngs::StdRng,
     next_session_id: u64,
     policy: ConfigPolicy,
-    txs: Vec<crossbeam::channel::UnboundedSender<ShardRequest>>,
-    rx: crossbeam::channel::Receiver<WorkerReply>,
-    /// Sending half of the shared reply channel, kept so
-    /// [`ShardedVpnServer::resize_workers`] can spawn new worker threads
-    /// at runtime (each worker holds its own clone).
-    reply_tx: crossbeam::channel::UnboundedSender<WorkerReply>,
-    joins: Vec<JoinHandle<()>>,
+    /// The worker threads, one [`VpnShard`] each.
+    pool: OwnerPool<ShardRequest, WorkerReply>,
     /// Front-end registry: which sessions exist and which shard *currently*
     /// owns each (home shard at placement; load-aware migration may move
     /// a session later).
@@ -703,7 +714,7 @@ pub struct ShardedVpnServer {
 impl std::fmt::Debug for ShardedVpnServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedVpnServer")
-            .field("workers", &self.txs.len())
+            .field("workers", &self.pool.len())
             .field("sessions", &self.session_shard.len())
             .field("required_version", &self.policy.required_version)
             .finish()
@@ -711,28 +722,8 @@ impl std::fmt::Debug for ShardedVpnServer {
 }
 
 impl ShardedVpnServer {
-    /// Creates a server with `workers` shard threads (minimum 1) and the
-    /// default [`DispatchPolicy::load_aware`] dispatcher.
-    pub fn new(
-        handshake: HandshakeConfig,
-        suite: CipherSuite,
-        meter: CycleMeter,
-        cost: CostModel,
-        rng_seed: u64,
-        workers: usize,
-    ) -> Self {
-        Self::with_dispatch(
-            handshake,
-            suite,
-            meter,
-            cost,
-            rng_seed,
-            workers,
-            DispatchPolicy::default(),
-        )
-    }
-
-    /// Creates a server with an explicit dispatch policy.
+    /// Creates a server with `workers` shard threads (minimum 1) placed
+    /// by `dispatch`.
     #[allow(clippy::too_many_arguments)]
     pub fn with_dispatch(
         handshake: HandshakeConfig,
@@ -745,14 +736,6 @@ impl ShardedVpnServer {
     ) -> Self {
         use rand::SeedableRng;
         let workers = workers.max(1);
-        let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
-        let mut txs = Vec::with_capacity(workers);
-        let mut joins = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let (tx, join) = Self::spawn_worker(i, &reply_tx);
-            txs.push(tx);
-            joins.push(join);
-        }
         ShardedVpnServer {
             handshake,
             suite,
@@ -761,10 +744,9 @@ impl ShardedVpnServer {
             rng: rand::rngs::StdRng::seed_from_u64(rng_seed),
             next_session_id: 1,
             policy: ConfigPolicy::default(),
-            txs,
-            rx: reply_rx,
-            reply_tx,
-            joins,
+            pool: OwnerPool::new("vpn-shard", workers, |_, rx, tx| {
+                worker_loop(VpnShard::new(), rx, tx)
+            }),
             session_shard: HashMap::new(),
             next_seq: 0,
             dispatch,
@@ -775,26 +757,9 @@ impl ShardedVpnServer {
         }
     }
 
-    /// Spawns one worker thread feeding the shared reply channel.
-    fn spawn_worker(
-        index: usize,
-        reply_tx: &crossbeam::channel::UnboundedSender<WorkerReply>,
-    ) -> (
-        crossbeam::channel::UnboundedSender<ShardRequest>,
-        JoinHandle<()>,
-    ) {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let reply_tx = reply_tx.clone();
-        let join = std::thread::Builder::new()
-            .name(format!("vpn-shard-{index}"))
-            .spawn(move || worker_loop(VpnShard::new(), rx, reply_tx))
-            .expect("spawn shard worker");
-        (tx, join)
-    }
-
     /// Number of worker shards.
     pub fn worker_count(&self) -> usize {
-        self.txs.len()
+        self.pool.len()
     }
 
     /// Grows or shrinks the worker pool to `workers` threads online,
@@ -804,31 +769,22 @@ impl ShardedVpnServer {
     /// `ConfigPolicy` to each before any record can route there, so a
     /// new worker never sees a stale policy. Shrinking drains every
     /// session a retiring worker owns to its new home under the reduced
-    /// count via the same blocking extract→install round-trip a
-    /// load-aware migration uses (per-session record order is preserved),
-    /// then shuts the retired threads down and joins them. Sessions on
-    /// surviving workers keep their placement — the registry stays
-    /// authoritative — so a resize never changes any record's outcome,
-    /// only where it is computed.
+    /// count through `migrate` — the one way a session ever moves — then
+    /// retires the emptied threads. Sessions on surviving workers keep
+    /// their placement — the registry stays authoritative — so a resize
+    /// never changes any record's outcome, only where it is computed.
     ///
     /// Must be called at a dispatch boundary (no batch in flight), which
     /// every front-end caller guarantees by construction.
     pub fn resize_workers(&mut self, workers: usize) -> usize {
         let new = workers.max(1);
-        let old = self.txs.len();
-        if new == old {
-            return 0;
-        }
+        let old = self.pool.len();
         let mut moved = 0;
         if new > old {
-            for i in old..new {
-                let (tx, join) = Self::spawn_worker(i, &self.reply_tx);
-                tx.send(ShardRequest::Policy(self.policy))
-                    .expect("shard worker alive");
-                self.txs.push(tx);
-                self.joins.push(join);
+            self.pool.grow(new - old);
+            for shard in old..new {
+                self.pool.send(shard, ShardRequest::Policy(self.policy));
             }
-            self.shard_load.resize(new, 0.0);
         } else {
             // Retiring workers drain to their successors before exit: in
             // deterministic session order, move every session homed on a
@@ -843,18 +799,13 @@ impl ShardedVpnServer {
             for sid in evicted {
                 let from = self.session_shard[&sid];
                 let to = (sid.wrapping_sub(1) % new as u64) as usize;
-                if self.migrate(sid, from, to) {
+                if self.migrate(sid, from, to, false) {
                     moved += 1;
                 }
             }
-            for tx in self.txs.drain(new..) {
-                let _ = tx.send(ShardRequest::Shutdown);
-            }
-            for join in self.joins.drain(new..) {
-                let _ = join.join();
-            }
-            self.shard_load.truncate(new);
+            self.pool.shrink(old - new);
         }
+        self.shard_load.resize(new, 0.0);
         moved
     }
 
@@ -877,7 +828,7 @@ impl ShardedVpnServer {
 
     /// A session's *home* shard, `(s - 1) mod N` — its initial placement.
     fn home_shard(&self, session_id: u64) -> usize {
-        (session_id.wrapping_sub(1) % self.txs.len() as u64) as usize
+        (session_id.wrapping_sub(1) % self.pool.len() as u64) as usize
     }
 
     /// The shard *currently* owning `session_id` (invariant 1). Unknown
@@ -891,22 +842,10 @@ impl ShardedVpnServer {
             .unwrap_or_else(|| self.home_shard(session_id))
     }
 
-    fn send(&self, shard: usize, request: ShardRequest) {
-        self.txs[shard].send(request).expect("shard worker alive");
-    }
-
     fn next_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         seq
-    }
-
-    /// Blocks until `expect` replies arrived, returning them unordered
-    /// (callers match on `seq` / embedded indices).
-    fn collect_replies(&mut self, expect: usize) -> Vec<WorkerReply> {
-        (0..expect)
-            .map(|_| self.rx.recv().expect("shard worker alive"))
-            .collect()
     }
 
     /// One blocking round-trip expecting a sealed record back.
@@ -916,12 +855,11 @@ impl ShardedVpnServer {
         seq: u64,
         request: ShardRequest,
     ) -> Result<Record, VpnError> {
-        self.send(shard, request);
-        match self.collect_replies(1).pop() {
-            Some(WorkerReply {
+        match self.pool.round_trip(shard, request) {
+            WorkerReply {
                 seq: reply_seq,
                 body: ReplyBody::Sealed(result),
-            }) => {
+            } => {
                 debug_assert_eq!(reply_seq, seq, "round-trips are strictly serialised");
                 result
             }
@@ -944,7 +882,7 @@ impl ShardedVpnServer {
             }
             let seq = self.next_seq();
             let records = std::mem::take(group);
-            self.send(
+            self.pool.send(
                 shard,
                 ShardRequest::Records {
                     seq,
@@ -954,8 +892,9 @@ impl ShardedVpnServer {
             );
             outstanding += 1;
         }
-        for reply in self.collect_replies(outstanding) {
-            let ReplyBody::Records(items) = reply.body else {
+        // Replies arrive in any order; the embedded indices slot them.
+        for _ in 0..outstanding {
+            let ReplyBody::Records(items) = self.pool.recv().body else {
                 unreachable!("record requests produce record replies");
             };
             for (idx, result) in items {
@@ -1011,10 +950,10 @@ impl ShardedVpnServer {
             DispatchPolicy::Adaptive => {
                 let mean =
                     self.shard_load.iter().sum::<f64>() / self.shard_load.len().max(1) as f64;
-                (mean.max(ADAPTIVE_MIN_IMBALANCE), self.txs.len(), true)
+                (mean.max(ADAPTIVE_MIN_IMBALANCE), self.pool.len(), true)
             }
         };
-        if self.txs.len() < 2 {
+        if self.pool.len() < 2 {
             return;
         }
         for _ in 0..max_migrations {
@@ -1043,7 +982,7 @@ impl ShardedVpnServer {
             let Some((sid, load)) = candidate else {
                 break;
             };
-            if self.migrate(sid, hot, cold) {
+            if self.migrate(sid, hot, cold, false) {
                 self.shard_load[hot] -= load;
                 self.shard_load[cold] += load;
             }
@@ -1061,27 +1000,27 @@ impl ShardedVpnServer {
     /// re-ordering state moves with it. The front-end nominates fresh
     /// sessions (zero load EWMA, deterministic lowest-id tie-break) and
     /// the owning shard confirms the predicate authoritatively
-    /// ([`ShardRequest::ExtractIfIdle`]): a session the shard has
+    /// (`only_if_idle`): a session the shard has
     /// already fed stays put and the nomination is dropped. At most one
     /// steal per worker per dispatch — a structural bound, not a knob.
     fn steal_idle(&mut self) {
-        if self.txs.len() < 2 {
+        if self.pool.len() < 2 {
             return;
         }
-        let mut counts = vec![0usize; self.txs.len()];
+        let mut counts = vec![0usize; self.pool.len()];
         for &shard in self.session_shard.values() {
             counts[shard] += 1;
         }
         let mut rejected: Vec<u64> = Vec::new();
-        let mut stole = vec![false; self.txs.len()];
-        for _ in 0..self.txs.len() {
+        let mut stole = vec![false; self.pool.len()];
+        for _ in 0..self.pool.len() {
             let max_count = counts.iter().copied().max().unwrap_or(0);
-            let Some(thief) = (0..self.txs.len()).find(|&s| {
+            let Some(thief) = (0..self.pool.len()).find(|&s| {
                 !stole[s] && self.shard_load[s] < ADAPTIVE_IDLE_EWMA && counts[s] < max_count
             }) else {
                 return;
             };
-            let victim = (0..self.txs.len())
+            let victim = (0..self.pool.len())
                 .max_by(|&a, &b| {
                     counts[a]
                         .cmp(&counts[b])
@@ -1104,62 +1043,44 @@ impl ShardedVpnServer {
             let Some(sid) = candidate else {
                 return;
             };
-            let seq = self.next_seq();
-            self.send(
-                victim,
-                ShardRequest::ExtractIfIdle {
-                    seq,
-                    session_id: sid,
-                },
-            );
-            match self.collect_replies(1).pop() {
-                Some(WorkerReply {
-                    body: ReplyBody::Extracted(Some(session)),
-                    ..
-                }) => {
-                    self.send(
-                        thief,
-                        ShardRequest::Install {
-                            session_id: sid,
-                            session,
-                        },
-                    );
-                    self.session_shard.insert(sid, thief);
-                    counts[victim] -= 1;
-                    counts[thief] += 1;
-                    stole[thief] = true;
-                    self.migrations += 1;
-                    self.steals += 1;
-                }
-                Some(WorkerReply {
-                    body: ReplyBody::Extracted(None),
-                    ..
-                }) => {
-                    // The shard vetoed the steal (the session already
-                    // accepted traffic the front-end has not accounted
-                    // yet); never re-nominate it this pass.
-                    rejected.push(sid);
-                }
-                _ => unreachable!("extract requests produce extracted replies"),
+            if self.migrate(sid, victim, thief, true) {
+                counts[victim] -= 1;
+                counts[thief] += 1;
+                stole[thief] = true;
+                self.steals += 1;
+            } else {
+                // The shard vetoed the steal (the session already
+                // accepted traffic the front-end has not accounted
+                // yet); never re-nominate it this pass.
+                rejected.push(sid);
             }
         }
     }
 
-    /// Moves one session's state from `from` to `to`: a blocking extract
-    /// round-trip (so the old shard has drained every earlier record of
-    /// the session) followed by an install enqueued ahead of any later
-    /// one. Per-session record order is therefore preserved across the
-    /// migration. Returns whether the session actually moved (callers
-    /// must not shift load accounting otherwise).
-    fn migrate(&mut self, session_id: u64, from: usize, to: usize) -> bool {
+    /// Moves one session's state from `from` to `to` — the only function
+    /// that does, and the only one that updates the registry for a move.
+    /// Only called at a dispatch boundary. The blocking extract
+    /// round-trip is the quiesce point (when it returns, the old shard
+    /// has drained every earlier record of the session); the session
+    /// moves whole, replay window included; and the install is enqueued
+    /// ahead of any later record. Per-session record order is therefore
+    /// preserved across the move. With `only_if_idle` the old shard
+    /// refuses unless the replay window is still empty, and a refusal
+    /// leaves the session where it is. Returns whether the session
+    /// actually moved (callers must not shift load accounting otherwise).
+    fn migrate(&mut self, session_id: u64, from: usize, to: usize, only_if_idle: bool) -> bool {
         let seq = self.next_seq();
-        self.send(from, ShardRequest::Extract { seq, session_id });
-        match self.collect_replies(1).pop() {
-            Some(WorkerReply {
-                body: ReplyBody::Extracted(Some(session)),
-                ..
-            }) => {
-                self.send(
+        let extract = ShardRequest::Extract {
+            seq,
+            session_id,
+            only_if_idle,
+        };
+        let ReplyBody::Extracted(session) = self.pool.round_trip(from, extract).body else {
+            unreachable!("extract requests produce extracted replies");
+        };
+        match session {
+            Some(session) => {
+                self.pool.send(
                     to,
                     ShardRequest::Install {
                         session_id,
@@ -1170,17 +1091,15 @@ impl ShardedVpnServer {
                 self.migrations += 1;
                 true
             }
-            Some(WorkerReply {
-                body: ReplyBody::Extracted(None),
-                ..
-            }) => {
+            // Busy: the steal is off and the session stays registered.
+            None if only_if_idle => false,
+            None => {
                 // The registry said the session lived here; it is gone on
                 // the shard too, so drop it from the front-end maps.
                 self.session_shard.remove(&session_id);
                 self.session_load.remove(&session_id);
                 false
             }
-            _ => unreachable!("extract requests produce extracted replies"),
         }
     }
 
@@ -1197,8 +1116,8 @@ impl ShardedVpnServer {
         self.rebalance();
         let n = records.len();
         let mut results: Vec<Option<Result<ShardEvent, VpnError>>> = (0..n).map(|_| None).collect();
-        let mut groups: Vec<Vec<(u32, Record)>> = vec![Vec::new(); self.txs.len()];
-        let mut shard_bytes = vec![0u64; self.txs.len()];
+        let mut groups: Vec<Vec<(u32, Record)>> = vec![Vec::new(); self.pool.len()];
+        let mut shard_bytes = vec![0u64; self.pool.len()];
         let mut session_bytes: HashMap<u64, u64> = HashMap::new();
         for (i, record) in records.into_iter().enumerate() {
             match record.opcode {
@@ -1258,7 +1177,7 @@ impl ShardedVpnServer {
         self.next_session_id += 1;
         let channel = DataChannel::server(&keys, self.suite, self.meter.clone(), self.cost.clone());
         let shard = self.shard_of(session_id);
-        self.send(
+        self.pool.send(
             shard,
             ShardRequest::Install {
                 session_id,
@@ -1292,8 +1211,8 @@ impl ShardedVpnServer {
             grace_period_secs,
         };
         let policy = self.policy;
-        for shard in 0..self.txs.len() {
-            self.send(shard, ShardRequest::Policy(policy));
+        for shard in 0..self.pool.len() {
+            self.pool.send(shard, ShardRequest::Policy(policy));
         }
     }
 
@@ -1365,12 +1284,9 @@ impl ShardedVpnServer {
         }
         let shard = self.shard_of(session_id);
         let seq = self.next_seq();
-        self.send(shard, ShardRequest::Query { seq, session_id });
-        match self.collect_replies(1).pop() {
-            Some(WorkerReply {
-                body: ReplyBody::Session(snapshot),
-                ..
-            }) => snapshot,
+        let query = ShardRequest::Query { seq, session_id };
+        match self.pool.round_trip(shard, query).body {
+            ReplyBody::Session(snapshot) => snapshot,
             _ => unreachable!("query requests produce session replies"),
         }
     }
@@ -1385,17 +1301,6 @@ impl ShardedVpnServer {
     /// Number of connected clients.
     pub fn session_count(&self) -> usize {
         self.session_shard.len()
-    }
-}
-
-impl Drop for ShardedVpnServer {
-    fn drop(&mut self) {
-        for tx in &self.txs {
-            let _ = tx.send(ShardRequest::Shutdown);
-        }
-        for join in self.joins.drain(..) {
-            let _ = join.join();
-        }
     }
 }
 
@@ -1625,6 +1530,23 @@ mod tests {
         h.server.handle_record(&rec, 1).unwrap();
         assert_eq!(h.server.session_count(), 0);
         assert!(h.server.session_snapshot(sid).is_none());
+    }
+
+    /// The worker takes the record and dies with it. Before `OwnerPool`
+    /// this blocked forever: the front-end held a reply sender of its own
+    /// (to spawn workers with), so the reply channel never disconnected.
+    #[test]
+    fn record_for_a_dead_worker_fails_loudly_instead_of_hanging() {
+        let mut h = harness(2);
+        let (sid, mut chan) = connect(&mut h, 1);
+        let shard = h.server.shard_of(sid);
+        let rec = chan.seal(Opcode::Data, sid, b"never opened");
+        let mut server = h.server;
+        server.pool.send(shard, ShardRequest::Die);
+        let message = crate::pool::panic_message_of(move || {
+            server.handle_records(vec![rec], 1);
+        });
+        assert_eq!(message, format!("vpn-shard thread {shard} died"));
     }
 
     #[test]

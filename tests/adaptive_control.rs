@@ -31,7 +31,20 @@ use endbox::scenario::{Scenario, ShardedScenario};
 use endbox::use_cases::UseCase;
 use endbox_netsim::Packet;
 use endbox_vpn::proto::{Opcode, Record};
-use support::{assert_schedule_parity_adaptive, simplify, split_raw, Out, PeerMap, Schedule, Step};
+use support::{
+    assert_parity, full_grid, simplify, split_raw, Out, PeerMap, RunCfg, Schedule, Step, BULK_GRID,
+};
+
+/// The full grid through the event loop with the **self-tuning control
+/// plane** live, at every [`BULK_GRID`] size (no policy axis — the
+/// controller owns the policy; it sits *above* the transport drain, so
+/// the bulk shape must not leak into outcomes either). The claim under
+/// test: every controller decision lands at a round boundary, so
+/// outcomes never move — only scheduling does.
+fn assert_parity_adaptive(schedule: &Schedule) {
+    let cfgs = BULK_GRID.map(|bulk| RunCfg::event_loop(None).bulk(bulk));
+    assert_parity(schedule, &full_grid(), &cfgs);
+}
 
 /// A partial record parked in its reassembler, then a crafted
 /// `Disconnect` queued and the peer re-homed *before* the Disconnect is
@@ -71,7 +84,7 @@ fn adaptive_schedule_remap_races_disconnect() {
         })
         .step(Step::Remap { client: 1, to: 0 })
         .step(Step::Single { client: 0 });
-    assert_schedule_parity_adaptive(&schedule);
+    assert_parity_adaptive(&schedule);
 }
 
 /// A split record whose head is already inside the reassembler when its
@@ -110,7 +123,7 @@ fn adaptive_schedule_split_record_straddles_remap() {
         .step(Step::Replay)
         .step(Step::Remap { client: 0, to: 3 })
         .step(Step::Single { client: 0 });
-    assert_schedule_parity_adaptive(&schedule);
+    assert_parity_adaptive(&schedule);
 }
 
 /// The adversarial colliding placement (`PeerMap::Stride(4)`: every peer
@@ -140,7 +153,7 @@ fn adaptive_schedule_remap_spreads_colliding_peers() {
         .step(Step::Replay)
         .step(Step::Remap { client: 0, to: 1 })
         .step(Step::Single { client: 1 });
-    assert_schedule_parity_adaptive(&schedule);
+    assert_parity_adaptive(&schedule);
 }
 
 /// Mixed traffic (batches, pings, a split record, a replayed batch) with
@@ -178,7 +191,7 @@ fn adaptive_schedule_controller_on_mixed_traffic() {
             n_packets: 3,
         })
         .step(Step::Single { client: 2 });
-    assert_schedule_parity_adaptive(&schedule);
+    assert_parity_adaptive(&schedule);
 }
 
 /// Seals `n` single-packet records from `client` and ships them onto the

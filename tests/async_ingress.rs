@@ -27,10 +27,13 @@ use endbox::scenario::Scenario;
 use endbox::server::Delivery;
 use endbox::use_cases::UseCase;
 use endbox_netsim::Packet;
-use support::{
-    assert_schedule_parity_async, assert_schedule_parity_async_on, simplify, Out, PeerMap,
-    Schedule, Step,
-};
+use support::{assert_parity, full_grid, policies, simplify, Out, PeerMap, RunCfg, Schedule, Step};
+
+/// `grid` × both pinned policies through the event-driven front-end.
+fn assert_parity_async(schedule: &Schedule, grid: &[(usize, usize)]) {
+    let cfgs = policies().map(|policy| RunCfg::event_loop(Some(policy)));
+    assert_parity(schedule, grid, &cfgs);
+}
 
 /// A Disconnect pausing its (stalled) owning RX shard, a replayed
 /// Disconnect that must fail, and a split record completing afterwards —
@@ -53,7 +56,7 @@ fn async_schedule_disconnect_races_slow_owning_shard() {
         .step(Step::Single { client: 1 })
         .step(Step::Flush)
         .step(Step::Single { client: 1 });
-    assert_schedule_parity_async(&schedule);
+    assert_parity_async(&schedule, &full_grid());
 }
 
 /// All peers collide on one poll group / RX shard via stride-4 peer ids:
@@ -76,7 +79,7 @@ fn async_schedule_all_peers_collide_on_one_poll_group() {
         .step(Step::Flush)
         .step(Step::Ping { client: 1 })
         .step(Step::Single { client: 1 });
-    assert_schedule_parity_async(&schedule);
+    assert_parity_async(&schedule, &full_grid());
 }
 
 /// A split record whose head arrives in one poll round and whose tail
@@ -111,7 +114,7 @@ fn async_schedule_split_record_straddles_poll_rounds() {
             hi: 4,
         })
         .step(Step::Single { client: 1 });
-    assert_schedule_parity_async(&schedule);
+    assert_parity_async(&schedule, &full_grid());
 }
 
 /// Interleaved tiny datagrams (1-byte fragments through header and body)
@@ -133,7 +136,7 @@ fn async_schedule_interleaved_tiny_datagrams() {
             schedule = schedule.step(Step::Flush);
         }
     }
-    assert_schedule_parity_async(&schedule);
+    assert_parity_async(&schedule, &full_grid());
 }
 
 mod proptests {
@@ -192,10 +195,7 @@ mod proptests {
             let schedule = to_schedule(&raw, n_clients, collide, seed);
             // A representative sub-grid keeps proptest case cost bounded;
             // the named tests above cover the full grid.
-            assert_schedule_parity_async_on(
-                &schedule,
-                &[(1, 2), (2, 4), (4, 1), (4, 8)],
-            );
+            assert_parity_async(&schedule, &[(1, 2), (2, 4), (4, 1), (4, 8)]);
         }
     }
 }

@@ -25,12 +25,44 @@ mod support;
 
 use endbox::scenario::Scenario;
 use endbox::use_cases::UseCase;
-use endbox_netsim::net::OsWire;
+use endbox_netsim::net::{OsWire, TransportKind};
 use endbox_netsim::Packet;
-use support::{
-    assert_schedule_parity_bulk, assert_schedule_parity_os, run_async_bulk, run_single, PeerMap,
-    Schedule, Step,
-};
+use endbox_vpn::shard::DispatchPolicy;
+use support::{assert_parity, full_grid, run, run_single, PeerMap, RunCfg, Schedule, Step};
+
+/// The full grid × both pinned policies × every bulk size, through the
+/// event loop over the virtual wire.
+fn assert_parity_bulk(schedule: &Schedule) {
+    assert_parity(
+        schedule,
+        &full_grid(),
+        &RunCfg::bulk_grid(TransportKind::Virtual),
+    );
+}
+
+/// `grid` over the **OS-socket** backend (real loopback UDP), at both the
+/// per-datagram and the production bulk size, under pinned static
+/// dispatch and under the self-tuning controller. Skips (with a note)
+/// when the sandbox forbids loopback sockets — set
+/// `ENDBOX_REQUIRE_OS_SOCKET=1` to turn the skip into a failure.
+fn assert_parity_os(schedule: &Schedule, grid: &[(usize, usize)]) {
+    if !OsWire::available() {
+        if std::env::var("ENDBOX_REQUIRE_OS_SOCKET").as_deref() == Ok("1") {
+            panic!("ENDBOX_REQUIRE_OS_SOCKET=1 but loopback UDP is unavailable");
+        }
+        eprintln!(
+            "skipping OS-socket parity for `{}`: loopback UDP unavailable",
+            schedule.name
+        );
+        return;
+    }
+    let cfgs: Vec<RunCfg> = [Some(DispatchPolicy::Static), None]
+        .into_iter()
+        .flat_map(|control| [1, 32].map(|bulk| RunCfg::event_loop(control).bulk(bulk)))
+        .map(|cfg| cfg.transport(TransportKind::OsSocket))
+        .collect();
+    assert_parity(schedule, grid, &cfgs);
+}
 
 /// Splits through the record header and 1-byte fragments, partial
 /// records straddling poll rounds, a replayed Disconnect — the
@@ -70,7 +102,7 @@ fn bulk_sizes_are_outcome_invariant_on_adversarial_framing() {
             hi: 5,
         })
         .step(Step::Single { client: 0 });
-    assert_schedule_parity_bulk(&schedule);
+    assert_parity_bulk(&schedule);
 }
 
 /// Deep per-socket queues (one peer floods 12 datagrams per flush while
@@ -91,7 +123,7 @@ fn bulk_call_boundaries_mid_queue_preserve_outcomes() {
             schedule = schedule.step(Step::Flush);
         }
     }
-    assert_schedule_parity_bulk(&schedule);
+    assert_parity_bulk(&schedule);
 }
 
 /// The bulk knob moves exactly one observable: the ingress io-call
@@ -109,7 +141,7 @@ fn bulk_ingress_amortises_io_calls_without_changing_results() {
         .step(Step::Single { client: 1 });
     let reference = run_single(&schedule);
 
-    let run = |bulk: usize| {
+    let drain = |bulk: usize| {
         let mut scenario = Scenario::enterprise(2, UseCase::Nop)
             .seed(0xb1_03)
             .rx_shards(2)
@@ -136,8 +168,8 @@ fn bulk_ingress_amortises_io_calls_without_changing_results() {
         let outs = scenario.pump_async().len();
         (outs, scenario.async_stats())
     };
-    let (outs_1, stats_1) = run(1);
-    let (outs_32, stats_32) = run(32);
+    let (outs_1, stats_1) = drain(1);
+    let (outs_32, stats_32) = drain(32);
     assert_eq!(outs_1, outs_32, "bulk size must not change delivery");
     assert_eq!(stats_1.datagrams, stats_32.datagrams);
     assert!(
@@ -149,12 +181,9 @@ fn bulk_ingress_amortises_io_calls_without_changing_results() {
 
     // And the schedule-level outcomes match the reference at both sizes
     // (the accounting run above used its own traffic).
-    use endbox_vpn::shard::DispatchPolicy;
     for bulk in [1, 32] {
-        assert_eq!(
-            run_async_bulk(&schedule, 2, 2, DispatchPolicy::Static, bulk),
-            reference
-        );
+        let cfg = RunCfg::event_loop(Some(DispatchPolicy::Static)).bulk(bulk);
+        assert_eq!(run(&schedule, (2, 2), &cfg).0, reference);
     }
 }
 
@@ -224,7 +253,7 @@ fn os_socket_backend_matches_virtual_wire_byte_for_byte() {
         .step(Step::Disconnect { client: 0 })
         .step(Step::Replay)
         .step(Step::Single { client: 1 });
-    assert_schedule_parity_os(&schedule, &[(1, 2), (2, 4)]);
+    assert_parity_os(&schedule, &[(1, 2), (2, 4)]);
 }
 
 /// Deep queues over the OS backend: kernel-buffered datagrams drain
@@ -240,7 +269,7 @@ fn os_socket_backend_survives_deep_queues_and_bulk_drains() {
         .step(Step::Single { client: 1 })
         .step(Step::Flush)
         .step(Step::Single { client: 0 });
-    assert_schedule_parity_os(&schedule, &[(2, 2)]);
+    assert_parity_os(&schedule, &[(2, 2)]);
 }
 
 /// The scenario reports which backend it runs on — the knob CI's gated
@@ -257,7 +286,7 @@ fn wire_backend_is_reported() {
         let os = Scenario::enterprise(1, UseCase::Nop)
             .seed(0xb1_08)
             .async_ingress(true)
-            .os_transport(true)
+            .transport(TransportKind::OsSocket)
             .build_sharded(1)
             .unwrap();
         assert_eq!(os.wire_backend(), "os-socket");

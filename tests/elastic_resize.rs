@@ -35,7 +35,22 @@ use endbox::use_cases::UseCase;
 use endbox_netsim::net::VirtualWire;
 use endbox_netsim::Packet;
 use endbox_vpn::proto::{Opcode, Record};
-use support::{assert_schedule_parity_elastic, simplify, split_raw, Out, PeerMap, Schedule, Step};
+use support::{
+    assert_parity, eager_load_aware, full_grid, policies, run, run_single, simplify, split_raw,
+    Out, PeerMap, RunCfg, Schedule, Step,
+};
+
+/// Every **starting** `(rx_shards, workers)` of the full grid through both
+/// doorways: the call-driven `receive_datagrams` path (the two pinned
+/// policies) and the event-driven front-end (the same two plus the
+/// self-tuning controller, which owns the policy — there a resize
+/// additionally rebuilds the poll groups around the live sockets).
+fn assert_parity_elastic(schedule: &Schedule) {
+    let mut cfgs = policies().map(RunCfg::call).to_vec();
+    cfgs.extend(policies().map(|policy| RunCfg::event_loop(Some(policy))));
+    cfgs.push(RunCfg::event_loop(None));
+    assert_parity(schedule, &full_grid(), &cfgs);
+}
 
 /// A grow fired while a four-client flood is mid-flight: datagrams from
 /// every client are already buffered when the pool doubles, so the whole
@@ -69,7 +84,7 @@ fn schedule_grow_mid_flood() {
             n_packets: 4,
         })
         .step(Step::Single { client: 3 });
-    assert_schedule_parity_elastic(&schedule);
+    assert_parity_elastic(&schedule);
 }
 
 /// A shrink retires the shard holding an in-flight partial record: the
@@ -108,7 +123,7 @@ fn schedule_shrink_straddles_partial() {
         .step(Step::Replay)
         .step(Step::Resize { rx: 4, workers: 4 })
         .step(Step::Single { client: 1 });
-    assert_schedule_parity_elastic(&schedule);
+    assert_parity_elastic(&schedule);
 }
 
 /// A resize races a crafted `Disconnect`: the teardown is buffered but
@@ -148,7 +163,7 @@ fn schedule_resize_races_disconnect() {
         })
         .step(Step::Resize { rx: 1, workers: 4 })
         .step(Step::Single { client: 0 });
-    assert_schedule_parity_elastic(&schedule);
+    assert_parity_elastic(&schedule);
 }
 
 /// Back-to-back grow+shrink pairs with no traffic between them, under
@@ -178,7 +193,7 @@ fn schedule_back_to_back_grow_shrink() {
         .step(Step::Resize { rx: 4, workers: 2 })
         .step(Step::Replay)
         .step(Step::Single { client: 0 });
-    assert_schedule_parity_elastic(&schedule);
+    assert_parity_elastic(&schedule);
 }
 
 /// Seals `n` single-packet records from `client` and ships them onto the
@@ -237,6 +252,21 @@ fn rehome_peer_rejects_stale_group_index() {
     // A caller holding an index from before a shrink: only groups 0..2
     // are live, so 5 must be rejected, not wrapped to 5 % 2 == 1.
     fe.rehome_peer(7, 5);
+}
+
+/// The RX half of the same relocation rejects the same stale index the
+/// same way (it used to wrap it to `5 % 2 == 1`, leaving the peer's
+/// reassembly state on a shard its socket's poll group does not feed).
+#[test]
+#[should_panic(expected = "is not live")]
+fn remap_rx_peer_rejects_stale_shard_index() {
+    let mut scenario = Scenario::enterprise(1, UseCase::Nop)
+        .seed(0xe1c1)
+        .rx_shards(4)
+        .build_sharded(1)
+        .unwrap();
+    scenario.resize_rx_shards(2);
+    scenario.server.remap_rx_peer(0, 5);
 }
 
 /// A shrink with a record head in flight, against a twin scenario that
@@ -410,7 +440,6 @@ fn elastic_law_grows_under_flood_and_shrinks_when_idle() {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use support::{eager_load_aware, run_async, run_sharded_elastic, run_single};
 
     /// Decodes index tuples into a schedule mixing every existing step
     /// class with [`Step::Resize`] (kind 8): grows and shrinks land at
@@ -488,7 +517,7 @@ mod proptests {
             let reference = run_single(&schedule);
             for policy in [eager_load_aware(), endbox_vpn::shard::DispatchPolicy::Static] {
                 for &(rx, workers) in &[(1usize, 1usize), (2, 4), (4, 8)] {
-                    let (outs, stats) = run_sharded_elastic(&schedule, rx, workers, policy);
+                    let (outs, stats) = run(&schedule, (rx, workers), &RunCfg::call(policy));
                     prop_assert_eq!(
                         &outs, &reference,
                         "call-driven divergence at rx={} workers={} policy={:?}",
@@ -505,7 +534,8 @@ mod proptests {
                     if resizes == 0 {
                         prop_assert_eq!(stats, ResizeStats::default());
                     }
-                    let outs = run_async(&schedule, rx, workers, policy);
+                    let cfg = RunCfg::event_loop(Some(policy));
+                    let (outs, _) = run(&schedule, (rx, workers), &cfg);
                     prop_assert_eq!(
                         &outs, &reference,
                         "event-driven divergence at rx={} workers={} policy={:?}",

@@ -19,9 +19,13 @@ use endbox::server::Delivery;
 use endbox::use_cases::UseCase;
 use endbox_netsim::Packet;
 use support::{
-    assert_schedule_parity, assert_schedule_parity_on, simplify, split_raw, Out, PeerMap, Schedule,
-    Step,
+    assert_parity, full_grid, policies, simplify, split_raw, Out, PeerMap, RunCfg, Schedule, Step,
 };
+
+/// `grid` × both pinned policies through direct `receive_datagrams` calls.
+fn assert_parity_call(schedule: &Schedule, grid: &[(usize, usize)]) {
+    assert_parity(schedule, grid, &policies().map(RunCfg::call));
+}
 
 /// A successful Disconnect pauses only its owning RX shard; stalling that
 /// shard makes every other shard's events reach the re-merge first, so
@@ -47,7 +51,7 @@ fn rx_schedule_disconnect_races_slow_owning_shard() {
         .step(Step::Single { client: 1 })
         .step(Step::Flush)
         .step(Step::Single { client: 1 });
-    assert_schedule_parity(&schedule);
+    assert_parity_call(&schedule, &full_grid());
 }
 
 /// The mirror image: the *sibling* shard is slow, so the Disconnect
@@ -69,7 +73,7 @@ fn rx_schedule_disconnect_with_slow_sibling_shard() {
             splits: vec![1], // 1-byte first fragment
         })
         .step(Step::Ping { client: 2 });
-    assert_schedule_parity(&schedule);
+    assert_parity_call(&schedule, &full_grid());
 }
 
 /// All peers collide on RX shard 0 via chosen `peer_id`s (stride 4 is
@@ -93,7 +97,7 @@ fn rx_schedule_all_peers_collide_on_one_shard() {
         .step(Step::Flush)
         .step(Step::Ping { client: 1 })
         .step(Step::Single { client: 1 });
-    assert_schedule_parity(&schedule);
+    assert_parity_call(&schedule, &full_grid());
 }
 
 /// A split record's tail straddles both a `Flush` boundary and the
@@ -128,7 +132,7 @@ fn rx_schedule_split_straddles_dispatch_and_flush_boundaries() {
             hi: 4,
         })
         .step(Step::Single { client: 1 });
-    assert_schedule_parity(&schedule);
+    assert_parity_call(&schedule, &full_grid());
 }
 
 /// Interleaved tiny datagrams: every record of every peer is split to
@@ -151,7 +155,7 @@ fn rx_schedule_interleaved_tiny_datagrams() {
             schedule = schedule.step(Step::Flush);
         }
     }
-    assert_schedule_parity(&schedule);
+    assert_parity_call(&schedule, &full_grid());
 }
 
 mod proptests {
@@ -211,7 +215,7 @@ mod proptests {
             raw in prop::collection::vec((0usize..8, 0usize..4, 0usize..8), 3..9),
         ) {
             let schedule = to_schedule(&raw, n_clients, collide, seed);
-            assert_schedule_parity(&schedule);
+            assert_parity_call(&schedule, &full_grid());
         }
     }
 
@@ -528,5 +532,5 @@ fn rx_schedule_kitchen_sink_on_reduced_grid() {
             client: 2,
             n_packets: 2,
         });
-    assert_schedule_parity_on(&schedule, &[(1, 1), (2, 8), (4, 2), (4, 4)]);
+    assert_parity_call(&schedule, &[(1, 1), (2, 8), (4, 2), (4, 4)]);
 }

@@ -503,7 +503,7 @@ mod proptests {
     /// grid.
     mod adversarial {
         use super::*;
-        use support::{assert_schedule_parity, PeerMap, Schedule, Step};
+        use support::{assert_parity, full_grid, policies, PeerMap, RunCfg, Schedule, Step};
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(3))]
@@ -527,7 +527,7 @@ mod proptests {
                         _ => Step::Flush,
                     });
                 }
-                assert_schedule_parity(&schedule);
+                assert_parity(&schedule, &full_grid(), &policies().map(RunCfg::call));
             }
 
             /// A single peer floods the server (deep batches, splits,
@@ -553,7 +553,7 @@ mod proptests {
                         _ => Step::Flush,
                     });
                 }
-                assert_schedule_parity(&schedule);
+                assert_parity(&schedule, &full_grid(), &policies().map(RunCfg::call));
             }
 
             /// Interleaved tiny datagrams: every peer's records split
@@ -578,7 +578,7 @@ mod proptests {
                         schedule = schedule.step(Step::Flush);
                     }
                 }
-                assert_schedule_parity(&schedule);
+                assert_parity(&schedule, &full_grid(), &policies().map(RunCfg::call));
             }
         }
     }

@@ -8,25 +8,26 @@
 //! splits inside record headers), and which RX shards are artificially
 //! stalled so their events reach the front-end re-merge late.
 //!
-//! [`assert_schedule_parity`] replays the schedule through the
-//! single-threaded reference server and through the sharded server for
-//! every `(rx_shards, workers, dispatch policy)` in the grid, asserting
-//! byte-identical outcomes; [`assert_schedule_parity_async`] does the
-//! same through the **event-driven** socket front-end
-//! (`ScenarioBuilder::async_ingress`), where a [`Step::Flush`] becomes a
-//! poll-round boundary instead of a `receive_datagrams` batch boundary.
-//! Because the sharded server re-merges by input index (and the event
-//! loop re-merges drained datagrams by wire arrival stamp), the
+//! [`run_single`] replays a schedule through the single-threaded
+//! reference server; [`run`] replays it through the sharded server at one
+//! `(rx_shards, workers)` grid point, configured by a [`RunCfg`]: which
+//! doorway (direct `receive_datagrams` calls, or the **event-driven**
+//! socket front-end, where a [`Step::Flush`] becomes a poll-round
+//! boundary instead of a batch boundary), which dispatch policy — or
+//! `None` for the whole **self-tuning control plane**
+//! (`ScenarioBuilder::adaptive_control`) — which `recv_many` bulk size
+//! and which wire backend. [`assert_parity`] asserts byte-identical
+//! outcomes between the two for every grid point × configuration it is
+//! given. Because the sharded server re-merges by input index (and the
+//! event loop re-merges drained datagrams by wire arrival stamp), the
 //! assertions hold for *every* thread schedule — the stalls only force
 //! the adversarial arrival orders to actually occur, so each
 //! interleaving class is a reproducible named test instead of a timing
-//! accident. [`assert_schedule_parity_adaptive`] replays a schedule with
-//! the whole **self-tuning control plane** live
-//! (`ScenarioBuilder::adaptive_control`), where [`Step::Remap`] steps
-//! additionally fire manual peer re-homes at exact schedule positions.
+//! accident. [`Step::Remap`] and [`Step::Resize`] steps additionally fire
+//! manual peer re-homes and pool resizes at exact schedule positions.
 
 use endbox::scenario::{Scenario, ShardedScenario};
-use endbox::server::Delivery;
+use endbox::server::{Delivery, ResizeStats};
 use endbox::use_cases::UseCase;
 use endbox::{EndBoxClient, EndBoxError};
 use endbox_netsim::net::TransportKind;
@@ -52,6 +53,96 @@ pub fn eager_load_aware() -> DispatchPolicy {
 /// The dispatch policies the grid covers.
 pub fn policies() -> [DispatchPolicy; 2] {
     [DispatchPolicy::Static, eager_load_aware()]
+}
+
+/// Every `(rx_shards, workers)` point of [`RX_GRID`] × [`WORKER_GRID`].
+pub fn full_grid() -> Vec<(usize, usize)> {
+    RX_GRID
+        .iter()
+        .flat_map(|&rx| WORKER_GRID.iter().map(move |&w| (rx, w)))
+        .collect()
+}
+
+/// Ingress `recv_many` bulk sizes the bulk parity grid covers: the
+/// per-datagram transport shape (1), a tiny bulk that forces call
+/// boundaries mid-queue (2), and the production default (32).
+pub const BULK_GRID: [usize; 3] = [1, 2, 32];
+
+/// How datagrams enter the sharded server.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Doorway {
+    /// Datagrams accumulate until a [`Step::Flush`] (or the end), then go
+    /// through the server as one pipelined `receive_datagrams` dispatch.
+    Call,
+    /// `ScenarioBuilder::async_ingress`: the accumulated datagrams ride
+    /// the wire into the per-peer server sockets — one `send` per
+    /// datagram, in input order, so the wire stamps reproduce the exact
+    /// interleaving — and the event loop drains them through the
+    /// pipelined dispatch. With the default (generous) shard budget
+    /// everything drains in one poll round per flush segment, so the flat
+    /// output sequence is comparable 1:1 with the reference.
+    EventLoop,
+}
+
+/// One way of running a schedule through the sharded server.
+#[derive(Debug, Clone, Copy)]
+pub struct RunCfg {
+    pub doorway: Doorway,
+    /// `Some(policy)` pins a static configuration; `None` turns the
+    /// self-tuning control plane on (`ScenarioBuilder::adaptive_control`:
+    /// closed-loop budgets with token buckets, the autonomous hot-peer
+    /// remap law, `DispatchPolicy::Adaptive` migration and stealing) —
+    /// the controller owns the policy. Event loop only.
+    pub control: Option<DispatchPolicy>,
+    /// Ingress `recv_many` bulk size (`1` = the per-datagram transport
+    /// shape); `None` leaves the production default. Event loop only.
+    pub recv_bulk: Option<usize>,
+    /// The wire backend behind the sockets. Event loop only. Over
+    /// [`TransportKind::OsSocket`] the schedule rides real loopback UDP
+    /// (only where `OsWire::available`), and the controller sees
+    /// `pending()` as 0/1 per socket, not a queue depth.
+    pub transport: TransportKind,
+}
+
+impl RunCfg {
+    /// Direct `receive_datagrams` calls under a pinned `policy`.
+    pub fn call(policy: DispatchPolicy) -> RunCfg {
+        RunCfg {
+            doorway: Doorway::Call,
+            ..RunCfg::event_loop(Some(policy))
+        }
+    }
+
+    /// The event loop over the virtual wire at the default bulk size.
+    pub fn event_loop(control: Option<DispatchPolicy>) -> RunCfg {
+        RunCfg {
+            doorway: Doorway::EventLoop,
+            control,
+            recv_bulk: None,
+            transport: TransportKind::Virtual,
+        }
+    }
+
+    pub fn bulk(self, recv_bulk: usize) -> RunCfg {
+        RunCfg {
+            recv_bulk: Some(recv_bulk),
+            ..self
+        }
+    }
+
+    pub fn transport(self, transport: TransportKind) -> RunCfg {
+        RunCfg { transport, ..self }
+    }
+
+    /// [`policies`] × [`BULK_GRID`] through the event loop over
+    /// `transport`.
+    pub fn bulk_grid(transport: TransportKind) -> Vec<RunCfg> {
+        policies()
+            .into_iter()
+            .flat_map(|policy| BULK_GRID.map(|bulk| RunCfg::event_loop(Some(policy)).bulk(bulk)))
+            .map(|cfg| cfg.transport(transport))
+            .collect()
+    }
 }
 
 /// How client indices map to wire-level `peer_id`s.
@@ -383,258 +474,28 @@ pub fn run_single(schedule: &Schedule) -> Vec<Out> {
     outs
 }
 
-/// Replays the schedule through a sharded scenario: datagrams accumulate
-/// until a [`Step::Flush`] (or the end), then go through the server as
-/// one pipelined `receive_datagrams` dispatch.
-pub fn run_sharded(
+/// Replays the schedule through a sharded scenario with `rx_shards` RX
+/// shards and `workers` workers as `cfg` describes, returning the
+/// outcomes and the server's [`ResizeStats`] after the replay (so tests
+/// can reconcile the resize counters against the schedule that drove
+/// them).
+pub fn run(
     schedule: &Schedule,
-    rx_shards: usize,
-    workers: usize,
-    policy: DispatchPolicy,
-) -> Vec<Out> {
-    run_sharded_elastic(schedule, rx_shards, workers, policy).0
-}
-
-/// Like [`run_sharded`], but also returns the server's [`ResizeStats`]
-/// after the replay, so property tests can reconcile the resize counters
-/// against the schedule that drove them (e.g. grows + shrinks never
-/// exceed the number of [`Step::Resize`] steps, and a schedule without
-/// resizes leaves the stats at zero).
-///
-/// [`ResizeStats`]: endbox::server::ResizeStats
-pub fn run_sharded_elastic(
-    schedule: &Schedule,
-    rx_shards: usize,
-    workers: usize,
-    policy: DispatchPolicy,
-) -> (Vec<Out>, endbox::server::ResizeStats) {
-    let mut scenario: ShardedScenario = Scenario::enterprise(schedule.n_clients, UseCase::Nop)
-        .seed(schedule.seed)
-        .dispatch(policy)
-        .rx_shards(rx_shards)
-        .build_sharded(workers)
-        .unwrap();
-    for &(shard, micros) in &schedule.stalls {
-        if shard < rx_shards {
-            scenario.server.set_rx_stall_micros(shard, micros);
-        }
-    }
-    let session_ids: Vec<u64> = (0..schedule.n_clients)
-        .map(|i| scenario.session_id(i))
-        .collect();
-    let mut outs = Vec::new();
-    let mut prev: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut segment: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut craft_seq = 0u32;
-    for (round, step) in schedule.steps.iter().enumerate() {
-        if matches!(step, Step::Flush) {
-            outs.extend(
-                scenario
-                    .server
-                    .receive_datagrams(std::mem::take(&mut segment))
-                    .into_iter()
-                    .map(simplify),
-            );
-            continue;
-        }
-        if let Step::Resize { rx, workers } = step {
-            // Between receive batches by construction (the segment has
-            // not been dispatched yet), so the resize's quiescence
-            // requirement holds; the buffered segment then rides through
-            // the *resized* server.
-            scenario.resize_rx_shards((*rx).clamp(1, 8));
-            scenario.resize_workers((*workers).clamp(1, 8));
-            continue;
-        }
-        let datagrams = seal_step(
-            &mut scenario.clients,
-            &session_ids,
-            schedule.peers,
-            step,
-            round,
-            &prev,
-            &mut craft_seq,
-        );
-        segment.extend(datagrams.iter().cloned());
-        if !datagrams.is_empty() {
-            prev = datagrams;
-        }
-    }
-    outs.extend(
-        scenario
-            .server
-            .receive_datagrams(segment)
-            .into_iter()
-            .map(simplify),
-    );
-    let stats = scenario.resize_stats();
-    (outs, stats)
-}
-
-/// Replays the schedule through an **event-driven** sharded scenario
-/// ([`ScenarioBuilder::async_ingress`]): datagrams accumulate until a
-/// [`Step::Flush`] (or the end), then ride the virtual wire into the
-/// per-peer server sockets — one `send` per datagram, in input order, so
-/// the wire stamps reproduce the exact interleaving — and one
-/// run-until-idle event loop drains them through the pipelined dispatch.
-///
-/// With the default (generous) shard budget everything drains in one
-/// poll round per flush segment, so the event loop re-merges the drained
-/// datagrams into exact wire order and the flat output sequence is
-/// comparable 1:1 with the single-threaded reference.
-pub fn run_async(
-    schedule: &Schedule,
-    rx_shards: usize,
-    workers: usize,
-    policy: DispatchPolicy,
-) -> Vec<Out> {
-    run_async_configured(
-        schedule,
-        rx_shards,
-        workers,
-        Some(policy),
-        None,
-        TransportKind::Virtual,
-    )
-}
-
-/// [`run_async`] with the whole **self-tuning control plane** live
-/// ([`ScenarioBuilder::adaptive_control`]): closed-loop per-shard
-/// budgets with per-socket token buckets, the autonomous hot-peer remap
-/// law, [`DispatchPolicy::Adaptive`] rate-derived migration and
-/// idle-worker stealing. There is no policy parameter — the controller
-/// owns the policy; that is the configuration under test. [`Step::Remap`]
-/// steps additionally fire the manual remap hook at their exact schedule
-/// position, racing re-homes against whatever the schedule interleaves
-/// them with.
-///
-/// [`ScenarioBuilder::adaptive_control`]: endbox::scenario::ScenarioBuilder::adaptive_control
-pub fn run_async_adaptive(schedule: &Schedule, rx_shards: usize, workers: usize) -> Vec<Out> {
-    run_async_configured(
-        schedule,
-        rx_shards,
-        workers,
-        None,
-        None,
-        TransportKind::Virtual,
-    )
-}
-
-/// [`run_async_adaptive`] with an explicit ingress `recv_many` bulk
-/// size, so the controller-on grid also covers the bulk axis: the
-/// closed-loop budgets must not depend on how many datagrams each
-/// transport call returns.
-pub fn run_async_adaptive_bulk(
-    schedule: &Schedule,
-    rx_shards: usize,
-    workers: usize,
-    recv_bulk: usize,
-) -> Vec<Out> {
-    run_async_configured(
-        schedule,
-        rx_shards,
-        workers,
-        None,
-        Some(recv_bulk),
-        TransportKind::Virtual,
-    )
-}
-
-/// [`run_async`] with an explicit ingress `recv_many` bulk size (`1` =
-/// the per-datagram transport shape; the default is the production bulk
-/// of `DEFAULT_DRAIN_QUOTA`). Outcomes must not depend on the setting —
-/// that is the invariant the bulk parity grid pins.
-pub fn run_async_bulk(
-    schedule: &Schedule,
-    rx_shards: usize,
-    workers: usize,
-    policy: DispatchPolicy,
-    recv_bulk: usize,
-) -> Vec<Out> {
-    run_async_configured(
-        schedule,
-        rx_shards,
-        workers,
-        Some(policy),
-        Some(recv_bulk),
-        TransportKind::Virtual,
-    )
-}
-
-/// [`run_async_bulk`] over the **OS-socket** backend: the same schedule
-/// rides real loopback UDP sockets (wire stamps survive the kernel
-/// round-trip in the OS wire header), so the outcomes must still be
-/// byte-identical to the single-threaded reference. `policy: None`
-/// runs the self-tuning control plane instead of a pinned policy, as in
-/// [`run_async_adaptive`] — over this backend the controller sees
-/// `pending()` as 0/1 per socket, not a queue depth. Only call when
-/// [`endbox_netsim::net::OsWire::available`].
-pub fn run_async_os(
-    schedule: &Schedule,
-    rx_shards: usize,
-    workers: usize,
-    policy: Option<DispatchPolicy>,
-    recv_bulk: usize,
-) -> Vec<Out> {
-    run_async_configured(
-        schedule,
-        rx_shards,
-        workers,
-        policy,
-        Some(recv_bulk),
-        TransportKind::OsSocket,
-    )
-}
-
-/// [`run_async_bulk`] over an arbitrary wire backend
-/// ([`ScenarioBuilder::transport`]): the same schedule rides the chosen
-/// transport — SQ/CQ descriptor rings for [`TransportKind::Ring`],
-/// zero-copy frame descriptors for [`TransportKind::XdpFrame`] — and
-/// the outcomes must still be byte-identical to the single-threaded
-/// reference.
-///
-/// [`ScenarioBuilder::transport`]: endbox::scenario::ScenarioBuilder::transport
-pub fn run_async_backend(
-    schedule: &Schedule,
-    rx_shards: usize,
-    workers: usize,
-    policy: DispatchPolicy,
-    recv_bulk: usize,
-    kind: TransportKind,
-) -> Vec<Out> {
-    run_async_configured(
-        schedule,
-        rx_shards,
-        workers,
-        Some(policy),
-        Some(recv_bulk),
-        kind,
-    )
-}
-
-/// `policy: None` selects the self-tuning control plane
-/// (`ScenarioBuilder::adaptive_control` — the controller owns the
-/// dispatch policy); `Some(policy)` pins the classic static
-/// configuration.
-fn run_async_configured(
-    schedule: &Schedule,
-    rx_shards: usize,
-    workers: usize,
-    policy: Option<DispatchPolicy>,
-    recv_bulk: Option<usize>,
-    transport: TransportKind,
-) -> Vec<Out> {
+    (rx_shards, workers): (usize, usize),
+    cfg: &RunCfg,
+) -> (Vec<Out>, ResizeStats) {
+    let event_loop = cfg.doorway == Doorway::EventLoop;
     let builder = Scenario::enterprise(schedule.n_clients, UseCase::Nop)
         .seed(schedule.seed)
         .rx_shards(rx_shards)
-        .async_ingress(true)
-        .transport(transport);
-    let builder = match policy {
+        .async_ingress(event_loop)
+        .transport(cfg.transport);
+    let builder = match cfg.control {
         Some(policy) => builder.dispatch(policy),
         None => builder.adaptive_control(true),
     };
     let mut scenario: ShardedScenario = builder.build_sharded(workers).unwrap();
-    if let Some(bulk) = recv_bulk {
+    if let Some(bulk) = cfg.recv_bulk {
         scenario.set_recv_bulk(bulk);
     }
     for &(shard, micros) in &schedule.stalls {
@@ -650,337 +511,98 @@ fn run_async_configured(
     let mut segment: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut craft_seq = 0u32;
     let mut sent_total = 0usize;
-    // Every datagram yields exactly one outcome, so after a flush the
-    // loop pumps until the output count catches up with the send count —
-    // immediate on the virtual wire, a bounded wait for the kernel to
-    // deliver on the OS backend.
-    let flush = |scenario: &mut ShardedScenario,
-                 segment: &mut Vec<(u64, Vec<u8>)>,
-                 outs: &mut Vec<Out>,
-                 sent_total: &mut usize| {
-        *sent_total += segment.len();
-        for (peer, d) in segment.drain(..) {
-            scenario.send_wire_datagrams(peer, vec![d]);
-        }
-        let mut spins = 0;
-        loop {
-            outs.extend(
-                scenario
-                    .pump_async()
-                    .into_iter()
-                    .map(|(_, result)| simplify(result)),
-            );
-            if outs.len() >= *sent_total {
-                break;
+    let mut flush =
+        |scenario: &mut ShardedScenario, segment: &mut Vec<(u64, Vec<u8>)>, outs: &mut Vec<Out>| {
+            if !event_loop {
+                let results = scenario.server.receive_datagrams(std::mem::take(segment));
+                outs.extend(results.into_iter().map(simplify));
+                return;
             }
-            spins += 1;
-            assert!(
-                spins < 100_000,
-                "wire lost datagrams: {} of {}",
-                outs.len(),
-                *sent_total
-            );
-            std::thread::yield_now();
-        }
-    };
-    for (round, step) in schedule.steps.iter().enumerate() {
-        if matches!(step, Step::Flush) {
-            flush(&mut scenario, &mut segment, &mut outs, &mut sent_total);
-            continue;
-        }
-        if let Step::Remap { client, to } = step {
-            // Socket registration is lazy on first send; an empty send
-            // forces it so a schedule may re-home a peer that has not
-            // produced traffic yet. Datagrams still buffered in
-            // `segment` are deliberately NOT flushed first: they arrive
-            // *after* the re-home, which is one of the races the remap
-            // schedules pin.
-            let peer = schedule.peers.peer(*client);
-            scenario.send_wire_datagrams(peer, Vec::new());
-            scenario.remap_peer(peer, to % rx_shards);
-            continue;
-        }
-        if let Step::Resize { rx, workers } = step {
-            // Like Remap: buffered datagrams are deliberately NOT
-            // flushed first — they ride sockets registered before the
-            // rehash and arrive after it, which is exactly the
-            // resize-races-buffered-traffic class these schedules pin.
-            scenario.resize_rx_shards((*rx).clamp(1, 8));
-            scenario.resize_workers((*workers).clamp(1, 8));
-            continue;
-        }
-        let datagrams = seal_step(
-            &mut scenario.clients,
-            &session_ids,
-            schedule.peers,
-            step,
-            round,
-            &prev,
-            &mut craft_seq,
-        );
-        segment.extend(datagrams.iter().cloned());
-        if !datagrams.is_empty() {
-            prev = datagrams;
-        }
-    }
-    flush(&mut scenario, &mut segment, &mut outs, &mut sent_total);
-    outs
-}
-
-/// Asserts byte-identical outcomes between the single-threaded reference
-/// and the **event-driven** front-end for every
-/// `(rx_shards, workers, policy)` in the grid.
-pub fn assert_schedule_parity_async(schedule: &Schedule) {
-    let grid: Vec<(usize, usize)> = RX_GRID
-        .iter()
-        .flat_map(|&rx| WORKER_GRID.iter().map(move |&w| (rx, w)))
-        .collect();
-    assert_schedule_parity_async_on(schedule, &grid);
-}
-
-/// Like [`assert_schedule_parity_async`], but over a caller-chosen
-/// sub-grid.
-pub fn assert_schedule_parity_async_on(schedule: &Schedule, grid: &[(usize, usize)]) {
-    let reference = run_single(schedule);
-    for policy in policies() {
-        for &(rx, workers) in grid {
-            let got = run_async(schedule, rx, workers, policy);
-            assert_eq!(
-                got, reference,
-                "schedule `{}` diverged from the single-threaded server through the \
-                 event-driven front-end at rx_shards={rx} workers={workers} policy={policy:?}",
-                schedule.name
-            );
-        }
-    }
-}
-
-/// Asserts byte-identical outcomes between the single-threaded reference
-/// and the event-driven front-end with the **self-tuning control plane**
-/// live, for every `(rx_shards, workers, bulk)` in the grid ×
-/// [`BULK_GRID`] (no policy axis — the controller owns the policy).
-/// Adaptive budgets, token buckets,
-/// the autonomous remap law and idle-worker stealing are all armed
-/// while the schedule replays; any [`Step::Remap`] steps fire the
-/// manual re-home hook at their exact position. The claim under test:
-/// every controller decision lands at a round boundary, so outcomes
-/// never move — only scheduling does.
-pub fn assert_schedule_parity_adaptive(schedule: &Schedule) {
-    let grid: Vec<(usize, usize)> = RX_GRID
-        .iter()
-        .flat_map(|&rx| WORKER_GRID.iter().map(move |&w| (rx, w)))
-        .collect();
-    assert_schedule_parity_adaptive_on(schedule, &grid);
-}
-
-/// Like [`assert_schedule_parity_adaptive`], but over a caller-chosen
-/// sub-grid. Every `(rx, workers)` point additionally sweeps the
-/// ingress `recv_many` bulk axis ([`BULK_GRID`]) — the budget
-/// controller sits *above* the transport drain, so the bulk shape must
-/// not leak into outcomes either.
-pub fn assert_schedule_parity_adaptive_on(schedule: &Schedule, grid: &[(usize, usize)]) {
-    let reference = run_single(schedule);
-    for &(rx, workers) in grid {
-        for bulk in BULK_GRID {
-            let got = run_async_adaptive_bulk(schedule, rx, workers, bulk);
-            assert_eq!(
-                got, reference,
-                "schedule `{}` diverged from the single-threaded server under the \
-                 self-tuning control plane at rx_shards={rx} workers={workers} bulk={bulk}",
-                schedule.name
-            );
-        }
-    }
-}
-
-/// The dispatch-policy axis of the elastic resize grid: the two static
-/// configurations plus the self-tuning controller (`None` — the
-/// controller owns the policy, including the resize law's worker
-/// placement).
-pub fn elastic_policies() -> [Option<DispatchPolicy>; 3] {
-    [Some(DispatchPolicy::Static), Some(eager_load_aware()), None]
-}
-
-/// Asserts byte-identical outcomes between the single-threaded reference
-/// and the resizing sharded server for every **starting**
-/// `(rx_shards, workers)` in the full grid × {Static, LoadAware,
-/// Adaptive}. Schedules are expected to carry [`Step::Resize`] steps —
-/// the grid point is only the starting geometry; the schedule moves it.
-/// Every point replays through both doorways: the call-driven
-/// `receive_datagrams` path (static policies) and the event-driven
-/// front-end (all three policies — there a resize additionally rebuilds
-/// the poll groups around the live sockets).
-pub fn assert_schedule_parity_elastic(schedule: &Schedule) {
-    let grid: Vec<(usize, usize)> = RX_GRID
-        .iter()
-        .flat_map(|&rx| WORKER_GRID.iter().map(move |&w| (rx, w)))
-        .collect();
-    assert_schedule_parity_elastic_on(schedule, &grid);
-}
-
-/// Like [`assert_schedule_parity_elastic`], but over a caller-chosen
-/// sub-grid of starting `(rx_shards, workers)` points.
-pub fn assert_schedule_parity_elastic_on(schedule: &Schedule, grid: &[(usize, usize)]) {
-    let reference = run_single(schedule);
-    for policy in elastic_policies() {
-        for &(rx, workers) in grid {
-            if let Some(policy) = policy {
-                let got = run_sharded(schedule, rx, workers, policy);
-                assert_eq!(
-                    got, reference,
-                    "schedule `{}` diverged from the single-threaded server across a \
-                     call-driven resize at rx_shards={rx} workers={workers} policy={policy:?}",
-                    schedule.name
+            // Every datagram yields exactly one outcome, so the loop
+            // pumps until the output count catches up with the send
+            // count — immediate on the virtual wire, a bounded wait for
+            // the kernel to deliver on the OS backend.
+            sent_total += segment.len();
+            for (peer, d) in segment.drain(..) {
+                scenario.send_wire_datagrams(peer, vec![d]);
+            }
+            let mut spins = 0;
+            loop {
+                outs.extend(
+                    scenario
+                        .pump_async()
+                        .into_iter()
+                        .map(|(_, result)| simplify(result)),
                 );
+                if outs.len() >= sent_total {
+                    break;
+                }
+                spins += 1;
+                assert!(
+                    spins < 100_000,
+                    "wire lost datagrams: {} of {sent_total}",
+                    outs.len(),
+                );
+                std::thread::yield_now();
             }
-            let got =
-                run_async_configured(schedule, rx, workers, policy, None, TransportKind::Virtual);
-            assert_eq!(
-                got, reference,
-                "schedule `{}` diverged from the single-threaded server across an \
-                 event-driven resize at rx_shards={rx} workers={workers} policy={policy:?}",
-                schedule.name
-            );
+        };
+    for (round, step) in schedule.steps.iter().enumerate() {
+        match step {
+            Step::Flush => flush(&mut scenario, &mut segment, &mut outs),
+            // Datagrams still buffered in `segment` are deliberately NOT
+            // flushed before a Remap or a Resize: they arrive *after*
+            // the relocation, which is one of the races these schedules
+            // pin. Between receive batches by construction, so the
+            // relocation's quiescence requirement holds.
+            Step::Remap { client, to } if event_loop => {
+                // Socket registration is lazy on first send; an empty
+                // send forces it so a schedule may re-home a peer that
+                // has not produced traffic yet.
+                let peer = schedule.peers.peer(*client);
+                scenario.send_wire_datagrams(peer, Vec::new());
+                scenario.remap_peer(peer, to % rx_shards);
+            }
+            Step::Resize { rx, workers } => {
+                scenario.resize_rx_shards((*rx).clamp(1, 8));
+                scenario.resize_workers((*workers).clamp(1, 8));
+            }
+            _ => {
+                let datagrams = seal_step(
+                    &mut scenario.clients,
+                    &session_ids,
+                    schedule.peers,
+                    step,
+                    round,
+                    &prev,
+                    &mut craft_seq,
+                );
+                segment.extend(datagrams.iter().cloned());
+                if !datagrams.is_empty() {
+                    prev = datagrams;
+                }
+            }
         }
     }
+    flush(&mut scenario, &mut segment, &mut outs);
+    (outs, scenario.resize_stats())
 }
 
 /// Asserts byte-identical outcomes between the single-threaded reference
-/// and the sharded server for every `(rx_shards, workers, policy)` in
-/// the grid.
-pub fn assert_schedule_parity(schedule: &Schedule) {
-    let grid: Vec<(usize, usize)> = RX_GRID
-        .iter()
-        .flat_map(|&rx| WORKER_GRID.iter().map(move |&w| (rx, w)))
-        .collect();
-    assert_schedule_parity_on(schedule, &grid);
-}
-
-/// Like [`assert_schedule_parity`], but over a caller-chosen sub-grid
-/// (proptest keeps case counts low; the named tests run the full grid).
-pub fn assert_schedule_parity_on(schedule: &Schedule, grid: &[(usize, usize)]) {
+/// and the sharded server for every `(rx_shards, workers)` in `grid` ×
+/// every configuration in `cfgs`. Where a schedule carries
+/// [`Step::Resize`] steps the grid point is only the *starting*
+/// geometry; the schedule moves it.
+pub fn assert_parity(schedule: &Schedule, grid: &[(usize, usize)], cfgs: &[RunCfg]) {
     let reference = run_single(schedule);
-    for policy in policies() {
-        for &(rx, workers) in grid {
-            let got = run_sharded(schedule, rx, workers, policy);
+    for cfg in cfgs {
+        for &point in grid {
+            let (got, _) = run(schedule, point, cfg);
             assert_eq!(
                 got, reference,
                 "schedule `{}` diverged from the single-threaded server at \
-                 rx_shards={rx} workers={workers} policy={policy:?}",
+                 (rx_shards, workers)={point:?} under {cfg:?}",
                 schedule.name
             );
-        }
-    }
-}
-
-/// Ingress `recv_many` bulk sizes the bulk parity grid covers: the
-/// per-datagram transport shape (1), a tiny bulk that forces call
-/// boundaries mid-queue (2), and the production default (32).
-pub const BULK_GRID: [usize; 3] = [1, 2, 32];
-
-/// Asserts byte-identical outcomes between the single-threaded reference
-/// and the event-driven front-end draining through bulk `recv_many`
-/// calls, for every `(rx_shards, workers, policy, bulk)` in the full
-/// grid × [`BULK_GRID`].
-pub fn assert_schedule_parity_bulk(schedule: &Schedule) {
-    let grid: Vec<(usize, usize)> = RX_GRID
-        .iter()
-        .flat_map(|&rx| WORKER_GRID.iter().map(move |&w| (rx, w)))
-        .collect();
-    assert_schedule_parity_bulk_on(schedule, &grid);
-}
-
-/// Like [`assert_schedule_parity_bulk`], but over a caller-chosen
-/// sub-grid of `(rx_shards, workers)` points.
-pub fn assert_schedule_parity_bulk_on(schedule: &Schedule, grid: &[(usize, usize)]) {
-    let reference = run_single(schedule);
-    for policy in policies() {
-        for &(rx, workers) in grid {
-            for bulk in BULK_GRID {
-                let got = run_async_bulk(schedule, rx, workers, policy, bulk);
-                assert_eq!(
-                    got, reference,
-                    "schedule `{}` diverged from the single-threaded server through \
-                     bulk recv_many ingress at rx_shards={rx} workers={workers} \
-                     policy={policy:?} bulk={bulk}",
-                    schedule.name
-                );
-            }
-        }
-    }
-}
-
-/// Asserts byte-identical outcomes between the single-threaded reference
-/// and the **OS-socket** backend (real loopback UDP) over `grid`, at
-/// both the per-datagram and the production bulk size, under pinned
-/// static dispatch and under the self-tuning controller. Skips (with a
-/// note) when the sandbox forbids loopback sockets — set
-/// `ENDBOX_REQUIRE_OS_SOCKET=1` to turn the skip into a failure.
-pub fn assert_schedule_parity_os(schedule: &Schedule, grid: &[(usize, usize)]) {
-    if !endbox_netsim::net::OsWire::available() {
-        if std::env::var("ENDBOX_REQUIRE_OS_SOCKET").as_deref() == Ok("1") {
-            panic!("ENDBOX_REQUIRE_OS_SOCKET=1 but loopback UDP is unavailable");
-        }
-        eprintln!(
-            "skipping OS-socket parity for `{}`: loopback UDP unavailable",
-            schedule.name
-        );
-        return;
-    }
-    let reference = run_single(schedule);
-    for &(rx, workers) in grid {
-        for policy in [Some(DispatchPolicy::Static), None] {
-            for bulk in [1usize, 32] {
-                let got = run_async_os(schedule, rx, workers, policy, bulk);
-                assert_eq!(
-                    got, reference,
-                    "schedule `{}` diverged from the single-threaded server over the \
-                     OS-socket backend at rx_shards={rx} workers={workers} bulk={bulk} \
-                     policy={policy:?} (None = controller)",
-                    schedule.name
-                );
-            }
-        }
-    }
-}
-
-/// Asserts byte-identical outcomes between the single-threaded reference
-/// and the event-driven front-end over the given wire backend, for every
-/// `(rx_shards, workers, policy, bulk)` in the full grid ×
-/// [`BULK_GRID`] — the kernel-bypass mirror of
-/// [`assert_schedule_parity_bulk`]. Unlike the OS backend, the ring and
-/// frame backends are in-process and always available, so there is no
-/// skip path.
-pub fn assert_schedule_parity_backend(schedule: &Schedule, kind: TransportKind) {
-    let grid: Vec<(usize, usize)> = RX_GRID
-        .iter()
-        .flat_map(|&rx| WORKER_GRID.iter().map(move |&w| (rx, w)))
-        .collect();
-    assert_schedule_parity_backend_on(schedule, &grid, kind);
-}
-
-/// Like [`assert_schedule_parity_backend`], but over a caller-chosen
-/// sub-grid of `(rx_shards, workers)` points.
-pub fn assert_schedule_parity_backend_on(
-    schedule: &Schedule,
-    grid: &[(usize, usize)],
-    kind: TransportKind,
-) {
-    let reference = run_single(schedule);
-    for policy in policies() {
-        for &(rx, workers) in grid {
-            for bulk in BULK_GRID {
-                let got = run_async_backend(schedule, rx, workers, policy, bulk, kind);
-                assert_eq!(
-                    got,
-                    reference,
-                    "schedule `{}` diverged from the single-threaded server over the \
-                     {} backend at rx_shards={rx} workers={workers} policy={policy:?} \
-                     bulk={bulk}",
-                    schedule.name,
-                    kind.name()
-                );
-            }
         }
     }
 }

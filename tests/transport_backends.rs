@@ -34,18 +34,20 @@ use endbox_netsim::net::{RingWire, ShortSendWire, Transport, TransportKind, Virt
 use endbox_netsim::Packet;
 use endbox_vpn::endpoint::FramedSender;
 use std::sync::Arc;
-use support::{
-    assert_schedule_parity_backend, assert_schedule_parity_backend_on, PeerMap, Schedule, Step,
-};
+use support::{assert_parity, full_grid, PeerMap, RunCfg, Schedule, Step};
 
 /// The two kernel-bypass backends under test.
 const BYPASS_BACKENDS: [TransportKind; 2] = [TransportKind::Ring, TransportKind::XdpFrame];
 
-/// Whether the full `(rx_shards, workers)` grid is required (CI sets
+/// The full `(rx_shards, workers)` grid where it is required (CI sets
 /// `ENDBOX_REQUIRE_RING=1`); the default sub-grid keeps local runs fast
 /// while still covering 1/2/4 RX shards and 2/4 workers.
-fn full_grid_required() -> bool {
-    std::env::var("ENDBOX_REQUIRE_RING").as_deref() == Ok("1")
+fn framing_grid() -> Vec<(usize, usize)> {
+    if std::env::var("ENDBOX_REQUIRE_RING").as_deref() == Ok("1") {
+        full_grid()
+    } else {
+        vec![(1, 2), (2, 4), (4, 2)]
+    }
 }
 
 /// Splits through the record header and 1-byte fragments, partial
@@ -90,29 +92,21 @@ fn adversarial_framing_schedule() -> Schedule {
 #[test]
 fn ring_backend_matches_reference_on_adversarial_framing() {
     let schedule = adversarial_framing_schedule();
-    if full_grid_required() {
-        assert_schedule_parity_backend(&schedule, TransportKind::Ring);
-    } else {
-        assert_schedule_parity_backend_on(
-            &schedule,
-            &[(1, 2), (2, 4), (4, 2)],
-            TransportKind::Ring,
-        );
-    }
+    assert_parity(
+        &schedule,
+        &framing_grid(),
+        &RunCfg::bulk_grid(TransportKind::Ring),
+    );
 }
 
 #[test]
 fn xdp_backend_matches_reference_on_adversarial_framing() {
     let schedule = adversarial_framing_schedule();
-    if full_grid_required() {
-        assert_schedule_parity_backend(&schedule, TransportKind::XdpFrame);
-    } else {
-        assert_schedule_parity_backend_on(
-            &schedule,
-            &[(1, 2), (2, 4), (4, 2)],
-            TransportKind::XdpFrame,
-        );
-    }
+    assert_parity(
+        &schedule,
+        &framing_grid(),
+        &RunCfg::bulk_grid(TransportKind::XdpFrame),
+    );
 }
 
 /// Deep per-socket queues with all peers colliding on RX shard 0
@@ -133,7 +127,7 @@ fn bypass_backends_survive_deep_queues_on_a_collided_shard() {
         }
     }
     for kind in BYPASS_BACKENDS {
-        assert_schedule_parity_backend_on(&schedule, &[(2, 4)], kind);
+        assert_parity(&schedule, &[(2, 4)], &RunCfg::bulk_grid(kind));
     }
 }
 
