@@ -28,7 +28,7 @@ use endbox::eval::{Table, ARTIFACTS, CLAIMS};
 use std::process::ExitCode;
 
 /// The catalogue: `(name, what it reproduces, runner)`.
-const EXPERIMENTS: [(&str, &str, fn()); 18] = [
+const EXPERIMENTS: [(&str, &str, fn()); 17] = [
     (
         "fig6_pageload",
         "Fig. 6: page-load time CDF with and without EndBox",
@@ -78,11 +78,6 @@ const EXPERIMENTS: [(&str, &str, fn()); 18] = [
         "syscall_batch",
         "bulk vs per-datagram socket I/O -> BENCH_wire.json",
         || artifact("wire"),
-    ),
-    (
-        "transport_backend",
-        "socket vs ring vs zero-copy frames -> BENCH_transport.json",
-        || artifact("transport"),
     ),
     (
         "adaptive_control",

@@ -16,7 +16,6 @@ use crate::use_cases::UseCase;
 use endbox_click::element::ElementEnv;
 use endbox_click::Router;
 use endbox_netsim::cost::{CostModel, CycleMeter};
-use endbox_netsim::net::TransportKind;
 use endbox_netsim::pipeline::PacketCharge;
 use endbox_netsim::traffic::benign_payload;
 use endbox_netsim::Packet;
@@ -165,8 +164,6 @@ pub struct MeasureSpec {
     pub zipf: bool,
     /// Ingress doorway.
     pub doorway: Doorway,
-    /// Wire backend under the event loop's sockets.
-    pub transport: TransportKind,
     /// Datagrams per bulk `recv_many` call of the event loop (`1` is the
     /// per-datagram transport shape).
     pub recv_bulk: usize,
@@ -188,7 +185,6 @@ impl MeasureSpec {
             per_peer: 1,
             zipf: false,
             doorway: Doorway::Call,
-            transport: TransportKind::Virtual,
             recv_bulk: DEFAULT_DRAIN_QUOTA,
             control: Control::default(),
         }
@@ -270,7 +266,6 @@ impl Stack {
         let mut builder = Scenario::enterprise(spec.peers, use_case)
             .trust(trust)
             .seed(0xbe9c)
-            .transport(spec.transport)
             .async_ingress(event_loop);
         if let Some(cfg) = &server_click {
             builder = builder.server_click(cfg);
@@ -402,14 +397,9 @@ impl Stack {
 /// meter, so the per-packet *total* is geometry-independent — sharding
 /// wins are modelled by the timing layer's lanes, fed by this charge.
 ///
-/// What moves with the wire backend, and nothing else: the server
-/// sockets are metered through that backend's
-/// [`endbox_netsim::net::WireEndpoint::cost_profile`], the RX-lane
-/// boundary share uses the same [`TransportKind::profile`], and backends
-/// with [`TransportKind::bypasses_kernel_rx`] shed the in-kernel receive
-/// share ([`CostModel::kernel_rx_per_fragment`], a strict part of
-/// `vpn_server_per_fragment`) from both the server total and the RX
-/// share, keeping `rx_cycles ⊆ server_cycles`.
+/// The event loop always runs over the deterministic in-process wire;
+/// its server sockets are metered at the `socket_*` constants, and the
+/// RX-lane share counts the same constants per drained datagram.
 ///
 /// # Panics
 ///
@@ -457,8 +447,8 @@ pub fn measure(spec: &MeasureSpec) -> Measured {
 
     let packets = (spec.samples * sizes.iter().sum::<usize>()) as u64;
     let cost = CostModel::calibrated();
-    let mut server_cycles = server_meter.take();
-    let mut framing_cycles = cost.vpn_server_per_fragment * datagrams as u64;
+    let server_cycles = server_meter.take();
+    let framing_cycles = cost.vpn_server_per_fragment * datagrams as u64;
     let mut boundary_cycles = 0;
     let (mut wakeups_per_datagram, mut datagrams_per_call) = (1.0, 1.0);
     let mut controller = ControllerStats::default();
@@ -469,16 +459,8 @@ pub fn measure(spec: &MeasureSpec) -> Measured {
         wakeups_per_datagram = (stats.wakeups - warm.wakeups) as f64 / drained.max(1) as f64;
         datagrams_per_call = drained as f64 / (stats.io_calls - warm.io_calls).max(1) as f64;
         controller = s.controller_stats();
-        let profile = spec.transport.profile(&cost);
-        boundary_cycles =
-            profile.recv_fixed * datagrams as u64 + (profile.per_byte * wire_bytes as f64) as u64;
-        if spec.transport.bypasses_kernel_rx() {
-            // kernel_rx_per_fragment < vpn_server_per_fragment is asserted
-            // in the cost model, so the framing share never underflows.
-            let shed = cost.kernel_rx_per_fragment * datagrams as u64;
-            server_cycles = server_cycles.saturating_sub(shed);
-            framing_cycles -= shed;
-        }
+        boundary_cycles = cost.socket_recv_fixed * datagrams as u64
+            + (cost.socket_per_byte * wire_bytes as f64) as u64;
     }
     let client_cycles: u64 = client_meters.iter().map(CycleMeter::take).sum();
     let charge = PacketCharge {

@@ -22,13 +22,12 @@ pub type Artifact = (&'static str, fn() -> Table);
 /// Every committed artifact. The runs are deterministic, so the
 /// committed files regenerate byte-identical (pinned by
 /// `tests/bench_golden.rs`).
-pub const ARTIFACTS: [Artifact; 9] = [
+pub const ARTIFACTS: [Artifact; 8] = [
     ("fig10", scalability::fig10_sharded),
     ("heavytail", scalability::heavy_tail),
     ("rx", scalability::rx_scaling),
     ("async", scalability::async_ingress),
     ("wire", scalability::syscall_batch),
-    ("transport", scalability::transport_backend),
     ("adaptive", scalability::adaptive_control),
     ("elastic", scalability::elastic_resize),
     ("nf", nf_catalogue::nf_catalogue),
@@ -71,7 +70,7 @@ const FIXED_RUNGS: &[&str] = &[
 /// The headline claims — the only place their thresholds are written.
 /// `exp check` and `tests/bench_golden.rs` evaluate every row on the
 /// regenerated tables; `docs/architecture.md` §7 lists the same rows.
-pub const CLAIMS: [Claim; 13] = [
+pub const CLAIMS: [Claim; 10] = [
     at_peak(
         "fig10",
         "4 worker shards over 1 at 60 clients (batched EndBox-SGX)",
@@ -101,24 +100,6 @@ pub const CLAIMS: [Claim; 13] = [
         "bulk-32 `recv_many` over per-datagram receives at 120 peers (small records)",
         gbps("bulk", "32", &["1"], true),
         1.5,
-    ),
-    at_peak(
-        "transport",
-        "ring backend over bulk-32 sockets at 120 peers (small records)",
-        gbps("backend", "ring", &["socket"], true),
-        1.3,
-    ),
-    at_peak(
-        "transport",
-        "zero-copy frame backend over bulk-32 sockets at 120 peers",
-        gbps("backend", "xdp-frame", &["socket"], true),
-        1.6,
-    ),
-    at_peak(
-        "transport",
-        "zero-copy frame backend over the ring backend at 120 peers",
-        gbps("backend", "xdp-frame", &["ring"], true),
-        1.0,
     ),
     Claim {
         artifact: "adaptive",

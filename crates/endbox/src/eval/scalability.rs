@@ -2,8 +2,7 @@
 //! of clients grows (200 Mbps offered per client, 1 500 B packets) — and
 //! the scaling experiments this repository adds on top: worker shards,
 //! load-aware dispatch, RX shards, the event-driven front-end, bulk socket
-//! I/O, transport backends, the self-tuning controller and online
-//! resizing.
+//! I/O, the self-tuning controller and online resizing.
 //!
 //! Every experiment is the same two steps: [`measure`] the per-packet
 //! charge of one real stack (the [`MeasureSpec`] says which), then
@@ -17,7 +16,6 @@ use super::throughput::DEFAULT_BATCH_SIZE;
 use crate::server::{DEFAULT_DRAIN_QUOTA, DEFAULT_SHARD_BUDGET};
 use crate::use_cases::UseCase;
 use endbox_netsim::cost::CostModel;
-use endbox_netsim::net::TransportKind;
 use endbox_netsim::pipeline::{
     run_scalability, AsyncFrontEndModel, PacketCharge, ScalabilityConfig, ScalabilityResult,
     SyscallBatchModel,
@@ -56,7 +54,7 @@ pub const RX_MIX_PER_CLIENT_BPS: u64 = 20_000_000;
 /// Peer counts of the small-record sweeps.
 const RX_MIX_CLIENTS: [usize; 6] = [20, 40, 60, 80, 100, 120];
 
-/// Peer counts of the two transport-boundary sweeps.
+/// Peer counts of the syscall-boundary sweep.
 const BOUNDARY_CLIENTS: [usize; 3] = [40, 80, 120];
 
 /// Bulk sizes swept by the syscall-batching comparison: `1` is the
@@ -64,12 +62,6 @@ const BOUNDARY_CLIENTS: [usize; 3] = [40, 80, 120];
 /// hand the kernel a `recvmmsg`-shaped vector of up to N datagrams per
 /// crossing.
 pub const WIRE_BULK_SIZES: [usize; 4] = [1, 8, 32, 128];
-
-/// Bulk size of the transport-backend comparison: every backend drains
-/// with `recv_many(32)` vectors, so the socket baseline is exactly the
-/// bulk-32 row of [`syscall_batch`] and the ring/bypass wins are
-/// attributable to the boundary model alone, not to batching depth.
-pub const TRANSPORT_BACKEND_BULK: usize = 32;
 
 /// Off-peak client count of the offered-load traces.
 pub const TRACE_BASE: usize = 10;
@@ -450,16 +442,15 @@ pub fn async_ingress() -> Table {
     table
 }
 
-/// The bulk-draining measurement behind [`syscall_batch`] and
-/// [`transport_backend`]: the event-driven small-record mix over `kind`,
-/// queued twice as deep per peer as [`async_ingress_spec`] (a call cannot
-/// move more than is waiting), drained with `recv_many(bulk)`, 2 RX
-/// shards, 4 workers. The drain quota covers a whole bulk batch so the
-/// fairness grain does not cap the measured amortisation.
-pub fn boundary_spec(kind: TransportKind, bulk: usize) -> MeasureSpec {
+/// The bulk-draining measurement behind [`syscall_batch`]: the
+/// event-driven small-record mix, queued twice as deep per peer as
+/// [`async_ingress_spec`] (a call cannot move more than is waiting),
+/// drained with `recv_many(bulk)`, 2 RX shards, 4 workers. The drain
+/// quota covers a whole bulk batch so the fairness grain does not cap
+/// the measured amortisation.
+pub fn boundary_spec(bulk: usize) -> MeasureSpec {
     MeasureSpec {
         doorway: Doorway::EventLoop,
-        transport: kind,
         recv_bulk: bulk,
         control: Control::Pinned {
             dispatch: DispatchPolicy::default(),
@@ -470,34 +461,23 @@ pub fn boundary_spec(kind: TransportKind, bulk: usize) -> MeasureSpec {
     }
 }
 
-/// One boundary model's rows: measures [`boundary_spec`] and replays it
-/// with `kind`'s crossing cost spread over the measured
-/// datagrams-per-call ratio on the RX lanes —
-///
-/// - socket shape: [`SyscallBatchModel::bulk`] with the calibrated
-///   per-syscall cost ([`SyscallBatchModel::per_datagram`] at bulk 1;
-///   a measured ratio below 1.0 — the final empty dry-check call per
-///   socket — is clamped: a syscall never moves less than one datagram);
-/// - ring: [`SyscallBatchModel::ring_doorbell`] — one
-///   [`CostModel::doorbell_per_batch`] per submitted batch;
-/// - XDP frame: [`SyscallBatchModel::kernel_bypass`] — crossings are
-///   free; frames arrive by descriptor from the shared arena.
+/// One bulk size's rows: measures [`boundary_spec`] and replays it with
+/// the calibrated per-syscall cost spread over the measured
+/// datagrams-per-call ratio on the RX lanes
+/// ([`SyscallBatchModel::per_datagram`] at bulk 1,
+/// [`SyscallBatchModel::bulk`] above it; a measured ratio below 1.0 —
+/// the final empty dry-check call per socket — is clamped: a syscall
+/// never moves less than one datagram).
 ///
 /// Yields, per peer count, `(clients, [gbps, mpps, server_cpu,
 /// datagrams_per_call])`.
-fn boundary_rows(kind: TransportKind, bulk: usize) -> Vec<(usize, Vec<Cell>)> {
-    let m = measure(&boundary_spec(kind, bulk));
+fn boundary_rows(bulk: usize) -> Vec<(usize, Vec<Cell>)> {
+    let m = measure(&boundary_spec(bulk));
     let cost = CostModel::calibrated();
-    let ratio = m.datagrams_per_call.max(1.0);
-    let model = match kind {
-        TransportKind::Virtual | TransportKind::OsSocket if bulk <= 1 => {
-            SyscallBatchModel::per_datagram(cost.syscall_per_call)
-        }
-        TransportKind::Virtual | TransportKind::OsSocket => {
-            SyscallBatchModel::bulk(cost.syscall_per_call, ratio)
-        }
-        TransportKind::Ring => SyscallBatchModel::ring_doorbell(cost.doorbell_per_batch, ratio),
-        TransportKind::XdpFrame => SyscallBatchModel::kernel_bypass(),
+    let model = if bulk <= 1 {
+        SyscallBatchModel::per_datagram(cost.syscall_per_call)
+    } else {
+        SyscallBatchModel::bulk(cost.syscall_per_call, m.datagrams_per_call.max(1.0))
     };
     let lanes = ScalabilityConfig {
         syscall_batch: Some(model),
@@ -535,47 +515,8 @@ pub fn syscall_batch() -> Table {
         ),
     );
     for bulk in WIRE_BULK_SIZES {
-        for (n, measured) in boundary_rows(TransportKind::Virtual, bulk) {
+        for (n, measured) in boundary_rows(bulk) {
             table.push(cells![bulk, n, 2usize, 4usize].chain(measured));
-        }
-    }
-    table
-}
-
-/// `BENCH_transport.json` — bulk sockets vs submission/completion ring vs
-/// zero-copy frame bypass, all draining the identical mix with
-/// `recv_many(32)`. [`TransportKind::Virtual`] carries the calibrated
-/// OS-socket cost shape (identical metered charges to the real-socket
-/// backend, which the parity suite asserts), so it is the `"socket"`
-/// row.
-pub fn transport_backend() -> Table {
-    let mut table = Table::new(
-        "transport",
-        mix_title(
-            "transport-backend comparison",
-            &format!(
-                "4 worker shards, 2 RX shards, recv_many bulk {TRANSPORT_BACKEND_BULK}; \
-                 boundary models: bulk socket vs SQ/CQ ring doorbell vs zero-copy frame bypass"
-            ),
-        ),
-        &columns(
-            &["backend", "clients", "rx_shards", "workers", "bulk"],
-            &[("datagrams_per_call", 4)],
-        ),
-        (
-            &["backend"],
-            "clients",
-            &["mpps", "server_cpu", "datagrams_per_call"],
-        ),
-    );
-    for (backend, kind) in [
-        ("socket", TransportKind::Virtual),
-        ("ring", TransportKind::Ring),
-        ("xdp-frame", TransportKind::XdpFrame),
-    ] {
-        for (n, measured) in boundary_rows(kind, TRANSPORT_BACKEND_BULK) {
-            let keys = cells![backend, n, 2usize, 4usize, TRANSPORT_BACKEND_BULK];
-            table.push(keys.chain(measured));
         }
     }
     table
@@ -1018,8 +959,8 @@ mod tests {
         // bulk-32 `recv_many` front-end moves many datagrams per call,
         // while the per-datagram front-end cannot exceed one (its
         // dry-check tail even drags it slightly below).
-        let one = measure(&boundary_spec(TransportKind::Virtual, 1));
-        let bulk = measure(&boundary_spec(TransportKind::Virtual, 32));
+        let one = measure(&boundary_spec(1));
+        let bulk = measure(&boundary_spec(32));
         assert!(
             one.datagrams_per_call <= 1.0,
             "{:.3}",
@@ -1034,32 +975,6 @@ mod tests {
         // record mix, identical fragment shape.
         assert_eq!(one.charge.fragments, bulk.charge.fragments);
         assert_eq!(one.charge.payload_bytes, bulk.charge.payload_bytes);
-    }
-
-    #[test]
-    fn transport_backend_charges_shed_boundary_and_kernel_costs() {
-        // The record mix and fragment shape are backend-invariant, while
-        // ring/XDP charges shed the in-kernel receive share and the
-        // socket boundary costs.
-        let charge = |kind| measure(&boundary_spec(kind, TRANSPORT_BACKEND_BULK)).charge;
-        let socket = charge(TransportKind::Virtual);
-        let ring = charge(TransportKind::Ring);
-        let xdp = charge(TransportKind::XdpFrame);
-        assert_eq!(socket.fragments, ring.fragments);
-        assert_eq!(socket.fragments, xdp.fragments);
-        assert_eq!(socket.payload_bytes, xdp.payload_bytes);
-        let shed = CostModel::calibrated().kernel_rx_per_fragment * socket.fragments as u64;
-        assert!(
-            ring.server_cycles + shed <= socket.server_cycles,
-            "ring server: {} vs socket {}",
-            ring.server_cycles,
-            socket.server_cycles
-        );
-        assert!(ring.rx_cycles + shed <= socket.rx_cycles);
-        // The zero-copy backend additionally drops the per-byte copy, so
-        // its RX lane is the cheapest of the three.
-        assert!(xdp.rx_cycles < ring.rx_cycles);
-        assert!(xdp.server_cycles <= ring.server_cycles);
     }
 
     #[test]

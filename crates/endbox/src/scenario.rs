@@ -13,7 +13,7 @@ use crate::server::{
 use crate::use_cases::UseCase;
 use endbox_crypto::schnorr::SigningKey;
 use endbox_netsim::cost::{CostModel, CycleMeter};
-use endbox_netsim::net::{OsWire, RingWire, Transport, TransportKind, VirtualWire, XdpWire};
+use endbox_netsim::net::{OsWire, Transport, TransportKind, VirtualWire};
 use endbox_netsim::time::SharedClock;
 use endbox_netsim::{BufferPool, Packet};
 use endbox_sgx::attestation::{CpuIdentity, IasSimulator};
@@ -200,15 +200,10 @@ impl ScenarioBuilder {
     /// Selects the async wire backend (default
     /// [`TransportKind::Virtual`]; only meaningful together with
     /// [`ScenarioBuilder::async_ingress`]). Application-level results
-    /// are byte-identical across all four backends — over [`OsWire`]
-    /// (real loopback UDP; check [`OsWire::available`] where socket
-    /// creation may be forbidden) the stamp-carrying wire header
-    /// preserves the re-merge ordering contract — and only the metered
-    /// boundary costs differ ([`TransportKind::profile`]). For the
-    /// [`TransportKind::Ring`] and [`TransportKind::XdpFrame`] backends
-    /// the client links' egress buffers come from the backend's
-    /// pre-registered arena ([`RingWire::pool`] / [`XdpWire::umem`]),
-    /// so egress frames are ring-registered from birth.
+    /// are byte-identical across both backends: over [`OsWire`] (real
+    /// loopback UDP; check [`OsWire::available`] where socket creation
+    /// may be forbidden) the stamp-carrying wire header preserves the
+    /// re-merge ordering contract.
     pub fn transport(mut self, kind: TransportKind) -> Self {
         self.transport = kind;
         self
@@ -444,24 +439,9 @@ impl ScenarioBuilder {
             fe.set_elastic(self.elastic);
             fe
         });
-        // Ring/XDP backends share their pre-registered arena with the
-        // client links' egress pool, so every egress fragment buffer is
-        // arena-registered from birth (the zero-copy loop closes:
-        // arena → wire → drain → recycle).
-        let mut egress_pool = BufferPool::new();
         let wire: Option<Arc<dyn Transport>> = self.async_ingress.then(|| match self.transport {
             TransportKind::Virtual => Arc::new(VirtualWire::new()) as Arc<dyn Transport>,
             TransportKind::OsSocket => Arc::new(OsWire::new()) as Arc<dyn Transport>,
-            TransportKind::Ring => {
-                let w = RingWire::new();
-                egress_pool = w.pool().clone();
-                Arc::new(w) as Arc<dyn Transport>
-            }
-            TransportKind::XdpFrame => {
-                let w = XdpWire::new();
-                egress_pool = w.umem().clone();
-                Arc::new(w) as Arc<dyn Transport>
-            }
         });
         // The server's dedicated TX socket: all egress towards clients
         // goes through the TX-batching stage (one bulk send per flush)
@@ -489,7 +469,7 @@ impl ScenarioBuilder {
             front_end,
             tx,
             links: HashMap::new(),
-            egress_pool,
+            egress_pool: BufferPool::new(),
         })
     }
 }
@@ -1126,8 +1106,8 @@ impl ShardedScenario {
             .set_recv_bulk(bulk);
     }
 
-    /// The wire backend name (`"virtual"`, `"os-socket"`, `"ring"` or
-    /// `"xdp-frame"` — see [`TransportKind::name`]).
+    /// The wire backend name (`"virtual"` or `"os-socket"` — see
+    /// [`TransportKind::name`]).
     ///
     /// # Panics
     ///
@@ -1656,9 +1636,7 @@ mod tests {
                 assert_eq!(pkt.app_payload(), payloads[c][i].as_slice());
             }
         }
-        let (served, rejected) = s.server.counters();
-        assert_eq!(served, 20);
-        assert_eq!(rejected, 0);
+        assert_eq!(s.server.counters(), (20, 0, 0));
     }
 
     #[test]

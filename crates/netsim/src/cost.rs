@@ -132,29 +132,6 @@ pub struct CostModel {
     /// bookkeeping, paid either way) so one measured charge replays
     /// honestly under every bulk size.
     pub syscall_per_call: u64,
-    /// One ring doorbell: telling the kernel a batch of submission
-    /// descriptors is ready (`io_uring_enter`-shaped, with the
-    /// completion side polled from shared memory). Replaces
-    /// `syscall_per_call` on the ring backend — paid once per submitted
-    /// *batch*, and cheaper than a full bulk syscall because no data
-    /// moves across the boundary at the doorbell itself.
-    pub doorbell_per_batch: u64,
-    /// Per-frame descriptor bookkeeping on a ring transport: filling an
-    /// SQE / harvesting a CQE (ring backend) or consuming an RX
-    /// descriptor and replenishing the fill ring (XDP backend).
-    /// Replaces `socket_recv_fixed`/`socket_send_fixed` on those
-    /// backends — the per-datagram socket-buffer machinery is gone.
-    pub descriptor_per_frame: u64,
-    /// The in-kernel receive-path share of [`vpn_server_per_fragment`]:
-    /// driver RX, skb allocation, IP/UDP demux and socket-queue insert.
-    /// Socket transports pay it inline on the lane that drains the
-    /// socket; a ring or zero-copy frame backend delivers straight into
-    /// user-visible descriptor rings and sheds exactly this share (the
-    /// user-space framing remainder is paid by every backend). Must stay
-    /// below [`vpn_server_per_fragment`].
-    ///
-    /// [`vpn_server_per_fragment`]: CostModel::vpn_server_per_fragment
-    pub kernel_rx_per_fragment: u64,
 
     // --- Click ------------------------------------------------------------
     /// Handing a packet from OpenVPN/kernel to a server-side Click process
@@ -236,9 +213,6 @@ impl CostModel {
             socket_per_byte: 0.3,
             event_loop_wakeup: 18_000,
             syscall_per_call: 21_000,
-            doorbell_per_batch: 7_000,
-            descriptor_per_frame: 600,
-            kernel_rx_per_fragment: 14_000,
 
             click_fetch_per_packet: 900,
             click_fetch_per_byte: 3.0,
@@ -343,20 +317,6 @@ mod tests {
         let large = c.crypto_cycles(1_100);
         assert_eq!(large - small, 3_600); // 3.6 cycles/B * 1000 B
         assert!(c.integrity_only_cycles(1_000) < c.crypto_cycles(1_000));
-    }
-
-    /// The per-backend transport constants only make sense in a strict
-    /// order: a doorbell is cheaper than the bulk syscall it replaces,
-    /// descriptor bookkeeping is cheaper than the socket-buffer fixed
-    /// cost it replaces, and the kernel-resident receive share is a
-    /// proper part of the calibrated per-fragment server cost.
-    #[test]
-    fn transport_backend_constants_are_ordered() {
-        let c = CostModel::calibrated();
-        assert!(c.doorbell_per_batch < c.syscall_per_call);
-        assert!(c.descriptor_per_frame < c.socket_recv_fixed);
-        assert!(c.descriptor_per_frame < c.socket_send_fixed);
-        assert!(c.kernel_rx_per_fragment < c.vpn_server_per_fragment);
     }
 
     /// Sanity-check the calibration against the paper's vanilla OpenVPN

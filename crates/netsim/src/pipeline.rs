@@ -320,35 +320,6 @@ impl SyscallBatchModel {
         }
     }
 
-    /// The ring backend's boundary: one **doorbell**
-    /// ([`crate::cost::CostModel::doorbell_per_batch`]) per submitted
-    /// batch in place of a full syscall per bulk call — the kernel is
-    /// only told "descriptors are ready", no data crosses at the
-    /// doorbell and completions are polled from shared memory. Same
-    /// amortisation shape as [`SyscallBatchModel::bulk`], cheaper
-    /// crossing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `datagrams_per_call < 1.0` (see
-    /// [`SyscallBatchModel::bulk`]).
-    pub fn ring_doorbell(doorbell_cycles: u64, datagrams_per_call: f64) -> Self {
-        Self::bulk(doorbell_cycles, datagrams_per_call)
-    }
-
-    /// A poll-mode kernel-bypass backend (the XDP/DPDK frame shape): no
-    /// kernel crossing on the hot path at all — RX descriptors are
-    /// consumed and fill-ring frames replenished entirely in shared
-    /// memory, so the boundary charge is zero. (The per-frame descriptor
-    /// bookkeeping is metered into the [`PacketCharge`] by the `net`
-    /// layer's [`crate::net::WireCostProfile::xdp`], not priced here.)
-    pub fn kernel_bypass() -> Self {
-        SyscallBatchModel {
-            call_cycles: 0,
-            datagrams_per_call: 1.0,
-        }
-    }
-
     /// Amortised syscall cycles charged per packet on its RX lane: a
     /// packet spanning `fragments` wire datagrams pays the per-call
     /// cost divided by the datagrams each call moves, once per
@@ -1156,48 +1127,6 @@ mod tests {
         // Fragmenting packets pay per datagram, amortised the same way.
         let frag = SyscallBatchModel::bulk(21_000, 4.0);
         assert_eq!(frag.per_packet_cycles(8), 42_000);
-    }
-
-    #[test]
-    fn backend_boundary_models_are_strictly_ordered() {
-        // At the same measured amortisation, the ring doorbell is a
-        // strictly cheaper crossing than a full bulk syscall, and a
-        // poll-mode bypass charges nothing at the boundary — the per
-        // packet boundary cost ranks socket > ring > bypass.
-        let ratio = 8.0;
-        let socket = SyscallBatchModel::bulk(21_000, ratio).per_packet_cycles(1);
-        let ring = SyscallBatchModel::ring_doorbell(7_000, ratio).per_packet_cycles(1);
-        let bypass = SyscallBatchModel::kernel_bypass().per_packet_cycles(1);
-        assert!(socket > ring, "{socket} vs {ring}");
-        assert!(ring > bypass, "{ring} vs {bypass}");
-        assert_eq!(bypass, 0, "no kernel crossing on the bypass hot path");
-    }
-
-    #[test]
-    fn kernel_bypass_model_prices_exactly_nothing() {
-        // kernel_bypass() must be bit-identical to the free model the
-        // no-op regression pins — the bypass saving comes from the
-        // measured charge (descriptor metering + shed kernel RX share),
-        // never from a hidden negative boundary price.
-        let mk = |sb| ScalabilityConfig {
-            n_clients: 16,
-            duration: SimDuration::from_millis(20),
-            server_worker_shards: Some(4),
-            rx_shards: Some(2),
-            rx_remap: false,
-            syscall_batch: sb,
-            ..ScalabilityConfig::default()
-        };
-        let mut c = charge(1500, 20_000, 29_000);
-        c.rx_cycles = 10_000;
-        let off = run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), c, &mk(None));
-        let bypass = run_scalability(
-            MachineSpec::class_a(),
-            MachineSpec::class_b(),
-            c,
-            &mk(Some(SyscallBatchModel::kernel_bypass())),
-        );
-        assert_eq!(off, bypass);
     }
 
     #[test]

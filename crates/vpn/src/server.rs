@@ -5,73 +5,101 @@
 //! The paper's scalability experiments run "one OpenVPN server instance
 //! per client, as OpenVPN does not support multithreading" (§V-E); this
 //! implementation multiplexes sessions in one structure — concretely,
-//! [`VpnServer`] is a handshake front-end around exactly **one** inline
-//! [`VpnShard`] (the per-shard datapath also used by the multi-worker
-//! [`crate::shard::ShardedVpnServer`]), so the single-threaded and
-//! sharded servers share one record-handling implementation.
+//! [`VpnServer`] is the handshake `Responder` in front of exactly
+//! **one** inline [`VpnShard`]. The multi-worker
+//! [`crate::shard::ShardedVpnServer`] is the same responder in front of
+//! N shards on threads, so the two servers share one handshake, one
+//! record handler ([`VpnShard::handle_record_delivery`]) and one event
+//! type ([`ShardEvent`]).
 
-use crate::channel::{BatchFrames, CipherSuite, DataChannel};
+use crate::channel::{CipherSuite, DataChannel};
 use crate::error::VpnError;
-use crate::handshake::{server_respond, ClientHello, ClientInfo, HandshakeConfig};
-use crate::ping::PingMessage;
+use crate::handshake::{server_respond, ClientHello, HandshakeConfig};
 use crate::proto::{Opcode, Record};
-use crate::shard::{ConfigPolicy, VpnShard};
+use crate::shard::{ShardEvent, VpnShard};
 use endbox_netsim::cost::{CostModel, CycleMeter};
 
 pub use crate::shard::ServerSession;
 
-/// Events produced by the server when handling records.
-#[derive(Debug)]
-pub enum ServerEvent {
-    /// Handshake completed; send `response` back to the client.
-    Established {
-        /// Assigned session id.
-        session_id: u64,
-        /// ServerHello record to transmit.
-        response: Record,
-        /// Who connected.
-        info: ClientInfo,
-    },
-    /// An authenticated tunnel payload arrived.
-    Data {
-        /// Session it arrived on.
-        session_id: u64,
-        /// Decrypted tunnel payload (an IP packet).
-        payload: Vec<u8>,
-    },
-    /// An authenticated batch record arrived: several tunnel packets
-    /// sealed as one record (§IV batching). Payloads are frame handles
-    /// into the decrypted blob — no per-frame copy was made; callers
-    /// materialise packets straight from the slices.
-    DataBatch {
-        /// Session it arrived on.
-        session_id: u64,
-        /// Decrypted tunnel payloads, in batch order.
-        frames: BatchFrames,
-    },
-    /// An authenticated ping arrived (client status update).
-    Ping {
-        /// Session it arrived on.
-        session_id: u64,
-        /// The ping contents.
-        message: PingMessage,
-    },
-    /// Orderly disconnect.
-    Disconnected {
-        /// Session that ended.
-        session_id: u64,
-    },
-}
-
-/// The VPN server: a handshake front-end plus one inline [`VpnShard`].
-pub struct VpnServer {
+/// The handshake responder both servers answer `HandshakeInit` with: the
+/// server identity, the session-id allocator and the RNG. Ids are
+/// allocated densely from 1 and the RNG is seeded, so two servers built
+/// from the same configuration assign byte-identical ids and key
+/// material to the same sequence of hellos.
+pub(crate) struct Responder {
     handshake: HandshakeConfig,
     suite: CipherSuite,
     meter: CycleMeter,
     cost: CostModel,
-    shard: VpnShard,
     next_session_id: u64,
     rng: rand::rngs::StdRng,
+}
+
+impl Responder {
+    pub(crate) fn new(
+        handshake: HandshakeConfig,
+        suite: CipherSuite,
+        meter: CycleMeter,
+        cost: CostModel,
+        rng_seed: u64,
+    ) -> Self {
+        use rand::SeedableRng;
+        Responder {
+            handshake,
+            suite,
+            meter,
+            cost,
+            next_session_id: 1,
+            rng: rand::rngs::StdRng::seed_from_u64(rng_seed),
+        }
+    }
+
+    /// Answers the `HandshakeInit` in `record`: the new session's id, the
+    /// session for the caller to install on the shard that will own it,
+    /// and the `Established` event carrying the ServerHello. A refused
+    /// hello consumes no session id.
+    pub(crate) fn respond(
+        &mut self,
+        record: &Record,
+        required_version: u64,
+        now_secs: u64,
+    ) -> Result<(u64, ServerSession, ShardEvent), VpnError> {
+        let hello = ClientHello::from_bytes(&record.payload)?;
+        let session_id = self.next_session_id;
+        let (server_hello, keys, info) = server_respond(
+            &self.handshake,
+            &hello,
+            session_id,
+            required_version,
+            now_secs,
+            &mut self.rng,
+        )?;
+        self.next_session_id += 1;
+        let session = ServerSession {
+            info: info.clone(),
+            reported_config_version: info.config_version,
+            channel: DataChannel::server(&keys, self.suite, self.meter.clone(), self.cost.clone()),
+        };
+        let response = Record {
+            opcode: Opcode::HandshakeResp,
+            session_id,
+            packet_id: 0,
+            payload: server_hello.to_bytes(),
+        };
+        let event = ShardEvent::Established {
+            session_id,
+            response,
+            info,
+        };
+        Ok((session_id, session, event))
+    }
+}
+
+/// The VPN server: the handshake `Responder` plus one inline
+/// [`VpnShard`].
+pub struct VpnServer {
+    responder: Responder,
+    shard: VpnShard,
 }
 
 impl std::fmt::Debug for VpnServer {
@@ -92,42 +120,23 @@ impl VpnServer {
         cost: CostModel,
         rng_seed: u64,
     ) -> Self {
-        use rand::SeedableRng;
         VpnServer {
-            handshake,
-            suite,
-            meter,
-            cost,
+            responder: Responder::new(handshake, suite, meter, cost, rng_seed),
             shard: VpnShard::new(),
-            next_session_id: 1,
-            rng: rand::rngs::StdRng::seed_from_u64(rng_seed),
         }
     }
 
     /// Announces a new required configuration version with a grace period
-    /// ("During the grace period, the ENDBOX server allows both old and
-    /// new configurations to be active. After its expiry, the server
-    /// blocks traffic from clients that are not applying the new
-    /// configuration", §III-E).
+    /// (§III-E).
     pub fn announce_config(&mut self, version: u64, grace_period_secs: u32, now_secs: u64) {
-        let current = self.shard.policy();
-        self.shard.set_policy(ConfigPolicy {
-            previous_ok_version: current.required_version,
-            required_version: version,
-            grace_deadline_secs: now_secs + grace_period_secs as u64,
-            grace_period_secs,
-        });
+        let policy = self.shard.policy();
+        self.shard
+            .set_policy(policy.announce(version, grace_period_secs, now_secs));
     }
 
     /// The currently required configuration version.
     pub fn required_config_version(&self) -> u64 {
         self.shard.policy().required_version
-    }
-
-    /// The session-state shard backing this server (its buffer pool
-    /// recycles the payload allocations).
-    pub fn shard(&self) -> &VpnShard {
-        &self.shard
     }
 
     /// Handles one wire record.
@@ -139,50 +148,18 @@ impl VpnServer {
         &mut self,
         record: &Record,
         now_secs: u64,
-    ) -> Result<ServerEvent, VpnError> {
+    ) -> Result<ShardEvent, VpnError> {
         match record.opcode {
-            Opcode::HandshakeInit => self.handle_handshake(record, now_secs),
+            Opcode::HandshakeInit => {
+                let required = self.shard.policy().required_version;
+                let (session_id, session, event) =
+                    self.responder.respond(record, required, now_secs)?;
+                self.shard.install(session_id, session);
+                Ok(event)
+            }
             Opcode::HandshakeResp => Err(VpnError::Malformed("server received HandshakeResp")),
-            _ => self.shard.handle_record(record, now_secs),
+            _ => self.shard.handle_record_delivery(record, now_secs),
         }
-    }
-
-    fn handle_handshake(
-        &mut self,
-        record: &Record,
-        now_secs: u64,
-    ) -> Result<ServerEvent, VpnError> {
-        let hello = ClientHello::from_bytes(&record.payload)?;
-        let session_id = self.next_session_id;
-        let (server_hello, keys, info) = server_respond(
-            &self.handshake,
-            &hello,
-            session_id,
-            self.shard.policy().required_version,
-            now_secs,
-            &mut self.rng,
-        )?;
-        self.next_session_id += 1;
-        let channel = DataChannel::server(&keys, self.suite, self.meter.clone(), self.cost.clone());
-        self.shard.install(
-            session_id,
-            ServerSession {
-                info: info.clone(),
-                reported_config_version: info.config_version,
-                channel,
-            },
-        );
-        let response = Record {
-            opcode: Opcode::HandshakeResp,
-            session_id,
-            packet_id: 0,
-            payload: server_hello.to_bytes(),
-        };
-        Ok(ServerEvent::Established {
-            session_id,
-            response,
-            info,
-        })
     }
 
     /// Seals a payload to a client.
@@ -245,8 +222,11 @@ mod tests {
     use crate::cert::Certificate;
     use crate::channel::SessionKeys;
     use crate::handshake::{client_complete, client_start};
+    use crate::ping::PingMessage;
+    use crate::shard::{DispatchPolicy, ShardedVpnServer};
     use crate::PROTOCOL_V1;
     use endbox_crypto::schnorr::SigningKey;
+    use endbox_netsim::Packet;
     use rand::SeedableRng;
 
     struct Harness {
@@ -255,7 +235,8 @@ mod tests {
         rng: rand::rngs::StdRng,
     }
 
-    fn harness() -> Harness {
+    /// `(server config, client config, rng)` of one CA.
+    fn configs() -> (HandshakeConfig, HandshakeConfig, rand::rngs::StdRng) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(123);
         let ca = SigningKey::generate(&mut rng);
         let server_key = SigningKey::generate(&mut rng);
@@ -269,24 +250,30 @@ mod tests {
             &ca,
             &mut rng,
         );
-        let server = VpnServer::new(
-            HandshakeConfig {
-                identity: server_key,
-                certificate: server_cert,
-                ca_public: ca.verifying_key(),
-                min_version: PROTOCOL_V1,
-            },
-            CipherSuite::Aes128CbcHmac,
-            CycleMeter::new(),
-            CostModel::calibrated(),
-            1,
-        );
+        let server_cfg = HandshakeConfig {
+            identity: server_key,
+            certificate: server_cert,
+            ca_public: ca.verifying_key(),
+            min_version: PROTOCOL_V1,
+        };
         let client_cfg = HandshakeConfig {
             identity: client_key,
             certificate: client_cert,
             ca_public: ca.verifying_key(),
             min_version: PROTOCOL_V1,
         };
+        (server_cfg, client_cfg, rng)
+    }
+
+    fn harness() -> Harness {
+        let (server_cfg, client_cfg, rng) = configs();
+        let server = VpnServer::new(
+            server_cfg,
+            CipherSuite::Aes128CbcHmac,
+            CycleMeter::new(),
+            CostModel::calibrated(),
+            1,
+        );
         Harness {
             server,
             client_cfg,
@@ -294,26 +281,54 @@ mod tests {
         }
     }
 
+    /// A well-formed tunnelled IP packet carrying `payload`.
+    fn ip(payload: &[u8]) -> Packet {
+        Packet::udp(
+            std::net::Ipv4Addr::new(10, 0, 0, 1),
+            std::net::Ipv4Addr::new(10, 0, 1, 1),
+            1,
+            2,
+            payload,
+        )
+    }
+
     /// Connects a client, returning (session id, client channel).
     fn connect(h: &mut Harness, config_version: u64) -> (u64, DataChannel) {
-        let (hello, state) = client_start(&h.client_cfg, PROTOCOL_V1, config_version, &mut h.rng);
+        let Harness {
+            server,
+            client_cfg,
+            rng,
+        } = h;
+        connect_through(client_cfg, rng, config_version, |record| {
+            server.handle_record(record, 0)
+        })
+    }
+
+    /// Runs the client side of a handshake against `handle`, either
+    /// server's record handler.
+    fn connect_through(
+        client_cfg: &HandshakeConfig,
+        rng: &mut rand::rngs::StdRng,
+        config_version: u64,
+        handle: impl FnOnce(&Record) -> Result<ShardEvent, VpnError>,
+    ) -> (u64, DataChannel) {
+        let (hello, state) = client_start(client_cfg, PROTOCOL_V1, config_version, rng);
         let record = Record {
             opcode: Opcode::HandshakeInit,
             session_id: 0,
             packet_id: 0,
             payload: hello.to_bytes(),
         };
-        let event = h.server.handle_record(&record, 0).unwrap();
-        let ServerEvent::Established {
+        let ShardEvent::Established {
             session_id,
             response,
             ..
-        } = event
+        } = handle(&record).unwrap()
         else {
             panic!("expected Established");
         };
         let shello = crate::handshake::ServerHello::from_bytes(&response.payload).unwrap();
-        let keys: SessionKeys = client_complete(&h.client_cfg, &state, &shello, 0).unwrap();
+        let keys: SessionKeys = client_complete(client_cfg, &state, &shello, 0).unwrap();
         let channel = DataChannel::client(
             &keys,
             CipherSuite::Aes128CbcHmac,
@@ -328,14 +343,12 @@ mod tests {
         let mut h = harness();
         let (sid, mut chan) = connect(&mut h, 1);
         assert_eq!(h.server.session_count(), 1);
-        let rec = chan.seal(Opcode::Data, sid, b"an ip packet");
+        let pkt = ip(b"an ip packet");
+        let rec = chan.seal(Opcode::Data, sid, pkt.bytes());
         match h.server.handle_record(&rec, 1).unwrap() {
-            ServerEvent::Data {
-                session_id,
-                payload,
-            } => {
+            ShardEvent::Packet { session_id, packet } => {
                 assert_eq!(session_id, sid);
-                assert_eq!(payload, b"an ip packet");
+                assert_eq!(packet.bytes(), pkt.bytes());
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -354,12 +367,14 @@ mod tests {
     fn batch_records_deliver_all_payloads() {
         let mut h = harness();
         let (sid, mut chan) = connect(&mut h, 1);
-        let payloads: Vec<&[u8]> = vec![b"pkt one", b"pkt two", b"pkt three"];
+        let pkts = [ip(b"pkt one"), ip(b"pkt two"), ip(b"pkt three")];
+        let payloads: Vec<&[u8]> = pkts.iter().map(Packet::bytes).collect();
         let rec = chan.seal_batch(sid, &payloads);
         match h.server.handle_record(&rec, 1).unwrap() {
-            ServerEvent::DataBatch { session_id, frames } => {
+            ShardEvent::Batch { session_id, batch } => {
                 assert_eq!(session_id, sid);
-                assert_eq!(frames.to_vecs(), payloads);
+                let got: Vec<&[u8]> = batch.iter().map(Packet::bytes).collect();
+                assert_eq!(got, payloads);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -386,7 +401,7 @@ mod tests {
     fn replayed_data_rejected() {
         let mut h = harness();
         let (sid, mut chan) = connect(&mut h, 1);
-        let rec = chan.seal(Opcode::Data, sid, b"pkt");
+        let rec = chan.seal(Opcode::Data, sid, ip(b"pkt").bytes());
         h.server.handle_record(&rec, 1).unwrap();
         assert_eq!(
             h.server.handle_record(&rec, 1).unwrap_err(),
@@ -413,10 +428,10 @@ mod tests {
         h.server.announce_config(2, 30, 100);
 
         // During grace (t=110): old version 1 still accepted.
-        let rec = chan.seal(Opcode::Data, sid, b"during grace");
+        let rec = chan.seal(Opcode::Data, sid, ip(b"during grace").bytes());
         assert!(matches!(
             h.server.handle_record(&rec, 110),
-            Ok(ServerEvent::Data { .. })
+            Ok(ShardEvent::Packet { .. })
         ));
 
         // After grace (t=131): stale config blocked.
@@ -438,10 +453,10 @@ mod tests {
         };
         let rec = chan.seal(Opcode::Ping, sid, &ping.to_bytes());
         h.server.handle_record(&rec, 132).unwrap();
-        let rec = chan.seal(Opcode::Data, sid, b"updated");
+        let rec = chan.seal(Opcode::Data, sid, ip(b"updated").bytes());
         assert!(matches!(
             h.server.handle_record(&rec, 133),
-            Ok(ServerEvent::Data { .. })
+            Ok(ShardEvent::Packet { .. })
         ));
     }
 
@@ -516,5 +531,47 @@ mod tests {
             h.server.handle_record(&forged, 1).unwrap_err(),
             VpnError::AuthenticationFailed
         );
+    }
+
+    /// An authenticated record whose plaintext is not an IPv4 packet is
+    /// `Malformed` on both servers, `Data` and `DataBatch` alike, and it
+    /// has taken its replay-window slot: replaying it is a `Replay`.
+    #[test]
+    fn authenticated_non_ip_payload_is_malformed_and_replay_protected_on_both_servers() {
+        let mut inline = harness();
+        let (server_cfg, client_cfg, mut rng) = configs();
+        let mut sharded = ShardedVpnServer::with_dispatch(
+            server_cfg,
+            CipherSuite::Aes128CbcHmac,
+            CycleMeter::new(),
+            CostModel::calibrated(),
+            1,
+            2,
+            DispatchPolicy::default(),
+        );
+        let (inline_sid, inline_chan) = connect(&mut inline, 1);
+        let (sharded_sid, sharded_chan) = connect_through(&client_cfg, &mut rng, 1, |record| {
+            sharded.handle_record(record, 0)
+        });
+        assert_eq!(inline_sid, sharded_sid, "one responder, one id sequence");
+
+        let malformed = Err(VpnError::Malformed("bad tunnelled packet"));
+        let verdicts =
+            |mut chan: DataChannel,
+             handle: &mut dyn FnMut(&Record) -> Result<ShardEvent, VpnError>| {
+                let data = chan.seal(Opcode::Data, inline_sid, b"not an ip packet");
+                let batch = chan.seal_batch(inline_sid, &[ip(b"ok").bytes(), b"not an ip packet"]);
+                for rec in [data, batch] {
+                    assert_eq!(handle(&rec).map(|_| ()), malformed, "{:?}", rec.opcode);
+                    assert_eq!(
+                        handle(&rec).map(|_| ()),
+                        Err(VpnError::Replay),
+                        "{:?} replayed",
+                        rec.opcode
+                    );
+                }
+            };
+        verdicts(inline_chan, &mut |rec| inline.server.handle_record(rec, 1));
+        verdicts(sharded_chan, &mut |rec| sharded.handle_record(rec, 1));
     }
 }

@@ -8,16 +8,18 @@
 //! * [`VpnShard`] is one partition of the server: a session table, the
 //!   config-version policy, and a buffer pool. All per-record logic
 //!   (policy enforcement, record opening, **per-session replay windows**,
-//!   ping handling, disconnects) lives here — [`crate::server::VpnServer`]
-//!   is exactly one inline shard plus the handshake front-end, so the
-//!   single-threaded and sharded servers share one implementation of the
-//!   datapath and cannot drift apart.
+//!   ping handling, disconnects) lives here, in one record handler
+//!   ([`VpnShard::handle_record_delivery`]) producing one event type
+//!   ([`ShardEvent`]) — [`crate::server::VpnServer`] is exactly one
+//!   inline shard behind the handshake responder, so the single-threaded
+//!   and sharded servers share one implementation of the datapath and
+//!   cannot drift apart.
 //! * [`ShardedVpnServer`] runs one worker thread per shard on an
 //!   [`OwnerPool`] (per-worker request channels, one shared reply
 //!   channel, loud failure when a worker dies). The front-end keeps the
-//!   handshake state (identity, session-id allocator, RNG) and the
-//!   authoritative copy of the config policy; workers own everything
-//!   per-session.
+//!   handshake responder (identity, session-id allocator, RNG — the same
+//!   one `VpnServer` answers with) and the authoritative copy of the
+//!   config policy; workers own everything per-session.
 //!
 //! # Routing invariants
 //!
@@ -76,11 +78,11 @@
 
 use crate::channel::{BatchFrames, CipherSuite, DataChannel};
 use crate::error::VpnError;
-use crate::handshake::{server_respond, ClientHello, ClientInfo, HandshakeConfig};
+use crate::handshake::{ClientInfo, HandshakeConfig};
 use crate::ping::PingMessage;
 use crate::pool::{OwnerPool, Replies};
 use crate::proto::{Opcode, Record};
-use crate::server::ServerEvent;
+use crate::server::Responder;
 use endbox_netsim::cost::{CostModel, CycleMeter};
 use endbox_netsim::{BufferPool, Packet, PacketBatch};
 use std::collections::HashMap;
@@ -104,6 +106,33 @@ pub(crate) struct ConfigPolicy {
     pub(crate) previous_ok_version: u64,
     pub(crate) grace_deadline_secs: u64,
     pub(crate) grace_period_secs: u32,
+}
+
+impl ConfigPolicy {
+    /// The policy once `version` is announced at `now_secs`: the version
+    /// required until now stays acceptable for the grace period ("During
+    /// the grace period, the ENDBOX server allows both old and new
+    /// configurations to be active. After its expiry, the server blocks
+    /// traffic from clients that are not applying the new configuration",
+    /// §III-E).
+    pub(crate) fn announce(self, version: u64, grace_period_secs: u32, now_secs: u64) -> Self {
+        ConfigPolicy {
+            previous_ok_version: self.required_version,
+            required_version: version,
+            grace_deadline_secs: now_secs + grace_period_secs as u64,
+            grace_period_secs,
+        }
+    }
+
+    /// The periodic server ping carrying this announcement (Fig. 5
+    /// step 4).
+    pub(crate) fn ping(self, now_ns: u64) -> PingMessage {
+        PingMessage {
+            config_version: self.required_version,
+            grace_period_secs: self.grace_period_secs,
+            timestamp_ns: now_ns,
+        }
+    }
 }
 
 /// How the front-end assigns sessions (and their traffic) to shards.
@@ -169,9 +198,9 @@ const ADAPTIVE_MIN_IMBALANCE: f64 = 1_500.0;
 /// real traffic keeps it far above this).
 const ADAPTIVE_IDLE_EWMA: f64 = 1.0;
 
-/// What a shard produced for one input record: the packet-level
-/// deliveries of the sharded datapath (handshake results are produced by
-/// the front-end).
+/// What either server produced for one input record: the packet-level
+/// deliveries of the shard that handled it, or — for a handshake — the
+/// responder's answer.
 #[derive(Debug)]
 pub enum ShardEvent {
     /// Handshake completed; send `response` back to the client.
@@ -413,45 +442,10 @@ impl VpnShard {
         Ok(message)
     }
 
-    /// Handles one non-handshake record, producing the payload-level
-    /// [`ServerEvent`] used by the single-threaded server.
-    ///
-    /// # Errors
-    ///
-    /// All authentication/policy failures; the caller drops the traffic.
-    pub fn handle_record(
-        &mut self,
-        record: &Record,
-        now_secs: u64,
-    ) -> Result<ServerEvent, VpnError> {
-        match record.opcode {
-            Opcode::Data => Ok(ServerEvent::Data {
-                session_id: record.session_id,
-                payload: self.open_data(record, now_secs)?,
-            }),
-            Opcode::DataBatch => Ok(ServerEvent::DataBatch {
-                session_id: record.session_id,
-                frames: self.open_data_batch(record, now_secs)?,
-            }),
-            Opcode::Ping => Ok(ServerEvent::Ping {
-                session_id: record.session_id,
-                message: self.handle_ping(record)?,
-            }),
-            Opcode::Disconnect => {
-                self.remove(record.session_id)?;
-                Ok(ServerEvent::Disconnected {
-                    session_id: record.session_id,
-                })
-            }
-            Opcode::HandshakeInit | Opcode::HandshakeResp => {
-                Err(VpnError::Malformed("handshake record on the data path"))
-            }
-        }
-    }
-
-    /// Handles one non-handshake record, producing the packet-level
-    /// [`ShardEvent`] of the sharded datapath: tunnel payloads are
-    /// materialised into this shard's pool.
+    /// Handles one non-handshake record — the one record handler under
+    /// both servers. Tunnel payloads are materialised into this shard's
+    /// pool; one that is not an IPv4 packet is rejected after it was
+    /// authenticated, so it has consumed its replay-window slot.
     ///
     /// # Errors
     ///
@@ -540,11 +534,7 @@ impl VpnShard {
     ///
     /// [`VpnError::UnknownSession`] for bad ids.
     pub fn make_ping(&mut self, session_id: u64, now_ns: u64) -> Result<Record, VpnError> {
-        let msg = PingMessage {
-            config_version: self.policy.required_version,
-            grace_period_secs: self.policy.grace_period_secs,
-            timestamp_ns: now_ns,
-        };
+        let msg = self.policy.ping(now_ns);
         self.seal_to_client(session_id, Opcode::Ping, &msg.to_bytes())
     }
 }
@@ -686,12 +676,7 @@ fn worker_loop(
 /// [`VpnShard`] worker threads. See the module docs for the routing
 /// invariants and the re-merge ordering guarantee.
 pub struct ShardedVpnServer {
-    handshake: HandshakeConfig,
-    suite: CipherSuite,
-    meter: CycleMeter,
-    cost: CostModel,
-    rng: rand::rngs::StdRng,
-    next_session_id: u64,
+    responder: Responder,
     policy: ConfigPolicy,
     /// The worker threads, one [`VpnShard`] each.
     pool: OwnerPool<ShardRequest, WorkerReply>,
@@ -734,15 +719,9 @@ impl ShardedVpnServer {
         workers: usize,
         dispatch: DispatchPolicy,
     ) -> Self {
-        use rand::SeedableRng;
         let workers = workers.max(1);
         ShardedVpnServer {
-            handshake,
-            suite,
-            meter,
-            cost,
-            rng: rand::rngs::StdRng::seed_from_u64(rng_seed),
-            next_session_id: 1,
+            responder: Responder::new(handshake, suite, meter, cost, rng_seed),
             policy: ConfigPolicy::default(),
             pool: OwnerPool::new("vpn-shard", workers, |_, rx, tx| {
                 worker_loop(VpnShard::new(), rx, tx)
@@ -1164,52 +1143,25 @@ impl ShardedVpnServer {
     }
 
     fn handle_handshake(&mut self, record: &Record, now_secs: u64) -> Result<ShardEvent, VpnError> {
-        let hello = ClientHello::from_bytes(&record.payload)?;
-        let session_id = self.next_session_id;
-        let (server_hello, keys, info) = server_respond(
-            &self.handshake,
-            &hello,
-            session_id,
-            self.policy.required_version,
-            now_secs,
-            &mut self.rng,
-        )?;
-        self.next_session_id += 1;
-        let channel = DataChannel::server(&keys, self.suite, self.meter.clone(), self.cost.clone());
+        let (session_id, session, event) =
+            self.responder
+                .respond(record, self.policy.required_version, now_secs)?;
         let shard = self.shard_of(session_id);
         self.pool.send(
             shard,
             ShardRequest::Install {
                 session_id,
-                session: Box::new(ServerSession {
-                    info: info.clone(),
-                    reported_config_version: info.config_version,
-                    channel,
-                }),
+                session: Box::new(session),
             },
         );
         self.session_shard.insert(session_id, shard);
-        Ok(ShardEvent::Established {
-            session_id,
-            response: Record {
-                opcode: Opcode::HandshakeResp,
-                session_id,
-                packet_id: 0,
-                payload: server_hello.to_bytes(),
-            },
-            info,
-        })
+        Ok(event)
     }
 
     /// Announces a new required configuration version with a grace period
     /// (§III-E); the policy is replicated to every shard.
     pub fn announce_config(&mut self, version: u64, grace_period_secs: u32, now_secs: u64) {
-        self.policy = ConfigPolicy {
-            previous_ok_version: self.policy.required_version,
-            required_version: version,
-            grace_deadline_secs: now_secs + grace_period_secs as u64,
-            grace_period_secs,
-        };
+        self.policy = self.policy.announce(version, grace_period_secs, now_secs);
         let policy = self.policy;
         for shard in 0..self.pool.len() {
             self.pool.send(shard, ShardRequest::Policy(policy));
@@ -1269,11 +1221,7 @@ impl ShardedVpnServer {
     ///
     /// [`VpnError::UnknownSession`] for bad ids.
     pub fn make_ping(&mut self, session_id: u64, now_ns: u64) -> Result<Record, VpnError> {
-        let msg = PingMessage {
-            config_version: self.policy.required_version,
-            grace_period_secs: self.policy.grace_period_secs,
-            timestamp_ns: now_ns,
-        };
+        let msg = self.policy.ping(now_ns);
         self.seal_to_client(session_id, Opcode::Ping, msg.to_bytes())
     }
 

@@ -21,6 +21,21 @@ fn artifacts_regenerate_byte_identical_and_hold_every_claim() {
             claim.doc_row()
         );
     }
+    // An artifact whose table was deleted must not linger at the root.
+    for entry in std::fs::read_dir(root).expect("repository root") {
+        let name = entry.expect("dir entry").file_name();
+        let name = name.to_string_lossy();
+        let Some(stem) = name
+            .strip_prefix("BENCH_")
+            .and_then(|rest| rest.strip_suffix(".json"))
+        else {
+            continue;
+        };
+        assert!(
+            ARTIFACTS.iter().any(|(s, _)| *s == stem),
+            "{name} is not named by eval::ARTIFACTS: delete it or catalogue its table"
+        );
+    }
     // The runs share nothing, so regenerate them side by side.
     std::thread::scope(|scope| {
         for (stem, build) in ARTIFACTS {

@@ -184,9 +184,7 @@ fn assert_parity_with(
                 "reported config version diverged for client {idx}"
             );
         }
-        let (delivered_single, _, _) = single.server.counters();
-        let (delivered_sharded, _) = sharded.server.counters();
-        assert_eq!(delivered_sharded, delivered_single);
+        assert_eq!(sharded.server.counters(), single.server.counters());
         migrations += sharded.server.migrations();
     }
     migrations

@@ -286,6 +286,27 @@ pub enum Out {
     Rejected(EndBoxError),
 }
 
+/// What one replay of a schedule produced: the outcome of every
+/// datagram, in order, and the server's traffic counters afterwards.
+#[derive(Debug, PartialEq)]
+pub struct Replay {
+    pub outs: Vec<Out>,
+    pub delivered: u64,
+    pub rejected: u64,
+}
+
+impl Replay {
+    /// `counters` is the server's `(delivered, click-dropped, rejected)`;
+    /// no parity run carries a server-side Click.
+    fn new(outs: Vec<Out>, (delivered, _, rejected): (u64, u64, u64)) -> Replay {
+        Replay {
+            outs,
+            delivered,
+            rejected,
+        }
+    }
+}
+
 pub fn simplify(result: Result<Delivery, EndBoxError>) -> Out {
     match result {
         Ok(Delivery::Pending) => Out::Pending,
@@ -443,7 +464,7 @@ fn seal_step(
 
 /// Replays the schedule through the single-threaded reference server,
 /// one datagram at a time.
-pub fn run_single(schedule: &Schedule) -> Vec<Out> {
+pub fn run_single(schedule: &Schedule) -> Replay {
     let mut scenario = Scenario::enterprise(schedule.n_clients, UseCase::Nop)
         .seed(schedule.seed)
         .build()
@@ -471,19 +492,18 @@ pub fn run_single(schedule: &Schedule) -> Vec<Out> {
             prev = datagrams;
         }
     }
-    outs
+    Replay::new(outs, scenario.server.counters())
 }
 
 /// Replays the schedule through a sharded scenario with `rx_shards` RX
 /// shards and `workers` workers as `cfg` describes, returning the
-/// outcomes and the server's [`ResizeStats`] after the replay (so tests
-/// can reconcile the resize counters against the schedule that drove
-/// them).
+/// replay and the server's [`ResizeStats`] after it (so tests can
+/// reconcile the resize counters against the schedule that drove them).
 pub fn run(
     schedule: &Schedule,
     (rx_shards, workers): (usize, usize),
     cfg: &RunCfg,
-) -> (Vec<Out>, ResizeStats) {
+) -> (Replay, ResizeStats) {
     let event_loop = cfg.doorway == Doorway::EventLoop;
     let builder = Scenario::enterprise(schedule.n_clients, UseCase::Nop)
         .seed(schedule.seed)
@@ -584,11 +604,13 @@ pub fn run(
         }
     }
     flush(&mut scenario, &mut segment, &mut outs);
-    (outs, scenario.resize_stats())
+    let replay = Replay::new(outs, scenario.server.counters());
+    (replay, scenario.resize_stats())
 }
 
-/// Asserts byte-identical outcomes between the single-threaded reference
-/// and the sharded server for every `(rx_shards, workers)` in `grid` ×
+/// Asserts byte-identical outcomes and equal `(delivered, rejected)`
+/// counters between the single-threaded reference and the sharded server
+/// for every `(rx_shards, workers)` in `grid` ×
 /// every configuration in `cfgs`. Where a schedule carries
 /// [`Step::Resize`] steps the grid point is only the *starting*
 /// geometry; the schedule moves it.
