@@ -61,7 +61,7 @@ const EXPERIMENTS: [(&str, &str, fn()); 17] = [
     ),
     (
         "heavytail_dispatch",
-        "static vs load-aware dispatch -> BENCH_heavytail.json",
+        "load-aware vs modelled static dispatch -> BENCH_heavytail.json",
         || artifact("heavytail"),
     ),
     (
@@ -81,7 +81,7 @@ const EXPERIMENTS: [(&str, &str, fn()); 17] = [
     ),
     (
         "adaptive_control",
-        "zero-knob controller vs static configs -> BENCH_adaptive.json",
+        "controller vs modelled fixed RX homing -> BENCH_adaptive.json",
         || artifact("adaptive"),
     ),
     (

@@ -11,7 +11,7 @@
 
 use crate::client::{EndBoxClient, TrustLevel};
 use crate::scenario::{Scenario, ShardedScenario};
-use crate::server::{ControllerStats, DEFAULT_DRAIN_QUOTA, DEFAULT_SHARD_BUDGET};
+use crate::server::{ControllerStats, DEFAULT_RECV_BULK};
 use crate::use_cases::UseCase;
 use endbox_click::element::ElementEnv;
 use endbox_click::Router;
@@ -19,7 +19,6 @@ use endbox_netsim::cost::{CostModel, CycleMeter};
 use endbox_netsim::pipeline::PacketCharge;
 use endbox_netsim::traffic::benign_payload;
 use endbox_netsim::Packet;
-use endbox_vpn::shard::DispatchPolicy;
 use rand::SeedableRng;
 
 /// Cycles a plain (non-VPN) sender spends per packet in the kernel path —
@@ -109,37 +108,6 @@ pub enum Doorway {
     EventLoop,
 }
 
-/// Who sets the sharded server's scheduling knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Control {
-    /// Hand-tuned: a fixed worker dispatch policy and the event loop's
-    /// static per-socket drain quota and per-shard budget.
-    Pinned {
-        /// Worker placement policy.
-        dispatch: DispatchPolicy,
-        /// Per-socket datagrams drained per scheduling pass.
-        drain_quota: usize,
-        /// Per-shard datagram budget per pump round.
-        shard_budget: usize,
-    },
-    /// The zero-knob closed-loop control plane
-    /// ([`crate::scenario::ScenarioBuilder::adaptive_control`]): adaptive
-    /// dispatch, demand-proportional budgets, online peer remap. Needs
-    /// [`Doorway::EventLoop`].
-    Controller,
-}
-
-impl Default for Control {
-    /// The builder defaults: load-aware dispatch, default quota/budget.
-    fn default() -> Self {
-        Control::Pinned {
-            dispatch: DispatchPolicy::default(),
-            drain_quota: DEFAULT_DRAIN_QUOTA,
-            shard_budget: DEFAULT_SHARD_BUDGET,
-        }
-    }
-}
-
 /// What one [`measure`] run builds and drives: the independent variables
 /// of every experiment, and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -167,8 +135,6 @@ pub struct MeasureSpec {
     /// Datagrams per bulk `recv_many` call of the event loop (`1` is the
     /// per-datagram transport shape).
     pub recv_bulk: usize,
-    /// Scheduling knobs, or the controller that replaces them.
-    pub control: Control,
 }
 
 impl MeasureSpec {
@@ -185,8 +151,7 @@ impl MeasureSpec {
             per_peer: 1,
             zipf: false,
             doorway: Doorway::Call,
-            recv_bulk: DEFAULT_DRAIN_QUOTA,
-            control: Control::default(),
+            recv_bulk: DEFAULT_RECV_BULK,
         }
     }
 
@@ -210,9 +175,8 @@ impl MeasureSpec {
         }
     }
 
-    /// EndBox-SGX NOP at 1 500 B on the sharded server, call-driven with
-    /// the builder's default knobs — the base every scaling sweep
-    /// overrides.
+    /// EndBox-SGX NOP at 1 500 B on the sharded server, call-driven —
+    /// the base every scaling sweep overrides.
     pub fn sharded(rx_shards: usize, workers: usize) -> Self {
         MeasureSpec {
             server: Server::Sharded { rx_shards, workers },
@@ -238,8 +202,8 @@ pub struct Measured {
     /// the per-socket queue depth at drain time. `1.0` through
     /// [`Doorway::Call`].
     pub datagrams_per_call: f64,
-    /// What the control plane did (all zeros unless
-    /// [`Control::Controller`] or an adaptive dispatch policy acted).
+    /// What the control plane did — read off the event loop, so all
+    /// zeros through [`Doorway::Call`].
     pub controller: ControllerStats,
 }
 
@@ -270,13 +234,6 @@ impl Stack {
         if let Some(cfg) = &server_click {
             builder = builder.server_click(cfg);
         }
-        builder = match spec.control {
-            Control::Pinned { dispatch, .. } => builder.dispatch(dispatch),
-            Control::Controller => {
-                assert!(event_loop, "the controller lives in the event loop");
-                builder.adaptive_control(true)
-            }
-        };
         match spec.server {
             Server::PerClient => {
                 assert!(!event_loop, "the per-client server is call-driven");
@@ -289,14 +246,6 @@ impl Stack {
                     .expect("sharded deployment must build");
                 if event_loop {
                     scenario.set_recv_bulk(spec.recv_bulk);
-                    if let Control::Pinned {
-                        drain_quota,
-                        shard_budget,
-                        ..
-                    } = spec.control
-                    {
-                        scenario.set_async_budget(drain_quota, shard_budget);
-                    }
                 }
                 Stack::Sharded(Box::new(scenario))
             }
@@ -404,8 +353,8 @@ impl Stack {
 /// # Panics
 ///
 /// Panics if the stack cannot be constructed or a delivery fails (a bug
-/// in the harness), or on a contradictory spec: the event loop or the
-/// controller without the sharded server, or a server-side Click on it.
+/// in the harness), or on a contradictory spec: the event loop without
+/// the sharded server, or a server-side Click on it.
 pub fn measure(spec: &MeasureSpec) -> Measured {
     if let Deployment::VanillaClick(uc) = spec.deployment {
         return Measured {

@@ -103,19 +103,19 @@ pub const CLAIMS: [Claim; 10] = [
     ),
     Claim {
         artifact: "adaptive",
-        what: "zero-knob controller over the best static config, every step of both traces",
+        what: "controller over modelled fixed RX homing, every step of both traces",
         keys: &["trace", "step"],
         at_peak: false,
-        ratio: gbps("config", "controller", &scalability::STATIC_CONFIGS, true),
+        ratio: gbps("config", "controller", &[scalability::FIXED_HOMING], true),
         floor: 0.95,
     },
     Claim {
         artifact: "adaptive",
-        what: "zero-knob controller over the worst static config at each trace's peak",
+        what: "controller over modelled fixed RX homing at each trace's peak",
         keys: &["trace", "step"],
         at_peak: true,
-        ratio: gbps("config", "controller", &scalability::STATIC_CONFIGS, false),
-        floor: 1.3,
+        ratio: gbps("config", "controller", &[scalability::FIXED_HOMING], true),
+        floor: 1.2,
     },
     Claim {
         artifact: "elastic",

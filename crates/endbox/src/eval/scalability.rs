@@ -10,20 +10,18 @@
 //! Each returns one [`Table`]; those listed in
 //! [`crate::eval::ARTIFACTS`] are committed as `BENCH_*.json`.
 
-use super::deploy::{measure, Control, Deployment, Doorway, MeasureSpec, Measured, Records};
+use super::deploy::{measure, Deployment, Doorway, MeasureSpec, Measured, Records};
 use super::table::{cells, Cell, Table};
 use super::throughput::DEFAULT_BATCH_SIZE;
-use crate::server::{DEFAULT_DRAIN_QUOTA, DEFAULT_SHARD_BUDGET};
 use crate::use_cases::UseCase;
 use endbox_netsim::cost::CostModel;
 use endbox_netsim::pipeline::{
-    run_scalability, AsyncFrontEndModel, PacketCharge, ScalabilityConfig, ScalabilityResult,
-    SyscallBatchModel,
+    run_scalability, AsyncFrontEndModel, PacketCharge, RxLanes, ScalabilityConfig,
+    ScalabilityResult, SyscallBatchModel, WorkerLanes,
 };
 use endbox_netsim::resource::MachineSpec;
 use endbox_netsim::time::SimDuration;
 use endbox_netsim::traffic::{diurnal_trace, flash_crowd_trace, TraceStep};
-use endbox_vpn::shard::DispatchPolicy;
 
 /// Client counts plotted in Fig. 10.
 pub fn client_counts() -> [usize; 9] {
@@ -94,21 +92,26 @@ fn lanes(per_client_bps: u64, payload_bytes: usize) -> ScalabilityConfig {
 }
 
 /// Fig. 10's offered load (200 Mbps of 1 500 B packets per client) into
-/// one server process with `workers` shard flows, RX work folded into
-/// the worker lanes.
-fn fig10_lanes(workers: usize) -> ScalabilityConfig {
+/// one server process with `workers` shard flows — placed load-awarely
+/// or by fixed affinity — RX work folded into the worker lanes.
+fn fig10_lanes(workers: usize, load_aware: bool) -> ScalabilityConfig {
     ScalabilityConfig {
-        server_worker_shards: Some(workers),
+        server_worker_shards: Some(WorkerLanes {
+            load_aware,
+            ..WorkerLanes::new(workers)
+        }),
         ..lanes(200_000_000, 1_500)
     }
 }
 
-/// The small-record mix's offered load into `rx_shards` serial framing
-/// lanes in front of `workers` shard flows.
-fn rx_mix_lanes(charge: &PacketCharge, rx_shards: usize, workers: usize) -> ScalabilityConfig {
+/// The small-record mix's offered load into the serial framing lanes
+/// `rx` in front of `workers` shard flows.
+fn rx_mix_lanes(charge: &PacketCharge, rx: RxLanes, workers: WorkerLanes) -> ScalabilityConfig {
     ScalabilityConfig {
-        server_worker_shards: Some(workers),
-        rx_shards: Some(rx_shards),
+        server_worker_shards: Some(WorkerLanes {
+            rx: Some(rx),
+            ..workers
+        }),
         ..lanes(RX_MIX_PER_CLIENT_BPS, charge.payload_bytes)
     }
 }
@@ -278,7 +281,7 @@ pub fn fig10_sharded() -> Table {
         })
         .charge;
         for n in client_counts() {
-            let r = replay(charge, &fig10_lanes(workers), n, false);
+            let r = replay(charge, &fig10_lanes(workers, false), n, false);
             let name = format!("{} sharded", Deployment::EndBoxSgx(UseCase::Nop).name());
             table.push(cells![name, n, workers, batch].chain(perf(&charge, &r)));
         }
@@ -309,28 +312,24 @@ pub fn heavy_tail_weights(n_clients: usize) -> Vec<f64> {
 }
 
 /// The heavy-tailed batched measurement behind the dispatcher comparison:
-/// eight clients seal Zipf-sized records into a 4-worker server running
-/// `dispatch`.
-fn heavy_tail_spec(dispatch: DispatchPolicy) -> MeasureSpec {
+/// eight clients seal Zipf-sized records into a 4-worker server.
+fn heavy_tail_spec() -> MeasureSpec {
     MeasureSpec {
         peers: 8,
         records: Records::Batched,
         per_peer: DEFAULT_BATCH_SIZE,
         zipf: true,
-        control: Control::Pinned {
-            dispatch,
-            drain_quota: DEFAULT_DRAIN_QUOTA,
-            shard_budget: DEFAULT_SHARD_BUDGET,
-        },
         ..MeasureSpec::sharded(1, 4)
     }
 }
 
 /// `BENCH_heavytail.json` — static affinity vs load-aware dispatch under
 /// the Zipf mix whose elephants collide on one home shard, at 4 worker
-/// shards. Each policy is measured on the real stack running it, then
-/// replayed with the same mix and the matching dispatcher model; the win
-/// is a queueing effect the timing layer reproduces.
+/// shards. The one real stack is measured once; its charge is replayed
+/// with the same mix through the load-aware lane model and through
+/// fixed affinity. The `static` row is therefore a lane-model
+/// counterfactual — the server no longer has a static mode to measure —
+/// and the win is a queueing effect the timing layer reproduces.
 pub fn heavy_tail() -> Table {
     let mut table = Table::new(
         "heavytail",
@@ -345,17 +344,10 @@ pub fn heavy_tail() -> Table {
         ),
         (&["policy"], "clients", &["gbps", "migrations"]),
     );
-    for (policy, dispatch) in [
-        ("static", DispatchPolicy::Static),
-        ("load-aware", DispatchPolicy::load_aware()),
-    ] {
-        let charge = measure(&heavy_tail_spec(dispatch)).charge;
-        let lanes = ScalabilityConfig {
-            load_aware_dispatch: dispatch != DispatchPolicy::Static,
-            ..fig10_lanes(4)
-        };
+    let charge = measure(&heavy_tail_spec()).charge;
+    for (policy, load_aware) in [("static", false), ("load-aware", true)] {
         for n in [10, 20, 30, 40, 50, 60] {
-            let r = replay(charge, &lanes, n, true);
+            let r = replay(charge, &fig10_lanes(4, load_aware), n, true);
             let keys = cells![policy, n, 4usize, DEFAULT_BATCH_SIZE];
             table.push(keys.chain(perf(&charge, &r)).chain(cells![r.migrations]));
         }
@@ -380,7 +372,8 @@ pub fn rx_scaling() -> Table {
     for k in rx_shard_counts() {
         let charge = measure(&small_record_mix(k, 4, 6, 4)).charge;
         for n in RX_MIX_CLIENTS {
-            let r = replay(charge, &rx_mix_lanes(&charge, k, 4), n, false);
+            let lanes = rx_mix_lanes(&charge, RxLanes::new(k), WorkerLanes::new(4));
+            let r = replay(charge, &lanes, n, false);
             table.push(cells![n, k, 4usize].chain(perf(&charge, &r)));
         }
     }
@@ -425,10 +418,11 @@ pub fn async_ingress() -> Table {
             AsyncFrontEndModel::event_driven(wakeup, m.wakeups_per_datagram),
         ),
     ] {
-        let lanes = ScalabilityConfig {
-            async_front_end: Some(model),
-            ..rx_mix_lanes(&m.charge, 4, 4)
+        let rx = RxLanes {
+            wakeups: Some(model),
+            ..RxLanes::new(4)
         };
+        let lanes = rx_mix_lanes(&m.charge, rx, WorkerLanes::new(4));
         for n in RX_MIX_CLIENTS {
             let r = replay(m.charge, &lanes, n, false);
             let wakeups_per_packet = model.wakeups_per_datagram * m.charge.fragments.max(1) as f64;
@@ -445,18 +439,14 @@ pub fn async_ingress() -> Table {
 /// The bulk-draining measurement behind [`syscall_batch`]: the
 /// event-driven small-record mix, queued twice as deep per peer as
 /// [`async_ingress_spec`] (a call cannot move more than is waiting),
-/// drained with `recv_many(bulk)`, 2 RX shards, 4 workers. The drain
-/// quota covers a whole bulk batch so the fairness grain does not cap
-/// the measured amortisation.
+/// drained with `recv_many(bulk)`, 2 RX shards, 4 workers. (A socket's
+/// token allowance is its share of the group budget — hundreds of
+/// datagrams here — so the fairness grain never caps the measured
+/// amortisation.)
 pub fn boundary_spec(bulk: usize) -> MeasureSpec {
     MeasureSpec {
         doorway: Doorway::EventLoop,
         recv_bulk: bulk,
-        control: Control::Pinned {
-            dispatch: DispatchPolicy::default(),
-            drain_quota: bulk.max(DEFAULT_DRAIN_QUOTA),
-            shard_budget: DEFAULT_SHARD_BUDGET,
-        },
         ..small_record_mix(2, 4, 8, 16)
     }
 }
@@ -479,10 +469,11 @@ fn boundary_rows(bulk: usize) -> Vec<(usize, Vec<Cell>)> {
     } else {
         SyscallBatchModel::bulk(cost.syscall_per_call, m.datagrams_per_call.max(1.0))
     };
-    let lanes = ScalabilityConfig {
-        syscall_batch: Some(model),
-        ..rx_mix_lanes(&m.charge, 2, 4)
+    let rx = RxLanes {
+        syscalls: Some(model),
+        ..RxLanes::new(2)
     };
+    let lanes = rx_mix_lanes(&m.charge, rx, WorkerLanes::new(4));
     BOUNDARY_CLIENTS
         .into_iter()
         .map(|n| {
@@ -522,75 +513,53 @@ pub fn syscall_batch() -> Table {
     table
 }
 
-/// The hand-tuned static grid the controller competes against: every
-/// combination of dispatch policy (fixed affinity vs eager load-aware)
-/// and front-end budget sizing (starved vs generous). The grid brackets
-/// the tuning space — under uniform off-peak load the large-budget rows
-/// win; under the crowd's skew the load-aware rows win — so "within 5%
-/// of the best row at every step" means the controller never needed the
-/// hand-tuning at all.
-pub const STATIC_CONFIGS: [&str; 4] =
-    ["static-small", "static-large", "aware-small", "aware-large"];
-
-/// [`STATIC_CONFIGS`] plus the zero-knob controller, with their knobs.
-fn adaptive_configs() -> [(&'static str, Control); 5] {
-    let eager = DispatchPolicy::LoadAware {
-        imbalance_bytes: 1_000,
-        max_migrations_per_dispatch: 2,
-    };
-    let pinned = |dispatch, drain_quota, shard_budget| Control::Pinned {
-        dispatch,
-        drain_quota,
-        shard_budget,
-    };
-    [
-        (STATIC_CONFIGS[0], pinned(DispatchPolicy::Static, 1, 4)),
-        (STATIC_CONFIGS[1], pinned(DispatchPolicy::Static, 32, 1024)),
-        (STATIC_CONFIGS[2], pinned(eager, 1, 4)),
-        (STATIC_CONFIGS[3], pinned(eager, 32, 1024)),
-        ("controller", Control::Controller),
-    ]
-}
+/// The modelled baseline the controller's rows are set against: the
+/// same measured charge replayed with RX homing fixed at `client mod k`
+/// for the whole run. A lane-model counterfactual — the real front-end
+/// always runs its remap law — of what the controller's online re-homing
+/// is worth.
+pub const FIXED_HOMING: &str = "fixed-homing";
 
 /// The measurement behind [`adaptive_control`] and [`elastic_resize`]:
-/// the heavy-tailed small-record mix through the event loop under
-/// `control`. 8 peers at 2 RX shards puts both Zipf elephants (peers 0
-/// and 4) in poll group 0; base batch 24 makes that group's per-round
-/// backlog (~43 datagrams) deep enough that starved static budgets pay
-/// extra drain rounds — a worse measured wakeup ratio — and the
-/// controller's hot-group law (2x the other groups' mean, 3-round
-/// debounce) actually fires.
-pub fn controlled_spec(rx_shards: usize, workers: usize, control: Control) -> MeasureSpec {
+/// the heavy-tailed small-record mix through the event loop. 8 peers at
+/// 2 RX shards puts both Zipf elephants (peers 0 and 4) in poll group 0;
+/// base batch 24 makes that group's per-round backlog (~43 datagrams)
+/// deep enough that the hot-group law (2x the other groups' mean,
+/// 3-round debounce) actually fires.
+pub fn controlled_spec(rx_shards: usize, workers: usize) -> MeasureSpec {
     MeasureSpec {
         doorway: Doorway::EventLoop,
         zipf: true,
-        control,
         ..small_record_mix(rx_shards, workers, 8, 24)
     }
 }
 
 /// Replays one [`controlled_spec`] measurement at one trace step: crowd
-/// steps carry the Zipf skew, and online RX re-homing is modelled only
-/// for a configuration whose *measured* run demonstrably performed
-/// remaps — static configurations have no control plane and keep
-/// `client mod k` homing for the whole run.
+/// steps carry the Zipf skew, workers dispatch load-awarely, and online
+/// RX re-homing is modelled only for a *measured* run that demonstrably
+/// performed remaps — and not at all under `fixed_homing`, the
+/// [`FIXED_HOMING`] counterfactual.
 fn replay_step(
     m: &Measured,
     rx_shards: usize,
     workers: usize,
-    load_aware: bool,
+    fixed_homing: bool,
     step: &TraceStep,
 ) -> impl Iterator<Item = Cell> {
     let wakeup = CostModel::calibrated().event_loop_wakeup;
-    let lanes = ScalabilityConfig {
-        load_aware_dispatch: load_aware,
-        rx_remap: m.controller.remaps > 0,
-        async_front_end: Some(AsyncFrontEndModel::event_driven(
+    let rx = RxLanes {
+        remap: !fixed_homing && m.controller.remaps > 0,
+        wakeups: Some(AsyncFrontEndModel::event_driven(
             wakeup,
             m.wakeups_per_datagram,
         )),
-        ..rx_mix_lanes(&m.charge, rx_shards, workers)
+        ..RxLanes::new(rx_shards)
     };
+    let workers = WorkerLanes {
+        load_aware: true,
+        ..WorkerLanes::new(workers)
+    };
+    let lanes = rx_mix_lanes(&m.charge, rx, workers);
     perf(
         &m.charge,
         &replay(m.charge, &lanes, step.clients, step.crowd),
@@ -607,15 +576,15 @@ fn trace_title(what: &str, stack: &str) -> String {
     )
 }
 
-/// `BENCH_adaptive.json` — the zero-knob controller vs the hand-tuned
-/// [`STATIC_CONFIGS`] over a flash-crowd and a diurnal trace (2 RX
-/// shards, 4 workers). Each configuration is measured on the real stack
-/// exactly once; only the offered load moves across steps.
+/// `BENCH_adaptive.json` — the controller vs [`FIXED_HOMING`] over a
+/// flash-crowd and a diurnal trace (2 RX shards, 4 workers). The real
+/// stack is measured exactly once; both rows replay that charge, and
+/// only the offered load moves across steps.
 pub fn adaptive_control() -> Table {
     let mut table = Table::new(
         "adaptive",
         trace_title(
-            "zero-knob controller vs hand-tuned static configs",
+            "online peer re-homing vs fixed RX homing",
             "4 worker shards, 2 RX shards; flash-crowd + diurnal traces",
         ),
         &columns(&["config", "trace", "step", "clients", "crowd"], &[]),
@@ -631,19 +600,12 @@ pub fn adaptive_control() -> Table {
             diurnal_trace(TRACE_BASE, TRACE_PEAK, TRACE_STEPS),
         ),
     ];
-    for (config, control) in adaptive_configs() {
-        let m = measure(&controlled_spec(2, 4, control));
-        let load_aware = !matches!(
-            control,
-            Control::Pinned {
-                dispatch: DispatchPolicy::Static,
-                ..
-            }
-        );
+    let m = measure(&controlled_spec(2, 4));
+    for (config, fixed_homing) in [(FIXED_HOMING, true), ("controller", false)] {
         for (trace, steps) in &traces {
             for s in steps {
                 let keys = cells![config, *trace, s.step, s.clients, s.crowd];
-                table.push(keys.chain(replay_step(&m, 2, 4, load_aware, s)));
+                table.push(keys.chain(replay_step(&m, 2, 4, fixed_homing, s)));
             }
         }
     }
@@ -686,7 +648,7 @@ pub fn elastic_rung_for(clients: usize, peak: usize) -> usize {
 
 /// `BENCH_elastic.json` — online RX/worker resizing vs the fixed
 /// [`ELASTIC_LADDER`] over the diurnal trace. Every geometry is measured
-/// once on the real stack with the full control plane live; fixed rungs
+/// once on the real stack; fixed rungs
 /// replay one geometry for the whole trace, the `elastic` row follows
 /// [`elastic_rung_for`] step by step, so capacity tracks the curve.
 pub fn elastic_resize() -> Table {
@@ -703,16 +665,15 @@ pub fn elastic_resize() -> Table {
         (&["config"], "step", &["gbps", "rx_shards"]),
     );
     let trace = diurnal_trace(TRACE_BASE, TRACE_PEAK, TRACE_STEPS);
-    let rungs = ELASTIC_LADDER.map(|(_, rx_shards, workers)| {
-        measure(&controlled_spec(rx_shards, workers, Control::Controller))
-    });
+    let rungs =
+        ELASTIC_LADDER.map(|(_, rx_shards, workers)| measure(&controlled_spec(rx_shards, workers)));
     let fixed = (0..ELASTIC_LADDER.len()).map(|rung| (ELASTIC_LADDER[rung].0, Some(rung)));
     for (config, fixed_rung) in fixed.chain([("elastic", None)]) {
         for s in &trace {
             let rung = fixed_rung.unwrap_or_else(|| elastic_rung_for(s.clients, TRACE_PEAK));
             let (_, rx_shards, workers) = ELASTIC_LADDER[rung];
             let keys = cells![config, s.step, s.clients, s.crowd, rx_shards, workers];
-            table.push(keys.chain(replay_step(&rungs[rung], rx_shards, workers, true, s)));
+            table.push(keys.chain(replay_step(&rungs[rung], rx_shards, workers, false, s)));
         }
     }
     table
@@ -846,13 +807,7 @@ mod tests {
         // The guard-rail: under the *uniform* Fig. 10 load the dispatcher
         // must be within 5% of static affinity.
         let charge = fig10_charge(4);
-        let run = |load_aware: bool| {
-            let lanes = ScalabilityConfig {
-                load_aware_dispatch: load_aware,
-                ..fig10_lanes(4)
-            };
-            replay(charge, &lanes, 60, false).gbps
-        };
+        let run = |load_aware: bool| replay(charge, &fig10_lanes(4, load_aware), 60, false).gbps;
         let (g_stat, g_aware) = (run(false), run(true));
         assert!(
             (g_aware - g_stat).abs() / g_stat < 0.05,
@@ -862,15 +817,10 @@ mod tests {
 
     #[test]
     fn heavy_tail_win_comes_from_migrations() {
-        let replay_at_60 = |dispatch: DispatchPolicy| {
-            let lanes = ScalabilityConfig {
-                load_aware_dispatch: dispatch != DispatchPolicy::Static,
-                ..fig10_lanes(4)
-            };
-            replay(measure(&heavy_tail_spec(dispatch)).charge, &lanes, 60, true)
-        };
-        let stat = replay_at_60(DispatchPolicy::Static);
-        let aware = replay_at_60(DispatchPolicy::load_aware());
+        let charge = measure(&heavy_tail_spec()).charge;
+        let replay_at_60 = |load_aware| replay(charge, &fig10_lanes(4, load_aware), 60, true);
+        let stat = replay_at_60(false);
+        let aware = replay_at_60(true);
         assert_eq!(stat.migrations, 0);
         assert!(aware.migrations > 0 && aware.gbps > stat.gbps);
     }
@@ -916,7 +866,7 @@ mod tests {
         // worker lanes). 9.92 Gbps at 60 clients / 4 workers is the
         // pre-RX-pool baseline.
         let charge = fig10_charge(4);
-        let gbps = replay(charge, &fig10_lanes(4), 60, false).gbps;
+        let gbps = replay(charge, &fig10_lanes(4, false), 60, false).gbps;
         assert!(
             (gbps - 9.92).abs() / 9.92 < 0.05,
             "uniform Fig. 10 must stay within 5% of the baseline: {gbps:.2} Gbps"

@@ -20,7 +20,6 @@ use endbox_sgx::attestation::{CpuIdentity, IasSimulator};
 use endbox_vpn::channel::CipherSuite;
 use endbox_vpn::endpoint::FramedSender;
 use endbox_vpn::handshake::HandshakeConfig;
-use endbox_vpn::shard::DispatchPolicy;
 use endbox_vpn::{PROTOCOL_V1, PROTOCOL_V2};
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
@@ -52,19 +51,17 @@ pub enum ScenarioKind {
 /// ```
 /// use endbox::scenario::Scenario;
 /// use endbox::use_cases::UseCase;
-/// use endbox_vpn::shard::DispatchPolicy;
 ///
 /// // Single-threaded reference deployment: one client, one firewall.
 /// let mut s = Scenario::enterprise(1, UseCase::Firewall).build().unwrap();
 /// let delivered = s.send_from_client(0, b"hello").unwrap();
 /// assert_eq!(delivered.app_payload(), b"hello");
 ///
-/// // Fully-knobbed sharded pipeline: 2 RX framing shards, static
-/// // dispatch, 2 crypto workers, event-driven socket ingress.
+/// // The sharded pipeline: 2 RX framing shards, 2 crypto workers,
+/// // event-driven socket ingress.
 /// let s = Scenario::enterprise(2, UseCase::Nop)
 ///     .seed(42)
 ///     .rx_shards(2)
-///     .dispatch(DispatchPolicy::Static)
 ///     .async_ingress(true)
 ///     .build_sharded(2)
 ///     .unwrap();
@@ -83,10 +80,8 @@ pub struct ScenarioBuilder {
     suite_override: Option<CipherSuite>,
     server_click: Option<String>,
     custom_client_click: Option<String>,
-    dispatch: DispatchPolicy,
     rx_shards: usize,
     async_ingress: bool,
-    adaptive_control: bool,
     elastic: bool,
     transport: TransportKind,
 }
@@ -136,14 +131,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Shard dispatch policy of a sharded build (default: load-aware with
-    /// bounded migration; `DispatchPolicy::Static` restores the fixed
-    /// session-id affinity baseline).
-    pub fn dispatch(mut self, dispatch: DispatchPolicy) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
     /// RX framing shards of a sharded build (default 1): datagram
     /// reassembly and record framing run on `k` threads sharded by
     /// `peer_id mod k` in front of the worker shards.
@@ -164,35 +151,18 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Zero-knob self-tuning datapath (default off). Sugar that turns
-    /// the whole closed-loop control plane on in one call: implies
-    /// [`ScenarioBuilder::async_ingress`], switches the dispatch policy
-    /// to [`DispatchPolicy::Adaptive`] (rate-derived migration
-    /// thresholds plus idle-worker work stealing) and arms the
-    /// front-end's budget/remap controller
-    /// ([`AsyncFrontEnd::set_adaptive`]). Every decision lands at a
-    /// round boundary, so results stay byte-identical to the static
-    /// configurations — only scheduling moves.
-    pub fn adaptive_control(mut self, on: bool) -> Self {
-        self.adaptive_control = on;
-        if on {
-            self.async_ingress = true;
-            self.dispatch = DispatchPolicy::Adaptive;
-        }
-        self
-    }
-
-    /// Structural elasticity (default off). Implies
-    /// [`ScenarioBuilder::adaptive_control`]: on top of the budget/remap
-    /// loop, the control round may grow or shrink the RX shard pool and
-    /// worker pool themselves from the demand EWMAs
-    /// ([`AsyncFrontEnd::set_elastic`] documents the law's hysteresis and
-    /// cooldown). The builder's `rx_shards`/`workers` become the
-    /// *starting* geometry rather than a fixed one.
+    /// Structural elasticity (default off — a fixed geometry). Implies
+    /// [`ScenarioBuilder::async_ingress`]: on top of the budget/remap
+    /// laws every event loop runs, the control round may grow or shrink
+    /// the RX shard pool and worker pool themselves from the demand
+    /// EWMAs (hysteresis and cooldown:
+    /// [`crate::server::RESIZE_GROW_ROUNDS`] and its siblings). The
+    /// builder's `rx_shards`/`workers` become the *starting* geometry
+    /// rather than a fixed one.
     pub fn elastic(mut self, on: bool) -> Self {
         self.elastic = on;
         if on {
-            self = self.adaptive_control(true);
+            self.async_ingress = true;
         }
         self
     }
@@ -416,12 +386,8 @@ impl ScenarioBuilder {
     /// ```
     pub fn build_sharded(self, workers: usize) -> Result<ShardedScenario, EndBoxError> {
         let (mut setup, server_config) = self.setup()?;
-        let mut server = ShardedEndBoxServer::with_pipeline(
-            server_config,
-            workers,
-            self.dispatch,
-            self.rx_shards,
-        )?;
+        let mut server =
+            ShardedEndBoxServer::with_pipeline(server_config, workers, self.rx_shards)?;
 
         let mut clients = Vec::with_capacity(self.n_clients);
         let mut session_ids = Vec::with_capacity(self.n_clients);
@@ -435,7 +401,6 @@ impl ScenarioBuilder {
 
         let front_end = self.async_ingress.then(|| {
             let mut fe = AsyncFrontEnd::new(server.rx_shard_count());
-            fe.set_adaptive(self.adaptive_control);
             fe.set_elastic(self.elastic);
             fe
         });
@@ -536,10 +501,8 @@ impl Scenario {
             suite_override: None,
             server_click: None,
             custom_client_click: None,
-            dispatch: DispatchPolicy::default(),
             rx_shards: 1,
             async_ingress: false,
-            adaptive_control: false,
             elastic: false,
             transport: TransportKind::Virtual,
         }
@@ -558,10 +521,8 @@ impl Scenario {
             suite_override: None,
             server_click: None,
             custom_client_click: None,
-            dispatch: DispatchPolicy::default(),
             rx_shards: 1,
             async_ingress: false,
-            adaptive_control: false,
             elastic: false,
             transport: TransportKind::Virtual,
         }
@@ -939,8 +900,8 @@ impl ShardedScenario {
             .run_until_idle(&mut self.server)
     }
 
-    /// One event-loop round only (budget-bounded) — the knob the
-    /// backpressure tests turn. See [`AsyncFrontEnd::pump`].
+    /// One event-loop round only (budget-bounded) — what the
+    /// backpressure tests step. See [`AsyncFrontEnd::pump`].
     ///
     /// # Panics
     ///
@@ -975,35 +936,6 @@ impl ShardedScenario {
             .as_ref()
             .expect("async ingress enabled")
             .backlog()
-    }
-
-    /// Tightens the event loop's fairness quota / per-shard budget
-    /// (defaults: [`crate::server::DEFAULT_DRAIN_QUOTA`],
-    /// [`crate::server::DEFAULT_SHARD_BUDGET`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if async ingress is off.
-    pub fn set_async_budget(&mut self, drain_quota: usize, shard_budget: usize) {
-        let fe = self.front_end.as_mut().expect("async ingress enabled");
-        fe.set_drain_quota(drain_quota);
-        fe.set_shard_budget(shard_budget);
-    }
-
-    /// Switches the closed-loop controller on or off at runtime (see
-    /// [`AsyncFrontEnd::set_adaptive`]; the builder-time equivalent is
-    /// [`ScenarioBuilder::adaptive_control`], which also selects the
-    /// adaptive dispatch policy — this runtime toggle moves only the
-    /// front-end's budget/remap loop).
-    ///
-    /// # Panics
-    ///
-    /// Panics if async ingress is off.
-    pub fn set_adaptive_control(&mut self, on: bool) {
-        self.front_end
-            .as_mut()
-            .expect("async ingress enabled")
-            .set_adaptive(on);
     }
 
     /// Snapshot of the control plane's actions so far (budget grants,
@@ -1075,20 +1007,6 @@ impl ShardedScenario {
     /// [`crate::server::ResizeStats`]).
     pub fn resize_stats(&self) -> crate::server::ResizeStats {
         self.server.resize_stats()
-    }
-
-    /// Arms or disarms the resize law at runtime (see
-    /// [`AsyncFrontEnd::set_elastic`]; the builder-time equivalent is
-    /// [`ScenarioBuilder::elastic`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if async ingress is off.
-    pub fn set_elastic_control(&mut self, on: bool) {
-        self.front_end
-            .as_mut()
-            .expect("async ingress enabled")
-            .set_elastic(on);
     }
 
     /// Sets the bulk size of ingress `recv_many` calls (see
@@ -1587,12 +1505,7 @@ mod tests {
 
     #[test]
     fn heavy_tailed_round_skews_batches_and_triggers_migration() {
-        use endbox_vpn::shard::DispatchPolicy;
         let mut s = Scenario::enterprise(8, UseCase::Nop)
-            .dispatch(DispatchPolicy::LoadAware {
-                imbalance_bytes: 2_000,
-                max_migrations_per_dispatch: 2,
-            })
             .build_sharded(4)
             .unwrap();
         let weights = crate::eval::scalability::heavy_tail_weights(8);

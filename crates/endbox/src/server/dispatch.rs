@@ -8,7 +8,7 @@ use super::EndBoxServer;
 use super::{Delivery, EndBoxServerConfig, RxShardPool, RxShardStats, Server, ServerIo};
 use crate::error::EndBoxError;
 use endbox_vpn::proto::{Opcode, Record};
-use endbox_vpn::shard::{DispatchPolicy, ShardedVpnServer};
+use endbox_vpn::shard::ShardedVpnServer;
 
 /// Records accumulated from the RX stage before a sharded dispatch is cut.
 /// Small enough that shard crypto starts while the RX stage still parses
@@ -42,7 +42,7 @@ pub struct ResizeStats {
     pub partials_drained: u64,
     /// Sessions migrated off retiring workers (replay windows and crypto
     /// state move with them, via the same extract→install round-trip as
-    /// a load-aware migration).
+    /// a dispatcher migration).
     pub sessions_moved: u64,
 }
 
@@ -58,7 +58,8 @@ pub struct ResizeStats {
 ///    overlaps with RX framing of later ones on every RX shard.
 /// 3. **Workers**: everything per-session (crypto, replay windows,
 ///    policy, packet materialisation from per-shard buffer pools) runs on
-///    the shard threads, placed by the configured [`DispatchPolicy`].
+///    the shard threads, placed by the dispatch law of
+///    `endbox_vpn::shard`.
 ///
 /// # Re-merge ordering guarantee
 ///
@@ -112,8 +113,8 @@ impl std::fmt::Debug for ShardedEndBoxServer {
 }
 
 impl ShardedEndBoxServer {
-    /// Builds the pipeline: `workers` crypto shard threads, `rx_shards` RX
-    /// framing threads (minimum 1 each) and a [`DispatchPolicy`].
+    /// Builds the pipeline: `workers` crypto shard threads and `rx_shards`
+    /// RX framing threads (minimum 1 each).
     ///
     /// # Errors
     ///
@@ -122,7 +123,6 @@ impl ShardedEndBoxServer {
     pub fn with_pipeline(
         cfg: EndBoxServerConfig,
         workers: usize,
-        dispatch: DispatchPolicy,
         rx_shards: usize,
     ) -> Result<ShardedEndBoxServer, EndBoxError> {
         if cfg.server_click.is_some() {
@@ -130,14 +130,13 @@ impl ShardedEndBoxServer {
                 "sharded server has no server-side Click",
             ));
         }
-        let vpn = ShardedVpnServer::with_dispatch(
+        let vpn = ShardedVpnServer::new(
             cfg.handshake,
             cfg.suite,
             cfg.meter.clone(),
             cfg.cost.clone(),
             cfg.rng_seed,
             workers,
-            dispatch,
         );
         let rx = StagedRx {
             pool: RxShardPool::new(rx_shards, &cfg.meter, &cfg.cost),
@@ -180,18 +179,13 @@ impl ShardedEndBoxServer {
         self.rx.pool.set_stall_micros(shard, micros);
     }
 
-    /// The dispatch policy in force.
-    pub fn dispatch_policy(&self) -> DispatchPolicy {
-        self.vpn.dispatch_policy()
-    }
-
-    /// Sessions the load-aware dispatcher migrated so far.
+    /// Sessions the dispatcher migrated so far (steals included).
     pub fn migrations(&self) -> u64 {
         self.vpn.migrations()
     }
 
-    /// Idle-worker steals performed by the adaptive dispatcher (a subset
-    /// of [`ShardedEndBoxServer::migrations`]).
+    /// Idle-worker steals performed by the dispatcher (a subset of
+    /// [`ShardedEndBoxServer::migrations`]).
     pub fn steals(&self) -> u64 {
         self.vpn.steals()
     }

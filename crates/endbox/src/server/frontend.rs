@@ -1,14 +1,13 @@
 //! The event-driven socket front-end of the sharded server
-//! ([`AsyncFrontEnd`]) with its closed-loop controller: budgets, the
-//! peer→shard remap law and the resize law, all evaluated at round
-//! boundaries.
+//! ([`AsyncFrontEnd`]): sockets, poll groups and the drain loop. The laws
+//! that decide how much each group may drain, where a peer homes and how
+//! many groups there are live in `control`.
 
+use super::control::Control;
 use super::{Delivery, ShardedEndBoxServer, RX_DISPATCH_CHUNK};
 #[cfg(doc)]
-use super::{RxShardPool, RxShardStats};
+use super::{RxShardPool, RxShardStats, DEFAULT_SHARD_BUDGET};
 use crate::error::EndBoxError;
-#[cfg(doc)]
-use endbox_vpn::shard::DispatchPolicy;
 
 /// Observability counters for the event-driven socket front-end (the
 /// socket-layer analogue of [`RxShardStats`]).
@@ -38,93 +37,9 @@ pub struct AsyncIngressStats {
     pub io_calls: u64,
 }
 
-/// Default per-socket drain quota per scheduling pass (matches
-/// [`RX_DISPATCH_CHUNK`]: one pass contributes at most one dispatch chunk
-/// per peer).
-pub const DEFAULT_DRAIN_QUOTA: usize = RX_DISPATCH_CHUNK;
-
-/// Default per-shard datagram budget per pump round. Generous enough that
-/// ordinary traffic drains in one round (so the event-driven results are
-/// byte-identical to a single `receive_datagrams` call, in wire order);
-/// small enough to bound the memory one dispatch can pin under flood.
-pub const DEFAULT_SHARD_BUDGET: usize = 1024;
-
-/// EWMA smoothing factor for the controller's per-group demand signal
-/// (same weighting as the dispatcher's `LOAD_EWMA_ALPHA`: recent rounds
-/// dominate, one quiet round does not erase a hot spot).
-const DEMAND_EWMA_ALPHA: f64 = 0.5;
-
-/// A poll group is *hot* when its smoothed demand exceeds this multiple
-/// of the **other** groups' mean. Part of the control law, not a tuning
-/// knob: carrying twice what everyone else averages is the smallest
-/// imbalance a single-peer remap can meaningfully halve.
-const REMAP_HOT_FACTOR: f64 = 2.0;
-
-/// Consecutive hot rounds before the controller re-homes a peer — the
-/// debounce that keeps one bursty round from triggering a remap whose
-/// drain cost outweighs its benefit.
-const REMAP_HOT_ROUNDS: u32 = 3;
-
-/// Token-bucket cap in fair shares: a socket may bank at most this many
-/// rounds' worth of unused fair share, bounding the burst a hot peer can
-/// borrow from idle shard-mates in a single round.
-const TOKEN_BURST_SHARES: f64 = 4.0;
-
-/// Smoothed backlog per RX shard the resize law sizes the pool for: one
-/// dispatch chunk of queued work per shard per round is "full" — less
-/// means capacity is idle, more means the pool is behind demand.
-pub const RESIZE_TARGET_DEMAND: f64 = RX_DISPATCH_CHUNK as f64;
-
-/// Consecutive rounds the demanded shard count must exceed the live one
-/// before the law grows the pool (growth debounce).
-pub const RESIZE_GROW_ROUNDS: u32 = 3;
-
-/// Consecutive rounds of excess capacity before the law shrinks —
-/// deliberately longer than the growth debounce (hysteresis: giving
-/// capacity back is cheap to defer, falling behind is not).
-pub const RESIZE_SHRINK_ROUNDS: u32 = 6;
-
-/// Rounds after any resize during which the law stays quiet, so the
-/// trace's noise cannot thrash the pool through repeated rehashes.
-pub const RESIZE_COOLDOWN_ROUNDS: u32 = 8;
-
-/// Hard ceiling on the RX shard count the law will grow to.
-pub const RESIZE_MAX_RX: usize = 8;
-
-/// Worker threads the law provisions per RX shard when it resizes.
-pub const RESIZE_WORKERS_PER_SHARD: usize = 2;
-
-/// Snapshot of the self-tuning control plane's actions, assembled by
-/// [`AsyncFrontEnd::controller_stats`] from the front-end's budget
-/// controller, the RX remap counters and the adaptive dispatcher. Each
-/// field reconciles against an independent datapath counter (pinned in
-/// `tests/adaptive_control.rs`): drained datagrams never exceed
-/// `budget_grants`, `drained_partials` rides along `remaps`, and
-/// `steals <= migrations`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ControllerStats {
-    /// Pump rounds the adaptive budget controller planned (subset of
-    /// [`AsyncIngressStats::rounds`] — only rounds that drained count).
-    pub budget_rounds: u64,
-    /// Total datagram budget granted across those rounds (sum of the
-    /// per-group demand-proportional budgets of every polled-ready
-    /// group). Always >= [`AsyncIngressStats::datagrams`] drained while
-    /// the controller was active.
-    pub budget_grants: u64,
-    /// Datagrams a socket drained beyond its fair share of the group
-    /// budget — capacity borrowed from idle shard-mates via the token
-    /// buckets.
-    pub tokens_borrowed: u64,
-    /// Peers re-homed to a different RX shard (and poll group).
-    pub remaps: u64,
-    /// In-flight partial records drained along with those remaps.
-    pub drained_partials: u64,
-    /// Idle-worker session steals by [`DispatchPolicy::Adaptive`].
-    pub steals: u64,
-    /// Total dispatcher migrations (rate-based rebalance + steals), so
-    /// `steals <= migrations` by construction.
-    pub migrations: u64,
-}
+/// Default `recv_many` vector length (matches [`RX_DISPATCH_CHUNK`]: one
+/// bulk call contributes at most one dispatch chunk per peer).
+pub const DEFAULT_RECV_BULK: usize = RX_DISPATCH_CHUNK;
 
 /// The event-driven socket front-end: **one poll group per RX shard**,
 /// with each peer's server-side socket registered in the group of the
@@ -153,15 +68,23 @@ pub struct ControllerStats {
 ///
 /// # Backpressure
 ///
-/// Shard queue depth propagates to socket read scheduling: each round a
-/// shard drains at most [`AsyncFrontEnd::set_shard_budget`] datagrams,
-/// taken round-robin over its readable sockets in passes of at most
-/// [`AsyncFrontEnd::set_drain_quota`] datagrams per socket. A peer
-/// flooding its socket therefore yields to its shard-mates every pass:
-/// the mates' traffic rides in every round while the flood's tail stays
-/// queued in *its own* socket ([`AsyncIngressStats::deferred_rounds`]
-/// counts these deferrals) — it cannot starve the shard, and other
-/// shards' poll groups are untouched by construction.
+/// Shard queue depth propagates to socket read scheduling, by one law
+/// with nothing to set: each round the aggregate
+/// [`DEFAULT_SHARD_BUDGET`]` × K` is split over the poll groups in
+/// proportion to their queued backlog, and a group's budget is taken
+/// round-robin over its readable sockets in passes of at most each
+/// socket's banked tokens (its fair share of the budget, carried over up
+/// to a few rounds). A peer flooding its socket therefore yields to its
+/// shard-mates every pass: the mates' traffic rides in every round while
+/// the flood's tail stays queued in *its own* socket
+/// ([`AsyncIngressStats::deferred_rounds`] counts these deferrals) — it
+/// cannot starve the shard, and other shards' poll groups are untouched
+/// by construction. A persistently hot group has its hottest movable
+/// peer re-homed to the coldest group (socket registration **and** RX
+/// reassembly state, quiesced and drained — see
+/// [`ShardedEndBoxServer::remap_rx_peer`]). Every decision lands at a
+/// round boundary, so drained datagrams still re-merge into exact wire
+/// order for any drain split.
 ///
 /// # Example
 ///
@@ -196,11 +119,11 @@ pub struct ControllerStats {
 /// ```
 #[derive(Debug)]
 pub struct AsyncFrontEnd {
-    groups: Vec<endbox_netsim::net::PollGroup>,
+    pub(super) groups: Vec<endbox_netsim::net::PollGroup>,
     /// Slot-indexed `(peer, socket)` registry; `Token(slot)` keys events.
-    sockets: Vec<(u64, endbox_netsim::net::UdpEndpoint)>,
+    pub(super) sockets: Vec<(u64, endbox_netsim::net::UdpEndpoint)>,
     /// Slots registered per group, in registration order.
-    group_slots: Vec<Vec<usize>>,
+    pub(super) group_slots: Vec<Vec<usize>>,
     /// Each slot's position within its group's registration order
     /// (parallel to `sockets`; used to rotate the ready list fairly).
     slot_pos: Vec<usize>,
@@ -208,49 +131,22 @@ pub struct AsyncFrontEnd {
     /// rounds: the next round starts scanning after the last drained
     /// socket).
     rr: Vec<usize>,
-    drain_quota: usize,
-    shard_budget: usize,
     /// Max datagrams moved per bulk `recv_many` call (the `recvmmsg`
     /// vector length).
     recv_bulk: usize,
-    rounds: u64,
+    pub(super) rounds: u64,
     datagrams: u64,
     deferred_rounds: u64,
     io_calls: u64,
-    /// Closed-loop controller switch ([`AsyncFrontEnd::set_adaptive`]).
-    /// When off, the static knobs above govern and the drain path is
-    /// byte-identical to earlier revisions.
-    adaptive: bool,
-    /// Per-slot token buckets (fractional datagrams of drain allowance;
-    /// only consulted when `adaptive`).
-    tokens: Vec<f64>,
-    /// Per-group smoothed socket-backlog demand (the controller's load
-    /// signal).
-    demand_ewma: Vec<f64>,
-    /// Per-group consecutive rounds above the hot threshold (remap
-    /// debounce).
-    hot_rounds: Vec<u32>,
-    budget_rounds: u64,
-    budget_grants: u64,
-    tokens_borrowed: u64,
-    /// Structural-elasticity switch ([`AsyncFrontEnd::set_elastic`]):
-    /// when on (implies `adaptive`), the control round may resize the RX
-    /// pool and worker pool themselves.
-    elastic: bool,
-    /// Consecutive control rounds demanding more shards than are live.
-    grow_rounds: u32,
-    /// Consecutive control rounds demanding fewer shards than are live.
-    shrink_rounds: u32,
-    /// Control rounds remaining before the resize law may fire again.
-    resize_cooldown: u32,
+    /// The budget, token, remap and resize laws' state.
+    pub(super) control: Control,
     /// Wakeups accumulated by poll groups retired across resizes, so
     /// [`AsyncIngressStats::wakeups`] stays monotonic through a resize.
     retired_wakeups: u64,
 }
 
 impl AsyncFrontEnd {
-    /// A front-end with one poll group per RX shard and the default
-    /// drain quota / shard budget.
+    /// A front-end with one poll group per RX shard.
     pub fn new(rx_shards: usize) -> AsyncFrontEnd {
         let rx_shards = rx_shards.max(1);
         AsyncFrontEnd {
@@ -261,24 +157,12 @@ impl AsyncFrontEnd {
             group_slots: vec![Vec::new(); rx_shards],
             slot_pos: Vec::new(),
             rr: vec![0; rx_shards],
-            drain_quota: DEFAULT_DRAIN_QUOTA,
-            shard_budget: DEFAULT_SHARD_BUDGET,
-            recv_bulk: DEFAULT_DRAIN_QUOTA,
+            recv_bulk: DEFAULT_RECV_BULK,
             rounds: 0,
             datagrams: 0,
             deferred_rounds: 0,
             io_calls: 0,
-            adaptive: false,
-            tokens: Vec::new(),
-            demand_ewma: vec![0.0; rx_shards],
-            hot_rounds: vec![0; rx_shards],
-            budget_rounds: 0,
-            budget_grants: 0,
-            tokens_borrowed: 0,
-            elastic: false,
-            grow_rounds: 0,
-            shrink_rounds: 0,
-            resize_cooldown: 0,
+            control: Control::new(rx_shards),
             retired_wakeups: 0,
         }
     }
@@ -297,17 +181,7 @@ impl AsyncFrontEnd {
         self.slot_pos.push(self.group_slots[group].len());
         self.group_slots[group].push(slot);
         self.sockets.push((peer, endpoint));
-        self.tokens.push(0.0);
-    }
-
-    /// Per-socket datagrams drained per scheduling pass (fairness grain).
-    pub fn set_drain_quota(&mut self, quota: usize) {
-        self.drain_quota = quota.max(1);
-    }
-
-    /// Per-shard datagram budget per pump round (backpressure bound).
-    pub fn set_shard_budget(&mut self, budget: usize) {
-        self.shard_budget = budget.max(1);
+        self.control.add_slot();
     }
 
     /// Max datagrams moved per bulk `recv_many` call — the `recvmmsg`
@@ -321,50 +195,6 @@ impl AsyncFrontEnd {
         self.recv_bulk = bulk.max(1);
     }
 
-    /// Switches the closed-loop controller on or off. When on, the
-    /// static [`AsyncFrontEnd::set_drain_quota`] /
-    /// [`AsyncFrontEnd::set_shard_budget`] knobs are superseded each
-    /// round by demand-proportional shard budgets with per-socket token
-    /// buckets, and a persistently hot poll group has its hottest peer
-    /// re-homed to the coldest group (socket registration **and** RX
-    /// reassembly state, quiesced and drained — see
-    /// [`ShardedEndBoxServer::remap_rx_peer`]). Every decision lands at
-    /// a round boundary, so drained datagrams still re-merge into exact
-    /// wire order and results stay byte-identical to the static
-    /// front-end for any drain split. Off by default.
-    pub fn set_adaptive(&mut self, on: bool) {
-        self.adaptive = on;
-    }
-
-    /// Whether the closed-loop controller is active.
-    pub fn adaptive(&self) -> bool {
-        self.adaptive
-    }
-
-    /// Switches structural elasticity on or off (implies
-    /// [`AsyncFrontEnd::set_adaptive`] when enabled). When on, the
-    /// control round also evaluates the resize law: it sizes the RX pool
-    /// for [`RESIZE_TARGET_DEMAND`] smoothed backlog per shard, growing
-    /// after [`RESIZE_GROW_ROUNDS`] consecutive rounds of excess demand
-    /// and shrinking only after [`RESIZE_SHRINK_ROUNDS`] rounds of excess
-    /// capacity, with a [`RESIZE_COOLDOWN_ROUNDS`]-round quiet period
-    /// after every resize (hysteresis + cooldown so trace noise cannot
-    /// thrash the pool). Workers track the shard count at
-    /// [`RESIZE_WORKERS_PER_SHARD`] per shard. Every resize lands at a
-    /// round boundary — quiesced by construction — so results stay
-    /// byte-identical to any fixed geometry. Off by default.
-    pub fn set_elastic(&mut self, on: bool) {
-        self.elastic = on;
-        if on {
-            self.adaptive = true;
-        }
-    }
-
-    /// Whether the resize law is armed.
-    pub fn elastic(&self) -> bool {
-        self.elastic
-    }
-
     /// Rebuilds the poll-group set to match `server`'s RX shard count
     /// after a resize: one fresh group per shard, every registered socket
     /// re-registered in the group of the shard that now owns its peer.
@@ -373,77 +203,21 @@ impl AsyncFrontEnd {
     /// the one-group-per-shard invariant breaks at the next pump.
     ///
     /// Retired groups' wakeup counts are folded into
-    /// [`AsyncFrontEnd::stats`] so the counter stays monotonic; the
-    /// demand signal is spread evenly over the new groups (signal
-    /// continuity for the law — the cooldown covers re-learning).
+    /// [`AsyncFrontEnd::stats`] so the counter stays monotonic.
     pub fn resize_groups(&mut self, server: &ShardedEndBoxServer) {
         let new = server.rx_shard_count();
-        let total_demand: f64 = self.demand_ewma.iter().sum();
         self.retired_wakeups += self.groups.iter().map(|g| g.wakeups()).sum::<u64>();
         self.groups = (0..new)
             .map(|_| endbox_netsim::net::PollGroup::new())
             .collect();
         self.group_slots = vec![Vec::new(); new];
         self.rr = vec![0; new];
-        self.demand_ewma = vec![total_demand / new as f64; new];
-        self.hot_rounds = vec![0; new];
+        self.control.regroup(new);
         for (slot, (peer, endpoint)) in self.sockets.iter().enumerate() {
             let group = server.rx_shard_of(*peer);
             self.groups[group].register(endpoint, endbox_netsim::net::Token(slot));
             self.slot_pos[slot] = self.group_slots[group].len();
             self.group_slots[group].push(slot);
-        }
-    }
-
-    /// One resize-law evaluation (armed by [`AsyncFrontEnd::set_elastic`]).
-    /// Returns whether a resize fired this round; the remap law skips the
-    /// rest of its round when one did, since the group geometry it was
-    /// reasoning about no longer exists.
-    fn resize_round(&mut self, server: &mut ShardedEndBoxServer) -> bool {
-        if self.resize_cooldown > 0 {
-            self.resize_cooldown -= 1;
-            return false;
-        }
-        let k = self.groups.len();
-        let total: f64 = self.demand_ewma.iter().sum();
-        let desired = ((total / RESIZE_TARGET_DEMAND).ceil() as usize).clamp(1, RESIZE_MAX_RX);
-        if desired > k {
-            self.grow_rounds += 1;
-            self.shrink_rounds = 0;
-        } else if desired < k {
-            self.shrink_rounds += 1;
-            self.grow_rounds = 0;
-        } else {
-            self.grow_rounds = 0;
-            self.shrink_rounds = 0;
-            return false;
-        }
-        let fire = (desired > k && self.grow_rounds >= RESIZE_GROW_ROUNDS)
-            || (desired < k && self.shrink_rounds >= RESIZE_SHRINK_ROUNDS);
-        if !fire {
-            return false;
-        }
-        self.grow_rounds = 0;
-        self.shrink_rounds = 0;
-        self.resize_cooldown = RESIZE_COOLDOWN_ROUNDS;
-        server.resize_rx_shards(desired);
-        server.resize_workers(desired * RESIZE_WORKERS_PER_SHARD);
-        self.resize_groups(server);
-        true
-    }
-
-    /// Assembles the full control-plane snapshot: this front-end's
-    /// budget counters plus `server`'s remap and dispatcher counters.
-    pub fn controller_stats(&self, server: &ShardedEndBoxServer) -> ControllerStats {
-        let (remaps, drained_partials) = server.rx_remap_counters();
-        ControllerStats {
-            budget_rounds: self.budget_rounds,
-            budget_grants: self.budget_grants,
-            tokens_borrowed: self.tokens_borrowed,
-            remaps,
-            drained_partials,
-            steals: server.steals(),
-            migrations: server.migrations(),
         }
     }
 
@@ -491,126 +265,6 @@ impl AsyncFrontEnd {
         }
     }
 
-    /// One control-law evaluation at the round boundary: fold each
-    /// group's queued socket backlog into its demand EWMA; when one
-    /// group has stayed [`REMAP_HOT_FACTOR`]x above the cross-group mean
-    /// for [`REMAP_HOT_ROUNDS`] consecutive rounds, re-home its hottest
-    /// peer to the coldest group. Runs before any socket is polled, so
-    /// no receive batch is in flight — the remap's quiescence
-    /// requirement holds by construction.
-    fn control_round(&mut self, server: &mut ShardedEndBoxServer) {
-        let k = self.groups.len();
-        for g in 0..k {
-            let demand: usize = self.group_slots[g]
-                .iter()
-                .map(|&s| self.sockets[s].1.pending())
-                .sum();
-            self.demand_ewma[g] =
-                DEMAND_EWMA_ALPHA * demand as f64 + (1.0 - DEMAND_EWMA_ALPHA) * self.demand_ewma[g];
-        }
-        // The resize law sees the fresh demand signal first; when it
-        // fires, the group geometry the remap law would reason about no
-        // longer exists, so the remap law resumes next round.
-        if self.elastic && self.resize_round(server) {
-            return;
-        }
-        let k = self.groups.len();
-        if k < 2 {
-            return;
-        }
-        let sum = self.demand_ewma.iter().sum::<f64>();
-        if sum <= 0.0 {
-            return;
-        }
-        for g in 0..k {
-            // Hot = carrying more than REMAP_HOT_FACTOR times what the
-            // *other* groups average (against the overall mean a group
-            // could never qualify at small K: with two groups the
-            // hottest possible share is exactly 2x the mean). A one-peer
-            // group has nothing left to shed — moving its only peer
-            // would just relocate the hot spot.
-            let others = (sum - self.demand_ewma[g]) / (k - 1) as f64;
-            let hot = self.demand_ewma[g] > REMAP_HOT_FACTOR * others.max(1.0)
-                && self.group_slots[g].len() >= 2;
-            self.hot_rounds[g] = if hot { self.hot_rounds[g] + 1 } else { 0 };
-        }
-        let Some(hot) = (0..k)
-            .filter(|&g| self.hot_rounds[g] >= REMAP_HOT_ROUNDS)
-            .max_by(|&a, &b| self.demand_ewma[a].total_cmp(&self.demand_ewma[b]))
-        else {
-            return;
-        };
-        let cold = (0..k)
-            .min_by(|&a, &b| self.demand_ewma[a].total_cmp(&self.demand_ewma[b]))
-            .expect("at least two groups");
-        if cold == hot {
-            return;
-        }
-        // Shed the *largest* peer that still fits in half the live gap:
-        // moving more than that would overshoot and invert the imbalance
-        // (the re-homed elephant makes the cold group the new hot spot,
-        // and the law would ping-pong it straight back). If no peer fits
-        // — one monster session IS the backlog — skip; relocating it
-        // would only relocate the hot spot.
-        let live = |g: usize| -> usize {
-            self.group_slots[g]
-                .iter()
-                .map(|&s| self.sockets[s].1.pending())
-                .sum()
-        };
-        let half_gap = live(hot).saturating_sub(live(cold)) / 2;
-        let Some(&slot) = self.group_slots[hot]
-            .iter()
-            .filter(|&&s| self.sockets[s].1.pending() <= half_gap)
-            .max_by_key(|&&s| self.sockets[s].1.pending())
-        else {
-            return;
-        };
-        let moved = self.sockets[slot].1.pending();
-        if moved == 0 {
-            return;
-        }
-        let peer = self.sockets[slot].0;
-        server.remap_rx_peer(peer, cold);
-        self.rehome_peer(peer, cold);
-        self.hot_rounds[hot] = 0;
-        // Shift the moved backlog between the demand estimates so the
-        // law sees the remap's effect now instead of re-firing while the
-        // EWMA catches up.
-        self.demand_ewma[hot] = (self.demand_ewma[hot] - moved as f64).max(0.0);
-        self.demand_ewma[cold] += moved as f64;
-    }
-
-    /// Demand-proportional per-group budgets for this round. Every group
-    /// keeps a floor of one dispatch chunk (liveness); the rest of the
-    /// aggregate capacity — `DEFAULT_SHARD_BUDGET * K`, the same total
-    /// the static knobs grant — is split proportionally to queued
-    /// backlog, so a hot shard inherits exactly the headroom its idle
-    /// shard-mates are not using.
-    fn plan_budgets(&self) -> Vec<usize> {
-        let k = self.groups.len();
-        let spread = (DEFAULT_SHARD_BUDGET * k).saturating_sub(RX_DISPATCH_CHUNK * k);
-        let demand: Vec<usize> = (0..k)
-            .map(|g| {
-                self.group_slots[g]
-                    .iter()
-                    .map(|&s| self.sockets[s].1.pending())
-                    .sum()
-            })
-            .collect();
-        let total: usize = demand.iter().sum();
-        (0..k)
-            .map(|g| {
-                if total == 0 {
-                    DEFAULT_SHARD_BUDGET
-                } else {
-                    RX_DISPATCH_CHUNK
-                        + (spread as f64 * demand[g] as f64 / total as f64).round() as usize
-                }
-            })
-            .collect()
-    }
-
     /// Front-end counters.
     pub fn stats(&self) -> AsyncIngressStats {
         AsyncIngressStats {
@@ -627,10 +281,11 @@ impl AsyncFrontEnd {
         self.sockets.iter().map(|(_, ep)| ep.pending()).sum()
     }
 
-    /// One event-loop round: polls every group, drains readable sockets
-    /// under the fairness quota and shard budget, re-merges the drained
-    /// datagrams into wire order and runs them through one pipelined
-    /// [`ShardedEndBoxServer::receive_datagrams`] dispatch. Returns one
+    /// One event-loop round: runs the control round, polls every group,
+    /// drains readable sockets under the round's budgets, re-merges the
+    /// drained datagrams into wire order and runs them through one
+    /// pipelined [`ShardedEndBoxServer::receive_datagrams`] dispatch.
+    /// Returns one
     /// `(peer, result)` per drained datagram, in dispatch order; an empty
     /// vector means no socket was readable.
     pub fn pump(
@@ -643,15 +298,10 @@ impl AsyncFrontEnd {
             "one poll group per RX shard"
         );
         // Closed-loop control, evaluated strictly at the round boundary
-        // (before any socket is polled): remap persistent hot spots,
-        // then derive this round's per-group budgets from live queue
-        // depth. `None` = static knobs in force, drain path unchanged.
-        let budgets = if self.adaptive {
-            self.control_round(server);
-            Some(self.plan_budgets())
-        } else {
-            None
-        };
+        // (before any socket is polled): resize, remap persistent hot
+        // spots, then derive this round's per-group budgets from the
+        // sampled queue depths.
+        self.control_round(server);
         let mut drained: Vec<(u64, u64, Vec<u8>)> = Vec::new(); // (seq, peer, payload)
         let mut deferred = false;
         let mut events = Vec::new();
@@ -671,37 +321,18 @@ impl AsyncFrontEnd {
                 .iter()
                 .position(|&slot| self.slot_pos[slot] >= cursor)
                 .unwrap_or(0);
-            let mut budget = match &budgets {
-                Some(b) => {
-                    self.budget_grants += b[group] as u64;
-                    b[group]
-                }
-                None => self.shard_budget,
-            };
-            // Token buckets (adaptive only): every ready socket banks its
-            // fair share of the group budget each round, capped at a few
-            // shares — a hot peer's per-pass allowance is its banked
-            // tokens, so it spends exactly what idle shard-mates left
-            // unclaimed instead of a fixed per-socket quota.
-            let fair = if budgets.is_some() {
-                let fair = (budget as f64 / ready.len() as f64).max(1.0);
-                for &slot in &ready {
-                    self.tokens[slot] = (self.tokens[slot] + fair).min(TOKEN_BURST_SHARES * fair);
-                }
-                fair
-            } else {
-                0.0
-            };
+            let mut budget = self.control.grant(group);
+            let fair = self.control.bank(&ready, budget);
             let mut last_drained = None;
             // Scheduling passes: round-robin over the ready sockets, at
-            // most `drain_quota` per socket per pass, until the budget is
-            // spent or every ready socket is dry. Each socket is drained
-            // with bulk `recv_many` calls of up to `recv_bulk` datagrams
-            // — the datagrams and their order are identical to the
-            // per-datagram shape; only the call count changes. A socket
-            // that returns short (`got < want`) is dry for the rest of
-            // this round: later passes skip it instead of paying a
-            // zero-yield `recv_many`, so `io_calls` counts only calls
+            // most each socket's token allowance per pass, until the
+            // budget is spent or every ready socket is dry. Each socket
+            // is drained with bulk `recv_many` calls of up to `recv_bulk`
+            // datagrams — the datagrams and their order are identical to
+            // the per-datagram shape; only the call count changes. A
+            // socket that returns short (`got < want`) is dry for the
+            // rest of this round: later passes skip it instead of paying
+            // a zero-yield `recv_many`, so `io_calls` counts only calls
             // that could have moved data.
             let mut scratch: Vec<endbox_netsim::net::Datagram> = Vec::new();
             let mut dry = vec![false; ready.len()];
@@ -713,13 +344,7 @@ impl AsyncFrontEnd {
                         continue;
                     }
                     let slot = ready[idx];
-                    let quota = if budgets.is_some() {
-                        // Allowance = banked tokens, floored at one so a
-                        // starved socket still makes progress every pass.
-                        self.tokens[slot].floor().max(1.0) as usize
-                    } else {
-                        self.drain_quota
-                    };
+                    let quota = self.control.allowance(slot);
                     let (peer, ep) = &self.sockets[slot];
                     let mut taken = 0;
                     while taken < quota && budget > 0 {
@@ -740,12 +365,7 @@ impl AsyncFrontEnd {
                     if taken > 0 {
                         drained_this_pass += taken;
                         last_drained = Some(self.slot_pos[slot]);
-                        if budgets.is_some() {
-                            self.tokens[slot] = (self.tokens[slot] - taken as f64).max(0.0);
-                            if taken as f64 > fair {
-                                self.tokens_borrowed += (taken as f64 - fair).ceil() as u64;
-                            }
-                        }
+                        self.control.spend(slot, taken, fair);
                     }
                     if budget == 0 {
                         break;
@@ -766,9 +386,6 @@ impl AsyncFrontEnd {
             return Vec::new();
         }
         self.rounds += 1;
-        if budgets.is_some() {
-            self.budget_rounds += 1;
-        }
         self.datagrams += drained.len() as u64;
         if deferred {
             self.deferred_rounds += 1;

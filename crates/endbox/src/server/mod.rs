@@ -33,7 +33,7 @@
 //! # Ordering / parity invariants
 //!
 //! The sharded server is **byte-identical** to [`EndBoxServer`] for any
-//! `(rx_shards, workers, dispatch policy)` and any thread schedule.
+//! `(rx_shards, workers)` and any thread schedule.
 //! The invariants that carry the proof, each pinned by tests:
 //!
 //! 1. *Input-order re-merge* — `receive_datagrams` returns exactly one
@@ -51,8 +51,9 @@
 //!    shard at every instant; migration drains earlier records first
 //!    (`endbox_vpn::shard`).
 //! 5. *Wire-order drain* — the event-driven front-end re-merges drained
-//!    datagrams by wire arrival stamp; per-peer order is exact under any
-//!    backpressure setting (`tests/async_ingress.rs`).
+//!    datagrams by wire arrival stamp; per-peer order is exact however
+//!    backpressure splits a flood across rounds
+//!    (`tests/async_ingress.rs`).
 //!
 //! The full walk-through lives in `docs/architecture.md` at the
 //! repository root.
@@ -62,9 +63,9 @@
 //! This file holds what both flavours share: the configuration,
 //! [`Delivery`], the metered I/O formulas and [`Server`]. The RX
 //! stage is in `rx`, the reference server in `reference`, the sharded
-//! one in `dispatch`, the socket front-end with its controller in
-//! `frontend`, the TX-batching egress stage in `tx`; all are
-//! re-exported here.
+//! one in `dispatch`, the socket front-end in `frontend`, the laws that
+//! steer it (budgets, token buckets, remap, resize) in `control`, the
+//! TX-batching egress stage in `tx`; all are re-exported here.
 
 use crate::error::EndBoxError;
 use endbox_click::Router;
@@ -82,18 +83,19 @@ use endbox_vpn::shard::{ShardEvent, ShardedVpnServer};
 use endbox_vpn::VpnError;
 use rx::RxOutcome;
 
+mod control;
 mod dispatch;
 mod frontend;
 mod reference;
 mod rx;
 mod tx;
 
-pub use dispatch::{ResizeStats, ShardedEndBoxServer, RX_DISPATCH_CHUNK};
-pub use frontend::{
-    AsyncFrontEnd, AsyncIngressStats, ControllerStats, DEFAULT_DRAIN_QUOTA, DEFAULT_SHARD_BUDGET,
-    RESIZE_COOLDOWN_ROUNDS, RESIZE_GROW_ROUNDS, RESIZE_MAX_RX, RESIZE_SHRINK_ROUNDS,
-    RESIZE_TARGET_DEMAND, RESIZE_WORKERS_PER_SHARD,
+pub use control::{
+    ControllerStats, DEFAULT_SHARD_BUDGET, RESIZE_COOLDOWN_ROUNDS, RESIZE_GROW_ROUNDS,
+    RESIZE_MAX_RX, RESIZE_SHRINK_ROUNDS, RESIZE_TARGET_DEMAND, RESIZE_WORKERS_PER_SHARD,
 };
+pub use dispatch::{ResizeStats, ShardedEndBoxServer, RX_DISPATCH_CHUNK};
+pub use frontend::{AsyncFrontEnd, AsyncIngressStats, DEFAULT_RECV_BULK};
 pub use reference::EndBoxServer;
 pub use rx::{RxShardPool, RxShardStats};
 pub use tx::{TxBatchStats, TxBatcher};

@@ -14,26 +14,27 @@
 //!   queued packets never reserve execution slots.
 //! * **Wire** — transmissions serialise in actual client-completion
 //!   order.
-//! * **RX lanes** ([`ScalabilityConfig::rx_shards`]) — `K` serial framing
-//!   lanes (`client mod K`) charging [`PacketCharge::rx_cycles`] each,
-//!   with completion-ordered hand-off to dispatch. The socket front-end
-//!   ([`ScalabilityConfig::async_front_end`]) adds the event-loop wakeup
-//!   charge here: per datagram when call-driven, amortised over the
-//!   measured drain batch when event-driven. The syscall boundary
-//!   ([`ScalabilityConfig::syscall_batch`]) likewise adds the per-call
+//! * **Worker lanes** ([`ScalabilityConfig::server_worker_shards`],
+//!   [`WorkerLanes`]) — one serial flow per worker shard; sessions are
+//!   placed by static affinity or the load-aware migration model
+//!   ([`WorkerLanes::load_aware`]).
+//! * **RX lanes** ([`WorkerLanes::rx`], [`RxLanes`]) — `K` serial framing
+//!   lanes (`client mod K`) in front of the worker lanes, charging
+//!   [`PacketCharge::rx_cycles`] each, with completion-ordered hand-off
+//!   to dispatch. The socket front-end ([`RxLanes::wakeups`]) adds the
+//!   event-loop wakeup charge here: per datagram when call-driven,
+//!   amortised over the measured drain batch when event-driven. The
+//!   syscall boundary ([`RxLanes::syscalls`]) likewise adds the per-call
 //!   kernel-crossing charge, amortised over the measured bulk
 //!   `recv_many` batch size.
-//! * **Worker lanes** ([`ScalabilityConfig::server_worker_shards`]) —
-//!   one serial flow per worker shard; sessions are placed by static
-//!   affinity or the load-aware migration model
-//!   ([`ScalabilityConfig::load_aware_dispatch`]).
 //!
 //! # Compatibility invariant
 //!
-//! Every refinement is gated on an `Option`: `rx_shards: None`,
-//! `async_front_end: None` and `syscall_batch: None` keep the legacy
-//! folded models **bit-identical** (regression-tested below), so shipped
-//! figures never move when a new stage is added to the model.
+//! The refinements nest — RX lanes exist only in front of worker lanes,
+//! the socket models only on RX lanes — so a model that would be ignored
+//! cannot be written down. Each level is an `Option`, and `None` keeps
+//! the coarser model **bit-identical** (regression-tested below), so
+//! shipped figures never move when a new stage is added to the model.
 
 use crate::resource::{Link, Machine, MachineSpec};
 use crate::time::{SimDuration, SimTime};
@@ -55,9 +56,9 @@ pub struct PacketCharge {
     pub server_cycles: u64,
     /// The portion of `server_cycles` attributable to the RX front-end
     /// (datagram reassembly and record framing). Only consulted when
-    /// [`ScalabilityConfig::rx_shards`] models a separate RX stage: those
-    /// cycles then run on serial RX lanes instead of the worker-shard
-    /// lanes, leaving the per-packet total unchanged.
+    /// [`WorkerLanes::rx`] models a separate RX stage: those cycles then
+    /// run on serial RX lanes instead of the worker-shard lanes, leaving
+    /// the per-packet total unchanged.
     pub rx_cycles: u64,
     /// True if the middlebox dropped the packet (still consumes client
     /// cycles, but no wire/server cost).
@@ -156,54 +157,75 @@ pub struct ScalabilityConfig {
     /// All server work funnels through ONE single-threaded process (the
     /// vanilla-Click deployment of Fig. 10a, capped at one core).
     pub server_single_process: bool,
-    /// `Some(n)`: the server is ONE process with `n` worker shards
-    /// (session-id-affine assignment, each shard a serial flow competing
-    /// for the machine's cores) — the sharded multi-worker EndBox server.
-    /// `None`: the paper's legacy one-process-per-client model, governed
-    /// by `server_procs_per_client` / `server_single_process`.
-    pub server_worker_shards: Option<usize>,
+    /// `Some(lanes)`: the server is ONE process of worker-shard lanes
+    /// (and, nested inside, RX lanes) — the sharded multi-worker EndBox
+    /// server. `None`: the paper's legacy one-process-per-client model,
+    /// governed by `server_procs_per_client` / `server_single_process`.
+    pub server_worker_shards: Option<WorkerLanes>,
     /// `Some(w)`: relative offered-load weight per client (heavy-tailed
     /// mixes). Weights are normalised so the *aggregate* offered load
     /// stays `n_clients * per_client_bps` — a skewed mix is directly
     /// comparable to the uniform one. `None`: every client offers
     /// `per_client_bps` (the paper's uniform setup).
     pub client_load_weights: Option<Vec<f64>>,
-    /// With `server_worker_shards`, dispatch sessions to worker flows
-    /// load-awarely: a session migrates to the least-backlogged shard when
-    /// its current shard's backlog exceeds the minimum by more than
-    /// [`MIGRATION_BACKLOG_JOBS`] jobs' worth of service time (bounded
-    /// migration — the timing-layer model of the real
-    /// `ShardedVpnServer`'s load-aware dispatcher). `false`: fixed
-    /// session-id affinity (`client mod workers`).
-    pub load_aware_dispatch: bool,
-    /// `Some(k)` (only meaningful with `server_worker_shards`): model the
-    /// RX front-end as `k` serial framing lanes sharded by
-    /// `client mod k`, each charging [`PacketCharge::rx_cycles`] per
-    /// packet, with **completion-ordered** hand-off to the worker-shard
-    /// dispatch stage. `None`: the RX work stays folded into the worker
-    /// lanes (the pre-RX-pool model; exact legacy behaviour).
-    pub rx_shards: Option<usize>,
-    /// With `rx_shards`, model the control plane's **online peer→shard
-    /// remap**: a client re-homes to the least-backlogged RX lane when
-    /// its current lane's backlog exceeds the minimum by more than
+}
+
+/// The sharded server's worker stage: `n` shard threads, each a serial
+/// flow competing for the machine's cores (session-id-affine assignment).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WorkerLanes {
+    /// Worker shards (minimum 1).
+    pub n: usize,
+    /// Dispatch sessions to worker flows load-awarely: a session migrates
+    /// to the least-backlogged shard when its current shard's backlog
+    /// exceeds the minimum by more than [`MIGRATION_BACKLOG_JOBS`] jobs'
+    /// worth of service time (bounded migration — the timing-layer model
+    /// of the real `ShardedVpnServer`'s dispatcher). `false`: fixed
+    /// session-id affinity (`client mod n`), the counterfactual a
+    /// measured charge is replayed against.
+    pub load_aware: bool,
+    /// `Some(rx)`: a separate RX stage in front of the workers. `None`:
+    /// the RX work stays folded into the worker lanes (the pre-RX-pool
+    /// model; exact legacy behaviour).
+    pub rx: Option<RxLanes>,
+}
+
+impl WorkerLanes {
+    /// `n` worker lanes with fixed affinity and the RX work folded in.
+    pub fn new(n: usize) -> Self {
+        WorkerLanes {
+            n,
+            load_aware: false,
+            rx: None,
+        }
+    }
+}
+
+/// The sharded server's RX stage: `k` serial framing lanes sharded by
+/// `client mod k`, each charging [`PacketCharge::rx_cycles`] per packet,
+/// with **completion-ordered** hand-off to the worker-shard dispatch
+/// stage.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RxLanes {
+    /// RX framing lanes (minimum 1).
+    pub k: usize,
+    /// Model the control plane's **online peer→shard remap**: a client
+    /// re-homes to the least-backlogged RX lane when its current lane's
+    /// backlog exceeds the minimum by more than
     /// [`MIGRATION_BACKLOG_JOBS`] RX jobs' worth of service time — the
     /// timing-layer counterpart of the real `RxShardPool` remap that the
-    /// adaptive front-end drives from its hot-group law. `false`: RX
-    /// homing is fixed `client mod k` for the whole run (every static
-    /// configuration; reassembly pinning without a control plane cannot
-    /// move). Only the self-tuning controller earns this flag, and only
-    /// when its *measured* run actually performed remaps.
-    pub rx_remap: bool,
-    /// `Some(m)` (only consulted when `rx_shards` models a separate RX
-    /// stage): model the socket front-end ahead of the RX lanes. Each
+    /// front-end drives from its hot-group law. `false`: RX homing is
+    /// fixed `client mod k` for the whole run. A measured charge earns
+    /// this flag only when its run actually performed remaps.
+    pub remap: bool,
+    /// `Some(m)`: model the socket front-end ahead of the RX lanes. Each
     /// packet charges `m.per_packet_cycles(fragments)` extra event-loop
     /// cycles on its RX lane — the wakeup cost of the I/O front-end per
     /// wire datagram, amortised over however many datagrams each wakeup
     /// drains (see [`AsyncFrontEndModel`]). `None`: socket wakeups are
     /// free (exact legacy behaviour, bit-identical).
-    pub async_front_end: Option<AsyncFrontEndModel>,
-    /// `Some(m)` (only consulted when `rx_shards` models a separate RX
-    /// stage): price the kernel-boundary crossings of socket I/O. Each
+    pub wakeups: Option<AsyncFrontEndModel>,
+    /// `Some(m)`: price the kernel-boundary crossings of socket I/O. Each
     /// packet charges `m.per_packet_cycles(fragments)` on its RX lane —
     /// the per-call syscall cost divided by how many datagrams each bulk
     /// `recv_many` call moves (see [`SyscallBatchModel`]). `None`:
@@ -211,7 +233,19 @@ pub struct ScalabilityConfig {
     /// bit-identical), matching the `net` layer's metering, which
     /// charges per-datagram socket costs but never the per-call
     /// boundary cost.
-    pub syscall_batch: Option<SyscallBatchModel>,
+    pub syscalls: Option<SyscallBatchModel>,
+}
+
+impl RxLanes {
+    /// `k` RX lanes with fixed homing and free socket I/O.
+    pub fn new(k: usize) -> Self {
+        RxLanes {
+            k,
+            remap: false,
+            wakeups: None,
+            syscalls: None,
+        }
+    }
 }
 
 /// Timing model of the socket front-end in front of the RX lanes.
@@ -331,7 +365,7 @@ impl SyscallBatchModel {
 }
 
 /// Backlog gap (in per-packet server jobs) that triggers a session
-/// migration under `load_aware_dispatch`. Small enough to react within a
+/// migration under [`WorkerLanes::load_aware`]. Small enough to react within a
 /// measurement window, large enough that uniform load never migrates.
 pub const MIGRATION_BACKLOG_JOBS: u64 = 16;
 
@@ -348,11 +382,6 @@ impl Default for ScalabilityConfig {
             server_single_process: false,
             server_worker_shards: None,
             client_load_weights: None,
-            load_aware_dispatch: false,
-            rx_shards: None,
-            rx_remap: false,
-            async_front_end: None,
-            syscall_batch: None,
         }
     }
 }
@@ -372,7 +401,7 @@ pub struct ScalabilityResult {
     /// (always 0 with static affinity).
     pub migrations: u64,
     /// Client→RX-lane re-homings performed by the modelled online remap
-    /// (always 0 without [`ScalabilityConfig::rx_remap`]).
+    /// (always 0 without [`RxLanes::remap`]).
     pub rx_remaps: u64,
 }
 
@@ -399,20 +428,17 @@ pub fn run_scalability(
     };
     let excess = n_procs.saturating_sub(hw_threads);
     server.set_contention(1.0 + excess as f64 * cfg.contention_per_excess_process);
-    // With worker shards the RX front-end may run as its own thread pool
-    // (`rx_shards`); RX lanes and worker lanes together make up the
-    // server's thread count.
-    let rx_shards = match (cfg.server_worker_shards, cfg.rx_shards) {
-        (Some(_), Some(k)) => Some(k.max(1)),
-        _ => None,
-    };
+    // With worker shards the RX front-end may run as its own thread pool;
+    // RX lanes and worker lanes together make up the server's thread
+    // count.
+    let rx_lanes = cfg.server_worker_shards.and_then(|w| w.rx);
     if let Some(w) = cfg.server_worker_shards {
         // Each worker shard (and RX shard) is ONE thread: its jobs run
         // serially on its own lane and a queued packet does not occupy a
         // core while it waits (shard queues live in channels, not on the
         // run queue). When the threads outnumber the execution slots, the
         // lanes fair-share the machine.
-        let threads = w.max(1) + rx_shards.unwrap_or(0);
+        let threads = w.n.max(1) + rx_lanes.map_or(0, |rx| rx.k.max(1));
         let slots = server.spec().slots();
         if threads > slots {
             server.set_contention(threads as f64 / slots as f64);
@@ -490,7 +516,7 @@ pub fn run_scalability(
     // Current session-to-shard assignment: static affinity to start with
     // (the real dispatcher also places new sessions at `(sid-1) mod N`),
     // rebalanced on the fly when load-aware dispatch is on.
-    let workers = cfg.server_worker_shards.unwrap_or(0).max(1);
+    let workers = cfg.server_worker_shards.map_or(1, |w| w.n.max(1));
     let mut assignment: Vec<usize> = (0..cfg.n_clients).map(|c| c % workers).collect();
     let mut migrations = 0u64;
     let mut rx_remaps = 0u64;
@@ -538,28 +564,25 @@ pub fn run_scalability(
     // cycles move from the worker lanes to the RX lanes; the per-packet
     // total is unchanged.
     let rx_cycles = charge.rx_cycles.min(charge.server_cycles);
-    let shard_cycles = match rx_shards {
+    let shard_cycles = match rx_lanes {
         Some(_) => charge.server_cycles - rx_cycles,
         None => charge.server_cycles,
     };
-    if let Some(k) = rx_shards {
+    if let Some(rx) = rx_lanes {
+        let k = rx.k.max(1);
         // Socket front-end: the event-loop wakeup charge runs on the RX
         // lane that drains the peer's socket (one poll group per RX
         // shard). Call-driven: one wakeup per datagram; event-driven: the
         // measured amortisation. `None` keeps wakeups free (legacy).
-        let io_cycles = cfg
-            .async_front_end
-            .as_ref()
-            .map(|m| m.per_packet_cycles(charge.fragments))
-            .unwrap_or(0)
+        let io_cycles = rx
+            .wakeups
+            .map_or(0, |m| m.per_packet_cycles(charge.fragments))
             // Syscall boundary: per-call cost amortised over the bulk
             // receive batch, charged on the same RX lane. `None` = free,
             // bit-identical to the pre-bulk-transport model.
-            + cfg
-                .syscall_batch
-                .as_ref()
-                .map(|m| m.per_packet_cycles(charge.fragments))
-                .unwrap_or(0);
+            + rx
+                .syscalls
+                .map_or(0, |m| m.per_packet_cycles(charge.fragments));
         let mut rx_flows = vec![SimTime::ZERO; k];
         // RX homing: fixed `client mod k` (reassembly pinning), or —
         // with the controller's online remap modelled — re-home a client
@@ -573,7 +596,7 @@ pub fn run_scalability(
         );
         for entry in server_ready.iter_mut() {
             let (arrived, c) = *entry;
-            let lane = if cfg.rx_remap && k > 1 {
+            let lane = if rx.remap && k > 1 {
                 let cur = rx_assignment[c];
                 let backlog = |l: usize| rx_flows[l].saturating_sub(arrived);
                 let best = (0..k).min_by_key(|&l| backlog(l)).unwrap_or(cur);
@@ -599,9 +622,9 @@ pub fn run_scalability(
         // dispatch migrates a session (watermark and all) when its shard's
         // backlog exceeds the least-loaded shard's by the threshold.
         let done_server = match cfg.server_worker_shards {
-            Some(w) => {
-                let w = w.max(1);
-                let flow_idx = if cfg.load_aware_dispatch && w > 1 {
+            Some(lanes) => {
+                let w = workers;
+                let flow_idx = if lanes.load_aware && w > 1 {
                     let cur = assignment[c];
                     let backlog = |s: usize| server_flows[s].saturating_sub(arrived);
                     let best = (0..w).min_by_key(|&s| backlog(s)).unwrap_or(cur);
@@ -693,6 +716,14 @@ pub fn unloaded_latency(legs: &[Leg]) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Four worker lanes behind the RX stage `rx`.
+    fn rx_lanes(rx: RxLanes) -> WorkerLanes {
+        WorkerLanes {
+            rx: Some(rx),
+            ..WorkerLanes::new(4)
+        }
+    }
 
     fn charge(payload: usize, client: u64, server: u64) -> PacketCharge {
         PacketCharge {
@@ -812,7 +843,7 @@ mod tests {
             let cfg = ScalabilityConfig {
                 n_clients: 32,
                 duration: SimDuration::from_millis(20),
-                server_worker_shards: Some(workers),
+                server_worker_shards: Some(WorkerLanes::new(workers)),
                 ..ScalabilityConfig::default()
             };
             run_scalability(
@@ -833,10 +864,10 @@ mod tests {
 
     #[test]
     fn one_worker_shard_matches_single_process() {
-        let mk = |shards, single| ScalabilityConfig {
+        let mk = |shards: Option<usize>, single| ScalabilityConfig {
             n_clients: 16,
             duration: SimDuration::from_millis(20),
-            server_worker_shards: shards,
+            server_worker_shards: shards.map(WorkerLanes::new),
             server_single_process: single,
             ..ScalabilityConfig::default()
         };
@@ -861,7 +892,7 @@ mod tests {
         let base = ScalabilityConfig {
             n_clients: 12,
             duration: SimDuration::from_millis(20),
-            server_worker_shards: Some(4),
+            server_worker_shards: Some(WorkerLanes::new(4)),
             ..ScalabilityConfig::default()
         };
         let weighted = ScalabilityConfig {
@@ -888,9 +919,11 @@ mod tests {
         let mk = |load_aware| ScalabilityConfig {
             n_clients: n,
             duration: SimDuration::from_millis(20),
-            server_worker_shards: Some(4),
+            server_worker_shards: Some(WorkerLanes {
+                load_aware,
+                ..WorkerLanes::new(4)
+            }),
             client_load_weights: Some(weights.clone()),
-            load_aware_dispatch: load_aware,
             ..ScalabilityConfig::default()
         };
         let c = charge(1500, 20_000, 60_000);
@@ -921,8 +954,10 @@ mod tests {
         let mk = |rx| ScalabilityConfig {
             n_clients: 16,
             duration: SimDuration::from_millis(20),
-            server_worker_shards: Some(4),
-            rx_shards: rx,
+            server_worker_shards: Some(WorkerLanes {
+                rx,
+                ..WorkerLanes::new(4)
+            }),
             ..ScalabilityConfig::default()
         };
         let c = charge(1500, 20_000, 29_000);
@@ -931,7 +966,7 @@ mod tests {
             MachineSpec::class_a(),
             MachineSpec::class_b(),
             c,
-            &mk(Some(1)),
+            &mk(Some(RxLanes::new(1))),
         );
         assert_eq!(legacy, rx, "zero rx_cycles must be a model no-op");
     }
@@ -949,9 +984,7 @@ mod tests {
                 per_client_bps: 20_000_000,
                 payload_bytes: 296,
                 duration: SimDuration::from_millis(20),
-                server_worker_shards: Some(4),
-                rx_shards: Some(k),
-                rx_remap: false,
+                server_worker_shards: Some(rx_lanes(RxLanes::new(k))),
                 ..ScalabilityConfig::default()
             };
             run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), c, &cfg).gbps
@@ -965,13 +998,13 @@ mod tests {
 
     #[test]
     fn async_model_zero_ratio_or_absent_is_a_noop() {
-        let mk = |fe| ScalabilityConfig {
+        let mk = |wakeups| ScalabilityConfig {
             n_clients: 16,
             duration: SimDuration::from_millis(20),
-            server_worker_shards: Some(4),
-            rx_shards: Some(2),
-            rx_remap: false,
-            async_front_end: fe,
+            server_worker_shards: Some(rx_lanes(RxLanes {
+                wakeups,
+                ..RxLanes::new(2)
+            })),
             ..ScalabilityConfig::default()
         };
         let mut c = charge(1500, 20_000, 29_000);
@@ -984,30 +1017,6 @@ mod tests {
             &mk(Some(AsyncFrontEndModel::event_driven(18_000, 0.0))),
         );
         assert_eq!(off, zero, "zero wakeups/packet must price nothing");
-    }
-
-    #[test]
-    fn async_model_is_ignored_without_rx_lanes() {
-        // The socket front-end is a refinement of the RX-stage model only
-        // (like `rx_shards` itself is of the sharded-server model).
-        let mk = |fe| ScalabilityConfig {
-            n_clients: 16,
-            duration: SimDuration::from_millis(20),
-            server_worker_shards: Some(4),
-            rx_shards: None,
-            rx_remap: false,
-            async_front_end: fe,
-            ..ScalabilityConfig::default()
-        };
-        let c = charge(1500, 20_000, 29_000);
-        let off = run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), c, &mk(None));
-        let on = run_scalability(
-            MachineSpec::class_a(),
-            MachineSpec::class_b(),
-            c,
-            &mk(Some(AsyncFrontEndModel::call_driven(18_000))),
-        );
-        assert_eq!(off, on);
     }
 
     #[test]
@@ -1024,10 +1033,10 @@ mod tests {
                 per_client_bps: 20_000_000,
                 payload_bytes: 296,
                 duration: SimDuration::from_millis(20),
-                server_worker_shards: Some(4),
-                rx_shards: Some(4),
-                rx_remap: false,
-                async_front_end: Some(fe),
+                server_worker_shards: Some(rx_lanes(RxLanes {
+                    wakeups: Some(fe),
+                    ..RxLanes::new(4)
+                })),
                 ..ScalabilityConfig::default()
             };
             run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), c, &cfg).gbps
@@ -1043,13 +1052,13 @@ mod tests {
 
     #[test]
     fn syscall_model_absent_is_a_noop() {
-        let mk = |sb| ScalabilityConfig {
+        let mk = |syscalls| ScalabilityConfig {
             n_clients: 16,
             duration: SimDuration::from_millis(20),
-            server_worker_shards: Some(4),
-            rx_shards: Some(2),
-            rx_remap: false,
-            syscall_batch: sb,
+            server_worker_shards: Some(rx_lanes(RxLanes {
+                syscalls,
+                ..RxLanes::new(2)
+            })),
             ..ScalabilityConfig::default()
         };
         let mut c = charge(1500, 20_000, 29_000);
@@ -1065,30 +1074,6 @@ mod tests {
     }
 
     #[test]
-    fn syscall_model_is_ignored_without_rx_lanes() {
-        // Like the async model, the syscall boundary is a refinement of
-        // the RX-stage model only.
-        let mk = |sb| ScalabilityConfig {
-            n_clients: 16,
-            duration: SimDuration::from_millis(20),
-            server_worker_shards: Some(4),
-            rx_shards: None,
-            rx_remap: false,
-            syscall_batch: sb,
-            ..ScalabilityConfig::default()
-        };
-        let c = charge(1500, 20_000, 29_000);
-        let off = run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), c, &mk(None));
-        let on = run_scalability(
-            MachineSpec::class_a(),
-            MachineSpec::class_b(),
-            c,
-            &mk(Some(SyscallBatchModel::per_datagram(21_000))),
-        );
-        assert_eq!(off, on);
-    }
-
-    #[test]
     fn bulk_syscalls_recover_a_syscall_bound_ingress() {
         // Small records, many peers: per-datagram kernel crossings rival
         // the framing cost and the RX lanes saturate; a bulk transport
@@ -1101,10 +1086,10 @@ mod tests {
                 per_client_bps: 20_000_000,
                 payload_bytes: 296,
                 duration: SimDuration::from_millis(20),
-                server_worker_shards: Some(4),
-                rx_shards: Some(2),
-                rx_remap: false,
-                syscall_batch: Some(m),
+                server_worker_shards: Some(rx_lanes(RxLanes {
+                    syscalls: Some(m),
+                    ..RxLanes::new(2)
+                })),
                 ..ScalabilityConfig::default()
             };
             run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), c, &cfg).gbps
@@ -1130,33 +1115,14 @@ mod tests {
     }
 
     #[test]
-    fn rx_model_ignores_rx_shards_without_worker_shards() {
-        // rx_shards is a refinement of the sharded-server model only.
-        let mk = |rx| ScalabilityConfig {
-            n_clients: 8,
-            duration: SimDuration::from_millis(20),
-            rx_shards: rx,
-            ..ScalabilityConfig::default()
-        };
-        let mut c = charge(1500, 20_000, 29_000);
-        c.rx_cycles = 10_000;
-        let a = run_scalability(MachineSpec::class_a(), MachineSpec::class_b(), c, &mk(None));
-        let b = run_scalability(
-            MachineSpec::class_a(),
-            MachineSpec::class_b(),
-            c,
-            &mk(Some(4)),
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn load_aware_dispatch_is_a_noop_under_uniform_load() {
         let mk = |load_aware| ScalabilityConfig {
             n_clients: 16,
             duration: SimDuration::from_millis(20),
-            server_worker_shards: Some(4),
-            load_aware_dispatch: load_aware,
+            server_worker_shards: Some(WorkerLanes {
+                load_aware,
+                ..WorkerLanes::new(4)
+            }),
             ..ScalabilityConfig::default()
         };
         let c = charge(1500, 20_000, 29_000);

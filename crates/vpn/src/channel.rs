@@ -403,7 +403,7 @@ impl DataChannel {
 
     /// True while the receive-side replay window has never accepted a
     /// packet (see [`ReplayWindow::is_empty`]) — the steal-safety
-    /// predicate of the adaptive dispatcher.
+    /// predicate of the dispatcher.
     pub fn replay_is_empty(&self) -> bool {
         self.replay.is_empty()
     }

@@ -56,10 +56,8 @@ impl ReplayWindow {
     /// True while no packet has ever been accepted — the session carries
     /// no anti-replay state yet, so its server-side state can move
     /// between owners without dragging an in-flight window along. The
-    /// work-stealing dispatcher uses exactly this predicate to pick
-    /// steal-safe sessions ([`DispatchPolicy::Adaptive`]).
-    ///
-    /// [`DispatchPolicy::Adaptive`]: crate::shard::DispatchPolicy::Adaptive
+    /// dispatcher's work-stealing pass uses exactly this predicate to
+    /// pick steal-safe sessions (`crate::shard`, *The dispatch law*).
     pub fn is_empty(&self) -> bool {
         self.highest == 0
     }

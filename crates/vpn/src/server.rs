@@ -223,7 +223,7 @@ mod tests {
     use crate::channel::SessionKeys;
     use crate::handshake::{client_complete, client_start};
     use crate::ping::PingMessage;
-    use crate::shard::{DispatchPolicy, ShardedVpnServer};
+    use crate::shard::ShardedVpnServer;
     use crate::PROTOCOL_V1;
     use endbox_crypto::schnorr::SigningKey;
     use endbox_netsim::Packet;
@@ -540,14 +540,13 @@ mod tests {
     fn authenticated_non_ip_payload_is_malformed_and_replay_protected_on_both_servers() {
         let mut inline = harness();
         let (server_cfg, client_cfg, mut rng) = configs();
-        let mut sharded = ShardedVpnServer::with_dispatch(
+        let mut sharded = ShardedVpnServer::new(
             server_cfg,
             CipherSuite::Aes128CbcHmac,
             CycleMeter::new(),
             CostModel::calibrated(),
             1,
             2,
-            DispatchPolicy::default(),
         );
         let (inline_sid, inline_chan) = connect(&mut inline, 1);
         let (sharded_sid, sharded_chan) = connect_through(&client_cfg, &mut rng, 1, |record| {

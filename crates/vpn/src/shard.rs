@@ -26,19 +26,19 @@
 //! 1. **Single-owner sessions.** Session `s` is owned by exactly one
 //!    shard at any instant. Initial placement is the *home shard*
 //!    `(s - 1) mod N` (session ids are allocated densely from 1, so
-//!    consecutive sessions round-robin across shards). Under
-//!    [`DispatchPolicy::LoadAware`] the dispatcher may *migrate* a
-//!    session to another shard, but only at a dispatch boundary and via
-//!    an explicit extract/install round-trip, so every record for a
-//!    session is still processed by its (current) owning shard — which is
-//!    what keeps per-session replay windows and channel state
-//!    single-writer without locks. The replay window and channel state
-//!    travel inside the [`ServerSession`] when it moves, and
-//!    `ShardedVpnServer::migrate` is the only function that moves one —
-//!    load-aware rebalancing, adaptive stealing and worker-pool shrinks
-//!    all call it. Per-peer reassembly state never lives on a worker: it
-//!    belongs to the RX stage, which relocates it by its own rules
-//!    (`docs/architecture.md` §4.3 states both sets side by side).
+//!    consecutive sessions round-robin across shards). The dispatcher may
+//!    *migrate* a session to another shard (see *The dispatch law*
+//!    below), but only at a dispatch boundary and via an explicit
+//!    extract/install round-trip, so every record for a session is still
+//!    processed by its (current) owning shard — which is what keeps
+//!    per-session replay windows and channel state single-writer without
+//!    locks. The replay window and channel state travel inside the
+//!    [`ServerSession`] when it moves, and `ShardedVpnServer::migrate` is
+//!    the only function that moves one — rebalancing, stealing and
+//!    worker-pool shrinks all call it. Per-peer reassembly state never
+//!    lives on a worker: it belongs to the RX stage, which relocates it by
+//!    its own rules (`docs/architecture.md` §4.3 states both sets side by
+//!    side).
 //! 2. **Per-shard FIFO.** Each worker processes its requests in the order
 //!    the front-end sent them. Combined with single-owner routing and
 //!    boundary-only migration this preserves the per-session record order
@@ -62,19 +62,32 @@
 //! emissions, identical replay/policy verdicts — which is property-tested
 //! in `tests/shard_parity.rs` for N ∈ {1, 2, 4, 8}.
 //!
-//! # Load-aware dispatch
+//! # The dispatch law
 //!
-//! Static affinity keeps shards independent, but a handful of heavy
+//! Home-shard placement keeps shards independent, but a handful of heavy
 //! sessions whose ids collide modulo N can saturate one shard while the
-//! others idle. [`DispatchPolicy::LoadAware`] therefore keeps an
-//! exponentially-weighted moving average of dispatched bytes per shard
-//! and per session; when the hottest shard's EWMA exceeds the coldest's
-//! by more than the configured imbalance threshold, the dispatcher
-//! migrates the heaviest movable session from hot to cold (bounded per
-//! dispatch). Because migration only changes *which* shard processes a
-//! session — never the order of its records, nor any verdict — the
-//! load-aware server stays byte-identical to the single-threaded one;
-//! the parity property tests run under both policies.
+//! others idle. The dispatcher therefore keeps an exponentially-weighted
+//! moving average of dispatched bytes per shard and per session, and at
+//! every dispatch boundary runs one law with nothing to configure
+//! (`ShardedVpnServer::rebalance`):
+//!
+//! 1. **Migrate.** While the hottest shard's EWMA exceeds the coldest's
+//!    by more than the *mean* per-shard EWMA, the heaviest session that
+//!    fits in half the gap moves hot → cold — at most one move per worker
+//!    per dispatch. The mean is the measured service rate (bytes per
+//!    dispatch with exponential decay), so the threshold scales with the
+//!    traffic instead of being tuned for one mix. It is floored at one
+//!    MTU-sized packet: below that a "gap" is a single packet of jitter,
+//!    and an extract/install round-trip costs more than the packet it
+//!    would move.
+//! 2. **Steal.** A worker whose EWMA has decayed to nothing pulls one
+//!    session that has never accepted a packet from the worker holding
+//!    the most sessions (`ShardedVpnServer::steal_idle`).
+//!
+//! Because a move only changes *which* shard processes a session — never
+//! the order of its records, nor any verdict — the server stays
+//! byte-identical to the single-threaded one; the parity tests run across
+//! real migrations and steals.
 
 use crate::channel::{BatchFrames, CipherSuite, DataChannel};
 use crate::error::VpnError;
@@ -135,68 +148,20 @@ impl ConfigPolicy {
     }
 }
 
-/// How the front-end assigns sessions (and their traffic) to shards.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DispatchPolicy {
-    /// Fixed session-id affinity: session `s` stays on its home shard
-    /// `(s - 1) mod N` forever (the PR 2 behaviour).
-    Static,
-    /// Home-shard initial placement plus bounded migration: when the
-    /// hottest shard's load EWMA exceeds the coldest's by more than
-    /// `imbalance_bytes`, up to `max_migrations_per_dispatch` heavy
-    /// sessions move hot → cold at the next dispatch boundary.
-    LoadAware {
-        /// EWMA byte gap between the hottest and coldest shard that
-        /// triggers a migration.
-        imbalance_bytes: u64,
-        /// Migration budget per dispatch (bounds the extract/install
-        /// round-trips a single batch can spend).
-        max_migrations_per_dispatch: usize,
-    },
-    /// Zero-knob self-tuning dispatch (the PR 8 controller): the
-    /// migration threshold is derived at every dispatch boundary from
-    /// the measured per-shard service rates (the mean of the per-shard
-    /// byte EWMAs, floored at one MTU packet), the migration budget is
-    /// structural (one per worker), and after the migration pass idle
-    /// workers *steal* steal-safe sessions — sessions whose replay
-    /// windows are still empty ([`crate::replay::ReplayWindow::is_empty`]),
-    /// verified authoritatively on the owning shard thread — from the
-    /// busiest worker. There is nothing to configure.
-    Adaptive,
-}
-
-impl DispatchPolicy {
-    /// The default load-aware configuration: react to a sustained
-    /// imbalance of a dozen MTU-sized packets, at most two migrations per
-    /// dispatch.
-    pub fn load_aware() -> Self {
-        DispatchPolicy::LoadAware {
-            imbalance_bytes: 16 * 1_500,
-            max_migrations_per_dispatch: 2,
-        }
-    }
-}
-
-impl Default for DispatchPolicy {
-    fn default() -> Self {
-        DispatchPolicy::load_aware()
-    }
-}
-
 /// Decay factor of the per-shard / per-session load EWMAs (the weight of
 /// the newest dispatch).
 const LOAD_EWMA_ALPHA: f64 = 0.5;
 
-/// Structural floor of the adaptive dispatcher's derived imbalance
-/// threshold: one MTU-sized packet. Below this a "gap" is a single
-/// packet of jitter, not an imbalance — it is a physical unit, not a
-/// tuning knob (the threshold itself is the measured mean shard rate).
-const ADAPTIVE_MIN_IMBALANCE: f64 = 1_500.0;
+/// Floor of the migration threshold: one MTU-sized packet. Below this a
+/// "gap" is a single packet of jitter, not an imbalance — it is a
+/// physical unit, not a tuning knob (the threshold itself is the measured
+/// mean shard rate).
+const MIN_IMBALANCE_BYTES: f64 = 1_500.0;
 
 /// A shard whose byte EWMA has decayed below one byte is idle for the
 /// purposes of work stealing (the EWMA halves every dispatch, so any
 /// real traffic keeps it far above this).
-const ADAPTIVE_IDLE_EWMA: f64 = 1.0;
+const IDLE_EWMA: f64 = 1.0;
 
 /// What either server produced for one input record: the packet-level
 /// deliveries of the shard that handled it, or — for a handshake — the
@@ -333,8 +298,8 @@ impl VpnShard {
 
     /// Detaches `session_id` only while its replay window has never
     /// accepted a packet ([`DataChannel::replay_is_empty`]) — the
-    /// steal-safety predicate of [`DispatchPolicy::Adaptive`]. A busy or
-    /// unknown session stays put and `None` is returned.
+    /// steal-safety predicate of the dispatcher's stealing pass. A busy
+    /// or unknown session stays put and `None` is returned.
     pub fn extract_if_idle(&mut self, session_id: u64) -> Option<ServerSession> {
         if self.sessions.get(&session_id)?.channel.replay_is_empty() {
             self.sessions.remove(&session_id)
@@ -681,18 +646,17 @@ pub struct ShardedVpnServer {
     /// The worker threads, one [`VpnShard`] each.
     pool: OwnerPool<ShardRequest, WorkerReply>,
     /// Front-end registry: which sessions exist and which shard *currently*
-    /// owns each (home shard at placement; load-aware migration may move
-    /// a session later).
+    /// owns each (home shard at placement; the dispatcher may move a
+    /// session later).
     session_shard: HashMap<u64, usize>,
     next_seq: u64,
-    dispatch: DispatchPolicy,
     /// EWMA of dispatched payload bytes per shard.
     shard_load: Vec<f64>,
     /// EWMA of dispatched payload bytes per session.
     session_load: HashMap<u64, f64>,
     migrations: u64,
-    /// The subset of `migrations` performed by the adaptive work-stealing
-    /// pass (idle workers pulling steal-safe sessions).
+    /// The subset of `migrations` performed by the work-stealing pass
+    /// (idle workers pulling steal-safe sessions).
     steals: u64,
 }
 
@@ -707,17 +671,14 @@ impl std::fmt::Debug for ShardedVpnServer {
 }
 
 impl ShardedVpnServer {
-    /// Creates a server with `workers` shard threads (minimum 1) placed
-    /// by `dispatch`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_dispatch(
+    /// Creates a server with `workers` shard threads (minimum 1).
+    pub fn new(
         handshake: HandshakeConfig,
         suite: CipherSuite,
         meter: CycleMeter,
         cost: CostModel,
         rng_seed: u64,
         workers: usize,
-        dispatch: DispatchPolicy,
     ) -> Self {
         let workers = workers.max(1);
         ShardedVpnServer {
@@ -728,7 +689,6 @@ impl ShardedVpnServer {
             }),
             session_shard: HashMap::new(),
             next_seq: 0,
-            dispatch,
             shard_load: vec![0.0; workers],
             session_load: HashMap::new(),
             migrations: 0,
@@ -788,19 +748,14 @@ impl ShardedVpnServer {
         moved
     }
 
-    /// The dispatch policy in force.
-    pub fn dispatch_policy(&self) -> DispatchPolicy {
-        self.dispatch
-    }
-
-    /// Sessions migrated by the dispatcher so far (load-aware imbalance
-    /// moves **plus** adaptive steals — every steal is a migration).
+    /// Sessions migrated by the dispatcher so far (imbalance moves
+    /// **plus** steals — every steal is a migration).
     pub fn migrations(&self) -> u64 {
         self.migrations
     }
 
-    /// Sessions pulled by idle workers in the adaptive work-stealing
-    /// pass — always a subset of [`ShardedVpnServer::migrations`].
+    /// Sessions pulled by idle workers in the work-stealing pass — always
+    /// a subset of [`ShardedVpnServer::migrations`].
     pub fn steals(&self) -> u64 {
         self.steals
     }
@@ -907,37 +862,26 @@ impl ShardedVpnServer {
         }
     }
 
-    /// Load-aware rebalancing at a dispatch boundary: migrate up to the
-    /// policy's budget of heavy sessions from the hottest shard to the
-    /// coldest while the EWMA gap exceeds the imbalance threshold. A
+    /// The dispatch law, run at every dispatch boundary: while the EWMA
+    /// gap between the hottest and the coldest shard exceeds the measured
+    /// mean per-shard rate (the byte EWMAs *are* the rate proxy: bytes per
+    /// dispatch with exponential decay; floored at one MTU packet), move
+    /// the heaviest movable session hot → cold — at most one move per
+    /// worker, a structural bound — then let idle workers steal. A
     /// candidate must satisfy `2 * load <= gap`, which guarantees the gap
     /// strictly shrinks and the hot shard stays at least as loaded as the
     /// cold one — so a single dominant session (load == gap) never moves,
     /// and the dispatcher cannot ping-pong it between shards.
     fn rebalance(&mut self) {
-        let (imbalance_bytes, max_migrations, adaptive) = match self.dispatch {
-            DispatchPolicy::Static => return,
-            DispatchPolicy::LoadAware {
-                imbalance_bytes,
-                max_migrations_per_dispatch,
-            } => (imbalance_bytes as f64, max_migrations_per_dispatch, false),
-            // The adaptive threshold is the measured mean per-shard
-            // service rate (the byte EWMAs *are* the rate proxy: bytes
-            // per dispatch with exponential decay), floored at one MTU
-            // packet; the migration budget is one per worker —
-            // structural, not tuned.
-            DispatchPolicy::Adaptive => {
-                let mean =
-                    self.shard_load.iter().sum::<f64>() / self.shard_load.len().max(1) as f64;
-                (mean.max(ADAPTIVE_MIN_IMBALANCE), self.pool.len(), true)
-            }
-        };
-        if self.pool.len() < 2 {
+        let workers = self.pool.len();
+        if workers < 2 {
             return;
         }
-        for _ in 0..max_migrations {
+        let mean = self.shard_load.iter().sum::<f64>() / workers as f64;
+        let threshold = mean.max(MIN_IMBALANCE_BYTES);
+        for _ in 0..workers {
             let (mut hot, mut cold) = (0usize, 0usize);
-            for s in 1..self.shard_load.len() {
+            for s in 1..workers {
                 if self.shard_load[s] > self.shard_load[hot] {
                     hot = s;
                 }
@@ -946,7 +890,7 @@ impl ShardedVpnServer {
                 }
             }
             let gap = self.shard_load[hot] - self.shard_load[cold];
-            if gap <= imbalance_bytes {
+            if gap <= threshold {
                 break;
             }
             // Heaviest movable session on the hot shard; deterministic
@@ -966,13 +910,11 @@ impl ShardedVpnServer {
                 self.shard_load[cold] += load;
             }
         }
-        if adaptive {
-            self.steal_idle();
-        }
+        self.steal_idle();
     }
 
-    /// The adaptive work-stealing pass, run after the migration pass at
-    /// the same dispatch boundary: while some worker is idle (its byte
+    /// The work-stealing pass, run after the migration pass at the same
+    /// dispatch boundary: while some worker is idle (its byte
     /// EWMA has decayed to nothing) and the busiest worker holds more
     /// sessions, the idle worker pulls one *steal-safe* session — one
     /// that has never accepted a data packet, so no replay-window or
@@ -983,7 +925,9 @@ impl ShardedVpnServer {
     /// already fed stays put and the nomination is dropped. At most one
     /// steal per worker per dispatch — a structural bound, not a knob.
     fn steal_idle(&mut self) {
-        if self.pool.len() < 2 {
+        // Every worker busy is the steady state of a loaded server: leave
+        // before allocating anything.
+        if !self.shard_load.iter().any(|&load| load < IDLE_EWMA) {
             return;
         }
         let mut counts = vec![0usize; self.pool.len()];
@@ -994,9 +938,9 @@ impl ShardedVpnServer {
         let mut stole = vec![false; self.pool.len()];
         for _ in 0..self.pool.len() {
             let max_count = counts.iter().copied().max().unwrap_or(0);
-            let Some(thief) = (0..self.pool.len()).find(|&s| {
-                !stole[s] && self.shard_load[s] < ADAPTIVE_IDLE_EWMA && counts[s] < max_count
-            }) else {
+            let Some(thief) = (0..self.pool.len())
+                .find(|&s| !stole[s] && self.shard_load[s] < IDLE_EWMA && counts[s] < max_count)
+            else {
                 return;
             };
             let victim = (0..self.pool.len())
@@ -1008,7 +952,7 @@ impl ShardedVpnServer {
                 .expect("at least two shards");
             if victim == thief
                 || counts[victim] <= counts[thief] + 1
-                || self.shard_load[victim] < ADAPTIVE_IDLE_EWMA
+                || self.shard_load[victim] < IDLE_EWMA
             {
                 return;
             }
@@ -1269,10 +1213,6 @@ mod tests {
     }
 
     fn harness(workers: usize) -> Harness {
-        harness_with(workers, DispatchPolicy::default())
-    }
-
-    fn harness_with(workers: usize, dispatch: DispatchPolicy) -> Harness {
         let mut rng = rand::rngs::StdRng::seed_from_u64(123);
         let ca = SigningKey::generate(&mut rng);
         let server_key = SigningKey::generate(&mut rng);
@@ -1286,7 +1226,7 @@ mod tests {
             &ca,
             &mut rng,
         );
-        let server = ShardedVpnServer::with_dispatch(
+        let server = ShardedVpnServer::new(
             HandshakeConfig {
                 identity: server_key,
                 certificate: server_cert,
@@ -1298,7 +1238,6 @@ mod tests {
             CostModel::calibrated(),
             1,
             workers,
-            dispatch,
         );
         let client_cfg = HandshakeConfig {
             identity: client_key,
@@ -1542,18 +1481,12 @@ mod tests {
     }
 
     #[test]
-    fn load_aware_dispatcher_migrates_colliding_heavy_sessions() {
+    fn dispatcher_migrates_colliding_heavy_sessions() {
         // Sessions 1 and 5 both live on shard 0 of a 4-worker server
         // (home shard (sid-1) mod 4 = 0). Both are heavy: the dispatcher
         // must move one of them off the hot shard — and the session keeps
         // working (channel state, replay window) after the move.
-        let mut h = harness_with(
-            4,
-            DispatchPolicy::LoadAware {
-                imbalance_bytes: 2_000,
-                max_migrations_per_dispatch: 2,
-            },
-        );
+        let mut h = harness(4);
         let mut clients: Vec<(u64, DataChannel)> = (0..8).map(|_| connect(&mut h, 1)).collect();
         assert_eq!(h.server.shard_of(1), 0);
         assert_eq!(h.server.shard_of(5), 0);
@@ -1584,19 +1517,8 @@ mod tests {
     }
 
     #[test]
-    fn static_policy_never_migrates() {
-        let mut h = harness_with(4, DispatchPolicy::Static);
-        let mut clients: Vec<(u64, DataChannel)> = (0..8).map(|_| connect(&mut h, 1)).collect();
-        skewed_rounds(&mut h, &mut clients, &[(0, 24), (4, 12)], 6);
-        assert_eq!(h.server.migrations(), 0);
-        for (i, (sid, _)) in clients.iter().enumerate() {
-            assert_eq!(h.server.shard_of(*sid), i % 4, "affinity must be fixed");
-        }
-    }
-
-    #[test]
-    fn uniform_load_does_not_migrate_under_load_aware_dispatch() {
-        let mut h = harness_with(4, DispatchPolicy::default());
+    fn uniform_load_does_not_migrate() {
+        let mut h = harness(4);
         let mut clients: Vec<(u64, DataChannel)> = (0..8).map(|_| connect(&mut h, 1)).collect();
         skewed_rounds(&mut h, &mut clients, &[], 6);
         assert_eq!(h.server.migrations(), 0, "balanced shards must stay put");
@@ -1608,13 +1530,7 @@ mod tests {
         // never reduce the imbalance (it just swaps hot and cold), so the
         // `2 * load <= gap` filter must keep it pinned — no per-dispatch
         // extract/install churn.
-        let mut h = harness_with(
-            4,
-            DispatchPolicy::LoadAware {
-                imbalance_bytes: 500,
-                max_migrations_per_dispatch: 2,
-            },
-        );
+        let mut h = harness(4);
         let mut clients: Vec<(u64, DataChannel)> = (0..8).map(|_| connect(&mut h, 1)).collect();
         skewed_rounds(&mut h, &mut clients, &[(0, 24)], 6);
         // Co-located light sessions may rebalance away once, then the
@@ -1631,7 +1547,7 @@ mod tests {
 
     #[test]
     fn bogus_and_disconnected_sessions_leave_no_load_entries() {
-        let mut h = harness_with(2, DispatchPolicy::default());
+        let mut h = harness(2);
         let (sid, mut chan) = connect(&mut h, 1);
         let pkt = Packet::udp(
             std::net::Ipv4Addr::new(10, 0, 0, 1),

@@ -12,6 +12,7 @@
 //! ```
 
 use endbox::scenario::Scenario;
+use endbox::server::DEFAULT_SHARD_BUDGET;
 use endbox::use_cases::UseCase;
 use endbox_netsim::Packet;
 
@@ -63,11 +64,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.wakeups as f64 / stats.datagrams as f64
     );
 
-    // Backpressure: peer 0 floods while its shard-mate (peer 2, same
-    // RX shard: 2 mod 2 == 0) sends one packet. With a tight budget the
-    // mate still rides the first round; the flood's tail defers.
-    s.set_async_budget(2, 4);
-    for seq in 0..10 {
+    // Backpressure: peer 0 floods — more than the budget law grants the
+    // whole server per round (`DEFAULT_SHARD_BUDGET` × 2 shards) — while
+    // its shard-mate (peer 2, same RX shard: 2 mod 2 == 0) sends one
+    // packet. The mate still rides the first round; the flood's tail
+    // defers.
+    let flood = (DEFAULT_SHARD_BUDGET * 2 + 64) as u32;
+    for seq in 0..flood {
         let pkt = Packet::tcp(
             Scenario::client_addr(0),
             Scenario::network_addr(),
@@ -93,8 +96,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let first_round = s.pump_async_round();
     let served: Vec<u64> = first_round.iter().map(|(p, _)| *p).collect();
     println!(
-        "\nflood round 1 (budget 4/shard): served peers {served:?} — the \
+        "\nflood round 1: served {} datagrams, peer 2 among them: {} — the \
          shard-mate was not starved; backlog {} defers to later rounds",
+        served.len(),
+        served.contains(&2),
         s.backlog()
     );
     let rest = s.pump_async();

@@ -1,11 +1,10 @@
-//! Parity and reconciliation tests for the self-tuning datapath control
-//! plane (`ScenarioBuilder::adaptive_control`: closed-loop per-shard
-//! budgets with per-socket token buckets, the autonomous hot-peer remap
-//! law, and `DispatchPolicy::Adaptive` rate-based rebalance + idle-worker
-//! stealing).
+//! Parity and reconciliation tests for the datapath control plane every
+//! event loop runs (closed-loop per-shard budgets with per-socket token
+//! buckets, the autonomous hot-peer remap law, and the dispatcher's
+//! rate-based rebalance + idle-worker stealing).
 //!
 //! The named schedules replay the same deterministic interleaving
-//! classes the static configurations are pinned by — plus [`Step::Remap`]
+//! classes the other suites are pinned by — plus [`Step::Remap`]
 //! steps that fire the manual re-home hook at exact schedule positions,
 //! racing a peer's re-home against a crafted `Disconnect`, against a
 //! partial record in flight inside its reassembler, and against the
@@ -31,20 +30,7 @@ use endbox::scenario::{Scenario, ShardedScenario};
 use endbox::use_cases::UseCase;
 use endbox_netsim::Packet;
 use endbox_vpn::proto::{Opcode, Record};
-use support::{
-    assert_parity, full_grid, simplify, split_raw, Out, PeerMap, RunCfg, Schedule, Step, BULK_GRID,
-};
-
-/// The full grid through the event loop with the **self-tuning control
-/// plane** live, at every [`BULK_GRID`] size (no policy axis — the
-/// controller owns the policy; it sits *above* the transport drain, so
-/// the bulk shape must not leak into outcomes either). The claim under
-/// test: every controller decision lands at a round boundary, so
-/// outcomes never move — only scheduling does.
-fn assert_parity_adaptive(schedule: &Schedule) {
-    let cfgs = BULK_GRID.map(|bulk| RunCfg::event_loop(None).bulk(bulk));
-    assert_parity(schedule, &full_grid(), &cfgs);
-}
+use support::{assert_parity_bulk, simplify, split_raw, Out, PeerMap, Schedule, Step};
 
 /// A partial record parked in its reassembler, then a crafted
 /// `Disconnect` queued and the peer re-homed *before* the Disconnect is
@@ -84,7 +70,7 @@ fn adaptive_schedule_remap_races_disconnect() {
         })
         .step(Step::Remap { client: 1, to: 0 })
         .step(Step::Single { client: 0 });
-    assert_parity_adaptive(&schedule);
+    assert_parity_bulk(&schedule);
 }
 
 /// A split record whose head is already inside the reassembler when its
@@ -123,7 +109,7 @@ fn adaptive_schedule_split_record_straddles_remap() {
         .step(Step::Replay)
         .step(Step::Remap { client: 0, to: 3 })
         .step(Step::Single { client: 0 });
-    assert_parity_adaptive(&schedule);
+    assert_parity_bulk(&schedule);
 }
 
 /// The adversarial colliding placement (`PeerMap::Stride(4)`: every peer
@@ -153,7 +139,7 @@ fn adaptive_schedule_remap_spreads_colliding_peers() {
         .step(Step::Replay)
         .step(Step::Remap { client: 0, to: 1 })
         .step(Step::Single { client: 1 });
-    assert_parity_adaptive(&schedule);
+    assert_parity_bulk(&schedule);
 }
 
 /// Mixed traffic (batches, pings, a split record, a replayed batch) with
@@ -191,7 +177,7 @@ fn adaptive_schedule_controller_on_mixed_traffic() {
             n_packets: 3,
         })
         .step(Step::Single { client: 2 });
-    assert_parity_adaptive(&schedule);
+    assert_parity_bulk(&schedule);
 }
 
 /// Seals `n` single-packet records from `client` and ships them onto the
@@ -247,7 +233,7 @@ fn controller_stats_reconcile_with_datapath_counters() {
     let mut scenario: ShardedScenario = Scenario::enterprise(8, UseCase::Nop)
         .seed(0xadc0)
         .rx_shards(2)
-        .adaptive_control(true)
+        .async_ingress(true)
         .build_sharded(4)
         .unwrap();
     let sizes = [6usize, 1, 1, 1, 3, 1, 1, 1];
@@ -317,7 +303,7 @@ fn manual_remap_drains_inflight_partial_and_preserves_outcome() {
         Scenario::enterprise(2, UseCase::Nop)
             .seed(0xadc2)
             .rx_shards(2)
-            .adaptive_control(true)
+            .async_ingress(true)
             .build_sharded(2)
             .unwrap()
     };
@@ -370,7 +356,7 @@ fn token_buckets_borrow_only_after_banked_carryover() {
     let mut scenario: ShardedScenario = Scenario::enterprise(8, UseCase::Nop)
         .seed(0xadc1)
         .rx_shards(1)
-        .adaptive_control(true)
+        .async_ingress(true)
         .build_sharded(2)
         .unwrap();
 
@@ -400,54 +386,5 @@ fn token_buckets_borrow_only_after_banked_carryover() {
     assert!(
         burst.tokens_borrowed > 0,
         "a burst after a trickle must spend banked tokens: {burst:?}"
-    );
-}
-
-/// The runtime toggle ([`ShardedScenario::set_adaptive_control`])
-/// freezes the budget controller without disturbing the datapath:
-/// `budget_rounds` stops advancing while the event loop keeps draining,
-/// and resumes when re-armed.
-#[test]
-fn runtime_toggle_freezes_budget_controller() {
-    let mut scenario: ShardedScenario = Scenario::enterprise(4, UseCase::Nop)
-        .seed(0xadc3)
-        .rx_shards(2)
-        .adaptive_control(true)
-        .build_sharded(2)
-        .unwrap();
-
-    let mut sent = 0;
-    for client in 0..4 {
-        sent += send_records(&mut scenario, client, 2, 0);
-    }
-    pump_all(&mut scenario, sent);
-    let armed = scenario.controller_stats();
-    assert!(armed.budget_rounds >= 1);
-
-    scenario.set_adaptive_control(false);
-    let mut sent = 0;
-    for client in 0..4 {
-        sent += send_records(&mut scenario, client, 2, 1);
-    }
-    pump_all(&mut scenario, sent);
-    let frozen = scenario.controller_stats();
-    assert_eq!(
-        frozen.budget_rounds, armed.budget_rounds,
-        "a disarmed controller must not plan budgets"
-    );
-    assert!(
-        scenario.async_stats().rounds > armed.budget_rounds,
-        "the event loop must keep draining while disarmed"
-    );
-
-    scenario.set_adaptive_control(true);
-    let mut sent = 0;
-    for client in 0..4 {
-        sent += send_records(&mut scenario, client, 2, 2);
-    }
-    pump_all(&mut scenario, sent);
-    assert!(
-        scenario.controller_stats().budget_rounds > frozen.budget_rounds,
-        "a re-armed controller must resume planning"
     );
 }

@@ -9,30 +9,29 @@
 //! into the pipelined dispatch. With the default (generous) budget the
 //! drained batch is re-merged into exact wire order, so the outcomes must
 //! be byte-identical to the single-threaded reference server over the
-//! whole `(rx_shards, workers, policy)` grid. `Flush` boundaries become
+//! whole `(rx_shards, workers)` grid. `Flush` boundaries become
 //! *poll-round* boundaries here, so partial records straddle event-loop
 //! iterations instead of `receive_datagrams` calls — the
 //! readiness-interleaving analogue of the batch-boundary schedules.
 //!
-//! The backpressure tests tighten the per-shard budget and assert the
-//! scheduling contract directly: a flooding peer defers to later rounds
-//! while its shard-mates ride in every round, and per-peer outcome order
-//! stays exactly the single-threaded order throughout.
+//! The backpressure test floods one socket past the aggregate budget and
+//! asserts the scheduling contract directly: a flooding peer defers to
+//! later rounds while its shard-mates ride in every round, and per-peer
+//! outcome order stays exactly the single-threaded order throughout.
 
 #[path = "support/mod.rs"]
 #[allow(dead_code)]
 mod support;
 
 use endbox::scenario::Scenario;
-use endbox::server::Delivery;
+use endbox::server::{Delivery, DEFAULT_SHARD_BUDGET};
 use endbox::use_cases::UseCase;
 use endbox_netsim::Packet;
-use support::{assert_parity, full_grid, policies, simplify, Out, PeerMap, RunCfg, Schedule, Step};
+use support::{assert_parity, full_grid, simplify, Out, PeerMap, RunCfg, Schedule, Step};
 
-/// `grid` × both pinned policies through the event-driven front-end.
+/// `grid` through the event-driven front-end.
 fn assert_parity_async(schedule: &Schedule, grid: &[(usize, usize)]) {
-    let cfgs = policies().map(|policy| RunCfg::event_loop(Some(policy)));
-    assert_parity(schedule, grid, &cfgs);
+    assert_parity(schedule, grid, &[RunCfg::event_loop()]);
 }
 
 /// A Disconnect pausing its (stalled) owning RX shard, a replayed
@@ -220,11 +219,12 @@ fn single_datagram(
     sealed.pop().unwrap()
 }
 
-/// Backpressure contract: with a tight per-shard budget, a flooding peer
-/// cannot starve its shard-mates — the mates' traffic rides in the very
-/// first round while the flood's tail defers to later rounds — and the
-/// outcomes still match the call-driven server per peer, in per-peer
-/// order.
+/// Backpressure contract: a peer flooding its socket past everything the
+/// budget law can grant one shard in a round (the aggregate
+/// `DEFAULT_SHARD_BUDGET × K`) cannot starve its shard-mates — the mates'
+/// traffic rides in the very first round while the flood's tail defers
+/// to later rounds — and the outcomes still match the call-driven server
+/// per peer, in per-peer order.
 #[test]
 fn flooding_peer_defers_while_shard_mates_ride_every_round() {
     let build = |async_ingress: bool| {
@@ -241,7 +241,7 @@ fn flooding_peer_defers_while_shard_mates_ride_every_round() {
     // Peer 0 floods its socket; peers 4 (same RX shard: 4 mod 4 == 0) and
     // 1 (different shard) each send a trickle. Identical seeds produce
     // identical wire bytes on both scenarios.
-    const FLOOD: usize = 12;
+    const FLOOD: usize = DEFAULT_SHARD_BUDGET * 4 + 64;
     let mut sends: Vec<(usize, Vec<u8>)> = Vec::new();
     for seq in 0..FLOOD {
         sends.push((0, single_datagram(&mut async_, 0, seq as u32)));
@@ -253,9 +253,9 @@ fn flooding_peer_defers_while_shard_mates_ride_every_round() {
         async_.send_wire_datagrams(*client as u64, vec![d.clone()]);
     }
 
-    // Budget of 4 datagrams per shard per round, quota 2 per socket per
-    // pass: shard 0 holds 14 queued datagrams, so draining takes rounds.
-    async_.set_async_budget(2, 4);
+    // Shard 0 holds more queued datagrams than the whole server may drain
+    // in one round, so its demand-proportional budget binds and draining
+    // takes rounds.
     let first_round = async_.pump_async_round();
     let first_peers: Vec<u64> = first_round.iter().map(|(p, _)| *p).collect();
     assert!(

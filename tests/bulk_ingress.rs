@@ -10,7 +10,7 @@
 //! boundaries in the middle of every deep socket queue, `32` is the
 //! production `recvmmsg`-shaped bulk. Outcomes must be byte-identical to
 //! the single-threaded reference server across the whole
-//! `(rx_shards, workers, policy, bulk)` grid — bulk size may only ever
+//! `(rx_shards, workers, bulk)` grid — bulk size may only ever
 //! move the *call count*, never the results.
 //!
 //! The OS-socket tests run the same schedules over real loopback UDP
@@ -27,22 +27,12 @@ use endbox::scenario::Scenario;
 use endbox::use_cases::UseCase;
 use endbox_netsim::net::{OsWire, TransportKind};
 use endbox_netsim::Packet;
-use endbox_vpn::shard::DispatchPolicy;
-use support::{assert_parity, full_grid, run, run_single, PeerMap, RunCfg, Schedule, Step};
-
-/// The full grid × both pinned policies × every bulk size, through the
-/// event loop over the virtual wire.
-fn assert_parity_bulk(schedule: &Schedule) {
-    assert_parity(
-        schedule,
-        &full_grid(),
-        &RunCfg::bulk_grid(TransportKind::Virtual),
-    );
-}
+use support::{
+    assert_parity, assert_parity_bulk, run, run_single, PeerMap, RunCfg, Schedule, Step,
+};
 
 /// `grid` over the **OS-socket** backend (real loopback UDP), at both the
-/// per-datagram and the production bulk size, under pinned static
-/// dispatch and under the self-tuning controller. Skips (with a note)
+/// per-datagram and the production bulk size. Skips (with a note)
 /// when the sandbox forbids loopback sockets — set
 /// `ENDBOX_REQUIRE_OS_SOCKET=1` to turn the skip into a failure.
 fn assert_parity_os(schedule: &Schedule, grid: &[(usize, usize)]) {
@@ -56,11 +46,11 @@ fn assert_parity_os(schedule: &Schedule, grid: &[(usize, usize)]) {
         );
         return;
     }
-    let cfgs: Vec<RunCfg> = [Some(DispatchPolicy::Static), None]
-        .into_iter()
-        .flat_map(|control| [1, 32].map(|bulk| RunCfg::event_loop(control).bulk(bulk)))
-        .map(|cfg| cfg.transport(TransportKind::OsSocket))
-        .collect();
+    let cfgs = [1, 32].map(|bulk| {
+        RunCfg::event_loop()
+            .bulk(bulk)
+            .transport(TransportKind::OsSocket)
+    });
     assert_parity(schedule, grid, &cfgs);
 }
 
@@ -182,7 +172,7 @@ fn bulk_ingress_amortises_io_calls_without_changing_results() {
     // And the schedule-level outcomes match the reference at both sizes
     // (the accounting run above used its own traffic).
     for bulk in [1, 32] {
-        let cfg = RunCfg::event_loop(Some(DispatchPolicy::Static)).bulk(bulk);
+        let cfg = RunCfg::event_loop().bulk(bulk);
         assert_eq!(run(&schedule, (2, 2), &cfg).0, reference);
     }
 }

@@ -8,11 +8,12 @@
 //! to its new home, where the tail completes it), a resize races a
 //! crafted `Disconnect`, and back-to-back grow+shrink pairs bracket
 //! traffic. Every schedule replays over the full
-//! `(rx, workers) ∈ {1,2,4} × {1,2,4,8}` starting grid ×
-//! {Static, LoadAware, Adaptive} through both the call-driven and the
-//! event-driven doorway, asserting byte-identical outcomes against the
-//! single-threaded reference: capacity changes never change outcomes,
-//! only where work happens.
+//! `(rx, workers) ∈ {1,2,4} × {1,2,4,8}` starting grid through both the
+//! call-driven and the event-driven doorway, asserting byte-identical
+//! outcomes against the single-threaded reference: capacity changes
+//! never change outcomes, only where work happens. One schedule grows
+//! the worker pool under a session that has not spoken yet, so the
+//! dispatcher's idle-worker steals are exercised across the grid too.
 //!
 //! The deterministic tests pin the [`ResizeStats`] contract (a shrink
 //! drains exactly the parked partials of the peers whose owner changed;
@@ -36,29 +37,31 @@ use endbox_netsim::net::VirtualWire;
 use endbox_netsim::Packet;
 use endbox_vpn::proto::{Opcode, Record};
 use support::{
-    assert_parity, eager_load_aware, full_grid, policies, run, run_single, simplify, split_raw,
-    Out, PeerMap, RunCfg, Schedule, Step,
+    assert_parity, full_grid, run, run_single, simplify, split_raw, Out, PeerMap, RunCfg, Schedule,
+    Step,
 };
 
 /// Every **starting** `(rx_shards, workers)` of the full grid through both
-/// doorways: the call-driven `receive_datagrams` path (the two pinned
-/// policies) and the event-driven front-end (the same two plus the
-/// self-tuning controller, which owns the policy — there a resize
-/// additionally rebuilds the poll groups around the live sockets).
-fn assert_parity_elastic(schedule: &Schedule) {
-    let mut cfgs = policies().map(RunCfg::call).to_vec();
-    cfgs.extend(policies().map(|policy| RunCfg::event_loop(Some(policy))));
-    cfgs.push(RunCfg::event_loop(None));
-    assert_parity(schedule, &full_grid(), &cfgs);
+/// doorways: the call-driven `receive_datagrams` path and the
+/// event-driven front-end (there a resize additionally rebuilds the poll
+/// groups around the live sockets). Returns the dispatcher's
+/// `(migrations, steals)` over all of it.
+fn assert_parity_elastic(schedule: &Schedule) -> (u64, u64) {
+    let cfgs = [RunCfg::call(), RunCfg::event_loop()];
+    assert_parity(schedule, &full_grid(), &cfgs)
 }
 
 /// A grow fired while a four-client flood is mid-flight: datagrams from
 /// every client are already buffered when the pool doubles, so the whole
 /// burst rides through the *resized* server and re-merges into exact
-/// input order regardless of which geometry framed which datagram.
+/// input order regardless of which geometry framed which datagram. A
+/// fifth client stays silent until the end: once the flood has loaded
+/// its worker, the idle workers the grow added steal that session (its
+/// replay window is still empty), and its first record is opened on the
+/// worker that stole it.
 #[test]
 fn schedule_grow_mid_flood() {
-    let schedule = Schedule::new("grow-mid-flood", 4, 0xe1a1)
+    let schedule = Schedule::new("grow-mid-flood", 5, 0xe1a1)
         .step(Step::Batch {
             client: 0,
             n_packets: 6,
@@ -83,8 +86,11 @@ fn schedule_grow_mid_flood() {
             client: 2,
             n_packets: 4,
         })
-        .step(Step::Single { client: 3 });
-    assert_parity_elastic(&schedule);
+        .step(Step::Single { client: 3 })
+        .step(Step::Single { client: 4 });
+    let (migrations, steals) = assert_parity_elastic(&schedule);
+    assert!(steals > 0, "idle workers never stole the silent session");
+    assert!(steals <= migrations, "every steal is a migration");
 }
 
 /// A shrink retires the shard holding an in-flight partial record: the
@@ -328,8 +334,8 @@ fn shrink_drains_inflight_partial_and_preserves_outcome() {
 
 /// Worker elasticity bookkeeping: a shrink migrates every session off
 /// the retiring shards (counted in [`ResizeStats::sessions_moved`]), a
-/// grow spawns fresh workers that already carry the live dispatch
-/// policy, and traffic flows identically before and after both.
+/// grow spawns fresh workers that already carry the live config policy,
+/// and traffic flows identically before and after both.
 #[test]
 fn worker_resize_migrates_sessions_and_keeps_serving() {
     let mut scenario: ShardedScenario = Scenario::enterprise(4, UseCase::Nop)
@@ -515,33 +521,31 @@ mod proptests {
             let schedule = to_schedule(&raw, n_clients, collide, seed);
             let resizes = resize_steps(&schedule);
             let reference = run_single(&schedule);
-            for policy in [eager_load_aware(), endbox_vpn::shard::DispatchPolicy::Static] {
-                for &(rx, workers) in &[(1usize, 1usize), (2, 4), (4, 8)] {
-                    let (outs, stats) = run(&schedule, (rx, workers), &RunCfg::call(policy));
-                    prop_assert_eq!(
-                        &outs, &reference,
-                        "call-driven divergence at rx={} workers={} policy={:?}",
-                        rx, workers, policy
-                    );
-                    prop_assert!(
-                        stats.rx_grows + stats.rx_shrinks <= resizes,
-                        "more RX resizes than steps: {:?} vs {} steps", stats, resizes
-                    );
-                    prop_assert!(
-                        stats.worker_grows + stats.worker_shrinks <= resizes,
-                        "more worker resizes than steps: {:?} vs {} steps", stats, resizes
-                    );
-                    if resizes == 0 {
-                        prop_assert_eq!(stats, ResizeStats::default());
-                    }
-                    let cfg = RunCfg::event_loop(Some(policy));
-                    let (outs, _) = run(&schedule, (rx, workers), &cfg);
-                    prop_assert_eq!(
-                        &outs, &reference,
-                        "event-driven divergence at rx={} workers={} policy={:?}",
-                        rx, workers, policy
-                    );
+            for &(rx, workers) in &[(1usize, 1usize), (2, 4), (4, 8)] {
+                let (outs, moves) = run(&schedule, (rx, workers), &RunCfg::call());
+                let stats = moves.resize;
+                prop_assert_eq!(
+                    &outs, &reference,
+                    "call-driven divergence at rx={} workers={}",
+                    rx, workers
+                );
+                prop_assert!(
+                    stats.rx_grows + stats.rx_shrinks <= resizes,
+                    "more RX resizes than steps: {:?} vs {} steps", stats, resizes
+                );
+                prop_assert!(
+                    stats.worker_grows + stats.worker_shrinks <= resizes,
+                    "more worker resizes than steps: {:?} vs {} steps", stats, resizes
+                );
+                if resizes == 0 {
+                    prop_assert_eq!(stats, ResizeStats::default());
                 }
+                let (outs, _) = run(&schedule, (rx, workers), &RunCfg::event_loop());
+                prop_assert_eq!(
+                    &outs, &reference,
+                    "event-driven divergence at rx={} workers={}",
+                    rx, workers
+                );
             }
         }
     }

@@ -5,7 +5,7 @@
 //! description of one interleaving class (input order, batch boundaries,
 //! chosen `peer_id`s, partial-datagram splits, per-shard stalls) —
 //! through the single-threaded reference server and the sharded server
-//! across the `(rx_shards, workers, dispatch policy)` grid, asserting
+//! across the `(rx_shards, workers)` grid, asserting
 //! byte-identical outcomes. The re-merge makes the result independent of
 //! the actual thread schedule; the stalls force the adversarial arrival
 //! orders to really occur, so nothing here is a timing accident.
@@ -19,12 +19,12 @@ use endbox::server::Delivery;
 use endbox::use_cases::UseCase;
 use endbox_netsim::Packet;
 use support::{
-    assert_parity, full_grid, policies, simplify, split_raw, Out, PeerMap, RunCfg, Schedule, Step,
+    assert_parity, full_grid, simplify, split_raw, Out, PeerMap, RunCfg, Schedule, Step,
 };
 
-/// `grid` × both pinned policies through direct `receive_datagrams` calls.
+/// `grid` through direct `receive_datagrams` calls.
 fn assert_parity_call(schedule: &Schedule, grid: &[(usize, usize)]) {
-    assert_parity(schedule, grid, &policies().map(RunCfg::call));
+    assert_parity(schedule, grid, &[RunCfg::call()]);
 }
 
 /// A successful Disconnect pauses only its owning RX shard; stalling that
@@ -206,7 +206,7 @@ mod proptests {
         /// replays, disconnects, arbitrary splits, flush boundaries,
         /// colliding or spread peer maps) are byte-identical to the
         /// single-threaded server over the FULL
-        /// (rx_shards × workers × policy) grid.
+        /// (rx_shards × workers) grid.
         #[test]
         fn generated_schedules_match_single_server_on_full_grid(
             n_clients in 2usize..4,

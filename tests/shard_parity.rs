@@ -2,9 +2,8 @@
 //! be observationally equivalent to the single-threaded server on
 //! interleaved multi-client traffic — byte-identical per-client
 //! emissions, identical drop/replay verdicts, identical session state —
-//! for any thread schedule, under **both** dispatch policies (static
-//! session-id affinity and the load-aware dispatcher with bounded
-//! migration) and with the pipelined RX front-end in between.
+//! for any thread schedule, across the dispatcher's session migrations
+//! and with the pipelined RX front-end in between.
 //!
 //! Both servers are driven with byte-identical wire traffic: scenarios
 //! built from the same seed produce identical client key material, so
@@ -19,27 +18,12 @@ use endbox::scenario::{Scenario, ShardedScenario};
 use endbox::use_cases::UseCase;
 use endbox::EndBoxClient;
 use endbox_netsim::Packet;
-use endbox_vpn::shard::DispatchPolicy;
 
 /// `(workers, rx_shards)` pairs the named parity tests run: every worker
 /// count, with the RX pool width varied alongside (the full
-/// rx × workers × policy cross-product runs in `tests/rx_interleaving.rs`
-/// and the proptests below).
+/// rx × workers cross-product runs in `tests/rx_interleaving.rs` and the
+/// proptests below).
 const PARITY_GRID: [(usize, usize); 4] = [(1, 4), (2, 2), (4, 1), (8, 4)];
-
-/// An aggressive load-aware configuration so that even the small parity
-/// scripts cross the migration threshold — parity must hold *across*
-/// migrations, not just in their absence.
-fn eager_load_aware() -> DispatchPolicy {
-    DispatchPolicy::LoadAware {
-        imbalance_bytes: 1_000,
-        max_migrations_per_dispatch: 2,
-    }
-}
-
-fn parity_policies() -> [DispatchPolicy; 2] {
-    [DispatchPolicy::Static, eager_load_aware()]
-}
 
 /// One step of the traffic script.
 #[derive(Debug, Clone)]
@@ -145,15 +129,9 @@ fn run_sharded(scenario: &mut ShardedScenario, script: &[Action]) -> Vec<Out> {
     outs
 }
 
-/// Asserts parity for every worker count under `policy`; returns the
-/// total migrations the dispatcher performed across all worker counts.
-fn assert_parity_with(
-    n_clients: usize,
-    use_case: UseCase,
-    seed: u64,
-    script: &[Action],
-    policy: DispatchPolicy,
-) -> u64 {
+/// Asserts parity for every worker count; returns the total migrations
+/// the dispatcher performed across all worker counts.
+fn assert_parity(n_clients: usize, use_case: UseCase, seed: u64, script: &[Action]) -> u64 {
     let mut single = Scenario::enterprise(n_clients, use_case)
         .seed(seed)
         .build()
@@ -163,15 +141,14 @@ fn assert_parity_with(
     for (workers, rx_shards) in PARITY_GRID {
         let mut sharded = Scenario::enterprise(n_clients, use_case)
             .seed(seed)
-            .dispatch(policy)
             .rx_shards(rx_shards)
             .build_sharded(workers)
             .unwrap();
         let got = run_sharded(&mut sharded, script);
         assert_eq!(
             got, reference,
-            "N={workers} workers, K={rx_shards} RX shards ({policy:?}) diverged from \
-             the single-threaded server (clients={n_clients}, seed={seed})"
+            "N={workers} workers, K={rx_shards} RX shards diverged from the \
+             single-threaded server (clients={n_clients}, seed={seed})"
         );
         // Session state agrees too.
         assert_eq!(sharded.server.session_ids(), single.server.session_ids());
@@ -188,12 +165,6 @@ fn assert_parity_with(
         migrations += sharded.server.migrations();
     }
     migrations
-}
-
-fn assert_parity(n_clients: usize, use_case: UseCase, seed: u64, script: &[Action]) {
-    for policy in parity_policies() {
-        assert_parity_with(n_clients, use_case, seed, script, policy);
-    }
 }
 
 #[test]
@@ -239,8 +210,6 @@ fn config_grace_period_verdicts_match_single_server() {
             .rx_shards(rx_shards)
             .build_sharded(workers)
             .unwrap();
-        // (Policy default: load-aware; the stale-config verdicts must be
-        // identical regardless.)
         single.server.announce_config(2, 0);
         sharded.server.announce_config(2, 0);
         let script = vec![
@@ -271,18 +240,21 @@ fn config_grace_period_verdicts_match_single_server() {
 #[test]
 fn heavy_tailed_load_mix_matches_single_server_and_migrates() {
     // Clients 0 and 4 (session ids 1 and 5 — both homed on shard 0 at 4
-    // workers) are elephants; the rest are mice. The load-aware
-    // dispatcher must migrate under this mix, and the output must stay
-    // byte-identical to the single-threaded server across the migration.
+    // workers) are elephants; the rest are mice. Every action is its own
+    // dispatch, so the elephants' records must be heavy enough for the
+    // hot shard's decaying EWMA to clear the one-MTU floor of the
+    // migration threshold. The dispatcher must migrate under this mix,
+    // and the output must stay byte-identical to the single-threaded
+    // server across the migration.
     let mut script = Vec::new();
     for round in 0..6 {
         script.push(Action::SendBatch {
             client: 0,
-            n_packets: 24,
+            n_packets: 64,
         });
         script.push(Action::SendBatch {
             client: 4,
-            n_packets: 16,
+            n_packets: 48,
         });
         for client in [1, 2, 3] {
             script.push(Action::SendBatch {
@@ -294,14 +266,7 @@ fn heavy_tailed_load_mix_matches_single_server_and_migrates() {
             script.push(Action::Replay);
         }
     }
-    assert_parity_with(
-        5,
-        UseCase::Firewall,
-        0xeb77,
-        &script,
-        DispatchPolicy::Static,
-    );
-    let migrations = assert_parity_with(5, UseCase::Firewall, 0xeb77, &script, eager_load_aware());
+    let migrations = assert_parity(5, UseCase::Firewall, 0xeb77, &script);
     assert!(
         migrations > 0,
         "the heavy-tailed mix must exercise actual migrations"
@@ -323,14 +288,7 @@ fn adversarial_single_session_load_matches_single_server() {
         script.push(Action::Replay);
         script.push(Action::Ping { client: 0 });
     }
-    assert_parity_with(
-        3,
-        UseCase::Firewall,
-        0xeb78,
-        &script,
-        DispatchPolicy::Static,
-    );
-    let migrations = assert_parity_with(3, UseCase::Firewall, 0xeb78, &script, eager_load_aware());
+    let migrations = assert_parity(3, UseCase::Firewall, 0xeb78, &script);
     assert_eq!(
         migrations, 0,
         "an unsplittable dominant session must never ping-pong"
@@ -497,11 +455,10 @@ mod proptests {
     /// Adversarial peer-mix proptests: these drive the schedule harness
     /// (`tests/support`) so the peer ids, split points and batch
     /// boundaries are chosen hostile to the RX pool, and assert the
-    /// input-order re-merge over the FULL (rx_shards × workers × policy)
-    /// grid.
+    /// input-order re-merge over the FULL (rx_shards × workers) grid.
     mod adversarial {
         use super::*;
-        use support::{assert_parity, full_grid, policies, PeerMap, RunCfg, Schedule, Step};
+        use support::{assert_parity, full_grid, PeerMap, RunCfg, Schedule, Step};
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(3))]
@@ -525,7 +482,7 @@ mod proptests {
                         _ => Step::Flush,
                     });
                 }
-                assert_parity(&schedule, &full_grid(), &policies().map(RunCfg::call));
+                assert_parity(&schedule, &full_grid(), &[RunCfg::call()]);
             }
 
             /// A single peer floods the server (deep batches, splits,
@@ -551,7 +508,7 @@ mod proptests {
                         _ => Step::Flush,
                     });
                 }
-                assert_parity(&schedule, &full_grid(), &policies().map(RunCfg::call));
+                assert_parity(&schedule, &full_grid(), &[RunCfg::call()]);
             }
 
             /// Interleaved tiny datagrams: every peer's records split
@@ -576,7 +533,7 @@ mod proptests {
                         schedule = schedule.step(Step::Flush);
                     }
                 }
-                assert_parity(&schedule, &full_grid(), &policies().map(RunCfg::call));
+                assert_parity(&schedule, &full_grid(), &[RunCfg::call()]);
             }
         }
     }

@@ -13,10 +13,10 @@
 //! `(rx_shards, workers)` grid point, configured by a [`RunCfg`]: which
 //! doorway (direct `receive_datagrams` calls, or the **event-driven**
 //! socket front-end, where a [`Step::Flush`] becomes a poll-round
-//! boundary instead of a batch boundary), which dispatch policy — or
-//! `None` for the whole **self-tuning control plane**
-//! (`ScenarioBuilder::adaptive_control`) — which `recv_many` bulk size
-//! and which wire backend. [`assert_parity`] asserts byte-identical
+//! boundary instead of a batch boundary), which `recv_many` bulk size
+//! and which wire backend. The dispatch law and — through the event loop
+//! — the budget, token and remap laws run in every configuration; there
+//! is nothing to select. [`assert_parity`] asserts byte-identical
 //! outcomes between the two for every grid point × configuration it is
 //! given. Because the sharded server re-merges by input index (and the
 //! event loop re-merges drained datagrams by wire arrival stamp), the
@@ -24,7 +24,10 @@
 //! the adversarial arrival orders to actually occur, so each
 //! interleaving class is a reproducible named test instead of a timing
 //! accident. [`Step::Remap`] and [`Step::Resize`] steps additionally fire
-//! manual peer re-homes and pool resizes at exact schedule positions.
+//! manual peer re-homes and pool resizes at exact schedule positions, and
+//! every sharded run reports the session moves the dispatcher made
+//! ([`Moves`]), so a suite can assert relocation was exercised, not just
+//! compiled.
 
 use endbox::scenario::{Scenario, ShardedScenario};
 use endbox::server::{Delivery, ResizeStats};
@@ -33,27 +36,12 @@ use endbox::{EndBoxClient, EndBoxError};
 use endbox_netsim::net::TransportKind;
 use endbox_netsim::Packet;
 use endbox_vpn::proto::{Opcode, Record};
-use endbox_vpn::shard::DispatchPolicy;
 use endbox_vpn::wire::Writer;
 
 /// RX shard counts the grid covers.
 pub const RX_GRID: [usize; 3] = [1, 2, 4];
 /// Worker shard counts the grid covers.
 pub const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
-
-/// An aggressive load-aware configuration so even short schedules cross
-/// the migration threshold — parity must hold *across* migrations.
-pub fn eager_load_aware() -> DispatchPolicy {
-    DispatchPolicy::LoadAware {
-        imbalance_bytes: 1_000,
-        max_migrations_per_dispatch: 2,
-    }
-}
-
-/// The dispatch policies the grid covers.
-pub fn policies() -> [DispatchPolicy; 2] {
-    [DispatchPolicy::Static, eager_load_aware()]
-}
 
 /// Every `(rx_shards, workers)` point of [`RX_GRID`] × [`WORKER_GRID`].
 pub fn full_grid() -> Vec<(usize, usize)> {
@@ -88,12 +76,6 @@ pub enum Doorway {
 #[derive(Debug, Clone, Copy)]
 pub struct RunCfg {
     pub doorway: Doorway,
-    /// `Some(policy)` pins a static configuration; `None` turns the
-    /// self-tuning control plane on (`ScenarioBuilder::adaptive_control`:
-    /// closed-loop budgets with token buckets, the autonomous hot-peer
-    /// remap law, `DispatchPolicy::Adaptive` migration and stealing) —
-    /// the controller owns the policy. Event loop only.
-    pub control: Option<DispatchPolicy>,
     /// Ingress `recv_many` bulk size (`1` = the per-datagram transport
     /// shape); `None` leaves the production default. Event loop only.
     pub recv_bulk: Option<usize>,
@@ -105,19 +87,18 @@ pub struct RunCfg {
 }
 
 impl RunCfg {
-    /// Direct `receive_datagrams` calls under a pinned `policy`.
-    pub fn call(policy: DispatchPolicy) -> RunCfg {
+    /// Direct `receive_datagrams` calls.
+    pub fn call() -> RunCfg {
         RunCfg {
             doorway: Doorway::Call,
-            ..RunCfg::event_loop(Some(policy))
+            ..RunCfg::event_loop()
         }
     }
 
     /// The event loop over the virtual wire at the default bulk size.
-    pub fn event_loop(control: Option<DispatchPolicy>) -> RunCfg {
+    pub fn event_loop() -> RunCfg {
         RunCfg {
             doorway: Doorway::EventLoop,
-            control,
             recv_bulk: None,
             transport: TransportKind::Virtual,
         }
@@ -132,16 +113,6 @@ impl RunCfg {
 
     pub fn transport(self, transport: TransportKind) -> RunCfg {
         RunCfg { transport, ..self }
-    }
-
-    /// [`policies`] × [`BULK_GRID`] through the event loop over
-    /// `transport`.
-    pub fn bulk_grid(transport: TransportKind) -> Vec<RunCfg> {
-        policies()
-            .into_iter()
-            .flat_map(|policy| BULK_GRID.map(|bulk| RunCfg::event_loop(Some(policy)).bulk(bulk)))
-            .map(|cfg| cfg.transport(transport))
-            .collect()
     }
 }
 
@@ -495,26 +466,35 @@ pub fn run_single(schedule: &Schedule) -> Replay {
     Replay::new(outs, scenario.server.counters())
 }
 
+/// What a sharded run relocated while it replayed a schedule: the
+/// server's [`ResizeStats`] (so tests can reconcile the resize counters
+/// against the schedule that drove them) and the dispatcher's session
+/// moves.
+#[derive(Debug, Clone, Copy)]
+pub struct Moves {
+    pub resize: ResizeStats,
+    /// Sessions the dispatcher migrated (steals included).
+    pub migrations: u64,
+    /// The migrations that were idle-worker steals.
+    pub steals: u64,
+}
+
 /// Replays the schedule through a sharded scenario with `rx_shards` RX
 /// shards and `workers` workers as `cfg` describes, returning the
-/// replay and the server's [`ResizeStats`] after it (so tests can
-/// reconcile the resize counters against the schedule that drove them).
+/// replay and what the server relocated along the way.
 pub fn run(
     schedule: &Schedule,
     (rx_shards, workers): (usize, usize),
     cfg: &RunCfg,
-) -> (Replay, ResizeStats) {
+) -> (Replay, Moves) {
     let event_loop = cfg.doorway == Doorway::EventLoop;
-    let builder = Scenario::enterprise(schedule.n_clients, UseCase::Nop)
+    let mut scenario: ShardedScenario = Scenario::enterprise(schedule.n_clients, UseCase::Nop)
         .seed(schedule.seed)
         .rx_shards(rx_shards)
         .async_ingress(event_loop)
-        .transport(cfg.transport);
-    let builder = match cfg.control {
-        Some(policy) => builder.dispatch(policy),
-        None => builder.adaptive_control(true),
-    };
-    let mut scenario: ShardedScenario = builder.build_sharded(workers).unwrap();
+        .transport(cfg.transport)
+        .build_sharded(workers)
+        .unwrap();
     if let Some(bulk) = cfg.recv_bulk {
         scenario.set_recv_bulk(bulk);
     }
@@ -605,7 +585,12 @@ pub fn run(
     }
     flush(&mut scenario, &mut segment, &mut outs);
     let replay = Replay::new(outs, scenario.server.counters());
-    (replay, scenario.resize_stats())
+    let moves = Moves {
+        resize: scenario.resize_stats(),
+        migrations: scenario.server.migrations(),
+        steals: scenario.server.steals(),
+    };
+    (replay, moves)
 }
 
 /// Asserts byte-identical outcomes and equal `(delivered, rejected)`
@@ -613,12 +598,16 @@ pub fn run(
 /// for every `(rx_shards, workers)` in `grid` ×
 /// every configuration in `cfgs`. Where a schedule carries
 /// [`Step::Resize`] steps the grid point is only the *starting*
-/// geometry; the schedule moves it.
-pub fn assert_parity(schedule: &Schedule, grid: &[(usize, usize)], cfgs: &[RunCfg]) {
+/// geometry; the schedule moves it. Returns the dispatcher's
+/// `(migrations, steals)` summed over every run.
+pub fn assert_parity(schedule: &Schedule, grid: &[(usize, usize)], cfgs: &[RunCfg]) -> (u64, u64) {
     let reference = run_single(schedule);
+    let (mut migrations, mut steals) = (0, 0);
     for cfg in cfgs {
         for &point in grid {
-            let (got, _) = run(schedule, point, cfg);
+            let (got, moves) = run(schedule, point, cfg);
+            migrations += moves.migrations;
+            steals += moves.steals;
             assert_eq!(
                 got, reference,
                 "schedule `{}` diverged from the single-threaded server at \
@@ -627,4 +616,14 @@ pub fn assert_parity(schedule: &Schedule, grid: &[(usize, usize)], cfgs: &[RunCf
             );
         }
     }
+    (migrations, steals)
+}
+
+/// [`assert_parity`] over the full grid at every [`BULK_GRID`] size,
+/// through the event loop over the virtual wire: the bulk shape may only
+/// ever move the call count, and every control-plane decision lands at a
+/// round boundary, so neither may move an outcome.
+pub fn assert_parity_bulk(schedule: &Schedule) {
+    let cfgs = BULK_GRID.map(|bulk| RunCfg::event_loop().bulk(bulk));
+    assert_parity(schedule, &full_grid(), &cfgs);
 }
