@@ -8,9 +8,10 @@
 //! pushes a whole [`PacketBatch`] with one graph traversal, calling each
 //! element's [`Element::process_batch`] over every packet queued at that
 //! element. All per-traversal state (the work queues, the per-element
-//! pending queues, the output scratch) lives in the `Router` and is
-//! recycled across calls; the only steady-state allocations on the hot
-//! path are the small per-hop sequence keys described below.
+//! pending queues, the output scratch, the sequence keys described below)
+//! lives in the `Router` and is recycled across calls: in steady state a
+//! traversal allocates only the [`BatchOutput`] it returns, whatever the
+//! batch length and however many hops the graph has.
 //!
 //! ## Order preservation
 //!
@@ -45,6 +46,7 @@ use crate::error::ClickError;
 use crate::registry::ElementRegistry;
 use endbox_netsim::packet::Verdict;
 use endbox_netsim::{Packet, PacketBatch};
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 /// Result of pushing one packet through the router.
@@ -123,31 +125,46 @@ impl BatchOutput {
 /// Hierarchical sequence key ordering in-flight packets of a batch
 /// traversal by their single-packet traversal order.
 ///
-/// `slot` is the packet's position in the input batch; `path` records,
-/// hop by hop, the sibling index each descendant was assigned when its
-/// parent's outputs were drained (the input packet itself has an empty
-/// path). Keys compare *shortlex* within a slot — shorter paths first,
-/// then lexicographic — which is exactly the order the single-packet
-/// breadth-first traversal visits events in, and keys are globally
-/// unique per traversal (each packet instance is processed once).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `slot` is the packet's position in the input batch; the key's *path*
+/// records, hop by hop, the sibling index each descendant was assigned
+/// when its parent's outputs were drained (the input packet itself has an
+/// empty path). Paths live in the router's arena — `start` and `len`
+/// locate this key's — which is emptied at the start of every traversal,
+/// so a key costs no allocation. Keys compare *shortlex* within a slot —
+/// shorter paths first, then lexicographic — which is exactly the order
+/// the single-packet breadth-first traversal visits events in, and keys
+/// are globally unique per traversal (each packet instance is processed
+/// once).
+#[derive(Debug, Clone, Copy)]
 struct SeqKey {
     slot: u32,
-    path: Vec<u32>,
+    start: u32,
+    len: u32,
 }
 
-impl Ord for SeqKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+impl SeqKey {
+    fn path(self, arena: &[u32]) -> &[u32] {
+        &arena[self.start as usize..(self.start + self.len) as usize]
+    }
+
+    fn cmp(self, other: SeqKey, arena: &[u32]) -> Ordering {
         self.slot
             .cmp(&other.slot)
-            .then_with(|| self.path.len().cmp(&other.path.len()))
-            .then_with(|| self.path.cmp(&other.path))
+            .then_with(|| self.len.cmp(&other.len))
+            .then_with(|| self.path(arena).cmp(other.path(arena)))
     }
-}
 
-impl PartialOrd for SeqKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    /// The key of this key's next child: its path extended by `sibling`,
+    /// appended to the arena.
+    fn child(self, sibling: u32, arena: &mut Vec<u32>) -> SeqKey {
+        let start = arena.len() as u32;
+        arena.extend_from_within(self.start as usize..(self.start + self.len) as usize);
+        arena.push(sibling);
+        SeqKey {
+            slot: self.slot,
+            start,
+            len: self.len + 1,
+        }
     }
 }
 
@@ -164,22 +181,44 @@ struct PendingPacket {
 /// packets) it has produced so far — the next sibling index.
 #[derive(Debug)]
 struct RunEvent {
-    slot: u32,
-    path: Vec<u32>,
+    key: SeqKey,
     children: u32,
+}
+
+/// The event of `run` that consumed the input in batch slot `slot`. A run
+/// is popped off a key-sorted queue and holds one event per slot, so its
+/// slots are strictly increasing.
+fn event_of_slot(run: &[RunEvent], slot: Option<u32>) -> usize {
+    slot.and_then(|s| run.binary_search_by_key(&s, |e| e.key.slot).ok())
+        .unwrap_or_else(|| {
+            debug_assert!(false, "element output lost its batch_slot annotation");
+            0
+        })
+}
+
+/// Sequence-key bookkeeping of a batch traversal (allocations reused).
+#[derive(Debug, Default)]
+struct KeyScratch {
+    /// Arena of the keys' paths, emptied per traversal.
+    paths: Vec<u32>,
+    /// Input events of the element run being processed.
+    run: Vec<RunEvent>,
+    /// Key of the event that produced each emission, in emission order.
+    emitted: Vec<SeqKey>,
+    /// Argsort of the emissions by key.
+    order: Vec<usize>,
 }
 
 /// Inserts `entry` into a key-sorted queue. Arrivals are mostly already
 /// in order (whole upstream runs drain in key order), so appending is the
 /// fast path; re-merges falling back to a binary-search insert.
-fn insert_sorted(queue: &mut VecDeque<PendingPacket>, entry: PendingPacket) {
+fn insert_sorted(queue: &mut VecDeque<PendingPacket>, entry: PendingPacket, arena: &[u32]) {
     match queue.back() {
-        Some(last) if last.key <= entry.key => queue.push_back(entry),
-        None => queue.push_back(entry),
-        Some(_) => {
-            let pos = queue.partition_point(|e| e.key < entry.key);
+        Some(last) if last.key.cmp(entry.key, arena).is_gt() => {
+            let pos = queue.partition_point(|e| e.key.cmp(entry.key, arena).is_lt());
             queue.insert(pos, entry);
         }
+        _ => queue.push_back(entry),
     }
 }
 
@@ -233,6 +272,7 @@ pub struct Router {
     /// recycled to their pools in one `give_many` at the end instead of
     /// one lock round-trip per packet.
     scratch_drops: Vec<Packet>,
+    scratch_keys: KeyScratch,
     /// Packets recovered from stale pending queues (after an element
     /// panicked mid-batch) and recycled to their pools.
     stale_recycled: u64,
@@ -348,6 +388,7 @@ impl Router {
             pending,
             scratch_batch: PacketBatch::new(),
             scratch_drops: Vec::new(),
+            scratch_keys: KeyScratch::default(),
             stale_recycled: 0,
         })
     }
@@ -408,7 +449,6 @@ impl Router {
     pub fn process_batch(&mut self, mut batch: PacketBatch) -> BatchOutput {
         let n_in = batch.len();
         let mut emitted: Vec<Packet> = Vec::with_capacity(n_in);
-        let mut emitted_keys: Vec<SeqKey> = Vec::with_capacity(n_in);
         let mut dropped = 0u64;
         // A panic during an earlier traversal may have left in-flight
         // packets queued; recover them before seeding the new batch.
@@ -429,7 +469,8 @@ impl Router {
             self.pending[entry].push_back(PendingPacket {
                 key: SeqKey {
                     slot,
-                    path: Vec::new(),
+                    start: 0,
+                    len: 0,
                 },
                 port: 0,
                 pkt,
@@ -439,21 +480,19 @@ impl Router {
         let mut outputs = std::mem::take(&mut self.scratch_outputs);
         let mut work = std::mem::take(&mut self.scratch_batch);
         let mut drops = std::mem::take(&mut self.scratch_drops);
-        let mut run_events: Vec<RunEvent> = Vec::new();
+        let mut keys = std::mem::take(&mut self.scratch_keys);
+        keys.paths.clear();
+        keys.emitted.clear();
         loop {
             // Run the element whose queued front key is globally minimal.
-            let mut min_idx: Option<usize> = None;
+            let mut min: Option<(usize, SeqKey)> = None;
             for (i, queue) in self.pending.iter().enumerate() {
                 let Some(front) = queue.front() else { continue };
-                let better = match min_idx {
-                    None => true,
-                    Some(m) => front.key < self.pending[m].front().expect("non-empty").key,
-                };
-                if better {
-                    min_idx = Some(i);
+                if min.is_none_or(|(_, m)| front.key.cmp(m, &keys.paths).is_lt()) {
+                    min = Some((i, front.key));
                 }
             }
-            let Some(idx) = min_idx else { break };
+            let Some((idx, _)) = min else { break };
 
             // Preemption bound: the smallest front key among *other*
             // elements with a graph path into `idx`. Entries at or past
@@ -465,8 +504,8 @@ impl Router {
                     continue;
                 }
                 if let Some(front) = queue.front() {
-                    if bound.as_ref().is_none_or(|b| front.key < *b) {
-                        bound = Some(front.key.clone());
+                    if bound.is_none_or(|b| front.key.cmp(b, &keys.paths).is_lt()) {
+                        bound = Some(front.key);
                     }
                 }
             }
@@ -474,21 +513,24 @@ impl Router {
 
             // Longest front run with one input port, below the bound, and
             // with pairwise-distinct slots (output→input attribution
-            // below keys on `batch_slot`).
+            // below keys on `batch_slot`). The queue is key-sorted, so a
+            // repeated slot can only repeat the run's last one.
             let port = self.pending[idx].front().expect("non-empty").port;
             work.clear();
-            run_events.clear();
+            keys.run.clear();
             while let Some(front) = self.pending[idx].front() {
                 if front.port != port
-                    || bound.as_ref().is_some_and(|b| front.key >= *b)
-                    || run_events.iter().any(|e| e.slot == front.key.slot)
+                    || bound.is_some_and(|b| front.key.cmp(b, &keys.paths).is_ge())
+                    || keys
+                        .run
+                        .last()
+                        .is_some_and(|e| e.key.slot == front.key.slot)
                 {
                     break;
                 }
                 let entry_pkt = self.pending[idx].pop_front().expect("checked front");
-                run_events.push(RunEvent {
-                    slot: entry_pkt.key.slot,
-                    path: entry_pkt.key.path,
+                keys.run.push(RunEvent {
+                    key: entry_pkt.key,
                     children: 0,
                 });
                 work.push(entry_pkt.pkt);
@@ -516,49 +558,28 @@ impl Router {
 
             // Emissions carry the key of the event that produced them;
             // the final stable sort restores single-packet order.
-            for pkt in emitted.iter().skip(emitted_before) {
-                let ev_idx = pkt
-                    .meta
-                    .batch_slot
-                    .and_then(|s| run_events.iter().position(|e| e.slot == s))
-                    .unwrap_or_else(|| {
-                        debug_assert!(false, "batched emission lost its batch_slot annotation");
-                        0
-                    });
-                let ev = &run_events[ev_idx];
-                emitted_keys.push(SeqKey {
-                    slot: ev.slot,
-                    path: ev.path.clone(),
-                });
+            for pkt in &emitted[emitted_before..] {
+                keys.emitted
+                    .push(keys.run[event_of_slot(&keys.run, pkt.meta.batch_slot)].key);
             }
 
             // Outputs extend their parent's path by the next sibling
             // index, in drain order — the order the single-packet path
             // would have enqueued them in.
             for (out_port, mut out_pkt) in outputs.drain(..) {
-                let ev_idx = out_pkt
-                    .meta
-                    .batch_slot
-                    .and_then(|s| run_events.iter().position(|e| e.slot == s))
-                    .unwrap_or_else(|| {
-                        debug_assert!(false, "element output lost its batch_slot annotation");
-                        0
-                    });
-                let ev = &mut run_events[ev_idx];
-                let mut path = ev.path.clone();
-                path.push(ev.children);
+                let ev = event_of_slot(&keys.run, out_pkt.meta.batch_slot);
+                let ev = &mut keys.run[ev];
+                let key = ev.key.child(ev.children, &mut keys.paths);
                 ev.children += 1;
                 match self.out_edges[idx].get(out_port).copied().flatten() {
                     Some((to, to_port)) => insert_sorted(
                         &mut self.pending[to],
                         PendingPacket {
-                            key: SeqKey {
-                                slot: ev.slot,
-                                path,
-                            },
+                            key,
                             port: to_port,
                             pkt: out_pkt,
                         },
+                        &keys.paths,
                     ),
                     None => {
                         out_pkt.meta.verdict = Verdict::Drop;
@@ -577,16 +598,24 @@ impl Router {
 
         // Restore the single-packet emission order: stable argsort by the
         // producing event's key (ties — several emissions from one event —
-        // keep their call order).
-        let mut order: Vec<usize> = (0..emitted.len()).collect();
-        order.sort_by(|&a, &b| emitted_keys[a].cmp(&emitted_keys[b]).then(a.cmp(&b)));
-        if order.iter().enumerate().any(|(i, &o)| i != o) {
+        // keep their call order; the index tie-break makes the order
+        // total, so the allocation-free unstable sort is stable here).
+        keys.order.clear();
+        keys.order.extend(0..emitted.len());
+        keys.order.sort_unstable_by(|&a, &b| {
+            keys.emitted[a]
+                .cmp(keys.emitted[b], &keys.paths)
+                .then(a.cmp(&b))
+        });
+        if keys.order.iter().enumerate().any(|(i, &o)| i != o) {
             let mut cells: Vec<Option<Packet>> = emitted.into_iter().map(Some).collect();
-            emitted = order
+            emitted = keys
+                .order
                 .iter()
                 .map(|&o| cells[o].take().expect("permutation"))
                 .collect();
         }
+        self.scratch_keys = keys;
 
         let mut verdicts = vec![Verdict::Drop; n_in];
         let mut accepted = 0usize;
