@@ -318,7 +318,7 @@ fn elastic_resize() {
     let demo = elastic_capacity_demo();
     println!("real-stack demo (flood, then sustained idleness): {demo:?}\n");
     assert!(
-        demo.rx_grows >= 1 && demo.rx_shrinks >= 1,
+        demo.grows >= 1 && demo.shrinks >= 1,
         "the live resize law must both grow and shrink: {demo:?}"
     );
     artifact("elastic");

@@ -2,7 +2,8 @@
 //!
 //! [`measure`] builds the *real* functional stack a [`MeasureSpec`]
 //! describes (CA, attestation, handshake, enclave, Click, and — for the
-//! sharded server — RX shards, workers and the socket front-end), pushes
+//! sharded server — its run-to-completion shards and the socket
+//! front-end), pushes
 //! rounds of sample packets through it, and reads the cycle meters. The
 //! resulting [`PacketCharge`] is then replayed through the
 //! [`endbox_netsim::pipeline`] timing layer. This keeps every reported
@@ -77,13 +78,11 @@ pub enum Server {
     /// ([`crate::server::EndBoxServer`]), with the deployment's
     /// server-side Click attached if it has one.
     PerClient,
-    /// One [`crate::server::ShardedEndBoxServer`]: `rx_shards` framing
-    /// threads in front of `workers` crypto shards.
+    /// One [`crate::server::ShardedEndBoxServer`] with `shards`
+    /// run-to-completion shards (== poll groups of the event loop).
     Sharded {
-        /// RX framing shards (== poll groups of the event loop).
-        rx_shards: usize,
-        /// Worker shards.
-        workers: usize,
+        /// Shard threads.
+        shards: usize,
     },
 }
 
@@ -176,11 +175,11 @@ impl MeasureSpec {
         }
     }
 
-    /// EndBox-SGX NOP at 1 500 B on the sharded server, call-driven —
-    /// the base every scaling sweep overrides.
-    pub fn sharded(rx_shards: usize, workers: usize) -> Self {
+    /// EndBox-SGX NOP at 1 500 B on a `shards`-shard server, call-driven
+    /// — the base every scaling sweep overrides.
+    pub fn sharded(shards: usize) -> Self {
         MeasureSpec {
-            server: Server::Sharded { rx_shards, workers },
+            server: Server::Sharded { shards },
             ..Self::single_flow(Deployment::EndBoxSgx(UseCase::Nop), 1_500, 8)
         }
     }
@@ -212,9 +211,9 @@ pub struct Measured {
 /// builds it, runs one warm-up round (first-use costs stay out of the
 /// steady state) and `spec.samples` metered rounds, and condenses the
 /// meters into a per-packet [`PacketCharge`] plus the event loop's
-/// amortisation ratios. Worker and RX threads charge the shared server
-/// meter, so the per-packet *total* is geometry-independent — sharding
-/// wins are modelled by the timing layer's lanes, fed by this charge.
+/// amortisation ratios. Shard threads charge the shared server meter, so
+/// the per-packet *total* is geometry-independent — sharding wins are
+/// modelled by the timing layer's lanes, fed by this charge.
 ///
 /// The event loop always runs over the deterministic in-process wire;
 /// its server sockets are metered at the `socket_*` constants, and the
@@ -257,10 +256,9 @@ pub fn measure(spec: &MeasureSpec) -> Measured {
             let mut scenario = builder.build().expect("deployment must build");
             measure_on(spec, &mut scenario, |_| None)
         }
-        Server::Sharded { rx_shards, workers } => {
+        Server::Sharded { shards } => {
             let mut scenario = builder
-                .rx_shards(rx_shards)
-                .build_sharded(workers)
+                .build_sharded(shards)
                 .expect("sharded deployment must build");
             if event_loop {
                 scenario.set_recv_bulk(spec.recv_bulk);
@@ -508,7 +506,7 @@ mod tests {
             peers: 2,
             per_peer: 4,
             samples: 2,
-            ..MeasureSpec::sharded(1, 2)
+            ..MeasureSpec::sharded(1)
         });
         assert_eq!((m.wakeups_per_datagram, m.datagrams_per_call), (1.0, 1.0));
         assert_eq!(m.controller, ControllerStats::default());

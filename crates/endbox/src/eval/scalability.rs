@@ -149,20 +149,16 @@ fn columns(keys: &[&'static str], extra: &[(&'static str, usize)]) -> Vec<(&'sta
     out
 }
 
-/// The many-peer small-record mix on the sharded EndBox-SGX NOP stack:
-/// `peers` peers each send `per_peer` single-packet records per round.
-fn small_record_mix(
-    rx_shards: usize,
-    workers: usize,
-    peers: usize,
-    per_peer: usize,
-) -> MeasureSpec {
+/// The many-peer small-record mix on the `shards`-shard EndBox-SGX NOP
+/// stack: `peers` peers each send `per_peer` single-packet records per
+/// round.
+fn small_record_mix(shards: usize, peers: usize, per_peer: usize) -> MeasureSpec {
     MeasureSpec {
         payload_len: RX_MIX_PAYLOAD,
         samples: 6,
         peers,
         per_peer,
-        ..MeasureSpec::sharded(rx_shards, workers)
+        ..MeasureSpec::sharded(shards)
     }
 }
 
@@ -258,9 +254,9 @@ pub fn fig10b() -> Table {
 }
 
 /// `BENCH_fig10.json` — the sharded Fig. 10 extension: two real clients
-/// seal [`DEFAULT_BATCH_SIZE`]-packet records into a sharded server with
-/// 1/2/4/8 worker threads; the charge replays with the server as one
-/// process of that many shard flows.
+/// seal [`DEFAULT_BATCH_SIZE`]-packet records into the sharded server
+/// once; the charge replays with the server as one process of 1/2/4/8
+/// worker flows.
 pub fn fig10_sharded() -> Table {
     let batch = DEFAULT_BATCH_SIZE;
     let mut table = Table::new(
@@ -272,14 +268,14 @@ pub fn fig10_sharded() -> Table {
         &columns(&["deployment", "clients", "workers", "batch"], &[]),
         (&["workers"], "clients", &["gbps", "mpps"]),
     );
+    let charge = measure(&MeasureSpec {
+        peers: 2,
+        records: Records::Batched,
+        per_peer: batch,
+        ..MeasureSpec::sharded(1)
+    })
+    .charge;
     for workers in worker_counts() {
-        let charge = measure(&MeasureSpec {
-            peers: 2,
-            records: Records::Batched,
-            per_peer: batch,
-            ..MeasureSpec::sharded(1, workers)
-        })
-        .charge;
         for n in client_counts() {
             let r = replay(charge, &fig10_lanes(workers, false), n, false);
             let name = format!("{} sharded", Deployment::EndBoxSgx(UseCase::Nop).name());
@@ -333,7 +329,7 @@ fn heavy_tail_spec() -> MeasureSpec {
         records: Records::Batched,
         per_peer: DEFAULT_BATCH_SIZE,
         zipf: true,
-        ..MeasureSpec::sharded(1, 4)
+        ..MeasureSpec::sharded(1)
     }
 }
 
@@ -370,9 +366,9 @@ pub fn heavy_tail() -> Table {
 }
 
 /// `BENCH_rx.json` — RX front-end sharding: six peers interleave
-/// single-record datagrams into a server with K RX framing threads (4
-/// workers); the charge replays with K serial framing lanes
-/// (completion-ordered hand-off) in front of the worker flows.
+/// single-record datagrams into a server with K shards; the charge
+/// replays with K serial framing lanes (completion-ordered hand-off) in
+/// front of 4 worker flows.
 pub fn rx_scaling() -> Table {
     let mut table = Table::new(
         "rx",
@@ -384,7 +380,7 @@ pub fn rx_scaling() -> Table {
         (&["rx_shards"], "clients", &["mpps", "server_cpu"]),
     );
     for k in rx_shard_counts() {
-        let charge = measure(&small_record_mix(k, 4, 6, 4)).charge;
+        let charge = measure(&small_record_mix(k, 6, 4)).charge;
         for n in RX_MIX_CLIENTS {
             let lanes = rx_mix_lanes(&charge, RxLanes::new(k), WorkerLanes::new(4));
             let r = replay(charge, &lanes, n, false);
@@ -396,12 +392,11 @@ pub fn rx_scaling() -> Table {
 
 /// The event-driven measurement behind [`async_ingress`]: the
 /// small-record mix (8 peers × 8 records) riding the wire into per-peer
-/// sockets that the event loop drains, 4 RX shards (one poll group
-/// each), 4 workers.
+/// sockets that the event loop drains, 4 shards (one poll group each).
 pub fn async_ingress_spec() -> MeasureSpec {
     MeasureSpec {
         doorway: Doorway::EventLoop,
-        ..small_record_mix(4, 4, 8, 8)
+        ..small_record_mix(4, 8, 8)
     }
 }
 
@@ -453,7 +448,7 @@ pub fn async_ingress() -> Table {
 /// The bulk-draining measurement behind [`syscall_batch`]: the
 /// event-driven small-record mix, queued twice as deep per peer as
 /// [`async_ingress_spec`] (a call cannot move more than is waiting),
-/// drained with `recv_many(bulk)`, 2 RX shards, 4 workers. (A socket's
+/// drained with `recv_many(bulk)`, 2 shards. (A socket's
 /// token allowance is its share of the group budget — hundreds of
 /// datagrams here — so the fairness grain never caps the measured
 /// amortisation.)
@@ -461,7 +456,7 @@ pub fn boundary_spec(bulk: usize) -> MeasureSpec {
     MeasureSpec {
         doorway: Doorway::EventLoop,
         recv_bulk: bulk,
-        ..small_record_mix(2, 4, 8, 16)
+        ..small_record_mix(2, 8, 16)
     }
 }
 
@@ -536,15 +531,15 @@ pub const FIXED_HOMING: &str = "fixed-homing";
 
 /// The measurement behind [`adaptive_control`] and [`elastic_resize`]:
 /// the heavy-tailed small-record mix through the event loop. 8 peers at
-/// 2 RX shards puts both Zipf elephants (peers 0 and 4) in poll group 0;
+/// 2 shards puts both Zipf elephants (peers 0 and 4) in poll group 0;
 /// base batch 24 makes that group's per-round backlog (~43 datagrams)
 /// deep enough that the hot-group law (2x the other groups' mean,
 /// 3-round debounce) actually fires.
-pub fn controlled_spec(rx_shards: usize, workers: usize) -> MeasureSpec {
+pub fn controlled_spec(shards: usize) -> MeasureSpec {
     MeasureSpec {
         doorway: Doorway::EventLoop,
         zipf: true,
-        ..small_record_mix(rx_shards, workers, 8, 24)
+        ..small_record_mix(shards, 8, 24)
     }
 }
 
@@ -614,7 +609,7 @@ pub fn adaptive_control() -> Table {
             diurnal_trace(TRACE_BASE, TRACE_PEAK, TRACE_STEPS),
         ),
     ];
-    let m = measure(&controlled_spec(2, 4));
+    let m = measure(&controlled_spec(2));
     for (config, fixed_homing) in [(FIXED_HOMING, true), ("controller", false)] {
         for (trace, steps) in &traces {
             for s in steps {
@@ -679,8 +674,7 @@ pub fn elastic_resize() -> Table {
         (&["config"], "step", &["gbps", "rx_shards"]),
     );
     let trace = diurnal_trace(TRACE_BASE, TRACE_PEAK, TRACE_STEPS);
-    let rungs =
-        ELASTIC_LADDER.map(|(_, rx_shards, workers)| measure(&controlled_spec(rx_shards, workers)));
+    let rungs = ELASTIC_LADDER.map(|(_, shards, _)| measure(&controlled_spec(shards)));
     let fixed = (0..ELASTIC_LADDER.len()).map(|rung| (ELASTIC_LADDER[rung].0, Some(rung)));
     for (config, fixed_rung) in fixed.chain([("elastic", None)]) {
         for s in &trace {
@@ -697,19 +691,18 @@ pub fn elastic_resize() -> Table {
 /// sustained idleness through a live elastic scenario
 /// (`ScenarioBuilder::elastic`) and returns the resulting
 /// [`crate::server::ResizeStats`] — the law must have both grown and
-/// shrunk the pool ([`crate::server::ResizeStats::rx_grows`] and
-/// [`crate::server::ResizeStats::rx_shrinks`] >= 1) for the replayed
+/// shrunk the server ([`crate::server::ResizeStats::grows`] and
+/// [`crate::server::ResizeStats::shrinks`] >= 1) for the replayed
 /// elastic row to be an honest model of the implementation.
 pub fn elastic_capacity_demo() -> crate::server::ResizeStats {
     use crate::scenario::Scenario;
     let mut scenario = Scenario::enterprise(4, UseCase::Nop)
         .seed(0xe1a5)
-        .rx_shards(1)
         .elastic(true)
-        .build_sharded(2)
+        .build_sharded(1)
         .expect("elastic scenario");
     let mut round = 0;
-    while scenario.server.resize_stats().rx_grows == 0 && round < 12 {
+    while scenario.server.resize_stats().grows == 0 && round < 12 {
         let mut sent = 0;
         for client in 0..4 {
             for i in 0..75 {
@@ -790,12 +783,12 @@ mod tests {
         assert!(cpu > 0.9, "central middlebox CPU-bound: {cpu}");
     }
 
-    fn fig10_charge(workers: usize) -> PacketCharge {
+    fn fig10_charge(shards: usize) -> PacketCharge {
         measure(&MeasureSpec {
             peers: 2,
             records: Records::Batched,
             per_peer: DEFAULT_BATCH_SIZE,
-            ..MeasureSpec::sharded(1, workers)
+            ..MeasureSpec::sharded(shards)
         })
         .charge
     }
@@ -803,13 +796,13 @@ mod tests {
     #[test]
     fn sharded_charge_matches_single_server_work() {
         // Sharding redistributes the per-packet work, it must not change
-        // its total: the measured per-packet server cycles of a 4-worker
-        // sharded stack stay close to the 1-worker stack's.
+        // its total: the measured per-packet server cycles of a 4-shard
+        // stack stay close to the 1-shard stack's.
         let (one, four) = (fig10_charge(1), fig10_charge(4));
         let tol = one.server_cycles / 5;
         assert!(
             four.server_cycles.abs_diff(one.server_cycles) <= tol.max(2_000),
-            "per-packet server work must be worker-count independent: {} vs {}",
+            "per-packet server work must be shard-count independent: {} vs {}",
             one.server_cycles,
             four.server_cycles
         );
@@ -844,7 +837,7 @@ mod tests {
         // The many-peer small-record mix must actually be RX-bound:
         // per-datagram framing has to carry the majority of the per-packet
         // server work, or the sweep measures the wrong bottleneck.
-        let charge = measure(&small_record_mix(1, 4, 6, 4)).charge;
+        let charge = measure(&small_record_mix(1, 6, 4)).charge;
         assert!(
             charge.rx_cycles * 2 >= charge.server_cycles,
             "framing must dominate the small-record mix: rx {} of {} total",
@@ -966,10 +959,8 @@ mod tests {
         // The replayed elastic row is only honest if the real resize
         // law both grows under the flood and shrinks back when idle.
         let stats = elastic_capacity_demo();
-        assert!(stats.rx_grows >= 1, "demo never grew: {stats:?}");
-        assert!(stats.rx_shrinks >= 1, "demo never shrank: {stats:?}");
-        assert_eq!(stats.worker_grows, stats.rx_grows);
-        assert_eq!(stats.worker_shrinks, stats.rx_shrinks);
+        assert!(stats.grows >= 1, "demo never grew: {stats:?}");
+        assert!(stats.shrinks >= 1, "demo never shrank: {stats:?}");
     }
 
     #[test]

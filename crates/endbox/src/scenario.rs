@@ -7,8 +7,8 @@
 //!
 //! * [`Scenario`] — over the single-threaded reference [`EndBoxServer`]
 //!   ([`ScenarioBuilder::build`]);
-//! * [`ShardedScenario`] — over the [`ShardedEndBoxServer`] pipeline
-//!   ([`ScenarioBuilder::build_sharded`]).
+//! * [`ShardedScenario`] — over the [`ShardedEndBoxServer`]'s
+//!   run-to-completion shards ([`ScenarioBuilder::build_sharded`]).
 //!
 //! Both builds share one setup-and-connect path. The client drivers
 //! (`send_from_client`, `send_batch_from_client` and their siblings) are
@@ -60,7 +60,7 @@ pub enum ScenarioKind {
 ///
 /// Knobs chain; [`ScenarioBuilder::build`] produces the single-threaded
 /// reference [`Scenario`], [`ScenarioBuilder::build_sharded`] the
-/// pipelined multi-worker [`ShardedScenario`]. The reference has no event
+/// multi-shard [`ShardedScenario`]. The reference has no event
 /// loop: `build` rejects [`ScenarioBuilder::async_ingress`] and
 /// [`ScenarioBuilder::elastic`] instead of dropping them. See
 /// `examples/quickstart.rs` and `examples/enterprise_network.rs` for the
@@ -77,15 +77,13 @@ pub enum ScenarioKind {
 /// let delivered = s.send_from_client(0, b"hello").unwrap();
 /// assert_eq!(delivered.app_payload(), b"hello");
 ///
-/// // The sharded pipeline: 2 RX framing shards, 2 crypto workers,
-/// // event-driven socket ingress.
+/// // Two run-to-completion shards, event-driven socket ingress.
 /// let s = Scenario::enterprise(2, UseCase::Nop)
 ///     .seed(42)
-///     .rx_shards(2)
 ///     .async_ingress(true)
 ///     .build_sharded(2)
 ///     .unwrap();
-/// assert_eq!(s.server.worker_count(), 2);
+/// assert_eq!(s.server.shard_count(), 2);
 /// assert!(s.async_ingress_enabled());
 /// ```
 #[derive(Debug)]
@@ -100,7 +98,6 @@ pub struct ScenarioBuilder {
     suite_override: Option<CipherSuite>,
     server_click: Option<String>,
     custom_client_click: Option<String>,
-    rx_shards: usize,
     async_ingress: bool,
     elastic: bool,
     transport: TransportKind,
@@ -151,17 +148,17 @@ impl ScenarioBuilder {
         self
     }
 
-    /// RX framing shards of a sharded build (default 1): datagram
-    /// reassembly and record framing run on `k` threads sharded by
-    /// `peer_id mod k` in front of the worker shards.
-    pub fn rx_shards(mut self, k: usize) -> Self {
-        self.rx_shards = k.max(1);
+    /// Accepted and ignored. The sharded server's geometry is the one
+    /// shard count [`ScenarioBuilder::build_sharded`] takes; this setter
+    /// survives only for callers that still spell geometry as two
+    /// numbers, and goes with the last of them.
+    pub fn rx_shards(self, _: usize) -> Self {
         self
     }
 
     /// Event-driven socket ingress for a sharded build (default off):
     /// every peer gets a virtual server-side UDP socket registered with
-    /// an [`AsyncFrontEnd`] poll group (one group per RX shard), and the
+    /// an [`AsyncFrontEnd`] poll group (one group per shard), and the
     /// data-path drivers route wire datagrams through the event loop
     /// instead of calling `receive_datagrams` directly. The
     /// handshake/control path stays call-driven — it is off the fast
@@ -175,11 +172,11 @@ impl ScenarioBuilder {
     /// Structural elasticity (default off — a fixed geometry). Implies
     /// [`ScenarioBuilder::async_ingress`]: on top of the budget/remap
     /// laws every event loop runs, the control round may grow or shrink
-    /// the RX shard pool and worker pool themselves from the demand
-    /// EWMAs (hysteresis and cooldown:
-    /// [`crate::server::RESIZE_GROW_ROUNDS`] and its siblings). The
-    /// builder's `rx_shards`/`workers` become the *starting* geometry
-    /// rather than a fixed one. [`ScenarioBuilder::build`] rejects it.
+    /// the shard count itself from the demand EWMAs (hysteresis and
+    /// cooldown: [`crate::server::RESIZE_GROW_ROUNDS`] and its siblings).
+    /// The count given to [`ScenarioBuilder::build_sharded`] becomes the
+    /// *starting* geometry rather than a fixed one.
+    /// [`ScenarioBuilder::build`] rejects it.
     pub fn elastic(mut self, on: bool) -> Self {
         self.elastic = on;
         if on {
@@ -375,9 +372,9 @@ impl ScenarioBuilder {
             .0)
     }
 
-    /// Builds the scenario around a [`ShardedEndBoxServer`] with `workers`
-    /// shard threads — the multi-client sharded deployment driven by the
-    /// Fig. 10 scalability harness.
+    /// Builds the scenario around a [`ShardedEndBoxServer`] with `shards`
+    /// run-to-completion shard threads — the multi-client sharded
+    /// deployment driven by the Fig. 10 scalability harness.
     ///
     /// # Errors
     ///
@@ -387,15 +384,14 @@ impl ScenarioBuilder {
     ///
     /// # Example
     ///
-    /// Four clients through a 2-worker / 2-RX-shard pipeline, all batches
-    /// in one multi-client dispatch (see also `examples/enterprise_network.rs`):
+    /// Four clients through two shards, all batches in one multi-client
+    /// receive call (see also `examples/enterprise_network.rs`):
     ///
     /// ```
     /// use endbox::scenario::Scenario;
     /// use endbox::use_cases::UseCase;
     ///
     /// let mut s = Scenario::enterprise(4, UseCase::Firewall)
-    ///     .rx_shards(2)
     ///     .build_sharded(2)
     ///     .unwrap();
     /// let payloads: Vec<Vec<Vec<u8>>> = (0..4)
@@ -405,9 +401,9 @@ impl ScenarioBuilder {
     /// assert_eq!(delivered.len(), 4);
     /// assert!(delivered.iter().all(|per_client| per_client.len() == 3));
     /// ```
-    pub fn build_sharded(self, workers: usize) -> Result<ShardedScenario, EndBoxError> {
+    pub fn build_sharded(self, shards: usize) -> Result<ShardedScenario, EndBoxError> {
         let (mut network, cost) = self.connect(
-            |cfg| ShardedEndBoxServer::with_pipeline(cfg, workers, self.rx_shards),
+            |cfg| ShardedEndBoxServer::with_shards(cfg, shards),
             ShardedEndBoxServer::receive_datagram,
         )?;
         if self.async_ingress {
@@ -511,7 +507,7 @@ impl Sockets {
         transport: TransportKind,
         elastic: bool,
     ) -> Sockets {
-        let mut front_end = AsyncFrontEnd::new(server.rx_shard_count());
+        let mut front_end = AsyncFrontEnd::new(server.shard_count());
         front_end.set_elastic(elastic);
         let wire: Arc<dyn Transport> = match transport {
             TransportKind::Virtual => Arc::new(VirtualWire::new()),
@@ -594,9 +590,9 @@ impl Ingress for Scenario {
 }
 
 impl Ingress for ShardedScenario {
-    /// One pipelined `receive_datagrams` dispatch, or — with async
-    /// ingress — the datagrams ride the wire into the per-peer server
-    /// sockets and the event loop drains them through the same dispatch
+    /// One `receive_datagrams` call, or — with async ingress — the
+    /// datagrams ride the wire into the per-peer server sockets and the
+    /// event loop drains them through the same call
     /// (results then come in dispatch order; per-peer order is exact for
     /// any backpressure setting, see [`AsyncFrontEnd`]).
     fn ingress(
@@ -766,8 +762,8 @@ where
 
     /// The multi-client driver: every `(client idx, packets)` entry is
     /// sealed by its client, then **all** resulting wire datagrams go
-    /// through the server in one ingress step (one pipelined dispatch on
-    /// the sharded server). Returns the delivered packets per input
+    /// through the server in one ingress step (one receive call on the
+    /// sharded server). Returns the delivered packets per input
     /// entry, in input order (middlebox drops are omitted); a client may
     /// appear in several entries.
     ///
@@ -832,7 +828,6 @@ impl Scenario {
             suite_override: None,
             server_click: None,
             custom_client_click: None,
-            rx_shards: 1,
             async_ingress: false,
             elastic: false,
             transport: TransportKind::Virtual,
@@ -1055,42 +1050,37 @@ impl ShardedScenario {
         self.sockets().front_end.controller_stats(&self.server)
     }
 
-    /// Re-homes `peer` onto RX shard / poll group `to` by hand: the RX
-    /// reassembly state moves first (quiesced and drained, see
-    /// [`ShardedEndBoxServer::remap_rx_peer`]), then the socket
-    /// registration follows ([`AsyncFrontEnd::rehome_peer`]). Returns
-    /// the drained partial-record count. The controller performs exactly
-    /// this pair on its own; the manual hook exists for the adversarial
-    /// remap schedules in `tests/`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if async ingress is off.
+    /// Re-homes `peer` onto shard / poll group `to` by hand: the peer's
+    /// state moves first (quiesced and drained, see
+    /// [`ShardedEndBoxServer::remap_peer`]), then — when the event-driven
+    /// front-end is attached — its socket registration follows
+    /// (`AsyncFrontEnd::follow`). `to` is taken modulo the live shard
+    /// count. Returns the drained partial-record count. The controller
+    /// performs exactly this pair on its own; the manual hook exists for
+    /// the adversarial remap schedules in `tests/`.
     pub fn remap_peer(&mut self, peer: u64, to: usize) -> usize {
         // Clamp against the *live* shard count: a resize may have shrunk
-        // the pool since the caller captured its target index, and
-        // `rehome_peer` (deliberately) panics on stale group indices.
-        let to = to % self.server.rx_shard_count();
-        let (sockets, server) = self.wired();
-        let drained = server.remap_rx_peer(peer, to);
-        sockets.front_end.rehome_peer(peer, to);
+        // the server since the caller captured its target index, and
+        // `remap_peer` (deliberately) panics on stale indices.
+        let to = to % self.server.shard_count();
+        let drained = self.server.remap_peer(peer, to);
+        if let Some(sockets) = self.sockets.as_mut() {
+            sockets.front_end.follow(&self.server);
+        }
         drained
     }
 
-    /// Resizes the RX framing pool to `shards` threads online (see
-    /// [`ShardedEndBoxServer::resize_rx_shards`] for the
-    /// quiesce/drain/install discipline), then — when the event-driven
-    /// front-end is attached — rebuilds the poll groups so every socket
-    /// is registered with its peer's new owning shard
-    /// ([`AsyncFrontEnd::resize_groups`]). Returns `(peers rehashed,
-    /// in-flight partials drained)`. Works in both the call-driven and
-    /// event-driven modes; the resize law performs exactly this pair on
-    /// its own — the manual hook exists for the `Step::Resize` schedules
-    /// in `tests/`.
-    pub fn resize_rx_shards(&mut self, shards: usize) -> (usize, usize) {
-        let moved = self.server.resize_rx_shards(shards);
+    /// Resizes the server to `shards` shard threads online (see
+    /// [`ShardedEndBoxServer::resize`]), then — when the event-driven
+    /// front-end is attached — rebuilds the poll groups around the new
+    /// placement (`AsyncFrontEnd::follow`). Returns `(peers moved,
+    /// in-flight partials drained)`. The resize law performs exactly this
+    /// pair on its own; the manual hook exists for the `Step::Resize`
+    /// schedules in `tests/`.
+    pub fn resize_shards(&mut self, shards: usize) -> (usize, usize) {
+        let moved = self.server.resize(shards);
         if let Some(sockets) = self.sockets.as_mut() {
-            sockets.front_end.resize_groups(&self.server);
+            sockets.front_end.follow(&self.server);
         }
         moved
     }
@@ -1481,7 +1471,7 @@ mod tests {
         // round after round; a client appearing in several entries of one
         // driver call (client 0 here) gets its results split back per
         // entry by every doorway.
-        let builder = || Scenario::enterprise(4, UseCase::Firewall).rx_shards(2);
+        let builder = || Scenario::enterprise(4, UseCase::Firewall);
         let mut reference = builder().build().unwrap();
         let mut call = builder().build_sharded(2).unwrap();
         let mut event_loop = builder().async_ingress(true).build_sharded(2).unwrap();

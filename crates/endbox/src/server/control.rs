@@ -3,17 +3,18 @@
 //! law, all evaluated at round boundaries — before any socket is polled,
 //! so no receive batch is in flight and every relocation's quiescence
 //! requirement holds by construction. [`AsyncFrontEnd`] (sockets, poll
-//! groups, the drain loop) calls in here once per round.
+//! groups, the drain loop) calls in here once per round. (The dispatch
+//! law, which both doorways run, sits with the sharded server.)
 //!
 //! Every law reads one signal: the per-socket queue depth, sampled once
 //! per round into one per-slot vector (`Control::depth`). Group demand,
 //! the remap candidate and the budgets are all derived from that vector.
 
-use super::frontend::AsyncFrontEnd;
-use super::{ShardedEndBoxServer, RX_DISPATCH_CHUNK};
+use super::frontend::{AsyncFrontEnd, DEFAULT_RECV_BULK};
+use super::ShardedEndBoxServer;
 
 /// Per-shard datagram budget per pump round when nothing is queued
-/// unevenly: `DEFAULT_SHARD_BUDGET × K` is the aggregate the budget law
+/// unevenly: `DEFAULT_SHARD_BUDGET × C` is the aggregate the budget law
 /// splits. Generous enough that ordinary traffic drains in one round (so
 /// the event-driven results are byte-identical to a single
 /// `receive_datagrams` call, in wire order); small enough to bound the
@@ -41,10 +42,14 @@ const REMAP_HOT_ROUNDS: u32 = 3;
 /// borrow from idle shard-mates in a single round.
 const TOKEN_BURST_SHARES: f64 = 4.0;
 
-/// Smoothed backlog per RX shard the resize law sizes the pool for: one
-/// dispatch chunk of queued work per shard per round is "full" — less
-/// means capacity is idle, more means the pool is behind demand.
-pub const RESIZE_TARGET_DEMAND: f64 = RX_DISPATCH_CHUNK as f64;
+/// Every poll group's budget floor per round (liveness): one bulk
+/// receive's worth.
+const BUDGET_FLOOR: usize = DEFAULT_RECV_BULK;
+
+/// Smoothed backlog per shard the resize law sizes the server for: one
+/// bulk receive's worth of queued work per shard per round is "full" —
+/// less means capacity is idle, more means the server is behind demand.
+pub const RESIZE_TARGET_DEMAND: f64 = DEFAULT_RECV_BULK as f64;
 
 /// Consecutive rounds the demanded shard count must exceed the live one
 /// before the law grows the pool (growth debounce).
@@ -59,15 +64,12 @@ pub const RESIZE_SHRINK_ROUNDS: u32 = 6;
 /// trace's noise cannot thrash the pool through repeated rehashes.
 pub const RESIZE_COOLDOWN_ROUNDS: u32 = 8;
 
-/// Hard ceiling on the RX shard count the law will grow to.
-pub const RESIZE_MAX_RX: usize = 8;
-
-/// Worker threads the law provisions per RX shard when it resizes.
-pub const RESIZE_WORKERS_PER_SHARD: usize = 2;
+/// Hard ceiling on the shard count the law will grow to.
+pub const RESIZE_MAX_SHARDS: usize = 8;
 
 /// Snapshot of the control plane's actions, assembled by
 /// [`AsyncFrontEnd::controller_stats`] from the front-end's budget law,
-/// the RX remap counters and the dispatcher. Each field reconciles
+/// the remap counters and the dispatch law. Each field reconciles
 /// against an independent datapath counter (pinned in
 /// `tests/adaptive_control.rs`): drained datagrams never exceed
 /// `budget_grants`, `drained_partials` rides along `remaps`, and
@@ -85,13 +87,13 @@ pub struct ControllerStats {
     /// budget — capacity borrowed from idle shard-mates via the token
     /// buckets.
     pub tokens_borrowed: u64,
-    /// Peers re-homed to a different RX shard (and poll group).
+    /// Peers re-homed to a different shard (and poll group).
     pub remaps: u64,
     /// In-flight partial records drained along with those remaps.
     pub drained_partials: u64,
-    /// Idle-worker session steals by the dispatcher.
+    /// Idle-shard peer steals by the dispatch law.
     pub steals: u64,
-    /// Total dispatcher migrations (rate-based rebalance + steals), so
+    /// Total dispatch-law migrations (rate-based rebalance + steals), so
     /// `steals <= migrations` by construction.
     pub migrations: u64,
 }
@@ -201,9 +203,9 @@ impl AsyncFrontEnd {
     }
 
     /// Assembles the full control-plane snapshot: this front-end's
-    /// budget counters plus `server`'s remap and dispatcher counters.
+    /// budget counters plus `server`'s remap and dispatch-law counters.
     pub fn controller_stats(&self, server: &ShardedEndBoxServer) -> ControllerStats {
-        let (remaps, drained_partials) = server.rx_remap_counters();
+        let (remaps, drained_partials) = server.remap_counters();
         ControllerStats {
             budget_rounds: self.rounds,
             budget_grants: self.control.budget_grants,
@@ -258,15 +260,14 @@ impl AsyncFrontEnd {
         );
     }
 
-    /// One resize-law evaluation: size the RX pool for
+    /// One resize-law evaluation: size the server for
     /// [`RESIZE_TARGET_DEMAND`] smoothed backlog per shard, growing after
     /// [`RESIZE_GROW_ROUNDS`] consecutive rounds of excess demand and
     /// shrinking only after [`RESIZE_SHRINK_ROUNDS`] rounds of excess
     /// capacity, with a [`RESIZE_COOLDOWN_ROUNDS`]-round quiet period
-    /// after every resize; workers track the shard count at
-    /// [`RESIZE_WORKERS_PER_SHARD`] per shard. A resize lands at a round
-    /// boundary — quiesced by construction — so results stay
-    /// byte-identical to any fixed geometry. Returns whether one fired.
+    /// after every resize. A resize lands at a round boundary — quiesced
+    /// by construction — so results stay byte-identical to any fixed
+    /// geometry. Returns whether one fired.
     fn resize_round(&mut self, server: &mut ShardedEndBoxServer) -> bool {
         let k = self.groups.len();
         let control = &mut self.control;
@@ -275,7 +276,7 @@ impl AsyncFrontEnd {
             return false;
         }
         let total: f64 = control.demand_ewma.iter().sum();
-        let desired = ((total / RESIZE_TARGET_DEMAND).ceil() as usize).clamp(1, RESIZE_MAX_RX);
+        let desired = ((total / RESIZE_TARGET_DEMAND).ceil() as usize).clamp(1, RESIZE_MAX_SHARDS);
         if desired > k {
             control.grow_rounds += 1;
             control.shrink_rounds = 0;
@@ -295,9 +296,8 @@ impl AsyncFrontEnd {
         control.grow_rounds = 0;
         control.shrink_rounds = 0;
         control.resize_cooldown = RESIZE_COOLDOWN_ROUNDS;
-        server.resize_rx_shards(desired);
-        server.resize_workers(desired * RESIZE_WORKERS_PER_SHARD);
-        self.resize_groups(server);
+        server.resize(desired);
+        self.follow(server);
         true
     }
 
@@ -315,7 +315,7 @@ impl AsyncFrontEnd {
         for g in 0..k {
             // Hot = carrying more than REMAP_HOT_FACTOR times what the
             // *other* groups average (against the overall mean a group
-            // could never qualify at small K: with two groups the
+            // could never qualify at small C: with two groups the
             // hottest possible share is exactly 2x the mean). A one-peer
             // group has nothing left to shed — moving its only peer
             // would just relocate the hot spot.
@@ -361,19 +361,19 @@ impl AsyncFrontEnd {
         control.demand_ewma[hot] = (control.demand_ewma[hot] - moved as f64).max(0.0);
         control.demand_ewma[cold] += moved as f64;
         let peer = self.sockets[slot].0;
-        server.remap_rx_peer(peer, cold);
-        self.rehome_peer(peer, cold);
+        server.remap_peer(peer, cold);
+        self.follow(server);
         true
     }
 
     /// Demand-proportional per-group budgets for this round. Every group
-    /// keeps a floor of one dispatch chunk (liveness); the rest of the
-    /// aggregate capacity — `DEFAULT_SHARD_BUDGET * K` — is split
+    /// keeps a floor of [`BUDGET_FLOOR`] (liveness); the rest of the
+    /// aggregate capacity — `DEFAULT_SHARD_BUDGET * C` — is split
     /// proportionally to queued backlog, so a hot shard inherits exactly
     /// the headroom its idle shard-mates are not using.
     fn plan_budgets(&mut self) {
         let control = &mut self.control;
-        let spread = (DEFAULT_SHARD_BUDGET - RX_DISPATCH_CHUNK) * control.group_depth.len();
+        let spread = (DEFAULT_SHARD_BUDGET - BUDGET_FLOOR) * control.group_depth.len();
         let total: usize = control.group_depth.iter().sum();
         control.budgets.clear();
         control
@@ -382,8 +382,7 @@ impl AsyncFrontEnd {
                 if total == 0 {
                     DEFAULT_SHARD_BUDGET
                 } else {
-                    RX_DISPATCH_CHUNK
-                        + (spread as f64 * demand as f64 / total as f64).round() as usize
+                    BUDGET_FLOOR + (spread as f64 * demand as f64 / total as f64).round() as usize
                 }
             }));
     }

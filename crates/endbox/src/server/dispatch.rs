@@ -1,262 +1,562 @@
-//! The sharded server ([`ShardedEndBoxServer`]): the RX stage on `K`
-//! threads, the re-merging dispatch, and the session layer on `N` worker
-//! shards.
+//! The sharded server ([`ShardedEndBoxServer`]): `C` run-to-completion
+//! shards on one `OwnerPool`, the front-end that feeds them and re-merges
+//! what they did, and the dispatch law that places peers on them.
 
-use super::rx::{RxEvent, RxOutcome};
+use super::rx::{
+    shard_loop, Escalate, Escalated, Outcome, Reply, Request, Resolution, Shard, ShardStats,
+};
 #[cfg(doc)]
 use super::EndBoxServer;
-use super::{Delivery, EndBoxServerConfig, RxShardPool, RxShardStats, Server, ServerIo};
+use super::{Delivery, EndBoxServerConfig, Server, ServerIo, ShardSessions};
 use crate::error::EndBoxError;
-use endbox_vpn::proto::{Opcode, Record};
-use endbox_vpn::shard::ShardedVpnServer;
+use endbox_vpn::pool::OwnerPool;
+use endbox_vpn::server::VpnServer;
+use endbox_vpn::shard::{ConfigPolicy, ShardEvent};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
-/// Records accumulated from the RX stage before a sharded dispatch is cut.
-/// Small enough that shard crypto starts while the RX stage still parses
-/// the tail of a large receive batch; large enough to amortise the
-/// channel round-trip.
-pub const RX_DISPATCH_CHUNK: usize = 32;
+/// Decay factor of the per-shard / per-peer load EWMAs (the weight of the
+/// newest call).
+const LOAD_EWMA_ALPHA: f64 = 0.5;
 
-/// Observability counters for structural elasticity: every online
-/// grow/shrink of the RX shard pool or worker pool, and the state that
-/// migrated across those rehashes. Reconciles with the datapath — a
-/// resize never loses or duplicates a record (pinned by
-/// `tests/elastic_resize.rs`).
+/// Floor of the migration threshold: one MTU-sized packet. Below this a
+/// "gap" is a single packet of jitter, not an imbalance — it is a
+/// physical unit, not a tuning knob (the threshold itself is the measured
+/// mean shard rate).
+const MIN_IMBALANCE_BYTES: f64 = 1_500.0;
+
+/// A shard whose byte EWMA has decayed below one byte is idle for the
+/// purposes of work stealing (the EWMA halves every call, so any real
+/// traffic keeps it far above this).
+const IDLE_EWMA: f64 = 1.0;
+
+/// Observability counters for structural elasticity: every online grow
+/// or shrink of the shard count, and the state that moved across them.
+/// Reconciles with the datapath — a resize never loses or duplicates a
+/// record (pinned by `tests/elastic_resize.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResizeStats {
-    /// RX pool grow operations (`K` increased).
-    pub rx_grows: u64,
-    /// RX pool shrink operations (`K` decreased; retiring shards drained
-    /// to their successors before their threads exited).
-    pub rx_shrinks: u64,
-    /// Worker pool grow operations (`N` increased).
-    pub worker_grows: u64,
-    /// Worker pool shrink operations (`N` decreased).
-    pub worker_shrinks: u64,
-    /// Peers whose reassembly state moved to a different RX shard across
-    /// all resizes (peers whose home is unchanged under the new modulus
-    /// do not count).
-    pub peers_rehashed: u64,
-    /// In-flight partial records that rode along inside rehashed
+    /// Grow operations (`C` increased).
+    pub grows: u64,
+    /// Shrink operations (`C` decreased; the retiring shards handed
+    /// their peers over before their threads exited).
+    pub shrinks: u64,
+    /// Peers that moved to another shard across all resizes.
+    pub peers_moved: u64,
+    /// In-flight partial records that rode along inside moved
     /// reassemblers (distinct from the remap law's
-    /// [`ShardedEndBoxServer::rx_remap_counters`] drain count).
+    /// [`ShardedEndBoxServer::remap_counters`] drain count).
     pub partials_drained: u64,
-    /// Sessions migrated off retiring workers (their receive halves and
-    /// replay windows move with them, via the same extract→install
-    /// round-trip as a dispatcher migration).
+    /// Sessions that moved with their peers.
     pub sessions_moved: u64,
 }
 
-/// The sharded multi-worker EndBox server front-end, now a **staged
-/// pipeline**:
+/// One peer as the front-end places it.
+struct Slot {
+    shard: usize,
+    /// EWMA of the bytes the peer sent per call while it had a bound
+    /// session.
+    load: f64,
+    /// Bytes routed in the current call, folded in by `settle`.
+    pending: u64,
+    /// Sessions bound to the peer.
+    sessions: u32,
+}
+
+/// The sharded server's stage: the shard threads, where every peer lives,
+/// which peer every bound session lives with, and what the front-end
+/// counts. (Public only because the server's type names it.)
+pub struct Shards {
+    pool: OwnerPool<Request, Reply>,
+    /// Per-shard stall hooks ([`ShardedEndBoxServer::set_stall_micros`]).
+    /// A thread picks its own up when it starts, so an entry exists
+    /// before its thread does.
+    stalls: Arc<Mutex<Vec<Arc<AtomicU64>>>>,
+    /// Every peer ever routed: shard `peer mod C` when first seen, until
+    /// a law moves it.
+    peers: HashMap<u64, Slot>,
+    /// EWMA of routed bytes per shard.
+    shard_load: Vec<f64>,
+    /// Bound sessions and their peers. Unbound ones wait in the
+    /// front-end's `VpnServer`.
+    bound: HashMap<u64, u64>,
+    /// Bumped by every relocation, so the socket front-end knows when to
+    /// re-sort its poll groups.
+    epoch: u64,
+    records_merged: u64,
+    escalations: u64,
+    migrations: u64,
+    steals: u64,
+    remaps: u64,
+    drained_partials: u64,
+    resize: ResizeStats,
+}
+
+/// The sharded EndBox server: **`C` run-to-completion shards**. Shard
+/// `peer mod C` — or the shard a law moved the peer to — owns the peer's
+/// reassembly state and every session bound to the peer, and runs the
+/// frame and open steps over the peer's datagrams in input order. The
+/// front-end keeps the input-index re-merge, the deliver step, the
+/// handshake responder, every session's send half (egress is sealed on
+/// the calling thread) and the laws.
 ///
-/// 1. **RX stage** ([`RxShardPool`], `K` threads): per-peer datagram
-///    reassembly and record framing, sharded by `peer_id mod K`. A
-///    peer's reassembly state has one owning shard at a time.
-/// 2. **Dispatch** (front-end thread): shard events are re-merged into
-///    input-index order and handed to the [`ShardedVpnServer`] in chunks
-///    of [`RX_DISPATCH_CHUNK`], so shard crypto for early records
-///    overlaps with RX framing of later ones on every RX shard.
-/// 3. **Workers**: everything per-session on the receive side (record
-///    open, replay windows, policy, packet materialisation from
-///    per-shard buffer pools) runs on the shard threads, placed by the
-///    dispatch law of `endbox_vpn::shard`. Egress is sealed on the
-///    calling thread with the session's send half, which never leaves
-///    the front-end.
-///
-/// # Re-merge ordering guarantee
+/// # Parity with [`EndBoxServer`]
 ///
 /// [`ShardedEndBoxServer::receive_datagrams`] returns exactly one
 /// [`Delivery`] result per input datagram, **in input order**, for any
-/// RX shard count, worker count, chunking and thread schedule;
-/// per-session record order is preserved by per-peer RX order (see
-/// [`RxShardPool`]) plus single-owner routing and per-shard FIFO (see
-/// `endbox_vpn::shard`), and a Disconnect pauses its owning RX shard
-/// until its verdict is known so reassembler teardown sequences exactly
-/// like the single-threaded server. With any `(rx_shards, workers)` the
-/// observable behaviour is identical to [`EndBoxServer`] —
-/// property-tested in `tests/shard_parity.rs` and replayed under named
-/// deterministic schedules in `tests/rx_interleaving.rs`.
+/// `C` and any thread schedule, byte-identical to the single-threaded
+/// reference. Three rules carry that:
 ///
-/// The sharded server intentionally has no server-side Click instance:
-/// that attachment exists only for the centralised OpenVPN+Click
-/// baseline, which the sharded EndBox deployment replaces.
-pub type ShardedEndBoxServer = Server<ShardedVpnServer, StagedRx>;
-
-/// The sharded server's RX stage: the shard pool, what the front-end
-/// counts while re-merging it, and — because every resize of either pool
-/// is driven from this thread, between receive batches — the elasticity
-/// counters. (Public only because the server's type names it.)
-pub struct StagedRx {
-    pool: RxShardPool,
-    /// Records the front-end re-merged from the RX shards (reconciles
-    /// with the sum of per-shard `records_framed`).
-    records_merged: u64,
-    /// Disconnect verdicts the front-end sent back to paused RX shards
-    /// (reconciles with the sum of per-shard `disconnect_pauses`).
-    disconnect_verdicts: u64,
-    /// Peers the control plane re-homed to a different RX shard.
-    remaps: u64,
-    /// Partial records drained along with those remaps (in flight inside
-    /// the moved reassemblers at their quiesce points).
-    drained_partials: u64,
-    /// Structural elasticity counters (grow/shrink of `K` and `N`).
-    resize: ResizeStats,
-}
+/// 1. *Sessions bind to a peer.* A new session waits unbound on the
+///    front-end until its first authenticated record binds it to that
+///    record's peer, and then lives on the peer's shard. A record naming
+///    a session that is neither on its shard nor possibly unbound is
+///    rejected there.
+/// 2. *Escalation in input order.* A shard that frames a handshake, or a
+///    record for a session that may be unbound, hands it to the
+///    front-end and waits. The front-end answers the lowest-index waiting
+///    record once every shard with work is waiting or done, so session
+///    ids and bindings are assigned in input order.
+/// 3. *One relocation.* `migrate` moves a peer's reassembler together
+///    with its bound sessions, between receive batches only. The
+///    dispatch law, the remap law and the resize law all call it.
+///
+/// A call with no escalated record costs one request to, and one reply
+/// from, each shard that has datagrams.
+///
+/// The sharded server has no server-side Click instance: that attachment
+/// exists only for the centralised OpenVPN+Click baseline, which the
+/// sharded EndBox deployment replaces.
+pub type ShardedEndBoxServer = Server<Shards>;
 
 impl std::fmt::Debug for ShardedEndBoxServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEndBoxServer")
-            .field("workers", &self.vpn.worker_count())
-            .field("rx_shards", &self.rx.pool.shard_count())
-            .field("sessions", &self.vpn.session_count())
+            .field("shards", &self.rx.pool.len())
+            .field("sessions", &self.session_count())
             .field("delivered", &self.delivered)
             .finish()
     }
 }
 
+impl Shards {
+    fn new(shards: usize, cfg: &EndBoxServerConfig) -> Shards {
+        let stalls: Arc<Mutex<Vec<Arc<AtomicU64>>>> = Arc::default();
+        let (meter, cost, table) = (cfg.meter.clone(), cfg.cost.clone(), stalls.clone());
+        let pool = OwnerPool::new("endbox-shard", 0, move |index, requests, replies| {
+            let stall = table.lock().expect("no holder panics")[index].clone();
+            shard_loop(index, Shard::new(&meter, &cost), requests, replies, &stall)
+        });
+        let mut stage = Shards {
+            pool,
+            stalls,
+            peers: HashMap::new(),
+            shard_load: Vec::new(),
+            bound: HashMap::new(),
+            epoch: 0,
+            records_merged: 0,
+            escalations: 0,
+            migrations: 0,
+            steals: 0,
+            remaps: 0,
+            drained_partials: 0,
+            resize: ResizeStats::default(),
+        };
+        stage.set_threads(shards.max(1), ConfigPolicy::default());
+        stage
+    }
+
+    /// Retires or spawns tail threads until `shards` run; a new thread
+    /// starts with a cleared stall hook and `policy`. Retiring threads
+    /// must have handed their peers over first.
+    fn set_threads(&mut self, shards: usize, policy: ConfigPolicy) {
+        let old = self.pool.len();
+        self.pool.shrink(old.saturating_sub(shards));
+        self.stalls
+            .lock()
+            .expect("no holder panics")
+            .resize_with(shards, Arc::default);
+        self.pool.grow(shards.saturating_sub(old));
+        for shard in old..shards {
+            self.pool.send(shard, Request::Policy(policy));
+        }
+        self.shard_load.resize(shards, 0.0);
+    }
+
+    fn shard_of(&self, peer: u64) -> usize {
+        self.peers
+            .get(&peer)
+            .map_or((peer % self.pool.len() as u64) as usize, |slot| slot.shard)
+    }
+
+    /// `peer`'s slot, placed at `peer mod C` when first seen.
+    fn slot(&mut self, peer: u64) -> &mut Slot {
+        let shards = self.pool.len() as u64;
+        self.peers.entry(peer).or_insert_with(|| Slot {
+            shard: (peer % shards) as usize,
+            load: 0.0,
+            pending: 0,
+            sessions: 0,
+        })
+    }
+
+    /// The shard `bytes` from `peer` go to, noted as this call's bytes.
+    fn route(&mut self, peer: u64, bytes: usize) -> usize {
+        let slot = self.slot(peer);
+        slot.pending += bytes as u64;
+        slot.shard
+    }
+
+    /// Folds one call's routed bytes into the load EWMAs (all entries
+    /// decay, the routed ones gain). Only a peer with a bound session
+    /// gains: bytes from one without — a handshake, a stranger's garbage
+    /// — place nothing.
+    fn settle(&mut self) {
+        for load in &mut self.shard_load {
+            *load *= 1.0 - LOAD_EWMA_ALPHA;
+        }
+        for slot in self.peers.values_mut() {
+            let bound = if slot.sessions > 0 { slot.pending } else { 0 };
+            let gained = bound as f64 * LOAD_EWMA_ALPHA;
+            slot.load = slot.load * (1.0 - LOAD_EWMA_ALPHA) + gained;
+            self.shard_load[slot.shard] += gained;
+            slot.pending = 0;
+        }
+    }
+
+    /// Binds `session_id` to `peer`.
+    fn bind(&mut self, session_id: u64, peer: u64) {
+        self.bound.insert(session_id, peer);
+        self.slot(peer).sessions += 1;
+    }
+
+    /// Forgets a bound session that ended; `false` if it was not bound.
+    fn unbind(&mut self, session_id: u64) -> bool {
+        let Some(peer) = self.bound.remove(&session_id) else {
+            return false;
+        };
+        self.slot(peer).sessions -= 1;
+        true
+    }
+
+    /// Moves `peer` to shard `to` — its reassembler together with every
+    /// session bound to it — and returns `(partial records, sessions)`
+    /// that rode along. The only function that moves a peer. Only called
+    /// between receive batches: the extract round trip is the quiesce
+    /// point (when it returns, the old shard has processed every datagram
+    /// it was ever given for the peer), and the install is queued ahead
+    /// of any later one, so the peer's record stream is byte-identical to
+    /// the peer having lived on `to` all along.
+    fn migrate(&mut self, peer: u64, to: usize) -> (usize, usize) {
+        let from = self.slot(peer).shard;
+        let Reply::Peer(state) = self.pool.round_trip(from, Request::Extract(peer)) else {
+            unreachable!("no receive batch or query is in flight during a relocation")
+        };
+        let moved = state.contents();
+        self.pool.send(to, Request::Install(peer, state));
+        let slot = self.slot(peer);
+        slot.shard = to;
+        let load = slot.load;
+        self.shard_load[from] -= load;
+        self.shard_load[to] += load;
+        self.epoch += 1;
+        moved
+    }
+
+    /// The dispatch law, run at every receive call's boundary: while the
+    /// EWMA gap between the hottest and the coldest shard exceeds the
+    /// measured mean per-shard rate (floored at one MTU packet), move the
+    /// heaviest peer that fits in half the gap hot → cold — at most one
+    /// move per shard, a structural bound — then let idle shards steal.
+    /// A candidate must satisfy `2 * load <= gap`, so the gap strictly
+    /// shrinks and a single dominant peer never moves: the law cannot
+    /// ping-pong it between shards.
+    fn rebalance(&mut self) {
+        let shards = self.pool.len();
+        if shards < 2 {
+            return;
+        }
+        let mean = self.shard_load.iter().sum::<f64>() / shards as f64;
+        let threshold = mean.max(MIN_IMBALANCE_BYTES);
+        for _ in 0..shards {
+            let (mut hot, mut cold) = (0usize, 0usize);
+            for s in 1..shards {
+                if self.shard_load[s] > self.shard_load[hot] {
+                    hot = s;
+                }
+                if self.shard_load[s] < self.shard_load[cold] {
+                    cold = s;
+                }
+            }
+            let gap = self.shard_load[hot] - self.shard_load[cold];
+            if gap <= threshold {
+                break;
+            }
+            // Heaviest movable peer on the hot shard; deterministic
+            // tie-break on the lowest peer id.
+            let candidate = self
+                .peers
+                .iter()
+                .filter(|(_, slot)| slot.shard == hot && slot.load > 0.0 && 2.0 * slot.load <= gap)
+                .map(|(&peer, slot)| (peer, slot.load))
+                .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
+            let Some((peer, _)) = candidate else {
+                break;
+            };
+            self.migrate(peer, cold);
+            self.migrations += 1;
+        }
+        self.steal_idle();
+    }
+
+    /// The stealing pass, at the same boundary: while some shard is idle
+    /// (its byte EWMA has decayed to nothing) and the busiest shard holds
+    /// at least two more peers, the idle shard pulls the busiest shard's
+    /// lowest fresh peer — one that has carried no bound traffic, so
+    /// nothing hot moves with it. At most one steal per shard per call.
+    fn steal_idle(&mut self) {
+        // Every shard busy is the steady state of a loaded server: leave
+        // before allocating anything.
+        if !self.shard_load.iter().any(|&load| load < IDLE_EWMA) {
+            return;
+        }
+        let shards = self.pool.len();
+        let mut counts = vec![0usize; shards];
+        for slot in self.peers.values() {
+            counts[slot.shard] += 1;
+        }
+        let mut stole = vec![false; shards];
+        for _ in 0..shards {
+            let max_count = counts.iter().copied().max().unwrap_or(0);
+            let Some(thief) = (0..shards)
+                .find(|&s| !stole[s] && self.shard_load[s] < IDLE_EWMA && counts[s] < max_count)
+            else {
+                return;
+            };
+            let victim = (0..shards)
+                .max_by(|&a, &b| {
+                    counts[a]
+                        .cmp(&counts[b])
+                        .then(self.shard_load[a].total_cmp(&self.shard_load[b]))
+                })
+                .expect("at least two shards");
+            if victim == thief
+                || counts[victim] <= counts[thief] + 1
+                || self.shard_load[victim] < IDLE_EWMA
+            {
+                return;
+            }
+            let candidate = self
+                .peers
+                .iter()
+                .filter(|(_, slot)| slot.shard == victim && slot.load == 0.0)
+                .map(|(&peer, _)| peer)
+                .min();
+            let Some(peer) = candidate else {
+                return;
+            };
+            self.migrate(peer, thief);
+            counts[victim] -= 1;
+            counts[thief] += 1;
+            stole[thief] = true;
+            self.migrations += 1;
+            self.steals += 1;
+        }
+    }
+}
+
+impl ShardSessions for Shards {
+    fn replicate(&mut self, policy: ConfigPolicy) {
+        for shard in 0..self.pool.len() {
+            self.pool.send(shard, Request::Policy(policy));
+        }
+    }
+
+    fn ids(&self, out: &mut Vec<u64>) {
+        out.extend(self.bound.keys());
+    }
+
+    fn count(&self) -> usize {
+        self.bound.len()
+    }
+
+    fn config_version(&mut self, session_id: u64) -> Option<u64> {
+        let shard = self.shard_of(*self.bound.get(&session_id)?);
+        match self
+            .pool
+            .round_trip(shard, Request::ConfigVersion(session_id))
+        {
+            Reply::ConfigVersion(version) => version,
+            _ => unreachable!("a config-version query gets its answer"),
+        }
+    }
+}
+
 impl ShardedEndBoxServer {
-    /// Builds the pipeline: `workers` crypto shard threads and `rx_shards`
-    /// RX framing threads (minimum 1 each).
+    /// Builds the server with `shards` run-to-completion shard threads
+    /// (minimum 1).
     ///
     /// # Errors
     ///
     /// [`EndBoxError::NotReady`] if a server-side Click configuration is
     /// supplied (only the centralised baseline carries one).
-    pub fn with_pipeline(
+    pub fn with_shards(
         cfg: EndBoxServerConfig,
-        workers: usize,
-        rx_shards: usize,
+        shards: usize,
     ) -> Result<ShardedEndBoxServer, EndBoxError> {
         if cfg.server_click.is_some() {
             return Err(EndBoxError::NotReady(
                 "sharded server has no server-side Click",
             ));
         }
-        let vpn = ShardedVpnServer::new(
+        let rx = Shards::new(shards, &cfg);
+        let vpn = VpnServer::new(
             cfg.handshake,
             cfg.suite,
             cfg.meter.clone(),
             cfg.cost.clone(),
             cfg.rng_seed,
-            workers,
         );
-        let rx = StagedRx {
-            pool: RxShardPool::new(rx_shards, &cfg.meter, &cfg.cost),
-            records_merged: 0,
-            disconnect_verdicts: 0,
-            remaps: 0,
-            drained_partials: 0,
-            resize: ResizeStats::default(),
-        };
         let io = ServerIo::new(cfg.cost, cfg.meter, cfg.clock);
         Ok(Server::assemble(vpn, rx, None, io))
     }
 
-    /// Number of worker shards.
-    pub fn worker_count(&self) -> usize {
-        self.vpn.worker_count()
+    /// Number of shards, `C`.
+    pub fn shard_count(&self) -> usize {
+        self.rx.pool.len()
     }
 
-    /// Number of RX shards.
-    pub fn rx_shard_count(&self) -> usize {
-        self.rx.pool.shard_count()
+    /// The shard currently owning `peer`.
+    pub fn shard_of(&self, peer: u64) -> usize {
+        self.rx.shard_of(peer)
     }
 
-    /// Per-RX-shard observability counters (records framed, reassembly
-    /// bytes held, disconnect pauses, …), indexed by shard. A cross-thread
-    /// query, hence `&mut` — like [`Server::client_config_version`].
-    pub fn rx_shard_stats(&mut self) -> Vec<RxShardStats> {
-        self.rx.pool.stats()
+    /// Bumped by every relocation (see [`super::AsyncFrontEnd`], whose
+    /// poll groups follow it).
+    pub(super) fn placement_epoch(&self) -> u64 {
+        self.rx.epoch
     }
 
-    /// Front-end re-merge totals `(records merged, disconnect verdicts)`,
-    /// for reconciling against [`ShardedEndBoxServer::rx_shard_stats`].
+    /// Per-shard observability counters, indexed by shard. A
+    /// cross-thread query, hence `&mut` — like
+    /// [`Server::client_config_version`].
+    pub fn shard_stats(&mut self) -> Vec<ShardStats> {
+        let shards = self.rx.pool.len();
+        for shard in 0..shards {
+            self.rx.pool.send(shard, Request::Stats);
+        }
+        let mut out = vec![ShardStats::default(); shards];
+        for _ in 0..shards {
+            let Reply::Stats { shard, stats } = self.rx.pool.recv() else {
+                unreachable!("no receive batch or relocation is in flight during a stats query")
+            };
+            out[shard] = stats;
+        }
+        out
+    }
+
+    /// Front-end re-merge totals `(records merged, escalations
+    /// resolved)`, for reconciling against the per-shard
+    /// `records_framed` and `escalations` of
+    /// [`ShardedEndBoxServer::shard_stats`].
     pub fn rx_merge_counters(&self) -> (u64, u64) {
-        (self.rx.records_merged, self.rx.disconnect_verdicts)
+        (self.rx.records_merged, self.rx.escalations)
     }
 
-    /// Test hook: stall RX shard `shard` by `micros` per datagram (see
-    /// [`RxShardPool::set_stall_micros`]).
-    pub fn set_rx_stall_micros(&self, shard: usize, micros: u64) {
-        self.rx.pool.set_stall_micros(shard, micros);
+    /// Test hook: make shard `shard` sleep `micros` before each datagram
+    /// it handles. The deterministic-schedule harness uses this to force
+    /// specific reply and escalation orders at the front-end; the
+    /// datapath itself never sets it.
+    pub fn set_stall_micros(&self, shard: usize, micros: u64) {
+        self.rx.stalls.lock().expect("no holder panics")[shard].store(micros, Ordering::Relaxed);
     }
 
-    /// Sessions the dispatcher migrated so far (steals included).
+    /// Peers the dispatch law moved so far (steals included).
     pub fn migrations(&self) -> u64 {
-        self.vpn.migrations()
+        self.rx.migrations
     }
 
-    /// Idle-worker steals performed by the dispatcher (a subset of
+    /// Idle-shard steals performed by the dispatch law (a subset of
     /// [`ShardedEndBoxServer::migrations`]).
     pub fn steals(&self) -> u64 {
-        self.vpn.steals()
+        self.rx.steals
     }
 
-    /// Re-homes `peer`'s reassembly state to RX shard `to` (see
-    /// [`RxShardPool::remap_peer`] for the quiescence contract), returning
-    /// the number of in-flight partial records drained along. Only legal
-    /// between `receive_datagrams` calls.
+    /// Moves `peer` to shard `to` (see `migrate` for the quiescence
+    /// contract), returning the number of in-flight partial records that
+    /// moved along. Only legal between `receive_datagrams` calls.
     ///
     /// # Panics
     ///
-    /// If `to` is not a live RX shard.
-    pub fn remap_rx_peer(&mut self, peer: u64, to: usize) -> usize {
-        let before = self.rx.pool.shard_of(peer);
-        let drained = self.rx.pool.remap_peer(peer, to);
-        if self.rx.pool.shard_of(peer) != before {
-            self.rx.remaps += 1;
-            self.rx.drained_partials += drained as u64;
+    /// If `to` is not a live shard. A resize makes stale indices
+    /// reachable; wrapping one modulo the live count would leave the
+    /// peer's socket ([`super::AsyncFrontEnd::rehome_peer`] rejects the
+    /// same index) and its state on different shards.
+    pub fn remap_peer(&mut self, peer: u64, to: usize) -> usize {
+        let shards = self.rx.pool.len();
+        assert!(
+            to < shards,
+            "remap target shard {to} is not live ({shards} shards)"
+        );
+        if self.rx.shard_of(peer) == to {
+            return 0;
         }
-        drained
+        let (partials, _) = self.rx.migrate(peer, to);
+        self.rx.remaps += 1;
+        self.rx.drained_partials += partials as u64;
+        partials
     }
 
     /// `(remaps, drained partial records)` performed so far via
-    /// [`ShardedEndBoxServer::remap_rx_peer`].
-    pub fn rx_remap_counters(&self) -> (u64, u64) {
+    /// [`ShardedEndBoxServer::remap_peer`].
+    pub fn remap_counters(&self) -> (u64, u64) {
         (self.rx.remaps, self.rx.drained_partials)
     }
 
-    /// The RX shard currently owning `peer`'s reassembly state.
-    pub fn rx_shard_of(&self, peer: u64) -> usize {
-        self.rx.pool.shard_of(peer)
-    }
-
-    /// Resizes the RX framing pool to `shards` threads online (minimum
-    /// 1), rehashing every peer's reassembly state to its home under the
-    /// new modulus with the quiesce/drain/install discipline of
-    /// [`RxShardPool::resize`]. Returns `(peers rehashed, in-flight
-    /// partials drained along)`. Only legal between `receive_datagrams`
-    /// calls — a no-op if `shards` already matches.
-    pub fn resize_rx_shards(&mut self, shards: usize) -> (usize, usize) {
-        let before = self.rx.pool.shard_count();
-        let (moved, drained) = self.rx.pool.resize(shards);
-        let after = self.rx.pool.shard_count();
-        if after > before {
-            self.rx.resize.rx_grows += 1;
-        } else if after < before {
-            self.rx.resize.rx_shrinks += 1;
+    /// Grows or shrinks to `shards` shard threads online (minimum 1),
+    /// returning `(peers moved, in-flight partials drained along)`. A
+    /// grow spawns empty shards that already carry the live config
+    /// policy; peers reach them through the dispatch and remap laws. A
+    /// shrink moves every peer of a retiring shard — reassembler and
+    /// sessions — to its home `peer mod C` under the new count, in
+    /// ascending peer order, before the thread exits. Peers on surviving
+    /// shards stay put. Only legal between `receive_datagrams` calls — a
+    /// no-op if `shards` already matches. A resize is invisible in the
+    /// record stream (pinned by `tests/elastic_resize.rs`).
+    pub fn resize(&mut self, shards: usize) -> (usize, usize) {
+        let new = shards.max(1);
+        let old = self.rx.pool.len();
+        if new == old {
+            return (0, 0);
         }
-        self.rx.resize.peers_rehashed += moved as u64;
-        self.rx.resize.partials_drained += drained as u64;
-        (moved, drained)
-    }
-
-    /// Resizes the worker pool to `workers` shard threads online (minimum
-    /// 1); retiring workers drain every session they own (replay windows
-    /// included) to their successors before exit. Returns how many
-    /// sessions moved. Only legal at a dispatch boundary — a no-op if
-    /// `workers` already matches.
-    pub fn resize_workers(&mut self, workers: usize) -> usize {
-        let before = self.vpn.worker_count();
-        let moved = self.vpn.resize_workers(workers);
-        let after = self.vpn.worker_count();
-        if after > before {
-            self.rx.resize.worker_grows += 1;
-        } else if after < before {
-            self.rx.resize.worker_shrinks += 1;
+        let (mut peers, mut partials, mut sessions) = (0, 0, 0);
+        if new > old {
+            self.rx.resize.grows += 1;
+        } else {
+            self.rx.resize.shrinks += 1;
+            let mut evicted: Vec<u64> = self
+                .rx
+                .peers
+                .iter()
+                .filter(|(_, slot)| slot.shard >= new)
+                .map(|(&peer, _)| peer)
+                .collect();
+            evicted.sort_unstable();
+            for peer in evicted {
+                let (p, s) = self.rx.migrate(peer, (peer % new as u64) as usize);
+                peers += 1;
+                partials += p;
+                sessions += s;
+            }
         }
-        self.rx.resize.sessions_moved += moved as u64;
-        moved
+        self.rx.set_threads(new, self.vpn.policy());
+        self.rx.epoch += 1;
+        let resize = &mut self.rx.resize;
+        resize.peers_moved += peers as u64;
+        resize.partials_drained += partials as u64;
+        resize.sessions_moved += sessions as u64;
+        (peers, partials)
     }
 
     /// Structural-elasticity counters accumulated so far.
@@ -264,11 +564,10 @@ impl ShardedEndBoxServer {
         self.rx.resize
     }
 
-    /// Receives one wire datagram. This is *not* a special-cased path: the
-    /// datagram routes through the [`RxShardPool`] exactly like a batch of
-    /// one, so singular and batch calls may be mixed freely without
-    /// perturbing per-peer reassembly order (the copy it makes is what
-    /// handing the datagram to the RX stage costs on this path).
+    /// Receives one wire datagram. This is *not* a special-cased path:
+    /// the datagram routes to its peer's shard exactly like a batch of
+    /// one, so singular and batch calls may be mixed freely (the copy it
+    /// makes is what handing the datagram to a shard costs on this path).
     ///
     /// # Errors
     ///
@@ -284,10 +583,9 @@ impl ShardedEndBoxServer {
     }
 
     /// Receives a whole batch of wire datagrams — from any mix of clients
-    /// — through the staged pipeline, returning one result per datagram
-    /// in input order (the re-merge guarantee above). Takes the datagrams
-    /// by value: ownership moves into the RX shards, so the ingress path
-    /// performs no wire-level copy.
+    /// — returning one result per datagram in input order. Takes the
+    /// datagrams by value: ownership moves into the shards, so the
+    /// ingress path performs no wire-level copy.
     pub fn receive_datagrams(
         &mut self,
         datagrams: Vec<(u64, Vec<u8>)>,
@@ -296,79 +594,96 @@ impl ShardedEndBoxServer {
         if n == 0 {
             return Vec::new();
         }
-        // Stage 1: ship the receive batch to the RX shards; they stream
-        // outcomes back while we dispatch records.
-        self.rx.pool.submit(datagrams);
-        // Stages 2+3: re-merge shard events into **input-index order**
-        // (cross-peer interleaving across shards is arbitrary; `stash`
-        // holds early arrivals until the cursor reaches them), cutting a
-        // sharded dispatch whenever a chunk of records accumulated (shard
-        // crypto overlaps RX framing of the tail) or a Disconnect needs
-        // its verdict before its shard's reassembly may continue.
-        let mut results: Vec<Option<Result<Delivery, EndBoxError>>> =
-            (0..n).map(|_| None).collect();
-        let mut stash: Vec<Option<(u64, RxOutcome)>> = (0..n).map(|_| None).collect();
-        let mut pending: Vec<(u32, Record)> = Vec::new();
-        let mut cursor = 0usize;
-        let mut received = 0usize;
-        while received < n {
-            let RxEvent { idx, peer, outcome } = self.rx.pool.next_event();
-            received += 1;
-            stash[idx as usize] = Some((peer, outcome));
-            while cursor < n {
-                let Some((peer, outcome)) = stash[cursor].take() else {
-                    break;
+        self.rx.rebalance();
+        let mut batches: Vec<Vec<(u32, u64, Vec<u8>)>> =
+            (0..self.rx.pool.len()).map(|_| Vec::new()).collect();
+        for (idx, (peer, datagram)) in datagrams.into_iter().enumerate() {
+            let batch = &mut batches[self.rx.route(peer, datagram.len())];
+            if batch.capacity() == 0 {
+                batch.reserve_exact(n - idx);
+            }
+            batch.push((idx as u32, peer, datagram));
+        }
+        let now_secs = self.io.now_secs();
+        let next_session_id = self.vpn.next_session_id();
+        let escalate = Escalate {
+            unbound: self.vpn.session_ids(),
+            issuable: next_session_id..next_session_id + n as u64,
+        };
+        let mut busy = 0;
+        for (shard, entries) in batches.into_iter().enumerate() {
+            if !entries.is_empty() {
+                let escalate = escalate.clone();
+                let batch = Request::Batch {
+                    now_secs,
+                    entries,
+                    escalate,
                 };
-                match self.framed(outcome) {
-                    Err(result) => results[cursor] = Some(result),
-                    Ok(record) => {
-                        self.rx.records_merged += 1;
-                        let disconnect = record.opcode == Opcode::Disconnect;
-                        pending.push((cursor as u32, record));
-                        if disconnect {
-                            // Drain the pipeline up to and including the
-                            // Disconnect, then release the paused owning
-                            // shard with the verdict.
-                            self.dispatch_pending(&mut pending, &mut results);
-                            let confirmed =
-                                matches!(results[cursor], Some(Ok(Delivery::Disconnected { .. })));
-                            self.rx.disconnect_verdicts += 1;
-                            self.rx.pool.verdict(peer, confirmed);
-                        } else if pending.len() >= RX_DISPATCH_CHUNK {
-                            self.dispatch_pending(&mut pending, &mut results);
-                        }
-                    }
-                }
-                cursor += 1;
+                self.rx.pool.send(shard, batch);
+                busy += 1;
             }
         }
-        self.dispatch_pending(&mut pending, &mut results);
-        results
+        let mut outcomes: Vec<Option<Outcome>> = (0..n).map(|_| None).collect();
+        let mut waiting: Vec<(usize, Escalated)> = Vec::new();
+        while busy > 0 {
+            let Reply::Progress {
+                shard,
+                done,
+                escalated,
+            } = self.rx.pool.recv()
+            else {
+                unreachable!("no query or relocation is in flight during a receive")
+            };
+            for (idx, outcome) in done {
+                if let Outcome::Opened(Ok(ShardEvent::Disconnected { session_id })) = &outcome {
+                    if self.rx.unbind(*session_id) {
+                        self.vpn.forget(*session_id);
+                    }
+                }
+                outcomes[idx as usize] = Some(outcome);
+            }
+            match escalated {
+                Some(escalated) => waiting.push((shard, escalated)),
+                None => busy -= 1,
+            }
+            if busy > 0 && waiting.len() == busy {
+                // Every shard with work waits: answer the lowest index.
+                let lowest = (0..waiting.len())
+                    .min_by_key(|&i| waiting[i].1.idx)
+                    .expect("a shard waits");
+                let (shard, escalated) = waiting.swap_remove(lowest);
+                let idx = escalated.idx as usize;
+                let (outcome, resolution) = self.resolve(escalated, now_secs);
+                outcomes[idx] = Some(outcome);
+                self.rx.pool.send(shard, Request::Resolved(resolution));
+            }
+        }
+        self.rx.settle();
+        outcomes
             .into_iter()
-            .map(|r| r.expect("every datagram produces a result"))
+            .map(|outcome| {
+                let outcome = outcome.expect("every datagram has an outcome");
+                if matches!(outcome, Outcome::Opened(..)) {
+                    self.rx.records_merged += 1;
+                }
+                self.finish(outcome)
+            })
             .collect()
     }
 
-    /// One sharded dispatch for the queued records, then the
-    /// deterministic re-merge back into input order.
-    fn dispatch_pending(
-        &mut self,
-        pending: &mut Vec<(u32, Record)>,
-        results: &mut [Option<Result<Delivery, EndBoxError>>],
-    ) {
-        if pending.is_empty() {
-            return;
-        }
-        let now_secs = self.io.now_secs();
-        let mut origins = Vec::with_capacity(pending.len());
-        let mut records = Vec::with_capacity(pending.len());
-        for (idx, record) in pending.drain(..) {
-            origins.push(idx);
-            records.push(record);
-        }
-        let events = self.vpn.handle_records(records, now_secs);
-        for (idx, event) in origins.into_iter().zip(events) {
-            results[idx as usize] = Some(self.deliver(event));
-        }
+    /// Answers one escalated record on the front-end's `VpnServer` — the
+    /// handshake responder, and the sessions not bound yet — and tells
+    /// the waiting shard what changed for it.
+    fn resolve(&mut self, escalated: Escalated, now_secs: u64) -> (Outcome, Resolution) {
+        let Escalated { peer, record, .. } = escalated;
+        self.rx.escalations += 1;
+        let event = self.vpn.handle_record(&record, peer, now_secs);
+        let install = self.vpn.take_bound(record.session_id).map(|session| {
+            self.rx.bind(record.session_id, peer);
+            (record.session_id, Box::new(session))
+        });
+        let teardown = matches!(event, Ok(ShardEvent::Disconnected { .. }));
+        let resolution = Resolution { install, teardown };
+        (Outcome::Opened(event), resolution)
     }
 }

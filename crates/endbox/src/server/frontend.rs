@@ -4,13 +4,14 @@
 //! many groups there are live in `control`.
 
 use super::control::Control;
-use super::{Delivery, ShardedEndBoxServer, RX_DISPATCH_CHUNK};
+use super::{Delivery, ShardedEndBoxServer};
 #[cfg(doc)]
-use super::{RxShardPool, RxShardStats, DEFAULT_SHARD_BUDGET};
+use super::{ShardStats, DEFAULT_SHARD_BUDGET};
 use crate::error::EndBoxError;
+use endbox_netsim::net::{Datagram, Event};
 
 /// Observability counters for the event-driven socket front-end (the
-/// socket-layer analogue of [`RxShardStats`]).
+/// socket-layer analogue of [`ShardStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AsyncIngressStats {
     /// Event-loop wakeups: [`endbox_netsim::net::PollGroup::poll`] calls
@@ -18,7 +19,7 @@ pub struct AsyncIngressStats {
     /// amortisation the event loop achieved — the measured input to the
     /// timing-layer [`endbox_netsim::pipeline::AsyncFrontEndModel`].
     pub wakeups: u64,
-    /// Pump rounds (one poll of every group + one pipelined dispatch).
+    /// Pump rounds (one poll of every group + one receive call).
     pub rounds: u64,
     /// Wire datagrams drained from sockets into the datapath.
     pub datagrams: u64,
@@ -37,21 +38,20 @@ pub struct AsyncIngressStats {
     pub io_calls: u64,
 }
 
-/// Default `recv_many` vector length (matches [`RX_DISPATCH_CHUNK`]: one
-/// bulk call contributes at most one dispatch chunk per peer).
-pub const DEFAULT_RECV_BULK: usize = RX_DISPATCH_CHUNK;
+/// Default `recv_many` vector length: 32 datagrams per bulk call.
+pub const DEFAULT_RECV_BULK: usize = 32;
 
-/// The event-driven socket front-end: **one poll group per RX shard**,
-/// with each peer's server-side socket registered in the group of the
-/// shard that owns the peer's reassembly state (`peer_id mod K` — the
-/// same map as [`RxShardPool`], so a poll group only ever feeds its own
-/// shard).
+/// The event-driven socket front-end: **one poll group per shard**, with
+/// each peer's server-side socket registered in the group of the shard
+/// that owns the peer ([`ShardedEndBoxServer::shard_of`]), so a poll
+/// group only ever feeds its own shard. When a law moves a peer, its
+/// socket follows (`AsyncFrontEnd::follow`).
 ///
 /// Each [`AsyncFrontEnd::pump`] round polls every group, drains readable
 /// sockets into an owned-datagram batch and hands the batch to
 /// [`ShardedEndBoxServer::receive_datagrams`] — the zero-copy ingress
-/// path: datagram ownership moves from the socket queue into the RX
-/// shards without a wire-level copy.
+/// path: datagram ownership moves from the socket queue into the shards
+/// without a wire-level copy.
 ///
 /// # Ordering
 ///
@@ -70,7 +70,7 @@ pub const DEFAULT_RECV_BULK: usize = RX_DISPATCH_CHUNK;
 ///
 /// Shard queue depth propagates to socket read scheduling, by one law
 /// with nothing to set: each round the aggregate
-/// [`DEFAULT_SHARD_BUDGET`]` × K` is split over the poll groups in
+/// [`DEFAULT_SHARD_BUDGET`]` × C` is split over the poll groups in
 /// proportion to their queued backlog, and a group's budget is taken
 /// round-robin over its readable sockets in passes of at most each
 /// socket's banked tokens (its fair share of the budget, carried over up
@@ -80,9 +80,9 @@ pub const DEFAULT_RECV_BULK: usize = RX_DISPATCH_CHUNK;
 /// ([`AsyncIngressStats::deferred_rounds`] counts these deferrals) — it
 /// cannot starve the shard, and other shards' poll groups are untouched
 /// by construction. A persistently hot group has its hottest movable
-/// peer re-homed to the coldest group (socket registration **and** RX
-/// reassembly state, quiesced and drained — see
-/// [`ShardedEndBoxServer::remap_rx_peer`]). Every decision lands at a
+/// peer re-homed to the coldest group (socket registration **and** the
+/// peer's shard state, quiesced and drained — see
+/// [`ShardedEndBoxServer::remap_peer`]). Every decision lands at a
 /// round boundary, so drained datagrams still re-merge into exact wire
 /// order for any drain split.
 ///
@@ -143,37 +143,53 @@ pub struct AsyncFrontEnd {
     /// Wakeups accumulated by poll groups retired across resizes, so
     /// [`AsyncIngressStats::wakeups`] stays monotonic through a resize.
     retired_wakeups: u64,
+    /// The server's placement epoch the poll groups were last sorted by.
+    epoch: u64,
+    /// Per-round buffers, reused: one group's poll events, their slots,
+    /// which of those ran dry, one bulk receive, and the round's drained
+    /// datagrams.
+    events: Vec<Event>,
+    ready: Vec<usize>,
+    dry: Vec<bool>,
+    scratch: Vec<Datagram>,
+    drained: Vec<(u64, u64, Vec<u8>)>,
 }
 
 impl AsyncFrontEnd {
-    /// A front-end with one poll group per RX shard.
-    pub fn new(rx_shards: usize) -> AsyncFrontEnd {
-        let rx_shards = rx_shards.max(1);
+    /// A front-end with one poll group per shard.
+    pub fn new(shards: usize) -> AsyncFrontEnd {
+        let shards = shards.max(1);
         AsyncFrontEnd {
-            groups: (0..rx_shards)
+            groups: (0..shards)
                 .map(|_| endbox_netsim::net::PollGroup::new())
                 .collect(),
             sockets: Vec::new(),
-            group_slots: vec![Vec::new(); rx_shards],
+            group_slots: vec![Vec::new(); shards],
             slot_pos: Vec::new(),
-            rr: vec![0; rx_shards],
+            rr: vec![0; shards],
             recv_bulk: DEFAULT_RECV_BULK,
             rounds: 0,
             datagrams: 0,
             deferred_rounds: 0,
             io_calls: 0,
-            control: Control::new(rx_shards),
+            control: Control::new(shards),
             retired_wakeups: 0,
+            epoch: 0,
+            events: Vec::new(),
+            ready: Vec::new(),
+            dry: Vec::new(),
+            scratch: Vec::new(),
+            drained: Vec::new(),
         }
     }
 
-    /// Number of poll groups (== RX shards).
+    /// Number of poll groups (== shards).
     pub fn group_count(&self) -> usize {
         self.groups.len()
     }
 
     /// Registers `peer`'s server-side socket with the poll group of the
-    /// RX shard owning the peer (`peer mod K`).
+    /// shard owning a peer never moved (`peer mod C`).
     pub fn register_peer(&mut self, peer: u64, endpoint: endbox_netsim::net::UdpEndpoint) {
         let group = (peer % self.groups.len() as u64) as usize;
         let slot = self.sockets.len();
@@ -195,17 +211,31 @@ impl AsyncFrontEnd {
         self.recv_bulk = bulk.max(1);
     }
 
-    /// Rebuilds the poll-group set to match `server`'s RX shard count
-    /// after a resize: one fresh group per shard, every registered socket
+    /// Sorts the poll groups by `server`'s placement: after a resize, one
+    /// fresh group per shard (`resize_groups`); after a peer moved, its
+    /// socket re-homed ([`AsyncFrontEnd::rehome_peer`]).
+    /// [`AsyncFrontEnd::pump`] calls it first thing, so a relocation by
+    /// any law — or by hand — is followed before the next poll.
+    pub(crate) fn follow(&mut self, server: &ShardedEndBoxServer) {
+        if self.groups.len() != server.shard_count() {
+            self.resize_groups(server);
+        } else if self.epoch != server.placement_epoch() {
+            for slot in 0..self.sockets.len() {
+                let peer = self.sockets[slot].0;
+                self.rehome_peer(peer, server.shard_of(peer));
+            }
+        }
+        self.epoch = server.placement_epoch();
+    }
+
+    /// Rebuilds the poll-group set to match `server`'s shard count after
+    /// a resize: one fresh group per shard, every registered socket
     /// re-registered in the group of the shard that now owns its peer.
-    /// Callers that resize the server by hand while the event-driven
-    /// front-end is attached must call this (the resize law does), or
-    /// the one-group-per-shard invariant breaks at the next pump.
     ///
     /// Retired groups' wakeup counts are folded into
     /// [`AsyncFrontEnd::stats`] so the counter stays monotonic.
-    pub fn resize_groups(&mut self, server: &ShardedEndBoxServer) {
-        let new = server.rx_shard_count();
+    fn resize_groups(&mut self, server: &ShardedEndBoxServer) {
+        let new = server.shard_count();
         self.retired_wakeups += self.groups.iter().map(|g| g.wakeups()).sum::<u64>();
         self.groups = (0..new)
             .map(|_| endbox_netsim::net::PollGroup::new())
@@ -214,7 +244,7 @@ impl AsyncFrontEnd {
         self.rr = vec![0; new];
         self.control.regroup(new);
         for (slot, (peer, endpoint)) in self.sockets.iter().enumerate() {
-            let group = server.rx_shard_of(*peer);
+            let group = server.shard_of(*peer);
             self.groups[group].register(endpoint, endbox_netsim::net::Token(slot));
             self.slot_pos[slot] = self.group_slots[group].len();
             self.group_slots[group].push(slot);
@@ -223,10 +253,10 @@ impl AsyncFrontEnd {
 
     /// Moves `peer`'s socket registration from its current poll group to
     /// `new_group`, keeping registration order and the round-robin
-    /// cursors consistent. The RX-shard side of a re-home is
-    /// [`ShardedEndBoxServer::remap_rx_peer`]; callers do both (the
-    /// controller does, and so must tests driving remaps by hand) so a
-    /// poll group keeps feeding exactly its own shard.
+    /// cursors consistent. The shard side of a re-home is
+    /// [`ShardedEndBoxServer::remap_peer`]; `AsyncFrontEnd::follow`
+    /// calls this for every peer a relocation moved, so a poll group
+    /// keeps feeding exactly its own shard.
     ///
     /// # Panics
     ///
@@ -281,48 +311,44 @@ impl AsyncFrontEnd {
         self.sockets.iter().map(|(_, ep)| ep.pending()).sum()
     }
 
-    /// One event-loop round: runs the control round, polls every group,
-    /// drains readable sockets under the round's budgets, re-merges the
-    /// drained datagrams into wire order and runs them through one
-    /// pipelined [`ShardedEndBoxServer::receive_datagrams`] dispatch.
-    /// Returns one
+    /// One event-loop round: follows any relocation, runs the control
+    /// round, polls every group, drains readable sockets under the
+    /// round's budgets, re-merges the drained datagrams into wire order
+    /// and runs them through one
+    /// [`ShardedEndBoxServer::receive_datagrams`] call. Returns one
     /// `(peer, result)` per drained datagram, in dispatch order; an empty
     /// vector means no socket was readable.
     pub fn pump(
         &mut self,
         server: &mut ShardedEndBoxServer,
     ) -> Vec<(u64, Result<Delivery, EndBoxError>)> {
-        debug_assert_eq!(
-            self.groups.len(),
-            server.rx_shard_count(),
-            "one poll group per RX shard"
-        );
+        self.follow(server);
         // Closed-loop control, evaluated strictly at the round boundary
         // (before any socket is polled): resize, remap persistent hot
         // spots, then derive this round's per-group budgets from the
         // sampled queue depths.
         self.control_round(server);
-        let mut drained: Vec<(u64, u64, Vec<u8>)> = Vec::new(); // (seq, peer, payload)
         let mut deferred = false;
-        let mut events = Vec::new();
         for group in 0..self.groups.len() {
-            events.clear();
-            if self.groups[group].poll(&mut events) == 0 {
+            self.events.clear();
+            if self.groups[group].poll(&mut self.events) == 0 {
                 continue;
             }
             // Drain only the sockets the poll just reported ready (the
             // event list is in registration order), rotated so scanning
             // resumes after the previous round's last service — each
             // wakeup costs O(ready sockets), not O(registered sockets).
-            let ready: Vec<usize> = events.iter().map(|e| e.token.0).collect();
+            self.ready.clear();
+            self.ready.extend(self.events.iter().map(|e| e.token.0));
             let group_len = self.group_slots[group].len().max(1);
             let cursor = self.rr[group] % group_len;
-            let start = ready
+            let start = self
+                .ready
                 .iter()
                 .position(|&slot| self.slot_pos[slot] >= cursor)
                 .unwrap_or(0);
             let mut budget = self.control.grant(group);
-            let fair = self.control.bank(&ready, budget);
+            let fair = self.control.bank(&self.ready, budget);
             let mut last_drained = None;
             // Scheduling passes: round-robin over the ready sockets, at
             // most each socket's token allowance per pass, until the
@@ -334,31 +360,32 @@ impl AsyncFrontEnd {
             // rest of this round: later passes skip it instead of paying
             // a zero-yield `recv_many`, so `io_calls` counts only calls
             // that could have moved data.
-            let mut scratch: Vec<endbox_netsim::net::Datagram> = Vec::new();
-            let mut dry = vec![false; ready.len()];
+            let ready = self.ready.len();
+            self.dry.clear();
+            self.dry.resize(ready, false);
             loop {
                 let mut drained_this_pass = 0usize;
-                for i in 0..ready.len() {
-                    let idx = (start + i) % ready.len();
-                    if dry[idx] {
+                for i in 0..ready {
+                    let idx = (start + i) % ready;
+                    if self.dry[idx] {
                         continue;
                     }
-                    let slot = ready[idx];
+                    let slot = self.ready[idx];
                     let quota = self.control.allowance(slot);
                     let (peer, ep) = &self.sockets[slot];
                     let mut taken = 0;
                     while taken < quota && budget > 0 {
                         let want = self.recv_bulk.min(quota - taken).min(budget);
-                        scratch.clear();
-                        let got = ep.recv_many(want, &mut scratch);
+                        self.scratch.clear();
+                        let got = ep.recv_many(want, &mut self.scratch);
                         self.io_calls += 1;
-                        for d in scratch.drain(..) {
-                            drained.push((d.seq, *peer, d.payload));
+                        for d in self.scratch.drain(..) {
+                            self.drained.push((d.seq, *peer, d.payload));
                         }
                         taken += got;
                         budget -= got;
                         if got < want {
-                            dry[idx] = true;
+                            self.dry[idx] = true;
                             break; // socket dry until the next round
                         }
                     }
@@ -378,25 +405,28 @@ impl AsyncFrontEnd {
             if let Some(pos) = last_drained {
                 self.rr[group] = (pos + 1) % group_len;
             }
-            if budget == 0 && ready.iter().any(|&slot| self.sockets[slot].1.readable()) {
+            let readable = |&slot: &usize| self.sockets[slot].1.readable();
+            if budget == 0 && self.ready.iter().any(readable) {
                 deferred = true;
             }
         }
-        if drained.is_empty() {
+        if self.drained.is_empty() {
             return Vec::new();
         }
         self.rounds += 1;
-        self.datagrams += drained.len() as u64;
+        self.datagrams += self.drained.len() as u64;
         if deferred {
             self.deferred_rounds += 1;
         }
         // Re-merge into wire order (the stamp sort is total, so per-peer
         // FIFO order is preserved exactly).
-        drained.sort_unstable_by_key(|&(seq, _, _)| seq);
-        let peers: Vec<u64> = drained.iter().map(|&(_, peer, _)| peer).collect();
-        let batch: Vec<(u64, Vec<u8>)> = drained
-            .into_iter()
-            .map(|(_, peer, payload)| (peer, payload))
+        self.drained.sort_unstable_by_key(|&(seq, _, _)| seq);
+        let mut peers = Vec::with_capacity(self.drained.len());
+        let batch = (self.drained.drain(..))
+            .map(|(_, peer, payload)| {
+                peers.push(peer);
+                (peer, payload)
+            })
             .collect();
         peers
             .into_iter()

@@ -9,63 +9,61 @@
 //!
 //! # Two flavours, one body
 //!
-//! Both servers are one type, [`Server`], over a session layer and an RX
-//! stage. They run the same three steps per datagram — **frame** (the
-//! RX stage's `RxShard::frame`), **open** (the one record handler,
+//! Both servers are one type, [`Server`], over one front-end
+//! [`VpnServer`] (the handshake responder and every session's send half)
+//! and a stage. They run the same three steps per datagram — **frame**
+//! (`RxShard::frame`), **open** (the one record handler,
 //! `VpnShard::handle_record_delivery`), **deliver** (`Server::deliver`,
 //! the one place an event becomes a [`Delivery`] and
 //! `delivered`/`rejected` move) — and share one control surface. They
-//! differ only in where the steps run:
+//! differ only in where the first two steps run:
 //!
 //! * [`EndBoxServer`] — the single-threaded reference: one inline
-//!   `VpnServer` under one inline `RxShard`, the three steps run to
-//!   completion per datagram in strict input order; no thread, no
-//!   channel. It is the *oracle* every concurrent deployment is compared
-//!   against, and it alone may carry a server-side Click (the
-//!   OpenVPN+Click baseline), applied as a filter inside the deliver
-//!   step.
-//! * [`ShardedEndBoxServer`] — the scaled deployment: the frame step on
-//!   `K` RX threads ([`RxShardPool`], `peer_id mod K`), a re-merging
-//!   dispatch stage, the open step on `N` worker shards
-//!   (`endbox_vpn::shard`), optionally fed by an event-driven socket
-//!   front-end ([`AsyncFrontEnd`], one poll group per RX shard).
+//!   `RxShard` under the `VpnServer`, the three steps run to completion
+//!   per datagram in strict input order; no thread, no channel. It is
+//!   the *oracle* every concurrent deployment is compared against, and
+//!   it alone may carry a server-side Click (the OpenVPN+Click
+//!   baseline), applied as a filter inside the deliver step.
+//! * [`ShardedEndBoxServer`] — the scaled deployment: `C`
+//!   run-to-completion shards, each framing and opening for the peers
+//!   placed on it (`peer_id mod C` unless a law moved one), optionally
+//!   fed by an event-driven socket front-end ([`AsyncFrontEnd`], one poll
+//!   group per shard).
 //!
-//! # Ordering / parity invariants
+//! # Parity rules
 //!
 //! The sharded server is **byte-identical** to [`EndBoxServer`] for any
-//! `(rx_shards, workers)` and any thread schedule.
-//! The invariants that carry the proof, each pinned by tests:
+//! `C` and any thread schedule. Three rules carry the proof, each pinned
+//! by tests:
 //!
-//! 1. *Input-order re-merge* — `receive_datagrams` returns exactly one
-//!    result per datagram in input order; RX shard events are re-merged
-//!    by input index before dispatch (`tests/shard_parity.rs`,
-//!    `tests/rx_interleaving.rs`).
-//! 2. *Single-owner peers* — a peer's reassembly state lives on exactly
-//!    one RX shard at every instant, so per-peer framing order equals
-//!    the single-thread order. A remap or a resize relocates it whole,
-//!    between receive batches only (`docs/architecture.md` §4.3).
-//! 3. *Disconnect sequencing* — a Disconnect pauses only the owning RX
-//!    shard until its session-layer verdict, so reassembler teardown
-//!    sequences exactly like the single server.
-//! 4. *Single-owner sessions* — each session is owned by one worker
-//!    shard at every instant; migration drains earlier records first
-//!    (`endbox_vpn::shard`).
-//! 5. *Wire-order drain* — the event-driven front-end re-merges drained
-//!    datagrams by wire arrival stamp; per-peer order is exact however
-//!    backpressure splits a flood across rounds
-//!    (`tests/async_ingress.rs`).
+//! 1. *Sessions bind to a peer.* A session is bound to the peer of its
+//!    first authenticated record, on both servers; until then it waits
+//!    unbound in the front-end's `VpnServer`, afterwards it lives on its
+//!    peer's shard, and a record from any other peer is `UnknownSession`
+//!    (`endbox_vpn::shard`, `tests/session_binding.rs`).
+//! 2. *Escalation in input order.* A shard hands handshakes and records
+//!    for possibly-unbound sessions to the front-end and waits; the
+//!    front-end answers the lowest waiting input index once every shard
+//!    with work is waiting or done, and re-merges every outcome by input
+//!    index (`tests/shard_parity.rs`, `tests/rx_interleaving.rs`).
+//! 3. *One relocation.* A peer's reassembler and its bound sessions move
+//!    together, between receive batches only, through one `migrate` that
+//!    the dispatch, remap and resize laws all call
+//!    (`tests/elastic_resize.rs`, `tests/adaptive_control.rs`).
 //!
-//! The full walk-through lives in `docs/architecture.md` at the
-//! repository root.
+//! The event-driven front-end adds that drained datagrams are re-merged
+//! by wire arrival stamp (`tests/async_ingress.rs`). The full walk-through
+//! lives in `docs/architecture.md` at the repository root.
 //!
 //! # Layout
 //!
 //! This file holds what both flavours share: the configuration,
-//! [`Delivery`], the metered I/O formulas and [`Server`]. The RX
-//! stage is in `rx`, the reference server in `reference`, the sharded
-//! one in `dispatch`, the socket front-end in `frontend`, the laws that
-//! steer it (budgets, token buckets, remap, resize) in `control`, the
-//! TX-batching egress stage in `tx`; all are re-exported here.
+//! [`Delivery`], the metered I/O formulas and [`Server`]. The frame step
+//! and the shard thread are in `rx`, the reference server in
+//! `reference`, the sharded one in `dispatch`, the socket front-end in
+//! `frontend`, the laws that steer it (budgets, token buckets, remap,
+//! resize) in `control`, the TX-batching egress stage in `tx`; all are
+//! re-exported here.
 
 use crate::error::EndBoxError;
 use endbox_click::Router;
@@ -79,9 +77,9 @@ use endbox_vpn::handshake::HandshakeConfig;
 use endbox_vpn::ping::PingMessage;
 use endbox_vpn::proto::{Opcode, Record};
 use endbox_vpn::server::VpnServer;
-use endbox_vpn::shard::{ShardEvent, ShardedVpnServer};
+use endbox_vpn::shard::{ConfigPolicy, ShardEvent};
 use endbox_vpn::VpnError;
-use rx::RxOutcome;
+use rx::{Outcome, RxShard};
 
 mod control;
 mod dispatch;
@@ -92,12 +90,12 @@ mod tx;
 
 pub use control::{
     ControllerStats, DEFAULT_SHARD_BUDGET, RESIZE_COOLDOWN_ROUNDS, RESIZE_GROW_ROUNDS,
-    RESIZE_MAX_RX, RESIZE_SHRINK_ROUNDS, RESIZE_TARGET_DEMAND, RESIZE_WORKERS_PER_SHARD,
+    RESIZE_MAX_SHARDS, RESIZE_SHRINK_ROUNDS, RESIZE_TARGET_DEMAND,
 };
-pub use dispatch::{ResizeStats, ShardedEndBoxServer, RX_DISPATCH_CHUNK};
+pub use dispatch::{ResizeStats, ShardedEndBoxServer};
 pub use frontend::{AsyncFrontEnd, AsyncIngressStats, DEFAULT_RECV_BULK};
 pub use reference::EndBoxServer;
-pub use rx::{RxShardPool, RxShardStats};
+pub use rx::ShardStats;
 pub use tx::{TxBatchStats, TxBatcher};
 
 /// Server configuration.
@@ -224,78 +222,38 @@ impl ServerIo {
     }
 }
 
-/// What a server needs from the session layer under it. The inline
-/// [`VpnServer`] and the threaded [`ShardedVpnServer`] both provide it,
-/// so everything above them is written once, on [`Server`].
-trait SessionLayer {
-    fn seal(&mut self, session_id: u64, opcode: Opcode, payload: &[u8])
-        -> Result<Record, VpnError>;
-    fn seal_batch(&mut self, session_id: u64, payloads: &[&[u8]]) -> Result<Record, VpnError>;
-    fn announce(&mut self, version: u64, grace_period_secs: u32, now_secs: u64);
-    fn ping(&mut self, session_id: u64, now_ns: u64) -> Result<Record, VpnError>;
-    fn ids(&self) -> Vec<u64>;
+/// The sessions a server keeps off its front-end [`VpnServer`]: none on
+/// the reference, the bound ones on the sharded server's shard threads.
+/// Everything above it is written once, on [`Server`].
+trait ShardSessions {
+    /// Hands a new config policy to wherever those sessions live.
+    fn replicate(&mut self, policy: ConfigPolicy);
+    /// Appends their ids to `out`.
+    fn ids(&self, out: &mut Vec<u64>);
     fn count(&self) -> usize;
-    /// The config version a session has proved via ping (a cross-thread
-    /// query on the sharded layer, hence `&mut`).
+    /// The config version one of them has proved (a cross-thread query
+    /// on the sharded server, hence `&mut`).
     fn config_version(&mut self, session_id: u64) -> Option<u64>;
 }
 
-impl SessionLayer for VpnServer {
-    fn seal(&mut self, sid: u64, opcode: Opcode, payload: &[u8]) -> Result<Record, VpnError> {
-        self.seal_to_client(sid, opcode, payload)
-    }
-    fn seal_batch(&mut self, sid: u64, payloads: &[&[u8]]) -> Result<Record, VpnError> {
-        self.seal_batch_to_client(sid, payloads)
-    }
-    fn announce(&mut self, version: u64, grace_period_secs: u32, now_secs: u64) {
-        self.announce_config(version, grace_period_secs, now_secs);
-    }
-    fn ping(&mut self, sid: u64, now_ns: u64) -> Result<Record, VpnError> {
-        self.make_ping(sid, now_ns)
-    }
-    fn ids(&self) -> Vec<u64> {
-        self.session_ids()
-    }
+impl ShardSessions for RxShard {
+    fn replicate(&mut self, _: ConfigPolicy) {}
+    fn ids(&self, _: &mut Vec<u64>) {}
     fn count(&self) -> usize {
-        self.session_count()
+        0
     }
-    fn config_version(&mut self, sid: u64) -> Option<u64> {
-        self.session(sid).map(|s| s.reported_config_version)
+    fn config_version(&mut self, _: u64) -> Option<u64> {
+        None
     }
 }
 
-impl SessionLayer for ShardedVpnServer {
-    fn seal(&mut self, sid: u64, opcode: Opcode, payload: &[u8]) -> Result<Record, VpnError> {
-        self.seal_to_client(sid, opcode, payload)
-    }
-    fn seal_batch(&mut self, sid: u64, payloads: &[&[u8]]) -> Result<Record, VpnError> {
-        self.seal_batch_to_client(sid, payloads)
-    }
-    fn announce(&mut self, version: u64, grace_period_secs: u32, now_secs: u64) {
-        self.announce_config(version, grace_period_secs, now_secs);
-    }
-    fn ping(&mut self, sid: u64, now_ns: u64) -> Result<Record, VpnError> {
-        self.make_ping(sid, now_ns)
-    }
-    fn ids(&self) -> Vec<u64> {
-        self.session_ids()
-    }
-    fn count(&self) -> usize {
-        self.session_count()
-    }
-    fn config_version(&mut self, sid: u64) -> Option<u64> {
-        self.session_snapshot(sid)
-            .map(|s| s.reported_config_version)
-    }
-}
-
-/// The EndBox server over a session layer `S` and an RX stage `Rx`:
-/// [`EndBoxServer`] is the inline instantiation, [`ShardedEndBoxServer`]
-/// the threaded one. What is written here — the deliver step and the
+/// The EndBox server over a stage `Rx`: [`EndBoxServer`] is the inline
+/// instantiation, [`ShardedEndBoxServer`] the sharded one. What is
+/// written here — the front-end `VpnServer`, the deliver step and the
 /// whole control surface — exists once, so the parity reference and the
 /// system under test cannot drift apart in it.
-pub struct Server<S, Rx> {
-    vpn: S,
+pub struct Server<Rx> {
+    vpn: VpnServer,
     rx: Rx,
     io: ServerIo,
     /// Server-side Click (the OpenVPN+Click baseline of §V); only the
@@ -306,8 +264,8 @@ pub struct Server<S, Rx> {
     rejected: u64,
 }
 
-impl<S, Rx> Server<S, Rx> {
-    fn assemble(vpn: S, rx: Rx, click: Option<Router>, io: ServerIo) -> Self {
+impl<Rx> Server<Rx> {
+    fn assemble(vpn: VpnServer, rx: Rx, click: Option<Router>, io: ServerIo) -> Self {
         Server {
             vpn,
             rx,
@@ -319,17 +277,17 @@ impl<S, Rx> Server<S, Rx> {
         }
     }
 
-    /// The frame step's verdict, unwrapped: the record to open, or — as
-    /// `Err` — the finished result of a datagram that completed none.
-    fn framed(&mut self, outcome: RxOutcome) -> Result<Record, Result<Delivery, EndBoxError>> {
+    /// What one datagram's outcome comes to for the caller: the deliver
+    /// step for a record it completed, else the frame step's verdict.
+    fn finish(&mut self, outcome: Outcome) -> Result<Delivery, EndBoxError> {
         match outcome {
-            RxOutcome::Record(record) => Ok(record),
-            RxOutcome::Pending => Err(Ok(Delivery::Pending)),
-            RxOutcome::Reassembly(e) => {
+            Outcome::Opened(event) => self.deliver(event),
+            Outcome::Pending => Ok(Delivery::Pending),
+            Outcome::Reassembly(e) => {
                 self.rejected += 1;
-                Err(Err(EndBoxError::Vpn(e)))
+                Err(EndBoxError::Vpn(e))
             }
-            RxOutcome::Malformed(e) => Err(Err(EndBoxError::Vpn(e))),
+            Outcome::Malformed(e) => Err(EndBoxError::Vpn(e)),
         }
     }
 
@@ -396,8 +354,8 @@ impl<S, Rx> Server<S, Rx> {
                 session_id,
                 message,
             }),
-            // Reassembler teardown is the RX stage's job: it owns the
-            // per-peer state and awaits this verdict.
+            // Reassembler teardown is the frame step's job, on whichever
+            // thread owns the peer.
             ShardEvent::Disconnected { session_id } => Ok(Delivery::Disconnected { session_id }),
         }
     }
@@ -417,10 +375,10 @@ impl<S, Rx> Server<S, Rx> {
     }
 }
 
-// `SessionLayer` is private on purpose: the two session layers are fixed
-// here, and callers see plain inherent methods on either server.
+// `ShardSessions` is private on purpose: the two stages are fixed here,
+// and callers see plain inherent methods on either server.
 #[allow(private_bounds)]
-impl<S: SessionLayer, Rx> Server<S, Rx> {
+impl<Rx: ShardSessions> Server<Rx> {
     /// Seals and fragments a packet towards a client (ingress direction).
     ///
     /// # Errors
@@ -432,7 +390,9 @@ impl<S: SessionLayer, Rx> Server<S, Rx> {
         packet: &Packet,
     ) -> Result<Vec<Vec<u8>>, EndBoxError> {
         self.io.charge_egress(1, packet.len());
-        let record = self.vpn.seal(session_id, Opcode::Data, packet.bytes())?;
+        let record = self
+            .vpn
+            .seal_to_client(session_id, Opcode::Data, packet.bytes())?;
         Ok(self.io.fragment(&record))
     }
 
@@ -450,15 +410,17 @@ impl<S: SessionLayer, Rx> Server<S, Rx> {
         let total: usize = packets.iter().map(Packet::len).sum();
         self.io.charge_egress(packets.len(), total);
         let payloads: Vec<&[u8]> = packets.iter().map(Packet::bytes).collect();
-        let record = self.vpn.seal_batch(session_id, &payloads)?;
+        let record = self.vpn.seal_batch_to_client(session_id, &payloads)?;
         Ok(self.io.fragment(&record))
     }
 
     /// Announces a configuration update (Fig. 5 steps 2–3) to every
-    /// shard of the session layer.
+    /// session, wherever it lives.
     pub fn announce_config(&mut self, version: u64, grace_period_secs: u32) {
         let now_secs = self.io.now_secs();
-        self.vpn.announce(version, grace_period_secs, now_secs);
+        self.vpn
+            .announce_config(version, grace_period_secs, now_secs);
+        self.rx.replicate(self.vpn.policy());
     }
 
     /// Builds the periodic server ping for a session (Fig. 5 step 4).
@@ -467,22 +429,29 @@ impl<S: SessionLayer, Rx> Server<S, Rx> {
     ///
     /// [`EndBoxError::Vpn`] for unknown sessions.
     pub fn make_ping(&mut self, session_id: u64) -> Result<Vec<Vec<u8>>, EndBoxError> {
-        let record = self.vpn.ping(session_id, self.io.clock.now().as_nanos())?;
+        let now_ns = self.io.clock.now().as_nanos();
+        let record = self.vpn.make_ping(session_id, now_ns)?;
         Ok(self.io.fragment(&record))
     }
 
-    /// Connected session ids.
+    /// Connected session ids, ascending.
     pub fn session_ids(&self) -> Vec<u64> {
-        self.vpn.ids()
+        let mut ids = self.vpn.session_ids();
+        self.rx.ids(&mut ids);
+        ids.sort_unstable();
+        ids
     }
 
     /// Connected client count.
     pub fn session_count(&self) -> usize {
-        self.vpn.count()
+        self.vpn.session_count() + self.rx.count()
     }
 
     /// The config version a session has proved via ping.
     pub fn client_config_version(&mut self, session_id: u64) -> Option<u64> {
-        self.vpn.config_version(session_id)
+        match self.vpn.session(session_id) {
+            Some(session) => Some(session.reported_config_version),
+            None => self.rx.config_version(session_id),
+        }
     }
 }

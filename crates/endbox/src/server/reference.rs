@@ -1,20 +1,20 @@
 //! The single-threaded reference server ([`EndBoxServer`]): the frame,
 //! open and deliver steps composed inline, one datagram at a time.
 
-use super::rx::RxShard;
+use super::rx::{Outcome, RxShard};
 use super::{Delivery, EndBoxServerConfig, Server, ServerIo};
 use crate::error::EndBoxError;
 use endbox_click::element::ElementEnv;
 use endbox_click::Router;
-use endbox_vpn::proto::Opcode;
 use endbox_vpn::server::VpnServer;
+use endbox_vpn::shard::ShardEvent;
 
 /// The EndBox VPN server as the paper runs it: one single-threaded
 /// process (§V-E). One inline [`VpnServer`] under one inline RX shard,
 /// every datagram run to completion in input order — no thread, no
 /// channel — which makes it the oracle the sharded server is compared
 /// against.
-pub type EndBoxServer = Server<VpnServer, RxShard>;
+pub type EndBoxServer = Server<RxShard>;
 
 impl std::fmt::Debug for EndBoxServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -92,19 +92,18 @@ impl EndBoxServer {
 
     /// The inline step over one owned datagram.
     fn receive_owned(&mut self, peer_id: u64, datagram: Vec<u8>) -> Result<Delivery, EndBoxError> {
-        let outcome = self.rx.frame(peer_id, datagram);
-        let record = match self.framed(outcome) {
-            Ok(record) => record,
-            Err(result) => return result,
+        let outcome = match self.rx.frame(peer_id, datagram) {
+            Err(outcome) => outcome,
+            Ok(record) => {
+                let now_secs = self.io.now_secs();
+                let event = self.vpn.handle_record(&record, peer_id, now_secs);
+                if matches!(event, Ok(ShardEvent::Disconnected { .. })) {
+                    self.rx.teardown(peer_id);
+                }
+                Outcome::Opened(event)
+            }
         };
-        let now_secs = self.io.now_secs();
-        let event = self.vpn.handle_record(&record, now_secs);
-        let delivery = self.deliver(event);
-        if record.opcode == Opcode::Disconnect {
-            let confirmed = matches!(delivery, Ok(Delivery::Disconnected { .. }));
-            self.rx.teardown(peer_id, confirmed);
-        }
-        delivery
+        self.finish(outcome)
     }
 
     /// Reads a handler on the server-side Click instance, if any.

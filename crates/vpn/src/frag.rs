@@ -234,7 +234,7 @@ impl Reassembler {
 
     /// Bytes currently buffered across incomplete records — the memory an
     /// RX shard is holding for this peer (surfaced by
-    /// `ShardedEndBoxServer::rx_shard_stats`).
+    /// `ShardedEndBoxServer::shard_stats`).
     pub fn pending_bytes(&self) -> usize {
         self.partials
             .values()

@@ -28,12 +28,12 @@
 //!   datagrams and ships them through non-blocking endpoints.
 //! * [`server`] — the multi-session VPN server (a handshake front-end
 //!   around one inline [`shard::VpnShard`]).
-//! * [`shard`] — the sharded multi-worker server datapath: the session
-//!   table partitioned across N worker threads with session-id-affine
-//!   routing, per-shard buffer pools and deterministic re-merge.
-//! * [`pool`] — the owner-thread pool both threaded stages run on (the
-//!   session workers here, the RX framing shards in `endbox::server`):
-//!   spawn, retire, join and thread-death reporting, written once.
+//! * [`shard`] — one partition of the session state and the one record
+//!   handler over it; sessions bind to the peer of their first
+//!   authenticated record.
+//! * [`pool`] — the owner-thread pool the sharded server's
+//!   run-to-completion shards (`endbox::server`) run on: spawn, retire,
+//!   join and thread-death reporting, written once.
 
 #![deny(unsafe_code)]
 

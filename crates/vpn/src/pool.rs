@@ -1,41 +1,145 @@
-//! One owner pool under both pipeline stages.
+//! The owner pool the sharded server's threads run on.
 //!
-//! The RX framing shards (`endbox::server::RxShardPool`) and the session
-//! workers ([`crate::shard::ShardedVpnServer`]) are the same machine: N
-//! threads that each **own** a partition of state, one request channel
-//! per thread (per-thread FIFO), one reply channel shared by all of them,
-//! and a front-end that is the only caller. [`OwnerPool`] is that machine
+//! The run-to-completion shards of `endbox::server` are N threads that
+//! each **own** a partition of state, one request channel per thread
+//! (per-thread FIFO), one reply channel shared by all of them, and a
+//! front-end that is the only caller. [`OwnerPool`] is that machine
 //! written once: it owns the senders, the reply channel, the join
 //! handles and the thread body, so a stage is its request/reply protocol
 //! and its loop — not its plumbing.
 //!
 //! # Thread lifetime
 //!
-//! A thread body is a loop `while let Ok(request) = requests.recv()`.
-//! The pool retires a thread by dropping its request sender and joining
-//! it ([`OwnerPool::shrink`], and every thread on drop): the loop drains
-//! what was already queued, sees the disconnect and returns. There is no
-//! shutdown request to forget to handle.
+//! A thread body is a loop `while let Some(request) = requests.recv()`.
+//! The pool retires a thread by dropping its end of the request queue
+//! and joining it ([`OwnerPool::shrink`], and every thread on drop): the
+//! loop drains what was already queued, sees the queue closed and
+//! returns. There is no shutdown request to forget to handle.
 //!
 //! # Thread death
 //!
 //! Every body runs under `catch_unwind`. A panicking thread reports its
 //! index through the reply channel, and the next [`OwnerPool::recv`]
 //! panics with the stage name and that index; a [`OwnerPool::send`] to
-//! the dead thread panics the same way. The pool keeps a reply sender of
-//! its own (new threads need one), so without the report a caller
-//! waiting for the dead thread's reply would block forever instead of
-//! failing loudly.
+//! the dead thread panics the same way (its unwinding body closed its
+//! request queue). The pool holds the reply queue open itself (new
+//! threads need it), so without the report a caller waiting for the dead
+//! thread's reply would block forever instead of failing loudly.
 //!
-//! Both channels are unbounded — the only two such sites in the
-//! datapath; bounding them is a change to this file.
+//! # The queues
+//!
+//! Each queue is a `VecDeque` under a mutex, and its condition variable
+//! is signalled only while the receiver sleeps on it. On one CPU, where
+//! every hand-off is a context switch, that is a shorter round trip than
+//! a general-purpose channel's spin-then-yield-then-park receive. Both
+//! kinds of queue are unbounded — the only such queues in the datapath;
+//! bounding them is a change to this file.
 
-use crossbeam::channel::{Receiver, UnboundedSender};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+/// A FIFO handed between threads: a queue under a mutex, and a condition
+/// variable signalled only while the receiver sleeps on it.
+struct Channel<T> {
+    state: Mutex<State<T>>,
+    ready: Condvar,
+}
+
+struct State<T> {
+    items: VecDeque<T>,
+    /// The receiver sleeps on `ready`.
+    waiting: bool,
+    /// One side is gone: sends fail, and a receive fails once drained.
+    closed: bool,
+}
+
+impl<T> Channel<T> {
+    fn new() -> Arc<Channel<T>> {
+        Arc::new(Channel {
+            state: Mutex::new(State {
+                items: VecDeque::new(),
+                waiting: false,
+                closed: false,
+            }),
+            ready: Condvar::new(),
+        })
+    }
+
+    fn state(&self) -> std::sync::MutexGuard<'_, State<T>> {
+        self.state
+            .lock()
+            .expect("no channel user panics holding the lock")
+    }
+
+    fn send(&self, item: T) -> Result<(), T> {
+        let mut state = self.state();
+        if state.closed {
+            return Err(item);
+        }
+        state.items.push_back(item);
+        let wake = state.waiting;
+        drop(state);
+        if wake {
+            self.ready.notify_one();
+        }
+        Ok(())
+    }
+
+    fn recv(&self) -> Option<T> {
+        let mut state = self.state();
+        loop {
+            if let Some(item) = state.items.pop_front() {
+                return Some(item);
+            }
+            if state.closed {
+                return None;
+            }
+            state.waiting = true;
+            state = self
+                .ready
+                .wait(state)
+                .expect("no channel user panics holding the lock");
+            state.waiting = false;
+        }
+    }
+
+    fn close(&self) {
+        self.state().closed = true;
+        self.ready.notify_one();
+    }
+}
+
+/// The request half a thread body is given. Dropping it — the body
+/// returned or unwound — closes the thread's request channel.
+pub struct Requests<Req>(Arc<Channel<Req>>);
+
+impl<Req> Requests<Req> {
+    /// The next request, in send order; `None` once the pool retired this
+    /// thread and every request queued before that was taken.
+    pub fn recv(&self) -> Option<Req> {
+        self.0.recv()
+    }
+}
+
+impl<Req> Drop for Requests<Req> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// The pool's end of one thread's request channel; dropping it retires
+/// the thread once its queue is drained.
+struct RequestSender<Req>(Arc<Channel<Req>>);
+
+impl<Req> Drop for RequestSender<Req> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 /// The reply half a thread body is given.
-pub struct Replies<Reply>(UnboundedSender<Result<Reply, usize>>);
+pub struct Replies<Reply>(Arc<Channel<Result<Reply, usize>>>);
 
 impl<Reply> Replies<Reply> {
     /// Hands `reply` to the front-end. The pool outlives its threads, so
@@ -45,17 +149,16 @@ impl<Reply> Replies<Reply> {
     }
 }
 
-type Body<Req, Reply> = dyn Fn(usize, Receiver<Req>, Replies<Reply>) + Send + Sync;
+type Body<Req, Reply> = dyn Fn(usize, Requests<Req>, Replies<Reply>) + Send + Sync;
 
 /// N owner threads behind per-thread request channels and one shared
 /// reply channel. See the module docs.
 pub struct OwnerPool<Req, Reply> {
     stage: &'static str,
     body: Arc<Body<Req, Reply>>,
-    requests: Vec<UnboundedSender<Req>>,
+    requests: Vec<RequestSender<Req>>,
     joins: Vec<JoinHandle<()>>,
-    reply_tx: UnboundedSender<Result<Reply, usize>>,
-    replies: Receiver<Result<Reply, usize>>,
+    replies: Arc<Channel<Result<Reply, usize>>>,
 }
 
 impl<Req: Send + 'static, Reply: Send + 'static> OwnerPool<Req, Reply> {
@@ -64,16 +167,14 @@ impl<Req: Send + 'static, Reply: Send + 'static> OwnerPool<Req, Reply> {
     pub fn new(
         stage: &'static str,
         threads: usize,
-        body: impl Fn(usize, Receiver<Req>, Replies<Reply>) + Send + Sync + 'static,
+        body: impl Fn(usize, Requests<Req>, Replies<Reply>) + Send + Sync + 'static,
     ) -> Self {
-        let (reply_tx, replies) = crossbeam::channel::unbounded();
         let mut pool = OwnerPool {
             stage,
             body: Arc::new(body),
             requests: Vec::with_capacity(threads),
             joins: Vec::with_capacity(threads),
-            reply_tx,
-            replies,
+            replies: Channel::new(),
         };
         pool.grow(threads);
         pool
@@ -92,8 +193,9 @@ impl<Req: Send + 'static, Reply: Send + 'static> OwnerPool<Req, Reply> {
     /// Spawns `n` more threads, taking the next `n` indices.
     pub fn grow(&mut self, n: usize) {
         for index in self.len()..self.len() + n {
-            let (tx, rx) = crossbeam::channel::unbounded();
-            let (body, reply_tx) = (self.body.clone(), self.reply_tx.clone());
+            let channel = Channel::new();
+            let rx = Requests(channel.clone());
+            let (body, reply_tx) = (self.body.clone(), self.replies.clone());
             let join = std::thread::Builder::new()
                 .name(format!("{}-{index}", self.stage))
                 .spawn(move || {
@@ -104,7 +206,7 @@ impl<Req: Send + 'static, Reply: Send + 'static> OwnerPool<Req, Reply> {
                     }
                 })
                 .expect("spawn pool thread");
-            self.requests.push(tx);
+            self.requests.push(RequestSender(channel));
             self.joins.push(join);
         }
     }
@@ -128,7 +230,7 @@ impl<Req: Send + 'static, Reply: Send + 'static> OwnerPool<Req, Reply> {
     ///
     /// If that thread has died.
     pub fn send(&self, index: usize, request: Req) {
-        if self.requests[index].send(request).is_err() {
+        if self.requests[index].0.send(request).is_err() {
             panic!("{} thread {index} died", self.stage);
         }
     }
@@ -139,7 +241,11 @@ impl<Req: Send + 'static, Reply: Send + 'static> OwnerPool<Req, Reply> {
     ///
     /// If a thread has died since the last call.
     pub fn recv(&self) -> Reply {
-        match self.replies.recv().expect("the pool holds a reply sender") {
+        match self
+            .replies
+            .recv()
+            .expect("the pool holds the reply channel open")
+        {
             Ok(reply) => reply,
             Err(index) => panic!("{} thread {index} died", self.stage),
         }
@@ -188,7 +294,7 @@ mod tests {
     fn echo_pool() -> OwnerPool<u32, (usize, u32)> {
         OwnerPool::new("echo", 3, |index, requests, replies| {
             let mut seen = 0;
-            while let Ok(request) = requests.recv() {
+            while let Some(request) = requests.recv() {
                 seen += 1;
                 assert!(index != 1 || seen < 2, "injected death");
                 replies.send((index, request));

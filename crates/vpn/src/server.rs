@@ -6,11 +6,12 @@
 //! per client, as OpenVPN does not support multithreading" (§V-E); this
 //! implementation multiplexes sessions in one structure — concretely,
 //! [`VpnServer`] is the handshake `Responder` in front of exactly
-//! **one** inline [`VpnShard`]. The multi-worker
-//! [`crate::shard::ShardedVpnServer`] is the same responder in front of
-//! N shards on threads, so the two servers share one handshake, one
-//! record handler ([`VpnShard::handle_record_delivery`]) and one event
-//! type ([`ShardEvent`]).
+//! **one** inline [`VpnShard`]. `endbox::server`'s sharded server keeps
+//! one `VpnServer` on its front-end, where sessions wait until a record
+//! binds them to a peer, and one more `VpnShard` per shard thread, so the
+//! two servers share one handshake, one record handler
+//! ([`VpnShard::handle_record_delivery`]) and one event type
+//! ([`ShardEvent`]).
 //!
 //! A session's channel is split at the handshake
 //! ([`DataChannel::split`]): the receive half rides in the
@@ -32,7 +33,7 @@ pub use crate::shard::ServerSession;
 /// allocated densely from 1 and the RNG is seeded, so two servers built
 /// from the same configuration assign byte-identical ids and key
 /// material to the same sequence of hellos.
-pub(crate) struct Responder {
+struct Responder {
     handshake: HandshakeConfig,
     suite: CipherSuite,
     meter: CycleMeter,
@@ -42,7 +43,7 @@ pub(crate) struct Responder {
 }
 
 impl Responder {
-    pub(crate) fn new(
+    fn new(
         handshake: HandshakeConfig,
         suite: CipherSuite,
         meter: CycleMeter,
@@ -65,7 +66,7 @@ impl Responder {
     /// install on the shard that will own it, the send half for the
     /// caller's `SendTable`, and the `Established` event carrying the
     /// ServerHello. A refused hello consumes no session id.
-    pub(crate) fn respond(
+    fn respond(
         &mut self,
         record: &Record,
         required_version: u64,
@@ -84,11 +85,7 @@ impl Responder {
         self.next_session_id += 1;
         let (send, recv) =
             DataChannel::server(&keys, self.suite, self.meter.clone(), self.cost.clone()).split();
-        let session = ServerSession {
-            info: info.clone(),
-            reported_config_version: info.config_version,
-            recv,
-        };
+        let session = ServerSession::new(info.clone(), recv);
         let response = Record {
             opcode: Opcode::HandshakeResp,
             session_id,
@@ -114,16 +111,16 @@ impl Responder {
 /// whichever worker owns the session's receive half, and whether it has
 /// moved.
 #[derive(Debug, Default)]
-pub(crate) struct SendTable {
+struct SendTable {
     halves: HashMap<u64, SendHalf>,
 }
 
 impl SendTable {
-    pub(crate) fn insert(&mut self, session_id: u64, half: SendHalf) {
+    fn insert(&mut self, session_id: u64, half: SendHalf) {
         self.halves.insert(session_id, half);
     }
 
-    pub(crate) fn forget(&mut self, session_id: u64) {
+    fn forget(&mut self, session_id: u64) {
         self.halves.remove(&session_id);
     }
 
@@ -134,7 +131,7 @@ impl SendTable {
     }
 
     /// Seals a payload to a client.
-    pub(crate) fn seal(
+    fn seal(
         &mut self,
         session_id: u64,
         opcode: Opcode,
@@ -145,17 +142,13 @@ impl SendTable {
 
     /// Seals several payloads to a client as one `DataBatch` record,
     /// framed straight into the record body.
-    pub(crate) fn seal_batch(
-        &mut self,
-        session_id: u64,
-        payloads: &[&[u8]],
-    ) -> Result<Record, VpnError> {
+    fn seal_batch(&mut self, session_id: u64, payloads: &[&[u8]]) -> Result<Record, VpnError> {
         Ok(self.half(session_id)?.seal_batch(session_id, payloads))
     }
 
     /// The periodic server ping carrying `policy`'s announcement (Fig. 5
     /// step 4).
-    pub(crate) fn ping(
+    fn ping(
         &mut self,
         session_id: u64,
         policy: ConfigPolicy,
@@ -211,7 +204,30 @@ impl VpnServer {
         self.shard.policy().required_version
     }
 
-    /// Handles one wire record.
+    /// The config policy in force (what a sharded deployment replicates
+    /// to every shard).
+    pub fn policy(&self) -> ConfigPolicy {
+        self.shard.policy()
+    }
+
+    /// The id the next successful handshake will be assigned: every id at
+    /// or above it may still come into existence.
+    pub fn next_session_id(&self) -> u64 {
+        self.responder.next_session_id
+    }
+
+    /// Hands over `session_id` once a record has bound it to a peer (see
+    /// [`VpnShard::take_bound`]); its send half stays here.
+    pub fn take_bound(&mut self, session_id: u64) -> Option<ServerSession> {
+        self.shard.take_bound(session_id)
+    }
+
+    /// Drops the send half of a session that ended on another shard.
+    pub fn forget(&mut self, session_id: u64) {
+        self.sends.forget(session_id);
+    }
+
+    /// Handles one wire record from transport peer `peer`.
     ///
     /// # Errors
     ///
@@ -219,6 +235,7 @@ impl VpnServer {
     pub fn handle_record(
         &mut self,
         record: &Record,
+        peer: u64,
         now_secs: u64,
     ) -> Result<ShardEvent, VpnError> {
         match record.opcode {
@@ -232,7 +249,7 @@ impl VpnServer {
             }
             Opcode::HandshakeResp => Err(VpnError::Malformed("server received HandshakeResp")),
             _ => {
-                let event = self.shard.handle_record_delivery(record, now_secs)?;
+                let event = self.shard.handle_record_delivery(record, peer, now_secs)?;
                 if let ShardEvent::Disconnected { session_id } = &event {
                     self.sends.forget(*session_id);
                 }
@@ -302,11 +319,13 @@ mod tests {
     use crate::channel::SessionKeys;
     use crate::handshake::{client_complete, client_start};
     use crate::ping::PingMessage;
-    use crate::shard::ShardedVpnServer;
     use crate::PROTOCOL_V1;
     use endbox_crypto::schnorr::SigningKey;
     use endbox_netsim::Packet;
     use rand::SeedableRng;
+
+    /// The transport peer the tests' client speaks from.
+    const PEER: u64 = 7;
 
     struct Harness {
         server: VpnServer,
@@ -379,7 +398,7 @@ mod tests {
             rng,
         } = h;
         connect_through(client_cfg, rng, config_version, |record| {
-            server.handle_record(record, 0)
+            server.handle_record(record, PEER, 0)
         })
     }
 
@@ -424,7 +443,7 @@ mod tests {
         assert_eq!(h.server.session_count(), 1);
         let pkt = ip(b"an ip packet");
         let rec = chan.seal(Opcode::Data, sid, pkt.bytes());
-        match h.server.handle_record(&rec, 1).unwrap() {
+        match h.server.handle_record(&rec, PEER, 1).unwrap() {
             ShardEvent::Packet { session_id, packet } => {
                 assert_eq!(session_id, sid);
                 assert_eq!(packet.bytes(), pkt.bytes());
@@ -449,7 +468,7 @@ mod tests {
         let pkts = [ip(b"pkt one"), ip(b"pkt two"), ip(b"pkt three")];
         let payloads: Vec<&[u8]> = pkts.iter().map(Packet::bytes).collect();
         let rec = chan.seal_batch(sid, &payloads);
-        match h.server.handle_record(&rec, 1).unwrap() {
+        match h.server.handle_record(&rec, PEER, 1).unwrap() {
             ShardEvent::Batch { session_id, batch } => {
                 assert_eq!(session_id, sid);
                 let got: Vec<&[u8]> = batch.iter().map(Packet::bytes).collect();
@@ -459,7 +478,7 @@ mod tests {
         }
         // Batch records share the replay window with single records.
         assert_eq!(
-            h.server.handle_record(&rec, 1).unwrap_err(),
+            h.server.handle_record(&rec, PEER, 1).unwrap_err(),
             VpnError::Replay
         );
     }
@@ -471,7 +490,7 @@ mod tests {
         h.server.announce_config(2, 0, 100);
         let rec = chan.seal_batch(sid, &[b"stale batch"]);
         assert!(matches!(
-            h.server.handle_record(&rec, 101),
+            h.server.handle_record(&rec, PEER, 101),
             Err(VpnError::StaleConfiguration { .. })
         ));
     }
@@ -481,9 +500,9 @@ mod tests {
         let mut h = harness();
         let (sid, mut chan) = connect(&mut h, 1);
         let rec = chan.seal(Opcode::Data, sid, ip(b"pkt").bytes());
-        h.server.handle_record(&rec, 1).unwrap();
+        h.server.handle_record(&rec, PEER, 1).unwrap();
         assert_eq!(
-            h.server.handle_record(&rec, 1).unwrap_err(),
+            h.server.handle_record(&rec, PEER, 1).unwrap_err(),
             VpnError::Replay
         );
     }
@@ -494,7 +513,7 @@ mod tests {
         let (_, mut chan) = connect(&mut h, 1);
         let rec = chan.seal(Opcode::Data, 999, b"pkt");
         assert_eq!(
-            h.server.handle_record(&rec, 1).unwrap_err(),
+            h.server.handle_record(&rec, PEER, 1).unwrap_err(),
             VpnError::UnknownSession(999)
         );
     }
@@ -509,14 +528,14 @@ mod tests {
         // During grace (t=110): old version 1 still accepted.
         let rec = chan.seal(Opcode::Data, sid, ip(b"during grace").bytes());
         assert!(matches!(
-            h.server.handle_record(&rec, 110),
+            h.server.handle_record(&rec, PEER, 110),
             Ok(ShardEvent::Packet { .. })
         ));
 
         // After grace (t=131): stale config blocked.
         let rec = chan.seal(Opcode::Data, sid, b"after grace");
         assert_eq!(
-            h.server.handle_record(&rec, 131).unwrap_err(),
+            h.server.handle_record(&rec, PEER, 131).unwrap_err(),
             VpnError::StaleConfiguration {
                 client: 1,
                 required: 2
@@ -531,10 +550,10 @@ mod tests {
             timestamp_ns: 0,
         };
         let rec = chan.seal(Opcode::Ping, sid, &ping.to_bytes());
-        h.server.handle_record(&rec, 132).unwrap();
+        h.server.handle_record(&rec, PEER, 132).unwrap();
         let rec = chan.seal(Opcode::Data, sid, ip(b"updated").bytes());
         assert!(matches!(
-            h.server.handle_record(&rec, 133),
+            h.server.handle_record(&rec, PEER, 133),
             Ok(ShardEvent::Packet { .. })
         ));
     }
@@ -552,10 +571,10 @@ mod tests {
             timestamp_ns: 0,
         };
         let rec = chan.seal(Opcode::Ping, sid, &ping.to_bytes());
-        h.server.handle_record(&rec, 101).unwrap();
+        h.server.handle_record(&rec, PEER, 101).unwrap();
         let rec = chan.seal(Opcode::Data, sid, b"rollback traffic");
         assert!(matches!(
-            h.server.handle_record(&rec, 102),
+            h.server.handle_record(&rec, PEER, 102),
             Err(VpnError::StaleConfiguration { .. })
         ));
     }
@@ -582,7 +601,7 @@ mod tests {
             packet_id: 0,
             payload: vec![],
         };
-        h.server.handle_record(&rec, 1).unwrap();
+        h.server.handle_record(&rec, PEER, 1).unwrap();
         assert_eq!(h.server.session_count(), 0);
     }
 
@@ -607,49 +626,60 @@ mod tests {
             },
         };
         assert_eq!(
-            h.server.handle_record(&forged, 1).unwrap_err(),
+            h.server.handle_record(&forged, PEER, 1).unwrap_err(),
             VpnError::AuthenticationFailed
         );
     }
 
     /// An authenticated record whose plaintext is not an IPv4 packet is
-    /// `Malformed` on both servers, `Data` and `DataBatch` alike, and it
-    /// has taken its replay-window slot: replaying it is a `Replay`.
+    /// `Malformed`, `Data` and `DataBatch` alike, and it has taken its
+    /// replay-window slot: replaying it is a `Replay`.
     #[test]
-    fn authenticated_non_ip_payload_is_malformed_and_replay_protected_on_both_servers() {
-        let mut inline = harness();
-        let (server_cfg, client_cfg, mut rng) = configs();
-        let mut sharded = ShardedVpnServer::new(
-            server_cfg,
-            CipherSuite::Aes128CbcHmac,
-            CycleMeter::new(),
-            CostModel::calibrated(),
-            1,
-            2,
-        );
-        let (inline_sid, inline_chan) = connect(&mut inline, 1);
-        let (sharded_sid, sharded_chan) = connect_through(&client_cfg, &mut rng, 1, |record| {
-            sharded.handle_record(record, 0)
-        });
-        assert_eq!(inline_sid, sharded_sid, "one responder, one id sequence");
-
+    fn authenticated_non_ip_payload_is_malformed_and_replay_protected() {
+        let mut h = harness();
+        let (sid, mut chan) = connect(&mut h, 1);
         let malformed = Err(VpnError::Malformed("bad tunnelled packet"));
-        let verdicts =
-            |mut chan: DataChannel,
-             handle: &mut dyn FnMut(&Record) -> Result<ShardEvent, VpnError>| {
-                let data = chan.seal(Opcode::Data, inline_sid, b"not an ip packet");
-                let batch = chan.seal_batch(inline_sid, &[ip(b"ok").bytes(), b"not an ip packet"]);
-                for rec in [data, batch] {
-                    assert_eq!(handle(&rec).map(|_| ()), malformed, "{:?}", rec.opcode);
-                    assert_eq!(
-                        handle(&rec).map(|_| ()),
-                        Err(VpnError::Replay),
-                        "{:?} replayed",
-                        rec.opcode
-                    );
-                }
-            };
-        verdicts(inline_chan, &mut |rec| inline.server.handle_record(rec, 1));
-        verdicts(sharded_chan, &mut |rec| sharded.handle_record(rec, 1));
+        let data = chan.seal(Opcode::Data, sid, b"not an ip packet");
+        let batch = chan.seal_batch(sid, &[ip(b"ok").bytes(), b"not an ip packet"]);
+        for rec in [data, batch] {
+            let mut handle = || h.server.handle_record(&rec, PEER, 1).map(|_| ());
+            assert_eq!(handle(), malformed, "{:?}", rec.opcode);
+            assert_eq!(handle(), Err(VpnError::Replay), "{:?} replayed", rec.opcode);
+        }
+    }
+
+    /// A session binds to the peer of its first authenticated record: a
+    /// copy of a valid record re-sent from another peer first is
+    /// `UnknownSession` without consuming the window slot, a forgery
+    /// binds nothing, and once bound the session answers no other peer.
+    #[test]
+    fn sessions_bind_to_the_peer_of_their_first_authenticated_record() {
+        let mut h = harness();
+        let (sid, mut chan) = connect(&mut h, 1);
+        let rec = chan.seal(Opcode::Data, sid, ip(b"genuine").bytes());
+        let mut forged = chan.seal(Opcode::Data, sid, ip(b"forged").bytes());
+        forged.payload[0] ^= 1;
+        let bound = |h: &Harness| h.server.session(sid).unwrap().bound_peer();
+        assert_eq!(
+            h.server.handle_record(&forged, PEER + 1, 1).unwrap_err(),
+            VpnError::AuthenticationFailed
+        );
+        assert_eq!(bound(&h), None, "a forgery binds nothing");
+        assert_eq!(
+            h.server.handle_record(&rec, PEER, 1).map(|_| ()),
+            Ok(()),
+            "the first authenticated record is accepted"
+        );
+        assert_eq!(bound(&h), Some(PEER));
+        let next = chan.seal(Opcode::Data, sid, ip(b"next").bytes());
+        assert_eq!(
+            h.server.handle_record(&next, PEER + 1, 1).unwrap_err(),
+            VpnError::UnknownSession(sid),
+            "a bound session answers no other peer"
+        );
+        assert!(
+            h.server.handle_record(&next, PEER, 1).is_ok(),
+            "slot untouched"
+        );
     }
 }

@@ -20,16 +20,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Event-driven socket front-end");
     println!("=============================\n");
 
-    // 6 peers, 2 RX framing shards (so 2 poll groups), 2 crypto workers.
+    // 6 peers, 2 run-to-completion shards (so 2 poll groups).
     let mut s = Scenario::enterprise(6, UseCase::Firewall)
-        .rx_shards(2)
         .async_ingress(true)
         .build_sharded(2)?;
     println!(
-        "6 peers connected; {} poll groups over {} RX shards, {} workers",
-        s.server.rx_shard_count(),
-        s.server.rx_shard_count(),
-        s.server.worker_count()
+        "6 peers connected; {} shards, one poll group each",
+        s.server.shard_count()
     );
 
     // Every peer seals one small record and puts it on the wire. Nothing

@@ -87,14 +87,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Scale-out: the same enterprise, served by the sharded pipeline —
-    // 2 RX framing shards in front of 2 session-crypto workers, every
-    // client's batch in one multi-client dispatch. Results are
+    // 2 run-to-completion shards, every client's batch in one
+    // multi-client receive call. Results are
     // byte-identical to the single-threaded server (the parity grids in
     // tests/ are the proof); the sharding win shows up in
     // `exp fig10_scalability` / `exp rx_scaling`.
     let mut sharded = Scenario::enterprise(4, UseCase::Idps)
         .seed(11)
-        .rx_shards(2)
         .build_sharded(2)?;
     let payloads: Vec<Vec<Vec<u8>>> = (0..4)
         .map(|c| {
@@ -105,11 +104,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let delivered = sharded.send_batches_from_all(&payloads)?;
     println!(
-        "\nsharded fan-in: {} clients x {} packets through {} RX shards / {} workers, all delivered",
+        "\nsharded fan-in: {} clients x {} packets through {} shards, all delivered",
         delivered.len(),
         delivered[0].len(),
-        sharded.server.rx_shard_count(),
-        sharded.server.worker_count(),
+        sharded.server.shard_count(),
     );
 
     println!("\nenterprise scenario complete.");

@@ -1,7 +1,7 @@
 //! Parity and reconciliation tests for the datapath control plane every
 //! event loop runs (closed-loop per-shard budgets with per-socket token
-//! buckets, the autonomous hot-peer remap law, and the dispatcher's
-//! rate-based rebalance + idle-worker stealing).
+//! buckets, the autonomous hot-peer remap law, and the dispatch law's
+//! rate-based rebalance + idle-shard stealing).
 //!
 //! The named schedules replay the same deterministic interleaving
 //! classes the other suites are pinned by — plus [`Step::Remap`]
@@ -16,7 +16,7 @@
 //! The reconciliation tests pin the [`ControllerStats`] contract against
 //! independent datapath counters: granted budget covers every drained
 //! datagram, re-homes and their drained partials account exactly against
-//! the server's RX counters, steals stay a subset of migrations, and the
+//! the server's remap counters, steals stay a subset of migrations, and the
 //! token buckets only report borrowing when a burst actually spends
 //! capacity that idle shard-mates banked in earlier rounds.
 //!
@@ -114,7 +114,7 @@ fn adaptive_schedule_split_record_straddles_remap() {
 }
 
 /// The adversarial colliding placement (`PeerMap::Stride(4)`: every peer
-/// homes on shard 0 at every RX count in the grid), then manual re-homes
+/// homes on shard 0 at every C ≤ 4 in the grid), then manual re-homes
 /// spread the peers across shards mid-schedule while traffic continues —
 /// the spread changes which poll group serves whom, and nothing else.
 #[test]
@@ -144,7 +144,7 @@ fn adaptive_schedule_remap_spreads_colliding_peers() {
 }
 
 /// Mixed traffic (batches, pings, a split record, a replayed batch) with
-/// stalled RX shards and **no** manual remaps: the controller's own
+/// stalled shards and **no** manual remaps: the controller's own
 /// budget/token/remap laws run against ordinary adversarial interleaving
 /// and must not move a single outcome.
 #[test]
@@ -186,14 +186,13 @@ fn adaptive_schedule_controller_on_mixed_traffic() {
 /// every drained datagram was covered by a granted budget, the budget
 /// controller planned a subset of the event loop's rounds, steals are a
 /// subset of migrations, and manual re-homes account exactly against the
-/// server's RX remap counters.
+/// server's remap counters.
 #[test]
 fn controller_stats_reconcile_with_datapath_counters() {
     let mut scenario: ShardedScenario = Scenario::enterprise(8, UseCase::Nop)
         .seed(0xadc0)
-        .rx_shards(2)
         .async_ingress(true)
-        .build_sharded(4)
+        .build_sharded(2)
         .unwrap();
     let sizes = [6usize, 1, 1, 1, 3, 1, 1, 1];
     let mut drained_total = 0u64;
@@ -227,8 +226,8 @@ fn controller_stats_reconcile_with_datapath_counters() {
     );
     assert_eq!(
         (stats.remaps, stats.drained_partials),
-        scenario.server.rx_remap_counters(),
-        "controller snapshot diverged from the server's RX counters"
+        scenario.server.remap_counters(),
+        "controller snapshot diverged from the server's remap counters"
     );
 
     // The manual re-home pair accounts exactly like the controller's
@@ -248,7 +247,7 @@ fn controller_stats_reconcile_with_datapath_counters() {
     );
     assert_eq!(
         (after.remaps, after.drained_partials),
-        scenario.server.rx_remap_counters()
+        scenario.server.remap_counters()
     );
 }
 
@@ -261,7 +260,6 @@ fn manual_remap_drains_inflight_partial_and_preserves_outcome() {
     let build = || {
         Scenario::enterprise(2, UseCase::Nop)
             .seed(0xadc2)
-            .rx_shards(2)
             .async_ingress(true)
             .build_sharded(2)
             .unwrap()
@@ -286,9 +284,8 @@ fn manual_remap_drains_inflight_partial_and_preserves_outcome() {
 fn token_buckets_borrow_only_after_banked_carryover() {
     let mut scenario: ShardedScenario = Scenario::enterprise(8, UseCase::Nop)
         .seed(0xadc1)
-        .rx_shards(1)
         .async_ingress(true)
-        .build_sharded(2)
+        .build_sharded(1)
         .unwrap();
 
     // Trickle round: one record per peer; everyone is far under fair

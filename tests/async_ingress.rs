@@ -1,15 +1,15 @@
 //! Parity and backpressure tests for the event-driven socket front-end
-//! (`AsyncFrontEnd`: one poll group per RX shard, `peer_id mod K`).
+//! (`AsyncFrontEnd`: one poll group per shard, `peer_id mod C`).
 //!
 //! The named tests replay [`support::Schedule`]s — the same deterministic
 //! interleaving classes the call-driven pipeline is pinned by in
 //! `tests/rx_interleaving.rs` — through the **event-driven** ingress path
 //! (`ScenarioBuilder::async_ingress`): datagrams ride the virtual wire
 //! into per-peer server sockets, and a readiness poll loop drains them
-//! into the pipelined dispatch. With the default (generous) budget the
-//! drained batch is re-merged into exact wire order, so the outcomes must
-//! be byte-identical to the single-threaded reference server over the
-//! whole `(rx_shards, workers)` grid. `Flush` boundaries become
+//! into one receive call. With the default (generous) budget the drained
+//! batch is re-merged into exact wire order, so the outcomes must be
+//! byte-identical to the single-threaded reference server over the whole
+//! shard grid `C ∈ {1, 2, 4, 8}`. `Flush` boundaries become
 //! *poll-round* boundaries here, so partial records straddle event-loop
 //! iterations instead of `receive_datagrams` calls — the
 //! readiness-interleaving analogue of the batch-boundary schedules.
@@ -28,15 +28,15 @@ use endbox::server::{Delivery, DEFAULT_SHARD_BUDGET};
 use endbox::use_cases::UseCase;
 use endbox_netsim::Packet;
 use support::{
-    assert_parity, full_grid, generated_schedule, simplify, Out, PeerMap, RunCfg, Schedule, Step,
+    assert_parity, generated_schedule, simplify, Out, PeerMap, RunCfg, Schedule, Step, GRID,
 };
 
 /// `grid` through the event-driven front-end.
-fn assert_parity_async(schedule: &Schedule, grid: &[(usize, usize)]) {
+fn assert_parity_async(schedule: &Schedule, grid: &[usize]) {
     assert_parity(schedule, grid, &[RunCfg::event_loop()]);
 }
 
-/// A Disconnect pausing its (stalled) owning RX shard, a replayed
+/// A Disconnect decided on its (stalled) owning shard, a replayed
 /// Disconnect that must fail, and a split record completing afterwards —
 /// all arriving through sockets instead of calls.
 #[test]
@@ -57,12 +57,12 @@ fn async_schedule_disconnect_races_slow_owning_shard() {
         .step(Step::Single { client: 1 })
         .step(Step::Flush)
         .step(Step::Single { client: 1 });
-    assert_parity_async(&schedule, &full_grid());
+    assert_parity_async(&schedule, &GRID);
 }
 
-/// All peers collide on one poll group / RX shard via stride-4 peer ids:
+/// All peers collide on one poll group / shard via stride-4 peer ids:
 /// the event loop drains every socket of the collided group and must
-/// still reproduce the single-threaded sequencing, Disconnect pause
+/// still reproduce the single-threaded sequencing, Disconnect teardown
 /// included.
 #[test]
 fn async_schedule_all_peers_collide_on_one_poll_group() {
@@ -80,7 +80,7 @@ fn async_schedule_all_peers_collide_on_one_poll_group() {
         .step(Step::Flush)
         .step(Step::Ping { client: 1 })
         .step(Step::Single { client: 1 });
-    assert_parity_async(&schedule, &full_grid());
+    assert_parity_async(&schedule, &GRID);
 }
 
 /// A split record whose head arrives in one poll round and whose tail
@@ -115,7 +115,7 @@ fn async_schedule_split_record_straddles_poll_rounds() {
             hi: 4,
         })
         .step(Step::Single { client: 1 });
-    assert_parity_async(&schedule, &full_grid());
+    assert_parity_async(&schedule, &GRID);
 }
 
 /// Interleaved tiny datagrams (1-byte fragments through header and body)
@@ -137,7 +137,7 @@ fn async_schedule_interleaved_tiny_datagrams() {
             schedule = schedule.step(Step::Flush);
         }
     }
-    assert_parity_async(&schedule, &full_grid());
+    assert_parity_async(&schedule, &GRID);
 }
 
 mod proptests {
@@ -165,9 +165,7 @@ mod proptests {
                 collide,
                 0xac50 + seed,
             );
-            // A representative sub-grid keeps proptest case cost bounded;
-            // the named tests above cover the full grid.
-            assert_parity_async(&schedule, &[(1, 2), (2, 4), (4, 1), (4, 8)]);
+            assert_parity_async(&schedule, &GRID);
         }
     }
 }
@@ -194,7 +192,7 @@ fn single_datagram(
 
 /// Backpressure contract: a peer flooding its socket past everything the
 /// budget law can grant one shard in a round (the aggregate
-/// `DEFAULT_SHARD_BUDGET × K`) cannot starve its shard-mates — the mates'
+/// `DEFAULT_SHARD_BUDGET × C`) cannot starve its shard-mates — the mates'
 /// traffic rides in the very first round while the flood's tail defers
 /// to later rounds — and the outcomes still match the call-driven server
 /// per peer, in per-peer order.
@@ -203,15 +201,14 @@ fn flooding_peer_defers_while_shard_mates_ride_every_round() {
     let build = |async_ingress: bool| {
         Scenario::enterprise(8, UseCase::Nop)
             .seed(0xac10)
-            .rx_shards(4)
             .async_ingress(async_ingress)
-            .build_sharded(2)
+            .build_sharded(4)
             .unwrap()
     };
     let mut sync = build(false);
     let mut async_ = build(true);
 
-    // Peer 0 floods its socket; peers 4 (same RX shard: 4 mod 4 == 0) and
+    // Peer 0 floods its socket; peers 4 (same shard: 4 mod 4 == 0) and
     // 1 (different shard) each send a trickle. Identical seeds produce
     // identical wire bytes on both scenarios.
     const FLOOD: usize = DEFAULT_SHARD_BUDGET * 4 + 64;
@@ -291,22 +288,16 @@ fn flooding_peer_defers_while_shard_mates_ride_every_round() {
     assert_eq!(async_outs.len(), sync_outs.len());
 }
 
-/// The front-end's counters reconcile with the RX shards': every datagram
-/// the event loop drains is a datagram some RX shard framed from.
+/// The front-end's counters reconcile with the shards': every datagram
+/// the event loop drains is a datagram some shard framed from.
 #[test]
 fn async_stats_reconcile_with_rx_shard_stats() {
     let mut s = Scenario::enterprise(6, UseCase::Nop)
         .seed(0xac11)
-        .rx_shards(2)
         .async_ingress(true)
         .build_sharded(2)
         .unwrap();
-    let rx_before: u64 = s
-        .server
-        .rx_shard_stats()
-        .iter()
-        .map(|st| st.datagrams)
-        .sum();
+    let rx_before: u64 = s.server.shard_stats().iter().map(|st| st.datagrams).sum();
     for round in 0..3 {
         let payloads: Vec<Vec<Vec<u8>>> = (0..6)
             .map(|c| {
@@ -319,16 +310,11 @@ fn async_stats_reconcile_with_rx_shard_stats() {
         assert!(delivered.iter().all(|d| d.len() == 2));
     }
     let stats = s.async_stats();
-    let rx_after: u64 = s
-        .server
-        .rx_shard_stats()
-        .iter()
-        .map(|st| st.datagrams)
-        .sum();
+    let rx_after: u64 = s.server.shard_stats().iter().map(|st| st.datagrams).sum();
     assert_eq!(
         stats.datagrams,
         rx_after - rx_before,
-        "every drained datagram reaches exactly one RX shard"
+        "every drained datagram reaches exactly one shard"
     );
     assert!(stats.rounds >= 3, "one dispatch round per driver call");
     assert!(
@@ -339,13 +325,12 @@ fn async_stats_reconcile_with_rx_shard_stats() {
 }
 
 /// Singular `receive_datagram` calls (the handshake/control path) mix
-/// freely with event-driven data-path ingress: the RX pool sees one
+/// freely with event-driven data-path ingress: the shards see one
 /// per-peer order regardless of which doorway a datagram used.
 #[test]
 fn control_path_calls_mix_with_event_driven_ingress() {
     let mut s = Scenario::enterprise(2, UseCase::Nop)
         .seed(0xac12)
-        .rx_shards(2)
         .async_ingress(true)
         .build_sharded(2)
         .unwrap();

@@ -10,8 +10,8 @@
 //! boundaries in the middle of every deep socket queue, `32` is the
 //! production `recvmmsg`-shaped bulk. Outcomes must be byte-identical to
 //! the single-threaded reference server across the whole
-//! `(rx_shards, workers, bulk)` grid — bulk size may only ever
-//! move the *call count*, never the results.
+//! `(shards, bulk)` grid — bulk size may only ever move the *call
+//! count*, never the results.
 //!
 //! The OS-socket tests run the same schedules over real loopback UDP
 //! sockets ([`endbox_netsim::net::OsWire`]) behind the identical
@@ -28,15 +28,15 @@ use endbox::use_cases::UseCase;
 use endbox_netsim::net::{OsWire, TransportKind};
 use endbox_netsim::Packet;
 use support::{
-    assert_parity, assert_parity_bulk, egress_schedule, full_grid, run, send_records, Geometry,
-    PeerMap, RunCfg, Schedule, Step,
+    assert_parity, assert_parity_bulk, egress_schedule, run, send_records, Geometry, PeerMap,
+    RunCfg, Schedule, Step, GRID,
 };
 
 /// `grid` over the **OS-socket** backend (real loopback UDP), at both the
 /// per-datagram and the production bulk size. Skips (with a note)
 /// when the sandbox forbids loopback sockets — set
 /// `ENDBOX_REQUIRE_OS_SOCKET=1` to turn the skip into a failure.
-fn assert_parity_os(schedule: &Schedule, grid: &[(usize, usize)]) {
+fn assert_parity_os(schedule: &Schedule, grid: &[usize]) {
     if !OsWire::available() {
         if std::env::var("ENDBOX_REQUIRE_OS_SOCKET").as_deref() == Ok("1") {
             panic!("ENDBOX_REQUIRE_OS_SOCKET=1 but loopback UDP is unavailable");
@@ -135,7 +135,6 @@ fn bulk_ingress_amortises_io_calls_without_changing_results() {
     let drain = |bulk: usize| {
         let mut scenario = Scenario::enterprise(2, UseCase::Nop)
             .seed(0xb1_03)
-            .rx_shards(2)
             .async_ingress(true)
             .build_sharded(2)
             .unwrap();
@@ -163,7 +162,7 @@ fn bulk_ingress_amortises_io_calls_without_changing_results() {
     // (the accounting run above used its own traffic).
     for bulk in [1, 32] {
         let cfg = RunCfg::event_loop().bulk(bulk);
-        assert_eq!(run(&schedule, (2, 2), &cfg).0, reference);
+        assert_eq!(run(&schedule, 2, &cfg).0, reference);
     }
 }
 
@@ -175,7 +174,6 @@ fn tx_batched_egress_is_byte_identical_to_direct_fragments() {
     let build = || {
         Scenario::enterprise(3, UseCase::Nop)
             .seed(0xb1_04)
-            .rx_shards(2)
             .async_ingress(true)
             .build_sharded(2)
             .unwrap()
@@ -233,7 +231,7 @@ fn os_socket_backend_matches_virtual_wire_byte_for_byte() {
         .step(Step::Disconnect { client: 0 })
         .step(Step::Replay)
         .step(Step::Single { client: 1 });
-    assert_parity_os(&schedule, &[(1, 2), (2, 4)]);
+    assert_parity_os(&schedule, &[1, 2]);
 }
 
 /// Deep queues over the OS backend: kernel-buffered datagrams drain
@@ -249,7 +247,7 @@ fn os_socket_backend_survives_deep_queues_and_bulk_drains() {
         .step(Step::Single { client: 1 })
         .step(Step::Flush)
         .step(Step::Single { client: 0 });
-    assert_parity_os(&schedule, &[(2, 2)]);
+    assert_parity_os(&schedule, &[2]);
 }
 
 /// Egress between moves over real loopback UDP: every server seal and
@@ -257,7 +255,7 @@ fn os_socket_backend_survives_deep_queues_and_bulk_drains() {
 /// reference's wire bytes, at every starting grid point.
 #[test]
 fn os_socket_egress_matches_reference_across_moves() {
-    assert_parity_os(&egress_schedule(), &full_grid());
+    assert_parity_os(&egress_schedule(), &GRID);
 }
 
 /// The scenario reports which backend it runs on — the knob CI's gated

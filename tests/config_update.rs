@@ -411,13 +411,13 @@ fn interrupted_batch_drains_on_next_traversal_without_a_swap() {
 mod support;
 
 /// The PR 9 seam under structural elasticity: a config hot-swap lands
-/// while a **resize drain is in flight** — the RX pool has just shrunk,
+/// while a **resize drain is in flight** — the server has just shrunk,
 /// moving a parked partial record to its new home, and the record's tail
 /// has not yet arrived — and the swapped router itself holds packets
 /// stranded by an interrupted traversal. `drain_stale_pending` must
 /// recover every stranded packet back to its pool, and the resize drain
 /// must still complete the in-flight record exactly once: the two drain
-/// disciplines (router pending queues, RX reassembly state) never eat
+/// disciplines (router pending queues, shard reassembly state) never eat
 /// each other's packets.
 #[test]
 fn hot_swap_during_resize_drain_recovers_every_inflight_packet() {
@@ -430,11 +430,10 @@ fn hot_swap_during_resize_drain_recovers_every_inflight_packet() {
     use std::net::Ipv4Addr;
     use support::{pump_until, split_raw, Out};
 
-    // Datapath side: peer 1's record head parks on RX shard 1 — the
-    // shard the shrink below retires.
+    // Datapath side: peer 1's record head parks on shard 1 — the shard
+    // the shrink below retires.
     let mut scenario: ShardedScenario = Scenario::enterprise(2, UseCase::Nop)
         .seed(0x9e1)
-        .rx_shards(2)
         .async_ingress(true)
         .build_sharded(2)
         .unwrap();
@@ -453,7 +452,7 @@ fn hot_swap_during_resize_drain_recovers_every_inflight_packet() {
     // The resize drain fires: the shrink retires shard 1 and the parked
     // partial migrates to the survivor. The drain is now "in flight" —
     // reassembly state has moved but the record is still incomplete.
-    let (_, drained) = scenario.resize_rx_shards(1);
+    let (_, drained) = scenario.resize_shards(1);
     assert_eq!(drained, 1, "the parked partial must ride the shrink");
 
     // Mid-drain, the operator hot-swaps a config whose router holds a
@@ -501,7 +500,7 @@ fn hot_swap_during_resize_drain_recovers_every_inflight_packet() {
         "no pooled buffer leaked across the swap: {after:?}"
     );
 
-    // The resize drain completes: the tail arrives at the rehashed home
+    // The resize drain completes: the tail arrives at the peer's new home
     // and the in-flight record resolves exactly once — neither lost to
     // the shrink nor duplicated by the swap.
     scenario.send_wire_datagrams(1, vec![frags[2].clone()]);
@@ -512,6 +511,6 @@ fn hot_swap_during_resize_drain_recovers_every_inflight_packet() {
         "the tail must complete the record: {tail:?}"
     );
     let stats = scenario.server.resize_stats();
-    assert_eq!(stats.rx_shrinks, 1);
+    assert_eq!(stats.shrinks, 1);
     assert_eq!(stats.partials_drained, 1);
 }

@@ -1,28 +1,28 @@
-//! Structural elasticity: grow/shrink RX framing shards and worker
-//! shards online, pinned by a resize-schedule parity grid.
+//! Structural elasticity: grow/shrink the shard count online, pinned by a
+//! resize-schedule parity grid.
 //!
 //! The named schedules interleave [`Step::Resize`] against the existing
 //! adversarial classes — a grow lands mid-flood with datagrams already
 //! buffered, a shrink retires the very shard holding an in-flight
-//! partial record (the partial drains at the quiesce point and rehashes
-//! to its new home, where the tail completes it), a resize races a
-//! crafted `Disconnect`, and back-to-back grow+shrink pairs bracket
-//! traffic. Every schedule replays over the full
-//! `(rx, workers) ∈ {1,2,4} × {1,2,4,8}` starting grid through both the
-//! call-driven and the event-driven doorway, asserting byte-identical
-//! outcomes against the single-threaded reference: capacity changes
-//! never change outcomes, only where work happens. One schedule grows
-//! the worker pool under a session that has not spoken yet, so the
-//! dispatcher's idle-worker steals are exercised across the grid too.
+//! partial record (the partial moves at the quiesce point to its new
+//! home, where the tail completes it), a resize races a crafted
+//! `Disconnect`, and back-to-back grow+shrink pairs bracket traffic.
+//! Every schedule replays over the full starting grid `C ∈ {1, 2, 4, 8}`
+//! through both the call-driven and the event-driven doorway, asserting
+//! byte-identical outcomes against the single-threaded reference:
+//! capacity changes never change outcomes, only where work happens. One
+//! schedule grows the server under a peer that has not spoken since its
+//! handshake, so the dispatch law's idle-shard steals are exercised
+//! across the grid too.
 //!
 //! The deterministic tests pin the [`ResizeStats`] contract (a shrink
-//! drains exactly the parked partials of the peers whose owner changed;
-//! worker shrinks migrate every session off the retiring shards) and
-//! the resize law itself (a sustained flood grows the pool, sustained
-//! idleness shrinks it back, through hysteresis and cooldown). The
-//! proptest interleaves random `Step::Resize` steps with the existing
-//! schedule classes and reconciles the stats against the schedule that
-//! drove them — no record lost or duplicated across any rehash.
+//! moves exactly the parked partials and bound sessions of the peers on
+//! retiring shards) and the resize law itself (a sustained flood grows
+//! the server, sustained idleness shrinks it back, through hysteresis and
+//! cooldown). The proptest interleaves random `Step::Resize` steps with
+//! the existing schedule classes and reconciles the stats against the
+//! schedule that drove them — no record lost or duplicated across any
+//! move.
 //!
 //! [`ResizeStats`]: endbox::server::ResizeStats
 
@@ -37,28 +37,28 @@ use endbox::EndBoxError;
 use endbox_netsim::net::VirtualWire;
 use endbox_vpn::VpnError;
 use support::{
-    assert_parity, assert_relocation_keeps_partial, egress_schedule, full_grid, pump_until, run,
-    send_records, Geometry, PeerMap, RunCfg, Schedule, Step,
+    assert_parity, assert_relocation_keeps_partial, egress_schedule, pump_until, run, send_records,
+    Geometry, PeerMap, RunCfg, Schedule, Step, GRID,
 };
 
-/// Every **starting** `(rx_shards, workers)` of the full grid through both
-/// doorways: the call-driven `receive_datagrams` path and the
-/// event-driven front-end (there a resize additionally rebuilds the poll
-/// groups around the live sockets). Returns the dispatcher's
-/// `(migrations, steals)` over all of it.
+/// Every **starting** shard count of the grid through both doorways: the
+/// call-driven `receive_datagrams` path and the event-driven front-end
+/// (there a resize additionally rebuilds the poll groups around the live
+/// sockets). Returns the dispatch law's `(migrations, steals)` over all
+/// of it.
 fn assert_parity_elastic(schedule: &Schedule) -> (u64, u64) {
     let cfgs = [RunCfg::call(), RunCfg::event_loop()];
-    assert_parity(schedule, &full_grid(), &cfgs)
+    assert_parity(schedule, &GRID, &cfgs)
 }
 
 /// A grow fired while a four-client flood is mid-flight: datagrams from
-/// every client are already buffered when the pool doubles, so the whole
+/// every client are already buffered when the server grows, so the whole
 /// burst rides through the *resized* server and re-merges into exact
-/// input order regardless of which geometry framed which datagram. A
-/// fifth client stays silent until the end: once the flood has loaded
-/// its worker, the idle workers the grow added steal that session (its
-/// replay window is still empty), and its first record is opened on the
-/// worker that stole it.
+/// input order regardless of which shard framed which datagram. A fifth
+/// client stays silent until the end: once the flood has loaded its
+/// shard, the idle shards the grow added steal that peer (it has carried
+/// no bound traffic), and its first record is opened on the shard that
+/// stole it.
 #[test]
 fn schedule_grow_mid_flood() {
     let schedule = Schedule::new("grow-mid-flood", 5, 0xe1a1)
@@ -75,7 +75,7 @@ fn schedule_grow_mid_flood() {
             client: 3,
             n_packets: 4,
         })
-        .step(Step::Resize { rx: 4, workers: 8 })
+        .step(Step::Resize { shards: 8 })
         .step(Step::Batch {
             client: 0,
             n_packets: 3,
@@ -89,14 +89,14 @@ fn schedule_grow_mid_flood() {
         .step(Step::Single { client: 3 })
         .step(Step::Single { client: 4 });
     let (migrations, steals) = assert_parity_elastic(&schedule);
-    assert!(steals > 0, "idle workers never stole the silent session");
+    assert!(steals > 0, "idle shards never stole the silent peer");
     assert!(steals <= migrations, "every steal is a migration");
 }
 
 /// A shrink retires the shard holding an in-flight partial record: the
-/// head fragments park in a reassembler, the pool shrinks to one shard
-/// (the retiring shard drains its partial to the survivor), the tail
-/// arrives after the rehash and completes the record — then a replay of
+/// head fragments park in a reassembler, the server shrinks to one shard
+/// (the retiring shard hands its partial to the survivor), the tail
+/// arrives after the move and completes the record — then a replay of
 /// the tail is rejected identically and a grow follows.
 #[test]
 fn schedule_shrink_straddles_partial() {
@@ -114,7 +114,7 @@ fn schedule_shrink_straddles_partial() {
             n_packets: 2,
         })
         .step(Step::Flush)
-        .step(Step::Resize { rx: 1, workers: 1 })
+        .step(Step::Resize { shards: 1 })
         .step(Step::Single { client: 2 })
         .step(Step::Flush)
         .step(Step::SplitRecordPart {
@@ -127,14 +127,14 @@ fn schedule_shrink_straddles_partial() {
         })
         .step(Step::Flush)
         .step(Step::Replay)
-        .step(Step::Resize { rx: 4, workers: 4 })
+        .step(Step::Resize { shards: 4 })
         .step(Step::Single { client: 1 });
     assert_parity_elastic(&schedule);
 }
 
 /// A resize races a crafted `Disconnect`: the teardown is buffered but
-/// not yet flushed when the pool resizes, so the Disconnect is framed by
-/// the *new* geometry, a replay of it fails against the dead session
+/// not yet flushed when the server resizes, so the Disconnect is framed
+/// by the *new* geometry, a replay of it fails against the dead session
 /// without tearing down the fresh reassembler, and the parked partial's
 /// tail still completes (and fails its verdict) after a second resize.
 #[test]
@@ -154,7 +154,7 @@ fn schedule_resize_races_disconnect() {
         })
         .step(Step::Flush)
         .step(Step::Disconnect { client: 1 })
-        .step(Step::Resize { rx: 2, workers: 2 })
+        .step(Step::Resize { shards: 2 })
         .step(Step::Flush)
         .step(Step::Replay)
         .step(Step::Single { client: 2 })
@@ -167,15 +167,15 @@ fn schedule_resize_races_disconnect() {
             lo: 2,
             hi: 3,
         })
-        .step(Step::Resize { rx: 1, workers: 4 })
+        .step(Step::Resize { shards: 1 })
         .step(Step::Single { client: 0 });
     assert_parity_elastic(&schedule);
 }
 
 /// Back-to-back grow+shrink pairs with no traffic between them, under
 /// the adversarial colliding peer map (every peer homes on shard 0 at
-/// every grid point) and a stalled shard 0 — two full rehashes in a row
-/// must compose to a no-op on outcomes, twice.
+/// C ≤ 4) and a stalled shard 0 — two resizes in a row must compose to a
+/// no-op on outcomes, twice.
 #[test]
 fn schedule_back_to_back_grow_shrink() {
     let schedule = Schedule::new("back-to-back-grow-shrink", 4, 0xe1a4)
@@ -187,16 +187,16 @@ fn schedule_back_to_back_grow_shrink() {
         })
         .step(Step::Single { client: 1 })
         .step(Step::Flush)
-        .step(Step::Resize { rx: 8, workers: 8 })
-        .step(Step::Resize { rx: 1, workers: 1 })
+        .step(Step::Resize { shards: 8 })
+        .step(Step::Resize { shards: 1 })
         .step(Step::Batch {
             client: 2,
             n_packets: 3,
         })
         .step(Step::Single { client: 3 })
         .step(Step::Flush)
-        .step(Step::Resize { rx: 2, workers: 4 })
-        .step(Step::Resize { rx: 4, workers: 2 })
+        .step(Step::Resize { shards: 2 })
+        .step(Step::Resize { shards: 4 })
         .step(Step::Replay)
         .step(Step::Single { client: 0 });
     assert_parity_elastic(&schedule);
@@ -204,7 +204,7 @@ fn schedule_back_to_back_grow_shrink() {
 
 /// Egress between moves (`support::egress_schedule`): the server's seals
 /// and pings towards clients whose receive halves a shrink moved onto
-/// other workers are byte-identical to the reference's at every starting
+/// other shards are byte-identical to the reference's at every starting
 /// grid point through both doorways, and sealing to a disconnected
 /// session is `UnknownSession` on every server.
 #[test]
@@ -221,7 +221,7 @@ fn schedule_egress_across_resizes_and_disconnect() {
     want[8..10].fill(true);
     assert_eq!(refused, want);
     assert!(reference.egress.iter().flatten().all(|d| !d.is_empty()));
-    let (_, moves) = run(&schedule, (1, 8), &RunCfg::call());
+    let (_, moves) = run(&schedule, 8, &RunCfg::call());
     assert!(moves.resize.sessions_moved > 0, "no receive half moved");
     assert_parity_elastic(&schedule);
 }
@@ -230,7 +230,7 @@ fn schedule_egress_across_resizes_and_disconnect() {
 /// that is no longer live (stale after a shrink) must panic loudly
 /// instead of silently wrapping onto the wrong group — a wrapped re-home
 /// would park the peer's socket on a group that does not feed the shard
-/// owning its reassembly state.
+/// owning the peer.
 #[test]
 #[should_panic(expected = "is not live")]
 fn rehome_peer_rejects_stale_group_index() {
@@ -242,60 +242,58 @@ fn rehome_peer_rejects_stale_group_index() {
     fe.rehome_peer(7, 5);
 }
 
-/// The RX half of the same relocation rejects the same stale index the
-/// same way (it used to wrap it to `5 % 2 == 1`, leaving the peer's
-/// reassembly state on a shard its socket's poll group does not feed).
+/// The shard half of the same relocation rejects the same stale index
+/// the same way (wrapping it to `5 % 2 == 1` would leave the peer's state
+/// on a shard its socket's poll group does not feed).
 #[test]
 #[should_panic(expected = "is not live")]
 fn remap_rx_peer_rejects_stale_shard_index() {
     let mut scenario = Scenario::enterprise(1, UseCase::Nop)
         .seed(0xe1c1)
-        .rx_shards(4)
-        .build_sharded(1)
+        .build_sharded(4)
         .unwrap();
-    scenario.resize_rx_shards(2);
-    scenario.server.remap_rx_peer(0, 5);
+    scenario.resize_shards(2);
+    scenario.server.remap_peer(0, 5);
 }
 
 /// A shrink with a record head in flight, against a twin scenario that
-/// never resizes: exactly the parked partial of the owner-changed peer
-/// drains (counted in [`ResizeStats`]), reinstalls at its home under the
-/// new modulus, and the tail completes the record to the **same**
-/// outcome as the twin.
+/// never resizes: exactly the parked partial of the moved peer drains
+/// (counted in [`ResizeStats`]), reinstalls at its home under the new
+/// count, and the tail completes the record to the **same** outcome as
+/// the twin.
 #[test]
 fn shrink_drains_inflight_partial_and_preserves_outcome() {
     let build = || {
         Scenario::enterprise(2, UseCase::Nop)
             .seed(0xe1c2)
-            .rx_shards(2)
             .async_ingress(true)
             .build_sharded(2)
             .unwrap()
     };
-    // Peer 1 homes on shard 1 of 2; after the shrink to one shard its
-    // home is shard 0, so the rehash moves it — partial and all. The tail
-    // then completes the record at the rehashed home.
+    // Peer 1 lives on shard 1 of 2; the shrink to one shard retires it,
+    // so the peer moves to shard 0 — partial and all. The tail then
+    // completes the record there.
     assert_relocation_keeps_partial(build, 1, |resized| {
-        let (moved, drained) = resized.resize_rx_shards(1);
-        assert!(moved >= 1, "peer 1's owner changed, so it must move");
-        assert_eq!(drained, 1, "the parked partial must drain with the rehash");
+        let (moved, drained) = resized.resize_shards(1);
+        assert_eq!(moved, 1, "only peer 1 lived on the retiring shard");
+        assert_eq!(drained, 1, "the parked partial must move with its peer");
         let stats = resized.server.resize_stats();
-        assert_eq!(stats.rx_shrinks, 1);
-        assert_eq!(stats.rx_grows, 0);
+        assert_eq!(stats.shrinks, 1);
+        assert_eq!(stats.grows, 0);
         assert_eq!(stats.partials_drained, 1);
-        assert_eq!(stats.peers_rehashed, moved as u64);
+        assert_eq!(stats.peers_moved, moved as u64);
     });
 }
 
-/// Worker elasticity bookkeeping: a shrink migrates every session off
-/// the retiring shards (counted in [`ResizeStats::sessions_moved`]), a
-/// grow spawns fresh workers that already carry the live config policy,
-/// and traffic flows identically before and after both.
+/// Shard elasticity bookkeeping: a shrink moves every session off the
+/// retiring shards with its peer (counted in
+/// [`ResizeStats::sessions_moved`]), a grow spawns fresh shards that
+/// already carry the live config policy, and traffic flows identically
+/// before and after both.
 #[test]
 fn worker_resize_migrates_sessions_and_keeps_serving() {
     let mut scenario: ShardedScenario = Scenario::enterprise(4, UseCase::Nop)
         .seed(0xe1c3)
-        .rx_shards(2)
         .async_ingress(true)
         .build_sharded(4)
         .unwrap();
@@ -306,17 +304,17 @@ fn worker_resize_migrates_sessions_and_keeps_serving() {
     }
     pump_until(&mut scenario, sent);
 
-    // 4 sessions homed across 4 worker shards; shrinking to 1 retires
-    // three shards and every session on them must migrate.
-    let moved = scenario.server.resize_workers(1);
-    assert!(
-        moved >= 3,
-        "three of four worker homes retire: moved {moved}"
-    );
+    // 4 peers, each with its bound session, on 4 shards; shrinking to 1
+    // retires three shards and every peer and session on them must move.
+    let (moved, _) = scenario.resize_shards(1);
+    assert_eq!(moved, 3, "three of four shards retire");
     let stats = scenario.server.resize_stats();
-    assert_eq!(stats.worker_shrinks, 1);
-    assert_eq!(stats.worker_grows, 0);
-    assert_eq!(stats.sessions_moved, moved as u64);
+    assert_eq!(stats.shrinks, 1);
+    assert_eq!(stats.grows, 0);
+    assert_eq!(
+        stats.sessions_moved, 3,
+        "each moved peer carries its session"
+    );
 
     let mut sent = 0;
     for client in 0..4 {
@@ -324,10 +322,10 @@ fn worker_resize_migrates_sessions_and_keeps_serving() {
     }
     pump_until(&mut scenario, sent);
 
-    // Grow back: fresh workers, no sessions need to move for a grow.
-    let moved = scenario.server.resize_workers(8);
+    // Grow back: fresh shards, nothing needs to move for a grow.
+    let (moved, _) = scenario.resize_shards(8);
     assert_eq!(moved, 0, "a grow retires nothing: moved {moved}");
-    assert_eq!(scenario.server.resize_stats().worker_grows, 1);
+    assert_eq!(scenario.server.resize_stats().grows, 1);
 
     let mut sent = 0;
     for client in 0..4 {
@@ -340,25 +338,22 @@ fn worker_resize_migrates_sessions_and_keeps_serving() {
 /// The resize law end to end ([`ScenarioBuilder::elastic`]): a sustained
 /// flood pushes the demand EWMAs past the grow hysteresis and the pool
 /// grows; sustained idleness decays them back and — after the cooldown —
-/// the pool shrinks to one shard again. Workers track the RX count
-/// through [`RESIZE_WORKERS_PER_SHARD`].
+/// the server shrinks to one shard again.
 ///
 /// [`ScenarioBuilder::elastic`]: endbox::scenario::ScenarioBuilder::elastic
-/// [`RESIZE_WORKERS_PER_SHARD`]: endbox::server::RESIZE_WORKERS_PER_SHARD
 #[test]
 fn elastic_law_grows_under_flood_and_shrinks_when_idle() {
     let mut scenario: ShardedScenario = Scenario::enterprise(4, UseCase::Nop)
         .seed(0xe1c4)
-        .rx_shards(1)
         .elastic(true)
-        .build_sharded(2)
+        .build_sharded(1)
         .unwrap();
-    assert_eq!(scenario.server.rx_shard_count(), 1);
+    assert_eq!(scenario.server.shard_count(), 1);
 
     // Flood until the grow fires (hysteresis needs a few consecutive
     // over-demand control rounds; each flood/pump cycle provides them).
     let mut round = 0;
-    while scenario.server.resize_stats().rx_grows == 0 && round < 12 {
+    while scenario.server.resize_stats().grows == 0 && round < 12 {
         let mut sent = 0;
         for client in 0..4 {
             sent += send_records(&mut scenario, "elastic", client, 75, round);
@@ -368,33 +363,26 @@ fn elastic_law_grows_under_flood_and_shrinks_when_idle() {
         round += 1;
     }
     let grown = scenario.server.resize_stats();
+    assert!(grown.grows >= 1, "the flood never fired a grow: {grown:?}");
     assert!(
-        grown.rx_grows >= 1,
-        "the flood never fired a grow: {grown:?}"
-    );
-    assert!(
-        scenario.server.rx_shard_count() > 1,
+        scenario.server.shard_count() > 1,
         "a grow must actually add shards"
     );
 
     // Idle rounds decay the EWMAs; after the cooldown plus the shrink
-    // hysteresis the pool falls back to one shard.
+    // hysteresis the server falls back to one shard.
     for _ in 0..60 {
         scenario.pump_async();
     }
     let shrunk = scenario.server.resize_stats();
     assert!(
-        shrunk.rx_shrinks >= 1,
+        shrunk.shrinks >= 1,
         "sustained idleness never fired a shrink: {shrunk:?}"
     );
     assert_eq!(
-        scenario.server.rx_shard_count(),
+        scenario.server.shard_count(),
         1,
         "idle demand must shrink back to the floor"
-    );
-    assert!(
-        shrunk.worker_grows >= 1 && shrunk.worker_shrinks >= 1,
-        "workers must track the RX resizes: {shrunk:?}"
     );
 }
 
@@ -442,8 +430,7 @@ mod proptests {
                 },
                 10 => Step::ServerPing { client },
                 _ => Step::Resize {
-                    rx: 1 + n % 4,
-                    workers: 1 + (n * 3) % 8,
+                    shards: 1 + (n * 3) % 8,
                 },
             });
         }
@@ -470,7 +457,7 @@ mod proptests {
         /// shrinks never exceed the resize steps (equal-geometry
         /// resizes are no-ops), and a schedule without resizes leaves
         /// the stats at zero — no record lost or duplicated across any
-        /// rehash.
+        /// move.
         #[test]
         fn resize_interleavings_preserve_parity_and_reconcile(
             n_clients in 2usize..4,
@@ -481,30 +468,26 @@ mod proptests {
             let schedule = to_schedule(&raw, n_clients, collide, seed);
             let resizes = resize_steps(&schedule);
             let (reference, _) = run(&schedule, Geometry::Reference, &RunCfg::call());
-            for &(rx, workers) in &[(1usize, 1usize), (2, 4), (4, 8)] {
-                let (outs, moves) = run(&schedule, (rx, workers), &RunCfg::call());
+            for shards in [1, 2, 8] {
+                let (outs, moves) = run(&schedule, shards, &RunCfg::call());
                 let stats = moves.resize;
                 prop_assert_eq!(
                     &outs, &reference,
-                    "call-driven divergence at rx={} workers={}",
-                    rx, workers
+                    "call-driven divergence at C={}",
+                    shards
                 );
                 prop_assert!(
-                    stats.rx_grows + stats.rx_shrinks <= resizes,
-                    "more RX resizes than steps: {:?} vs {} steps", stats, resizes
-                );
-                prop_assert!(
-                    stats.worker_grows + stats.worker_shrinks <= resizes,
-                    "more worker resizes than steps: {:?} vs {} steps", stats, resizes
+                    stats.grows + stats.shrinks <= resizes,
+                    "more resizes than steps: {:?} vs {} steps", stats, resizes
                 );
                 if resizes == 0 {
                     prop_assert_eq!(stats, ResizeStats::default());
                 }
-                let (outs, _) = run(&schedule, (rx, workers), &RunCfg::event_loop());
+                let (outs, _) = run(&schedule, shards, &RunCfg::event_loop());
                 prop_assert_eq!(
                     &outs, &reference,
-                    "event-driven divergence at rx={} workers={}",
-                    rx, workers
+                    "event-driven divergence at C={}",
+                    shards
                 );
             }
         }

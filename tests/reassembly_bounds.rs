@@ -25,7 +25,7 @@ fn header_only(id: u32, total: u16) -> Vec<u8> {
 /// 64 datagrams of 8 header bytes each (512 B on the wire), every one
 /// claiming the largest fragment count a header can carry. Sized by the
 /// header, this pinned ~100 MB for one peer while `pending_bytes()` — what
-/// `RxShardStats::reassembly_bytes_held` reports — said 0.
+/// `ShardStats::reassembly_bytes_held` reports — said 0.
 #[test]
 fn claimed_fragment_totals_pin_no_memory() {
     let flood: Vec<Vec<u8>> = (0..MAX_PENDING as u32)

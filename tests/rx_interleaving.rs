@@ -1,14 +1,15 @@
-//! Deterministic interleaving/fault tests for the sharded RX front-end
-//! (`RxShardPool`, `peer_id mod K`).
+//! Deterministic interleaving/fault tests for the sharded server's
+//! run-to-completion shards (`peer_id mod C`).
 //!
 //! Every test replays a named [`support::Schedule`] — an explicit
 //! description of one interleaving class (input order, batch boundaries,
 //! chosen `peer_id`s, partial-datagram splits, per-shard stalls) —
 //! through the single-threaded reference server and the sharded server
-//! across the `(rx_shards, workers)` grid, asserting
-//! byte-identical outcomes. The re-merge makes the result independent of
-//! the actual thread schedule; the stalls force the adversarial arrival
-//! orders to really occur, so nothing here is a timing accident.
+//! across the shard grid `C ∈ {1, 2, 4, 8}`, asserting byte-identical
+//! outcomes. The re-merge and the input-order escalations make the
+//! result independent of the actual thread schedule; the stalls force
+//! the adversarial reply orders to really occur, so nothing here is a
+//! timing accident.
 
 #[path = "support/mod.rs"]
 #[allow(dead_code)]
@@ -19,25 +20,24 @@ use endbox::server::Delivery;
 use endbox::use_cases::UseCase;
 use endbox_netsim::Packet;
 use support::{
-    assert_parity, full_grid, generated_schedule, simplify, split_raw, Out, PeerMap, RunCfg,
-    Schedule, Step,
+    assert_parity, generated_schedule, simplify, split_raw, Out, PeerMap, RunCfg, Schedule, Step,
+    GRID,
 };
 
 /// `grid` through direct `receive_datagrams` calls.
-fn assert_parity_call(schedule: &Schedule, grid: &[(usize, usize)]) {
+fn assert_parity_call(schedule: &Schedule, grid: &[usize]) {
     assert_parity(schedule, grid, &[RunCfg::call()]);
 }
 
-/// A successful Disconnect pauses only its owning RX shard; stalling that
-/// shard makes every other shard's events reach the re-merge first, so
-/// the front-end must hold them while the Disconnect verdict round-trips
-/// across the pipeline boundary — with the peer's next record (split so a
-/// fragment lands inside a fresh reassembler) and a failed replayed
+/// A successful Disconnect is decided, and its reassembler torn down, on
+/// the owning shard; stalling that shard makes every other shard's
+/// replies reach the re-merge first — with the peer's next record (split
+/// so a fragment lands inside a fresh reassembler) and a failed replayed
 /// Disconnect behind it.
 #[test]
 fn rx_schedule_disconnect_races_slow_owning_shard() {
     let schedule = Schedule::new("disconnect-races-slow-owning-shard", 2, 0xeb90)
-        .stall(0, 400) // peer 0's shard (for every K in the grid) frames slowly
+        .stall(0, 400) // peer 0's shard (for every C in the grid) works slowly
         .step(Step::Batch {
             client: 1,
             n_packets: 3,
@@ -52,12 +52,11 @@ fn rx_schedule_disconnect_races_slow_owning_shard() {
         .step(Step::Single { client: 1 })
         .step(Step::Flush)
         .step(Step::Single { client: 1 });
-    assert_parity_call(&schedule, &full_grid());
+    assert_parity_call(&schedule, &GRID);
 }
 
-/// The mirror image: the *sibling* shard is slow, so the Disconnect
-/// verdict is ready long before the other peers' events arrive and the
-/// re-merge buffer holds completed later-index events instead.
+/// The mirror image: the *sibling* shard is slow, so the Disconnect's
+/// shard replies long before the other peers' outcomes arrive.
 #[test]
 fn rx_schedule_disconnect_with_slow_sibling_shard() {
     let schedule = Schedule::new("disconnect-with-slow-sibling-shard", 3, 0xeb91)
@@ -74,14 +73,13 @@ fn rx_schedule_disconnect_with_slow_sibling_shard() {
             splits: vec![1], // 1-byte first fragment
         })
         .step(Step::Ping { client: 2 });
-    assert_parity_call(&schedule, &full_grid());
+    assert_parity_call(&schedule, &GRID);
 }
 
-/// All peers collide on RX shard 0 via chosen `peer_id`s (stride 4 is
-/// divisible by every K in the grid): sharding buys nothing, but the
-/// collided shard must still sequence every peer exactly like the single
-/// RX thread — including a Disconnect pause in the middle of the
-/// collided stream.
+/// All peers collide on shard 0 via chosen `peer_id`s (stride 4 is
+/// divisible by C ≤ 4): sharding buys nothing, but the collided shard
+/// must still sequence every peer exactly like the single thread —
+/// including a Disconnect in the middle of the collided stream.
 #[test]
 fn rx_schedule_all_peers_collide_on_one_shard() {
     let schedule = Schedule::new("all-peers-collide", 3, 0xeb92)
@@ -98,15 +96,14 @@ fn rx_schedule_all_peers_collide_on_one_shard() {
         .step(Step::Flush)
         .step(Step::Ping { client: 1 })
         .step(Step::Single { client: 1 });
-    assert_parity_call(&schedule, &full_grid());
+    assert_parity_call(&schedule, &GRID);
 }
 
-/// A split record's tail straddles both a `Flush` boundary and the
-/// RX_DISPATCH_CHUNK cut: the head fragments arrive in one
-/// `receive_datagrams` batch, 40 complete records from other peers force
-/// chunked dispatches, and only then does the tail complete the record —
-/// which the session layer rejects identically on both servers (crafted
-/// payload, live session).
+/// A split record's tail straddles a `Flush` boundary and a long run of
+/// other traffic: the head fragments arrive in one `receive_datagrams`
+/// batch, 40 complete records from another peer follow, and only then
+/// does the tail complete the record — which the session layer rejects
+/// identically on both servers (crafted payload, live session).
 #[test]
 fn rx_schedule_split_straddles_dispatch_and_flush_boundaries() {
     let mut schedule = Schedule::new("split-straddles-boundaries", 2, 0xeb93)
@@ -133,7 +130,7 @@ fn rx_schedule_split_straddles_dispatch_and_flush_boundaries() {
             hi: 4,
         })
         .step(Step::Single { client: 1 });
-    assert_parity_call(&schedule, &full_grid());
+    assert_parity_call(&schedule, &GRID);
 }
 
 /// Interleaved tiny datagrams: every record of every peer is split to
@@ -156,7 +153,7 @@ fn rx_schedule_interleaved_tiny_datagrams() {
             schedule = schedule.step(Step::Flush);
         }
     }
-    assert_parity_call(&schedule, &full_grid());
+    assert_parity_call(&schedule, &GRID);
 }
 
 mod proptests {
@@ -169,8 +166,7 @@ mod proptests {
         /// Proptest-generated schedules (batches, singles, pings,
         /// replays, disconnects, arbitrary splits, flush boundaries,
         /// colliding or spread peer maps) are byte-identical to the
-        /// single-threaded server over the FULL
-        /// (rx_shards × workers) grid.
+        /// single-threaded server over the full shard grid.
         #[test]
         fn generated_schedules_match_single_server_on_full_grid(
             n_clients in 2usize..4,
@@ -180,7 +176,7 @@ mod proptests {
         ) {
             let schedule =
                 generated_schedule("proptest-schedule", &raw, n_clients, collide, 0xeb50 + seed);
-            assert_parity_call(&schedule, &full_grid());
+            assert_parity_call(&schedule, &GRID);
         }
     }
 
@@ -230,11 +226,10 @@ mod proptests {
                 .filter(|o| *o != Out::Pending)
                 .collect();
 
-            for rx_shards in [1usize, 2, 4] {
+            for shards in GRID {
                 let mut sharded = Scenario::enterprise(1, UseCase::Nop)
                     .seed(0xeb60 + seed)
-                    .rx_shards(rx_shards)
-                    .build_sharded(rx_shards) // workers vary with the RX grid
+                    .build_sharded(shards)
                     .unwrap();
                 // Identical key material -> identical record bytes; recover
                 // them from the client's own fragments, then re-split at
@@ -259,15 +254,14 @@ mod proptests {
                 // *records* (non-pending outcomes) must be identical.
                 let got_np: Vec<Out> =
                     got.into_iter().filter(|o| *o != Out::Pending).collect();
-                prop_assert_eq!(&got_np, &reference_np, "rx_shards={} diverged", rx_shards);
+                prop_assert_eq!(&got_np, &reference_np, "C={} diverged", shards);
             }
         }
     }
 }
 
 /// Mixed singular (`receive_datagram`) and batch (`receive_datagrams`)
-/// calls route through the same RX shard pool and must preserve per-peer
-/// order — a multi-fragment record fed fragment-by-fragment across
+/// calls route through the same shards and must preserve per-peer order — a multi-fragment record fed fragment-by-fragment across
 /// call-style boundaries completes exactly like on the single server.
 #[test]
 fn mixed_singular_and_batch_calls_preserve_per_peer_order() {
@@ -322,18 +316,17 @@ fn mixed_singular_and_batch_calls_preserve_per_peer_order() {
         .map(simplify)
         .collect();
 
-    for rx_shards in [1usize, 2, 4] {
+    for shards in GRID {
         let mut sharded = Scenario::enterprise(2, UseCase::Nop)
             .seed(seed)
-            .rx_shards(rx_shards)
-            .build_sharded(4)
+            .build_sharded(shards)
             .unwrap();
         let d0 = sharded.clients[0].send_batch(packets(0)).unwrap();
         let d1 = sharded.clients[1].send_batch(packets(1)).unwrap();
         let interleaved = interleave(d0, d1);
         // Alternate call styles: singular, then a batch of three, then
         // singular again, … — per-peer fragment order must survive the
-        // mix because both styles feed the same pool.
+        // mix because both styles feed the same shards.
         let mut got = Vec::new();
         let mut queue = interleaved
             .into_iter()
@@ -359,22 +352,22 @@ fn mixed_singular_and_batch_calls_preserve_per_peer_order() {
             }
             batch_turn = !batch_turn;
         }
-        assert_eq!(got, reference, "rx_shards={rx_shards}");
+        assert_eq!(got, reference, "C={shards}");
     }
 }
 
-/// The RX shard pool's per-shard counters must reconcile with the
-/// front-end re-merge totals, and reassembly state must sit exactly on
-/// the owning shard.
+/// The shards' counters must reconcile with the front-end re-merge
+/// totals, and peer and session state must sit exactly on the owning
+/// shard.
 #[test]
 fn rx_shard_stats_reconcile_with_frontend_totals() {
     let mut s = Scenario::enterprise(4, UseCase::Nop)
         .seed(0xeb96)
-        .rx_shards(4)
-        .build_sharded(2)
+        .build_sharded(4)
         .unwrap();
 
-    // A few full batches from every client...
+    // A few full batches from every client (each first record binds its
+    // session to the client's peer)...
     let payloads: Vec<Vec<Vec<u8>>> = (0..4)
         .map(|c| {
             (0..3)
@@ -384,7 +377,7 @@ fn rx_shard_stats_reconcile_with_frontend_totals() {
         .collect();
     s.send_batches_from_all(&payloads).unwrap();
 
-    // ...a crafted disconnect for client 3 (pauses RX shard 3)...
+    // ...a crafted disconnect for client 3 (decided on shard 3)...
     let sid = s.session_id(3);
     let disconnect = endbox_vpn::proto::Record {
         opcode: endbox_vpn::proto::Opcode::Disconnect,
@@ -417,19 +410,22 @@ fn rx_shard_stats_reconcile_with_frontend_totals() {
         ));
     }
 
-    let stats = s.server.rx_shard_stats();
+    let stats = s.server.shard_stats();
     assert_eq!(stats.len(), 4);
-    let (merged, verdicts) = s.server.rx_merge_counters();
+    let (merged, resolved) = s.server.rx_merge_counters();
 
     // Counter reconciliation: per-shard sums == front-end totals. (The
-    // handshake ran through the pool too, so compare against the
+    // handshakes ran through the shards too, so compare against the
     // front-end's own totals rather than re-deriving from the script.)
     let framed: u64 = stats.iter().map(|st| st.records_framed).sum();
-    let pauses: u64 = stats.iter().map(|st| st.disconnect_pauses).sum();
+    let escalated: u64 = stats.iter().map(|st| st.escalations).sum();
     let datagrams: u64 = stats.iter().map(|st| st.datagrams).sum();
     assert_eq!(framed, merged, "framed records must reconcile: {stats:?}");
-    assert_eq!(pauses, verdicts, "disconnect pauses must reconcile");
-    assert_eq!(verdicts, 1, "exactly one disconnect verdict was issued");
+    assert_eq!(escalated, resolved, "escalations must reconcile");
+    assert_eq!(
+        resolved, 8,
+        "four handshakes and four first records, nothing after binding"
+    );
     assert!(
         datagrams >= total_datagrams,
         "shards saw every datagram (incl. handshakes): {datagrams} < {total_datagrams}"
@@ -448,22 +444,38 @@ fn rx_shard_stats_reconcile_with_frontend_totals() {
             assert_eq!(st.pending_records, 0, "shard {shard} must hold nothing");
             assert_eq!(st.reassembly_bytes_held, 0);
         }
-        // Peer i (i = client idx) lands on shard i for K=4.
+        // Peer i (i = client idx) lands on shard i for C=4, and so does
+        // its session.
+        let live = usize::from(shard != 3);
         assert_eq!(
-            st.peers,
-            if shard == 3 { 0 } else { 1 },
-            "shard {shard}: disconnect tore down peer 3's reassembler only"
+            (st.peers, st.sessions),
+            (live, live),
+            "shard {shard}: the disconnect tore down peer 3 and its session only"
         );
     }
 
-    // The pool keeps working after the stats round-trip.
+    // A record for a session no shard holds and no handshake could issue
+    // is refused on its shard, without a front-end trip.
+    let bogus = endbox_vpn::proto::Record {
+        opcode: endbox_vpn::proto::Opcode::Data,
+        session_id: 999,
+        packet_id: 1,
+        payload: vec![0xee; 40],
+    };
+    let d = support::split_raw(&bogus.to_bytes(), &[], 0xBEEF_0003);
+    assert_eq!(
+        s.server.receive_datagram(0, &d[0]).unwrap_err(),
+        endbox::EndBoxError::Vpn(endbox_vpn::VpnError::UnknownSession(999))
+    );
+    assert_eq!(s.server.rx_merge_counters().1, resolved, "no escalation");
+
+    // The shards keep working after the stats round-trip.
     let delivered = s.send_batches_from_all(&payloads[..3]).unwrap();
     assert_eq!(delivered.len(), 3);
 }
 
-/// The full-grid comprehensive schedule: a little of everything, checked
-/// over every `(rx, workers)` pair on a reduced step budget (the
-/// acceptance grid for the named tests above runs per-class).
+/// The comprehensive schedule: a little of everything, in one schedule,
+/// over the shard grid.
 #[test]
 fn rx_schedule_kitchen_sink_on_reduced_grid() {
     let schedule = Schedule::new("kitchen-sink", 3, 0xeb97)
@@ -489,5 +501,5 @@ fn rx_schedule_kitchen_sink_on_reduced_grid() {
             client: 2,
             n_packets: 2,
         });
-    assert_parity_call(&schedule, &[(1, 1), (2, 8), (4, 2), (4, 4)]);
+    assert_parity_call(&schedule, &GRID);
 }

@@ -1,9 +1,9 @@
-//! Shard determinism: a sharded server with N ∈ {1, 2, 4, 8} workers must
+//! Shard determinism: a sharded server with C ∈ {1, 2, 4, 8} shards must
 //! be observationally equivalent to the single-threaded server on
 //! interleaved multi-client traffic — byte-identical per-client
 //! emissions, identical drop/replay verdicts, identical session state —
-//! for any thread schedule, across the dispatcher's session migrations
-//! and with the pipelined RX front-end in between.
+//! for any thread schedule, across the dispatch law's peer migrations
+//! and across handshakes that land inside a receive batch.
 //!
 //! Both servers are driven with byte-identical wire traffic through the
 //! shared schedule harness (`tests/support`): scenarios built from the
@@ -17,16 +17,10 @@ mod support;
 
 use endbox::scenario::Scenario;
 use endbox::use_cases::UseCase;
-use support::{assert_parity, run, simplify, Geometry, Out, RunCfg, Schedule, Step};
+use support::{assert_parity, run, simplify, Geometry, Out, RunCfg, Schedule, Step, GRID};
 
-/// `(rx_shards, workers)` points the scripted parity tests run: every
-/// worker count, with the RX pool width varied alongside (the full
-/// rx × workers cross-product runs in `tests/rx_interleaving.rs` and the
-/// adversarial proptests below).
-const PARITY_GRID: [(usize, usize); 4] = [(4, 1), (2, 2), (1, 4), (4, 8)];
-
-/// A traffic script: `steps` in order, each its own pipelined
-/// `receive_datagrams` dispatch on the sharded server.
+/// A traffic script: `steps` in order, each its own `receive_datagrams`
+/// call on the sharded server.
 fn script(
     name: &'static str,
     n_clients: usize,
@@ -40,10 +34,11 @@ fn script(
         })
 }
 
-/// Asserts a script's parity at every [`PARITY_GRID`] point through the
-/// call-driven doorway; returns the dispatcher's `(migrations, steals)`.
+/// Asserts a script's parity at every shard count of the grid through
+/// the call-driven doorway; returns the dispatch law's `(migrations,
+/// steals)`.
 fn assert_script_parity(schedule: &Schedule) -> (u64, u64) {
-    assert_parity(schedule, &PARITY_GRID, &[RunCfg::call()])
+    assert_parity(schedule, &GRID, &[RunCfg::call()])
 }
 
 #[test]
@@ -113,13 +108,13 @@ fn config_grace_period_verdicts_match_single_server() {
 
 #[test]
 fn heavy_tailed_load_mix_matches_single_server_and_migrates() {
-    // Clients 0 and 4 (session ids 1 and 5 — both homed on shard 0 at 4
-    // workers) are elephants; the rest are mice. Every step is its own
-    // dispatch, so the elephants' records must be heavy enough for the
-    // hot shard's decaying EWMA to clear the one-MTU floor of the
-    // migration threshold. The dispatcher must migrate under this mix,
-    // and the output must stay byte-identical to the single-threaded
-    // server across the migration.
+    // Clients 0 and 4 (peers 0 and 4 — both on shard 0 at C = 2 and 4)
+    // are elephants; the rest are mice. Every step is its own receive
+    // call, so the elephants' records must be heavy enough for the hot
+    // shard's decaying EWMA to clear the one-MTU floor of the migration
+    // threshold. The dispatch law must migrate under this mix, and the
+    // output must stay byte-identical to the single-threaded server
+    // across the migration.
     let mut steps = Vec::new();
     for round in 0..6 {
         steps.push(Step::Batch {
@@ -149,9 +144,9 @@ fn heavy_tailed_load_mix_matches_single_server_and_migrates() {
 
 #[test]
 fn adversarial_single_session_load_matches_single_server() {
-    // All traffic from ONE session: the worst case for any dispatcher (a
-    // session is unsplittable, so migration cannot help and must not
-    // fire pathologically or corrupt the replay window).
+    // All traffic from ONE peer: the worst case for any dispatcher (a
+    // peer is unsplittable, so migration cannot help and must not fire
+    // pathologically or corrupt the replay window).
     let steps = (0..5).flat_map(|_| {
         [
             Step::Batch {
@@ -200,8 +195,8 @@ fn craft_disconnect_and_fragments(sid: u64) -> (Vec<u8>, Vec<Vec<u8>>) {
 }
 
 /// Feeds the receive batches `batches` builds from a scenario's session
-/// ids through `receive_datagrams`, on the reference and at every
-/// [`PARITY_GRID`] point, asserts identical outcomes, and returns the
+/// ids through `receive_datagrams`, on the reference and at every shard
+/// count of the grid, asserts identical outcomes, and returns the
 /// reference's.
 fn assert_batches_parity(
     n_clients: usize,
@@ -216,21 +211,15 @@ fn assert_batches_parity(
         .flat_map(|batch| single.server.receive_datagrams(batch))
         .map(simplify)
         .collect();
-    for (rx_shards, workers) in PARITY_GRID {
-        let mut sharded = builder()
-            .rx_shards(rx_shards)
-            .build_sharded(workers)
-            .unwrap();
+    for shards in GRID {
+        let mut sharded = builder().build_sharded(shards).unwrap();
         let sids: Vec<u64> = (0..n_clients).map(|i| sharded.session_id(i)).collect();
         let got: Vec<Out> = batches(&sids)
             .into_iter()
             .flat_map(|batch| sharded.server.receive_datagrams(batch))
             .map(simplify)
             .collect();
-        assert_eq!(
-            got, reference,
-            "(rx_shards, workers)=({rx_shards}, {workers})"
-        );
+        assert_eq!(got, reference, "C={shards}");
     }
     reference
 }
@@ -241,9 +230,9 @@ fn disconnect_followed_by_in_batch_fragment_matches_single_server() {
     // same receive batch carries a *fragment* of the peer's next record
     // after the Disconnect, the single-threaded server processes the
     // teardown first and the fragment lands in a fresh reassembler; the
-    // pipelined server must sequence it identically even though the
-    // teardown now happens on the RX stage, across the pipeline boundary
-    // (the RX stage pauses on the Disconnect until its verdict is known).
+    // sharded server must sequence it identically — the shard that owns
+    // the peer decides the Disconnect and tears the reassembler down
+    // before it frames the next datagram.
     // Disconnect and the first fragment of the next record arrive in ONE
     // batch; the second fragment arrives later.
     assert_batches_parity(1, 99, |sids| {
@@ -254,9 +243,9 @@ fn disconnect_followed_by_in_batch_fragment_matches_single_server() {
 
 #[test]
 fn disconnect_race_interleaved_with_other_peers_matches_single_server() {
-    // The Disconnect races the RX stage while OTHER peers' fragments are
-    // in flight in the same batch: pausing the RX stage for peer 0's
-    // teardown must not reorder or stall peer 1's reassembly, and a
+    // The Disconnect races OTHER peers' fragments in flight in the same
+    // batch: peer 0's teardown must not reorder or stall peer 1's
+    // reassembly, and a
     // REPLAYED (now-invalid) Disconnect later in the same batch must NOT
     // tear the fresh reassembler down.
     let reference = assert_batches_parity(2, 101, |sids| {
@@ -307,7 +296,7 @@ mod proptests {
 
         /// Any interleaving of batches, singles, pings and replays from
         /// 2-4 clients produces byte-identical emissions and identical
-        /// verdicts on 1/2/4/8-worker sharded servers.
+        /// verdicts on 1/2/4/8-shard servers.
         #[test]
         fn sharded_server_is_observationally_equivalent(
             n_clients in 2usize..5,
@@ -320,20 +309,18 @@ mod proptests {
     }
 
     /// Adversarial peer-mix proptests: the peer ids, split points and
-    /// batch boundaries are chosen hostile to the RX pool, and the
-    /// input-order re-merge is asserted over the FULL (rx_shards ×
-    /// workers) grid.
+    /// batch boundaries are chosen hostile to the shards, and the
+    /// input-order re-merge is asserted over the full shard grid.
     mod adversarial {
         use super::*;
-        use support::{full_grid, PeerMap};
+        use support::PeerMap;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(3))]
 
-            /// All peers collide on ONE RX shard via chosen `peer_id`s
-            /// (stride 4 ≡ shard 0 for every K in the grid): the collided
-            /// shard must sequence everything exactly like the single RX
-            /// thread.
+            /// All peers collide on ONE shard via chosen `peer_id`s
+            /// (stride 4 ≡ shard 0 for C ≤ 4): the collided shard must
+            /// sequence everything exactly like the single thread.
             #[test]
             fn colliding_peer_ids_match_single_server(
                 seed in 0u64..500,
@@ -349,12 +336,12 @@ mod proptests {
                         _ => Step::Flush,
                     });
                 }
-                assert_parity(&schedule, &full_grid(), &[RunCfg::call()]);
+                assert_parity(&schedule, &GRID, &[RunCfg::call()]);
             }
 
             /// A single peer floods the server (deep batches, splits,
-            /// replays, a disconnect race) — one RX shard does all the
-            /// work while its siblings idle, and order must still hold.
+            /// replays, a disconnect race) — one shard does all the work
+            /// while its siblings idle, and order must still hold.
             #[test]
             fn single_peer_flood_matches_single_server(
                 seed in 0u64..500,
@@ -375,7 +362,7 @@ mod proptests {
                         _ => Step::Flush,
                     });
                 }
-                assert_parity(&schedule, &full_grid(), &[RunCfg::call()]);
+                assert_parity(&schedule, &GRID, &[RunCfg::call()]);
             }
 
             /// Interleaved tiny datagrams: every peer's records split
@@ -400,8 +387,131 @@ mod proptests {
                         schedule = schedule.step(Step::Flush);
                     }
                 }
-                assert_parity(&schedule, &full_grid(), &[RunCfg::call()]);
+                assert_parity(&schedule, &GRID, &[RunCfg::call()]);
             }
         }
+    }
+}
+
+/// Handshakes inside a receive batch: one client per shard is
+/// disconnected, and its new `HandshakeInit` datagrams arrive in one
+/// batch interleaved with the established peers' data, with shard 0
+/// stalled — so handshakes escalate from several shards at once and the
+/// front-end must answer them in input order. Responses, session ids,
+/// outcomes and counters equal the reference's at every shard count, and
+/// the reconnected clients' first records bind their new sessions.
+#[test]
+fn handshakes_inside_a_batch_match_single_server() {
+    use endbox::EndBoxClient;
+    use endbox_netsim::Packet;
+    use endbox_vpn::proto::{Opcode, Record};
+
+    const CLIENTS: usize = 12;
+    let data = |clients: &mut [EndBoxClient], client: usize, round: u32| {
+        let packet = Packet::tcp(
+            Scenario::client_addr(client),
+            Scenario::network_addr(),
+            49_000 + client as u16,
+            5_001,
+            round,
+            format!("reconnect round {round} client {client}").as_bytes(),
+        );
+        clients[client].send_packet(packet).unwrap()
+    };
+    // One script, fed to `receive` (either server's `receive_datagrams`):
+    // everyone binds, clients `0..shards` disconnect and reconnect inside
+    // one batch, everyone sends again. Returns every outcome, in order.
+    let script = |shards: usize,
+                  clients: &mut [EndBoxClient],
+                  sids: &[u64],
+                  receive: &mut dyn FnMut(Vec<(u64, Vec<u8>)>) -> Vec<Out>| {
+        let mut outs = Vec::new();
+        let round = |clients: &mut [EndBoxClient], round: u32| {
+            (0..CLIENTS)
+                .flat_map(|c| {
+                    data(clients, c, round)
+                        .into_iter()
+                        .map(move |d| (c as u64, d))
+                })
+                .collect::<Vec<_>>()
+        };
+        let batch = round(clients, 0);
+        outs.extend(receive(batch));
+        let disconnects = (0..shards)
+            .map(|c| {
+                let record = Record {
+                    opcode: Opcode::Disconnect,
+                    session_id: sids[c],
+                    packet_id: 0,
+                    payload: vec![],
+                };
+                let frags = support::split_raw(&record.to_bytes(), &[], 0xD15C_0000 + c as u32);
+                (c as u64, frags.into_iter().next().unwrap())
+            })
+            .collect();
+        outs.extend(receive(disconnects));
+        let mut mixed = Vec::new();
+        for c in 0..CLIENTS {
+            let datagrams = if c < shards {
+                clients[c].connect_start().unwrap()
+            } else {
+                data(clients, c, 1)
+            };
+            mixed.extend(datagrams.into_iter().map(|d| (c as u64, d)));
+        }
+        let replies = receive(mixed);
+        // The reconnecting clients sent in client order, and handshakes
+        // are answered in input order: the k-th response is client k's.
+        let responses = replies.iter().filter_map(|out| match out {
+            Out::Established(_, response) => Some(response),
+            _ => None,
+        });
+        for (client, response) in clients.iter_mut().zip(responses) {
+            for frag in response {
+                client.connect_complete(frag).unwrap();
+            }
+        }
+        outs.extend(replies);
+        let batch = round(clients, 2);
+        outs.extend(receive(batch));
+        outs
+    };
+
+    for shards in GRID {
+        let builder = || Scenario::enterprise(CLIENTS, UseCase::Nop).seed(0x4a5d);
+        let mut reference = builder().build().unwrap();
+        let sids: Vec<u64> = (0..CLIENTS).map(|c| reference.session_id(c)).collect();
+        let server = &mut reference.server;
+        let want = script(shards, &mut reference.clients, &sids, &mut |batch| {
+            server
+                .receive_datagrams(batch)
+                .into_iter()
+                .map(simplify)
+                .collect()
+        });
+        let mut sharded = builder().build_sharded(shards).unwrap();
+        sharded.server.set_stall_micros(0, 300);
+        let server = &mut sharded.server;
+        let got = script(shards, &mut sharded.clients, &sids, &mut |batch| {
+            server
+                .receive_datagrams(batch)
+                .into_iter()
+                .map(simplify)
+                .collect()
+        });
+        assert_eq!(got, want, "C={shards}");
+        let established = want
+            .iter()
+            .filter(|o| matches!(o, Out::Established(..)))
+            .count();
+        assert_eq!(established, shards, "every reconnect is answered");
+        assert!(
+            want.iter()
+                .skip(want.len() - CLIENTS)
+                .all(|o| matches!(o, Out::Packets(_))),
+            "everyone's last record is delivered, reconnected clients' included: {want:?}"
+        );
+        assert_eq!(sharded.server.counters(), reference.server.counters());
+        assert_eq!(sharded.server.session_ids(), reference.server.session_ids());
     }
 }

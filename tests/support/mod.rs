@@ -1,32 +1,33 @@
-//! Deterministic interleaving/fault harness for the sharded RX front-end.
+//! Deterministic interleaving/fault harness for the sharded server.
 //!
 //! A [`Schedule`] is an explicit, named description of one interleaving
 //! class: which client produces which wire datagrams in which order,
 //! where the `receive_datagrams` batch boundaries fall ([`Step::Flush`]),
-//! which `peer_id`s the datagrams carry (steering them onto chosen RX
+//! which `peer_id`s the datagrams carry (steering them onto chosen
 //! shards), how records are split into partial datagrams (including
-//! splits inside record headers), and which RX shards are artificially
-//! stalled so their events reach the front-end re-merge late.
+//! splits inside record headers), and which shards are artificially
+//! stalled so their replies and escalations reach the front-end late.
 //!
 //! [`run`] replays a schedule at one [`Geometry`]: the single-threaded
-//! reference server, or the sharded server at one `(rx_shards, workers)`
-//! grid point, configured by a [`RunCfg`]: which doorway (direct
+//! reference server, or the sharded server at one shard count `C` of the
+//! grid, configured by a [`RunCfg`]: which doorway (direct
 //! `receive_datagrams` calls, or the **event-driven** socket front-end,
 //! where a [`Step::Flush`] becomes a poll-round boundary instead of a
 //! batch boundary), which `recv_many` bulk size and which wire backend.
-//! One loop drives both servers; the reference has no relocation, no RX
-//! threads to stall and no event loop, so [`Step::Remap`],
+//! One loop drives both servers; the reference has no relocation, no
+//! shard threads to stall and no event loop, so [`Step::Remap`],
 //! [`Step::Resize`], the stalls and the doorway do nothing there, and its
 //! `receive_datagrams` runs each datagram to completion in order. The
 //! dispatch law and — through the event loop — the budget, token and
 //! remap laws run in every sharded configuration; there is nothing to
 //! select. [`assert_parity`] asserts byte-identical outcomes between the
 //! reference and every grid point × configuration it is given. Because
-//! the sharded server re-merges by input index (and the event loop
-//! re-merges drained datagrams by wire arrival stamp), the assertions
-//! hold for *every* thread schedule — the stalls only force the
-//! adversarial arrival orders to actually occur, so each interleaving
-//! class is a reproducible named test instead of a timing accident.
+//! the sharded server re-merges by input index and answers escalations
+//! in input order (and the event loop re-merges drained datagrams by
+//! wire arrival stamp), the assertions hold for *every* thread schedule —
+//! the stalls only force the adversarial orders to actually occur, so
+//! each interleaving class is a reproducible named test instead of a
+//! timing accident.
 //! [`Step::Remap`] and [`Step::Resize`] steps additionally fire manual
 //! peer re-homes and pool resizes at exact schedule positions, and every
 //! sharded run reports the session moves the dispatcher made ([`Moves`]),
@@ -47,18 +48,8 @@ use endbox_netsim::Packet;
 use endbox_vpn::proto::{Opcode, Record};
 use endbox_vpn::wire::Writer;
 
-/// RX shard counts the grid covers.
-pub const RX_GRID: [usize; 3] = [1, 2, 4];
-/// Worker shard counts the grid covers.
-pub const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
-
-/// Every `(rx_shards, workers)` point of [`RX_GRID`] × [`WORKER_GRID`].
-pub fn full_grid() -> Vec<(usize, usize)> {
-    RX_GRID
-        .iter()
-        .flat_map(|&rx| WORKER_GRID.iter().map(move |&w| (rx, w)))
-        .collect()
-}
+/// The shard counts `C` the grid covers.
+pub const GRID: [usize; 4] = [1, 2, 4, 8];
 
 /// Ingress `recv_many` bulk sizes the bulk parity grid covers: the
 /// per-datagram transport shape (1), a tiny bulk that forces call
@@ -70,13 +61,13 @@ pub const BULK_GRID: [usize; 3] = [1, 2, 32];
 pub enum Geometry {
     /// The single-threaded reference server — the oracle.
     Reference,
-    /// The sharded server with `(rx_shards, workers)`.
-    Sharded(usize, usize),
+    /// The sharded server with `C` shards.
+    Sharded(usize),
 }
 
-impl From<(usize, usize)> for Geometry {
-    fn from((rx_shards, workers): (usize, usize)) -> Geometry {
-        Geometry::Sharded(rx_shards, workers)
+impl From<usize> for Geometry {
+    fn from(shards: usize) -> Geometry {
+        Geometry::Sharded(shards)
     }
 }
 
@@ -84,13 +75,13 @@ impl From<(usize, usize)> for Geometry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Doorway {
     /// Datagrams accumulate until a [`Step::Flush`] (or the end), then go
-    /// through the server as one pipelined `receive_datagrams` dispatch.
+    /// through the server as one `receive_datagrams` call.
     Call,
     /// `ScenarioBuilder::async_ingress`: the accumulated datagrams ride
     /// the wire into the per-peer server sockets — one `send` per
     /// datagram, in input order, so the wire stamps reproduce the exact
-    /// interleaving — and the event loop drains them through the
-    /// pipelined dispatch. With the default (generous) shard budget
+    /// interleaving — and the event loop drains them through the same
+    /// call. With the default (generous) shard budget
     /// everything drains in one poll round per flush segment, so the flat
     /// output sequence is comparable 1:1 with the reference.
     EventLoop,
@@ -143,12 +134,12 @@ impl RunCfg {
 /// How client indices map to wire-level `peer_id`s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeerMap {
-    /// `peer = client` (peers spread across RX shards as `client mod K`).
+    /// `peer = client` (peers spread across shards as `client mod C`).
     Identity,
-    /// `peer = client * stride`. With a stride divisible by every RX
-    /// shard count in the grid (e.g. 4), **all** peers collide on RX
-    /// shard 0 — the adversarial placement where sharding buys nothing
-    /// but must still be correct.
+    /// `peer = client * stride`. With a stride divisible by most shard
+    /// counts in the grid (e.g. 4), **all** peers collide on shard 0 —
+    /// the adversarial placement where sharding buys nothing but must
+    /// still be correct.
     Stride(u64),
 }
 
@@ -202,29 +193,26 @@ pub enum Step {
         lo: usize,
         hi: usize,
     },
-    /// Re-home `client`'s peer onto RX shard / poll group `to` at this
-    /// exact schedule position, via the manual control-plane hook
-    /// ([`ShardedScenario::remap_peer`]: reassembly state moves first —
-    /// quiesced, in-flight partial records drained and reinstalled —
-    /// then the socket registration follows). `to` is clamped onto the
-    /// run's RX shard count so one schedule drives every grid point. A
-    /// no-op for the single-threaded reference and the call-driven
-    /// sharded runs — the parity claim is precisely that re-homing
-    /// never changes outcomes, only where reassembly happens.
+    /// Re-home `client`'s peer onto shard / poll group `to` at this exact
+    /// schedule position, via the manual control-plane hook
+    /// ([`ShardedScenario::remap_peer`]: the peer's reassembler and bound
+    /// sessions move first — quiesced, in-flight partial records
+    /// included — then the socket registration follows). `to` is taken
+    /// modulo the run's shard count so one schedule drives every grid
+    /// point. A no-op for the single-threaded reference — the parity
+    /// claim is precisely that re-homing never changes outcomes, only
+    /// where the work happens.
     Remap { client: usize, to: usize },
-    /// Resize the sharded server's structure at this exact schedule
-    /// position — RX framing shards to `rx` and worker shards to
-    /// `workers` — via the manual elasticity hooks
-    /// ([`ShardedScenario::resize_rx_shards`] /
-    /// `ShardedEndBoxServer::resize_workers`: every peer's reassembly
-    /// state rehashes to its home under the new modulus, quiesced and
-    /// drained; retiring workers drain their sessions to survivors).
-    /// Both counts are clamped to `1..=8`. Like [`Step::Remap`], buffered
-    /// datagrams are deliberately NOT flushed first — they arrive after
-    /// the rehash, racing buffered traffic against the resize. A no-op
-    /// for the single-threaded reference — the parity claim is precisely
-    /// that capacity changes never change outcomes.
-    Resize { rx: usize, workers: usize },
+    /// Resize the sharded server to `shards` shards at this exact
+    /// schedule position, via the manual elasticity hook
+    /// ([`ShardedScenario::resize_shards`]: a shrink moves every peer of
+    /// a retiring shard, quiesced, to its home under the new count).
+    /// Clamped to `1..=8`. Like [`Step::Remap`], buffered datagrams are
+    /// deliberately NOT flushed first — they arrive after the move,
+    /// racing buffered traffic against the resize. A no-op for the
+    /// single-threaded reference — the parity claim is precisely that
+    /// capacity changes never change outcomes.
+    Resize { shards: usize },
     /// Cut a `receive_datagrams` batch boundary here (the reference runs
     /// each datagram to completion in order, so a boundary cannot move
     /// an outcome there).
@@ -255,8 +243,8 @@ pub struct Schedule {
     pub n_clients: usize,
     pub seed: u64,
     pub peers: PeerMap,
-    /// `(rx_shard, micros)` stalls installed before the sharded run;
-    /// entries whose shard index exceeds the run's RX count are skipped.
+    /// `(shard, micros)` stalls installed before the sharded run; entries
+    /// whose shard index exceeds the run's shard count are skipped.
     pub stalls: Vec<(usize, u64)>,
     pub steps: Vec<Step>,
 }
@@ -293,6 +281,7 @@ impl Schedule {
 #[derive(Debug, PartialEq)]
 pub enum Out {
     Pending,
+    Established(u64, Vec<Vec<u8>>),
     Packets(Vec<Vec<u8>>),
     Ping(u64),
     Disconnected(u64),
@@ -322,13 +311,16 @@ pub struct Replay {
 pub fn simplify(result: Result<Delivery, EndBoxError>) -> Out {
     match result {
         Ok(Delivery::Pending) => Out::Pending,
+        Ok(Delivery::Established {
+            session_id,
+            response,
+        }) => Out::Established(session_id, response),
         Ok(Delivery::Packet { packet, .. }) => Out::Packets(vec![packet.bytes().to_vec()]),
         Ok(Delivery::PacketBatch { packets, .. }) => {
             Out::Packets(packets.iter().map(|p| p.bytes().to_vec()).collect())
         }
         Ok(Delivery::Ping { message, .. }) => Out::Ping(message.config_version),
         Ok(Delivery::Disconnected { session_id }) => Out::Disconnected(session_id),
-        Ok(other) => panic!("unexpected delivery in parity run: {other:?}"),
         Err(e) => Out::Rejected(e),
     }
 }
@@ -540,14 +532,14 @@ fn seal_step(
 
 /// What a sharded run relocated while it replayed a schedule: the
 /// server's [`ResizeStats`] (so tests can reconcile the resize counters
-/// against the schedule that drove them) and the dispatcher's session
+/// against the schedule that drove them) and the dispatch law's peer
 /// moves. All zero for the reference.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Moves {
     pub resize: ResizeStats,
-    /// Sessions the dispatcher migrated (steals included).
+    /// Peers the dispatch law migrated (steals included).
     pub migrations: u64,
-    /// The migrations that were idle-worker steals.
+    /// The migrations that were idle-shard steals.
     pub steals: u64,
 }
 
@@ -569,26 +561,25 @@ macro_rules! on_either {
     };
 }
 
-/// Replays the schedule at `geometry` — the reference, or a
-/// `(rx_shards, workers)` grid point run as `cfg` describes — returning
-/// the replay and what the server relocated along the way.
+/// Replays the schedule at `geometry` — the reference, or a shard count
+/// run as `cfg` describes — returning the replay and what the server
+/// relocated along the way.
 pub fn run(schedule: &Schedule, geometry: impl Into<Geometry>, cfg: &RunCfg) -> (Replay, Moves) {
     let builder = Scenario::enterprise(schedule.n_clients, UseCase::Nop).seed(schedule.seed);
     let mut under = match geometry.into() {
         Geometry::Reference => Under::Reference(Box::new(builder.build().unwrap())),
-        Geometry::Sharded(rx_shards, workers) => {
+        Geometry::Sharded(shards) => {
             let mut scenario = builder
-                .rx_shards(rx_shards)
                 .async_ingress(cfg.doorway == Doorway::EventLoop)
                 .transport(cfg.transport)
-                .build_sharded(workers)
+                .build_sharded(shards)
                 .unwrap();
             if let Some(bulk) = cfg.recv_bulk {
                 scenario.set_recv_bulk(bulk);
             }
             for &(shard, micros) in &schedule.stalls {
-                if shard < rx_shards {
-                    scenario.server.set_rx_stall_micros(shard, micros);
+                if shard < shards {
+                    scenario.server.set_stall_micros(shard, micros);
                 }
             }
             Under::Sharded(Box::new(scenario))
@@ -621,20 +612,19 @@ pub fn run(schedule: &Schedule, geometry: impl Into<Geometry>, cfg: &RunCfg) -> 
             // relocation's quiescence requirement holds.
             Step::Remap { client, to } => {
                 if let Under::Sharded(s) = &mut under {
+                    let peer = schedule.peers.peer(client);
                     if s.async_ingress_enabled() {
                         // Socket registration is lazy on first send; an
                         // empty send forces it so a schedule may re-home
                         // a peer that has not produced traffic yet.
-                        let peer = schedule.peers.peer(client);
                         s.send_wire_datagrams(peer, Vec::new());
-                        s.remap_peer(peer, to);
                     }
+                    s.remap_peer(peer, to);
                 }
             }
-            Step::Resize { rx, workers } => {
+            Step::Resize { shards } => {
                 if let Under::Sharded(s) = &mut under {
-                    s.resize_rx_shards(rx.clamp(1, 8));
-                    s.server.resize_workers(workers.clamp(1, 8));
+                    s.resize_shards(shards.clamp(1, 8));
                 }
             }
             Step::Egress { client, n_packets } => {
@@ -807,8 +797,8 @@ pub fn pump_until(scenario: &mut ShardedScenario, expect: usize) -> Vec<Out> {
 
 /// Server→client egress between moves: seals and server pings land
 /// before and after resizes that move sessions' receive halves onto other
-/// workers (a shrink to one worker drains every other worker; a later
-/// grow, stealable silent client 3 and a second shrink follow), so the
+/// shards (a shrink to one shard gathers every peer; a later grow,
+/// stealable silent client 3 and a second shrink follow), so the
 /// packet-id sequence must run on unbroken from the front-end's send
 /// half; client 2 seals and is pinged after its `Disconnect`, which is
 /// `UnknownSession` on every server. Run by `tests/elastic_resize.rs`
@@ -833,7 +823,7 @@ pub fn egress_schedule() -> Schedule {
             client: 3,
             n_packets: 2,
         })
-        .step(Step::Resize { rx: 1, workers: 1 })
+        .step(Step::Resize { shards: 1 })
         .step(Step::Egress {
             client: 1,
             n_packets: 3,
@@ -843,7 +833,7 @@ pub fn egress_schedule() -> Schedule {
             client: 1,
             n_packets: 1,
         })
-        .step(Step::Resize { rx: 4, workers: 8 })
+        .step(Step::Resize { shards: 8 })
         .step(Step::Batch {
             client: 0,
             n_packets: 2,
@@ -854,7 +844,7 @@ pub fn egress_schedule() -> Schedule {
             n_packets: 2,
         })
         .step(Step::ServerPing { client: 3 })
-        .step(Step::Resize { rx: 2, workers: 2 })
+        .step(Step::Resize { shards: 2 })
         .step(Step::Egress {
             client: 0,
             n_packets: 5,
@@ -875,12 +865,12 @@ pub fn egress_schedule() -> Schedule {
 
 /// Asserts an equal [`Replay`] — byte-identical outcomes and egress,
 /// equal `(delivered, rejected)` counters and session state — between the
-/// single-threaded reference and the sharded server for every
-/// `(rx_shards, workers)` in `grid` × every configuration in `cfgs`.
-/// Where a schedule carries [`Step::Resize`] steps the grid point is only
-/// the *starting* geometry; the schedule moves it. Returns the
-/// dispatcher's `(migrations, steals)` summed over every run.
-pub fn assert_parity(schedule: &Schedule, grid: &[(usize, usize)], cfgs: &[RunCfg]) -> (u64, u64) {
+/// single-threaded reference and the sharded server for every shard
+/// count in `grid` × every configuration in `cfgs`. Where a schedule
+/// carries [`Step::Resize`] steps the grid point is only the *starting*
+/// geometry; the schedule moves it. Returns the dispatch law's
+/// `(migrations, steals)` summed over every run.
+pub fn assert_parity(schedule: &Schedule, grid: &[usize], cfgs: &[RunCfg]) -> (u64, u64) {
     let (reference, _) = run(schedule, Geometry::Reference, &RunCfg::call());
     let (mut migrations, mut steals) = (0, 0);
     for cfg in cfgs {
@@ -891,7 +881,7 @@ pub fn assert_parity(schedule: &Schedule, grid: &[(usize, usize)], cfgs: &[RunCf
             assert_eq!(
                 got, reference,
                 "schedule `{}` diverged from the single-threaded server at \
-                 (rx_shards, workers)={point:?} under {cfg:?}",
+                 C={point} under {cfg:?}",
                 schedule.name
             );
         }
@@ -905,5 +895,5 @@ pub fn assert_parity(schedule: &Schedule, grid: &[(usize, usize)], cfgs: &[RunCf
 /// round boundary, so neither may move an outcome.
 pub fn assert_parity_bulk(schedule: &Schedule) {
     let cfgs = BULK_GRID.map(|bulk| RunCfg::event_loop().bulk(bulk));
-    assert_parity(schedule, &full_grid(), &cfgs);
+    assert_parity(schedule, &GRID, &cfgs);
 }

@@ -206,7 +206,6 @@ fn datagrams_per_call_saturates_at_queue_depth_not_bulk_size() {
     let run = |kind: TransportKind, bulk: usize| {
         let mut scenario = Scenario::enterprise(2, UseCase::Nop)
             .seed(0xc2_04)
-            .rx_shards(2)
             .async_ingress(true)
             .transport(kind)
             .build_sharded(2)
