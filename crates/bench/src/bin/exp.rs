@@ -56,7 +56,7 @@ const EXPERIMENTS: [(&str, &str, fn()); 17] = [
     ),
     (
         "fig10_scalability",
-        "Fig. 10 + worker shards -> BENCH_fig10.json",
+        "Fig. 10 + run-to-completion shards -> BENCH_fig10.json",
         fig10_scalability,
     ),
     (
@@ -66,7 +66,7 @@ const EXPERIMENTS: [(&str, &str, fn()); 17] = [
     ),
     (
         "rx_scaling",
-        "RX front-end sharding -> BENCH_rx.json",
+        "shard scaling, small records -> BENCH_rx.json",
         || artifact("rx"),
     ),
     (
@@ -81,7 +81,7 @@ const EXPERIMENTS: [(&str, &str, fn()); 17] = [
     ),
     (
         "adaptive_control",
-        "controller vs modelled fixed RX homing -> BENCH_adaptive.json",
+        "controller vs modelled fixed shard homing -> BENCH_adaptive.json",
         || artifact("adaptive"),
     ),
     (
@@ -290,7 +290,7 @@ fn fig9_usecases() {
 /// at ~5.5 Gbps; OpenVPN+Click peaks at ~2.5 Gbps (FW/LB) and ~1.7 Gbps
 /// (IDPS/DDoS), then decreases. EndBox wins 2.6x–3.8x at 60 clients.
 /// Beyond the paper: the batched EndBox-SGX path with the server as one
-/// process running 1/2/4/8 worker shards.
+/// process running 1/2/4/8 run-to-completion shards.
 fn fig10_scalability() {
     fig10a().print();
     println!();

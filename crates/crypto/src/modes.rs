@@ -92,8 +92,9 @@ pub fn cbc_decrypt(
 
 /// Applies AES-128-CTR keystream to `data` in place (encrypt == decrypt).
 ///
-/// `nonce` provides the initial counter block; the low 32 bits are
-/// incremented big-endian per block.
+/// `nonce` provides the initial counter block. The whole 128-bit block is
+/// the counter: it is incremented big-endian per block, and a carry out of
+/// the low 32 bits moves on into byte 11 and above.
 pub fn ctr_xor(aes: &Aes128, nonce: &[u8; BLOCK_LEN], data: &mut [u8]) {
     let mut counter = *nonce;
     for chunk in data.chunks_mut(BLOCK_LEN) {
@@ -101,7 +102,7 @@ pub fn ctr_xor(aes: &Aes128, nonce: &[u8; BLOCK_LEN], data: &mut [u8]) {
         for (b, k) in chunk.iter_mut().zip(keystream.iter()) {
             *b ^= k;
         }
-        // Increment the final 32-bit word (big-endian), carrying upward.
+        // Increment the whole block as one big-endian 128-bit integer.
         for i in (0..BLOCK_LEN).rev() {
             counter[i] = counter[i].wrapping_add(1);
             if counter[i] != 0 {
@@ -241,5 +242,19 @@ mod tests {
         assert_ne!(data, original);
         ctr_xor(&aes, &nonce, &mut data);
         assert_eq!(data, original);
+    }
+
+    /// The counter is all 128 bits: when the low 32-bit word is all ones,
+    /// the second block's counter carries into byte 11 instead of wrapping
+    /// within the word.
+    #[test]
+    fn ctr_counter_carries_out_of_the_low_word() {
+        let aes = nist_key();
+        let nonce = hex::decode_array::<16>("f0f1f2f3f4f5f6f7f8f9fafbffffffff").unwrap();
+        let mut keystream = [0u8; 2 * BLOCK_LEN];
+        ctr_xor(&aes, &nonce, &mut keystream);
+        let carried = hex::decode_array::<16>("f0f1f2f3f4f5f6f7f8f9fafc00000000").unwrap();
+        assert_eq!(keystream[..BLOCK_LEN], aes.encrypt_block(&nonce));
+        assert_eq!(keystream[BLOCK_LEN..], aes.encrypt_block(&carried));
     }
 }

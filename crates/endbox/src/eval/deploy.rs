@@ -188,9 +188,7 @@ impl MeasureSpec {
 /// What [`measure`] read off the stack.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measured {
-    /// Per-packet charges. [`PacketCharge::rx_cycles`] is the share of
-    /// `server_cycles` that runs on the RX lanes: per-datagram framing
-    /// plus, through the event loop, the socket receives.
+    /// Per-packet charges.
     pub charge: PacketCharge,
     /// Event-loop wakeups per drained datagram — the amortisation input
     /// to [`endbox_netsim::pipeline::AsyncFrontEndModel::event_driven`].
@@ -216,8 +214,7 @@ pub struct Measured {
 /// modelled by the timing layer's lanes, fed by this charge.
 ///
 /// The event loop always runs over the deterministic in-process wire;
-/// its server sockets are metered at the `socket_*` constants, and the
-/// RX-lane share counts the same constants per drained datagram.
+/// its server sockets are metered at the `socket_*` constants.
 ///
 /// # Panics
 ///
@@ -306,10 +303,7 @@ where
     }
 
     let packets = (spec.samples * sizes.iter().sum::<usize>()) as u64;
-    let cost = CostModel::calibrated();
     let server_cycles = s.server_meter.take();
-    let framing_cycles = cost.vpn_server_per_fragment * datagrams as u64;
-    let mut boundary_cycles = 0;
     let (mut wakeups_per_datagram, mut datagrams_per_call) = (1.0, 1.0);
     let mut controller = ControllerStats::default();
     if let (Some((warm, _)), Some((stats, decided))) = (warm, event_loop(s)) {
@@ -318,8 +312,6 @@ where
         wakeups_per_datagram = (stats.wakeups - warm.wakeups) as f64 / drained.max(1) as f64;
         datagrams_per_call = drained as f64 / (stats.io_calls - warm.io_calls).max(1) as f64;
         controller = decided;
-        boundary_cycles = cost.socket_recv_fixed * datagrams as u64
-            + (cost.socket_per_byte * wire_bytes as f64) as u64;
     }
     let client_cycles: u64 = client_meters.iter().map(CycleMeter::take).sum();
     let charge = PacketCharge {
@@ -328,7 +320,6 @@ where
         fragments: (datagrams as u64).div_ceil(packets).max(1) as usize,
         client_cycles: client_cycles / packets,
         server_cycles: server_cycles / packets,
-        rx_cycles: framing_cycles / packets + boundary_cycles / packets,
         dropped: false,
     };
     Measured {
@@ -432,7 +423,6 @@ fn measure_vanilla_click(use_case: UseCase, payload_len: usize, samples: usize) 
         fragments: cost.fragments(pkt.len()),
         client_cycles: KERNEL_SEND_FIXED + (KERNEL_SEND_PER_BYTE * pkt.len() as f64) as u64,
         server_cycles,
-        rx_cycles: 0,
         dropped: false,
     }
 }
@@ -510,6 +500,5 @@ mod tests {
         });
         assert_eq!((m.wakeups_per_datagram, m.datagrams_per_call), (1.0, 1.0));
         assert_eq!(m.controller, ControllerStats::default());
-        assert!(m.charge.rx_cycles > 0 && m.charge.rx_cycles <= m.charge.server_cycles);
     }
 }

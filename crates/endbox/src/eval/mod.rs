@@ -85,8 +85,8 @@ pub const CLAIMS: [Claim; 10] = [
     ),
     at_peak(
         "rx",
-        "K=4 RX shards over K=1 at 120 peers (small records)",
-        gbps("rx_shards", "4", &["1"], true),
+        "C=4 shards over C=1 at 120 peers (small records)",
+        gbps("shards", "4", &["1"], true),
         1.3,
     ),
     at_peak(
@@ -103,7 +103,7 @@ pub const CLAIMS: [Claim; 10] = [
     ),
     Claim {
         artifact: "adaptive",
-        what: "controller over modelled fixed RX homing, every step of both traces",
+        what: "controller over modelled fixed `peer mod C` homing, every step of both traces",
         keys: &["trace", "step"],
         at_peak: false,
         ratio: gbps("config", "controller", &[scalability::FIXED_HOMING], true),
@@ -111,7 +111,7 @@ pub const CLAIMS: [Claim; 10] = [
     },
     Claim {
         artifact: "adaptive",
-        what: "controller over modelled fixed RX homing at each trace's peak",
+        what: "controller over modelled fixed `peer mod C` homing at each trace's peak",
         keys: &["trace", "step"],
         at_peak: true,
         ratio: gbps("config", "controller", &[scalability::FIXED_HOMING], true),
@@ -119,7 +119,7 @@ pub const CLAIMS: [Claim; 10] = [
     },
     Claim {
         artifact: "elastic",
-        what: "elastic resize over the best fixed (K, N) rung, every diurnal step",
+        what: "elastic resize over the best fixed shard count C, every diurnal step",
         keys: &["step"],
         at_peak: false,
         ratio: gbps("config", "elastic", FIXED_RUNGS, true),

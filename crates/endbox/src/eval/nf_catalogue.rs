@@ -180,7 +180,6 @@ fn run_mix(mix: &str, batch_size: usize, samples: usize) -> (PacketCharge, NfCha
         fragments: (frag_total.div_ceil(total as usize)).max(1),
         client_cycles: client_meter.take() / total,
         server_cycles: server_meter.take() / total,
-        rx_cycles: 0,
         dropped: false,
     };
     let stats = NfChainStats {

@@ -55,7 +55,6 @@ fn measure_with(scenario: &mut Scenario, payload_len: usize, samples: usize) -> 
         fragments: (frags / samples).max(1),
         client_cycles: client_meter.take() / samples as u64,
         server_cycles: server_meter.take() / samples as u64,
-        rx_cycles: 0,
         dropped: false,
     }
 }

@@ -1,8 +1,8 @@
 //! Fig. 10 — server-side aggregate throughput and CPU usage as the number
 //! of clients grows (200 Mbps offered per client, 1 500 B packets) — and
-//! the scaling experiments this repository adds on top: worker shards,
-//! load-aware dispatch, RX shards, the event-driven front-end, bulk socket
-//! I/O, the self-tuning controller and online resizing.
+//! the scaling experiments this repository adds on top: run-to-completion
+//! shards, peer migration, the event-driven front-end, bulk socket I/O,
+//! the self-tuning controller and online resizing.
 //!
 //! Every experiment is the same two steps: [`measure`] the per-packet
 //! charge of one real stack (the [`MeasureSpec`] says which), then
@@ -16,8 +16,8 @@ use super::throughput::DEFAULT_BATCH_SIZE;
 use crate::use_cases::UseCase;
 use endbox_netsim::cost::CostModel;
 use endbox_netsim::pipeline::{
-    run_scalability, AsyncFrontEndModel, PacketCharge, RxLanes, ScalabilityConfig,
-    ScalabilityResult, SyscallBatchModel, WorkerLanes,
+    run_scalability, AsyncFrontEndModel, PacketCharge, ScalabilityConfig, ScalabilityResult,
+    ShardLanes, SyscallBatchModel,
 };
 use endbox_netsim::resource::MachineSpec;
 use endbox_netsim::time::SimDuration;
@@ -28,29 +28,25 @@ pub fn client_counts() -> [usize; 9] {
     [1, 5, 10, 15, 20, 30, 40, 50, 60]
 }
 
-/// Worker-shard counts swept by the sharded Fig. 10 extension.
-pub fn worker_counts() -> [usize; 4] {
+/// Shard counts C swept by the sharded Fig. 10 extension and by the
+/// small-record shard-scaling experiment.
+pub fn shard_counts() -> [usize; 4] {
     [1, 2, 4, 8]
 }
 
-/// RX-shard counts swept by the RX-scaling experiment.
-pub fn rx_shard_counts() -> [usize; 3] {
-    [1, 2, 4]
-}
-
-/// Payload size of the RX-bound small-record mix (bytes). Small records
-/// mean one wire datagram per record, so the per-packet framing share is
-/// maximal — exactly the regime where a single RX thread is the serial
+/// Payload size of the small-record mix (bytes). Small records mean one
+/// wire datagram per record, so the fixed per-packet server work is
+/// maximal — exactly the regime where one shard is the serial
 /// bottleneck.
-pub const RX_MIX_PAYLOAD: usize = 256;
+pub const SMALL_MIX_PAYLOAD: usize = 256;
 
 /// Offered load per peer of the small-record mix (bits/s). Many cheap
 /// peers, not a few elephants: the aggregate packet rate is what
-/// saturates a framing lane.
-pub const RX_MIX_PER_CLIENT_BPS: u64 = 20_000_000;
+/// saturates a shard lane.
+pub const SMALL_MIX_PER_CLIENT_BPS: u64 = 20_000_000;
 
 /// Peer counts of the small-record sweeps.
-const RX_MIX_CLIENTS: [usize; 6] = [20, 40, 60, 80, 100, 120];
+const SMALL_MIX_CLIENTS: [usize; 6] = [20, 40, 60, 80, 100, 120];
 
 /// Peer counts of the syscall-boundary sweep.
 const BOUNDARY_CLIENTS: [usize; 3] = [40, 80, 120];
@@ -65,11 +61,11 @@ pub const WIRE_BULK_SIZES: [usize; 4] = [1, 8, 32, 128];
 pub const TRACE_BASE: usize = 10;
 
 /// Peak client count of the offered-load traces. Deliberately in the
-/// *lane-imbalance* regime of the 2-RX-shard server: the crowd's Zipf
-/// elephants all home on RX lane 0 (even client ids), whose offered load
-/// exceeds twice a lane's capacity while the odd lane still has idle
-/// headroom — so online re-homing converts real throughput, and a
-/// configuration that cannot remap leaves the cold lane underused. Far
+/// *lane-imbalance* regime of the 2-shard server: the crowd's Zipf
+/// elephants all home on shard lane 0 (even client ids), whose offered
+/// load exceeds twice a lane's capacity while the odd lane still has idle
+/// headroom — so moving peers converts real throughput, and a
+/// configuration that cannot move them leaves the cold lane underused. Far
 /// past this (say 60 clients at the same per-client rate) *both* lanes
 /// saturate and every configuration converges to the same aggregate
 /// ceiling, which would measure nothing.
@@ -78,42 +74,33 @@ pub const TRACE_PEAK: usize = 30;
 /// Steps per offered-load trace.
 const TRACE_STEPS: usize = 12;
 
-/// The lane model every sweep shares: a 20 ms window, five client
-/// machines, no scheduler contention, and the paper's
-/// one-process-per-client server until a sweep says otherwise.
-fn lanes(per_client_bps: u64, payload_bytes: usize) -> ScalabilityConfig {
+/// The lane model every sweep shares: `per_client_bps` of
+/// `payload_bytes` packets per client over a 20 ms window, five client
+/// machines, no scheduler contention, and the server `shards` — `None`
+/// for the paper's one-process-per-client server.
+fn lanes(
+    per_client_bps: u64,
+    payload_bytes: usize,
+    shards: Option<ShardLanes>,
+) -> ScalabilityConfig {
     ScalabilityConfig {
         per_client_bps,
         payload_bytes,
         duration: SimDuration::from_millis(20),
         contention_per_excess_process: 0.0,
+        server_shards: shards,
         ..ScalabilityConfig::default()
     }
 }
 
 /// Fig. 10's offered load (200 Mbps of 1 500 B packets per client) into
-/// one server process with `workers` shard flows — placed load-awarely
-/// or by fixed affinity — RX work folded into the worker lanes.
-fn fig10_lanes(workers: usize, load_aware: bool) -> ScalabilityConfig {
-    ScalabilityConfig {
-        server_worker_shards: Some(WorkerLanes {
-            load_aware,
-            ..WorkerLanes::new(workers)
-        }),
-        ..lanes(200_000_000, 1_500)
-    }
-}
-
-/// The small-record mix's offered load into the serial framing lanes
-/// `rx` in front of `workers` shard flows.
-fn rx_mix_lanes(charge: &PacketCharge, rx: RxLanes, workers: WorkerLanes) -> ScalabilityConfig {
-    ScalabilityConfig {
-        server_worker_shards: Some(WorkerLanes {
-            rx: Some(rx),
-            ..workers
-        }),
-        ..lanes(RX_MIX_PER_CLIENT_BPS, charge.payload_bytes)
-    }
+/// `c` shard lanes, peers fixed at home or moved by `migrate`.
+fn fig10_lanes(c: usize, migrate: bool) -> ScalabilityConfig {
+    let shards = ShardLanes {
+        migrate,
+        ..ShardLanes::new(c)
+    };
+    lanes(200_000_000, 1_500, Some(shards))
 }
 
 /// Replays one measured charge through the timing layer: `clients`
@@ -154,7 +141,7 @@ fn columns(keys: &[&'static str], extra: &[(&'static str, usize)]) -> Vec<(&'sta
 /// round.
 fn small_record_mix(shards: usize, peers: usize, per_peer: usize) -> MeasureSpec {
     MeasureSpec {
-        payload_len: RX_MIX_PAYLOAD,
+        payload_len: SMALL_MIX_PAYLOAD,
         samples: 6,
         peers,
         per_peer,
@@ -164,9 +151,9 @@ fn small_record_mix(shards: usize, peers: usize, per_peer: usize) -> MeasureSpec
 
 fn mix_title(what: &str, stack: &str) -> String {
     format!(
-        "Many-peer small-record mix ({RX_MIX_PAYLOAD} B payloads, {} Mbps/peer, single-record \
+        "Many-peer small-record mix ({SMALL_MIX_PAYLOAD} B payloads, {} Mbps/peer, single-record \
          datagrams): {what}\n    batched EndBox SGX[NOP] stack, {stack}",
-        RX_MIX_PER_CLIENT_BPS / 1_000_000
+        SMALL_MIX_PER_CLIENT_BPS / 1_000_000
     )
 }
 
@@ -208,7 +195,7 @@ fn paper_fig10(title: &str, deployments: &[Deployment]) -> Table {
         let lanes = ScalabilityConfig {
             server_procs_per_client: deployment.server_procs_per_client(),
             server_single_process: deployment.server_single_process(),
-            ..lanes(200_000_000, 1_500)
+            ..lanes(200_000_000, 1_500, None)
         };
         for n in client_counts() {
             let procs = n * deployment.server_procs_per_client();
@@ -256,14 +243,14 @@ pub fn fig10b() -> Table {
 /// `BENCH_fig10.json` — the sharded Fig. 10 extension: two real clients
 /// seal [`DEFAULT_BATCH_SIZE`]-packet records into the sharded server
 /// once; the charge replays with the server as one process of 1/2/4/8
-/// worker flows.
+/// shard lanes (the `workers` column is that shard count C).
 pub fn fig10_sharded() -> Table {
     let batch = DEFAULT_BATCH_SIZE;
     let mut table = Table::new(
         "fig10",
         format!(
-            "Sharded multi-worker server: batched EndBox SGX[NOP], batch={batch} \
-             (workers x clients)"
+            "Sharded server: batched EndBox SGX[NOP], batch={batch} \
+             (shards x clients)"
         ),
         &columns(&["deployment", "clients", "workers", "batch"], &[]),
         (&["workers"], "clients", &["gbps", "mpps"]),
@@ -275,11 +262,11 @@ pub fn fig10_sharded() -> Table {
         ..MeasureSpec::sharded(1)
     })
     .charge;
-    for workers in worker_counts() {
+    for c in shard_counts() {
         for n in client_counts() {
-            let r = replay(charge, &fig10_lanes(workers, false), n, false);
+            let r = replay(charge, &fig10_lanes(c, false), n, false);
             let name = format!("{} sharded", Deployment::EndBoxSgx(UseCase::Nop).name());
-            table.push(cells![name, n, workers, batch].chain(perf(&charge, &r)));
+            table.push(cells![name, n, c, batch].chain(perf(&charge, &r)));
         }
     }
     table
@@ -322,7 +309,7 @@ pub fn heavy_tail_batch_sizes(weights: &[f64], base_batch: usize) -> Vec<usize> 
 }
 
 /// The heavy-tailed batched measurement behind the dispatcher comparison:
-/// eight clients seal Zipf-sized records into a 4-worker server.
+/// eight clients seal Zipf-sized records into the sharded server.
 fn heavy_tail_spec() -> MeasureSpec {
     MeasureSpec {
         peers: 8,
@@ -334,10 +321,10 @@ fn heavy_tail_spec() -> MeasureSpec {
 }
 
 /// `BENCH_heavytail.json` — static affinity vs load-aware dispatch under
-/// the Zipf mix whose elephants collide on one home shard, at 4 worker
-/// shards. The one real stack is measured once; its charge is replayed
-/// with the same mix through the load-aware lane model and through
-/// fixed affinity. The `static` row is therefore a lane-model
+/// the Zipf mix whose elephants collide on one home shard, at 4 shards.
+/// The one real stack is measured once; its charge is replayed with the
+/// same mix through 4 shard lanes with modelled migration and with every
+/// peer fixed at home. The `static` row is therefore a lane-model
 /// counterfactual — the server no longer has a static mode to measure —
 /// and the win is a queueing effect the timing layer reproduces.
 pub fn heavy_tail() -> Table {
@@ -346,7 +333,7 @@ pub fn heavy_tail() -> Table {
         format!(
             "Heavy-tailed load mix (Zipf 1.2, colliding elephants): static affinity vs \
              load-aware dispatch\n    batched EndBox SGX[NOP], batch={DEFAULT_BATCH_SIZE}, \
-             4 worker shards"
+             4 shards"
         ),
         &columns(
             &["policy", "clients", "workers", "batch"],
@@ -355,9 +342,9 @@ pub fn heavy_tail() -> Table {
         (&["policy"], "clients", &["gbps", "migrations"]),
     );
     let charge = measure(&heavy_tail_spec()).charge;
-    for (policy, load_aware) in [("static", false), ("load-aware", true)] {
+    for (policy, migrate) in [("static", false), ("load-aware", true)] {
         for n in [10, 20, 30, 40, 50, 60] {
-            let r = replay(charge, &fig10_lanes(4, load_aware), n, true);
+            let r = replay(charge, &fig10_lanes(4, migrate), n, true);
             let keys = cells![policy, n, 4usize, DEFAULT_BATCH_SIZE];
             table.push(keys.chain(perf(&charge, &r)).chain(cells![r.migrations]));
         }
@@ -365,26 +352,29 @@ pub fn heavy_tail() -> Table {
     table
 }
 
-/// `BENCH_rx.json` — RX front-end sharding: six peers interleave
-/// single-record datagrams into a server with K shards; the charge
-/// replays with K serial framing lanes (completion-ordered hand-off) in
-/// front of 4 worker flows.
+/// `BENCH_rx.json` — shard scaling: six peers interleave single-record
+/// datagrams into a server of C shards; the charge replays through C
+/// shard lanes.
 pub fn rx_scaling() -> Table {
     let mut table = Table::new(
         "rx",
         mix_title(
-            "RX front-end sharding",
-            &format!("4 worker shards, RX shards K in {:?}", rx_shard_counts()),
+            "shard scaling",
+            &format!("shards C in {:?}", shard_counts()),
         ),
-        &columns(&["clients", "rx_shards", "workers"], &[]),
-        (&["rx_shards"], "clients", &["mpps", "server_cpu"]),
+        &columns(&["clients", "shards"], &[]),
+        (&["shards"], "clients", &["mpps", "server_cpu"]),
     );
-    for k in rx_shard_counts() {
-        let charge = measure(&small_record_mix(k, 6, 4)).charge;
-        for n in RX_MIX_CLIENTS {
-            let lanes = rx_mix_lanes(&charge, RxLanes::new(k), WorkerLanes::new(4));
-            let r = replay(charge, &lanes, n, false);
-            table.push(cells![n, k, 4usize].chain(perf(&charge, &r)));
+    for c in shard_counts() {
+        let charge = measure(&small_record_mix(c, 6, 4)).charge;
+        let cfg = lanes(
+            SMALL_MIX_PER_CLIENT_BPS,
+            charge.payload_bytes,
+            Some(ShardLanes::new(c)),
+        );
+        for n in SMALL_MIX_CLIENTS {
+            let r = replay(charge, &cfg, n, false);
+            table.push(cells![n, c].chain(perf(&charge, &r)));
         }
     }
     table
@@ -410,12 +400,9 @@ pub fn async_ingress() -> Table {
         "async",
         mix_title(
             "socket front-end comparison",
-            "4 worker shards, 4 RX shards (one poll group each)",
+            "4 shards (one poll group each)",
         ),
-        &columns(
-            &["mode", "clients", "rx_shards", "workers"],
-            &[("wakeups_per_packet", 4)],
-        ),
+        &columns(&["mode", "clients", "shards"], &[("wakeups_per_packet", 4)]),
         (&["mode"], "clients", &["mpps", "server_cpu"]),
     );
     let m = measure(&async_ingress_spec());
@@ -427,15 +414,19 @@ pub fn async_ingress() -> Table {
             AsyncFrontEndModel::event_driven(wakeup, m.wakeups_per_datagram),
         ),
     ] {
-        let rx = RxLanes {
+        let shards = ShardLanes {
             wakeups: Some(model),
-            ..RxLanes::new(4)
+            ..ShardLanes::new(4)
         };
-        let lanes = rx_mix_lanes(&m.charge, rx, WorkerLanes::new(4));
-        for n in RX_MIX_CLIENTS {
-            let r = replay(m.charge, &lanes, n, false);
+        let cfg = lanes(
+            SMALL_MIX_PER_CLIENT_BPS,
+            m.charge.payload_bytes,
+            Some(shards),
+        );
+        for n in SMALL_MIX_CLIENTS {
+            let r = replay(m.charge, &cfg, n, false);
             let wakeups_per_packet = model.wakeups_per_datagram * m.charge.fragments.max(1) as f64;
-            let keys = cells![mode, n, 4usize, 4usize];
+            let keys = cells![mode, n, 4usize];
             table.push(
                 keys.chain(perf(&m.charge, &r))
                     .chain(cells![wakeups_per_packet]),
@@ -462,7 +453,7 @@ pub fn boundary_spec(bulk: usize) -> MeasureSpec {
 
 /// One bulk size's rows: measures [`boundary_spec`] and replays it with
 /// the calibrated per-syscall cost spread over the measured
-/// datagrams-per-call ratio on the RX lanes
+/// datagrams-per-call ratio on the shard lanes
 /// ([`SyscallBatchModel::per_datagram`] at bulk 1,
 /// [`SyscallBatchModel::bulk`] above it; a measured ratio below 1.0 —
 /// the final empty dry-check call per socket — is clamped: a syscall
@@ -478,15 +469,19 @@ fn boundary_rows(bulk: usize) -> Vec<(usize, Vec<Cell>)> {
     } else {
         SyscallBatchModel::bulk(cost.syscall_per_call, m.datagrams_per_call.max(1.0))
     };
-    let rx = RxLanes {
+    let shards = ShardLanes {
         syscalls: Some(model),
-        ..RxLanes::new(2)
+        ..ShardLanes::new(2)
     };
-    let lanes = rx_mix_lanes(&m.charge, rx, WorkerLanes::new(4));
+    let cfg = lanes(
+        SMALL_MIX_PER_CLIENT_BPS,
+        m.charge.payload_bytes,
+        Some(shards),
+    );
     BOUNDARY_CLIENTS
         .into_iter()
         .map(|n| {
-            let r = replay(m.charge, &lanes, n, false);
+            let r = replay(m.charge, &cfg, n, false);
             let measured = perf(&m.charge, &r).chain(cells![model.datagrams_per_call]);
             (n, measured.collect())
         })
@@ -502,12 +497,9 @@ pub fn syscall_batch() -> Table {
         "wire",
         mix_title(
             "syscall-batched transport comparison",
-            &format!("4 worker shards, 2 RX shards, recv_many bulk sizes {WIRE_BULK_SIZES:?}"),
+            &format!("2 shards, recv_many bulk sizes {WIRE_BULK_SIZES:?}"),
         ),
-        &columns(
-            &["bulk", "clients", "rx_shards", "workers"],
-            &[("datagrams_per_call", 4)],
-        ),
+        &columns(&["bulk", "clients", "shards"], &[("datagrams_per_call", 4)]),
         (
             &["bulk"],
             "clients",
@@ -516,17 +508,17 @@ pub fn syscall_batch() -> Table {
     );
     for bulk in WIRE_BULK_SIZES {
         for (n, measured) in boundary_rows(bulk) {
-            table.push(cells![bulk, n, 2usize, 4usize].chain(measured));
+            table.push(cells![bulk, n, 2usize].chain(measured));
         }
     }
     table
 }
 
 /// The modelled baseline the controller's rows are set against: the
-/// same measured charge replayed with RX homing fixed at `client mod k`
-/// for the whole run. A lane-model counterfactual — the real front-end
-/// always runs its remap law — of what the controller's online re-homing
-/// is worth.
+/// same measured charge replayed with every peer fixed at its home shard
+/// `client mod C` for the whole run (`migrate: false`). A lane-model
+/// counterfactual — the real server always runs its laws — of what moving
+/// peers is worth.
 pub const FIXED_HOMING: &str = "fixed-homing";
 
 /// The measurement behind [`adaptive_control`] and [`elastic_resize`]:
@@ -543,58 +535,56 @@ pub fn controlled_spec(shards: usize) -> MeasureSpec {
     }
 }
 
-/// Replays one [`controlled_spec`] measurement at one trace step: crowd
-/// steps carry the Zipf skew, workers dispatch load-awarely, and online
-/// RX re-homing is modelled only for a *measured* run that demonstrably
-/// performed remaps — and not at all under `fixed_homing`, the
-/// [`FIXED_HOMING`] counterfactual.
+/// Replays one [`controlled_spec`] measurement at one trace step through
+/// `shards` shard lanes: crowd steps carry the Zipf skew, the event
+/// loop's measured wakeup amortisation prices the socket front-end, and
+/// peers migrate only for a *measured* run whose laws demonstrably moved
+/// a peer (a remap or a dispatch migration) — and not at all under
+/// `fixed_homing`, the [`FIXED_HOMING`] counterfactual.
 fn replay_step(
     m: &Measured,
-    rx_shards: usize,
-    workers: usize,
+    shards: usize,
     fixed_homing: bool,
     step: &TraceStep,
 ) -> impl Iterator<Item = Cell> {
     let wakeup = CostModel::calibrated().event_loop_wakeup;
-    let rx = RxLanes {
-        remap: !fixed_homing && m.controller.remaps > 0,
+    let moved = m.controller.remaps + m.controller.migrations > 0;
+    let shards = ShardLanes {
+        migrate: moved && !fixed_homing,
         wakeups: Some(AsyncFrontEndModel::event_driven(
             wakeup,
             m.wakeups_per_datagram,
         )),
-        ..RxLanes::new(rx_shards)
+        ..ShardLanes::new(shards)
     };
-    let workers = WorkerLanes {
-        load_aware: true,
-        ..WorkerLanes::new(workers)
-    };
-    let lanes = rx_mix_lanes(&m.charge, rx, workers);
-    perf(
-        &m.charge,
-        &replay(m.charge, &lanes, step.clients, step.crowd),
-    )
+    let cfg = lanes(
+        SMALL_MIX_PER_CLIENT_BPS,
+        m.charge.payload_bytes,
+        Some(shards),
+    );
+    perf(&m.charge, &replay(m.charge, &cfg, step.clients, step.crowd))
 }
 
 fn trace_title(what: &str, stack: &str) -> String {
     format!(
-        "Heavy-tailed small-record mix ({RX_MIX_PAYLOAD} B payloads, {} Mbps/peer) over \
+        "Heavy-tailed small-record mix ({SMALL_MIX_PAYLOAD} B payloads, {} Mbps/peer) over \
          offered-load traces: {what}\n    batched EndBox SGX[NOP] stack, {stack}; \
          {TRACE_BASE} -> {TRACE_PEAK} clients over {TRACE_STEPS} steps; crowd-phase steps \
          carry the Zipf skew",
-        RX_MIX_PER_CLIENT_BPS / 1_000_000
+        SMALL_MIX_PER_CLIENT_BPS / 1_000_000
     )
 }
 
 /// `BENCH_adaptive.json` — the controller vs [`FIXED_HOMING`] over a
-/// flash-crowd and a diurnal trace (2 RX shards, 4 workers). The real
-/// stack is measured exactly once; both rows replay that charge, and
-/// only the offered load moves across steps.
+/// flash-crowd and a diurnal trace (2 shards). The real stack is measured
+/// exactly once; both rows replay that charge, and only the offered load
+/// moves across steps.
 pub fn adaptive_control() -> Table {
     let mut table = Table::new(
         "adaptive",
         trace_title(
-            "online peer re-homing vs fixed RX homing",
-            "4 worker shards, 2 RX shards; flash-crowd + diurnal traces",
+            "online peer re-homing vs fixed shard homing",
+            "2 shards; flash-crowd + diurnal traces",
         ),
         &columns(&["config", "trace", "step", "clients", "crowd"], &[]),
         (&["trace", "config"], "step", &["gbps"]),
@@ -614,14 +604,14 @@ pub fn adaptive_control() -> Table {
         for (trace, steps) in &traces {
             for s in steps {
                 let keys = cells![config, *trace, s.step, s.clients, s.crowd];
-                table.push(keys.chain(replay_step(&m, 2, 4, fixed_homing, s)));
+                table.push(keys.chain(replay_step(&m, 2, fixed_homing, s)));
             }
         }
     }
     table
 }
 
-/// The fixed `(name, rx_shards, workers)` capacity ladder the elastic
+/// The fixed `(name, shards)` capacity ladder the elastic
 /// server competes against: an operator who picked one rung up front and
 /// cannot change it as the diurnal load moves. The rungs bracket the
 /// demand range — `fixed-small` is right-sized for the trough (and
@@ -629,18 +619,15 @@ pub fn adaptive_control() -> Table {
 /// trough). The elastic row moves along exactly this ladder, so "elastic
 /// within 10% of the best rung at every step" means online resizing
 /// recovers the whole fixed tuning space.
-pub const ELASTIC_LADDER: [(&str, usize, usize); 3] = [
-    ("fixed-small", 1, 1),
-    ("fixed-mid", 2, 4),
-    ("fixed-large", 4, 8),
-];
+pub const ELASTIC_LADDER: [(&str, usize); 3] =
+    [("fixed-small", 1), ("fixed-mid", 2), ("fixed-large", 4)];
 
 /// The [`ELASTIC_LADDER`] rung (by index) the resize law settles on for
 /// one trace step: the trace-level projection of the control law in
 /// `AsyncFrontEnd::control_round` (the live law folds socket backlog
 /// into demand EWMAs each round; over a whole step the EWMA converges
 /// onto the offered load, so the step's client count is the demand
-/// proxy). Demand maps linearly onto the ladder's RX range — the
+/// proxy). Demand maps linearly onto the ladder's shard range — the
 /// trough picks the smallest rung, the peak the largest — mirroring
 /// `desired = ceil(demand / RESIZE_TARGET_DEMAND)` with the trace's
 /// peak normalised onto `fixed-large`.
@@ -655,33 +642,30 @@ pub fn elastic_rung_for(clients: usize, peak: usize) -> usize {
         .unwrap_or(top)
 }
 
-/// `BENCH_elastic.json` — online RX/worker resizing vs the fixed
-/// [`ELASTIC_LADDER`] over the diurnal trace. Every geometry is measured
-/// once on the real stack; fixed rungs
-/// replay one geometry for the whole trace, the `elastic` row follows
-/// [`elastic_rung_for`] step by step, so capacity tracks the curve.
+/// `BENCH_elastic.json` — online shard-count resizing vs the fixed
+/// [`ELASTIC_LADDER`] over the diurnal trace. Every shard count is
+/// measured once on the real stack; fixed rungs replay one count for the
+/// whole trace, the `elastic` row follows [`elastic_rung_for`] step by
+/// step, so capacity tracks the curve.
 pub fn elastic_resize() -> Table {
     let mut table = Table::new(
         "elastic",
         trace_title(
-            "online RX/worker resizing vs fixed capacity rungs",
-            "ladder (K,N) in {(1,1), (2,4), (4,8)}; diurnal trace",
+            "online shard-count resizing vs fixed capacity rungs",
+            "ladder C in {1, 2, 4}; diurnal trace",
         ),
-        &columns(
-            &["config", "step", "clients", "crowd", "rx_shards", "workers"],
-            &[],
-        ),
-        (&["config"], "step", &["gbps", "rx_shards"]),
+        &columns(&["config", "step", "clients", "crowd", "shards"], &[]),
+        (&["config"], "step", &["gbps", "shards"]),
     );
     let trace = diurnal_trace(TRACE_BASE, TRACE_PEAK, TRACE_STEPS);
-    let rungs = ELASTIC_LADDER.map(|(_, shards, _)| measure(&controlled_spec(shards)));
+    let rungs = ELASTIC_LADDER.map(|(_, shards)| measure(&controlled_spec(shards)));
     let fixed = (0..ELASTIC_LADDER.len()).map(|rung| (ELASTIC_LADDER[rung].0, Some(rung)));
     for (config, fixed_rung) in fixed.chain([("elastic", None)]) {
         for s in &trace {
             let rung = fixed_rung.unwrap_or_else(|| elastic_rung_for(s.clients, TRACE_PEAK));
-            let (_, rx_shards, workers) = ELASTIC_LADDER[rung];
-            let keys = cells![config, s.step, s.clients, s.crowd, rx_shards, workers];
-            table.push(keys.chain(replay_step(&rungs[rung], rx_shards, workers, false, s)));
+            let shards = ELASTIC_LADDER[rung].1;
+            let keys = cells![config, s.step, s.clients, s.crowd, shards];
+            table.push(keys.chain(replay_step(&rungs[rung], shards, false, s)));
         }
     }
     table
@@ -810,82 +794,55 @@ mod tests {
     }
 
     #[test]
-    fn load_aware_dispatch_keeps_uniform_fig10_numbers() {
-        // The guard-rail: under the *uniform* Fig. 10 load the dispatcher
-        // must be within 5% of static affinity.
+    fn migration_keeps_uniform_fig10_numbers() {
+        // The guard-rail: under the *uniform* Fig. 10 load modelled
+        // migration must be within 5% of fixed homing.
         let charge = fig10_charge(4);
-        let run = |load_aware: bool| replay(charge, &fig10_lanes(4, load_aware), 60, false).gbps;
-        let (g_stat, g_aware) = (run(false), run(true));
+        let run = |migrate: bool| replay(charge, &fig10_lanes(4, migrate), 60, false).gbps;
+        let (g_fixed, g_moving) = (run(false), run(true));
         assert!(
-            (g_aware - g_stat).abs() / g_stat < 0.05,
-            "uniform load must not regress: static {g_stat:.2} vs load-aware {g_aware:.2} Gbps"
+            (g_moving - g_fixed).abs() / g_fixed < 0.05,
+            "uniform load must not regress: fixed {g_fixed:.2} vs migrating {g_moving:.2} Gbps"
         );
     }
 
     #[test]
     fn heavy_tail_win_comes_from_migrations() {
         let charge = measure(&heavy_tail_spec()).charge;
-        let replay_at_60 = |load_aware| replay(charge, &fig10_lanes(4, load_aware), 60, true);
-        let stat = replay_at_60(false);
-        let aware = replay_at_60(true);
-        assert_eq!(stat.migrations, 0);
-        assert!(aware.migrations > 0 && aware.gbps > stat.gbps);
+        let replay_at_60 = |migrate| replay(charge, &fig10_lanes(4, migrate), 60, true);
+        let fixed = replay_at_60(false);
+        let moving = replay_at_60(true);
+        assert_eq!(fixed.migrations, 0);
+        assert!(moving.migrations > 0 && moving.gbps > fixed.gbps);
     }
 
     #[test]
-    fn rx_mix_is_framing_dominated() {
-        // The many-peer small-record mix must actually be RX-bound:
-        // per-datagram framing has to carry the majority of the per-packet
-        // server work, or the sweep measures the wrong bottleneck.
-        let charge = measure(&small_record_mix(1, 6, 4)).charge;
-        assert!(
-            charge.rx_cycles * 2 >= charge.server_cycles,
-            "framing must dominate the small-record mix: rx {} of {} total",
-            charge.rx_cycles,
-            charge.server_cycles
-        );
-        assert!(charge.rx_cycles <= charge.server_cycles);
-        assert_eq!(charge.fragments, 1, "small records must not fragment");
-    }
-
-    #[test]
-    fn rx_sharding_win_grows_with_peer_count() {
-        // At low peer counts even one RX lane keeps up (the win must come
-        // from saturation, not from a modelling constant); at high counts
-        // the single lane pins the ceiling.
+    fn shard_win_grows_with_peer_count() {
+        // At low peer counts few shards keep up (the win must come from
+        // saturation, not from a modelling constant); at high counts the
+        // single shard pins the ceiling.
         let table = rx_scaling();
         let win = |clients: &str| {
-            table.get(&[("rx_shards", "4"), ("clients", clients)], "gbps")
-                / table.get(&[("rx_shards", "1"), ("clients", clients)], "gbps")
+            table.get(&[("shards", "4"), ("clients", clients)], "gbps")
+                / table.get(&[("shards", "1"), ("clients", clients)], "gbps")
         };
         let (low, high) = (win("20"), win("120"));
         assert!(
             high > low,
-            "the RX-sharding win must grow with peers: {low:.2}x at 20 vs {high:.2}x at 120"
+            "the shard-scaling win must grow with peers: {low:.2}x at 20 vs {high:.2}x at 120"
         );
     }
 
     #[test]
-    fn uniform_fig10_numbers_unmoved_by_rx_pool() {
-        // The guard-rail: the RX pool must not move the uniform Fig. 10
-        // sharded numbers (big batched records amortise framing to a
-        // sliver per packet, and the sweep keeps RX folded into the
-        // worker lanes). 9.92 Gbps at 60 clients / 4 workers is the
-        // pre-RX-pool baseline.
+    fn uniform_fig10_numbers_hold_their_baseline() {
+        // The guard-rail: 9.92 Gbps at 60 clients on 4 shards is the
+        // sharded Fig. 10 baseline; big batched records keep the shard
+        // lanes clear of the ceiling.
         let charge = fig10_charge(4);
         let gbps = replay(charge, &fig10_lanes(4, false), 60, false).gbps;
         assert!(
             (gbps - 9.92).abs() / 9.92 < 0.05,
             "uniform Fig. 10 must stay within 5% of the baseline: {gbps:.2} Gbps"
-        );
-        // And the batched path's measured framing share really is a
-        // minority (on the small-record mix it is the majority; see
-        // `rx_mix_is_framing_dominated`).
-        assert!(
-            charge.rx_cycles * 2 <= charge.server_cycles,
-            "batched records must amortise framing: rx {} of {}",
-            charge.rx_cycles,
-            charge.server_cycles
         );
     }
 
@@ -902,12 +859,6 @@ mod tests {
             m.wakeups_per_datagram
         );
         assert_eq!(m.charge.fragments, 1, "small records must not fragment");
-        assert!(
-            m.charge.rx_cycles <= m.charge.server_cycles,
-            "rx share (framing + socket) within the measured total: rx {} of {}",
-            m.charge.rx_cycles,
-            m.charge.server_cycles
-        );
     }
 
     #[test]

@@ -149,9 +149,10 @@ impl ScenarioBuilder {
     }
 
     /// Accepted and ignored. The sharded server's geometry is the one
-    /// shard count [`ScenarioBuilder::build_sharded`] takes; this setter
-    /// survives only for callers that still spell geometry as two
-    /// numbers, and goes with the last of them.
+    /// shard count [`ScenarioBuilder::build_sharded`] takes. The last
+    /// caller is the wall-clock benchmark's `exp_wallclock/workload.rs`,
+    /// which still spells geometry as two numbers; this setter goes with
+    /// that call.
     pub fn rx_shards(self, _: usize) -> Self {
         self
     }

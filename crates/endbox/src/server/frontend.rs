@@ -98,7 +98,6 @@ pub const DEFAULT_RECV_BULK: usize = 32;
 /// use endbox::use_cases::UseCase;
 ///
 /// let mut s = Scenario::enterprise(2, UseCase::Nop)
-///     .rx_shards(2)
 ///     .async_ingress(true)
 ///     .build_sharded(2)
 ///     .unwrap();

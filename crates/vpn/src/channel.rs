@@ -4,14 +4,13 @@
 //! (OpenVPN's configuration in the evaluation), integrity-only protection
 //! for the ISP scenario ("AES-128-CBC packet encryption is optional …
 //! the fact that egress traffic is analysed by Click needs to be ensured
-//! by applying integrity protection", §IV-A), and a payload-sampled mode
-//! used by bulk scalability simulations (full cycle cost charged, payload
-//! bytes not individually encrypted — see DESIGN.md §4).
+//! by applying integrity protection", §IV-A). Both authenticate every
+//! byte of a record.
 //!
 //! # One buffer per record
 //!
 //! A sealed payload is `[IV ‖ ciphertext ‖ tag]` (the IV and the
-//! encryption are absent from the integrity-only suites). `seal` builds it
+//! encryption are absent from the integrity-only suite). `seal` builds it
 //! in the one `Vec` the [`Record`] will own: IV first, the plaintext (for
 //! a batch, the frames straight from [`frame::encode_into`]) after it,
 //! PKCS#7 padding and CBC encryption where the bytes lie, then the MAC
@@ -51,9 +50,6 @@ pub enum CipherSuite {
     Aes128CbcHmac,
     /// HMAC-SHA256 only; payload travels in clear (ISP mode, §IV-A).
     IntegrityOnly,
-    /// Simulation-only: MAC over a payload sample, full crypto cycle cost
-    /// charged. Keeps bulk experiments fast without changing framing.
-    SampledPayload,
 }
 
 /// Keys for one direction of a session.
@@ -185,10 +181,8 @@ struct Suite {
 impl Suite {
     fn charge(&self, bytes: usize) {
         let cycles = match self.kind {
+            CipherSuite::Aes128CbcHmac => self.cost.crypto_cycles(bytes),
             CipherSuite::IntegrityOnly => self.cost.integrity_only_cycles(bytes),
-            // SampledPayload charges the full CBC+HMAC budget: it stands in
-            // for the real suite in bulk runs.
-            _ => self.cost.crypto_cycles(bytes),
         };
         self.meter.add(cycles);
     }
@@ -410,10 +404,6 @@ impl SendHalf {
                 write(&mut body);
                 tag(&self.mac, opcode, packet_id, &body)
             }
-            CipherSuite::SampledPayload => {
-                write(&mut body);
-                sampled_tag(&self.mac, opcode, packet_id, &body)
-            }
         };
         body.extend_from_slice(&tag);
         Record {
@@ -464,12 +454,7 @@ impl RecvHalf {
             return Err(VpnError::Malformed("sealed payload too short"));
         }
         let (body, tag_bytes) = record.payload.split_at(record.payload.len() - TAG_LEN);
-        let expected = match self.suite.kind {
-            CipherSuite::SampledPayload => {
-                sampled_tag(&self.mac, record.opcode, record.packet_id, body)
-            }
-            _ => tag(&self.mac, record.opcode, record.packet_id, body),
-        };
+        let expected = tag(&self.mac, record.opcode, record.packet_id, body);
         if !endbox_crypto::ct_eq(&expected, tag_bytes) {
             return Err(VpnError::AuthenticationFailed);
         }
@@ -493,7 +478,7 @@ impl RecvHalf {
                     }
                 }
             }
-            CipherSuite::IntegrityOnly | CipherSuite::SampledPayload => {
+            CipherSuite::IntegrityOnly => {
                 out.extend_from_slice(body);
             }
         }
@@ -542,19 +527,6 @@ fn tag(keyed: &HmacSha256, opcode: Opcode, packet_id: u64, body: &[u8]) -> [u8; 
     m.finalize()
 }
 
-/// MAC over a payload sample: first/last 32 bytes + length.
-fn sampled_tag(keyed: &HmacSha256, opcode: Opcode, packet_id: u64, body: &[u8]) -> [u8; TAG_LEN] {
-    let mut m = keyed.clone();
-    m.update(&[opcode.to_u8(), 0xfe]);
-    m.update(&packet_id.to_be_bytes());
-    m.update(&(body.len() as u64).to_be_bytes());
-    let head = &body[..body.len().min(32)];
-    let tail = &body[body.len().saturating_sub(32)..];
-    m.update(head);
-    m.update(tail);
-    m.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,11 +554,7 @@ mod tests {
 
     #[test]
     fn seal_open_roundtrip_all_suites() {
-        for suite in [
-            CipherSuite::Aes128CbcHmac,
-            CipherSuite::IntegrityOnly,
-            CipherSuite::SampledPayload,
-        ] {
+        for suite in [CipherSuite::Aes128CbcHmac, CipherSuite::IntegrityOnly] {
             let (mut c, mut s) = pair(suite);
             let rec = c.seal(Opcode::Data, 9, b"tunnelled ip packet");
             assert_eq!(rec.session_id, 9);
@@ -604,11 +572,7 @@ mod tests {
     /// seals exactly the bytes the unsplit channel would have.
     #[test]
     fn split_halves_interoperate_with_the_client_pair() {
-        for suite in [
-            CipherSuite::Aes128CbcHmac,
-            CipherSuite::IntegrityOnly,
-            CipherSuite::SampledPayload,
-        ] {
+        for suite in [CipherSuite::Aes128CbcHmac, CipherSuite::IntegrityOnly] {
             let (mut c, s) = pair(suite);
             let (_, mut whole) = pair(suite);
             let (mut send, mut recv) = s.split();
@@ -830,11 +794,7 @@ mod tests {
 
     #[test]
     fn batch_seal_open_roundtrip() {
-        for suite in [
-            CipherSuite::Aes128CbcHmac,
-            CipherSuite::IntegrityOnly,
-            CipherSuite::SampledPayload,
-        ] {
+        for suite in [CipherSuite::Aes128CbcHmac, CipherSuite::IntegrityOnly] {
             let (mut c, mut s) = pair(suite);
             let payloads: Vec<&[u8]> = vec![b"first packet", b"", b"third tunnelled packet"];
             let rec = c.seal_batch(7, &payloads);
@@ -931,13 +891,9 @@ mod tests {
             #[test]
             fn seal_open_roundtrip(
                 payload in prop::collection::vec(any::<u8>(), 0..2048),
-                suite_idx in 0usize..3,
+                suite_idx in 0usize..2,
             ) {
-                let suite = [
-                    CipherSuite::Aes128CbcHmac,
-                    CipherSuite::IntegrityOnly,
-                    CipherSuite::SampledPayload,
-                ][suite_idx];
+                let suite = [CipherSuite::Aes128CbcHmac, CipherSuite::IntegrityOnly][suite_idx];
                 let (mut c, mut s) = pair(suite);
                 let rec = c.seal(Opcode::Data, 1, &payload);
                 prop_assert_eq!(s.open(&rec).unwrap(), payload);

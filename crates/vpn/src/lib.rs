@@ -13,8 +13,8 @@
 //!   agreement authenticated by certificates, with minimum-version
 //!   enforcement on both sides (downgrade defence, §V-A).
 //! * [`channel`] — the data channel: AES-128-CBC + HMAC-SHA256 (OpenVPN's
-//!   classic protection), an integrity-only mode for the ISP scenario
-//!   (§IV-A), and a payload-sampled mode for bulk simulations.
+//!   classic protection) and an integrity-only mode for the ISP scenario
+//!   (§IV-A).
 //! * [`replay`] — OpenVPN's sliding-window replay protection (§V-A:
 //!   "the ENDBOX server detects this, due to OpenVPN's implementation of
 //!   packet replay protection").

@@ -1,6 +1,6 @@
 //! Event-driven socket ingress, step by step: sealed datagrams ride the
 //! in-process wire into per-peer server sockets, and the
-//! `AsyncFrontEnd`'s poll loop (one poll group per RX shard) drains them
+//! `AsyncFrontEnd`'s poll loop (one poll group per shard) drains them
 //! into the pipelined dispatch — including what backpressure looks like
 //! when one peer floods its socket.
 //!
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Backpressure: peer 0 floods — more than the budget law grants the
     // whole server per round (`DEFAULT_SHARD_BUDGET` × 2 shards) — while
-    // its shard-mate (peer 2, same RX shard: 2 mod 2 == 0) sends one
+    // its shard-mate (peer 2, same shard: 2 mod 2 == 0) sends one
     // packet. The mate still rides the first round; the flood's tail
     // defers.
     let flood = (DEFAULT_SHARD_BUDGET * 2 + 64) as u32;
