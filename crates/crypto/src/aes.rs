@@ -113,6 +113,24 @@ impl Aes128 {
         }
     }
 
+    /// An expansion pinned to the portable backend (the reference in
+    /// backend-equality tests).
+    #[cfg(test)]
+    pub(crate) fn portable(key: &[u8; KEY_LEN]) -> Self {
+        Aes128 {
+            backend: Backend::Portable(Portable::new(key)),
+        }
+    }
+
+    /// The AES-NI expansion, when this key runs on that backend.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn ni(&self) -> Option<&crate::hw::AesNi> {
+        match &self.backend {
+            Backend::AesNi(hw) => Some(hw),
+            Backend::Portable(_) => None,
+        }
+    }
+
     /// Encrypts a single 16-byte block.
     pub fn encrypt_block(&self, block: &[u8; BLOCK_LEN]) -> [u8; BLOCK_LEN] {
         match &self.backend {

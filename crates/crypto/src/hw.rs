@@ -1,12 +1,25 @@
-//! x86-64 hardware kernels: AES-NI for AES-128 and SHA-NI for SHA-256.
+//! x86-64 hardware kernels: AES-NI for AES-128, SHA-NI for SHA-256, and
+//! the two stitched into one loop for the data channel's seal.
+//!
+//! Three kernels: the AES-128 key schedule and CBC loops (serial encrypt,
+//! eight blocks in flight for decrypt); the SHA-256 compression function,
+//! whose round sequence is one per-block body ([`sha256_block`]); and
+//! [`AesNi::cbc_encrypt_then_compress`], the data channel's seal, which
+//! compresses the oldest complete 64-byte block of the MAC input through
+//! that same body while the AES rounds of the next 64 bytes of CBC are
+//! issued between its round groups — so the `aesenc` chain and the
+//! `sha256rnds2` chain, each latency-bound and on different ports, run
+//! side by side instead of back to back. Its bytes are exactly those of
+//! the CBC loop followed by the compression.
 //!
 //! This is the only module in the workspace that contains `unsafe`. The
 //! fence is the type system: every `#[target_feature]` function is private
 //! to this file and is only called through a value ([`AesNi`], [`ShaNi`])
 //! whose sole constructor runs `is_x86_feature_detected!` first, so safe
-//! code cannot reach an instruction the CPU lacks. The only other unsafe
-//! operations are the unaligned 16-byte loads and stores, which go through
-//! [`load`]/[`store`] on `[u8; 16]` references.
+//! code cannot reach an instruction the CPU lacks; the stitched kernel
+//! needs both values. The only other unsafe operations are the unaligned
+//! 16-byte loads and stores, which go through [`load`]/[`store`] on
+//! `[u8; 16]` references.
 //!
 //! The portable code in [`crate::aes`] and [`crate::sha256`] is the
 //! reference these kernels are tested against (byte-equal on random
@@ -101,6 +114,36 @@ impl AesNi {
         unsafe { self.cbc_decrypt_impl(iv, data) }
     }
 
+    /// CBC-encrypts `data[from..]` in place and, in the same loop,
+    /// compresses the whole 64-byte blocks of the message `prefix ‖ data`
+    /// (after encryption) into the SHA-256 `state`, so the bytes are
+    /// exactly those of `cbc_encrypt` followed by [`ShaNi::compress`].
+    /// `_sha` proves the SHA extensions; returns the number of message
+    /// bytes compressed, a multiple of 64.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data[from..]` is not a whole number of blocks or
+    /// `prefix` is a whole block or more.
+    pub(crate) fn cbc_encrypt_then_compress(
+        &self,
+        _sha: ShaNi,
+        iv: &[u8; 16],
+        data: &mut [u8],
+        from: usize,
+        state: &mut [u32; 8],
+        prefix: &[u8],
+    ) -> usize {
+        assert!(
+            from <= data.len() && (data.len() - from).is_multiple_of(16),
+            "CBC works on whole blocks"
+        );
+        assert!(prefix.len() < 64, "a prefix is less than one block");
+        // SAFETY: `self` exists, so `AesNi::new` detected `aes`; `_sha`
+        // exists, so `ShaNi::detect` saw `sha`, `ssse3` and `sse4.1`.
+        unsafe { self.cbc_encrypt_then_compress_impl(iv, data, from, state, prefix) }
+    }
+
     #[target_feature(enable = "aes")]
     fn expand(key: &[u8; 16]) -> AesNi {
         #[target_feature(enable = "aes")]
@@ -167,6 +210,87 @@ impl AesNi {
         }
     }
 
+    /// The stitched seal: CBC-encrypts `data[from..]` (whole blocks) under
+    /// `iv` and compresses the whole 64-byte blocks of the message
+    /// `prefix ‖ data` — `data` as it reads once encrypted — into `state`,
+    /// in one loop. A turn compresses the oldest message block whose bytes
+    /// are all final and issues the 40 AES rounds of the next four CBC
+    /// blocks between its 16 round groups, so the `aesenc` chain and the
+    /// `sha256rnds2` chain — each latency-bound, on different ports —
+    /// advance together. A turn with no final message block (the first) or
+    /// fewer than four blocks left to encrypt (the last) runs one chain
+    /// alone. Returns how many message bytes were compressed (a multiple
+    /// of 64); the caller keeps the rest.
+    #[target_feature(enable = "aes,sha,ssse3,sse4.1")]
+    fn cbc_encrypt_then_compress_impl(
+        &self,
+        iv: &[u8; 16],
+        data: &mut [u8],
+        from: usize,
+        state: &mut [u32; 8],
+        prefix: &[u8],
+    ) -> usize {
+        let p = prefix.len();
+        let blocks = (p + data.len()) / 64;
+        let cbc_blocks = (data.len() - from) / 16;
+        let mut s = sha256_load_state(state);
+        let mut chain = load(iv);
+        let (mut encrypted, mut hashed) = (0, 0);
+        loop {
+            // Message bytes that are final: the prefix, `data[..from]`, and
+            // every block encrypted so far.
+            let ready = p + from + 16 * encrypted;
+            if hashed < blocks && 64 * (hashed + 1) <= ready {
+                let at = 64 * hashed;
+                let words = if at >= p {
+                    quarters(&data[at - p..at - p + 64])
+                } else {
+                    // Only the first block can straddle `prefix` and `data`.
+                    let mut first = [0u8; 64];
+                    first[..p].copy_from_slice(prefix);
+                    first[p..].copy_from_slice(&data[..64 - p]);
+                    quarters(&first)
+                };
+                hashed += 1;
+                if cbc_blocks - encrypted < 4 {
+                    s = sha256_block(s, words, |_| {});
+                    continue;
+                }
+                // The stitched turn: four CBC blocks, their 40 rounds
+                // spread over the 16 round groups of this compression.
+                let group = &mut data[from + 16 * encrypted..from + 16 * encrypted + 64];
+                let mut st = chain; // set at g = 0
+                s = sha256_block(s, words, |g| {
+                    let (b, rk) = (block_mut(group, g / 4), &self.enc);
+                    match g % 4 {
+                        0 => {
+                            st = _mm_xor_si128(_mm_xor_si128(load(b), chain), rk[0]);
+                            st = _mm_aesenc_si128(_mm_aesenc_si128(st, rk[1]), rk[2]);
+                        }
+                        1 => st = aesenc3(st, &rk[3..6]),
+                        2 => st = aesenc3(st, &rk[6..9]),
+                        _ => {
+                            chain = _mm_aesenclast_si128(_mm_aesenc_si128(st, rk[9]), rk[10]);
+                            store(b, chain);
+                        }
+                    }
+                });
+                encrypted += 4;
+            } else if encrypted < cbc_blocks {
+                for _ in 0..4.min(cbc_blocks - encrypted) {
+                    let b = block_mut(&mut data[from..], encrypted);
+                    chain = self.encrypt_m128(_mm_xor_si128(load(b), chain));
+                    store(b, chain);
+                    encrypted += 1;
+                }
+            } else {
+                break;
+            }
+        }
+        *state = sha256_store_state(s);
+        64 * blocks
+    }
+
     #[target_feature(enable = "aes")]
     fn cbc_decrypt_impl(&self, iv: &[u8; 16], data: &mut [u8]) {
         let mut prev = load(iv);
@@ -222,9 +346,10 @@ impl ShaNi {
     }
 }
 
-/// Four rounds on message words W[4g..4g+4] (`$w`), group index `$g`.
+/// Four rounds on message words W[4g..4g+4] (`$w`), group index `$g`,
+/// with `$between($g)` issued between the two round pairs.
 macro_rules! rounds4 {
-    ($s0:ident, $s1:ident, $w:expr, $g:expr) => {{
+    ($s0:ident, $s1:ident, $w:expr, $g:expr, $between:ident) => {{
         let k: &[u32; 4] = crate::sha256::K[4 * $g..4 * $g + 4]
             .try_into()
             .expect("four constants");
@@ -233,6 +358,7 @@ macro_rules! rounds4 {
             _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32),
         );
         $s1 = _mm_sha256rnds2_epu32($s1, $s0, wk);
+        $between($g);
         $s0 = _mm_sha256rnds2_epu32($s0, $s1, _mm_shuffle_epi32::<0x0e>(wk));
     }};
 }
@@ -247,71 +373,27 @@ macro_rules! schedule {
     }};
 }
 
+/// Three AES rounds.
+#[inline]
+#[target_feature(enable = "aes")]
+fn aesenc3(st: __m128i, rk: &[__m128i]) -> __m128i {
+    _mm_aesenc_si128(_mm_aesenc_si128(_mm_aesenc_si128(st, rk[0]), rk[1]), rk[2])
+}
+
+/// The four 16-byte quarters of a 64-byte message block.
+fn quarters(chunk: &[u8]) -> [__m128i; 4] {
+    std::array::from_fn(|i| load(block(chunk, i)))
+}
+
+/// The hash state as the SHA instructions hold it: `[ABEF, CDGH]`.
 #[target_feature(enable = "sha,ssse3,sse4.1")]
-fn sha256_compress(state: &mut [u32; 8], blocks: &[u8]) {
-    // Big-endian words within each 32-bit lane.
-    let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
-
-    // state = [a b c d | e f g h]; the instructions want ABEF / CDGH.
+fn sha256_load_state(state: &[u32; 8]) -> [__m128i; 2] {
     let [a, b, c, d, e, f, g, h] = state.map(|w| w as i32);
-    let mut s0 = _mm_set_epi32(a, b, e, f);
-    let mut s1 = _mm_set_epi32(c, d, g, h);
+    [_mm_set_epi32(a, b, e, f), _mm_set_epi32(c, d, g, h)]
+}
 
-    for chunk in blocks.chunks_exact(64) {
-        let (save0, save1) = (s0, s1);
-        let mut w0 = _mm_shuffle_epi8(load(block(chunk, 0)), bswap);
-        let mut w1 = _mm_shuffle_epi8(load(block(chunk, 1)), bswap);
-        let mut w2 = _mm_shuffle_epi8(load(block(chunk, 2)), bswap);
-        let mut w3 = _mm_shuffle_epi8(load(block(chunk, 3)), bswap);
-
-        rounds4!(s0, s1, w0, 0);
-        rounds4!(s0, s1, w1, 1);
-        w0 = _mm_sha256msg1_epu32(w0, w1);
-        rounds4!(s0, s1, w2, 2);
-        w1 = _mm_sha256msg1_epu32(w1, w2);
-        rounds4!(s0, s1, w3, 3);
-        schedule!(w2, w3, w0);
-        w2 = _mm_sha256msg1_epu32(w2, w3);
-
-        rounds4!(s0, s1, w0, 4);
-        schedule!(w3, w0, w1);
-        w3 = _mm_sha256msg1_epu32(w3, w0);
-        rounds4!(s0, s1, w1, 5);
-        schedule!(w0, w1, w2);
-        w0 = _mm_sha256msg1_epu32(w0, w1);
-        rounds4!(s0, s1, w2, 6);
-        schedule!(w1, w2, w3);
-        w1 = _mm_sha256msg1_epu32(w1, w2);
-        rounds4!(s0, s1, w3, 7);
-        schedule!(w2, w3, w0);
-        w2 = _mm_sha256msg1_epu32(w2, w3);
-
-        rounds4!(s0, s1, w0, 8);
-        schedule!(w3, w0, w1);
-        w3 = _mm_sha256msg1_epu32(w3, w0);
-        rounds4!(s0, s1, w1, 9);
-        schedule!(w0, w1, w2);
-        w0 = _mm_sha256msg1_epu32(w0, w1);
-        rounds4!(s0, s1, w2, 10);
-        schedule!(w1, w2, w3);
-        w1 = _mm_sha256msg1_epu32(w1, w2);
-        rounds4!(s0, s1, w3, 11);
-        schedule!(w2, w3, w0);
-        w2 = _mm_sha256msg1_epu32(w2, w3);
-
-        rounds4!(s0, s1, w0, 12);
-        schedule!(w3, w0, w1);
-        w3 = _mm_sha256msg1_epu32(w3, w0);
-        rounds4!(s0, s1, w1, 13);
-        schedule!(w0, w1, w2);
-        rounds4!(s0, s1, w2, 14);
-        schedule!(w1, w2, w3);
-        rounds4!(s0, s1, w3, 15);
-
-        s0 = _mm_add_epi32(s0, save0);
-        s1 = _mm_add_epi32(s1, save1);
-    }
-
+#[target_feature(enable = "sha,ssse3,sse4.1")]
+fn sha256_store_state([s0, s1]: [__m128i; 2]) -> [u32; 8] {
     // Lanes, high to low: s0 = A B E F, s1 = C D G H.
     let mut abef = [0u8; 16];
     let mut cdgh = [0u8; 16];
@@ -319,7 +401,7 @@ fn sha256_compress(state: &mut [u32; 8], blocks: &[u8]) {
     store(&mut cdgh, s1);
     let lane =
         |v: &[u8; 16], i: usize| u32::from_le_bytes(v[4 * i..4 * i + 4].try_into().expect("4"));
-    *state = [
+    [
         lane(&abef, 3),
         lane(&abef, 2),
         lane(&cdgh, 3),
@@ -328,5 +410,80 @@ fn sha256_compress(state: &mut [u32; 8], blocks: &[u8]) {
         lane(&abef, 0),
         lane(&cdgh, 1),
         lane(&cdgh, 0),
-    ];
+    ]
+}
+
+/// One SHA-256 compression of the message block `words` (its four
+/// 16-byte quarters as loaded, in order) into `[s0, s1]`: the round
+/// sequence, written once for [`ShaNi::compress`] and for the stitched
+/// seal. `between(g)` runs in the middle of round group `g` (0..16) — the
+/// stitched seal issues its AES rounds there, so the two dependency
+/// chains are interleaved instruction by instruction; `compress` passes
+/// nothing.
+#[inline]
+#[target_feature(enable = "sha,ssse3,sse4.1")]
+fn sha256_block(
+    [mut s0, mut s1]: [__m128i; 2],
+    words: [__m128i; 4],
+    mut between: impl FnMut(usize),
+) -> [__m128i; 2] {
+    // Big-endian words within each 32-bit lane.
+    let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+    let (save0, save1) = (s0, s1);
+    let [mut w0, mut w1, mut w2, mut w3] = words.map(|w| _mm_shuffle_epi8(w, bswap));
+
+    rounds4!(s0, s1, w0, 0, between);
+    rounds4!(s0, s1, w1, 1, between);
+    w0 = _mm_sha256msg1_epu32(w0, w1);
+    rounds4!(s0, s1, w2, 2, between);
+    w1 = _mm_sha256msg1_epu32(w1, w2);
+    rounds4!(s0, s1, w3, 3, between);
+    schedule!(w2, w3, w0);
+    w2 = _mm_sha256msg1_epu32(w2, w3);
+
+    rounds4!(s0, s1, w0, 4, between);
+    schedule!(w3, w0, w1);
+    w3 = _mm_sha256msg1_epu32(w3, w0);
+    rounds4!(s0, s1, w1, 5, between);
+    schedule!(w0, w1, w2);
+    w0 = _mm_sha256msg1_epu32(w0, w1);
+    rounds4!(s0, s1, w2, 6, between);
+    schedule!(w1, w2, w3);
+    w1 = _mm_sha256msg1_epu32(w1, w2);
+    rounds4!(s0, s1, w3, 7, between);
+    schedule!(w2, w3, w0);
+    w2 = _mm_sha256msg1_epu32(w2, w3);
+
+    rounds4!(s0, s1, w0, 8, between);
+    schedule!(w3, w0, w1);
+    w3 = _mm_sha256msg1_epu32(w3, w0);
+    rounds4!(s0, s1, w1, 9, between);
+    schedule!(w0, w1, w2);
+    w0 = _mm_sha256msg1_epu32(w0, w1);
+    rounds4!(s0, s1, w2, 10, between);
+    schedule!(w1, w2, w3);
+    w1 = _mm_sha256msg1_epu32(w1, w2);
+    rounds4!(s0, s1, w3, 11, between);
+    schedule!(w2, w3, w0);
+    w2 = _mm_sha256msg1_epu32(w2, w3);
+
+    rounds4!(s0, s1, w0, 12, between);
+    schedule!(w3, w0, w1);
+    w3 = _mm_sha256msg1_epu32(w3, w0);
+    rounds4!(s0, s1, w1, 13, between);
+    schedule!(w0, w1, w2);
+    rounds4!(s0, s1, w2, 14, between);
+    schedule!(w1, w2, w3);
+    rounds4!(s0, s1, w3, 15, between);
+
+    [_mm_add_epi32(s0, save0), _mm_add_epi32(s1, save1)]
+}
+
+#[target_feature(enable = "sha,ssse3,sse4.1")]
+fn sha256_compress(state: &mut [u32; 8], blocks: &[u8]) {
+    let mut s = sha256_load_state(state);
+    for chunk in blocks.chunks_exact(64) {
+        s = sha256_block(s, quarters(chunk), |_| {});
+    }
+    *state = sha256_store_state(s);
 }

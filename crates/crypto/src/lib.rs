@@ -9,7 +9,9 @@
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104), keyed once into ipad/opad
 //!   midstates, and a small HKDF (RFC 5869).
 //! * [`aes`] / [`modes`] — AES-128 (FIPS 197) with CBC (PKCS#7, in place
-//!   or `Vec`-returning) and CTR.
+//!   or `Vec`-returning) and CTR, and the data channel's seal:
+//!   CBC-encrypt-then-HMAC in one pass
+//!   ([`modes::cbc_encrypt_then_mac_in_place`]).
 //! * [`x25519`] — Diffie-Hellman over Curve25519 (RFC 7748).
 //! * [`schnorr`] — Schnorr signatures over the multiplicative group of
 //!   GF(2^255 − 19); used for the certificate authority, quote signing and
@@ -36,6 +38,11 @@
 //! `modes::cbc_decrypt` and `hmac::hmac_sha256` on one 23 KB record:
 //! about 0.7 / 0.1 / 0.8 ns/B on the hardware path against 10.9 / 20.9 /
 //! 4.2 ns/B on the portable one (`docs/architecture.md` §6).
+//!
+//! Where a key runs on AES-NI and its MAC on the SHA extensions, the seal
+//! runs both in one stitched loop: 1.5–1.8x the sequential
+//! encrypt-then-MAC on a 23 KB record, measured on that host (a 2-vCPU
+//! Xeon VM); otherwise it is that sequence.
 //!
 //! The intrinsics are the crate's only `unsafe` code and live in one
 //! private module (`hw`); the crate root denies `unsafe_code` everywhere

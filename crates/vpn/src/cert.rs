@@ -45,22 +45,23 @@ impl Certificate {
         }
     }
 
-    /// Verifies issuer signature and expiry.
+    /// Verifies expiry, then the issuer signature. Expiry is checked
+    /// first because it is free: an expired certificate — forged or not —
+    /// costs no exponentiation.
     ///
     /// # Errors
     ///
-    /// [`VpnError::BadCertificate`] on signature failure or expiry.
+    /// [`VpnError::BadCertificate`] on expiry or signature failure.
     pub fn verify(&self, ca_public: &VerifyingKey, now_secs: u64) -> Result<(), VpnError> {
+        if now_secs > self.not_after_secs {
+            return Err(VpnError::BadCertificate("expired"));
+        }
         ca_public
             .verify(
                 &tbs_bytes(&self.subject, &self.public_key, self.not_after_secs),
                 &self.signature,
             )
-            .map_err(|_| VpnError::BadCertificate("issuer signature invalid"))?;
-        if now_secs > self.not_after_secs {
-            return Err(VpnError::BadCertificate("expired"));
-        }
-        Ok(())
+            .map_err(|_| VpnError::BadCertificate("issuer signature invalid"))
     }
 
     /// Serialises to wire bytes.
@@ -133,6 +134,26 @@ mod tests {
         let key = SigningKey::generate(&mut rng);
         let cert = Certificate::issue("client-1", key.verifying_key(), 1_000, &rogue_ca, &mut rng);
         assert!(cert.verify(&ca.verifying_key(), 0).is_err());
+    }
+
+    /// Expiry is decided before any exponentiation: an expired certificate
+    /// whose signature is garbage is turned away as expired, which the
+    /// signature check cannot have decided.
+    #[test]
+    fn expired_certificate_is_rejected_before_its_signature_is_checked() {
+        let mut rng = rng();
+        let ca = SigningKey::generate(&mut rng);
+        let forger = SigningKey::generate(&mut rng);
+        let key = SigningKey::generate(&mut rng);
+        let forged = Certificate::issue("client-1", key.verifying_key(), 1_000, &forger, &mut rng);
+        assert_eq!(
+            forged.verify(&ca.verifying_key(), 999),
+            Err(VpnError::BadCertificate("issuer signature invalid"))
+        );
+        assert_eq!(
+            forged.verify(&ca.verifying_key(), 1_001),
+            Err(VpnError::BadCertificate("expired"))
+        );
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! encryption are absent from the integrity-only suite). `seal` builds it
 //! in the one `Vec` the [`Record`] will own: IV first, the plaintext (for
 //! a batch, the frames straight from [`frame::encode_into`]) after it,
-//! PKCS#7 padding and CBC encryption where the bytes lie, then the MAC
+//! then PKCS#7 padding, CBC encryption and the MAC in one pass where the
+//! bytes lie ([`cbc_encrypt_then_mac_in_place`]: on AES-NI + SHA-NI each
+//! 64 bytes encrypted are hashed while the next 64 encrypt), and the tag
 //! appended. `open` checks the MAC over the borrowed body **first** and
 //! touches neither the replay window nor any output buffer until it
 //! verifies — a forged record learns nothing from padding — then decrypts
@@ -37,7 +39,7 @@ use crate::proto::{frame, Opcode, Record};
 use crate::replay::ReplayWindow;
 use endbox_crypto::aes::{Aes128, BLOCK_LEN};
 use endbox_crypto::hmac::{hkdf, HmacSha256};
-use endbox_crypto::modes::{cbc_decrypt_in_place, cbc_encrypt_in_place};
+use endbox_crypto::modes::{cbc_decrypt_in_place, cbc_encrypt_then_mac_in_place};
 use endbox_netsim::cost::{CostModel, CycleMeter};
 use endbox_netsim::BufferPool;
 use std::sync::Arc;
@@ -397,8 +399,9 @@ impl SendHalf {
                 let iv = self.derive_iv(packet_id);
                 body.extend_from_slice(&iv);
                 write(&mut body);
-                cbc_encrypt_in_place(&self.aes, &iv, &mut body, IV_LEN);
-                tag(&self.mac, opcode, packet_id, &body)
+                let mut mac = mac_after_header(&self.mac, opcode, packet_id);
+                cbc_encrypt_then_mac_in_place(&self.aes, &iv, &mut body, IV_LEN, &mut mac);
+                mac.finalize()
             }
             CipherSuite::IntegrityOnly => {
                 write(&mut body);
@@ -519,10 +522,17 @@ impl RecvHalf {
     }
 }
 
-fn tag(keyed: &HmacSha256, opcode: Opcode, packet_id: u64, body: &[u8]) -> [u8; TAG_LEN] {
+/// The record MAC context with the header bound in: `opcode ‖ packet_id`
+/// absorbed, the body still to come.
+fn mac_after_header(keyed: &HmacSha256, opcode: Opcode, packet_id: u64) -> HmacSha256 {
     let mut m = keyed.clone();
     m.update(&[opcode.to_u8()]);
     m.update(&packet_id.to_be_bytes());
+    m
+}
+
+fn tag(keyed: &HmacSha256, opcode: Opcode, packet_id: u64, body: &[u8]) -> [u8; TAG_LEN] {
+    let mut m = mac_after_header(keyed, opcode, packet_id);
     m.update(body);
     m.finalize()
 }
@@ -790,6 +800,53 @@ mod tests {
         m.update(&want);
         want.extend(m.finalize());
         assert_eq!(rec.payload, want);
+    }
+
+    /// The sealed bytes of one fixed-key client channel, pinned to the
+    /// SHA-256 of every record it seals: `seal` at every length 0..=300,
+    /// `seal_batch` in the three benchmark shapes (16×1460, 8×256, 4×64)
+    /// and a `Ping`, per suite. The digests were recorded by running this
+    /// test on the sequential encrypt-then-MAC seal, before the stitched
+    /// one replaced it, so they pin the wire bytes themselves — not only
+    /// agreement with the primitives a seal is built from.
+    #[test]
+    fn sealed_bytes_match_the_recorded_digest() {
+        use endbox_crypto::hex;
+        use endbox_crypto::sha256::Sha256;
+        let recorded = [
+            (
+                CipherSuite::Aes128CbcHmac,
+                "6fef7cc419b2532b5cb0ad15682c9a77878719e646476ad72a39693a9b7380ee",
+            ),
+            (
+                CipherSuite::IntegrityOnly,
+                "541fd149a8324835607072af9d4cfe98462c1eaadd467acabdc568f07ed5764b",
+            ),
+        ];
+        for (suite, want) in recorded {
+            let (mut c, _) = pair(suite);
+            let mut h = Sha256::new();
+            let mut absorb = |rec: Record| {
+                h.update(&[rec.opcode.to_u8()]);
+                h.update(&rec.session_id.to_be_bytes());
+                h.update(&rec.packet_id.to_be_bytes());
+                h.update(&(rec.payload.len() as u64).to_be_bytes());
+                h.update(&rec.payload);
+            };
+            for len in 0..=300usize {
+                let plaintext: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
+                absorb(c.seal(Opcode::Data, 5, &plaintext));
+            }
+            for (count, size) in [(16usize, 1460usize), (8, 256), (4, 64)] {
+                let packets: Vec<Vec<u8>> = (0..count)
+                    .map(|p| (0..size).map(|i| (i ^ (p * 7 + size)) as u8).collect())
+                    .collect();
+                let refs: Vec<&[u8]> = packets.iter().map(Vec::as_slice).collect();
+                absorb(c.seal_batch(5, &refs));
+            }
+            absorb(c.seal(Opcode::Ping, 5, b"ping"));
+            assert_eq!(hex::encode(&h.finalize()), want, "{suite:?}");
+        }
     }
 
     #[test]
