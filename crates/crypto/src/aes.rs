@@ -1,9 +1,9 @@
 //! AES-128 block cipher (FIPS 197), on one of two backends.
 //!
 //! * **AES-NI** (`crate::hw`, x86-64 only): key schedule, `aesenc`/`aesdec`
-//!   rounds and the CBC loops run on the CPU's AES unit — serial encrypt
-//!   (CBC chains every block on the previous one), eight blocks in flight
-//!   for decrypt.
+//!   rounds and the CBC and CTR loops run on the CPU's AES unit — serial
+//!   CBC encrypt (CBC chains every block on the previous one), eight
+//!   blocks in flight for CBC decrypt and for CTR.
 //! * **Portable**: the byte-oriented implementation below — clear, and an
 //!   order of magnitude slower (a `gmul` loop per `inv_mix_columns` byte).
 //!   It is the only path on CPUs without AES-NI and the reference the
@@ -166,6 +166,16 @@ impl Aes128 {
             Backend::Portable(p) => p.cbc_decrypt(iv, data),
         }
     }
+
+    /// XORs the CTR keystream from the 128-bit big-endian `counter` into
+    /// `data` in place.
+    pub(crate) fn ctr_xor(&self, counter: &[u8; BLOCK_LEN], data: &mut [u8]) {
+        match &self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::AesNi(hw) => hw.ctr_xor(counter, data),
+            Backend::Portable(p) => p.ctr_xor(counter, data),
+        }
+    }
 }
 
 /// The portable backend: an expanded key and byte-oriented rounds.
@@ -256,6 +266,23 @@ impl Portable {
             }
             prev = block;
             chunk.copy_from_slice(&pt);
+        }
+    }
+
+    pub(crate) fn ctr_xor(&self, nonce: &[u8; BLOCK_LEN], data: &mut [u8]) {
+        let mut counter = *nonce;
+        for chunk in data.chunks_mut(BLOCK_LEN) {
+            let keystream = self.encrypt_block(&counter);
+            for (b, k) in chunk.iter_mut().zip(keystream.iter()) {
+                *b ^= k;
+            }
+            // Increment the whole block as one big-endian 128-bit integer.
+            for i in (0..BLOCK_LEN).rev() {
+                counter[i] = counter[i].wrapping_add(1);
+                if counter[i] != 0 {
+                    break;
+                }
+            }
         }
     }
 }
@@ -421,6 +448,29 @@ mod tests {
                 prop_assert_eq!(c, d);
                 hw.cbc_decrypt(&iv, &mut a);
                 prop_assert_eq!(a, data);
+            }
+
+            /// CTR from a counter whose low 32-bit word is at most 300
+            /// below all ones, so a record of up to 4 KiB (256 blocks)
+            /// often carries out of the word — and out of all 128 bits
+            /// when the rest of the block is all ones too.
+            #[test]
+            fn ctr_across_a_low_word_carry(
+                key in prop::array::uniform16(any::<u8>()),
+                counter in prop::array::uniform16(any::<u8>()),
+                below in 0u32..300,
+                all_ones in any::<bool>(),
+                data in prop::collection::vec(any::<u8>(), 0..4097),
+            ) {
+                let Some(hw) = crate::hw::AesNi::new(&key) else {
+                    return;
+                };
+                let mut counter = if all_ones { [0xff; BLOCK_LEN] } else { counter };
+                counter[12..].copy_from_slice(&(u32::MAX - below).to_be_bytes());
+                let (mut a, mut b) = (data.clone(), data.clone());
+                hw.ctr_xor(&counter, &mut a);
+                Portable::new(&key).ctr_xor(&counter, &mut b);
+                prop_assert_eq!(a, b);
             }
         }
     }

@@ -1,0 +1,389 @@
+//! GHASH and GMAC (NIST SP 800-38D), on one of two backends.
+//!
+//! GMAC is GCM with an empty plaintext: the tag over additional
+//! authenticated data `A` under the 96-bit nonce `N` is
+//!
+//! ```text
+//! H  = E_K(0¹²⁸)
+//! J0 = N ‖ 0x00000001
+//! T  = GHASH_H(A ‖ 0-pad to a whole block ‖ [8·len(A)]₆₄ ‖ [0]₆₄) ⊕ E_K(J0)
+//! ```
+//!
+//! where `GHASH_H(X₁ … Xₘ)` is `Y₀ = 0, Yᵢ = (Yᵢ₋₁ ⊕ Xᵢ)·H` in GF(2¹²⁸)
+//! with the spec's bit order (the first bit of a block is the coefficient
+//! of x⁰) and the polynomial x¹²⁸ + x⁷ + x² + x + 1. A nonce must never
+//! repeat under one key: the data channel uses `0³² ‖ packet_id₆₄`, and a
+//! direction's packet ids come from one counter.
+//!
+//! * **PCLMULQDQ** (`crate::hw`, x86-64 only): a [`GhashKey`] holds
+//!   H¹..H⁸, computed once, and multiplies eight blocks per reduction.
+//! * **Portable**: [`mul`], the spec's Algorithm 1 one bit at a time — the
+//!   only path on CPUs without a carry-less multiplier, and the oracle
+//!   the kernel is tested against.
+//!
+//! [`GhashKey::new`] picks the backend once, from the CPU; nothing else
+//! selects it.
+
+use crate::aes::{Aes128, BLOCK_LEN, KEY_LEN};
+
+/// GMAC tag size in bytes.
+pub const TAG_LEN: usize = 16;
+/// GMAC nonce size in bytes (the 96-bit IV of SP 800-38D).
+pub const NONCE_LEN: usize = 12;
+
+/// The reduction constant: x¹²⁸ = x⁷ + x² + x + 1, in the spec's
+/// bit-reflected order.
+const R: u128 = 0xe1 << 120;
+
+/// The GF(2¹²⁸) product `x·y` of SP 800-38D Algorithm 1, bit by bit, on
+/// blocks as the spec writes them.
+///
+/// ```
+/// use endbox_crypto::ghash::mul;
+/// let one = [0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+/// let y = [0x5a; 16];
+/// assert_eq!(mul(&one, &y), y);
+/// ```
+pub fn mul(x: &[u8; BLOCK_LEN], y: &[u8; BLOCK_LEN]) -> [u8; BLOCK_LEN] {
+    mul_u128(u128::from_be_bytes(*x), u128::from_be_bytes(*y)).to_be_bytes()
+}
+
+/// [`mul`] on the blocks read big-endian: bit 127 is the spec's first
+/// bit. Branch-free, so its time does not depend on `x` or `y`.
+fn mul_u128(x: u128, y: u128) -> u128 {
+    let (mut z, mut v) = (0u128, y);
+    for i in (0..128).rev() {
+        z ^= v & 0u128.wrapping_sub((x >> i) & 1);
+        v = (v >> 1) ^ (R & 0u128.wrapping_sub(v & 1));
+    }
+    z
+}
+
+/// A GHASH key: the hash subkey H and, on the carry-less multiplier, its
+/// first eight powers — everything that depends on H, computed once.
+#[derive(Clone)]
+pub struct GhashKey {
+    backend: Backend,
+}
+
+#[derive(Clone)]
+enum Backend {
+    #[cfg(target_arch = "x86_64")]
+    ClMul(crate::hw::ClMul),
+    Portable(u128),
+}
+
+impl std::fmt::Debug for GhashKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("GhashKey { h: <redacted> }")
+    }
+}
+
+impl GhashKey {
+    /// Prepares the hash subkey `h`, on the carry-less multiplier when the
+    /// CPU has one.
+    pub fn new(h: &[u8; BLOCK_LEN]) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hw) = crate::hw::ClMul::new(h) {
+            return GhashKey {
+                backend: Backend::ClMul(hw),
+            };
+        }
+        GhashKey {
+            backend: Backend::Portable(u128::from_be_bytes(*h)),
+        }
+    }
+
+    /// A key pinned to the portable backend (the reference in
+    /// backend-equality tests).
+    #[cfg(test)]
+    pub(crate) fn portable(h: &[u8; BLOCK_LEN]) -> Self {
+        GhashKey {
+            backend: Backend::Portable(u128::from_be_bytes(*h)),
+        }
+    }
+
+    /// Absorbs whole blocks into the accumulator `y`.
+    fn absorb(&self, y: &mut [u8; BLOCK_LEN], blocks: &[u8]) {
+        match &self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::ClMul(hw) => hw.absorb(y, blocks),
+            Backend::Portable(h) => {
+                let mut acc = u128::from_be_bytes(*y);
+                for x in blocks.chunks_exact(BLOCK_LEN) {
+                    let x = u128::from_be_bytes(x.try_into().expect("one block"));
+                    acc = mul_u128(acc ^ x, *h);
+                }
+                *y = acc.to_be_bytes();
+            }
+        }
+    }
+}
+
+/// A running GHASH over a byte string, under a borrowed [`GhashKey`].
+/// Bytes may arrive in pieces of any length; a piece that ends inside a
+/// block waits for the next one.
+///
+/// ```
+/// use endbox_crypto::ghash::{Ghash, GhashKey};
+/// let key = GhashKey::new(&[0x42; 16]);
+/// let mut whole = Ghash::new(&key);
+/// whole.update(b"opcode, packet id and a body");
+/// let mut pieces = Ghash::new(&key);
+/// pieces.update(b"opcode, pa");
+/// pieces.update(b"cket id and a body");
+/// assert_eq!(whole.finalize(), pieces.finalize());
+/// ```
+#[derive(Debug, Clone)]
+pub struct Ghash<'k> {
+    key: &'k GhashKey,
+    y: [u8; BLOCK_LEN],
+    partial: [u8; BLOCK_LEN],
+    filled: usize,
+}
+
+impl<'k> Ghash<'k> {
+    /// `Y₀ = 0`.
+    pub fn new(key: &'k GhashKey) -> Self {
+        Ghash {
+            key,
+            y: [0; BLOCK_LEN],
+            partial: [0; BLOCK_LEN],
+            filled: 0,
+        }
+    }
+
+    /// Absorbs `bytes`.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        if self.filled > 0 {
+            let take = (BLOCK_LEN - self.filled).min(bytes.len());
+            self.partial[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
+            self.filled += take;
+            bytes = &bytes[take..];
+            if self.filled < BLOCK_LEN {
+                return;
+            }
+            self.key.absorb(&mut self.y, &self.partial);
+            self.filled = 0;
+        }
+        let whole = bytes.len() - bytes.len() % BLOCK_LEN;
+        self.key.absorb(&mut self.y, &bytes[..whole]);
+        self.filled = bytes.len() - whole;
+        self.partial[..self.filled].copy_from_slice(&bytes[whole..]);
+    }
+
+    /// Zero-pads what has been absorbed to a whole block — the end of `A`
+    /// or of `C` in GCM.
+    pub fn pad(&mut self) {
+        if self.filled > 0 {
+            self.partial[self.filled..].fill(0);
+            self.key.absorb(&mut self.y, &self.partial);
+            self.filled = 0;
+        }
+    }
+
+    /// Pads and returns the hash.
+    pub fn finalize(mut self) -> [u8; BLOCK_LEN] {
+        self.pad();
+        self.y
+    }
+}
+
+/// GMAC under one AES-128 key: the key schedule and the GHASH key of
+/// `H = E_K(0¹²⁸)`, both built once by [`Gmac::new`].
+///
+/// ```
+/// use endbox_crypto::{ghash::Gmac, hex};
+/// // McGrew–Viega GCM test case 1: K = 0, IV = 0, nothing to protect.
+/// let tag = Gmac::new(&[0; 16]).tag(&[0; 12], &[]);
+/// assert_eq!(hex::encode(&tag), "58e2fccefa7e3061367f1d57a4e7455a");
+/// ```
+#[derive(Clone)]
+pub struct Gmac {
+    aes: Aes128,
+    ghash: GhashKey,
+}
+
+impl std::fmt::Debug for Gmac {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Gmac { key: <redacted> }")
+    }
+}
+
+impl Gmac {
+    /// Expands `key` and derives its hash subkey.
+    pub fn new(key: &[u8; KEY_LEN]) -> Self {
+        let aes = Aes128::new(key);
+        let ghash = GhashKey::new(&aes.encrypt_block(&[0; BLOCK_LEN]));
+        Gmac { aes, ghash }
+    }
+
+    /// The tag over `A = aad[0] ‖ aad[1] ‖ …` under `nonce`.
+    pub fn tag(&self, nonce: &[u8; NONCE_LEN], aad: &[&[u8]]) -> [u8; TAG_LEN] {
+        let mut g = Ghash::new(&self.ghash);
+        let mut len = 0u64;
+        for part in aad {
+            g.update(part);
+            len += part.len() as u64;
+        }
+        g.pad();
+        let mut lengths = [0u8; BLOCK_LEN];
+        lengths[..8].copy_from_slice(&(8 * len).to_be_bytes());
+        g.update(&lengths);
+        let mut j0 = [0u8; BLOCK_LEN];
+        j0[..NONCE_LEN].copy_from_slice(nonce);
+        j0[BLOCK_LEN - 1] = 1;
+        let mask = self.aes.encrypt_block(&j0);
+        let mut tag = g.finalize();
+        for (t, m) in tag.iter_mut().zip(mask) {
+            *t ^= m;
+        }
+        tag
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hex;
+    use crate::modes::ctr_xor;
+
+    /// GHASH of `bytes`, zero-padded, through the streaming entry.
+    fn ghash(key: &GhashKey, bytes: &[u8]) -> [u8; 16] {
+        let mut g = Ghash::new(key);
+        g.update(bytes);
+        g.finalize()
+    }
+
+    /// McGrew–Viega test cases 1 and 2 (K = 0, IV = 0): the empty
+    /// message, then one zero block of plaintext. Case 2 runs GCM's
+    /// encryption through CTR from `inc32(J0)` and its tag through the
+    /// GHASH entry, on the detected backend and on the portable one.
+    #[test]
+    fn gcm_test_cases_1_and_2() {
+        let gmac = Gmac::new(&[0; 16]);
+        assert_eq!(
+            hex::encode(&gmac.tag(&[0; 12], &[])),
+            "58e2fccefa7e3061367f1d57a4e7455a"
+        );
+
+        let aes = Aes128::new(&[0; 16]);
+        let h = aes.encrypt_block(&[0; 16]);
+        let mut j0 = [0u8; 16];
+        j0[15] = 1;
+        let mut counter = j0;
+        counter[15] = 2;
+        let mut c = [0u8; 16];
+        ctr_xor(&aes, &counter, &mut c);
+        assert_eq!(hex::encode(&c), "0388dace60b6a392f328c2b971b2fe78");
+        let mut input = c.to_vec();
+        input.extend_from_slice(&0u64.to_be_bytes());
+        input.extend_from_slice(&128u64.to_be_bytes());
+        for key in [GhashKey::new(&h), GhashKey::portable(&h)] {
+            let mut tag = ghash(&key, &input);
+            for (t, m) in tag.iter_mut().zip(aes.encrypt_block(&j0)) {
+                *t ^= m;
+            }
+            assert_eq!(hex::encode(&tag), "ab6e47d42cec13bdf53a67b21257bddf");
+        }
+    }
+
+    /// A GMAC tag from the portable pieces alone: the oracle.
+    fn portable_tag(key: &[u8; 16], nonce: &[u8; 12], header: &[u8], body: &[u8]) -> [u8; 16] {
+        let aes = Aes128::portable(key);
+        let gmac = Gmac {
+            ghash: GhashKey::portable(&aes.encrypt_block(&[0; 16])),
+            aes,
+        };
+        gmac.tag(nonce, &[header, body])
+    }
+
+    /// Every length 0..=260 behind every header of 0..=15 bytes — the
+    /// eight-block group, the whole-block tail and the partial last block
+    /// all cross their boundaries — through the detected backend and the
+    /// portable one.
+    #[test]
+    fn kernel_matches_oracle_at_every_length_and_header() {
+        let key = [0x3cu8; 16];
+        let nonce = [0x91u8; 12];
+        let bytes: Vec<u8> = (0..276u16).map(|i| (i * 13 + 5) as u8).collect();
+        let gmac = Gmac::new(&key);
+        for p in 0..=15 {
+            let (header, rest) = bytes.split_at(p);
+            for len in 0..=260 {
+                let body = &rest[..len];
+                assert_eq!(
+                    gmac.tag(&nonce, &[header, body]),
+                    portable_tag(&key, &nonce, header, body),
+                    "header {p}, body {len}"
+                );
+            }
+        }
+    }
+
+    /// Two keys built from the same subkey give the same tags: the power
+    /// table is a function of H alone.
+    #[test]
+    fn power_table_rebuilt_gives_the_same_tags() {
+        let key = hex::decode_array::<16>("feffe9928665731c6d6a8f9467308308").unwrap();
+        let (a, b) = (Gmac::new(&key), Gmac::new(&key));
+        let body: Vec<u8> = (0..1000u16).map(|i| (i * 7) as u8).collect();
+        for len in [0, 1, 16, 127, 128, 129, 1000] {
+            let aad: [&[u8]; 2] = [b"\x06header!!", &body[..len]];
+            assert_eq!(a.tag(&[7; 12], &aad), b.tag(&[7; 12], &aad), "len {len}");
+        }
+    }
+
+    #[test]
+    fn mul_is_commutative_and_h_times_one_is_h() {
+        let one = {
+            let mut b = [0u8; 16];
+            b[0] = 0x80;
+            b
+        };
+        let (x, y) = ([0x1du8; 16], [0xb7u8; 16]);
+        assert_eq!(mul(&x, &y), mul(&y, &x));
+        assert_eq!(mul(&one, &x), x);
+    }
+
+    #[test]
+    fn debug_redacts_keys() {
+        let gmac = Gmac::new(&[0u8; 16]);
+        assert!(!format!("{gmac:?}").contains("[0, 0"));
+    }
+
+    /// The kernel against the oracle on random keys, nonces, 1–15 byte
+    /// headers and bodies up to 4 KiB. The hardware half is skipped on a
+    /// CPU without a carry-less multiplier.
+    #[cfg(target_arch = "x86_64")]
+    mod backends_agree {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn gmac(
+                key in prop::array::uniform16(any::<u8>()),
+                nonce in prop::array::uniform16(any::<u8>()),
+                header in prop::collection::vec(any::<u8>(), 1..16),
+                body in prop::collection::vec(any::<u8>(), 0..4097),
+            ) {
+                let h = Aes128::new(&key).encrypt_block(&[0; 16]);
+                let Some(hw) = crate::hw::ClMul::new(&h) else {
+                    return;
+                };
+                let hw = GhashKey { backend: Backend::ClMul(hw) };
+                let nonce: &[u8; 12] = nonce[..12].try_into().unwrap();
+                let mut message = header.clone();
+                message.extend_from_slice(&body);
+                prop_assert_eq!(ghash(&hw, &message), ghash(&GhashKey::portable(&h), &message));
+                prop_assert_eq!(
+                    Gmac::new(&key).tag(nonce, &[&header, &body]),
+                    portable_tag(&key, nonce, &header, &body)
+                );
+            }
+        }
+    }
+}

@@ -1,29 +1,34 @@
-//! x86-64 hardware kernels: AES-NI for AES-128, SHA-NI for SHA-256, and
-//! the two stitched into one loop for the data channel's seal.
+//! x86-64 hardware kernels: AES-NI for AES-128, SHA-NI for SHA-256, the
+//! two stitched into one loop for the data channel's seal, and PCLMULQDQ
+//! for GHASH.
 //!
-//! Three kernels: the AES-128 key schedule and CBC loops (serial encrypt,
-//! eight blocks in flight for decrypt); the SHA-256 compression function,
-//! whose round sequence is one per-block body ([`sha256_block`]); and
-//! [`AesNi::cbc_encrypt_then_compress`], the data channel's seal, which
-//! compresses the oldest complete 64-byte block of the MAC input through
-//! that same body while the AES rounds of the next 64 bytes of CBC are
-//! issued between its round groups — so the `aesenc` chain and the
-//! `sha256rnds2` chain, each latency-bound and on different ports, run
-//! side by side instead of back to back. Its bytes are exactly those of
-//! the CBC loop followed by the compression.
+//! Five kernels: the AES-128 key schedule and the CBC and CTR loops
+//! (serial CBC encrypt; eight blocks in flight for CBC decrypt and for
+//! CTR, whose 128-bit big-endian counter blocks are independent); the
+//! SHA-256 compression function, whose round sequence is one per-block
+//! body ([`sha256_block`]); [`AesNi::cbc_encrypt_then_compress`], the
+//! CBC+HMAC suite's seal, which compresses the oldest complete 64-byte
+//! block of the MAC input through that same body while the AES rounds of
+//! the next 64 bytes of CBC are issued between its round groups — so the
+//! `aesenc` chain and the `sha256rnds2` chain, each latency-bound and on
+//! different ports, run side by side instead of back to back, with the
+//! bytes of the CBC loop followed by the compression; and
+//! [`ClMul::absorb`], GHASH for the integrity-only suite's GMAC: the
+//! powers H¹..H⁸ are computed once per key, and eight blocks are
+//! multiplied by H⁸..H¹, summed unreduced and reduced once.
 //!
 //! This is the only module in the workspace that contains `unsafe`. The
 //! fence is the type system: every `#[target_feature]` function is private
-//! to this file and is only called through a value ([`AesNi`], [`ShaNi`])
-//! whose sole constructor runs `is_x86_feature_detected!` first, so safe
-//! code cannot reach an instruction the CPU lacks; the stitched kernel
-//! needs both values. The only other unsafe operations are the unaligned
-//! 16-byte loads and stores, which go through [`load`]/[`store`] on
-//! `[u8; 16]` references.
+//! to this file and is only called through a value ([`AesNi`], [`ShaNi`],
+//! [`ClMul`]) whose sole constructor runs `is_x86_feature_detected!`
+//! first, so safe code cannot reach an instruction the CPU lacks; the
+//! stitched kernel needs both of the first two. The only other unsafe
+//! operations are the unaligned 16-byte loads and stores, which go
+//! through [`load`]/[`store`] on `[u8; 16]` references.
 //!
-//! The portable code in [`crate::aes`] and [`crate::sha256`] is the
-//! reference these kernels are tested against (byte-equal on random
-//! inputs) and the only path on other CPUs.
+//! The portable code in [`crate::aes`], [`crate::sha256`] and
+//! [`crate::ghash`] is the reference these kernels are tested against
+//! (byte-equal on random inputs) and the only path on other CPUs.
 
 #![allow(unsafe_code)]
 
@@ -63,9 +68,9 @@ pub(crate) struct AesNi {
     dec: [__m128i; 11],
 }
 
-/// Blocks decrypted per iteration of the CBC-decrypt main loop: enough
-/// independent `aesdec` chains in flight to cover the instruction's
-/// latency.
+/// Blocks per iteration of the CBC-decrypt and CTR main loops — enough
+/// independent `aesdec`/`aesenc` chains in flight to cover the
+/// instruction's latency — and per GHASH reduction.
 const WIDE: usize = 8;
 
 impl AesNi {
@@ -81,7 +86,7 @@ impl AesNi {
     pub(crate) fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
         let mut out = [0u8; 16];
         // SAFETY: `self` exists, so `new` detected the `aes` feature.
-        store(&mut out, unsafe { self.encrypt_m128(load(block)) });
+        store(&mut out, unsafe { self.encrypt_m128([load(block)]) }[0]);
         out
     }
 
@@ -112,6 +117,13 @@ impl AesNi {
         assert_eq!(data.len() % 16, 0, "CBC works on whole blocks");
         // SAFETY: `self` exists, so `new` detected the `aes` feature.
         unsafe { self.cbc_decrypt_impl(iv, data) }
+    }
+
+    /// XORs the CTR keystream that starts at the 128-bit big-endian
+    /// `counter` into `data`, in place; the last block may be partial.
+    pub(crate) fn ctr_xor(&self, counter: &[u8; 16], data: &mut [u8]) {
+        // SAFETY: `self` exists, so `new` detected the `aes` feature.
+        unsafe { self.ctr_xor_impl(counter, data) }
     }
 
     /// CBC-encrypts `data[from..]` in place and, in the same loop,
@@ -174,13 +186,21 @@ impl AesNi {
         AesNi { enc, dec }
     }
 
+    /// Encrypts `N` independent blocks with their round loops interleaved.
     #[target_feature(enable = "aes")]
-    fn encrypt_m128(&self, block: __m128i) -> __m128i {
-        let mut s = _mm_xor_si128(block, self.enc[0]);
-        for rk in &self.enc[1..10] {
-            s = _mm_aesenc_si128(s, *rk);
+    fn encrypt_m128<const N: usize>(&self, mut s: [__m128i; N]) -> [__m128i; N] {
+        for b in &mut s {
+            *b = _mm_xor_si128(*b, self.enc[0]);
         }
-        _mm_aesenclast_si128(s, self.enc[10])
+        for rk in &self.enc[1..10] {
+            for b in &mut s {
+                *b = _mm_aesenc_si128(*b, *rk);
+            }
+        }
+        for b in &mut s {
+            *b = _mm_aesenclast_si128(*b, self.enc[10]);
+        }
+        s
     }
 
     /// Decrypts `N` independent blocks with their round loops interleaved.
@@ -205,8 +225,37 @@ impl AesNi {
         let mut prev = load(iv);
         for i in 0..data.len() / 16 {
             let b = block_mut(data, i);
-            prev = self.encrypt_m128(_mm_xor_si128(load(b), prev));
+            prev = self.encrypt_m128([_mm_xor_si128(load(b), prev)])[0];
             store(b, prev);
+        }
+    }
+
+    /// CTR with [`WIDE`] counter blocks encrypted per iteration: unlike
+    /// CBC encryption, the blocks are independent, so their `aesenc`
+    /// chains overlap. The counter is the whole block, incremented as one
+    /// big-endian 128-bit integer.
+    #[target_feature(enable = "aes")]
+    fn ctr_xor_impl(&self, counter: &[u8; 16], data: &mut [u8]) {
+        let mut ctr = u128::from_be_bytes(*counter);
+        let mut next = || {
+            let block = load(&ctr.to_be_bytes());
+            ctr = ctr.wrapping_add(1);
+            block
+        };
+        let mut groups = data.chunks_exact_mut(16 * WIDE);
+        for group in &mut groups {
+            let keystream = self.encrypt_m128(std::array::from_fn::<_, WIDE, _>(|_| next()));
+            for (i, k) in keystream.into_iter().enumerate() {
+                let b = block_mut(group, i);
+                store(b, _mm_xor_si128(load(b), k));
+            }
+        }
+        for chunk in groups.into_remainder().chunks_mut(16) {
+            let mut keystream = [0u8; 16];
+            store(&mut keystream, self.encrypt_m128([next()])[0]);
+            for (b, k) in chunk.iter_mut().zip(keystream) {
+                *b ^= k;
+            }
         }
     }
 
@@ -279,7 +328,7 @@ impl AesNi {
             } else if encrypted < cbc_blocks {
                 for _ in 0..4.min(cbc_blocks - encrypted) {
                     let b = block_mut(&mut data[from..], encrypted);
-                    chain = self.encrypt_m128(_mm_xor_si128(load(b), chain));
+                    chain = self.encrypt_m128([_mm_xor_si128(load(b), chain)])[0];
                     store(b, chain);
                     encrypted += 1;
                 }
@@ -344,6 +393,130 @@ impl ShaNi {
         // SAFETY: `self` exists, so `detect` saw all three features.
         unsafe { sha256_compress(state, blocks) }
     }
+}
+
+/// GHASH on the carry-less multiplier: the powers H¹..H⁸ of one hash key,
+/// computed once, in the byte-reversed form the kernel multiplies.
+#[derive(Clone, Copy)]
+pub(crate) struct ClMul {
+    /// `powers[i]` is H^(i+1).
+    powers: [__m128i; WIDE],
+}
+
+impl ClMul {
+    /// The power table of the hash key `h`, or `None` when the CPU lacks
+    /// `pclmulqdq` or the SSSE3 byte shuffle.
+    pub(crate) fn new(h: &[u8; 16]) -> Option<ClMul> {
+        if !(is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("ssse3")) {
+            return None;
+        }
+        // SAFETY: both features were detected on the line above.
+        Some(unsafe { Self::expand(h) })
+    }
+
+    /// Absorbs the whole 16-byte `blocks` into the GHASH accumulator `y`:
+    /// `y ← (y ⊕ X₁)·H`, then `(y ⊕ X₂)·H`, and so on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blocks` is not a whole number of blocks.
+    pub(crate) fn absorb(&self, y: &mut [u8; 16], blocks: &[u8]) {
+        assert_eq!(blocks.len() % 16, 0, "GHASH absorbs whole blocks");
+        // SAFETY: `self` exists, so `new` detected both features.
+        unsafe { self.absorb_impl(y, blocks) }
+    }
+
+    #[target_feature(enable = "pclmulqdq,ssse3")]
+    fn expand(h: &[u8; 16]) -> ClMul {
+        let h = byte_reverse(load(h));
+        let mut powers = [h; WIDE];
+        for i in 1..WIDE {
+            powers[i] = gf128_reduce(clmul(powers[i - 1], h));
+        }
+        ClMul { powers }
+    }
+
+    /// Aggregated reduction: a group of `n ≤ 8` blocks is
+    /// `(y ⊕ X₁)·Hⁿ ⊕ X₂·Hⁿ⁻¹ ⊕ … ⊕ Xₙ·H`, so its `n` products are
+    /// independent, are summed unreduced, and pay one reduction.
+    #[target_feature(enable = "pclmulqdq,ssse3")]
+    fn absorb_impl(&self, y: &mut [u8; 16], blocks: &[u8]) {
+        let mut acc = byte_reverse(load(y));
+        for group in blocks.chunks(16 * WIDE) {
+            let n = group.len() / 16;
+            let mut sum = [_mm_setzero_si128(); 3];
+            for (i, h) in self.powers[..n].iter().rev().enumerate() {
+                let mut x = byte_reverse(load(block(group, i)));
+                if i == 0 {
+                    x = _mm_xor_si128(x, acc);
+                }
+                for (s, p) in sum.iter_mut().zip(clmul(x, *h)) {
+                    *s = _mm_xor_si128(*s, p);
+                }
+            }
+            acc = gf128_reduce(sum);
+        }
+        store(y, byte_reverse(acc));
+    }
+}
+
+/// The block with its 16 bytes in reverse order: GHASH's first bit (the
+/// top bit of byte 0) becomes the register's bit 127.
+#[inline]
+#[target_feature(enable = "ssse3")]
+fn byte_reverse(v: __m128i) -> __m128i {
+    _mm_shuffle_epi8(
+        v,
+        _mm_set_epi64x(0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f),
+    )
+}
+
+/// The unreduced 256-bit carry-less product of `a` and `b`, as the low,
+/// middle and high 128-bit partial products (schoolbook: four
+/// multiplications, the two cross terms summed).
+#[inline]
+#[target_feature(enable = "pclmulqdq")]
+fn clmul(a: __m128i, b: __m128i) -> [__m128i; 3] {
+    [
+        _mm_clmulepi64_si128::<0x00>(a, b),
+        _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x01>(a, b),
+            _mm_clmulepi64_si128::<0x10>(a, b),
+        ),
+        _mm_clmulepi64_si128::<0x11>(a, b),
+    ]
+}
+
+/// Folds a [`clmul`] product (or a sum of them) into one field element:
+/// the middle term joins the two halves, the 256-bit result shifts left
+/// one bit (the operands are bit-reflected), and the shift-and-XOR
+/// reduction modulo x¹²⁸ + x⁷ + x² + x + 1 of Gueron and Kounavis's
+/// carry-less multiplication white paper brings it back to 128 bits.
+#[inline]
+#[target_feature(enable = "pclmulqdq")]
+fn gf128_reduce([lo, mid, hi]: [__m128i; 3]) -> __m128i {
+    let lo = _mm_xor_si128(lo, _mm_slli_si128::<8>(mid));
+    let hi = _mm_xor_si128(hi, _mm_srli_si128::<8>(mid));
+    // hi:lo <<= 1
+    let lo_carry = _mm_srli_epi32::<31>(lo);
+    let hi_carry = _mm_srli_epi32::<31>(hi);
+    let lo = _mm_or_si128(_mm_slli_epi32::<1>(lo), _mm_slli_si128::<4>(lo_carry));
+    let hi = _mm_or_si128(
+        _mm_or_si128(_mm_slli_epi32::<1>(hi), _mm_slli_si128::<4>(hi_carry)),
+        _mm_srli_si128::<12>(lo_carry),
+    );
+    // First phase: the x⁶³, x⁶², x⁵⁷ multiples of the low half.
+    let a = _mm_xor_si128(
+        _mm_xor_si128(_mm_slli_epi32::<31>(lo), _mm_slli_epi32::<30>(lo)),
+        _mm_slli_epi32::<25>(lo),
+    );
+    let lo = _mm_xor_si128(lo, _mm_slli_si128::<12>(a));
+    // Second phase.
+    let b = _mm_xor_si128(
+        _mm_xor_si128(_mm_srli_epi32::<1>(lo), _mm_srli_epi32::<2>(lo)),
+        _mm_xor_si128(_mm_srli_epi32::<7>(lo), _mm_srli_si128::<4>(a)),
+    );
+    _mm_xor_si128(hi, _mm_xor_si128(lo, b))
 }
 
 /// Four rounds on message words W[4g..4g+4] (`$w`), group index `$g`,

@@ -9,9 +9,11 @@
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104), keyed once into ipad/opad
 //!   midstates, and a small HKDF (RFC 5869).
 //! * [`aes`] / [`modes`] — AES-128 (FIPS 197) with CBC (PKCS#7, in place
-//!   or `Vec`-returning) and CTR, and the data channel's seal:
+//!   or `Vec`-returning) and CTR, and the data channel's CBC+HMAC seal:
 //!   CBC-encrypt-then-HMAC in one pass
 //!   ([`modes::cbc_encrypt_then_mac_in_place`]).
+//! * [`ghash`] — GHASH and GMAC (SP 800-38D): the integrity-only suite's
+//!   record tag.
 //! * [`x25519`] — Diffie-Hellman over Curve25519 (RFC 7748).
 //! * [`schnorr`] — Schnorr signatures over the multiplicative group of
 //!   GF(2^255 − 19); used for the certificate authority, quote signing and
@@ -26,14 +28,16 @@
 //!
 //! # Two backends, chosen by the CPU
 //!
-//! AES-128 and SHA-256 — the record crypto of the data channel — each
-//! have two implementations with identical outputs. On x86-64,
-//! [`aes::Aes128::new`] uses AES-NI when `is_x86_feature_detected!("aes")`
-//! and [`sha256::Sha256::new`] uses the SHA extensions when `sha`, `ssse3`
-//! and `sse4.1` are all present; otherwise, and on every other
-//! architecture, the portable scalar code runs. The choice is made from
-//! the CPU alone, once per key schedule or hasher: there is no cargo
-//! feature, environment variable or parameter that selects a backend.
+//! AES-128, SHA-256 and GHASH — the record crypto of the data channel —
+//! each have two implementations with identical outputs. On x86-64,
+//! [`aes::Aes128::new`] uses AES-NI when `is_x86_feature_detected!("aes")`,
+//! [`sha256::Sha256::new`] uses the SHA extensions when `sha`, `ssse3`
+//! and `sse4.1` are all present, and [`ghash::GhashKey::new`] uses the
+//! carry-less multiplier (PCLMULQDQ) with `ssse3`; otherwise, and on
+//! every other architecture, the portable scalar code runs (for GHASH,
+//! one bit at a time). The choice is made from the CPU alone, once per
+//! key schedule or hasher: there is no cargo feature, environment
+//! variable or parameter that selects a backend.
 //! Measured on the benchmark host through `modes::cbc_encrypt`,
 //! `modes::cbc_decrypt` and `hmac::hmac_sha256` on one 23 KB record:
 //! about 0.7 / 0.1 / 0.8 ns/B on the hardware path against 10.9 / 20.9 /
@@ -64,6 +68,7 @@
 
 pub mod aes;
 pub mod error;
+pub mod ghash;
 pub mod hex;
 pub mod hmac;
 #[cfg(target_arch = "x86_64")]

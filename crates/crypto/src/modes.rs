@@ -1,8 +1,10 @@
 //! Block cipher modes for AES-128: CBC with PKCS#7 padding, and CTR.
 //!
 //! EndBox's data channel uses AES-128-CBC with an HMAC-SHA256 tag (matching
-//! OpenVPN's default static configuration in the paper); the TLS shim uses
-//! CTR for application-record protection.
+//! OpenVPN's default static configuration in the paper); the TLS shim, and
+//! the `TLSDecrypt` element that reads its records, use CTR
+//! ([`ctr_xor`]: eight blocks in flight on AES-NI) for application-record
+//! protection.
 //!
 //! A record is sealed with [`cbc_encrypt_then_mac_in_place`]: its contract
 //! is [`cbc_encrypt_in_place`] followed by [`HmacSha256::update`] over the
@@ -153,22 +155,11 @@ pub fn cbc_decrypt(
 ///
 /// `nonce` provides the initial counter block. The whole 128-bit block is
 /// the counter: it is incremented big-endian per block, and a carry out of
-/// the low 32 bits moves on into byte 11 and above.
+/// the low 32 bits moves on into byte 11 and above. On AES-NI eight
+/// counter blocks are encrypted side by side; the bytes are those of the
+/// one-block-at-a-time portable loop.
 pub fn ctr_xor(aes: &Aes128, nonce: &[u8; BLOCK_LEN], data: &mut [u8]) {
-    let mut counter = *nonce;
-    for chunk in data.chunks_mut(BLOCK_LEN) {
-        let keystream = aes.encrypt_block(&counter);
-        for (b, k) in chunk.iter_mut().zip(keystream.iter()) {
-            *b ^= k;
-        }
-        // Increment the whole block as one big-endian 128-bit integer.
-        for i in (0..BLOCK_LEN).rev() {
-            counter[i] = counter[i].wrapping_add(1);
-            if counter[i] != 0 {
-                break;
-            }
-        }
-    }
+    aes.ctr_xor(nonce, data);
 }
 
 #[cfg(test)]

@@ -4,26 +4,32 @@
 //! (OpenVPN's configuration in the evaluation), integrity-only protection
 //! for the ISP scenario ("AES-128-CBC packet encryption is optional …
 //! the fact that egress traffic is analysed by Click needs to be ensured
-//! by applying integrity protection", §IV-A). Both authenticate every
-//! byte of a record.
+//! by applying integrity protection", §IV-A), which is GMAC. Both
+//! authenticate every byte of a record.
 //!
 //! # One buffer per record
 //!
-//! A sealed payload is `[IV ‖ ciphertext ‖ tag]` (the IV and the
-//! encryption are absent from the integrity-only suite). `seal` builds it
-//! in the one `Vec` the [`Record`] will own: IV first, the plaintext (for
+//! A sealed CBC+HMAC payload is `[IV ‖ ciphertext ‖ tag32]`; an
+//! integrity-only one is `[body ‖ tag16]`. `seal` builds it in the one
+//! `Vec` the [`Record`] will own. CBC+HMAC: IV first, the plaintext (for
 //! a batch, the frames straight from [`frame::encode_into`]) after it,
 //! then PKCS#7 padding, CBC encryption and the MAC in one pass where the
 //! bytes lie ([`cbc_encrypt_then_mac_in_place`]: on AES-NI + SHA-NI each
 //! 64 bytes encrypted are hashed while the next 64 encrypt), and the tag
-//! appended. `open` checks the MAC over the borrowed body **first** and
-//! touches neither the replay window nor any output buffer until it
-//! verifies — a forged record learns nothing from padding — then decrypts
-//! into a recycled buffer: the caller's ([`DataChannel::open_into`]) or,
-//! for batches, one that [`BatchFrames`] returns to the channel when it
-//! is dropped. Every key-dependent HMAC state (ipad/opad midstates, for
-//! both directions and for the IV derivation) is computed once, when the
-//! channel is built.
+//! appended. Integrity-only: the plaintext, then its GMAC tag — GCM with
+//! an empty plaintext under the direction's encryption key, over
+//! `A = opcode ‖ packet_id ‖ body` (the bytes the HMAC covers), with
+//! `J0 = 0³² ‖ packet_id ‖ 0x00000001`; the nonce is unique because the
+//! keys are per direction and the packet ids come from the one
+//! [`SendHalf`] counter. `open` checks the tag over the borrowed body
+//! **first** and touches neither the replay window nor any output buffer
+//! until it verifies — a forged record learns nothing from padding — then
+//! decrypts (or copies) into a recycled buffer: the caller's
+//! ([`DataChannel::open_into`]) or, for batches, one that [`BatchFrames`]
+//! returns to the channel when it is dropped. Every key-dependent state
+//! (the HMAC ipad/opad midstates for the records and the IV derivation,
+//! GMAC's AES schedule and GHASH powers) is computed once, when the
+//! channel is built, and each half holds only what its suite uses.
 //!
 //! # Two halves
 //!
@@ -38,6 +44,8 @@ use crate::error::VpnError;
 use crate::proto::{frame, Opcode, Record};
 use crate::replay::ReplayWindow;
 use endbox_crypto::aes::{Aes128, BLOCK_LEN};
+use endbox_crypto::ct_eq;
+use endbox_crypto::ghash::{self, Gmac};
 use endbox_crypto::hmac::{hkdf, HmacSha256};
 use endbox_crypto::modes::{cbc_decrypt_in_place, cbc_encrypt_then_mac_in_place};
 use endbox_netsim::cost::{CostModel, CycleMeter};
@@ -50,7 +58,9 @@ pub enum CipherSuite {
     /// AES-128-CBC encryption + HMAC-SHA256 (enterprise default).
     #[default]
     Aes128CbcHmac,
-    /// HMAC-SHA256 only; payload travels in clear (ISP mode, §IV-A).
+    /// GMAC only (AES-GCM with an empty plaintext, keyed with the
+    /// direction's encryption key, the packet id as nonce); the payload
+    /// travels in clear (ISP mode, §IV-A).
     IntegrityOnly,
 }
 
@@ -102,7 +112,8 @@ impl SessionKeys {
     }
 }
 
-const TAG_LEN: usize = 32;
+/// HMAC-SHA256 tag of a CBC record.
+const HMAC_TAG_LEN: usize = 32;
 const IV_LEN: usize = 16;
 
 /// Decrypt-buffer capacity a channel keeps between records: a few
@@ -190,29 +201,74 @@ impl Suite {
     }
 }
 
+/// The keys one direction's suite uses, expanded once when the channel is
+/// built, and nothing the suite does not use.
+#[derive(Debug)]
+enum Keys<Iv> {
+    /// CBC+HMAC: the AES schedule, the record MAC's midstates and what
+    /// the half needs for IVs — in a send half the HMAC, keyed with the
+    /// encryption key, that derives each record's IV; in a receive half
+    /// nothing (the IV travels in the record).
+    Cbc {
+        aes: Aes128,
+        mac: HmacSha256,
+        iv_mac: Iv,
+    },
+    /// GMAC under the direction's encryption key: its AES schedule and
+    /// the GHASH key of `H = E_K(0)`.
+    Gmac(Gmac),
+}
+
+impl<Iv> Keys<Iv> {
+    fn new(suite: CipherSuite, keys: &DirectionKeys, iv_mac: impl FnOnce(&[u8; 16]) -> Iv) -> Self {
+        match suite {
+            CipherSuite::Aes128CbcHmac => Keys::Cbc {
+                aes: Aes128::new(&keys.enc),
+                mac: HmacSha256::new(&keys.mac),
+                iv_mac: iv_mac(&keys.enc),
+            },
+            CipherSuite::IntegrityOnly => Keys::Gmac(Gmac::new(&keys.enc)),
+        }
+    }
+
+    fn tag_len(&self) -> usize {
+        match self {
+            Keys::Cbc { .. } => HMAC_TAG_LEN,
+            Keys::Gmac(_) => ghash::TAG_LEN,
+        }
+    }
+
+    /// Whether `tag` is this suite's tag of the record's
+    /// `opcode ‖ packet_id ‖ body`, compared in constant time.
+    fn verify(&self, opcode: Opcode, packet_id: u64, body: &[u8], tag: &[u8]) -> bool {
+        match self {
+            Keys::Cbc { mac, .. } => ct_eq(&hmac_tag(mac, opcode, packet_id, body), tag),
+            Keys::Gmac(gmac) => ct_eq(&gmac_tag(gmac, opcode, packet_id, body), tag),
+        }
+    }
+}
+
 /// The send direction of a channel: everything sealing touches and
-/// nothing else — the send key schedule, the send and IV-derivation MAC
-/// midstates and the packet-id counter. On the server it lives with the
-/// front-end thread that seals egress (`server::SendTable`), apart from
-/// the [`RecvHalf`] a worker owns.
+/// nothing else — the send keys and the packet-id counter. On the server
+/// it lives with the front-end thread that seals egress
+/// (`server::SendTable`), apart from the [`RecvHalf`] a worker owns.
+///
+/// Not `Clone`, and the only place a direction's packet ids come from:
+/// GMAC's nonce is the packet id, so this is what its uniqueness rests on.
 #[derive(Debug)]
 pub struct SendHalf {
-    aes: Aes128,
-    mac: HmacSha256,
-    /// Keyed with the send encryption key; derives the per-packet IV.
-    iv_mac: HmacSha256,
+    keys: Keys<HmacSha256>,
     next_id: u64,
     suite: Suite,
 }
 
 /// The receive direction of a channel: everything opening touches — the
-/// receive key schedule and MAC midstate, the replay window and the
-/// recycled decrypt buffers. On the server it is what a
-/// [`crate::shard::ServerSession`] carries from worker to worker.
+/// receive keys, the replay window and the recycled decrypt buffers. On
+/// the server it is what a [`crate::shard::ServerSession`] carries from
+/// worker to worker.
 #[derive(Debug)]
 pub struct RecvHalf {
-    aes: Aes128,
-    mac: HmacSha256,
+    keys: Keys<()>,
     replay: ReplayWindow,
     /// Decrypt buffers of opened batch records, between uses.
     blobs: BufferPool,
@@ -226,8 +282,9 @@ pub struct RecvHalf {
 ///
 /// Everything that depends only on the session keys is expanded **once
 /// per direction** at channel construction and cached: the AES key
-/// schedules and the keyed HMAC contexts (cloned per record). `seal`/
-/// `open` must never re-run a key expansion on the per-record hot path.
+/// schedules, the keyed HMAC contexts (cloned per record) and GMAC's
+/// GHASH key (H and its powers). `seal`/`open` must never re-run a key
+/// expansion on the per-record hot path.
 #[derive(Debug)]
 pub struct DataChannel {
     send: SendHalf,
@@ -281,15 +338,12 @@ impl DataChannel {
         };
         DataChannel {
             send: SendHalf {
-                aes: Aes128::new(&send.enc),
-                mac: HmacSha256::new(&send.mac),
-                iv_mac: HmacSha256::new(&send.enc),
+                keys: Keys::new(suite.kind, send, |enc| HmacSha256::new(enc)),
                 next_id: 1,
                 suite: suite.clone(),
             },
             recv: RecvHalf {
-                aes: Aes128::new(&recv.enc),
-                mac: HmacSha256::new(&recv.mac),
+                keys: Keys::new(suite.kind, recv, |_| ()),
                 replay: ReplayWindow::new(),
                 blobs: BufferPool::with_byte_limit(BLOB_RETENTION_BYTES),
                 suite,
@@ -381,8 +435,9 @@ impl SendHalf {
     }
 
     /// Builds the sealed payload in one buffer: `write` appends the
-    /// `plain_len` plaintext bytes right after the IV, where they are
-    /// then padded, encrypted and MACed.
+    /// `plain_len` plaintext bytes — after the IV, where they are then
+    /// padded, encrypted and MACed, or (GMAC) where they stay — and the
+    /// tag follows them.
     fn seal_with(
         &mut self,
         opcode: Opcode,
@@ -393,22 +448,25 @@ impl SendHalf {
         let packet_id = self.next_id;
         self.next_id += 1;
         self.suite.charge(plain_len);
-        let mut body = Vec::with_capacity(IV_LEN + plain_len + BLOCK_LEN + TAG_LEN);
-        let tag = match self.suite.kind {
-            CipherSuite::Aes128CbcHmac => {
-                let iv = self.derive_iv(packet_id);
+        let body = match &self.keys {
+            Keys::Cbc { aes, mac, iv_mac } => {
+                let mut body = Vec::with_capacity(IV_LEN + plain_len + BLOCK_LEN + HMAC_TAG_LEN);
+                let iv = derive_iv(iv_mac, packet_id);
                 body.extend_from_slice(&iv);
                 write(&mut body);
-                let mut mac = mac_after_header(&self.mac, opcode, packet_id);
-                cbc_encrypt_then_mac_in_place(&self.aes, &iv, &mut body, IV_LEN, &mut mac);
-                mac.finalize()
+                let mut mac = mac_after_header(mac, opcode, packet_id);
+                cbc_encrypt_then_mac_in_place(aes, &iv, &mut body, IV_LEN, &mut mac);
+                body.extend_from_slice(&mac.finalize());
+                body
             }
-            CipherSuite::IntegrityOnly => {
+            Keys::Gmac(gmac) => {
+                let mut body = Vec::with_capacity(plain_len + ghash::TAG_LEN);
                 write(&mut body);
-                tag(&self.mac, opcode, packet_id, &body)
+                let tag = gmac_tag(gmac, opcode, packet_id, &body);
+                body.extend_from_slice(&tag);
+                body
             }
         };
-        body.extend_from_slice(&tag);
         Record {
             opcode,
             session_id,
@@ -416,15 +474,15 @@ impl SendHalf {
             payload: body,
         }
     }
+}
 
-    /// Deterministic per-packet IV (unique per packet id; see module docs).
-    fn derive_iv(&self, packet_id: u64) -> [u8; IV_LEN] {
-        let mut m = self.iv_mac.clone();
-        m.update(b"iv");
-        m.update(&packet_id.to_be_bytes());
-        let d = m.finalize();
-        d[..IV_LEN].try_into().unwrap()
-    }
+/// Deterministic per-packet IV of the CBC suite (unique per packet id).
+fn derive_iv(iv_mac: &HmacSha256, packet_id: u64) -> [u8; IV_LEN] {
+    let mut m = iv_mac.clone();
+    m.update(b"iv");
+    m.update(&packet_id.to_be_bytes());
+    let d = m.finalize();
+    d[..IV_LEN].try_into().unwrap()
 }
 
 impl RecvHalf {
@@ -443,37 +501,38 @@ impl RecvHalf {
     }
 
     /// [`RecvHalf::open`] into a buffer the caller recycles: `out` is
-    /// cleared, then holds exactly the plaintext. The MAC is verified on
-    /// the borrowed record body before anything else happens, so a record
-    /// that fails authentication moves neither the replay window nor a
-    /// byte of `out`; on any error `out` is left empty.
+    /// cleared, then holds exactly the plaintext. The tag (HMAC or GMAC)
+    /// is verified on the borrowed record body before anything else
+    /// happens, so a record that fails authentication moves neither the
+    /// replay window nor a byte of `out`; on any error `out` is left
+    /// empty.
     ///
     /// # Errors
     ///
     /// See [`RecvHalf::open`].
     pub fn open_into(&mut self, record: &Record, out: &mut Vec<u8>) -> Result<(), VpnError> {
         out.clear();
-        if record.payload.len() < TAG_LEN {
+        let tag_len = self.keys.tag_len();
+        if record.payload.len() < tag_len {
             return Err(VpnError::Malformed("sealed payload too short"));
         }
-        let (body, tag_bytes) = record.payload.split_at(record.payload.len() - TAG_LEN);
-        let expected = tag(&self.mac, record.opcode, record.packet_id, body);
-        if !endbox_crypto::ct_eq(&expected, tag_bytes) {
+        let (body, tag) = record.payload.split_at(record.payload.len() - tag_len);
+        if !self.keys.verify(record.opcode, record.packet_id, body, tag) {
             return Err(VpnError::AuthenticationFailed);
         }
         if !self.replay.accept(record.packet_id) {
             return Err(VpnError::Replay);
         }
         self.suite.charge(body.len());
-        match self.suite.kind {
-            CipherSuite::Aes128CbcHmac => {
+        match &self.keys {
+            Keys::Cbc { aes, .. } => {
                 if body.len() < IV_LEN + BLOCK_LEN {
                     return Err(VpnError::Malformed("ciphertext too short"));
                 }
                 let (iv, ciphertext) = body.split_at(IV_LEN);
                 let iv: &[u8; IV_LEN] = iv.try_into().expect("split at IV_LEN");
                 out.extend_from_slice(ciphertext);
-                match cbc_decrypt_in_place(&self.aes, iv, out) {
+                match cbc_decrypt_in_place(aes, iv, out) {
                     Ok(len) => out.truncate(len),
                     Err(_) => {
                         out.clear();
@@ -481,7 +540,7 @@ impl RecvHalf {
                     }
                 }
             }
-            CipherSuite::IntegrityOnly => {
+            Keys::Gmac(_) => {
                 out.extend_from_slice(body);
             }
         }
@@ -522,19 +581,34 @@ impl RecvHalf {
     }
 }
 
-/// The record MAC context with the header bound in: `opcode ‖ packet_id`
-/// absorbed, the body still to come.
+/// The bytes a record's tag binds ahead of its body: `opcode ‖ packet_id`.
+fn header(opcode: Opcode, packet_id: u64) -> [u8; 9] {
+    let mut h = [opcode.to_u8(); 9];
+    h[1..].copy_from_slice(&packet_id.to_be_bytes());
+    h
+}
+
+/// The record MAC context with the header bound in, the body still to
+/// come.
 fn mac_after_header(keyed: &HmacSha256, opcode: Opcode, packet_id: u64) -> HmacSha256 {
     let mut m = keyed.clone();
-    m.update(&[opcode.to_u8()]);
-    m.update(&packet_id.to_be_bytes());
+    m.update(&header(opcode, packet_id));
     m
 }
 
-fn tag(keyed: &HmacSha256, opcode: Opcode, packet_id: u64, body: &[u8]) -> [u8; TAG_LEN] {
+fn hmac_tag(keyed: &HmacSha256, opcode: Opcode, packet_id: u64, body: &[u8]) -> [u8; HMAC_TAG_LEN] {
     let mut m = mac_after_header(keyed, opcode, packet_id);
     m.update(body);
     m.finalize()
+}
+
+/// The GMAC tag of an integrity-only record: `A = opcode ‖ packet_id ‖
+/// body`, the same bytes the HMAC covers, under the nonce
+/// `0³² ‖ packet_id` (so `J0 = 0³² ‖ packet_id ‖ 0x00000001`).
+fn gmac_tag(gmac: &Gmac, opcode: Opcode, packet_id: u64, body: &[u8]) -> [u8; ghash::TAG_LEN] {
+    let mut nonce = [0u8; ghash::NONCE_LEN];
+    nonce[4..].copy_from_slice(&packet_id.to_be_bytes());
+    gmac.tag(&nonce, &[&header(opcode, packet_id), body])
 }
 
 #[cfg(test)]
@@ -657,95 +731,118 @@ mod tests {
         assert_eq!(s.open(&rec), Err(VpnError::AuthenticationFailed));
     }
 
-    /// MAC before decrypt: whatever is wrong with a record — tag, body,
-    /// truncation, a body that is not whole blocks — the verdict is the
-    /// one the parent gave, the replay window has not moved (the genuine
-    /// record still opens afterwards) and the caller's recycled buffer
-    /// holds nothing, least of all its previous plaintext.
+    /// Tag before anything else: whatever is wrong with a record — tag,
+    /// body, truncation, a CBC body that is not whole blocks — the
+    /// verdict is the one the parent gave, the replay window has not moved
+    /// (the genuine record still opens afterwards) and the caller's
+    /// recycled buffer holds nothing, least of all its previous plaintext.
+    /// In both suites: the CBC cases reach into the IV and the block
+    /// structure; the GMAC record is cut below its 16-byte tag.
     #[test]
     fn rejected_records_touch_neither_window_nor_buffer() {
-        let (mut c, mut s) = pair(CipherSuite::Aes128CbcHmac);
-        let genuine = c.seal(Opcode::Data, 1, &[0x61; 100]);
-        let n = genuine.payload.len();
-        let damaged = |f: &dyn Fn(&mut Vec<u8>)| {
-            let mut rec = genuine.clone();
-            f(&mut rec.payload);
-            rec
-        };
-        let cases = [
-            (
-                "tag bit",
-                damaged(&|p| p[n - 1] ^= 1),
-                VpnError::AuthenticationFailed,
-            ),
-            (
-                "body bit",
-                damaged(&|p| p[IV_LEN + 3] ^= 0x10),
-                VpnError::AuthenticationFailed,
-            ),
-            (
-                "iv bit",
-                damaged(&|p| p[0] ^= 0x80),
-                VpnError::AuthenticationFailed,
-            ),
+        let (auth, short) = (
+            VpnError::AuthenticationFailed,
+            VpnError::Malformed("sealed payload too short"),
+        );
+        type Damage = fn(&mut Vec<u8>);
+        let cbc: Vec<(&str, Damage, VpnError)> = vec![
+            ("tag bit", |p| *p.last_mut().unwrap() ^= 1, auth.clone()),
+            ("body bit", |p| p[IV_LEN + 3] ^= 0x10, auth.clone()),
+            ("iv bit", |p| p[0] ^= 0x80, auth.clone()),
             (
                 "cut below IV + one block",
-                damaged(&|p| p.truncate(IV_LEN + 8 + TAG_LEN)),
-                VpnError::AuthenticationFailed,
+                |p| p.truncate(IV_LEN + 8 + HMAC_TAG_LEN),
+                auth.clone(),
             ),
             (
                 "cut below a tag",
-                damaged(&|p| p.truncate(TAG_LEN - 1)),
-                VpnError::Malformed("sealed payload too short"),
+                |p| p.truncate(HMAC_TAG_LEN - 1),
+                short.clone(),
             ),
             (
                 "body not whole blocks",
-                damaged(&|p| {
+                |p| {
                     p.remove(IV_LEN + 5);
-                }),
-                VpnError::AuthenticationFailed,
+                },
+                auth.clone(),
             ),
         ];
-        let mut out = b"plaintext of the previous record".to_vec();
-        for (what, rec, want) in cases {
-            assert_eq!(s.open_into(&rec, &mut out), Err(want), "{what}");
-            assert!(out.is_empty(), "{what}");
-            assert!(s.replay_is_empty(), "{what}: window moved");
-            out.extend_from_slice(b"plaintext of the previous record");
+        let gmac: Vec<(&str, Damage, VpnError)> = vec![
+            ("tag bit", |p| *p.last_mut().unwrap() ^= 1, auth.clone()),
+            ("body bit", |p| p[3] ^= 0x10, auth.clone()),
+            (
+                "body byte dropped",
+                |p| {
+                    p.remove(5);
+                },
+                auth.clone(),
+            ),
+            ("tag dropped", |p| p.truncate(100), auth.clone()),
+            (
+                "cut below a 16 B tag",
+                |p| p.truncate(ghash::TAG_LEN - 1),
+                short,
+            ),
+        ];
+        for (suite, cases) in [
+            (CipherSuite::Aes128CbcHmac, cbc),
+            (CipherSuite::IntegrityOnly, gmac),
+        ] {
+            let (mut c, mut s) = pair(suite);
+            let genuine = c.seal(Opcode::Data, 1, &[0x61; 100]);
+            let mut out = b"plaintext of the previous record".to_vec();
+            for (what, damage, want) in cases {
+                let mut rec = genuine.clone();
+                damage(&mut rec.payload);
+                assert_eq!(s.open_into(&rec, &mut out), Err(want), "{suite:?}: {what}");
+                assert!(out.is_empty(), "{suite:?}: {what}");
+                assert!(s.replay_is_empty(), "{suite:?}: {what}: window moved");
+                out.extend_from_slice(b"plaintext of the previous record");
+            }
+            s.open_into(&genuine, &mut out).unwrap();
+            assert_eq!(out, [0x61; 100], "{suite:?}");
         }
-        s.open_into(&genuine, &mut out).unwrap();
-        assert_eq!(out, [0x61; 100]);
     }
 
     /// The same for records whose MAC *verifies* but whose body the CBC
-    /// suite cannot decrypt (sealed under the integrity-only suite with
-    /// the same keys): the error is the parent's, and no plaintext or
-    /// stale byte comes out.
+    /// suite cannot decrypt — forged with the CBC suite's own HMAC key
+    /// over bodies that are too short, not whole blocks, or badly padded:
+    /// the error is the parent's, and no plaintext or stale byte comes
+    /// out.
     #[test]
     fn authentic_but_undecryptable_bodies_yield_no_bytes() {
         let k = keys();
-        let cost = CostModel::calibrated();
-        let mut plain = DataChannel::client(
+        let mut s = DataChannel::server(
             &k,
-            CipherSuite::IntegrityOnly,
+            CipherSuite::Aes128CbcHmac,
             CycleMeter::new(),
-            cost.clone(),
+            CostModel::calibrated(),
         );
-        let mut s = DataChannel::server(&k, CipherSuite::Aes128CbcHmac, CycleMeter::new(), cost);
+        let keyed = HmacSha256::new(&k.client_to_server.mac);
+        let authentic = |packet_id: u64, body: Vec<u8>| {
+            let mut payload = body.clone();
+            payload.extend_from_slice(&hmac_tag(&keyed, Opcode::Data, packet_id, &body));
+            Record {
+                opcode: Opcode::Data,
+                session_id: 1,
+                packet_id,
+                payload,
+            }
+        };
         let mut out = b"stale".to_vec();
-        let short = plain.seal(Opcode::Data, 1, &[7; 10]);
+        let short = authentic(1, vec![7; 10]);
         assert_eq!(
             s.open_into(&short, &mut out),
             Err(VpnError::Malformed("ciphertext too short"))
         );
         assert!(out.is_empty());
-        let ragged = plain.seal(Opcode::Data, 1, &[7; IV_LEN + 24]);
+        let ragged = authentic(2, vec![7; IV_LEN + 24]);
         assert_eq!(
             s.open_into(&ragged, &mut out),
             Err(VpnError::AuthenticationFailed)
         );
         assert!(out.is_empty());
-        let bad_padding = plain.seal(Opcode::Data, 1, &[7; IV_LEN + 32]);
+        let bad_padding = authentic(3, vec![7; IV_LEN + 32]);
         assert_eq!(
             s.open_into(&bad_padding, &mut out),
             Err(VpnError::AuthenticationFailed)
@@ -802,13 +899,46 @@ mod tests {
         assert_eq!(rec.payload, want);
     }
 
+    /// The GMAC tag of an integrity-only client record from the spec's
+    /// pieces alone: `H = E_K(0)`, GHASH one bit at a time through
+    /// [`ghash::mul`] over `opcode ‖ packet_id ‖ body`, zero-padded, and
+    /// its length block, masked with `E_K(0³² ‖ packet_id ‖ 1)`.
+    fn gmac_oracle(rec: &Record) -> [u8; 16] {
+        let aes = Aes128::new(&keys().client_to_server.enc);
+        let h = aes.encrypt_block(&[0; 16]);
+        let body = &rec.payload[..rec.payload.len() - 16];
+        let mut a = vec![rec.opcode.to_u8()];
+        a.extend_from_slice(&rec.packet_id.to_be_bytes());
+        a.extend_from_slice(body);
+        let bits = 8 * a.len() as u64;
+        a.resize(a.len().div_ceil(16) * 16, 0);
+        a.extend_from_slice(&bits.to_be_bytes());
+        a.extend_from_slice(&[0; 8]);
+        let mut y = [0u8; 16];
+        for x in a.chunks_exact(16) {
+            for (y, x) in y.iter_mut().zip(x) {
+                *y ^= x;
+            }
+            y = ghash::mul(&y, &h);
+        }
+        let mut j0 = [0u8; 16];
+        j0[4..12].copy_from_slice(&rec.packet_id.to_be_bytes());
+        j0[15] = 1;
+        for (y, m) in y.iter_mut().zip(aes.encrypt_block(&j0)) {
+            *y ^= m;
+        }
+        y
+    }
+
     /// The sealed bytes of one fixed-key client channel, pinned to the
     /// SHA-256 of every record it seals: `seal` at every length 0..=300,
     /// `seal_batch` in the three benchmark shapes (16×1460, 8×256, 4×64)
-    /// and a `Ping`, per suite. The digests were recorded by running this
-    /// test on the sequential encrypt-then-MAC seal, before the stitched
-    /// one replaced it, so they pin the wire bytes themselves — not only
-    /// agreement with the primitives a seal is built from.
+    /// and a `Ping`, per suite. The CBC+HMAC digest was recorded on the
+    /// sequential encrypt-then-MAC seal, before the stitched one replaced
+    /// it; the integrity-only digest when that suite became GMAC, and
+    /// every one of its tags is recomputed here by the bit-serial
+    /// [`gmac_oracle`] — so both pin the wire bytes themselves, not only
+    /// agreement with the kernels a seal is built from.
     #[test]
     fn sealed_bytes_match_the_recorded_digest() {
         use endbox_crypto::hex;
@@ -820,13 +950,17 @@ mod tests {
             ),
             (
                 CipherSuite::IntegrityOnly,
-                "541fd149a8324835607072af9d4cfe98462c1eaadd467acabdc568f07ed5764b",
+                "ce46d48e885257127e720fcecbb63f467412e1061aeec8f970eed3cf953d25fc",
             ),
         ];
         for (suite, want) in recorded {
             let (mut c, _) = pair(suite);
             let mut h = Sha256::new();
             let mut absorb = |rec: Record| {
+                if suite == CipherSuite::IntegrityOnly {
+                    let tag = &rec.payload[rec.payload.len() - 16..];
+                    assert_eq!(tag, gmac_oracle(&rec), "packet id {}", rec.packet_id);
+                }
                 h.update(&[rec.opcode.to_u8()]);
                 h.update(&rec.session_id.to_be_bytes());
                 h.update(&rec.packet_id.to_be_bytes());
@@ -956,18 +1090,48 @@ mod tests {
                 prop_assert_eq!(s.open(&rec).unwrap(), payload);
             }
 
-            /// Bit flips anywhere in a CBC+HMAC record are rejected.
+            /// In both suites, a single-bit flip anywhere in what the tag
+            /// binds — opcode, packet id, body or the tag itself — is
+            /// rejected before the replay window moves or a byte reaches
+            /// `out`, and the genuine record opens afterwards. (A flipped
+            /// opcode byte naming no opcode never leaves the wire decoder.)
             #[test]
             fn any_bitflip_detected(
                 payload in prop::collection::vec(any::<u8>(), 1..256),
-                byte_idx in any::<prop::sample::Index>(),
-                bit in 0u8..8,
+                suite_idx in 0usize..2,
+                bit_idx in any::<prop::sample::Index>(),
             ) {
-                let (mut c, mut s) = pair(CipherSuite::Aes128CbcHmac);
-                let mut rec = c.seal(Opcode::Data, 1, &payload);
-                let i = byte_idx.index(rec.payload.len());
-                rec.payload[i] ^= 1 << bit;
-                prop_assert!(s.open(&rec).is_err());
+                let suite = [CipherSuite::Aes128CbcHmac, CipherSuite::IntegrityOnly][suite_idx];
+                let (mut c, mut s) = pair(suite);
+                let genuine = c.seal(Opcode::Data, 1, &payload);
+                let mut rec = genuine.clone();
+                let bit = bit_idx.index(8 * (1 + 8 + rec.payload.len()));
+                let (byte, mask) = (bit / 8, 1u8 << (bit % 8));
+                match byte {
+                    0 => {
+                        let flipped = rec.opcode.to_u8() ^ mask;
+                        let all = [
+                            Opcode::HandshakeInit,
+                            Opcode::HandshakeResp,
+                            Opcode::Data,
+                            Opcode::DataBatch,
+                            Opcode::Ping,
+                            Opcode::Disconnect,
+                        ];
+                        match all.into_iter().find(|o| o.to_u8() == flipped) {
+                            Some(opcode) => rec.opcode = opcode,
+                            None => return,
+                        }
+                    }
+                    1..=8 => rec.packet_id ^= (mask as u64) << (8 * (8 - byte)),
+                    _ => rec.payload[byte - 9] ^= mask,
+                }
+                let mut out = b"earlier plaintext".to_vec();
+                prop_assert!(s.open_into(&rec, &mut out).is_err());
+                prop_assert!(out.is_empty());
+                prop_assert!(s.replay_is_empty(), "window moved");
+                s.open_into(&genuine, &mut out).unwrap();
+                prop_assert_eq!(out, payload);
             }
         }
     }

@@ -247,6 +247,9 @@ pub struct Schedule {
     /// whose shard index exceeds the run's shard count are skipped.
     pub stalls: Vec<(usize, u64)>,
     pub steps: Vec<Step>,
+    /// Replay under `Scenario::isp` (the integrity-only suite) instead of
+    /// `Scenario::enterprise`.
+    pub isp: bool,
 }
 
 impl Schedule {
@@ -258,7 +261,13 @@ impl Schedule {
             peers: PeerMap::Identity,
             stalls: Vec::new(),
             steps: Vec::new(),
+            isp: false,
         }
+    }
+
+    pub fn isp(mut self) -> Schedule {
+        self.isp = true;
+        self
     }
 
     pub fn peers(mut self, peers: PeerMap) -> Schedule {
@@ -299,6 +308,10 @@ pub type Sealed = Result<Vec<Vec<u8>>, EndBoxError>;
 pub struct Replay {
     pub outs: Vec<Out>,
     pub egress: Vec<Sealed>,
+    /// The wire datagrams the clients' own channels sealed (batches,
+    /// singles and pings; not crafted or replayed ones), with the index
+    /// of the client that sealed each.
+    pub sealed_by_clients: Vec<(usize, Vec<u8>)>,
     pub delivered: u64,
     pub rejected: u64,
     /// The connected session ids, ascending.
@@ -565,7 +578,12 @@ macro_rules! on_either {
 /// run as `cfg` describes — returning the replay and what the server
 /// relocated along the way.
 pub fn run(schedule: &Schedule, geometry: impl Into<Geometry>, cfg: &RunCfg) -> (Replay, Moves) {
-    let builder = Scenario::enterprise(schedule.n_clients, UseCase::Nop).seed(schedule.seed);
+    let deployment = if schedule.isp {
+        Scenario::isp
+    } else {
+        Scenario::enterprise
+    };
+    let builder = deployment(schedule.n_clients, UseCase::Nop).seed(schedule.seed);
     let mut under = match geometry.into() {
         Geometry::Reference => Under::Reference(Box::new(builder.build().unwrap())),
         Geometry::Sharded(shards) => {
@@ -590,6 +608,7 @@ pub fn run(schedule: &Schedule, geometry: impl Into<Geometry>, cfg: &RunCfg) -> 
         .collect();
     let mut outs = Vec::new();
     let mut egress = Vec::new();
+    let mut sealed_by_clients = Vec::new();
     let mut prev: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut segment: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut craft_seq = 0u32;
@@ -656,6 +675,12 @@ pub fn run(schedule: &Schedule, geometry: impl Into<Geometry>, cfg: &RunCfg) -> 
                     &prev,
                     &mut craft_seq,
                 );
+                if let Step::Batch { client, .. }
+                | Step::Single { client }
+                | Step::Ping { client } = *step
+                {
+                    sealed_by_clients.extend(datagrams.iter().map(|(_, d)| (client, d.clone())));
+                }
                 segment.extend(datagrams.iter().cloned());
                 if !datagrams.is_empty() {
                     prev = datagrams;
@@ -668,6 +693,7 @@ pub fn run(schedule: &Schedule, geometry: impl Into<Geometry>, cfg: &RunCfg) -> 
     let replay = Replay {
         outs,
         egress,
+        sealed_by_clients,
         delivered,
         rejected,
         session_ids: on_either!(&under, s => s.server.session_ids()),
