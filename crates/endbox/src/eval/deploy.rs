@@ -79,7 +79,8 @@ pub enum Server {
     /// server-side Click attached if it has one.
     PerClient,
     /// One [`crate::server::ShardedEndBoxServer`] with `shards`
-    /// run-to-completion shards (== poll groups of the event loop).
+    /// run-to-completion shards (fed by the event loop's one poll group
+    /// under [`Doorway::EventLoop`]).
     Sharded {
         /// Shard threads.
         shards: usize,

@@ -382,7 +382,7 @@ pub fn rx_scaling() -> Table {
 
 /// The event-driven measurement behind [`async_ingress`]: the
 /// small-record mix (8 peers × 8 records) riding the wire into per-peer
-/// sockets that the event loop drains, 4 shards (one poll group each).
+/// sockets that the event loop's one poll group drains, 4 shards.
 pub fn async_ingress_spec() -> MeasureSpec {
     MeasureSpec {
         doorway: Doorway::EventLoop,
@@ -400,7 +400,7 @@ pub fn async_ingress() -> Table {
         "async",
         mix_title(
             "socket front-end comparison",
-            "4 shards (one poll group each)",
+            "4 shards behind one poll group",
         ),
         &columns(&["mode", "clients", "shards"], &[("wakeups_per_packet", 4)]),
         (&["mode"], "clients", &["mpps", "server_cpu"]),
@@ -523,10 +523,10 @@ pub const FIXED_HOMING: &str = "fixed-homing";
 
 /// The measurement behind [`adaptive_control`] and [`elastic_resize`]:
 /// the heavy-tailed small-record mix through the event loop. 8 peers at
-/// 2 shards puts both Zipf elephants (peers 0 and 4) in poll group 0;
-/// base batch 24 makes that group's per-round backlog (~43 datagrams)
-/// deep enough that the hot-group law (2x the other groups' mean,
-/// 3-round debounce) actually fires.
+/// 2 shards puts both Zipf elephants (peers 0 and 4) on shard 0; base
+/// batch 24 makes that shard's per-round socket backlog (~43 datagrams)
+/// deep enough that the remap law (2x the other shards' mean, 3-round
+/// debounce) actually fires.
 pub fn controlled_spec(shards: usize) -> MeasureSpec {
     MeasureSpec {
         doorway: Doorway::EventLoop,
@@ -859,6 +859,36 @@ mod tests {
             m.wakeups_per_datagram
         );
         assert_eq!(m.charge.fragments, 1, "small records must not fragment");
+    }
+
+    #[test]
+    fn one_poll_and_one_budget_per_round_at_every_shard_count() {
+        // One poll group feeds every shard: a round costs one wakeup and
+        // grants one budget of `DEFAULT_SHARD_BUDGET × C`, whatever C is.
+        let wakeups = [1, 2, 4].map(|c| {
+            let m = measure(&controlled_spec(c));
+            let per_round = (crate::server::DEFAULT_SHARD_BUDGET * c) as u64;
+            assert_eq!(
+                m.controller.budget_grants,
+                m.controller.budget_rounds * per_round,
+                "C = {c}: {:?}",
+                m.controller
+            );
+            m.wakeups_per_datagram
+        });
+        assert!(
+            wakeups.iter().all(|&w| w == wakeups[0]),
+            "wakeups per datagram moved with C: {wakeups:?}"
+        );
+    }
+
+    #[test]
+    fn remap_law_moves_a_peer_on_the_controlled_mix() {
+        // Both Zipf elephants (peers 0 and 4) home on shard 0 at C = 2,
+        // so that shard runs hot and the remap law must move a peer off
+        // it — the move that lets the `adaptive` rows replay migration.
+        let m = measure(&controlled_spec(2));
+        assert!(m.controller.remaps >= 1, "{:?}", m.controller);
     }
 
     #[test]

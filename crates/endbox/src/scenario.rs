@@ -159,7 +159,7 @@ impl ScenarioBuilder {
 
     /// Event-driven socket ingress for a sharded build (default off):
     /// every peer gets a virtual server-side UDP socket registered with
-    /// an [`AsyncFrontEnd`] poll group (one group per shard), and the
+    /// the [`AsyncFrontEnd`]'s one poll group, and the
     /// data-path drivers route wire datagrams through the event loop
     /// instead of calling `receive_datagrams` directly. The
     /// handshake/control path stays call-driven — it is off the fast
@@ -409,7 +409,6 @@ impl ScenarioBuilder {
         )?;
         if self.async_ingress {
             network.sockets = Some(Sockets::new(
-                &network.server,
                 &network.server_meter,
                 cost,
                 self.transport,
@@ -502,13 +501,12 @@ struct Sockets {
 
 impl Sockets {
     fn new(
-        server: &ShardedEndBoxServer,
         meter: &CycleMeter,
         cost: CostModel,
         transport: TransportKind,
         elastic: bool,
     ) -> Sockets {
-        let mut front_end = AsyncFrontEnd::new(server.shard_count());
+        let mut front_end = AsyncFrontEnd::new();
         front_end.set_elastic(elastic);
         let wire: Arc<dyn Transport> = match transport {
             TransportKind::Virtual => Arc::new(VirtualWire::new()),
@@ -1051,39 +1049,31 @@ impl ShardedScenario {
         self.sockets().front_end.controller_stats(&self.server)
     }
 
-    /// Re-homes `peer` onto shard / poll group `to` by hand: the peer's
-    /// state moves first (quiesced and drained, see
-    /// [`ShardedEndBoxServer::remap_peer`]), then — when the event-driven
-    /// front-end is attached — its socket registration follows
-    /// (`AsyncFrontEnd::follow`). `to` is taken modulo the live shard
-    /// count. Returns the drained partial-record count. The controller
-    /// performs exactly this pair on its own; the manual hook exists for
-    /// the adversarial remap schedules in `tests/`.
+    /// Re-homes `peer` onto shard `to` by hand: the peer's state moves,
+    /// quiesced and drained (see [`ShardedEndBoxServer::remap_peer`]).
+    /// With the event-driven front-end attached its socket stays where
+    /// it is — the front-end reads placement from the server. `to` is
+    /// taken modulo the live shard count. Returns the drained
+    /// partial-record count. The remap law makes exactly this move on its
+    /// own; the manual hook exists for the adversarial remap schedules in
+    /// `tests/`.
     pub fn remap_peer(&mut self, peer: u64, to: usize) -> usize {
         // Clamp against the *live* shard count: a resize may have shrunk
         // the server since the caller captured its target index, and
         // `remap_peer` (deliberately) panics on stale indices.
         let to = to % self.server.shard_count();
-        let drained = self.server.remap_peer(peer, to);
-        if let Some(sockets) = self.sockets.as_mut() {
-            sockets.front_end.follow(&self.server);
-        }
-        drained
+        self.server.remap_peer(peer, to)
     }
 
     /// Resizes the server to `shards` shard threads online (see
-    /// [`ShardedEndBoxServer::resize`]), then — when the event-driven
-    /// front-end is attached — rebuilds the poll groups around the new
-    /// placement (`AsyncFrontEnd::follow`). Returns `(peers moved,
-    /// in-flight partials drained)`. The resize law performs exactly this
-    /// pair on its own; the manual hook exists for the `Step::Resize`
-    /// schedules in `tests/`.
+    /// [`ShardedEndBoxServer::resize`]). Returns `(peers moved, in-flight
+    /// partials drained)`. With the event-driven front-end attached, its
+    /// next control round sees the new shard count and respreads the
+    /// per-shard demand; no socket moves. The resize law makes exactly
+    /// this call on its own; the manual hook exists for the
+    /// `Step::Resize` schedules in `tests/`.
     pub fn resize_shards(&mut self, shards: usize) -> (usize, usize) {
-        let moved = self.server.resize(shards);
-        if let Some(sockets) = self.sockets.as_mut() {
-            sockets.front_end.follow(&self.server);
-        }
-        moved
+        self.server.resize(shards)
     }
 
     /// Sets the bulk size of ingress `recv_many` calls (see

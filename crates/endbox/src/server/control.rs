@@ -1,33 +1,35 @@
-//! The control plane of the event-driven front-end: the budget law, the
-//! per-socket token buckets, the peer→shard remap law and the resize
-//! law, all evaluated at round boundaries — before any socket is polled,
-//! so no receive batch is in flight and every relocation's quiescence
-//! requirement holds by construction. [`AsyncFrontEnd`] (sockets, poll
-//! groups, the drain loop) calls in here once per round. (The dispatch
-//! law, which both doorways run, sits with the sharded server.)
+//! The control plane of the event-driven front-end: the per-socket
+//! token buckets, the peer→shard remap law and the resize law, all
+//! evaluated at round boundaries — before any socket is polled, so no
+//! receive batch is in flight and every relocation's quiescence
+//! requirement holds by construction. [`AsyncFrontEnd`] (sockets, the
+//! poll group, the drain loop) calls in here once per round. (The
+//! dispatch law, which both doorways run, sits with the sharded server.)
 //!
 //! Every law reads one signal: the per-socket queue depth, sampled once
-//! per round into one per-slot vector (`Control::depth`). Group demand,
-//! the remap candidate and the budgets are all derived from that vector.
+//! per round into one per-slot vector (`Control::depth`). Placement is
+//! read from the server ([`ShardedEndBoxServer::shard_of`]), never kept
+//! here: shard demand and the remap candidate are that vector summed and
+//! scanned by the peer's current shard, in slot order.
 
 use super::frontend::{AsyncFrontEnd, DEFAULT_RECV_BULK};
 use super::ShardedEndBoxServer;
 
-/// Per-shard datagram budget per pump round when nothing is queued
-/// unevenly: `DEFAULT_SHARD_BUDGET × C` is the aggregate the budget law
-/// splits. Generous enough that ordinary traffic drains in one round (so
-/// the event-driven results are byte-identical to a single
+/// Datagram budget per shard per pump round: a round may drain
+/// `DEFAULT_SHARD_BUDGET × C`, which the token buckets split over the
+/// ready sockets. Generous enough that ordinary traffic drains in one
+/// round (so the event-driven results are byte-identical to a single
 /// `receive_datagrams` call, in wire order); small enough to bound the
 /// memory one dispatch can pin under flood.
 pub const DEFAULT_SHARD_BUDGET: usize = 1024;
 
-/// EWMA smoothing factor for the controller's per-group demand signal
+/// EWMA smoothing factor for the controller's per-shard demand signal
 /// (same weighting as the dispatcher's `LOAD_EWMA_ALPHA`: recent rounds
 /// dominate, one quiet round does not erase a hot spot).
 const DEMAND_EWMA_ALPHA: f64 = 0.5;
 
-/// A poll group is *hot* when its smoothed demand exceeds this multiple
-/// of the **other** groups' mean. Part of the control law, not a tuning
+/// A shard is *hot* when its smoothed demand exceeds this multiple of
+/// the **other** shards' mean. Part of the control law, not a tuning
 /// knob: carrying twice what everyone else averages is the smallest
 /// imbalance a single-peer remap can meaningfully halve.
 const REMAP_HOT_FACTOR: f64 = 2.0;
@@ -39,12 +41,8 @@ const REMAP_HOT_ROUNDS: u32 = 3;
 
 /// Token-bucket cap in fair shares: a socket may bank at most this many
 /// rounds' worth of unused fair share, bounding the burst a hot peer can
-/// borrow from idle shard-mates in a single round.
+/// borrow from idle peers in a single round.
 const TOKEN_BURST_SHARES: f64 = 4.0;
-
-/// Every poll group's budget floor per round (liveness): one bulk
-/// receive's worth.
-const BUDGET_FLOOR: usize = DEFAULT_RECV_BULK;
 
 /// Smoothed backlog per shard the resize law sizes the server for: one
 /// bulk receive's worth of queued work per shard per round is "full" —
@@ -68,9 +66,9 @@ pub const RESIZE_COOLDOWN_ROUNDS: u32 = 8;
 pub const RESIZE_MAX_SHARDS: usize = 8;
 
 /// Snapshot of the control plane's actions, assembled by
-/// [`AsyncFrontEnd::controller_stats`] from the front-end's budget law,
-/// the remap counters and the dispatch law. Each field reconciles
-/// against an independent datapath counter (pinned in
+/// [`AsyncFrontEnd::controller_stats`] from the front-end's budget and
+/// token counters, the remap counters and the dispatch law. Each field
+/// reconciles against an independent datapath counter (pinned in
 /// `tests/adaptive_control.rs`): drained datagrams never exceed
 /// `budget_grants`, `drained_partials` rides along `remaps`, and
 /// `steals <= migrations`.
@@ -79,15 +77,16 @@ pub struct ControllerStats {
     /// Pump rounds that drained under a planned budget — every one of
     /// [`super::AsyncIngressStats::rounds`].
     pub budget_rounds: u64,
-    /// Total datagram budget granted across those rounds (sum of the
-    /// per-group demand-proportional budgets of every polled-ready
-    /// group). Always >= [`super::AsyncIngressStats::datagrams`].
+    /// Total datagram budget granted across those rounds:
+    /// [`DEFAULT_SHARD_BUDGET`]` × C` per round that polled a ready
+    /// socket. Always >= [`super::AsyncIngressStats::datagrams`].
     pub budget_grants: u64,
-    /// Datagrams a socket drained beyond its fair share of the group
-    /// budget — capacity borrowed from idle shard-mates via the token
-    /// buckets.
+    /// Datagrams a socket drained in one pass beyond its fair share of
+    /// the round budget — capacity the other sockets left unclaimed,
+    /// banked in its token bucket or left over once they ran dry.
     pub tokens_borrowed: u64,
-    /// Peers re-homed to a different shard (and poll group).
+    /// Peers re-homed to a different shard by the remap law or by hand
+    /// ([`ShardedEndBoxServer::remap_peer`]); their sockets stay put.
     pub remaps: u64,
     /// In-flight partial records drained along with those remaps.
     pub drained_partials: u64,
@@ -107,15 +106,16 @@ pub(super) struct Control {
     /// Per-slot socket queue depth, read **once** per control round —
     /// the one signal every law below derives from.
     depth: Vec<usize>,
-    /// `depth` summed by poll group (re-summed after a relocation).
-    group_depth: Vec<usize>,
-    /// Per-group smoothed socket-backlog demand.
+    /// `depth` summed by the shard owning each socket's peer.
+    shard_depth: Vec<usize>,
+    /// Registered sockets whose peer each shard owns.
+    shard_sockets: Vec<usize>,
+    /// Per-shard smoothed socket-backlog demand; its length is the shard
+    /// count the per-shard vectors were last sized for.
     demand_ewma: Vec<f64>,
-    /// Per-group consecutive rounds above the hot threshold (remap
+    /// Per-shard consecutive rounds above the hot threshold (remap
     /// debounce).
     hot_rounds: Vec<u32>,
-    /// This round's per-group datagram budgets.
-    budgets: Vec<usize>,
     budget_grants: u64,
     tokens_borrowed: u64,
     /// Whether the resize law is armed
@@ -130,45 +130,33 @@ pub(super) struct Control {
 }
 
 impl Control {
-    pub(super) fn new(groups: usize) -> Control {
-        Control {
-            group_depth: vec![0; groups],
-            demand_ewma: vec![0.0; groups],
-            hot_rounds: vec![0; groups],
-            budgets: vec![DEFAULT_SHARD_BUDGET; groups],
-            ..Control::default()
-        }
-    }
-
     /// A socket was registered: it starts with an empty bucket.
     pub(super) fn add_slot(&mut self) {
         self.tokens.push(0.0);
         self.depth.push(0);
     }
 
-    /// The poll-group set was rebuilt with `groups` groups: the demand
-    /// signal is spread evenly over them (signal continuity for the
-    /// resize law — the cooldown covers re-learning) and the debounce
-    /// restarts.
-    pub(super) fn regroup(&mut self, groups: usize) {
+    /// The shard count became `shards`: the demand signal is spread
+    /// evenly over the new shards (signal continuity for the resize law
+    /// — the cooldown covers re-learning) and the debounce restarts.
+    fn regroup(&mut self, shards: usize) {
         let total_demand: f64 = self.demand_ewma.iter().sum();
-        self.demand_ewma = vec![total_demand / groups as f64; groups];
-        self.hot_rounds = vec![0; groups];
-        self.budgets = vec![DEFAULT_SHARD_BUDGET; groups];
+        self.demand_ewma = vec![total_demand / shards as f64; shards];
+        self.hot_rounds = vec![0; shards];
     }
 
-    /// This round's budget for `group`, accounted as granted.
-    pub(super) fn grant(&mut self, group: usize) -> usize {
-        let budget = self.budgets[group];
+    /// This round's budget at `shards` shards, accounted as granted.
+    pub(super) fn grant(&mut self, shards: usize) -> usize {
+        let budget = DEFAULT_SHARD_BUDGET * shards;
         self.budget_grants += budget as u64;
         budget
     }
 
     /// Token buckets: every ready socket banks its fair share of the
-    /// group budget each round, capped at a few shares — a hot peer's
+    /// round budget each round, capped at a few shares — a hot peer's
     /// per-pass allowance is its banked tokens, so it spends exactly
-    /// what idle shard-mates left unclaimed instead of a fixed
-    /// per-socket quota. Returns the fair share.
+    /// what idle peers left unclaimed instead of a fixed per-socket
+    /// quota. Returns the fair share.
     pub(super) fn bank(&mut self, ready: &[usize], budget: usize) -> f64 {
         let fair = (budget as f64 / ready.len() as f64).max(1.0);
         for &slot in ready {
@@ -177,9 +165,12 @@ impl Control {
         fair
     }
 
-    /// `slot`'s drain allowance for one scheduling pass: its banked
-    /// tokens, floored at one so a starved socket still makes progress
-    /// every pass.
+    /// `slot`'s banked drain allowance for one scheduling pass, floored
+    /// at one so a starved socket still makes progress every pass. The
+    /// drain loop floors it again at the round's remaining budget split
+    /// over the sockets still holding data, so once the banked tokens
+    /// are spent the tail drains in full bulk calls, not one datagram
+    /// per call.
     pub(super) fn allowance(&self, slot: usize) -> usize {
         self.tokens[slot].floor().max(1.0) as usize
     }
@@ -218,46 +209,52 @@ impl AsyncFrontEnd {
     }
 
     /// One control round, run by [`AsyncFrontEnd::pump`] before it polls:
-    /// sample every socket's depth, fold the group sums into the demand
-    /// EWMAs, let the resize law (if armed) and then the remap law act
-    /// on them, and plan this round's per-group budgets.
+    /// sample every socket's depth, fold the per-shard sums into the
+    /// demand EWMAs, and let the resize law (if armed) and then the remap
+    /// law act on them.
     ///
-    /// With one poll group and the resize law unarmed there is nothing
-    /// to split, nowhere to remap and nothing to resize, so the round
-    /// returns before touching a socket — over the OS transport a depth
-    /// probe is a `peek_from` syscall per socket — and the group's
-    /// budget stays [`DEFAULT_SHARD_BUDGET`].
+    /// With one shard and the resize law unarmed there is nowhere to
+    /// remap and nothing to resize, so the round returns before touching
+    /// a socket — over the OS transport a depth probe is a `peek_from`
+    /// syscall per socket.
     pub(super) fn control_round(&mut self, server: &mut ShardedEndBoxServer) {
-        if self.groups.len() < 2 && !self.control.elastic {
+        let shards = server.shard_count();
+        if self.control.demand_ewma.len() != shards {
+            self.control.regroup(shards);
+        }
+        if shards < 2 && !self.control.elastic {
             return;
         }
         for (depth, (_, endpoint)) in self.control.depth.iter_mut().zip(&self.sockets) {
             *depth = endpoint.pending();
         }
-        self.sum_group_depth();
+        self.sum_shard_depth(server);
         let control = &mut self.control;
-        for (ewma, &demand) in control.demand_ewma.iter_mut().zip(&control.group_depth) {
+        for (ewma, &demand) in control.demand_ewma.iter_mut().zip(&control.shard_depth) {
             *ewma = DEMAND_EWMA_ALPHA * demand as f64 + (1.0 - DEMAND_EWMA_ALPHA) * *ewma;
         }
         // The resize law sees the fresh demand signal first; when it
-        // fires, the group geometry the remap law would reason about no
+        // fires, the shard geometry the remap law would reason about no
         // longer exists, so the remap law resumes next round.
-        let resized = self.control.elastic && self.resize_round(server);
-        if resized || self.remap_round(server) {
-            self.sum_group_depth();
+        if !(self.control.elastic && self.resize_round(server)) {
+            self.remap_round(server);
         }
-        self.plan_budgets();
     }
 
-    /// Sums the sampled per-slot depths by (current) poll group.
-    fn sum_group_depth(&mut self) {
-        let sums = &mut self.control.group_depth;
-        sums.clear();
-        sums.extend(
-            self.group_slots
-                .iter()
-                .map(|slots| slots.iter().map(|&s| self.control.depth[s]).sum::<usize>()),
-        );
+    /// Sums the sampled per-slot depths, and counts the sockets, by the
+    /// shard currently owning each socket's peer.
+    fn sum_shard_depth(&mut self, server: &ShardedEndBoxServer) {
+        let control = &mut self.control;
+        let shards = control.demand_ewma.len();
+        control.shard_depth.clear();
+        control.shard_depth.resize(shards, 0);
+        control.shard_sockets.clear();
+        control.shard_sockets.resize(shards, 0);
+        for (&depth, (peer, _)) in control.depth.iter().zip(&self.sockets) {
+            let shard = server.shard_of(*peer);
+            control.shard_depth[shard] += depth;
+            control.shard_sockets[shard] += 1;
+        }
     }
 
     /// One resize-law evaluation: size the server for
@@ -269,7 +266,7 @@ impl AsyncFrontEnd {
     /// by construction — so results stay byte-identical to any fixed
     /// geometry. Returns whether one fired.
     fn resize_round(&mut self, server: &mut ShardedEndBoxServer) -> bool {
-        let k = self.groups.len();
+        let k = server.shard_count();
         let control = &mut self.control;
         if control.resize_cooldown > 0 {
             control.resize_cooldown -= 1;
@@ -297,31 +294,31 @@ impl AsyncFrontEnd {
         control.shrink_rounds = 0;
         control.resize_cooldown = RESIZE_COOLDOWN_ROUNDS;
         server.resize(desired);
-        self.follow(server);
+        control.regroup(desired);
         true
     }
 
-    /// One remap-law evaluation: when one group has stayed
-    /// [`REMAP_HOT_FACTOR`]x above the other groups' mean for
+    /// One remap-law evaluation: when one shard has stayed
+    /// [`REMAP_HOT_FACTOR`]x above the other shards' mean for
     /// [`REMAP_HOT_ROUNDS`] consecutive rounds, re-home its hottest
-    /// movable peer to the coldest group. Returns whether a peer moved.
-    fn remap_round(&mut self, server: &mut ShardedEndBoxServer) -> bool {
-        let k = self.groups.len();
+    /// movable peer to the coldest shard.
+    fn remap_round(&mut self, server: &mut ShardedEndBoxServer) {
         let control = &mut self.control;
+        let k = control.demand_ewma.len();
         let sum = control.demand_ewma.iter().sum::<f64>();
         if k < 2 || sum <= 0.0 {
-            return false;
+            return;
         }
         for g in 0..k {
             // Hot = carrying more than REMAP_HOT_FACTOR times what the
-            // *other* groups average (against the overall mean a group
-            // could never qualify at small C: with two groups the
+            // *other* shards average (against the overall mean a shard
+            // could never qualify at small C: with two shards the
             // hottest possible share is exactly 2x the mean). A one-peer
-            // group has nothing left to shed — moving its only peer
+            // shard has nothing left to shed — moving its only peer
             // would just relocate the hot spot.
             let others = (sum - control.demand_ewma[g]) / (k - 1) as f64;
             let hot = control.demand_ewma[g] > REMAP_HOT_FACTOR * others.max(1.0)
-                && self.group_slots[g].len() >= 2;
+                && control.shard_sockets[g] >= 2;
             control.hot_rounds[g] = if hot { control.hot_rounds[g] + 1 } else { 0 };
         }
         let by_demand =
@@ -330,29 +327,27 @@ impl AsyncFrontEnd {
             .filter(|&g| control.hot_rounds[g] >= REMAP_HOT_ROUNDS)
             .max_by(by_demand)
         else {
-            return false;
+            return;
         };
-        let cold = (0..k).min_by(by_demand).expect("at least two groups");
+        let cold = (0..k).min_by(by_demand).expect("at least two shards");
         if cold == hot {
-            return false;
+            return;
         }
         // Shed the *largest* peer that still fits in half the live gap:
         // moving more than that would overshoot and invert the imbalance
-        // (the re-homed elephant makes the cold group the new hot spot,
+        // (the re-homed elephant makes the cold shard the new hot spot,
         // and the law would ping-pong it straight back). If no peer fits
         // — one monster session IS the backlog — skip; relocating it
         // would only relocate the hot spot.
-        let half_gap = control.group_depth[hot].saturating_sub(control.group_depth[cold]) / 2;
-        let Some(&slot) = self.group_slots[hot]
-            .iter()
-            .filter(|&&s| control.depth[s] <= half_gap)
-            .max_by_key(|&&s| control.depth[s])
+        let half_gap = control.shard_depth[hot].saturating_sub(control.shard_depth[cold]) / 2;
+        let Some((&moved, (peer, _))) = (control.depth.iter().zip(&self.sockets))
+            .filter(|&(&depth, (peer, _))| server.shard_of(*peer) == hot && depth <= half_gap)
+            .max_by_key(|&(&depth, _)| depth)
         else {
-            return false;
+            return;
         };
-        let moved = control.depth[slot];
         if moved == 0 {
-            return false;
+            return;
         }
         control.hot_rounds[hot] = 0;
         // Shift the moved backlog between the demand estimates so the
@@ -360,30 +355,6 @@ impl AsyncFrontEnd {
         // EWMA catches up.
         control.demand_ewma[hot] = (control.demand_ewma[hot] - moved as f64).max(0.0);
         control.demand_ewma[cold] += moved as f64;
-        let peer = self.sockets[slot].0;
-        server.remap_peer(peer, cold);
-        self.follow(server);
-        true
-    }
-
-    /// Demand-proportional per-group budgets for this round. Every group
-    /// keeps a floor of [`BUDGET_FLOOR`] (liveness); the rest of the
-    /// aggregate capacity — `DEFAULT_SHARD_BUDGET * C` — is split
-    /// proportionally to queued backlog, so a hot shard inherits exactly
-    /// the headroom its idle shard-mates are not using.
-    fn plan_budgets(&mut self) {
-        let control = &mut self.control;
-        let spread = (DEFAULT_SHARD_BUDGET - BUDGET_FLOOR) * control.group_depth.len();
-        let total: usize = control.group_depth.iter().sum();
-        control.budgets.clear();
-        control
-            .budgets
-            .extend(control.group_depth.iter().map(|&demand| {
-                if total == 0 {
-                    DEFAULT_SHARD_BUDGET
-                } else {
-                    BUDGET_FLOOR + (spread as f64 * demand as f64 / total as f64).round() as usize
-                }
-            }));
+        server.remap_peer(*peer, cold);
     }
 }

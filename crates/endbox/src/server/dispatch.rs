@@ -81,9 +81,6 @@ pub struct Shards {
     /// Bound sessions and their peers. Unbound ones wait in the
     /// front-end's `VpnServer`.
     bound: HashMap<u64, u64>,
-    /// Bumped by every relocation, so the socket front-end knows when to
-    /// re-sort its poll groups.
-    epoch: u64,
     records_merged: u64,
     escalations: u64,
     migrations: u64,
@@ -154,7 +151,6 @@ impl Shards {
             peers: HashMap::new(),
             shard_load: Vec::new(),
             bound: HashMap::new(),
-            epoch: 0,
             records_merged: 0,
             escalations: 0,
             migrations: 0,
@@ -260,7 +256,6 @@ impl Shards {
         let load = slot.load;
         self.shard_load[from] -= load;
         self.shard_load[to] += load;
-        self.epoch += 1;
         moved
     }
 
@@ -432,12 +427,6 @@ impl ShardedEndBoxServer {
         self.rx.shard_of(peer)
     }
 
-    /// Bumped by every relocation (see [`super::AsyncFrontEnd`], whose
-    /// poll groups follow it).
-    pub(super) fn placement_epoch(&self) -> u64 {
-        self.rx.epoch
-    }
-
     /// Per-shard observability counters, indexed by shard. A
     /// cross-thread query, hence `&mut` — like
     /// [`Server::client_config_version`].
@@ -490,9 +479,8 @@ impl ShardedEndBoxServer {
     /// # Panics
     ///
     /// If `to` is not a live shard. A resize makes stale indices
-    /// reachable; wrapping one modulo the live count would leave the
-    /// peer's socket ([`super::AsyncFrontEnd::rehome_peer`] rejects the
-    /// same index) and its state on different shards.
+    /// reachable; wrapping one modulo the live count would silently put
+    /// the peer on a shard the caller never named.
     pub fn remap_peer(&mut self, peer: u64, to: usize) -> usize {
         let shards = self.rx.pool.len();
         assert!(
@@ -551,7 +539,6 @@ impl ShardedEndBoxServer {
             }
         }
         self.rx.set_threads(new, self.vpn.policy());
-        self.rx.epoch += 1;
         let resize = &mut self.rx.resize;
         resize.peers_moved += peers as u64;
         resize.partials_drained += partials as u64;

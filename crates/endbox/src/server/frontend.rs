@@ -1,7 +1,7 @@
 //! The event-driven socket front-end of the sharded server
-//! ([`AsyncFrontEnd`]): sockets, poll groups and the drain loop. The laws
-//! that decide how much each group may drain, where a peer homes and how
-//! many groups there are live in `control`.
+//! ([`AsyncFrontEnd`]): sockets, the poll group and the drain loop. The
+//! laws that decide how much each socket may drain, where a peer homes
+//! and how many shards there are live in `control`.
 
 use super::control::Control;
 use super::{Delivery, ShardedEndBoxServer};
@@ -15,16 +15,17 @@ use endbox_netsim::net::{Datagram, Event};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AsyncIngressStats {
     /// Event-loop wakeups: [`endbox_netsim::net::PollGroup::poll`] calls
-    /// summed over all poll groups. `datagrams / wakeups` is the
-    /// amortisation the event loop achieved — the measured input to the
-    /// timing-layer [`endbox_netsim::pipeline::AsyncFrontEndModel`].
+    /// on the one poll group, one per [`AsyncFrontEnd::pump`] call at any
+    /// shard count. `datagrams / wakeups` is the amortisation the event
+    /// loop achieved — the measured input to the timing-layer
+    /// [`endbox_netsim::pipeline::AsyncFrontEndModel`].
     pub wakeups: u64,
-    /// Pump rounds (one poll of every group + one receive call).
+    /// Pump rounds that drained something (one poll + one receive call).
     pub rounds: u64,
     /// Wire datagrams drained from sockets into the datapath.
     pub datagrams: u64,
-    /// Rounds in which at least one shard's budget ran out while its
-    /// sockets still held data — the backpressure deferrals that keep one
+    /// Rounds in which the round's budget ran out while a ready socket
+    /// still held data — the backpressure deferrals that keep one
     /// flooding peer from monopolising a dispatch. Never exceeds
     /// [`AsyncIngressStats::rounds`].
     pub deferred_rounds: u64,
@@ -41,14 +42,14 @@ pub struct AsyncIngressStats {
 /// Default `recv_many` vector length: 32 datagrams per bulk call.
 pub const DEFAULT_RECV_BULK: usize = 32;
 
-/// The event-driven socket front-end: **one poll group per shard**, with
-/// each peer's server-side socket registered in the group of the shard
-/// that owns the peer ([`ShardedEndBoxServer::shard_of`]), so a poll
-/// group only ever feeds its own shard. When a law moves a peer, its
-/// socket follows (`AsyncFrontEnd::follow`).
+/// The event-driven socket front-end: **one poll group** holding every
+/// peer's server-side socket, registered once and never moved. Which
+/// shard a datagram feeds is the server's business
+/// ([`ShardedEndBoxServer::shard_of`]); the front-end only decides how
+/// much of each socket to drain per round.
 ///
-/// Each [`AsyncFrontEnd::pump`] round polls every group, drains readable
-/// sockets into an owned-datagram batch and hands the batch to
+/// Each [`AsyncFrontEnd::pump`] round polls the group once, drains the
+/// readable sockets into an owned-datagram batch and hands the batch to
 /// [`ShardedEndBoxServer::receive_datagrams`] — the zero-copy ingress
 /// path: datagram ownership moves from the socket queue into the shards
 /// without a wire-level copy.
@@ -68,23 +69,21 @@ pub const DEFAULT_RECV_BULK: usize = 32;
 ///
 /// # Backpressure
 ///
-/// Shard queue depth propagates to socket read scheduling, by one law
-/// with nothing to set: each round the aggregate
-/// [`DEFAULT_SHARD_BUDGET`]` × C` is split over the poll groups in
-/// proportion to their queued backlog, and a group's budget is taken
-/// round-robin over its readable sockets in passes of at most each
-/// socket's banked tokens (its fair share of the budget, carried over up
-/// to a few rounds). A peer flooding its socket therefore yields to its
-/// shard-mates every pass: the mates' traffic rides in every round while
+/// One law with nothing to set: each round may drain
+/// [`DEFAULT_SHARD_BUDGET`]` × C` datagrams, taken round-robin over the
+/// readable sockets (in slot order, resuming after the previous round's
+/// last service) in passes of at most each socket's banked tokens — its
+/// fair share of the budget, carried over up to a few rounds — or, once
+/// it has spent them, an even split of what is left among the sockets
+/// still holding data. A peer flooding its socket therefore yields to
+/// the other peers every pass: their traffic rides in every round while
 /// the flood's tail stays queued in *its own* socket
-/// ([`AsyncIngressStats::deferred_rounds`] counts these deferrals) — it
-/// cannot starve the shard, and other shards' poll groups are untouched
-/// by construction. A persistently hot group has its hottest movable
-/// peer re-homed to the coldest group (socket registration **and** the
-/// peer's shard state, quiesced and drained — see
-/// [`ShardedEndBoxServer::remap_peer`]). Every decision lands at a
-/// round boundary, so drained datagrams still re-merge into exact wire
-/// order for any drain split.
+/// ([`AsyncIngressStats::deferred_rounds`] counts these deferrals). A
+/// persistently hot shard has its hottest movable peer re-homed to the
+/// coldest shard (the peer's shard state, quiesced and drained — see
+/// [`ShardedEndBoxServer::remap_peer`]); its socket stays where it is.
+/// Every decision lands at a round boundary, so drained datagrams still
+/// re-merge into exact wire order for any drain split.
 ///
 /// # Example
 ///
@@ -118,18 +117,12 @@ pub const DEFAULT_RECV_BULK: usize = 32;
 /// ```
 #[derive(Debug)]
 pub struct AsyncFrontEnd {
-    pub(super) groups: Vec<endbox_netsim::net::PollGroup>,
+    poll: endbox_netsim::net::PollGroup,
     /// Slot-indexed `(peer, socket)` registry; `Token(slot)` keys events.
     pub(super) sockets: Vec<(u64, endbox_netsim::net::UdpEndpoint)>,
-    /// Slots registered per group, in registration order.
-    pub(super) group_slots: Vec<Vec<usize>>,
-    /// Each slot's position within its group's registration order
-    /// (parallel to `sockets`; used to rotate the ready list fairly).
-    slot_pos: Vec<usize>,
-    /// Per-group round-robin cursor into `group_slots` (fairness across
-    /// rounds: the next round starts scanning after the last drained
-    /// socket).
-    rr: Vec<usize>,
+    /// Round-robin cursor over slot order (fairness across rounds: the
+    /// next round starts scanning after the last drained socket).
+    rr: usize,
     /// Max datagrams moved per bulk `recv_many` call (the `recvmmsg`
     /// vector length).
     recv_bulk: usize,
@@ -137,15 +130,10 @@ pub struct AsyncFrontEnd {
     datagrams: u64,
     deferred_rounds: u64,
     io_calls: u64,
-    /// The budget, token, remap and resize laws' state.
+    /// The token, remap and resize laws' state.
     pub(super) control: Control,
-    /// Wakeups accumulated by poll groups retired across resizes, so
-    /// [`AsyncIngressStats::wakeups`] stays monotonic through a resize.
-    retired_wakeups: u64,
-    /// The server's placement epoch the poll groups were last sorted by.
-    epoch: u64,
-    /// Per-round buffers, reused: one group's poll events, their slots,
-    /// which of those ran dry, one bulk receive, and the round's drained
+    /// Per-round buffers, reused: the poll's events, their slots, which
+    /// of those ran dry, one bulk receive, and the round's drained
     /// datagrams.
     events: Vec<Event>,
     ready: Vec<usize>,
@@ -154,26 +142,25 @@ pub struct AsyncFrontEnd {
     drained: Vec<(u64, u64, Vec<u8>)>,
 }
 
+impl Default for AsyncFrontEnd {
+    fn default() -> AsyncFrontEnd {
+        AsyncFrontEnd::new()
+    }
+}
+
 impl AsyncFrontEnd {
-    /// A front-end with one poll group per shard.
-    pub fn new(shards: usize) -> AsyncFrontEnd {
-        let shards = shards.max(1);
+    /// A front-end with no sockets yet.
+    pub fn new() -> AsyncFrontEnd {
         AsyncFrontEnd {
-            groups: (0..shards)
-                .map(|_| endbox_netsim::net::PollGroup::new())
-                .collect(),
+            poll: endbox_netsim::net::PollGroup::new(),
             sockets: Vec::new(),
-            group_slots: vec![Vec::new(); shards],
-            slot_pos: Vec::new(),
-            rr: vec![0; shards],
+            rr: 0,
             recv_bulk: DEFAULT_RECV_BULK,
             rounds: 0,
             datagrams: 0,
             deferred_rounds: 0,
             io_calls: 0,
-            control: Control::new(shards),
-            retired_wakeups: 0,
-            epoch: 0,
+            control: Control::default(),
             events: Vec::new(),
             ready: Vec::new(),
             dry: Vec::new(),
@@ -182,19 +169,11 @@ impl AsyncFrontEnd {
         }
     }
 
-    /// Number of poll groups (== shards).
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Registers `peer`'s server-side socket with the poll group of the
-    /// shard owning a peer never moved (`peer mod C`).
+    /// Registers `peer`'s server-side socket with the poll group.
     pub fn register_peer(&mut self, peer: u64, endpoint: endbox_netsim::net::UdpEndpoint) {
-        let group = (peer % self.groups.len() as u64) as usize;
         let slot = self.sockets.len();
-        self.groups[group].register(&endpoint, endbox_netsim::net::Token(slot));
-        self.slot_pos.push(self.group_slots[group].len());
-        self.group_slots[group].push(slot);
+        self.poll
+            .register(&endpoint, endbox_netsim::net::Token(slot));
         self.sockets.push((peer, endpoint));
         self.control.add_slot();
     }
@@ -210,94 +189,10 @@ impl AsyncFrontEnd {
         self.recv_bulk = bulk.max(1);
     }
 
-    /// Sorts the poll groups by `server`'s placement: after a resize, one
-    /// fresh group per shard (`resize_groups`); after a peer moved, its
-    /// socket re-homed ([`AsyncFrontEnd::rehome_peer`]).
-    /// [`AsyncFrontEnd::pump`] calls it first thing, so a relocation by
-    /// any law — or by hand — is followed before the next poll.
-    pub(crate) fn follow(&mut self, server: &ShardedEndBoxServer) {
-        if self.groups.len() != server.shard_count() {
-            self.resize_groups(server);
-        } else if self.epoch != server.placement_epoch() {
-            for slot in 0..self.sockets.len() {
-                let peer = self.sockets[slot].0;
-                self.rehome_peer(peer, server.shard_of(peer));
-            }
-        }
-        self.epoch = server.placement_epoch();
-    }
-
-    /// Rebuilds the poll-group set to match `server`'s shard count after
-    /// a resize: one fresh group per shard, every registered socket
-    /// re-registered in the group of the shard that now owns its peer.
-    ///
-    /// Retired groups' wakeup counts are folded into
-    /// [`AsyncFrontEnd::stats`] so the counter stays monotonic.
-    fn resize_groups(&mut self, server: &ShardedEndBoxServer) {
-        let new = server.shard_count();
-        self.retired_wakeups += self.groups.iter().map(|g| g.wakeups()).sum::<u64>();
-        self.groups = (0..new)
-            .map(|_| endbox_netsim::net::PollGroup::new())
-            .collect();
-        self.group_slots = vec![Vec::new(); new];
-        self.rr = vec![0; new];
-        self.control.regroup(new);
-        for (slot, (peer, endpoint)) in self.sockets.iter().enumerate() {
-            let group = server.shard_of(*peer);
-            self.groups[group].register(endpoint, endbox_netsim::net::Token(slot));
-            self.slot_pos[slot] = self.group_slots[group].len();
-            self.group_slots[group].push(slot);
-        }
-    }
-
-    /// Moves `peer`'s socket registration from its current poll group to
-    /// `new_group`, keeping registration order and the round-robin
-    /// cursors consistent. The shard side of a re-home is
-    /// [`ShardedEndBoxServer::remap_peer`]; `AsyncFrontEnd::follow`
-    /// calls this for every peer a relocation moved, so a poll group
-    /// keeps feeding exactly its own shard.
-    ///
-    /// # Panics
-    ///
-    /// If `new_group` is not a live poll group. Structural resizes make
-    /// stale group indices reachable (a caller may hold an index from
-    /// before a shrink); silently wrapping such an index modulo the live
-    /// count would re-home the peer's socket to a group that does *not*
-    /// feed the shard owning its reassembly state, so the front-end fails
-    /// loudly instead.
-    pub fn rehome_peer(&mut self, peer: u64, new_group: usize) {
-        assert!(
-            new_group < self.groups.len(),
-            "rehome target group {new_group} is not live ({} poll groups)",
-            self.groups.len()
-        );
-        let slot = self
-            .sockets
-            .iter()
-            .position(|(p, _)| *p == peer)
-            .expect("rehome of a registered peer");
-        let old_group = (0..self.groups.len())
-            .find(|&g| self.group_slots[g].contains(&slot))
-            .expect("slot registered in a group");
-        if old_group == new_group {
-            return;
-        }
-        self.groups[old_group].deregister(endbox_netsim::net::Token(slot));
-        self.groups[new_group].register(&self.sockets[slot].1, endbox_netsim::net::Token(slot));
-        self.group_slots[old_group].retain(|&s| s != slot);
-        self.group_slots[new_group].push(slot);
-        for g in [old_group, new_group] {
-            for (pos, &s) in self.group_slots[g].iter().enumerate() {
-                self.slot_pos[s] = pos;
-            }
-            self.rr[g] %= self.group_slots[g].len().max(1);
-        }
-    }
-
     /// Front-end counters.
     pub fn stats(&self) -> AsyncIngressStats {
         AsyncIngressStats {
-            wakeups: self.retired_wakeups + self.groups.iter().map(|g| g.wakeups()).sum::<u64>(),
+            wakeups: self.poll.wakeups(),
             rounds: self.rounds,
             datagrams: self.datagrams,
             deferred_rounds: self.deferred_rounds,
@@ -310,10 +205,9 @@ impl AsyncFrontEnd {
         self.sockets.iter().map(|(_, ep)| ep.pending()).sum()
     }
 
-    /// One event-loop round: follows any relocation, runs the control
-    /// round, polls every group, drains readable sockets under the
-    /// round's budgets, re-merges the drained datagrams into wire order
-    /// and runs them through one
+    /// One event-loop round: runs the control round, polls the group,
+    /// drains readable sockets under the round's budget, re-merges the
+    /// drained datagrams into wire order and runs them through one
     /// [`ShardedEndBoxServer::receive_datagrams`] call. Returns one
     /// `(peer, result)` per drained datagram, in dispatch order; an empty
     /// vector means no socket was readable.
@@ -321,100 +215,89 @@ impl AsyncFrontEnd {
         &mut self,
         server: &mut ShardedEndBoxServer,
     ) -> Vec<(u64, Result<Delivery, EndBoxError>)> {
-        self.follow(server);
         // Closed-loop control, evaluated strictly at the round boundary
-        // (before any socket is polled): resize, remap persistent hot
-        // spots, then derive this round's per-group budgets from the
-        // sampled queue depths.
+        // (before any socket is polled): resize, or remap a persistent
+        // hot spot.
         self.control_round(server);
-        let mut deferred = false;
-        for group in 0..self.groups.len() {
-            self.events.clear();
-            if self.groups[group].poll(&mut self.events) == 0 {
-                continue;
-            }
-            // Drain only the sockets the poll just reported ready (the
-            // event list is in registration order), rotated so scanning
-            // resumes after the previous round's last service — each
-            // wakeup costs O(ready sockets), not O(registered sockets).
-            self.ready.clear();
-            self.ready.extend(self.events.iter().map(|e| e.token.0));
-            let group_len = self.group_slots[group].len().max(1);
-            let cursor = self.rr[group] % group_len;
-            let start = self
-                .ready
-                .iter()
-                .position(|&slot| self.slot_pos[slot] >= cursor)
-                .unwrap_or(0);
-            let mut budget = self.control.grant(group);
-            let fair = self.control.bank(&self.ready, budget);
-            let mut last_drained = None;
-            // Scheduling passes: round-robin over the ready sockets, at
-            // most each socket's token allowance per pass, until the
-            // budget is spent or every ready socket is dry. Each socket
-            // is drained with bulk `recv_many` calls of up to `recv_bulk`
-            // datagrams — the datagrams and their order are identical to
-            // the per-datagram shape; only the call count changes. A
-            // socket that returns short (`got < want`) is dry for the
-            // rest of this round: later passes skip it instead of paying
-            // a zero-yield `recv_many`, so `io_calls` counts only calls
-            // that could have moved data.
-            let ready = self.ready.len();
-            self.dry.clear();
-            self.dry.resize(ready, false);
-            loop {
-                let mut drained_this_pass = 0usize;
-                for i in 0..ready {
-                    let idx = (start + i) % ready;
-                    if self.dry[idx] {
-                        continue;
+        self.events.clear();
+        if self.poll.poll(&mut self.events) == 0 {
+            return Vec::new();
+        }
+        // Drain only the sockets the poll just reported ready (the event
+        // list is in slot order), rotated so scanning resumes after the
+        // previous round's last service — each wakeup costs O(ready
+        // sockets), not O(registered sockets).
+        self.ready.clear();
+        self.ready.extend(self.events.iter().map(|e| e.token.0));
+        let start = (self.ready.iter())
+            .position(|&slot| slot >= self.rr)
+            .unwrap_or(0);
+        let mut budget = self.control.grant(server.shard_count());
+        let fair = self.control.bank(&self.ready, budget);
+        let mut last_drained = None;
+        // Scheduling passes: round-robin over the ready sockets, at most
+        // each socket's allowance per pass, until the budget is spent or
+        // every ready socket is dry. Each socket is drained with bulk
+        // `recv_many` calls of up to `recv_bulk` datagrams — the
+        // datagrams and their order are identical to the per-datagram
+        // shape; only the call count changes. A socket that returns
+        // short (`got < want`) is dry for the rest of this round: later
+        // passes skip it instead of paying a zero-yield `recv_many`, so
+        // `io_calls` counts only calls that could have moved data.
+        let ready = self.ready.len();
+        let mut wet = ready;
+        self.dry.clear();
+        self.dry.resize(ready, false);
+        loop {
+            let mut drained_this_pass = 0usize;
+            for i in 0..ready {
+                let idx = (start + i) % ready;
+                if self.dry[idx] {
+                    continue;
+                }
+                let slot = self.ready[idx];
+                let quota = self.control.allowance(slot).max(budget / wet);
+                let (peer, ep) = &self.sockets[slot];
+                let mut taken = 0;
+                while taken < quota && budget > 0 {
+                    let want = self.recv_bulk.min(quota - taken).min(budget);
+                    self.scratch.clear();
+                    let got = ep.recv_many(want, &mut self.scratch);
+                    self.io_calls += 1;
+                    for d in self.scratch.drain(..) {
+                        self.drained.push((d.seq, *peer, d.payload));
                     }
-                    let slot = self.ready[idx];
-                    let quota = self.control.allowance(slot);
-                    let (peer, ep) = &self.sockets[slot];
-                    let mut taken = 0;
-                    while taken < quota && budget > 0 {
-                        let want = self.recv_bulk.min(quota - taken).min(budget);
-                        self.scratch.clear();
-                        let got = ep.recv_many(want, &mut self.scratch);
-                        self.io_calls += 1;
-                        for d in self.scratch.drain(..) {
-                            self.drained.push((d.seq, *peer, d.payload));
-                        }
-                        taken += got;
-                        budget -= got;
-                        if got < want {
-                            self.dry[idx] = true;
-                            break; // socket dry until the next round
-                        }
-                    }
-                    if taken > 0 {
-                        drained_this_pass += taken;
-                        last_drained = Some(self.slot_pos[slot]);
-                        self.control.spend(slot, taken, fair);
-                    }
-                    if budget == 0 {
-                        break;
+                    taken += got;
+                    budget -= got;
+                    if got < want {
+                        self.dry[idx] = true;
+                        wet -= 1;
+                        break; // socket dry until the next round
                     }
                 }
-                if budget == 0 || drained_this_pass == 0 {
+                if taken > 0 {
+                    drained_this_pass += taken;
+                    last_drained = Some(slot);
+                    self.control.spend(slot, taken, fair);
+                }
+                if budget == 0 {
                     break;
                 }
             }
-            if let Some(pos) = last_drained {
-                self.rr[group] = (pos + 1) % group_len;
+            if budget == 0 || drained_this_pass == 0 {
+                break;
             }
-            let readable = |&slot: &usize| self.sockets[slot].1.readable();
-            if budget == 0 && self.ready.iter().any(readable) {
-                deferred = true;
-            }
+        }
+        if let Some(slot) = last_drained {
+            self.rr = (slot + 1) % self.sockets.len();
         }
         if self.drained.is_empty() {
             return Vec::new();
         }
         self.rounds += 1;
         self.datagrams += self.drained.len() as u64;
-        if deferred {
+        let readable = |&slot: &usize| self.sockets[slot].1.readable();
+        if budget == 0 && self.ready.iter().any(readable) {
             self.deferred_rounds += 1;
         }
         // Re-merge into wire order (the stamp sort is total, so per-peer

@@ -28,7 +28,7 @@
 //!   run-to-completion shards, each framing and opening for the peers
 //!   placed on it (`peer_id mod C` unless a law moved one), optionally
 //!   fed by an event-driven socket front-end ([`AsyncFrontEnd`], one poll
-//!   group per shard).
+//!   group over every peer's socket).
 //!
 //! # Parity rules
 //!
@@ -61,8 +61,8 @@
 //! [`Delivery`], the metered I/O formulas and [`Server`]. The frame step
 //! and the shard thread are in `rx`, the reference server in
 //! `reference`, the sharded one in `dispatch`, the socket front-end in
-//! `frontend`, the laws that steer it (budgets, token buckets, remap,
-//! resize) in `control`, the TX-batching egress stage in `tx`; all are
+//! `frontend`, the laws that steer it (token buckets, remap, resize) in
+//! `control`, the TX-batching egress stage in `tx`; all are
 //! re-exported here.
 
 use crate::error::EndBoxError;

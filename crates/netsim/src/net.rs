@@ -196,9 +196,9 @@ pub trait WireEndpoint: Send + Sync + std::fmt::Debug {
     /// `0` otherwise. Everything the server's control plane derives from
     /// this value therefore counts readable *sockets*, not queued
     /// datagrams, over the only real transport: the front-end's
-    /// `backlog()`, the per-group demand EWMAs behind the remap and
+    /// `backlog()`, the per-shard demand EWMAs behind the remap and
     /// resize laws (`RESIZE_TARGET_DEMAND` is calibrated in datagrams),
-    /// and the demand-proportional split in `plan_budgets`. Outcomes are
+    /// and the remap law's half-gap candidate. Outcomes are
     /// unaffected (the controller only moves scheduling; the
     /// controller-on OS-socket parity grid in `tests/bulk_ingress.rs`
     /// pins that), but a deep queue behind one socket looks no hotter

@@ -17,7 +17,7 @@
 //! * **Shard lanes** ([`ScalabilityConfig::server_shards`],
 //!   [`ShardLanes`]) — `C` run-to-completion shard threads, one serial
 //!   lane each. A packet runs its whole `server_cycles` on its peer's
-//!   lane, plus the socket-model share of the peer's poll group: the
+//!   lane, plus its share of the socket front-end's cost: the
 //!   event-loop wakeup charge ([`ShardLanes::wakeups`]), per datagram
 //!   when call-driven and amortised over the measured drain batch when
 //!   event-driven, and the per-call kernel-crossing charge
@@ -164,8 +164,8 @@ pub struct ScalabilityConfig {
 
 /// The sharded server: `c` run-to-completion shard threads, each a serial
 /// flow competing for the machine's cores. A shard runs a packet's whole
-/// server work — frame, open, deliver — plus its peer's share of the
-/// socket front-end (one poll group per shard).
+/// server work — frame, open, deliver — plus its share of the socket
+/// front-end's cost (one poll group over every peer's socket).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardLanes {
     /// Shards (minimum 1).

@@ -1,6 +1,6 @@
 //! Event-driven socket ingress, step by step: sealed datagrams ride the
 //! in-process wire into per-peer server sockets, and the
-//! `AsyncFrontEnd`'s poll loop (one poll group per shard) drains them
+//! `AsyncFrontEnd`'s poll loop (one poll group for every shard) drains them
 //! into the pipelined dispatch — including what backpressure looks like
 //! when one peer floods its socket.
 //!
@@ -20,12 +20,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Event-driven socket front-end");
     println!("=============================\n");
 
-    // 6 peers, 2 run-to-completion shards (so 2 poll groups).
+    // 6 peers, 2 run-to-completion shards, one poll group over all six
+    // sockets.
     let mut s = Scenario::enterprise(6, UseCase::Firewall)
         .async_ingress(true)
         .build_sharded(2)?;
     println!(
-        "6 peers connected; {} shards, one poll group each",
+        "6 peers connected; {} shards behind one poll group",
         s.server.shard_count()
     );
 
@@ -48,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         s.backlog()
     );
 
-    // One pump: poll both groups, drain every readable socket, re-merge
+    // One pump: poll once, drain every readable socket, re-merge
     // by wire arrival stamp, one pipelined dispatch.
     let results = s.pump_async();
     println!("one event-loop run delivered {} packets", results.len());
@@ -61,8 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.wakeups as f64 / stats.datagrams as f64
     );
 
-    // Backpressure: peer 0 floods — more than the budget law grants the
-    // whole server per round (`DEFAULT_SHARD_BUDGET` × 2 shards) — while
+    // Backpressure: peer 0 floods — more than one round may drain
+    // (`DEFAULT_SHARD_BUDGET` × 2 shards) — while
     // its shard-mate (peer 2, same shard: 2 mod 2 == 0) sends one
     // packet. The mate still rides the first round; the flood's tail
     // defers.

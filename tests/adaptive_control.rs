@@ -1,6 +1,6 @@
 //! Parity and reconciliation tests for the datapath control plane every
-//! event loop runs (closed-loop per-shard budgets with per-socket token
-//! buckets, the autonomous hot-peer remap law, and the dispatch law's
+//! event loop runs (one round budget split by per-socket token buckets,
+//! the autonomous hot-peer remap law, and the dispatch law's
 //! rate-based rebalance + idle-shard stealing).
 //!
 //! The named schedules replay the same deterministic interleaving
@@ -76,7 +76,7 @@ fn adaptive_schedule_remap_races_disconnect() {
 
 /// A split record whose head is already inside the reassembler when its
 /// peer re-homes: the in-flight partial drains at the quiesce point and
-/// reinstalls at the new group, the tail arrives there and completes the
+/// reinstalls at the new shard, the tail arrives there and completes the
 /// record, a replay of the tail fragments is rejected identically, and a
 /// second re-home follows.
 #[test]
@@ -116,7 +116,7 @@ fn adaptive_schedule_split_record_straddles_remap() {
 /// The adversarial colliding placement (`PeerMap::Stride(4)`: every peer
 /// homes on shard 0 at every C ≤ 4 in the grid), then manual re-homes
 /// spread the peers across shards mid-schedule while traffic continues —
-/// the spread changes which poll group serves whom, and nothing else.
+/// the spread changes which shard serves whom, and nothing else.
 #[test]
 fn adaptive_schedule_remap_spreads_colliding_peers() {
     let schedule = Schedule::new("remap-spreads-colliding-peers", 3, 0xada4)

@@ -34,7 +34,6 @@ use endbox::scenario::{Scenario, ShardedScenario};
 use endbox::server::ResizeStats;
 use endbox::use_cases::UseCase;
 use endbox::EndBoxError;
-use endbox_netsim::net::VirtualWire;
 use endbox_vpn::frag::Reassembler;
 use endbox_vpn::proto::Record;
 use endbox_vpn::VpnError;
@@ -46,8 +45,8 @@ use support::{
 
 /// Every **starting** shard count of the grid through both doorways: the
 /// call-driven `receive_datagrams` path and the event-driven front-end
-/// (there a resize additionally rebuilds the poll groups around the live
-/// sockets). Returns the dispatch law's `(migrations, steals)` over all
+/// (there a resize additionally respreads the remap law's per-shard
+/// demand; the sockets stay registered where they are). Returns the dispatch law's `(migrations, steals)` over all
 /// of it.
 fn assert_parity_elastic(schedule: &Schedule) -> (u64, u64) {
     let cfgs = [RunCfg::call(), RunCfg::event_loop()];
@@ -287,25 +286,9 @@ fn isp_nonces_never_repeat_across_moves() {
     }
 }
 
-/// The satellite `rehome_peer` fix: a re-home targeting a group index
-/// that is no longer live (stale after a shrink) must panic loudly
-/// instead of silently wrapping onto the wrong group — a wrapped re-home
-/// would park the peer's socket on a group that does not feed the shard
-/// owning the peer.
-#[test]
-#[should_panic(expected = "is not live")]
-fn rehome_peer_rejects_stale_group_index() {
-    let wire = VirtualWire::new();
-    let mut fe = endbox::server::AsyncFrontEnd::new(2);
-    fe.register_peer(7, wire.bind(7).unwrap());
-    // A caller holding an index from before a shrink: only groups 0..2
-    // are live, so 5 must be rejected, not wrapped to 5 % 2 == 1.
-    fe.rehome_peer(7, 5);
-}
-
-/// The shard half of the same relocation rejects the same stale index
-/// the same way (wrapping it to `5 % 2 == 1` would leave the peer's state
-/// on a shard its socket's poll group does not feed).
+/// A remap to a shard index that is no longer live (stale after a
+/// shrink) panics loudly instead of wrapping to `5 % 2 == 1`, a shard the
+/// caller never named.
 #[test]
 #[should_panic(expected = "is not live")]
 fn remap_rx_peer_rejects_stale_shard_index() {

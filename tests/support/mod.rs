@@ -193,11 +193,11 @@ pub enum Step {
         lo: usize,
         hi: usize,
     },
-    /// Re-home `client`'s peer onto shard / poll group `to` at this exact
-    /// schedule position, via the manual control-plane hook
+    /// Re-home `client`'s peer onto shard `to` at this exact schedule
+    /// position, via the manual control-plane hook
     /// ([`ShardedScenario::remap_peer`]: the peer's reassembler and bound
-    /// sessions move first — quiesced, in-flight partial records
-    /// included — then the socket registration follows). `to` is taken
+    /// sessions move, quiesced, in-flight partial records included; its
+    /// server socket stays in the one poll group). `to` is taken
     /// modulo the run's shard count so one schedule drives every grid
     /// point. A no-op for the single-threaded reference — the parity
     /// claim is precisely that re-homing never changes outcomes, only
