@@ -13,7 +13,7 @@
 use crate::client::TrustLevel;
 use crate::eval::scalability::{heavy_tail_batch_sizes, heavy_tail_weights};
 use crate::scenario::{Ingress, Network, Scenario};
-use crate::server::{AsyncIngressStats, ControllerStats, DEFAULT_RECV_BULK};
+use crate::server::{AsyncIngressStats, DEFAULT_RECV_BULK};
 use crate::use_cases::UseCase;
 use endbox_click::element::ElementEnv;
 use endbox_click::Router;
@@ -201,9 +201,13 @@ pub struct Measured {
     /// the per-socket queue depth at drain time. `1.0` through
     /// [`Doorway::Call`].
     pub datagrams_per_call: f64,
-    /// What the control plane did — read off the event loop, so all
-    /// zeros through [`Doorway::Call`].
-    pub controller: ControllerStats,
+    /// The event loop's counters at the end of the run, budget and token
+    /// grants included — all zeros through [`Doorway::Call`].
+    pub ingress: AsyncIngressStats,
+    /// Peers the sharded server's dispatch law moved
+    /// ([`crate::server::ShardedEndBoxServer::migrations`]); zero on the
+    /// reference server.
+    pub migrations: u64,
 }
 
 /// Measures the per-packet cycle charges of the stack `spec` describes:
@@ -229,7 +233,8 @@ pub fn measure(spec: &MeasureSpec) -> Measured {
                 charge: measure_vanilla_click(uc, spec.payload_len, spec.samples),
                 wakeups_per_datagram: 1.0,
                 datagrams_per_call: 1.0,
-                controller: ControllerStats::default(),
+                ingress: AsyncIngressStats::default(),
+                migrations: 0,
             }
         }
         Deployment::VanillaOpenVpn => (TrustLevel::Untrusted, UseCase::Nop, None),
@@ -252,7 +257,7 @@ pub fn measure(spec: &MeasureSpec) -> Measured {
     match spec.server {
         Server::PerClient => {
             let mut scenario = builder.build().expect("deployment must build");
-            measure_on(spec, &mut scenario, |_| None)
+            measure_on(spec, &mut scenario, |_| (None, 0))
         }
         Server::Sharded { shards } => {
             let mut scenario = builder
@@ -262,20 +267,20 @@ pub fn measure(spec: &MeasureSpec) -> Measured {
                 scenario.set_recv_bulk(spec.recv_bulk);
             }
             measure_on(spec, &mut scenario, |s| {
-                event_loop.then(|| (s.async_stats(), s.controller_stats()))
+                (event_loop.then(|| s.async_stats()), s.server.migrations())
             })
         }
     }
 }
 
 /// [`measure`] over the built stack `s`, whichever server it carries.
-/// `event_loop` reads the front-end's counters and the control plane's
-/// decisions off a stack that drains through the event loop (`None`
-/// otherwise).
+/// `counters` reads the front-end's counters off a stack that drains
+/// through the event loop (`None` otherwise) and the dispatch law's
+/// migration count.
 fn measure_on<S>(
     spec: &MeasureSpec,
     s: &mut Network<S>,
-    event_loop: impl Fn(&Network<S>) -> Option<(AsyncIngressStats, ControllerStats)>,
+    counters: impl Fn(&Network<S>) -> (Option<AsyncIngressStats>, u64),
 ) -> Measured
 where
     Network<S>: Ingress,
@@ -294,7 +299,7 @@ where
         m.take();
     }
     s.server_meter.take();
-    let warm = event_loop(s);
+    let (warm, _) = counters(s);
 
     let (mut datagrams, mut wire_bytes) = (0usize, 0usize);
     for r in 1..=spec.samples {
@@ -306,13 +311,12 @@ where
     let packets = (spec.samples * sizes.iter().sum::<usize>()) as u64;
     let server_cycles = s.server_meter.take();
     let (mut wakeups_per_datagram, mut datagrams_per_call) = (1.0, 1.0);
-    let mut controller = ControllerStats::default();
-    if let (Some((warm, _)), Some((stats, decided))) = (warm, event_loop(s)) {
+    let (ingress, migrations) = counters(s);
+    if let (Some(warm), Some(stats)) = (warm, ingress) {
         let drained = stats.datagrams - warm.datagrams;
         assert_eq!(drained as usize, datagrams, "every datagram drained");
         wakeups_per_datagram = (stats.wakeups - warm.wakeups) as f64 / drained.max(1) as f64;
         datagrams_per_call = drained as f64 / (stats.io_calls - warm.io_calls).max(1) as f64;
-        controller = decided;
     }
     let client_cycles: u64 = client_meters.iter().map(CycleMeter::take).sum();
     let charge = PacketCharge {
@@ -327,7 +331,8 @@ where
         charge,
         wakeups_per_datagram,
         datagrams_per_call,
-        controller,
+        ingress: ingress.unwrap_or_default(),
+        migrations,
     }
 }
 
@@ -500,6 +505,6 @@ mod tests {
             ..MeasureSpec::sharded(1)
         });
         assert_eq!((m.wakeups_per_datagram, m.datagrams_per_call), (1.0, 1.0));
-        assert_eq!(m.controller, ControllerStats::default());
+        assert_eq!((m.ingress, m.migrations), (AsyncIngressStats::default(), 0));
     }
 }

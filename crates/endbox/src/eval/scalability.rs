@@ -524,9 +524,10 @@ pub const FIXED_HOMING: &str = "fixed-homing";
 /// The measurement behind [`adaptive_control`] and [`elastic_resize`]:
 /// the heavy-tailed small-record mix through the event loop. 8 peers at
 /// 2 shards puts both Zipf elephants (peers 0 and 4) on shard 0; base
-/// batch 24 makes that shard's per-round socket backlog (~43 datagrams)
-/// deep enough that the remap law (2x the other shards' mean, 3-round
-/// debounce) actually fires.
+/// batch 24 makes that shard carry ~43 of each round's ~59 datagrams,
+/// 2.7x the other shard — a steady hot spot that the dispatch law's
+/// persistence trigger (2x the other shards' mean for 3 consecutive
+/// calls) actually moves, though its gap trigger alone would not.
 pub fn controlled_spec(shards: usize) -> MeasureSpec {
     MeasureSpec {
         doorway: Doorway::EventLoop,
@@ -538,9 +539,9 @@ pub fn controlled_spec(shards: usize) -> MeasureSpec {
 /// Replays one [`controlled_spec`] measurement at one trace step through
 /// `shards` shard lanes: crowd steps carry the Zipf skew, the event
 /// loop's measured wakeup amortisation prices the socket front-end, and
-/// peers migrate only for a *measured* run whose laws demonstrably moved
-/// a peer (a remap or a dispatch migration) — and not at all under
-/// `fixed_homing`, the [`FIXED_HOMING`] counterfactual.
+/// peers migrate only for a *measured* run whose dispatch law
+/// demonstrably moved a peer — and not at all under `fixed_homing`, the
+/// [`FIXED_HOMING`] counterfactual.
 fn replay_step(
     m: &Measured,
     shards: usize,
@@ -548,9 +549,8 @@ fn replay_step(
     step: &TraceStep,
 ) -> impl Iterator<Item = Cell> {
     let wakeup = CostModel::calibrated().event_loop_wakeup;
-    let moved = m.controller.remaps + m.controller.migrations > 0;
     let shards = ShardLanes {
-        migrate: moved && !fixed_homing,
+        migrate: m.migrations > 0 && !fixed_homing,
         wakeups: Some(AsyncFrontEndModel::event_driven(
             wakeup,
             m.wakeups_per_datagram,
@@ -624,8 +624,8 @@ pub const ELASTIC_LADDER: [(&str, usize); 3] =
 
 /// The [`ELASTIC_LADDER`] rung (by index) the resize law settles on for
 /// one trace step: the trace-level projection of the control law in
-/// `AsyncFrontEnd::control_round` (the live law folds socket backlog
-/// into demand EWMAs each round; over a whole step the EWMA converges
+/// `AsyncFrontEnd::control_round` (the live law folds the total socket
+/// backlog into one demand EWMA each round; over a whole step it converges
 /// onto the offered load, so the step's client count is the demand
 /// proxy). Demand maps linearly onto the ladder's shard range — the
 /// trough picks the smallest rung, the peak the largest — mirroring
@@ -869,10 +869,10 @@ mod tests {
             let m = measure(&controlled_spec(c));
             let per_round = (crate::server::DEFAULT_SHARD_BUDGET * c) as u64;
             assert_eq!(
-                m.controller.budget_grants,
-                m.controller.budget_rounds * per_round,
+                m.ingress.budget_grants,
+                m.ingress.rounds * per_round,
                 "C = {c}: {:?}",
-                m.controller
+                m.ingress
             );
             m.wakeups_per_datagram
         });
@@ -883,12 +883,15 @@ mod tests {
     }
 
     #[test]
-    fn remap_law_moves_a_peer_on_the_controlled_mix() {
-        // Both Zipf elephants (peers 0 and 4) home on shard 0 at C = 2,
-        // so that shard runs hot and the remap law must move a peer off
-        // it — the move that lets the `adaptive` rows replay migration.
-        let m = measure(&controlled_spec(2));
-        assert!(m.controller.remaps >= 1, "{:?}", m.controller);
+    fn dispatch_law_moves_a_peer_on_the_controlled_mix() {
+        // Both Zipf elephants (peers 0 and 4) home on shard 0 at C = 2
+        // and 4, so that shard runs persistently hot and the dispatch
+        // law must move a peer off it — the move that lets the
+        // `adaptive` and `elastic` rows replay migration.
+        for c in [2, 4] {
+            let m = measure(&controlled_spec(c));
+            assert!(m.migrations >= 1, "C = {c}: {m:?}");
+        }
     }
 
     #[test]

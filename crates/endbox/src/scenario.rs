@@ -14,8 +14,8 @@
 //! (`send_from_client`, `send_batch_from_client` and their siblings) are
 //! written once, on the generic impl, over one private ingress step:
 //! `(peer, datagram)`s in, one `(peer, result)` per datagram out,
-//! regrouped per peer. What only the sharded deployment has — remap,
-//! resize, the event-driven socket front-end and the TX egress stage —
+//! regrouped per peer. What only the sharded deployment has — manual
+//! re-homes, resize, the event-driven socket front-end and the TX egress stage —
 //! lives in one impl on [`ShardedScenario`]; what only the reference
 //! drives (client-to-client, the Fig. 5 config cycle) in one on
 //! [`Scenario`].
@@ -25,7 +25,7 @@ use crate::client::{EndBoxClient, EndBoxClientConfig, TrustLevel};
 use crate::config_update::{ConfigServer, SignedConfig};
 use crate::error::EndBoxError;
 use crate::server::{
-    AsyncFrontEnd, AsyncIngressStats, ControllerStats, Delivery, EndBoxServer, EndBoxServerConfig,
+    AsyncFrontEnd, AsyncIngressStats, Delivery, EndBoxServer, EndBoxServerConfig,
     ShardedEndBoxServer, TxBatchStats, TxBatcher,
 };
 use crate::use_cases::UseCase;
@@ -163,7 +163,10 @@ impl ScenarioBuilder {
     /// data-path drivers route wire datagrams through the event loop
     /// instead of calling `receive_datagrams` directly. The
     /// handshake/control path stays call-driven — it is off the fast
-    /// path. See [`ShardedScenario::pump_async`].
+    /// path. The event loop adds a per-round budget split by token
+    /// buckets; placement stays the dispatch law's, over the bytes the
+    /// server routed, exactly as through the call-driven doorway. See
+    /// [`ShardedScenario::pump_async`].
     /// [`ScenarioBuilder::build`] rejects it.
     pub fn async_ingress(mut self, on: bool) -> Self {
         self.async_ingress = on;
@@ -171,10 +174,12 @@ impl ScenarioBuilder {
     }
 
     /// Structural elasticity (default off — a fixed geometry). Implies
-    /// [`ScenarioBuilder::async_ingress`]: on top of the budget/remap
-    /// laws every event loop runs, the control round may grow or shrink
-    /// the shard count itself from the demand EWMAs (hysteresis and
-    /// cooldown: [`crate::server::RESIZE_GROW_ROUNDS`] and its siblings).
+    /// [`ScenarioBuilder::async_ingress`]: on top of the budget law every
+    /// event loop runs, a control round before each poll may grow or
+    /// shrink the shard count from the smoothed total socket backlog
+    /// (hysteresis and cooldown: [`crate::server::RESIZE_GROW_ROUNDS`]
+    /// and its siblings). Only then does the event loop read socket
+    /// depths; without it no socket is probed.
     /// The count given to [`ScenarioBuilder::build_sharded`] becomes the
     /// *starting* geometry rather than a fixed one.
     /// [`ScenarioBuilder::build`] rejects it.
@@ -1038,25 +1043,14 @@ impl ShardedScenario {
         self.sockets().front_end.backlog()
     }
 
-    /// Snapshot of the control plane's actions so far (budget grants,
-    /// remaps with their drained partial records, steals, migrations) —
-    /// see [`ControllerStats`] for the reconciliation contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if async ingress is off.
-    pub fn controller_stats(&self) -> ControllerStats {
-        self.sockets().front_end.controller_stats(&self.server)
-    }
-
     /// Re-homes `peer` onto shard `to` by hand: the peer's state moves,
     /// quiesced and drained (see [`ShardedEndBoxServer::remap_peer`]).
     /// With the event-driven front-end attached its socket stays where
     /// it is — the front-end reads placement from the server. `to` is
     /// taken modulo the live shard count. Returns the drained
-    /// partial-record count. The remap law makes exactly this move on its
-    /// own; the manual hook exists for the adversarial remap schedules in
-    /// `tests/`.
+    /// partial-record count. No law calls it — the dispatch law moves
+    /// peers for balance through the same relocation — so it exists only
+    /// for the adversarial `Step::Remap` schedules in `tests/`.
     pub fn remap_peer(&mut self, peer: u64, to: usize) -> usize {
         // Clamp against the *live* shard count: a resize may have shrunk
         // the server since the caller captured its target index, and
@@ -1067,9 +1061,9 @@ impl ShardedScenario {
 
     /// Resizes the server to `shards` shard threads online (see
     /// [`ShardedEndBoxServer::resize`]). Returns `(peers moved, in-flight
-    /// partials drained)`. With the event-driven front-end attached, its
-    /// next control round sees the new shard count and respreads the
-    /// per-shard demand; no socket moves. The resize law makes exactly
+    /// partials drained)`. With the event-driven front-end attached, no
+    /// socket moves; new shards fill through the dispatch law. The
+    /// resize law makes exactly
     /// this call on its own; the manual hook exists for the
     /// `Step::Resize` schedules in `tests/`.
     pub fn resize_shards(&mut self, shards: usize) -> (usize, usize) {

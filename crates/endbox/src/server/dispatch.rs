@@ -26,6 +26,17 @@ const LOAD_EWMA_ALPHA: f64 = 0.5;
 /// mean shard rate).
 const MIN_IMBALANCE_BYTES: f64 = 1_500.0;
 
+/// A shard is *hot* when its byte EWMA exceeds this multiple of the
+/// **other** shards' mean (floored at one MTU). Part of the law, not a
+/// tuning knob: carrying twice what everyone else averages is the
+/// smallest imbalance a single-peer move can meaningfully halve.
+const HOT_FACTOR: f64 = 2.0;
+
+/// Consecutive receive calls a shard must stay hot before the law sheds
+/// a peer from it on that ground alone — the debounce that keeps peers
+/// taking turns from ping-ponging between shards.
+const HOT_CALLS: u32 = 3;
+
 /// A shard whose byte EWMA has decayed below one byte is idle for the
 /// purposes of work stealing (the EWMA halves every call, so any real
 /// traffic keeps it far above this).
@@ -45,8 +56,7 @@ pub struct ResizeStats {
     /// Peers that moved to another shard across all resizes.
     pub peers_moved: u64,
     /// In-flight partial records that rode along inside moved
-    /// reassemblers (distinct from the remap law's
-    /// [`ShardedEndBoxServer::remap_counters`] drain count).
+    /// reassemblers.
     pub partials_drained: u64,
     /// Sessions that moved with their peers.
     pub sessions_moved: u64,
@@ -78,6 +88,8 @@ pub struct Shards {
     peers: HashMap<u64, Slot>,
     /// EWMA of routed bytes per shard.
     shard_load: Vec<f64>,
+    /// Per shard, consecutive calls it has been hot (see [`HOT_FACTOR`]).
+    hot_calls: Vec<u32>,
     /// Bound sessions and their peers. Unbound ones wait in the
     /// front-end's `VpnServer`.
     bound: HashMap<u64, u64>,
@@ -85,8 +97,6 @@ pub struct Shards {
     escalations: u64,
     migrations: u64,
     steals: u64,
-    remaps: u64,
-    drained_partials: u64,
     resize: ResizeStats,
 }
 
@@ -117,7 +127,8 @@ pub struct Shards {
 ///    ids and bindings are assigned in input order.
 /// 3. *One relocation.* `migrate` moves a peer's reassembler together
 ///    with its bound sessions, between receive batches only. The
-///    dispatch law, the remap law and the resize law all call it.
+///    dispatch law, the resize law and the manual
+///    [`ShardedEndBoxServer::remap_peer`] hook all call it.
 ///
 /// A call with no escalated record costs one request to, and one reply
 /// from, each shard that has datagrams.
@@ -150,13 +161,12 @@ impl Shards {
             stalls,
             peers: HashMap::new(),
             shard_load: Vec::new(),
+            hot_calls: Vec::new(),
             bound: HashMap::new(),
             records_merged: 0,
             escalations: 0,
             migrations: 0,
             steals: 0,
-            remaps: 0,
-            drained_partials: 0,
             resize: ResizeStats::default(),
         };
         stage.set_threads(shards.max(1), ConfigPolicy::default());
@@ -178,6 +188,9 @@ impl Shards {
             self.pool.send(shard, Request::Policy(policy));
         }
         self.shard_load.resize(shards, 0.0);
+        // The other shards' mean just changed: the debounce restarts.
+        self.hot_calls.clear();
+        self.hot_calls.resize(shards, 0);
     }
 
     fn shard_of(&self, peer: u64) -> usize {
@@ -259,21 +272,37 @@ impl Shards {
         moved
     }
 
-    /// The dispatch law, run at every receive call's boundary: while the
-    /// EWMA gap between the hottest and the coldest shard exceeds the
-    /// measured mean per-shard rate (floored at one MTU packet), move the
-    /// heaviest peer that fits in half the gap hot → cold — at most one
-    /// move per shard, a structural bound — then let idle shards steal.
-    /// A candidate must satisfy `2 * load <= gap`, so the gap strictly
-    /// shrinks and a single dominant peer never moves: the law cannot
-    /// ping-pong it between shards.
+    /// The dispatch law, run at every receive call's boundary — the only
+    /// law that moves a peer for balance. The hottest shard sheds a peer
+    /// to the coldest on either of two triggers over the byte EWMAs:
+    ///
+    /// * *gap*: the hot–cold gap exceeds the measured mean per-shard
+    ///   rate (floored at one MTU packet) — a fast, bursty imbalance;
+    /// * *persistence*: the shard has stayed [`HOT_FACTOR`]x above the
+    ///   other shards' mean for [`HOT_CALLS`] consecutive calls — a
+    ///   steady imbalance too small for the gap to see (at two shards a
+    ///   2.7x hot spot leaves the gap under the mean).
+    ///
+    /// Each time, the heaviest peer that fits in half the gap moves hot →
+    /// cold — at most one move per shard, a structural bound — then idle
+    /// shards steal. A candidate must satisfy `2 * load <= gap`, so the
+    /// gap strictly shrinks and a single dominant peer never moves: the
+    /// law cannot ping-pong it between shards.
     fn rebalance(&mut self) {
         let shards = self.pool.len();
         if shards < 2 {
             return;
         }
-        let mean = self.shard_load.iter().sum::<f64>() / shards as f64;
-        let threshold = mean.max(MIN_IMBALANCE_BYTES);
+        let sum = self.shard_load.iter().sum::<f64>();
+        for (s, &load) in self.shard_load.iter().enumerate() {
+            // Against the *other* shards' mean: against the overall mean
+            // no shard could qualify at C = 2, where the hottest possible
+            // share is exactly twice the mean.
+            let others = (sum - load) / (shards - 1) as f64;
+            let runs_hot = load > HOT_FACTOR * others.max(MIN_IMBALANCE_BYTES);
+            self.hot_calls[s] = if runs_hot { self.hot_calls[s] + 1 } else { 0 };
+        }
+        let threshold = (sum / shards as f64).max(MIN_IMBALANCE_BYTES);
         for _ in 0..shards {
             let (mut hot, mut cold) = (0usize, 0usize);
             for s in 1..shards {
@@ -285,7 +314,8 @@ impl Shards {
                 }
             }
             let gap = self.shard_load[hot] - self.shard_load[cold];
-            if gap <= threshold {
+            let persistent = self.hot_calls[hot] >= HOT_CALLS;
+            if gap <= threshold && !persistent {
                 break;
             }
             // Heaviest movable peer on the hot shard; deterministic
@@ -301,6 +331,9 @@ impl Shards {
             };
             self.migrate(peer, cold);
             self.migrations += 1;
+            if persistent {
+                self.hot_calls[hot] = 0;
+            }
         }
         self.steal_idle();
     }
@@ -472,9 +505,11 @@ impl ShardedEndBoxServer {
         self.rx.steals
     }
 
-    /// Moves `peer` to shard `to` (see `migrate` for the quiescence
-    /// contract), returning the number of in-flight partial records that
-    /// moved along. Only legal between `receive_datagrams` calls.
+    /// Moves `peer` to shard `to` by hand (see `migrate` for the
+    /// quiescence contract), returning the number of in-flight partial
+    /// records that moved along. Only legal between `receive_datagrams`
+    /// calls. No law calls it: balance is the dispatch law's, which
+    /// counts its own moves in [`ShardedEndBoxServer::migrations`].
     ///
     /// # Panics
     ///
@@ -490,25 +525,17 @@ impl ShardedEndBoxServer {
         if self.rx.shard_of(peer) == to {
             return 0;
         }
-        let (partials, _) = self.rx.migrate(peer, to);
-        self.rx.remaps += 1;
-        self.rx.drained_partials += partials as u64;
-        partials
-    }
-
-    /// `(remaps, drained partial records)` performed so far via
-    /// [`ShardedEndBoxServer::remap_peer`].
-    pub fn remap_counters(&self) -> (u64, u64) {
-        (self.rx.remaps, self.rx.drained_partials)
+        self.rx.migrate(peer, to).0
     }
 
     /// Grows or shrinks to `shards` shard threads online (minimum 1),
     /// returning `(peers moved, in-flight partials drained along)`. A
     /// grow spawns empty shards that already carry the live config
-    /// policy; peers reach them through the dispatch and remap laws. A
-    /// shrink moves every peer of a retiring shard — reassembler and
-    /// sessions — to its home `peer mod C` under the new count, in
-    /// ascending peer order, before the thread exits. Peers on surviving
+    /// policy and respreads nothing: they fill through the dispatch law
+    /// (an idle shard steals, a hot one sheds). A shrink moves every peer
+    /// of a retiring shard — reassembler and sessions — to its home
+    /// `peer mod C` under the new count, in ascending peer order, before
+    /// the thread exits. Peers on surviving
     /// shards stay put. Only legal between `receive_datagrams` calls — a
     /// no-op if `shards` already matches. A resize is invisible in the
     /// record stream (pinned by `tests/elastic_resize.rs`).

@@ -37,6 +37,14 @@ pub struct AsyncIngressStats {
     /// front-end (`recv_bulk == 1`) pays roughly one call per datagram;
     /// a bulk one pays one per batch.
     pub io_calls: u64,
+    /// Total datagram budget granted: [`DEFAULT_SHARD_BUDGET`]` × C` per
+    /// round that polled a ready socket. Always >=
+    /// [`AsyncIngressStats::datagrams`].
+    pub budget_grants: u64,
+    /// Datagrams a socket drained in one pass beyond its fair share of
+    /// the round budget — capacity the other sockets left unclaimed,
+    /// banked in its token bucket or left over once they ran dry.
+    pub tokens_borrowed: u64,
 }
 
 /// Default `recv_many` vector length: 32 datagrams per bulk call.
@@ -78,12 +86,14 @@ pub const DEFAULT_RECV_BULK: usize = 32;
 /// still holding data. A peer flooding its socket therefore yields to
 /// the other peers every pass: their traffic rides in every round while
 /// the flood's tail stays queued in *its own* socket
-/// ([`AsyncIngressStats::deferred_rounds`] counts these deferrals). A
-/// persistently hot shard has its hottest movable peer re-homed to the
-/// coldest shard (the peer's shard state, quiesced and drained — see
-/// [`ShardedEndBoxServer::remap_peer`]); its socket stays where it is.
-/// Every decision lands at a round boundary, so drained datagrams still
-/// re-merge into exact wire order for any drain split.
+/// ([`AsyncIngressStats::deferred_rounds`] counts these deferrals).
+/// Spreading peers over shards is not the front-end's job: the dispatch
+/// law moves a peer's shard state on the bytes the server routed, and
+/// the peer's socket stays where it is. The control round, which reads
+/// every socket's depth, runs only when the resize law is armed
+/// ([`crate::scenario::ScenarioBuilder::elastic`]). Every decision lands
+/// at a round boundary, so drained datagrams still re-merge into exact
+/// wire order for any drain split.
 ///
 /// # Example
 ///
@@ -130,7 +140,7 @@ pub struct AsyncFrontEnd {
     datagrams: u64,
     deferred_rounds: u64,
     io_calls: u64,
-    /// The token, remap and resize laws' state.
+    /// The token and resize laws' state.
     pub(super) control: Control,
     /// Per-round buffers, reused: the poll's events, their slots, which
     /// of those ran dry, one bulk receive, and the round's drained
@@ -197,6 +207,8 @@ impl AsyncFrontEnd {
             datagrams: self.datagrams,
             deferred_rounds: self.deferred_rounds,
             io_calls: self.io_calls,
+            budget_grants: self.control.budget_grants,
+            tokens_borrowed: self.control.tokens_borrowed,
         }
     }
 
@@ -205,9 +217,10 @@ impl AsyncFrontEnd {
         self.sockets.iter().map(|(_, ep)| ep.pending()).sum()
     }
 
-    /// One event-loop round: runs the control round, polls the group,
-    /// drains readable sockets under the round's budget, re-merges the
-    /// drained datagrams into wire order and runs them through one
+    /// One event-loop round: runs the control round (resize law armed
+    /// only), polls the group, drains readable sockets under the round's
+    /// budget, re-merges the drained datagrams into wire order and runs
+    /// them through one
     /// [`ShardedEndBoxServer::receive_datagrams`] call. Returns one
     /// `(peer, result)` per drained datagram, in dispatch order; an empty
     /// vector means no socket was readable.
@@ -215,10 +228,11 @@ impl AsyncFrontEnd {
         &mut self,
         server: &mut ShardedEndBoxServer,
     ) -> Vec<(u64, Result<Delivery, EndBoxError>)> {
-        // Closed-loop control, evaluated strictly at the round boundary
-        // (before any socket is polled): resize, or remap a persistent
-        // hot spot.
-        self.control_round(server);
+        // The resize law, evaluated strictly at the round boundary
+        // (before any socket is polled); unarmed, no socket is probed.
+        if self.control.elastic {
+            self.control_round(server);
+        }
         self.events.clear();
         if self.poll.poll(&mut self.events) == 0 {
             return Vec::new();

@@ -48,7 +48,7 @@
 //!    index (`tests/shard_parity.rs`, `tests/rx_interleaving.rs`).
 //! 3. *One relocation.* A peer's reassembler and its bound sessions move
 //!    together, between receive batches only, through one `migrate` that
-//!    the dispatch, remap and resize laws all call
+//!    the dispatch law, the resize law and the manual re-home all call
 //!    (`tests/elastic_resize.rs`, `tests/adaptive_control.rs`).
 //!
 //! The event-driven front-end adds that drained datagrams are re-merged
@@ -60,10 +60,10 @@
 //! This file holds what both flavours share: the configuration,
 //! [`Delivery`], the metered I/O formulas and [`Server`]. The frame step
 //! and the shard thread are in `rx`, the reference server in
-//! `reference`, the sharded one in `dispatch`, the socket front-end in
-//! `frontend`, the laws that steer it (token buckets, remap, resize) in
-//! `control`, the TX-batching egress stage in `tx`; all are
-//! re-exported here.
+//! `reference`, the sharded one and its placement law (the dispatch law)
+//! in `dispatch`, the socket front-end in `frontend`, the laws that
+//! steer it (token buckets, resize) in `control`, the TX-batching egress
+//! stage in `tx`; all are re-exported here.
 
 use crate::error::EndBoxError;
 use endbox_click::Router;
@@ -89,8 +89,8 @@ mod rx;
 mod tx;
 
 pub use control::{
-    ControllerStats, DEFAULT_SHARD_BUDGET, RESIZE_COOLDOWN_ROUNDS, RESIZE_GROW_ROUNDS,
-    RESIZE_MAX_SHARDS, RESIZE_SHRINK_ROUNDS, RESIZE_TARGET_DEMAND,
+    DEFAULT_SHARD_BUDGET, RESIZE_COOLDOWN_ROUNDS, RESIZE_GROW_ROUNDS, RESIZE_MAX_SHARDS,
+    RESIZE_SHRINK_ROUNDS, RESIZE_TARGET_DEMAND,
 };
 pub use dispatch::{ResizeStats, ShardedEndBoxServer};
 pub use frontend::{AsyncFrontEnd, AsyncIngressStats, DEFAULT_RECV_BULK};

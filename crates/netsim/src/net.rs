@@ -58,10 +58,7 @@
 //!   and counts wakeups; the *cost* of a wakeup is modelled by the timing
 //!   layer ([`crate::pipeline::AsyncFrontEndModel`]), not charged here,
 //!   so the same functional run can be replayed under both the
-//!   call-driven and the event-driven cost model. Registration and
-//!   deregistration are O(1) amortised (token-indexed slots with
-//!   order-preserving compaction), so a churning peer population never
-//!   turns the reactor into a linear scan.
+//!   call-driven and the event-driven cost model.
 //!
 //! # Determinism
 //!
@@ -193,16 +190,16 @@ pub trait WireEndpoint: Send + Sync + std::fmt::Debug {
     /// **Known limitation.** The OS backend cannot see the kernel's queue
     /// depth: [`OsWire`] endpoints answer `usize::from(self.readable())`
     /// — one `peek_from` syscall returning `1` when anything is queued,
-    /// `0` otherwise. Everything the server's control plane derives from
-    /// this value therefore counts readable *sockets*, not queued
-    /// datagrams, over the only real transport: the front-end's
-    /// `backlog()`, the per-shard demand EWMAs behind the remap and
-    /// resize laws (`RESIZE_TARGET_DEMAND` is calibrated in datagrams),
-    /// and the remap law's half-gap candidate. Outcomes are
-    /// unaffected (the controller only moves scheduling; the
-    /// controller-on OS-socket parity grid in `tests/bulk_ingress.rs`
-    /// pins that), but a deep queue behind one socket looks no hotter
-    /// than a single waiting datagram.
+    /// `0` otherwise. What the server derives from this value therefore
+    /// counts readable *sockets*, not queued datagrams, over the only
+    /// real transport: the front-end's `backlog()` and the demand EWMA
+    /// behind the resize law (`RESIZE_TARGET_DEMAND` is calibrated in
+    /// datagrams). Peer placement does not read it — the dispatch law
+    /// reads the bytes the server routed — and a front-end without the
+    /// resize law never calls it per round. Outcomes are unaffected (the
+    /// laws only move scheduling; the OS-socket parity grid in
+    /// `tests/bulk_ingress.rs` pins that), but a deep queue behind one
+    /// socket looks no bigger than a single waiting datagram.
     fn pending(&self) -> usize;
 }
 
@@ -904,28 +901,14 @@ pub struct Event {
 /// ([`PollGroup::wakeups`]): the event-driven front-end's amortisation —
 /// how many datagrams each wakeup drains — is the measured input to the
 /// timing-layer event-loop charge
-/// ([`crate::pipeline::AsyncFrontEndModel`]).
-///
-/// Registration and deregistration are **O(1) amortised**: slots are
-/// appended in registration order and indexed by token, deregistration
-/// tombstones the slot, and the slot list compacts (order-preserving)
-/// once tombstones outnumber live entries — a churning peer population
-/// costs constant work per register/deregister instead of a linear scan.
+/// ([`crate::pipeline::AsyncFrontEndModel`]). An endpoint stays
+/// registered for the group's lifetime.
 #[derive(Debug, Default)]
 pub struct PollGroup {
-    /// Registration-ordered slots; `None` marks a deregistered entry
-    /// awaiting compaction.
-    entries: Vec<Option<(Token, UdpEndpoint)>>,
-    /// Token → slot indices into `entries` (one token may cover several
-    /// registrations).
-    index: HashMap<Token, Vec<usize>>,
-    live: usize,
+    /// Registered endpoints, in registration order.
+    entries: Vec<(Token, UdpEndpoint)>,
     wakeups: u64,
 }
-
-/// [`PollGroup`] compaction threshold: slot lists of at most this many
-/// entries are scanned as-is rather than compacted.
-const COMPACT_MIN_ENTRIES: usize = 16;
 
 impl PollGroup {
     /// An empty poll group.
@@ -936,38 +919,7 @@ impl PollGroup {
     /// Registers `endpoint` under `token` (readable interest — the only
     /// interest these endpoints have: sends never block for long).
     pub fn register(&mut self, endpoint: &UdpEndpoint, token: Token) {
-        let slot = self.entries.len();
-        self.entries.push(Some((token, endpoint.clone())));
-        self.index.entry(token).or_default().push(slot);
-        self.live += 1;
-    }
-
-    /// Deregisters every endpoint registered under `token` (O(1)
-    /// amortised: tombstone + occasional order-preserving compaction).
-    pub fn deregister(&mut self, token: Token) {
-        let Some(slots) = self.index.remove(&token) else {
-            return;
-        };
-        for slot in slots {
-            if self.entries[slot].take().is_some() {
-                self.live -= 1;
-            }
-        }
-        // Compact once tombstones dominate, preserving registration
-        // order; amortised O(1) per deregistration.
-        if self.entries.len() > COMPACT_MIN_ENTRIES && self.live * 2 < self.entries.len() {
-            self.entries.retain(Option::is_some);
-            self.index.clear();
-            for (slot, entry) in self.entries.iter().enumerate() {
-                let (token, _) = entry.as_ref().expect("compacted");
-                self.index.entry(*token).or_default().push(slot);
-            }
-        }
-    }
-
-    /// Registered endpoint count.
-    pub fn registered(&self) -> usize {
-        self.live
+        self.entries.push((token, endpoint.clone()));
     }
 
     /// Scans the registered endpoints and appends one [`Event`] per
@@ -976,7 +928,7 @@ impl PollGroup {
     pub fn poll(&mut self, events: &mut Vec<Event>) -> usize {
         self.wakeups += 1;
         let before = events.len();
-        for (token, ep) in self.entries.iter().flatten() {
+        for (token, ep) in &self.entries {
             if ep.readable() {
                 events.push(Event { token: *token });
             }
@@ -1107,84 +1059,6 @@ mod tests {
         events.clear();
         assert_eq!(poll.poll(&mut events), 0);
         assert_eq!(poll.wakeups(), 4);
-    }
-
-    /// 10k sockets of register/deregister churn must complete promptly
-    /// (the old linear `retain` made this quadratic) and leave a group
-    /// that polls exactly like one freshly built from the survivors.
-    #[test]
-    fn poll_group_churn_is_fast_and_matches_a_fresh_group() {
-        const N: usize = 10_000;
-        let wire = VirtualWire::new();
-        let tx = wire.bind(u64::MAX).unwrap();
-        let endpoints: Vec<UdpEndpoint> = (0..N as u64).map(|p| wire.bind(p).unwrap()).collect();
-        let mut poll = PollGroup::new();
-        let started = std::time::Instant::now();
-        for (i, ep) in endpoints.iter().enumerate() {
-            poll.register(ep, Token(i));
-        }
-        assert_eq!(poll.registered(), N);
-        // Deregister every even token, then every third odd one, and
-        // register the evens again behind the surviving odds.
-        for i in (0..N).step_by(2) {
-            poll.deregister(Token(i));
-        }
-        assert_eq!(poll.registered(), N / 2);
-        for i in (1..N).step_by(6) {
-            poll.deregister(Token(i));
-        }
-        for i in (0..N).step_by(2) {
-            poll.register(&endpoints[i], Token(i));
-        }
-        let elapsed = started.elapsed();
-        assert!(
-            elapsed < std::time::Duration::from_secs(2),
-            "10k-socket churn took {elapsed:?} — register/deregister has regressed \
-             from O(1) amortised"
-        );
-        // The same live sockets, registered once in the order they
-        // survived in: odds not of the form 6k+1, then the evens.
-        let mut fresh = PollGroup::new();
-        let survivors = (1..N).step_by(2).filter(|i| i % 6 != 1);
-        for i in survivors.chain((0..N).step_by(2)) {
-            fresh.register(&endpoints[i], Token(i));
-        }
-        assert_eq!(poll.registered(), fresh.registered());
-        // Readable: a surviving odd, a re-registered even, a removed odd.
-        for port in [9_999, 4, 3, 7, 8] {
-            tx.send_to(port, vec![1]).unwrap();
-        }
-        let (mut churned, mut built) = (Vec::new(), Vec::new());
-        assert_eq!(poll.poll(&mut churned), 4);
-        fresh.poll(&mut built);
-        assert_eq!(churned, built, "churn must not change what a poll reports");
-        let tokens: Vec<usize> = churned.iter().map(|e| e.token.0).collect();
-        assert_eq!(tokens, vec![3, 9_999, 4, 8], "registration order preserved");
-    }
-
-    #[test]
-    fn deregister_survives_compaction_and_reregistration() {
-        let wire = VirtualWire::new();
-        let eps: Vec<UdpEndpoint> = (0..64u64).map(|p| wire.bind(p).unwrap()).collect();
-        let mut poll = PollGroup::new();
-        for (i, ep) in eps.iter().enumerate() {
-            poll.register(ep, Token(i));
-        }
-        // Trigger compaction (tombstones dominate).
-        for i in 0..48 {
-            poll.deregister(Token(i));
-        }
-        assert_eq!(poll.registered(), 16);
-        // Deregister *after* compaction must still resolve slots.
-        poll.deregister(Token(50));
-        assert_eq!(poll.registered(), 15);
-        poll.deregister(Token(50)); // idempotent
-        assert_eq!(poll.registered(), 15);
-        let tx = wire.bind(u64::MAX).unwrap();
-        tx.send_to(63, vec![1]).unwrap();
-        let mut events = Vec::new();
-        assert_eq!(poll.poll(&mut events), 1);
-        assert_eq!(events[0].token, Token(63));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Parity and reconciliation tests for the datapath control plane every
-//! event loop runs (one round budget split by per-socket token buckets,
-//! the autonomous hot-peer remap law, and the dispatch law's
-//! rate-based rebalance + idle-shard stealing).
+//! event loop runs (one round budget split by per-socket token buckets)
+//! and the one placement law under it: the dispatch law, whose gap and
+//! persistence triggers and idle-shard stealing move peers on the bytes
+//! the server routed.
 //!
 //! The named schedules replay the same deterministic interleaving
 //! classes the other suites are pinned by — plus [`Step::Remap`]
@@ -13,20 +14,21 @@
 //! at a round boundary, so outcomes stay byte-identical to the
 //! single-threaded reference — only scheduling moves.
 //!
-//! The reconciliation tests pin the [`ControllerStats`] contract against
-//! independent datapath counters: granted budget covers every drained
-//! datagram, re-homes and their drained partials account exactly against
-//! the server's remap counters, steals stay a subset of migrations, and the
-//! token buckets only report borrowing when a burst actually spends
+//! The reconciliation tests pin the control plane's counters against
+//! independent datapath counters: the [`AsyncIngressStats`] budget grant
+//! covers every drained datagram, a manual re-home returns exactly the
+//! partial records it drained, steals stay a subset of migrations, and
+//! the token buckets only report borrowing when a burst actually spends
 //! capacity that idle shard-mates banked in earlier rounds.
 //!
-//! [`ControllerStats`]: endbox::server::ControllerStats
+//! [`AsyncIngressStats`]: endbox::server::AsyncIngressStats
 
 #[path = "support/mod.rs"]
 #[allow(dead_code)]
 mod support;
 
 use endbox::scenario::{Scenario, ShardedScenario};
+use endbox::server::DEFAULT_SHARD_BUDGET;
 use endbox::use_cases::UseCase;
 use support::{
     assert_parity_bulk, assert_relocation_keeps_partial, pump_until, send_records, PeerMap,
@@ -144,9 +146,9 @@ fn adaptive_schedule_remap_spreads_colliding_peers() {
 }
 
 /// Mixed traffic (batches, pings, a split record, a replayed batch) with
-/// stalled shards and **no** manual remaps: the controller's own
-/// budget/token/remap laws run against ordinary adversarial interleaving
-/// and must not move a single outcome.
+/// stalled shards and **no** manual remaps: the budget and token laws and
+/// the dispatch law run against ordinary adversarial interleaving and
+/// must not move a single outcome.
 #[test]
 fn adaptive_schedule_controller_on_mixed_traffic() {
     let schedule = Schedule::new("controller-on-mixed-traffic", 4, 0xada3)
@@ -181,12 +183,11 @@ fn adaptive_schedule_controller_on_mixed_traffic() {
     assert_parity_bulk(&schedule);
 }
 
-/// The [`endbox::server::ControllerStats`] reconciliation contract
-/// against independent datapath counters, under a heavy-tailed mix:
-/// every drained datagram was covered by a granted budget, the budget
-/// controller planned a subset of the event loop's rounds, steals are a
-/// subset of migrations, and manual re-homes account exactly against the
-/// server's remap counters.
+/// The control plane's counters against independent datapath counters,
+/// under a heavy-tailed mix: every round drained under one budget of
+/// `DEFAULT_SHARD_BUDGET × C`, which covered every drained datagram, and
+/// the dispatch law's steals are a subset of its migrations, which do
+/// not count manual re-homes.
 #[test]
 fn controller_stats_reconcile_with_datapath_counters() {
     let mut scenario: ShardedScenario = Scenario::enterprise(8, UseCase::Nop)
@@ -206,55 +207,35 @@ fn controller_stats_reconcile_with_datapath_counters() {
     }
 
     let ingress = scenario.async_stats();
-    let stats = scenario.controller_stats();
     assert_eq!(ingress.datagrams, drained_total);
-    assert!(
-        stats.budget_rounds >= 1,
-        "controller never planned: {stats:?}"
-    );
-    assert!(
-        stats.budget_rounds <= ingress.rounds,
-        "planned more rounds than the event loop ran: {stats:?} vs {ingress:?}"
-    );
-    assert!(
-        stats.budget_grants >= ingress.datagrams,
-        "drained datagrams exceeded the granted budget: {stats:?} vs {ingress:?}"
-    );
-    assert!(
-        stats.steals <= stats.migrations,
-        "steals must be a subset of migrations: {stats:?}"
-    );
+    assert!(ingress.rounds >= 1, "the event loop never ran: {ingress:?}");
     assert_eq!(
-        (stats.remaps, stats.drained_partials),
-        scenario.server.remap_counters(),
-        "controller snapshot diverged from the server's remap counters"
+        ingress.budget_grants,
+        ingress.rounds * (DEFAULT_SHARD_BUDGET * 2) as u64,
+        "one budget of DEFAULT_SHARD_BUDGET × C per round: {ingress:?}"
+    );
+    assert!(
+        ingress.budget_grants >= ingress.datagrams,
+        "drained datagrams exceeded the granted budget: {ingress:?}"
+    );
+    let (migrations, steals) = (scenario.server.migrations(), scenario.server.steals());
+    assert!(
+        steals <= migrations,
+        "steals must be a subset of migrations: {steals} > {migrations}"
     );
 
-    // The manual re-home pair accounts exactly like the controller's
-    // own: one of the two moves below must change the peer's shard
-    // (they target both shards), and every drained partial rides the
-    // counter.
-    let before = scenario.controller_stats();
-    let drained = scenario.remap_peer(1, 0) + scenario.remap_peer(1, 1);
-    let after = scenario.controller_stats();
-    assert!(
-        after.remaps > before.remaps,
-        "a shard-changing re-home must count: {before:?} vs {after:?}"
-    );
-    assert_eq!(
-        after.drained_partials,
-        before.drained_partials + drained as u64
-    );
-    assert_eq!(
-        (after.remaps, after.drained_partials),
-        scenario.server.remap_counters()
-    );
+    // A manual re-home pair moves the peer but is no dispatch-law
+    // migration: `migrations()` counts the law's own moves only.
+    scenario.remap_peer(1, 0);
+    scenario.remap_peer(1, 1);
+    assert_eq!(scenario.server.shard_of(1), 1);
+    assert_eq!(scenario.server.migrations(), migrations);
 }
 
 /// A manual re-home with a record head in flight: the partial drains at
-/// the quiesce point (counted in [`endbox::server::ControllerStats`]),
-/// reinstalls at the new home, and the tail completes the record to the
-/// **same** outcome as an identical run that never re-homed.
+/// the quiesce point (counted in the re-home's return value), reinstalls
+/// at the new home, and the tail completes the record to the **same**
+/// outcome as an identical run that never re-homed.
 #[test]
 fn manual_remap_drains_inflight_partial_and_preserves_outcome() {
     let build = || {
@@ -270,9 +251,7 @@ fn manual_remap_drains_inflight_partial_and_preserves_outcome() {
     assert_relocation_keeps_partial(build, 0, |remapped| {
         let drained = remapped.remap_peer(0, 1);
         assert_eq!(drained, 1, "the parked partial must drain with the move");
-        let stats = remapped.controller_stats();
-        assert_eq!(stats.remaps, 1);
-        assert_eq!(stats.drained_partials, 1);
+        assert_eq!(remapped.server.shard_of(0), 1);
     });
 }
 
@@ -296,7 +275,7 @@ fn token_buckets_borrow_only_after_banked_carryover() {
         sent += send_records(&mut scenario, "ctrl", client, 1, 0);
     }
     pump_until(&mut scenario, sent);
-    let steady = scenario.controller_stats();
+    let steady = scenario.async_stats();
     assert_eq!(
         steady.tokens_borrowed, 0,
         "a steady trickle must not borrow: {steady:?}"
@@ -310,7 +289,7 @@ fn token_buckets_borrow_only_after_banked_carryover() {
         sent += send_records(&mut scenario, "ctrl", client, 1, 1);
     }
     pump_until(&mut scenario, sent);
-    let burst = scenario.controller_stats();
+    let burst = scenario.async_stats();
     assert!(
         burst.tokens_borrowed > 0,
         "a burst after a trickle must spend banked tokens: {burst:?}"

@@ -19,7 +19,8 @@
 //! moves exactly the parked partials and bound sessions of the peers on
 //! retiring shards) and the resize law itself (a sustained flood grows
 //! the server, sustained idleness shrinks it back, through hysteresis and
-//! cooldown). The proptest interleaves random `Step::Resize` steps with
+//! cooldown, reading the one total-backlog EWMA that is the only socket
+//! depth the event loop samples). The proptest interleaves random `Step::Resize` steps with
 //! the existing schedule classes and reconciles the stats against the
 //! schedule that drove them — no record lost or duplicated across any
 //! move.
@@ -45,8 +46,9 @@ use support::{
 
 /// Every **starting** shard count of the grid through both doorways: the
 /// call-driven `receive_datagrams` path and the event-driven front-end
-/// (there a resize additionally respreads the remap law's per-shard
-/// demand; the sockets stay registered where they are). Returns the dispatch law's `(migrations, steals)` over all
+/// (there the sockets stay registered where they are, and a grown server
+/// fills through the dispatch law exactly as through the call-driven
+/// doorway). Returns the dispatch law's `(migrations, steals)` over all
 /// of it.
 fn assert_parity_elastic(schedule: &Schedule) -> (u64, u64) {
     let cfgs = [RunCfg::call(), RunCfg::event_loop()];

@@ -143,6 +143,23 @@ fn heavy_tailed_load_mix_matches_single_server_and_migrates() {
 }
 
 #[test]
+fn round_robin_single_peer_calls_never_migrate() {
+    // Four equal peers take turns, one per receive call. Each call makes
+    // its sender's shard look hot for a moment, but no shard stays hot
+    // for three calls in a row: the persistence trigger's debounce must
+    // hold, or the law would chase each burst and ping-pong the peers
+    // between shards.
+    let steps = (0..12).flat_map(|_| {
+        (0..4).map(|client| Step::Batch {
+            client,
+            n_packets: 48,
+        })
+    });
+    let moves = assert_script_parity(&script("round-robin-single-peer", 4, 0xeb79, steps));
+    assert_eq!(moves, (0, 0), "taking turns is not an imbalance");
+}
+
+#[test]
 fn adversarial_single_session_load_matches_single_server() {
     // All traffic from ONE peer: the worst case for any dispatcher (a
     // peer is unsplittable, so migration cannot help and must not fire

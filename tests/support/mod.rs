@@ -18,9 +18,9 @@
 //! shard threads to stall and no event loop, so [`Step::Remap`],
 //! [`Step::Resize`], the stalls and the doorway do nothing there, and its
 //! `receive_datagrams` runs each datagram to completion in order. The
-//! dispatch law and — through the event loop — the budget, token and
-//! remap laws run in every sharded configuration; there is nothing to
-//! select. [`assert_parity`] asserts byte-identical outcomes between the
+//! dispatch law — the one law that places peers, on the bytes the server
+//! routed — and, through the event loop, the budget and token laws run
+//! in every sharded configuration; there is nothing to select. [`assert_parity`] asserts byte-identical outcomes between the
 //! reference and every grid point × configuration it is given. Because
 //! the sharded server re-merges by input index and answers escalations
 //! in input order (and the event loop re-merges drained datagrams by
@@ -96,8 +96,10 @@ pub struct RunCfg {
     pub recv_bulk: Option<usize>,
     /// The wire backend behind the sockets. Event loop only. Over
     /// [`TransportKind::OsSocket`] the schedule rides real loopback UDP
-    /// (only where `OsWire::available`), and the controller sees
-    /// `pending()` as 0/1 per socket, not a queue depth.
+    /// (only where `OsWire::available`). Placement reads routed bytes,
+    /// the same on both wires; `pending()` — 0/1 per socket there, not
+    /// a queue depth — feeds only `backlog()` and the resize law, which
+    /// the harness never arms.
     pub transport: TransportKind,
 }
 
