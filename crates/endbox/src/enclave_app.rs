@@ -337,15 +337,6 @@ impl EnclaveApp {
             })?
     }
 
-    /// True once enrolled (certificate installed).
-    pub fn is_enrolled(&mut self) -> bool {
-        self.enclave
-            .ecall("ecall_certificate_read", |state, _| {
-                state.certificate.is_some()
-            })
-            .unwrap_or(false)
-    }
-
     // --- handshake ----------------------------------------------------------
 
     /// Starts the VPN handshake, returning the ClientHello record.

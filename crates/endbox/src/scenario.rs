@@ -31,12 +31,11 @@ use crate::server::{
 use crate::use_cases::UseCase;
 use endbox_crypto::schnorr::SigningKey;
 use endbox_netsim::cost::{CostModel, CycleMeter};
-use endbox_netsim::net::{OsWire, Transport, TransportKind, VirtualWire};
+use endbox_netsim::net::{OsWire, Transport, TransportKind, UdpEndpoint, VirtualWire};
 use endbox_netsim::time::SharedClock;
-use endbox_netsim::{BufferPool, Packet, PoolStats};
+use endbox_netsim::{Packet, PoolStats};
 use endbox_sgx::attestation::{CpuIdentity, IasSimulator};
 use endbox_vpn::channel::CipherSuite;
-use endbox_vpn::endpoint::FramedSender;
 use endbox_vpn::handshake::HandshakeConfig;
 use endbox_vpn::{PROTOCOL_V1, PROTOCOL_V2};
 use rand::SeedableRng;
@@ -494,11 +493,8 @@ struct Sockets {
     /// The TX-batching egress stage over the server's dedicated TX
     /// socket.
     tx: TxBatcher,
-    /// Per-peer client-side sending halves, bound lazily on first send.
-    links: HashMap<u64, FramedSender>,
-    /// Egress fragment buffers of the client links (pool-backed — no
-    /// fresh allocation per datagram once warm).
-    egress_pool: BufferPool,
+    /// Per-peer client-side sockets, bound lazily on first send.
+    links: HashMap<u64, UdpEndpoint>,
     /// What the server-side sockets are metered at, and on.
     cost: CostModel,
     meter: CycleMeter,
@@ -530,22 +526,20 @@ impl Sockets {
             front_end,
             tx,
             links: HashMap::new(),
-            egress_pool: BufferPool::new(),
             cost,
             meter: meter.clone(),
         }
     }
 
-    /// `peer`'s client-side sending half, bound on first use together
-    /// with the server-side socket the front-end polls for that peer. The
-    /// server socket is metered: socket receives charge the server meter
-    /// like every other server-side cost.
-    fn link(&mut self, peer: u64) -> &FramedSender {
+    /// `peer`'s client-side socket, bound on first use together with the
+    /// server-side socket the front-end polls for that peer. The server
+    /// socket is metered: socket receives charge the server meter like
+    /// every other server-side cost.
+    fn link(&mut self, peer: u64) -> &UdpEndpoint {
         let Sockets {
             wire,
             front_end,
             links,
-            egress_pool,
             cost,
             meter,
             ..
@@ -555,10 +549,8 @@ impl Sockets {
                 .bind_metered(peer, meter.clone(), cost)
                 .expect("unique server port per peer");
             front_end.register_peer(peer, server_ep);
-            let client_ep = wire
-                .bind(CLIENT_PORT_BIT | peer)
-                .expect("unique client port per peer");
-            FramedSender::with_pool(client_ep, cost.mtu_payload, egress_pool.clone())
+            wire.bind(CLIENT_PORT_BIT | peer)
+                .expect("unique client port per peer")
         })
     }
 }
@@ -987,18 +979,20 @@ impl ShardedScenario {
 
     /// Ships already-sealed wire datagrams from `peer`'s client-side
     /// socket to the server-side socket the front-end polls for that
-    /// peer, binding both on first use. Nothing is processed until
-    /// [`ShardedScenario::pump_async`] runs the event loop.
+    /// peer ([`UdpEndpoint::send_all`]), binding both on first use.
+    /// Nothing is processed until [`ShardedScenario::pump_async`] runs
+    /// the event loop.
     ///
     /// # Panics
     ///
-    /// Panics if async ingress is off.
-    pub fn send_wire_datagrams(&mut self, peer: u64, datagrams: Vec<Vec<u8>>) {
+    /// Panics if async ingress is off, or if the send fails (a hard
+    /// socket error or a stall beyond the retry bound).
+    pub fn send_wire_datagrams(&mut self, peer: u64, mut datagrams: Vec<Vec<u8>>) {
         self.wired()
             .0
             .link(peer)
-            .forward(peer, datagrams)
-            .expect("server socket bound");
+            .send_all(peer, &mut datagrams)
+            .expect("client link sends");
     }
 
     /// Runs the event loop until every registered socket is drained,
@@ -1092,12 +1086,11 @@ impl ShardedScenario {
         self.sockets().wire.backend()
     }
 
-    /// Recycling counters of the client links' egress buffer pool (all
-    /// zero without async ingress: there are no links).
+    /// Recycling counters of the egress buffer pool. Egress has no pool
+    /// yet: the client links ship the caller's datagrams as they are, so
+    /// this is all zero.
     pub fn egress_pool_stats(&self) -> PoolStats {
-        self.sockets
-            .as_ref()
-            .map_or_else(PoolStats::default, |sockets| sockets.egress_pool.stats())
+        PoolStats::default()
     }
 
     /// Counters of the TX-batching egress stage.
@@ -1137,7 +1130,7 @@ impl ShardedScenario {
         sockets.tx.flush().expect("client socket bound");
         // Drain the client side. The OS backend crosses the kernel, so
         // give delivery a bounded moment; the virtual wire is immediate.
-        let client_ep = sockets.links[&peer].endpoint();
+        let client_ep = &sockets.links[&peer];
         let mut got = Vec::with_capacity(expected);
         for _ in 0..100_000 {
             client_ep.recv_many(expected - got.len(), &mut got);

@@ -105,26 +105,4 @@ impl EndBoxServer {
         };
         self.finish(outcome)
     }
-
-    /// Reads a handler on the server-side Click instance, if any.
-    pub fn server_click_handler(&self, element: &str, handler: &str) -> Option<String> {
-        self.click.as_ref()?.read_handler(element, handler)
-    }
-
-    /// Hot-swaps the server-side Click configuration (used by the vanilla
-    /// Click reconfiguration baseline of Table II).
-    ///
-    /// # Errors
-    ///
-    /// [`EndBoxError::Click`] on invalid configs or if no server-side
-    /// Click exists.
-    pub fn hot_swap_server_click(&mut self, config: &str) -> Result<(), EndBoxError> {
-        match self.click.as_mut() {
-            Some(router) => {
-                router.hot_swap(config)?;
-                Ok(())
-            }
-            None => Err(EndBoxError::NotReady("no server-side Click instance")),
-        }
-    }
 }

@@ -19,11 +19,11 @@
 //!   [`ShortSendWire`] decorates either with partial-send fault
 //!   injection. A kernel-bypass backend (rings, zero-copy frames) is not
 //!   modelled: one comes back as a real, timed transport or not at all.
-//! * [`WireEndpoint`] — the per-socket operations a backend provides:
-//!   single-datagram `send_to`/`try_recv` plus the **bulk**
-//!   `send_many`/`recv_many` pair shaped like `sendmmsg`/`recvmmsg` (one
-//!   call moves a whole batch; partial sends leave the unsent tail in the
-//!   caller's vector).
+//! * [`WireEndpoint`] — the four per-socket calls a backend provides:
+//!   its `port`, the **bulk** `send_many`/`recv_many` pair shaped like
+//!   `sendmmsg`/`recvmmsg` (one call moves a whole batch; partial sends
+//!   leave the unsent tail in the caller's vector) and the `pending`
+//!   queue depth.
 //! * [`VirtualWire`] — the in-process wire: a registry of bound ports.
 //!   Every datagram sent through it is stamped with a **globally
 //!   monotonic sequence number** (the analogue of kernel receive
@@ -39,11 +39,13 @@
 //!   backends. Receive buffers come from a [`BufferPool`], so ingress
 //!   performs no per-datagram allocation in steady state.
 //! * [`UdpEndpoint`] — the bound, cloneable, non-blocking handle over
-//!   either backend: [`UdpEndpoint::send_to`] enqueues at the
-//!   destination port, [`UdpEndpoint::try_recv`] never blocks (returns
-//!   `None` instead of `EWOULDBLOCK`). Endpoints bound with
-//!   [`VirtualWire::bind_metered`] (or [`Transport::bind_metered`] on
-//!   any backend) charge the calibrated socket costs
+//!   any backend. Besides the bulk calls it owns the one bounded-stall
+//!   send loop, [`UdpEndpoint::send_all`], and the single-datagram
+//!   conveniences [`UdpEndpoint::send_to`], [`UdpEndpoint::try_recv`]
+//!   (never blocks: `None` instead of `EWOULDBLOCK`) and
+//!   [`UdpEndpoint::readable`], each a one-line wrapper over the bulk
+//!   calls. Endpoints bound with [`Transport::bind_metered`] charge the
+//!   calibrated socket costs
 //!   ([`CostModel::socket_send_fixed`], [`CostModel::socket_recv_fixed`],
 //!   [`CostModel::socket_per_byte`]) to a [`CycleMeter`], so socket I/O
 //!   shows up in measured [`PacketCharge`](crate::pipeline::PacketCharge)s
@@ -140,63 +142,52 @@ impl TransportKind {
     }
 }
 
-/// The per-socket operations a wire backend provides — the seam between
-/// the reactor layer and the transport that actually moves bytes.
+/// The per-socket calls a wire backend provides — the seam between the
+/// reactor layer and the transport that actually moves bytes. Only the
+/// calls the datapath uses live here; the single-datagram conveniences
+/// and the bounded-stall loop are written once, on [`UdpEndpoint`], over
+/// these four.
 ///
 /// The bulk pair is shaped like `sendmmsg`/`recvmmsg`: one call moves a
-/// whole batch, and the contract is **exactly** equivalent to the
-/// corresponding sequence of single-datagram calls (same datagrams, same
-/// order, same stamps), so every parity proof over the single-datagram
-/// path transfers to the bulk path unchanged.
+/// whole batch in order, with consecutive stamps, so a batch of one is
+/// the single-datagram case.
 pub trait WireEndpoint: Send + Sync + std::fmt::Debug {
     /// The port this endpoint is bound to.
     fn port(&self) -> u64;
 
-    /// Sends one datagram to the endpoint bound at `dst`, stamped with
-    /// the wire-global sequence number.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Unreachable`] if no endpoint is bound at `dst`;
-    /// [`NetError::Io`] on OS-socket failures.
-    fn send_to(&self, dst: u64, payload: Vec<u8>) -> Result<(), NetError>;
-
     /// Bulk send (`sendmmsg` shape): ships the payloads to `dst` in
-    /// order, removing each sent payload from the front of `payloads`.
-    /// Returns the number sent. A **partial send** (the OS socket
-    /// would block mid-batch) leaves the unsent tail in `payloads` for
-    /// the caller to retry — nothing is silently dropped.
+    /// order, each stamped with the wire-global sequence number, removing
+    /// each sent payload from the front of `payloads`. Returns the number
+    /// sent. A **partial send** (the OS socket would block mid-batch, or
+    /// fails hard after shipping a prefix) leaves the unsent tail in
+    /// `payloads` for the caller to retry — nothing is silently dropped
+    /// and nothing sent stays behind to be sent twice.
     ///
     /// # Errors
     ///
-    /// [`NetError::Unreachable`] if no endpoint is bound at `dst` (no
-    /// payloads consumed); [`NetError::Io`] on hard OS-socket failures.
+    /// Only with nothing consumed: [`NetError::Unreachable`] if no
+    /// endpoint is bound at `dst`; [`NetError::Io`] on a hard OS-socket
+    /// failure of the first payload.
     fn send_many(&self, dst: u64, payloads: &mut Vec<Vec<u8>>) -> Result<usize, NetError>;
-
-    /// Receives one datagram without blocking: `None` is the
-    /// `EWOULDBLOCK` analogue.
-    fn try_recv(&self) -> Option<Datagram>;
 
     /// Bulk receive (`recvmmsg` shape): appends up to `max` waiting
     /// datagrams to `out` in queue order and returns how many were
     /// taken. A short count means the socket is dry.
     fn recv_many(&self, max: usize, out: &mut Vec<Datagram>) -> usize;
 
-    /// Whether a datagram is waiting (level-triggered readiness).
-    fn readable(&self) -> bool;
-
-    /// Queue depth: datagrams received by the wire but not yet drained.
+    /// Queue depth: datagrams received by the wire but not yet drained;
+    /// non-zero is level-triggered readiness.
     ///
     /// **Known limitation.** The OS backend cannot see the kernel's queue
-    /// depth: [`OsWire`] endpoints answer `usize::from(self.readable())`
-    /// — one `peek_from` syscall returning `1` when anything is queued,
-    /// `0` otherwise. What the server derives from this value therefore
-    /// counts readable *sockets*, not queued datagrams, over the only
-    /// real transport: the front-end's `backlog()` and the demand EWMA
-    /// behind the resize law (`RESIZE_TARGET_DEMAND` is calibrated in
-    /// datagrams). Peer placement does not read it — the dispatch law
-    /// reads the bytes the server routed — and a front-end without the
-    /// resize law never calls it per round. Outcomes are unaffected (the
+    /// depth: [`OsWire`] endpoints answer one `peek_from` syscall,
+    /// returning `1` when anything is queued, `0` otherwise. What the
+    /// server derives from this value therefore counts readable
+    /// *sockets*, not queued datagrams, over the only real transport:
+    /// the front-end's `backlog()` and the demand EWMA behind the resize
+    /// law (`RESIZE_TARGET_DEMAND` is calibrated in datagrams). Peer
+    /// placement does not read it — the dispatch law reads the bytes the
+    /// server routed — and a front-end without the resize law reads it
+    /// per round only as readiness. Outcomes are unaffected (the
     /// laws only move scheduling; the OS-socket parity grid in
     /// `tests/bulk_ingress.rs` pins that), but a deep queue behind one
     /// socket looks no bigger than a single waiting datagram.
@@ -247,78 +238,6 @@ struct WireState {
     next_seq: u64,
 }
 
-/// Binds `port` on an in-process wire, creating its receive queue.
-fn bind_port(state: &Mutex<WireState>, port: u64) -> Result<Arc<Mutex<PortQueue>>, NetError> {
-    let mut state = state.lock().expect("wire lock");
-    if state.ports.contains_key(&port) {
-        return Err(NetError::AddrInUse(port));
-    }
-    let queue = Arc::new(Mutex::new(PortQueue::default()));
-    state.ports.insert(port, queue.clone());
-    Ok(queue)
-}
-
-/// Locks an in-process wire and resolves the destination port queue —
-/// in that order. Stamping and enqueueing under ONE wire-lock
-/// acquisition is the bulk path's whole point, and also what keeps the
-/// per-port FIFO-by-`seq` invariant: releasing the wire lock between
-/// stamp and enqueue would let a concurrent sender win the port-queue
-/// lock with a later stamp. (`try_recv` takes only the port lock, so
-/// receivers never deadlock against senders.)
-fn lock_wire_dst<'a>(
-    state: &'a Mutex<WireState>,
-    dst: u64,
-) -> Result<(std::sync::MutexGuard<'a, WireState>, Arc<Mutex<PortQueue>>), NetError> {
-    let state = state.lock().expect("wire lock");
-    let queue = state
-        .ports
-        .get(&dst)
-        .ok_or(NetError::Unreachable(dst))?
-        .clone();
-    Ok((state, queue))
-}
-
-/// Stamps one payload with the wire-global sequence number and enqueues
-/// it at `dst`.
-fn stamp_enqueue_one(
-    state: &Mutex<WireState>,
-    src: u64,
-    dst: u64,
-    payload: Vec<u8>,
-) -> Result<(), NetError> {
-    let (mut state, queue) = lock_wire_dst(state, dst)?;
-    let seq = state.next_seq;
-    state.next_seq += 1;
-    queue
-        .lock()
-        .expect("port lock")
-        .queue
-        .push_back(Datagram { src, seq, payload });
-    Ok(())
-}
-
-/// Stamps `payloads` with consecutive wire-global sequence numbers and
-/// enqueues them at `dst`. In-process wires never block, so a bulk send
-/// is all-or-nothing — success consumes everything, Unreachable consumes
-/// nothing (the lookup happens before the drain, so a failed send leaves
-/// the caller's batch intact for error reporting or retry).
-fn stamp_enqueue_batch(
-    state: &Mutex<WireState>,
-    src: u64,
-    dst: u64,
-    payloads: &mut Vec<Vec<u8>>,
-) -> Result<usize, NetError> {
-    let (mut state, queue) = lock_wire_dst(state, dst)?;
-    let mut port = queue.lock().expect("port lock");
-    let n = payloads.len();
-    for payload in payloads.drain(..) {
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        port.queue.push_back(Datagram { src, seq, payload });
-    }
-    Ok(n)
-}
-
 /// The in-process wire: a registry of bound ports with global arrival
 /// stamping. Cloning is cheap and clones share the wire.
 #[derive(Debug, Clone, Default)]
@@ -331,14 +250,16 @@ impl VirtualWire {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Binds `port`, returning its endpoint.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::AddrInUse`] if the port is already bound.
-    pub fn bind(&self, port: u64) -> Result<UdpEndpoint, NetError> {
-        let queue = bind_port(&self.state, port)?;
+impl Transport for VirtualWire {
+    fn bind(&self, port: u64) -> Result<UdpEndpoint, NetError> {
+        let mut state = self.state.lock().expect("wire lock");
+        if state.ports.contains_key(&port) {
+            return Err(NetError::AddrInUse(port));
+        }
+        let queue = Arc::new(Mutex::new(PortQueue::default()));
+        state.ports.insert(port, queue.clone());
         Ok(UdpEndpoint {
             inner: Arc::new(VirtualEndpoint {
                 wire: self.clone(),
@@ -347,27 +268,6 @@ impl VirtualWire {
             }),
             metering: None,
         })
-    }
-
-    /// Binds `port` with socket-cost metering: sends and receives on the
-    /// returned endpoint charge [`CostModel`] socket costs to `meter`.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::AddrInUse`] if the port is already bound.
-    pub fn bind_metered(
-        &self,
-        port: u64,
-        meter: CycleMeter,
-        cost: &CostModel,
-    ) -> Result<UdpEndpoint, NetError> {
-        Ok(self.bind(port)?.metered(meter, cost))
-    }
-}
-
-impl Transport for VirtualWire {
-    fn bind(&self, port: u64) -> Result<UdpEndpoint, NetError> {
-        VirtualWire::bind(self, port)
     }
 
     fn backend(&self) -> &'static str {
@@ -397,16 +297,33 @@ impl WireEndpoint for VirtualEndpoint {
         self.port
     }
 
-    fn send_to(&self, dst: u64, payload: Vec<u8>) -> Result<(), NetError> {
-        stamp_enqueue_one(&self.wire.state, self.port, dst, payload)
-    }
-
+    /// Stamps and enqueues under ONE wire-lock acquisition, which keeps
+    /// the per-port FIFO-by-`seq` invariant: releasing the wire lock
+    /// between stamp and enqueue would let a concurrent sender win the
+    /// port-queue lock with a later stamp. (`recv_many` takes only the
+    /// port lock, so receivers never deadlock against senders.) The
+    /// in-process wire never blocks, so a send is all-or-nothing: the
+    /// destination is resolved before the drain, and `Unreachable`
+    /// leaves the caller's batch intact.
     fn send_many(&self, dst: u64, payloads: &mut Vec<Vec<u8>>) -> Result<usize, NetError> {
-        stamp_enqueue_batch(&self.wire.state, self.port, dst, payloads)
-    }
-
-    fn try_recv(&self) -> Option<Datagram> {
-        self.queue.lock().expect("port lock").queue.pop_front()
+        let mut state = self.wire.state.lock().expect("wire lock");
+        let queue = state
+            .ports
+            .get(&dst)
+            .ok_or(NetError::Unreachable(dst))?
+            .clone();
+        let mut port = queue.lock().expect("port lock");
+        let n = payloads.len();
+        for payload in payloads.drain(..) {
+            let seq = state.next_seq;
+            state.next_seq += 1;
+            port.queue.push_back(Datagram {
+                src: self.port,
+                seq,
+                payload,
+            });
+        }
+        Ok(n)
     }
 
     fn recv_many(&self, max: usize, out: &mut Vec<Datagram>) -> usize {
@@ -414,10 +331,6 @@ impl WireEndpoint for VirtualEndpoint {
         let take = max.min(q.queue.len());
         out.extend(q.queue.drain(..take));
         take
-    }
-
-    fn readable(&self) -> bool {
-        !self.queue.lock().expect("port lock").queue.is_empty()
     }
 
     fn pending(&self) -> usize {
@@ -569,36 +482,22 @@ impl WireEndpoint for OsEndpoint {
         self.port
     }
 
-    fn send_to(&self, dst: u64, payload: Vec<u8>) -> Result<(), NetError> {
-        let addr = self.lookup(dst)?;
-        // UDP sends on loopback practically never block; spin a few
-        // times before surfacing the condition as an error.
-        for _ in 0..64 {
-            if self.send_framed(addr, &payload)? {
-                return Ok(());
-            }
-            std::thread::yield_now();
-        }
-        Err(NetError::Io("send would block".into()))
-    }
-
     fn send_many(&self, dst: u64, payloads: &mut Vec<Vec<u8>>) -> Result<usize, NetError> {
         let addr = self.lookup(dst)?;
         let mut sent = 0;
         while sent < payloads.len() {
-            if !self.send_framed(addr, &payloads[sent])? {
-                break; // partial send: tail stays with the caller
+            match self.send_framed(addr, &payloads[sent]) {
+                Ok(true) => sent += 1,
+                Err(e) if sent == 0 => return Err(e),
+                // Would block, or a hard error after a shipped prefix:
+                // either way a partial send. The prefix is drained (and
+                // metered), the tail stays with the caller, and a hard
+                // error meets the next call with nothing consumed.
+                Ok(false) | Err(_) => break,
             }
-            sent += 1;
         }
         payloads.drain(..sent);
         Ok(sent)
-    }
-
-    fn try_recv(&self) -> Option<Datagram> {
-        let mut out = Vec::with_capacity(1);
-        self.recv_many(1, &mut out);
-        out.pop()
     }
 
     fn recv_many(&self, max: usize, out: &mut Vec<Datagram>) -> usize {
@@ -636,27 +535,24 @@ impl WireEndpoint for OsEndpoint {
         taken
     }
 
-    fn readable(&self) -> bool {
-        let mut probe = [0u8; 1];
-        self.socket.peek_from(&mut probe).is_ok()
-    }
-
     fn pending(&self) -> usize {
-        usize::from(self.readable())
+        let mut probe = [0u8; 1];
+        usize::from(self.socket.peek_from(&mut probe).is_ok())
     }
 }
 
-/// A fault-injecting [`Transport`] decorator: forces scheduled bulk
+/// A fault-injecting [`Transport`] decorator: forces scheduled
 /// `send_many` calls on its endpoints to return **short** — at most the
 /// scheduled cap is sent, the unsent tail stays at the front of the
 /// caller's vector — exercising the partial-send retry paths
-/// (`FramedSender::forward`'s bounded-stall loop, `TxBatcher`'s
-/// tail-in-place reflush) on any backend, including the in-process ones
-/// that never block on their own.
+/// ([`UdpEndpoint::send_all`]'s bounded-stall loop, `TxBatcher`'s
+/// tail-in-place reflush) on any backend, including the in-process one
+/// that never blocks on its own.
 ///
-/// Caps are consumed in FIFO order, one per bulk call, wire-wide; calls
-/// with no scheduled cap (and all `send_to` singles) pass through
-/// untouched.
+/// Caps are consumed in FIFO order, one per backend `send_many` call,
+/// wire-wide. Every send reaches the backend as a `send_many`, so a
+/// single-datagram [`UdpEndpoint::send_to`] consumes a cap too; calls
+/// with no scheduled cap pass through untouched.
 #[derive(Debug, Clone)]
 pub struct ShortSendWire {
     inner: Arc<dyn Transport>,
@@ -721,10 +617,6 @@ impl WireEndpoint for ShortSendEndpoint {
         self.inner.port()
     }
 
-    fn send_to(&self, dst: u64, payload: Vec<u8>) -> Result<(), NetError> {
-        self.inner.send_to(dst, payload)
-    }
-
     fn send_many(&self, dst: u64, payloads: &mut Vec<Vec<u8>>) -> Result<usize, NetError> {
         let cap = self.caps.lock().expect("fault lock").pop_front();
         let Some(cap) = cap else {
@@ -742,22 +634,19 @@ impl WireEndpoint for ShortSendEndpoint {
         result
     }
 
-    fn try_recv(&self) -> Option<Datagram> {
-        self.inner.try_recv()
-    }
-
     fn recv_many(&self, max: usize, out: &mut Vec<Datagram>) -> usize {
         self.inner.recv_many(max, out)
-    }
-
-    fn readable(&self) -> bool {
-        self.inner.readable()
     }
 
     fn pending(&self) -> usize {
         self.inner.pending()
     }
 }
+
+/// Partial sends [`UdpEndpoint::send_all`] retries before it gives up on
+/// a batch (each retry first yields the thread so the kernel can drain
+/// the socket).
+pub const MAX_SEND_STALLS: usize = 64;
 
 /// A bound, non-blocking endpoint over a pluggable [`Transport`]
 /// backend. Cloning is cheap; clones share the receive queue (like
@@ -808,16 +697,14 @@ impl UdpEndpoint {
         }
     }
 
-    /// Sends one datagram to the endpoint bound at `dst`. The datagram is
-    /// stamped with the wire-global arrival sequence number.
+    /// Sends one datagram to the endpoint bound at `dst`:
+    /// [`UdpEndpoint::send_all`] of a batch of one.
     ///
     /// # Errors
     ///
-    /// [`NetError::Unreachable`] if no endpoint is bound at `dst`;
-    /// [`NetError::Io`] on OS-socket failures.
+    /// See [`UdpEndpoint::send_all`].
     pub fn send_to(&self, dst: u64, payload: Vec<u8>) -> Result<(), NetError> {
-        self.charge_send(1, payload.len());
-        self.inner.send_to(dst, payload)
+        self.send_all(dst, &mut vec![payload])
     }
 
     /// Bulk send (`sendmmsg` shape): ships the payloads to `dst` in
@@ -844,12 +731,46 @@ impl UdpEndpoint {
         result
     }
 
-    /// Receives one datagram without blocking: `None` is the
-    /// `EWOULDBLOCK` analogue.
+    /// Ships every payload to `dst`, in order: the workspace's one
+    /// bounded-stall send loop. Calls [`UdpEndpoint::send_many`] and
+    /// retries a partial send in place, yielding the thread between
+    /// attempts so the kernel can drain the socket. Only the OS backend
+    /// (or a [`ShortSendWire`] fault) ever sends partially; the
+    /// in-process wire ships a batch in one call.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Unreachable`] if no endpoint is bound at `dst`;
+    /// [`NetError::Io`] on a hard socket error, or once the batch has
+    /// stalled [`MAX_SEND_STALLS`] times and stalls again. Either way
+    /// the unsent tail stays in `payloads`, in order; what was sent is
+    /// gone from it.
+    pub fn send_all(&self, dst: u64, payloads: &mut Vec<Vec<u8>>) -> Result<(), NetError> {
+        let mut stalls = 0;
+        while !payloads.is_empty() {
+            self.send_many(dst, payloads)?;
+            if payloads.is_empty() {
+                break;
+            }
+            stalls += 1;
+            if stalls > MAX_SEND_STALLS {
+                return Err(NetError::Io(format!(
+                    "send to {dst} stalled with {} datagrams unsent",
+                    payloads.len()
+                )));
+            }
+            std::thread::yield_now();
+        }
+        Ok(())
+    }
+
+    /// Receives one datagram without blocking (`None` is the
+    /// `EWOULDBLOCK` analogue): [`UdpEndpoint::recv_many`] of at most
+    /// one.
     pub fn try_recv(&self) -> Option<Datagram> {
-        let d = self.inner.try_recv()?;
-        self.charge_recv(1, d.payload.len());
-        Some(d)
+        let mut out = Vec::with_capacity(1);
+        self.recv_many(1, &mut out);
+        out.pop()
     }
 
     /// Bulk receive (`recvmmsg` shape): appends up to `max` waiting
@@ -866,9 +787,10 @@ impl UdpEndpoint {
         n
     }
 
-    /// Whether a datagram is waiting (level-triggered readiness).
+    /// Whether a datagram is waiting (level-triggered readiness):
+    /// [`UdpEndpoint::pending`] is non-zero.
     pub fn readable(&self) -> bool {
-        self.inner.readable()
+        self.pending() > 0
     }
 
     /// Queue depth: datagrams received by the wire but not yet drained
@@ -1146,6 +1068,47 @@ mod tests {
             stats.returned + stats.discarded,
             "pool reconciles after payload return: {stats:?} (held {held})"
         );
+    }
+
+    #[test]
+    fn os_hard_error_after_a_prefix_is_a_partial_send() {
+        if !OsWire::available() {
+            eprintln!("skipping: loopback sockets unavailable in this environment");
+            return;
+        }
+        let wire = OsWire::new();
+        let cost = CostModel::calibrated();
+        let meter = CycleMeter::new();
+        let tx = wire.bind_metered(1, meter.clone(), &cost).unwrap();
+        let rx = wire.bind(2).unwrap();
+        // With its wire header the third payload exceeds the largest UDP
+        // datagram, so the kernel refuses it (EMSGSIZE) after a and b
+        // have gone out.
+        let big = vec![0xee; 65_520];
+        let mut batch = vec![b"a".to_vec(), b"b".to_vec(), big.clone(), b"c".to_vec()];
+        assert_eq!(
+            tx.send_many(2, &mut batch),
+            Ok(2),
+            "prefix reported as sent"
+        );
+        assert_eq!(batch, vec![big.clone(), b"c".to_vec()], "prefix drained");
+        let expected = cost.socket_send_fixed * 2 + (cost.socket_per_byte * 2.0) as u64;
+        assert_eq!(meter.take(), expected, "the prefix is metered once");
+        // The next call meets the error with nothing consumed.
+        assert!(matches!(tx.send_many(2, &mut batch), Err(NetError::Io(_))));
+        assert_eq!(
+            batch,
+            vec![big, b"c".to_vec()],
+            "failed call keeps the batch"
+        );
+        assert_eq!(meter.take(), 0);
+        let mut got = Vec::new();
+        for _ in 0..1_000 {
+            rx.recv_many(16, &mut got);
+            std::thread::yield_now();
+        }
+        let payloads: Vec<&[u8]> = got.iter().map(|d| d.payload.as_slice()).collect();
+        assert_eq!(payloads, vec![b"a", b"b"], "a and b arrive exactly once");
     }
 
     #[test]

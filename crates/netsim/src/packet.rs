@@ -335,23 +335,6 @@ impl Packet {
         })
     }
 
-    /// Like [`Packet::from_bytes`], but copies `bytes` into a recycled
-    /// buffer drawn from `pool`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PacketError`] if the header is malformed.
-    pub fn from_bytes_in(pool: &BufferPool, bytes: &[u8]) -> Result<Packet, PacketError> {
-        Ipv4Header::parse(bytes)?;
-        let mut data = pool.take(bytes.len());
-        data.extend_from_slice(bytes);
-        Ok(Packet {
-            data,
-            pool: Some(pool.clone()),
-            meta: PacketMeta::default(),
-        })
-    }
-
     /// Builds a UDP packet.
     pub fn udp(src: Ipv4Addr, dst: Ipv4Addr, sport: u16, dport: u16, payload: &[u8]) -> Packet {
         Self::udp_impl(None, src, dst, sport, dport, payload)
@@ -477,28 +460,6 @@ impl Packet {
         seq: u16,
         payload: &[u8],
     ) -> Packet {
-        Self::icmp_echo(src, dst, 8, ident, seq, payload)
-    }
-
-    /// Builds an ICMP echo reply.
-    pub fn icmp_echo_reply(
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        ident: u16,
-        seq: u16,
-        payload: &[u8],
-    ) -> Packet {
-        Self::icmp_echo(src, dst, 0, ident, seq, payload)
-    }
-
-    fn icmp_echo(
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        icmp_type: u8,
-        ident: u16,
-        seq: u16,
-        payload: &[u8],
-    ) -> Packet {
         let icmp_len = ICMP_HEADER_LEN + payload.len();
         let header = Ipv4Header {
             tos: 0,
@@ -511,7 +472,7 @@ impl Packet {
         };
         let mut data = Vec::with_capacity(header.total_len as usize);
         data.extend_from_slice(&header.to_bytes());
-        data.push(icmp_type);
+        data.push(8); // type: echo request
         data.push(0); // code
         data.extend_from_slice(&[0, 0]); // checksum placeholder
         data.extend_from_slice(&ident.to_be_bytes());
@@ -524,11 +485,6 @@ impl Packet {
             pool: None,
             meta: PacketMeta::default(),
         }
-    }
-
-    /// The pool this packet's buffer recycles through, if any.
-    pub fn buffer_pool(&self) -> Option<&BufferPool> {
-        self.pool.as_ref()
     }
 
     /// Parsed IPv4 header.

@@ -51,11 +51,6 @@ impl MachineSpec {
     pub fn slots(&self) -> usize {
         (self.cores as f64 * self.ht_factor).ceil() as usize
     }
-
-    /// Aggregate cycle capacity per second with HT.
-    pub fn capacity_cycles_per_sec(&self) -> f64 {
-        self.slots() as f64 * self.freq_hz as f64
-    }
 }
 
 /// A multi-core machine executing jobs measured in cycles.
@@ -140,11 +135,6 @@ impl Machine {
         self.slots.push(Reverse(end));
         *flow = end;
         end
-    }
-
-    /// Total busy time across slots.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
     }
 
     /// Utilisation in [0, 1] over `elapsed` (can exceed 1 if oversubscribed;

@@ -38,11 +38,6 @@ impl EpcAllocator {
         }
     }
 
-    /// New allocator with the SGXv1 default capacity.
-    pub fn with_default_capacity(page_fault_cycles: u64, meter: CycleMeter) -> Self {
-        Self::new(DEFAULT_CAPACITY, page_fault_cycles, meter)
-    }
-
     /// Allocates `bytes`; pages beyond capacity charge the paging penalty.
     pub fn alloc(&mut self, bytes: usize) {
         let before_pages_over = self.pages_over_capacity();

@@ -23,9 +23,6 @@
 //! * [`frag`] — fragmentation/encapsulation of sealed records into
 //!   MTU-sized datagrams; runs *outside* the enclave, matching the
 //!   partitioning of Fig. 3.
-//! * [`endpoint`] — framing glue between sealed records and the virtual
-//!   socket layer ([`endbox_netsim::net`]): fragments records into
-//!   datagrams and ships them through non-blocking endpoints.
 //! * [`server`] — the multi-session VPN server (a handshake front-end
 //!   around one inline [`shard::VpnShard`]).
 //! * [`shard`] — one partition of the session state and the one record
@@ -39,7 +36,6 @@
 
 pub mod cert;
 pub mod channel;
-pub mod endpoint;
 pub mod error;
 pub mod frag;
 pub mod handshake;

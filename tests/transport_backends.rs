@@ -4,21 +4,21 @@
 //!
 //! The fault-injection tests decorate each backend with
 //! [`ShortSendWire`], forcing short `send_many` returns mid-batch, and
-//! assert the tail-in-place retry path ([`FramedSender::forward`]'s
-//! stall loop, [`TxBatcher`]'s queue-head requeue) never reorders,
-//! drops or duplicates a datagram. The reconciliation tests pin the
-//! `io_calls` symmetry between ingress and egress accounting:
-//! [`TxBatchStats`] totals must agree with the
-//! [`FramedSender::send_stats`] totals for the same datagrams.
-//!
-//! [`TxBatchStats`]: endbox::server::TxBatchStats
+//! assert the tail-in-place retry paths ([`UdpEndpoint::send_all`]'s
+//! bounded-stall loop, [`TxBatcher`]'s queue-head requeue) never
+//! reorder, drop or duplicate a datagram, and that `send_all` gives up
+//! after [`MAX_SEND_STALLS`] stalls with the unsent tail still in the
+//! caller's vector. The reconciliation test pins that both egress paths
+//! put identical bytes on the wire.
 
 use endbox::scenario::Scenario;
 use endbox::server::TxBatcher;
 use endbox::use_cases::UseCase;
-use endbox_netsim::net::{OsWire, ShortSendWire, Transport, TransportKind, VirtualWire};
+use endbox_netsim::net::{
+    NetError, OsWire, ShortSendWire, Transport, TransportKind, UdpEndpoint, VirtualWire,
+    MAX_SEND_STALLS,
+};
 use endbox_netsim::Packet;
-use endbox_vpn::endpoint::FramedSender;
 use std::sync::Arc;
 
 /// The backends this environment can run.
@@ -43,41 +43,87 @@ fn faulty_wires() -> Vec<ShortSendWire> {
         .collect()
 }
 
+/// Every datagram waiting at `ep`, in arrival order. The OS backend
+/// crosses the kernel, so give delivery a bounded moment.
+fn drain(ep: &UdpEndpoint) -> Vec<Vec<u8>> {
+    let mut got = Vec::new();
+    for _ in 0..1_000 {
+        ep.recv_many(64, &mut got);
+        std::thread::yield_now();
+    }
+    got.into_iter().map(|d| d.payload).collect()
+}
+
 /// Forced short `send_many` returns mid-batch on every backend: the
-/// [`FramedSender::forward`] stall-retry loop must ship the tail in
+/// [`UdpEndpoint::send_all`] stall-retry loop must ship the tail in
 /// place — the receiver sees every datagram exactly once, in order.
 #[test]
-fn short_send_tails_retry_in_order_through_framed_sender() {
+fn short_send_tails_retry_in_order_through_send_all() {
     for wire in faulty_wires() {
         let backend = wire.backend();
         let receiver = wire.bind(1).unwrap();
-        let sender = FramedSender::new(wire.bind(100).unwrap(), 1 << 20);
+        let sender = wire.bind(100).unwrap();
         // Three staged faults: a 2-cap, a 0-cap (nothing moves, pure
         // stall), then a 1-cap; the remaining retries send unfaulted.
         wire.push_short_send(2);
         wire.push_short_send(0);
         wire.push_short_send(1);
-        let batch: Vec<Vec<u8>> = (0u8..10).map(|i| vec![i; 8]).collect();
-        let shipped = sender.forward(1, batch).unwrap();
-        assert_eq!(shipped, 10, "{backend}: every datagram ships");
+        let mut batch: Vec<Vec<u8>> = (0u8..10).map(|i| vec![i; 8]).collect();
+        sender.send_all(1, &mut batch).unwrap();
+        assert!(batch.is_empty(), "{backend}: every datagram ships");
         assert_eq!(wire.pending_faults(), 0, "{backend}: all faults consumed");
-        let stats = sender.send_stats();
-        assert_eq!(stats.datagrams, 10);
-        assert_eq!(
-            stats.io_calls, 4,
-            "{backend}: caps 2/0/1 then the 7-tail -> four bulk calls"
-        );
-        assert_eq!(stats.stalls, 3, "{backend}: each short return stalls once");
-        let mut got = Vec::new();
-        while let Some(d) = receiver.try_recv() {
-            got.push(d.payload[0]);
-            assert!(d.payload.iter().all(|&b| b == d.payload[0]));
-        }
+        let got: Vec<u8> = drain(&receiver)
+            .iter()
+            .map(|p| {
+                assert!(p.iter().all(|&b| b == p[0]));
+                p[0]
+            })
+            .collect();
         assert_eq!(
             got,
             (0u8..10).collect::<Vec<_>>(),
             "{backend}: tail-in-place retry must not reorder or duplicate"
         );
+    }
+}
+
+/// The stall bound: [`UdpEndpoint::send_all`] retries a stalled batch
+/// [`MAX_SEND_STALLS`] times; a stall on the last retry surfaces as
+/// [`NetError::Io`] with the unsent datagrams still in the caller's
+/// vector, in order — nothing is dropped and nothing sent twice.
+#[test]
+fn send_all_gives_up_after_the_stall_bound_keeping_the_tail() {
+    for wire in faulty_wires() {
+        let backend = wire.backend();
+        let receiver = wire.bind(1).unwrap();
+        let sender = wire.bind(100).unwrap();
+        let mut batch: Vec<Vec<u8>> = (0u8..5).map(|i| vec![i; 8]).collect();
+        // 65 zero caps: the first attempt and all 64 retries stall.
+        for _ in 0..=MAX_SEND_STALLS {
+            wire.push_short_send(0);
+        }
+        let err = sender.send_all(1, &mut batch).unwrap_err();
+        assert!(matches!(err, NetError::Io(_)), "{backend}: {err:?}");
+        assert_eq!(wire.pending_faults(), 0, "{backend}: 65 attempts made");
+        assert_eq!(batch.len(), 5, "{backend}: nothing sent, nothing lost");
+        // A shipped prefix, then the bound: the tail stays, in order.
+        wire.push_short_send(2);
+        for _ in 0..MAX_SEND_STALLS {
+            wire.push_short_send(0);
+        }
+        assert!(sender.send_all(1, &mut batch).is_err());
+        assert_eq!(wire.pending_faults(), 0);
+        let tail: Vec<u8> = batch.iter().map(|p| p[0]).collect();
+        assert_eq!(tail, vec![2, 3, 4], "{backend}: unsent tail kept in order");
+        // 64 stalls are within the bound: the 65th attempt ships the rest.
+        for _ in 0..MAX_SEND_STALLS {
+            wire.push_short_send(0);
+        }
+        sender.send_all(1, &mut batch).unwrap();
+        assert!(batch.is_empty());
+        assert_eq!(wire.pending_faults(), 0);
+        let got: Vec<u8> = drain(&receiver).iter().map(|p| p[0]).collect();
+        assert_eq!(got, vec![0, 1, 2, 3, 4], "{backend}: no drop, no dup");
     }
 }
 
@@ -112,38 +158,31 @@ fn short_send_tails_stay_queued_in_order_through_tx_batcher() {
             stats.io_calls, 4,
             "{backend}: two destinations x two flushes"
         );
-        let drain = |ep: &endbox_netsim::net::UdpEndpoint| {
-            let mut got = Vec::new();
-            while let Some(d) = ep.try_recv() {
-                got.push(d.payload[0]);
-            }
-            got
-        };
+        let firsts = |ep: &UdpEndpoint| drain(ep).iter().map(|p| p[0]).collect::<Vec<u8>>();
         assert_eq!(
-            drain(&dst_a),
+            firsts(&dst_a),
             (0u8..6).collect::<Vec<_>>(),
             "{backend}: destination 1 FIFO survives the partial flush"
         );
         assert_eq!(
-            drain(&dst_b),
+            firsts(&dst_b),
             (10u8..14).collect::<Vec<_>>(),
             "{backend}: destination 2 FIFO survives the partial flush"
         );
     }
 }
 
-/// `io_calls` symmetry between the two egress counters: shipping the
-/// same fragments through [`FramedSender`] (bulk `send_many` per record
-/// batch) and through [`TxBatcher`] (bulk `send_many` per destination
-/// per flush) must reconcile — identical datagram totals, identical
-/// bulk-call counts, identical wire bytes — even under injected partial
-/// sends.
+/// The two egress paths agree on the wire: shipping the same fragments
+/// through [`UdpEndpoint::send_all`] (one call per record batch, the
+/// client links' path) and through a flush-until-empty [`TxBatcher`]
+/// (the server's path) puts identical bytes on the wire, in order, even
+/// under an injected partial send.
 #[test]
-fn tx_batcher_reconciles_with_framed_sender_send_totals() {
+fn tx_batcher_reconciles_with_send_all_wire_bytes() {
     for wire in faulty_wires() {
-        let via_sender = wire.bind(1).unwrap();
+        let via_send_all = wire.bind(1).unwrap();
         let via_batcher = wire.bind(2).unwrap();
-        let sender = FramedSender::new(wire.bind(100).unwrap(), 1 << 20);
+        let sender = wire.bind(100).unwrap();
         let mut tx = TxBatcher::new(wire.bind(101).unwrap());
         // Three "record batches" of 4 datagrams each; both paths see the
         // identical payloads and the identical mid-batch fault.
@@ -152,7 +191,7 @@ fn tx_batcher_reconciles_with_framed_sender_send_totals() {
             .collect();
         wire.push_short_send(2);
         for batch in &batches {
-            sender.forward(1, batch.clone()).unwrap();
+            sender.send_all(1, &mut batch.clone()).unwrap();
         }
         wire.push_short_send(2);
         for batch in &batches {
@@ -161,30 +200,13 @@ fn tx_batcher_reconciles_with_framed_sender_send_totals() {
                 tx.flush().unwrap();
             }
         }
-        let s = sender.send_stats();
         let t = tx.stats();
-        assert_eq!(s.datagrams, 12);
-        assert_eq!(t.sent, s.datagrams, "egress totals reconcile");
-        assert_eq!(t.enqueued, s.datagrams);
-        assert_eq!(
-            t.io_calls, s.io_calls,
-            "one faulted batch each -> both sides pay the same extra call: {s:?} vs {t:?}"
-        );
-        assert_eq!(
-            s.stalls + 3,
-            s.io_calls,
-            "3 batches + 1 stall retry each side"
-        );
+        assert_eq!(t.sent, 12);
         assert_eq!(t.partial_sends, 1);
-        let drain = |ep: &endbox_netsim::net::UdpEndpoint| {
-            let mut got = Vec::new();
-            while let Some(d) = ep.try_recv() {
-                got.push(d.payload.clone());
-            }
-            got
-        };
+        let sent = drain(&via_send_all);
+        assert_eq!(sent.len(), 12);
         assert_eq!(
-            drain(&via_sender),
+            sent,
             drain(&via_batcher),
             "both egress paths put identical bytes on the wire, in order"
         );
