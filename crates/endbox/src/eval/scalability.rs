@@ -864,13 +864,13 @@ mod tests {
     #[test]
     fn one_poll_and_one_budget_per_round_at_every_shard_count() {
         // One poll group feeds every shard: a round costs one wakeup and
-        // grants one budget of `DEFAULT_SHARD_BUDGET × C`, whatever C is.
+        // drains at most one budget of `DEFAULT_SHARD_BUDGET × C`,
+        // whatever C is.
         let wakeups = [1, 2, 4].map(|c| {
             let m = measure(&controlled_spec(c));
             let per_round = (crate::server::DEFAULT_SHARD_BUDGET * c) as u64;
-            assert_eq!(
-                m.ingress.budget_grants,
-                m.ingress.rounds * per_round,
+            assert!(
+                m.ingress.datagrams <= m.ingress.rounds * per_round,
                 "C = {c}: {:?}",
                 m.ingress
             );

@@ -15,8 +15,8 @@
 //! written once, on the generic impl, over one private ingress step:
 //! `(peer, datagram)`s in, one `(peer, result)` per datagram out,
 //! regrouped per peer. What only the sharded deployment has — manual
-//! re-homes, resize, the event-driven socket front-end and the TX egress stage —
-//! lives in one impl on [`ShardedScenario`]; what only the reference
+//! re-homes, resize, the event-driven socket front-end and the server's TX
+//! socket — lives in one impl on [`ShardedScenario`]; what only the reference
 //! drives (client-to-client, the Fig. 5 config cycle) in one on
 //! [`Scenario`].
 
@@ -26,7 +26,7 @@ use crate::config_update::{ConfigServer, SignedConfig};
 use crate::error::EndBoxError;
 use crate::server::{
     AsyncFrontEnd, AsyncIngressStats, Delivery, EndBoxServer, EndBoxServerConfig,
-    ShardedEndBoxServer, TxBatchStats, TxBatcher,
+    ShardedEndBoxServer,
 };
 use crate::use_cases::UseCase;
 use endbox_crypto::schnorr::SigningKey;
@@ -60,8 +60,10 @@ pub enum ScenarioKind {
 /// Knobs chain; [`ScenarioBuilder::build`] produces the single-threaded
 /// reference [`Scenario`], [`ScenarioBuilder::build_sharded`] the
 /// multi-shard [`ShardedScenario`]. The reference has no event
-/// loop: `build` rejects [`ScenarioBuilder::async_ingress`] and
-/// [`ScenarioBuilder::elastic`] instead of dropping them. See
+/// loop: `build` rejects [`ScenarioBuilder::async_ingress`],
+/// [`ScenarioBuilder::elastic`] and [`ScenarioBuilder::transport`]
+/// instead of dropping them, and `build_sharded` rejects a transport
+/// without async ingress. See
 /// `examples/quickstart.rs` and `examples/enterprise_network.rs` for the
 /// long-form versions of these snippets.
 ///
@@ -162,9 +164,10 @@ impl ScenarioBuilder {
     /// data-path drivers route wire datagrams through the event loop
     /// instead of calling `receive_datagrams` directly. The
     /// handshake/control path stays call-driven — it is off the fast
-    /// path. The event loop adds a per-round budget split by token
-    /// buckets; placement stays the dispatch law's, over the bytes the
-    /// server routed, exactly as through the call-driven doorway. See
+    /// path. The event loop adds a per-round budget split evenly over
+    /// the sockets holding data; placement stays the dispatch law's,
+    /// over the bytes the server routed, exactly as through the
+    /// call-driven doorway. See
     /// [`ShardedScenario::pump_async`].
     /// [`ScenarioBuilder::build`] rejects it.
     pub fn async_ingress(mut self, on: bool) -> Self {
@@ -191,9 +194,10 @@ impl ScenarioBuilder {
     }
 
     /// Selects the async wire backend (default
-    /// [`TransportKind::Virtual`]; only meaningful together with
-    /// [`ScenarioBuilder::async_ingress`]). Application-level results
-    /// are byte-identical across both backends: over [`OsWire`] (real
+    /// [`TransportKind::Virtual`]; any other needs
+    /// [`ScenarioBuilder::async_ingress`], and both builds reject it
+    /// without). Application-level results are byte-identical across
+    /// both backends: over [`OsWire`] (real
     /// loopback UDP; check [`OsWire::available`] where socket creation
     /// may be forbidden) the stamp-carrying wire header preserves the
     /// re-merge ordering contract.
@@ -208,11 +212,20 @@ impl ScenarioBuilder {
     /// every client enrolled and connected through `receive` — that
     /// server's call-driven doorway. Also returns the cost model, which
     /// the socket wiring of a sharded build is metered at.
+    ///
+    /// Rejects a wire backend other than the default without
+    /// [`ScenarioBuilder::async_ingress`]: only the event loop has
+    /// sockets, so the choice would be dropped silently.
     fn connect<S>(
         &self,
         new_server: impl FnOnce(EndBoxServerConfig) -> Result<S, EndBoxError>,
         mut receive: impl FnMut(&mut S, u64, &[u8]) -> Result<Delivery, EndBoxError>,
     ) -> Result<(Network<S>, CostModel), EndBoxError> {
+        if self.transport != TransportKind::Virtual && !self.async_ingress {
+            return Err(EndBoxError::NotReady(
+                "a wire backend is the event loop's: transport needs async_ingress",
+            ));
+        }
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
         let clock = SharedClock::new();
         let cost = CostModel::calibrated();
@@ -363,9 +376,9 @@ impl ScenarioBuilder {
     /// # Errors
     ///
     /// Propagates enrollment/handshake failures, plus
-    /// [`EndBoxError::NotReady`] if [`ScenarioBuilder::async_ingress`] or
-    /// [`ScenarioBuilder::elastic`] was requested (the reference server
-    /// has no event loop).
+    /// [`EndBoxError::NotReady`] if [`ScenarioBuilder::async_ingress`],
+    /// [`ScenarioBuilder::elastic`] or a [`ScenarioBuilder::transport`]
+    /// was requested (the reference server has no event loop).
     pub fn build(self) -> Result<Scenario, EndBoxError> {
         if self.async_ingress || self.elastic {
             return Err(EndBoxError::NotReady(
@@ -385,7 +398,9 @@ impl ScenarioBuilder {
     ///
     /// Propagates enrollment/handshake failures, plus
     /// [`EndBoxError::NotReady`] if a server-side Click was requested
-    /// (the sharded server replaces that baseline).
+    /// (the sharded server replaces that baseline), or a
+    /// [`ScenarioBuilder::transport`] without
+    /// [`ScenarioBuilder::async_ingress`].
     ///
     /// # Example
     ///
@@ -477,10 +492,26 @@ impl<S: std::fmt::Debug> std::fmt::Debug for Network<S> {
 const CLIENT_PORT_BIT: u64 = 1 << 63;
 
 /// The server's dedicated TX socket (all egress towards clients leaves
-/// through the [`TxBatcher`] bound here). Disjoint from both the
-/// server-side per-peer ports (small integers) and the client-side ones
-/// ([`CLIENT_PORT_BIT`]).
+/// through it, shipped with [`UdpEndpoint::send_all`]). Disjoint from
+/// both the server-side per-peer ports (small integers) and the
+/// client-side ones ([`CLIENT_PORT_BIT`]).
 const SERVER_TX_PORT: u64 = 1 << 62;
+
+/// Counters of the server's TX socket
+/// ([`ShardedScenario::egress_batch_to_client`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TxBatchStats {
+    /// Datagrams shipped onto the wire.
+    pub sent: u64,
+    /// Bulk `send_many` calls issued (each one "syscall").
+    /// `sent / io_calls` is the egress syscall amortisation — the TX
+    /// mirror of [`AsyncIngressStats::io_calls`].
+    pub io_calls: u64,
+    /// `send_many` calls that shipped only part of their batch (OS
+    /// socket backpressure); [`UdpEndpoint::send_all`] retried the tail
+    /// in place.
+    pub partial_sends: u64,
+}
 
 /// The socket-only wiring of an event-driven sharded deployment
 /// ([`ScenarioBuilder::async_ingress`]).
@@ -490,9 +521,9 @@ struct Sockets {
     wire: Arc<dyn Transport>,
     /// The event-driven socket front-end.
     front_end: AsyncFrontEnd,
-    /// The TX-batching egress stage over the server's dedicated TX
-    /// socket.
-    tx: TxBatcher,
+    /// The server's dedicated TX socket.
+    tx: UdpEndpoint,
+    tx_stats: TxBatchStats,
     /// Per-peer client-side sockets, bound lazily on first send.
     links: HashMap<u64, UdpEndpoint>,
     /// What the server-side sockets are metered at, and on.
@@ -513,18 +544,15 @@ impl Sockets {
             TransportKind::Virtual => Arc::new(VirtualWire::new()),
             TransportKind::OsSocket => Arc::new(OsWire::new()),
         };
-        // The server's dedicated TX socket: all egress towards clients
-        // goes through the TX-batching stage (one bulk send per flush)
-        // rather than per-datagram writes. Metered like every other
-        // server-side socket.
-        let tx = TxBatcher::new(
-            wire.bind_metered(SERVER_TX_PORT, meter.clone(), &cost)
-                .expect("TX port unique"),
-        );
+        // Metered like every other server-side socket.
+        let tx = wire
+            .bind_metered(SERVER_TX_PORT, meter.clone(), &cost)
+            .expect("TX port unique");
         Sockets {
             wire,
             front_end,
             tx,
+            tx_stats: TxBatchStats::default(),
             links: HashMap::new(),
             cost,
             meter: meter.clone(),
@@ -947,7 +975,7 @@ impl Scenario {
 }
 
 /// The sharded-only drivers: the event-driven socket front-end, online
-/// remap and resize, and the TX-batching egress stage.
+/// remap and resize, and egress through the server's TX socket.
 impl ShardedScenario {
     /// Whether this scenario routes data-path ingress through the
     /// event-driven socket front-end
@@ -1093,20 +1121,21 @@ impl ShardedScenario {
         PoolStats::default()
     }
 
-    /// Counters of the TX-batching egress stage.
+    /// Counters of the server's TX socket.
     ///
     /// # Panics
     ///
     /// Panics if async ingress is off.
     pub fn tx_stats(&self) -> TxBatchStats {
-        self.sockets().tx.stats()
+        self.sockets().tx_stats
     }
 
     /// Seals `packets` towards client `idx` as one `DataBatch` record
-    /// and ships the fragments through the TX-batching egress stage
-    /// (enqueue → one bulk `send_many` per flush), then drains the
-    /// client-side socket and returns the wire datagrams it received,
-    /// in wire order — the egress mirror of the bulk ingress path.
+    /// and ships the fragments from the server's TX socket with one
+    /// [`UdpEndpoint::send_all`] (one bulk send, retried in place on a
+    /// partial send), then drains the client-side socket and returns the
+    /// wire datagrams it received, in wire order — the egress mirror of
+    /// the bulk ingress path.
     ///
     /// # Errors
     ///
@@ -1114,7 +1143,8 @@ impl ShardedScenario {
     ///
     /// # Panics
     ///
-    /// Panics if async ingress is off.
+    /// Panics if async ingress is off, or if the send fails (a hard
+    /// socket error or a stall beyond the retry bound).
     pub fn egress_batch_to_client(
         &mut self,
         idx: usize,
@@ -1124,10 +1154,15 @@ impl ShardedScenario {
         let session_id = self.session_ids[idx];
         let (sockets, server) = self.wired();
         sockets.link(peer);
-        let fragments = server.send_batch_to_client(session_id, packets)?;
+        let mut fragments = server.send_batch_to_client(session_id, packets)?;
         let expected = fragments.len();
-        sockets.tx.enqueue(CLIENT_PORT_BIT | peer, fragments);
-        sockets.tx.flush().expect("client socket bound");
+        let calls = (sockets.tx)
+            .send_all(CLIENT_PORT_BIT | peer, &mut fragments)
+            .expect("client socket bound");
+        let stats = &mut sockets.tx_stats;
+        stats.sent += expected as u64;
+        stats.io_calls += calls as u64;
+        stats.partial_sends += calls.saturating_sub(1) as u64;
         // Drain the client side. The OS backend crosses the kernel, so
         // give delivery a bounded moment; the virtual wire is immediate.
         let client_ep = &sockets.links[&peer];
@@ -1401,6 +1436,15 @@ mod tests {
     #[test]
     fn build_rejects_elastic() {
         let built = Scenario::enterprise(1, UseCase::Nop).elastic(true).build();
+        assert!(matches!(built, Err(EndBoxError::NotReady(_))), "{built:?}");
+    }
+
+    #[test]
+    fn both_builds_reject_a_transport_without_async_ingress() {
+        let builder = || Scenario::enterprise(1, UseCase::Nop).transport(TransportKind::OsSocket);
+        let built = builder().build();
+        assert!(matches!(built, Err(EndBoxError::NotReady(_))), "{built:?}");
+        let built = builder().build_sharded(2);
         assert!(matches!(built, Err(EndBoxError::NotReady(_))), "{built:?}");
     }
 

@@ -1,12 +1,12 @@
-//! The control plane of the event-driven front-end: the per-socket
-//! token buckets, which split each round's budget, and the resize law,
-//! which sizes the shard pool. Both act at round boundaries — before any
+//! The control plane of the event-driven front-end: the resize law,
+//! which sizes the shard pool. It acts at round boundaries — before any
 //! socket is polled, so no receive batch is in flight and a resize's
 //! quiescence requirement holds by construction. [`AsyncFrontEnd`]
-//! (sockets, the poll group, the drain loop) calls in here once per
-//! round. Placement is not decided here: the dispatch law, which both
-//! doorways run, sits with the sharded server and reads the bytes it
-//! routed.
+//! (sockets, the poll group and the drain loop) calls in here once per
+//! round. How much each socket drains is the drain loop's one rule, not
+//! a law with state. Placement is not decided here: the dispatch law,
+//! which both doorways run, sits with the sharded server and reads the
+//! bytes it routed.
 //!
 //! The resize law reads one signal: the total socket backlog, sampled
 //! once per round — and only while the law is armed, since over the OS
@@ -15,23 +15,10 @@
 use super::frontend::{AsyncFrontEnd, DEFAULT_RECV_BULK};
 use super::ShardedEndBoxServer;
 
-/// Datagram budget per shard per pump round: a round may drain
-/// `DEFAULT_SHARD_BUDGET × C`, which the token buckets split over the
-/// ready sockets. Generous enough that ordinary traffic drains in one
-/// round (so the event-driven results are byte-identical to a single
-/// `receive_datagrams` call, in wire order); small enough to bound the
-/// memory one dispatch can pin under flood.
-pub const DEFAULT_SHARD_BUDGET: usize = 1024;
-
 /// EWMA smoothing factor for the resize law's demand signal (same
 /// weighting as the dispatcher's `LOAD_EWMA_ALPHA`: recent rounds
 /// dominate, one quiet round does not erase a burst).
 const DEMAND_EWMA_ALPHA: f64 = 0.5;
-
-/// Token-bucket cap in fair shares: a socket may bank at most this many
-/// rounds' worth of unused fair share, bounding the burst a hot peer can
-/// borrow from idle peers in a single round.
-const TOKEN_BURST_SHARES: f64 = 4.0;
 
 /// Smoothed backlog per shard the resize law sizes the server for: one
 /// bulk receive's worth of queued work per shard per round is "full" —
@@ -54,13 +41,9 @@ pub const RESIZE_COOLDOWN_ROUNDS: u32 = 8;
 /// Hard ceiling on the shard count the law will grow to.
 pub const RESIZE_MAX_SHARDS: usize = 8;
 
-/// The controller's state: what the laws remember between rounds.
+/// The resize law's state: what it remembers between rounds.
 #[derive(Debug, Default)]
 pub(super) struct Control {
-    /// Per-slot token buckets (fractional datagrams of drain allowance).
-    tokens: Vec<f64>,
-    pub(super) budget_grants: u64,
-    pub(super) tokens_borrowed: u64,
     /// Whether the resize law is armed
     /// ([`crate::scenario::ScenarioBuilder::elastic`]).
     pub(super) elastic: bool,
@@ -72,52 +55,6 @@ pub(super) struct Control {
     shrink_rounds: u32,
     /// Control rounds remaining before the resize law may fire again.
     resize_cooldown: u32,
-}
-
-impl Control {
-    /// A socket was registered: it starts with an empty bucket.
-    pub(super) fn add_slot(&mut self) {
-        self.tokens.push(0.0);
-    }
-
-    /// This round's budget at `shards` shards, accounted as granted.
-    pub(super) fn grant(&mut self, shards: usize) -> usize {
-        let budget = DEFAULT_SHARD_BUDGET * shards;
-        self.budget_grants += budget as u64;
-        budget
-    }
-
-    /// Token buckets: every ready socket banks its fair share of the
-    /// round budget each round, capped at a few shares — a hot peer's
-    /// per-pass allowance is its banked tokens, so it spends exactly
-    /// what idle peers left unclaimed instead of a fixed per-socket
-    /// quota. Returns the fair share.
-    pub(super) fn bank(&mut self, ready: &[usize], budget: usize) -> f64 {
-        let fair = (budget as f64 / ready.len() as f64).max(1.0);
-        for &slot in ready {
-            self.tokens[slot] = (self.tokens[slot] + fair).min(TOKEN_BURST_SHARES * fair);
-        }
-        fair
-    }
-
-    /// `slot`'s banked drain allowance for one scheduling pass, floored
-    /// at one so a starved socket still makes progress every pass. The
-    /// drain loop floors it again at the round's remaining budget split
-    /// over the sockets still holding data, so once the banked tokens
-    /// are spent the tail drains in full bulk calls, not one datagram
-    /// per call.
-    pub(super) fn allowance(&self, slot: usize) -> usize {
-        self.tokens[slot].floor().max(1.0) as usize
-    }
-
-    /// `slot` drained `taken` datagrams in one pass; anything beyond the
-    /// round's `fair` share was borrowed.
-    pub(super) fn spend(&mut self, slot: usize, taken: usize, fair: f64) {
-        self.tokens[slot] = (self.tokens[slot] - taken as f64).max(0.0);
-        if taken as f64 > fair {
-            self.tokens_borrowed += (taken as f64 - fair).ceil() as u64;
-        }
-    }
 }
 
 impl AsyncFrontEnd {

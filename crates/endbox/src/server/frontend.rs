@@ -1,12 +1,13 @@
 //! The event-driven socket front-end of the sharded server
-//! ([`AsyncFrontEnd`]): sockets, the poll group and the drain loop. The
-//! laws that decide how much each socket may drain, where a peer homes
-//! and how many shards there are live in `control`.
+//! ([`AsyncFrontEnd`]): sockets, the poll group and the drain loop with
+//! its one drain rule. The resize law, which decides how many shards
+//! there are, lives in `control`; where a peer homes is the dispatch
+//! law's, in `dispatch`.
 
 use super::control::Control;
-use super::{Delivery, ShardedEndBoxServer};
 #[cfg(doc)]
-use super::{ShardStats, DEFAULT_SHARD_BUDGET};
+use super::ShardStats;
+use super::{Delivery, ShardedEndBoxServer};
 use crate::error::EndBoxError;
 use endbox_netsim::net::{Datagram, Event};
 
@@ -37,18 +38,18 @@ pub struct AsyncIngressStats {
     /// front-end (`recv_bulk == 1`) pays roughly one call per datagram;
     /// a bulk one pays one per batch.
     pub io_calls: u64,
-    /// Total datagram budget granted: [`DEFAULT_SHARD_BUDGET`]` × C` per
-    /// round that polled a ready socket. Always >=
-    /// [`AsyncIngressStats::datagrams`].
-    pub budget_grants: u64,
-    /// Datagrams a socket drained in one pass beyond its fair share of
-    /// the round budget — capacity the other sockets left unclaimed,
-    /// banked in its token bucket or left over once they ran dry.
-    pub tokens_borrowed: u64,
 }
 
 /// Default `recv_many` vector length: 32 datagrams per bulk call.
 pub const DEFAULT_RECV_BULK: usize = 32;
+
+/// Datagram budget per shard per pump round: a round may drain
+/// `DEFAULT_SHARD_BUDGET × C`, split evenly over the ready sockets that
+/// still hold data. Generous enough that ordinary traffic drains in one
+/// round (so the event-driven results are byte-identical to a single
+/// `receive_datagrams` call, in wire order); small enough to bound the
+/// memory one dispatch can pin under flood.
+pub const DEFAULT_SHARD_BUDGET: usize = 1024;
 
 /// The event-driven socket front-end: **one poll group** holding every
 /// peer's server-side socket, registered once and never moved. Which
@@ -77,15 +78,15 @@ pub const DEFAULT_RECV_BULK: usize = 32;
 ///
 /// # Backpressure
 ///
-/// One law with nothing to set: each round may drain
+/// One drain rule with nothing to set: each round may drain
 /// [`DEFAULT_SHARD_BUDGET`]` × C` datagrams, taken round-robin over the
 /// readable sockets (in slot order, resuming after the previous round's
-/// last service) in passes of at most each socket's banked tokens — its
-/// fair share of the budget, carried over up to a few rounds — or, once
-/// it has spent them, an even split of what is left among the sockets
-/// still holding data. A peer flooding its socket therefore yields to
-/// the other peers every pass: their traffic rides in every round while
-/// the flood's tail stays queued in *its own* socket
+/// last service) in passes that give every socket still holding data
+/// an even split of what is left of the budget, at least one datagram.
+/// The split is work-conserving: a socket that runs dry hands its
+/// unused share to the next pass. A peer flooding its socket therefore
+/// yields to the other peers every pass: their traffic rides in every
+/// round while the flood's tail stays queued in *its own* socket
 /// ([`AsyncIngressStats::deferred_rounds`] counts these deferrals).
 /// Spreading peers over shards is not the front-end's job: the dispatch
 /// law moves a peer's shard state on the bytes the server routed, and
@@ -136,11 +137,11 @@ pub struct AsyncFrontEnd {
     /// Max datagrams moved per bulk `recv_many` call (the `recvmmsg`
     /// vector length).
     recv_bulk: usize,
-    pub(super) rounds: u64,
+    rounds: u64,
     datagrams: u64,
     deferred_rounds: u64,
     io_calls: u64,
-    /// The token and resize laws' state.
+    /// The resize law's state.
     pub(super) control: Control,
     /// Per-round buffers, reused: the poll's events, their slots, which
     /// of those ran dry, one bulk receive, and the round's drained
@@ -185,7 +186,6 @@ impl AsyncFrontEnd {
         self.poll
             .register(&endpoint, endbox_netsim::net::Token(slot));
         self.sockets.push((peer, endpoint));
-        self.control.add_slot();
     }
 
     /// Max datagrams moved per bulk `recv_many` call — the `recvmmsg`
@@ -207,8 +207,6 @@ impl AsyncFrontEnd {
             datagrams: self.datagrams,
             deferred_rounds: self.deferred_rounds,
             io_calls: self.io_calls,
-            budget_grants: self.control.budget_grants,
-            tokens_borrowed: self.control.tokens_borrowed,
         }
     }
 
@@ -246,12 +244,12 @@ impl AsyncFrontEnd {
         let start = (self.ready.iter())
             .position(|&slot| slot >= self.rr)
             .unwrap_or(0);
-        let mut budget = self.control.grant(server.shard_count());
-        let fair = self.control.bank(&self.ready, budget);
+        let mut budget = DEFAULT_SHARD_BUDGET * server.shard_count();
         let mut last_drained = None;
-        // Scheduling passes: round-robin over the ready sockets, at most
-        // each socket's allowance per pass, until the budget is spent or
-        // every ready socket is dry. Each socket is drained with bulk
+        // Scheduling passes: round-robin over the ready sockets, each
+        // socket still holding data taking at most an even split of the
+        // remaining budget per pass, until the budget is spent or every
+        // ready socket is dry. Each socket is drained with bulk
         // `recv_many` calls of up to `recv_bulk` datagrams — the
         // datagrams and their order are identical to the per-datagram
         // shape; only the call count changes. A socket that returns
@@ -270,7 +268,7 @@ impl AsyncFrontEnd {
                     continue;
                 }
                 let slot = self.ready[idx];
-                let quota = self.control.allowance(slot).max(budget / wet);
+                let quota = (budget / wet).max(1);
                 let (peer, ep) = &self.sockets[slot];
                 let mut taken = 0;
                 while taken < quota && budget > 0 {
@@ -292,7 +290,6 @@ impl AsyncFrontEnd {
                 if taken > 0 {
                     drained_this_pass += taken;
                     last_drained = Some(slot);
-                    self.control.spend(slot, taken, fair);
                 }
                 if budget == 0 {
                     break;

@@ -61,9 +61,10 @@
 //! [`Delivery`], the metered I/O formulas and [`Server`]. The frame step
 //! and the shard thread are in `rx`, the reference server in
 //! `reference`, the sharded one and its placement law (the dispatch law)
-//! in `dispatch`, the socket front-end in `frontend`, the laws that
-//! steer it (token buckets, resize) in `control`, the TX-batching egress
-//! stage in `tx`; all are re-exported here.
+//! in `dispatch`, the socket front-end and its drain rule in `frontend`,
+//! the resize law in `control`; all are re-exported here. Egress has no
+//! stage of its own: the scenario ships the fragments a seal returns
+//! with [`endbox_netsim::net::UdpEndpoint::send_all`].
 
 use crate::error::EndBoxError;
 use endbox_click::Router;
@@ -86,17 +87,15 @@ mod dispatch;
 mod frontend;
 mod reference;
 mod rx;
-mod tx;
 
 pub use control::{
-    DEFAULT_SHARD_BUDGET, RESIZE_COOLDOWN_ROUNDS, RESIZE_GROW_ROUNDS, RESIZE_MAX_SHARDS,
-    RESIZE_SHRINK_ROUNDS, RESIZE_TARGET_DEMAND,
+    RESIZE_COOLDOWN_ROUNDS, RESIZE_GROW_ROUNDS, RESIZE_MAX_SHARDS, RESIZE_SHRINK_ROUNDS,
+    RESIZE_TARGET_DEMAND,
 };
 pub use dispatch::{ResizeStats, ShardedEndBoxServer};
-pub use frontend::{AsyncFrontEnd, AsyncIngressStats, DEFAULT_RECV_BULK};
+pub use frontend::{AsyncFrontEnd, AsyncIngressStats, DEFAULT_RECV_BULK, DEFAULT_SHARD_BUDGET};
 pub use reference::EndBoxServer;
 pub use rx::ShardStats;
-pub use tx::{TxBatchStats, TxBatcher};
 
 /// Server configuration.
 #[derive(Debug)]

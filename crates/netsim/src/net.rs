@@ -545,9 +545,8 @@ impl WireEndpoint for OsEndpoint {
 /// `send_many` calls on its endpoints to return **short** — at most the
 /// scheduled cap is sent, the unsent tail stays at the front of the
 /// caller's vector — exercising the partial-send retry paths
-/// ([`UdpEndpoint::send_all`]'s bounded-stall loop, `TxBatcher`'s
-/// tail-in-place reflush) on any backend, including the in-process one
-/// that never blocks on its own.
+/// ([`UdpEndpoint::send_all`]'s bounded-stall loop) on any backend,
+/// including the in-process one that never blocks on its own.
 ///
 /// Caps are consumed in FIFO order, one per backend `send_many` call,
 /// wire-wide. Every send reaches the backend as a `send_many`, so a
@@ -704,7 +703,7 @@ impl UdpEndpoint {
     ///
     /// See [`UdpEndpoint::send_all`].
     pub fn send_to(&self, dst: u64, payload: Vec<u8>) -> Result<(), NetError> {
-        self.send_all(dst, &mut vec![payload])
+        self.send_all(dst, &mut vec![payload]).map(drop)
     }
 
     /// Bulk send (`sendmmsg` shape): ships the payloads to `dst` in
@@ -736,7 +735,9 @@ impl UdpEndpoint {
     /// retries a partial send in place, yielding the thread between
     /// attempts so the kernel can drain the socket. Only the OS backend
     /// (or a [`ShortSendWire`] fault) ever sends partially; the
-    /// in-process wire ships a batch in one call.
+    /// in-process wire ships a batch in one call. Returns the number of
+    /// `send_many` calls made, so `calls - 1` is the partial sends it
+    /// retried.
     ///
     /// # Errors
     ///
@@ -745,15 +746,16 @@ impl UdpEndpoint {
     /// stalled [`MAX_SEND_STALLS`] times and stalls again. Either way
     /// the unsent tail stays in `payloads`, in order; what was sent is
     /// gone from it.
-    pub fn send_all(&self, dst: u64, payloads: &mut Vec<Vec<u8>>) -> Result<(), NetError> {
-        let mut stalls = 0;
+    pub fn send_all(&self, dst: u64, payloads: &mut Vec<Vec<u8>>) -> Result<usize, NetError> {
+        let mut calls = 0;
         while !payloads.is_empty() {
             self.send_many(dst, payloads)?;
+            calls += 1;
             if payloads.is_empty() {
                 break;
             }
-            stalls += 1;
-            if stalls > MAX_SEND_STALLS {
+            // Every call so far came back short.
+            if calls > MAX_SEND_STALLS {
                 return Err(NetError::Io(format!(
                     "send to {dst} stalled with {} datagrams unsent",
                     payloads.len()
@@ -761,7 +763,7 @@ impl UdpEndpoint {
             }
             std::thread::yield_now();
         }
-        Ok(())
+        Ok(calls)
     }
 
     /// Receives one datagram without blocking (`None` is the

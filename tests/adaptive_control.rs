@@ -1,6 +1,6 @@
 //! Parity and reconciliation tests for the datapath control plane every
-//! event loop runs (one round budget split by per-socket token buckets)
-//! and the one placement law under it: the dispatch law, whose gap and
+//! event loop runs (one round budget split evenly over the sockets
+//! holding data) and the one placement law under it: the dispatch law, whose gap and
 //! persistence triggers and idle-shard stealing move peers on the bytes
 //! the server routed.
 //!
@@ -15,11 +15,10 @@
 //! single-threaded reference — only scheduling moves.
 //!
 //! The reconciliation tests pin the control plane's counters against
-//! independent datapath counters: the [`AsyncIngressStats`] budget grant
-//! covers every drained datagram, a manual re-home returns exactly the
-//! partial records it drained, steals stay a subset of migrations, and
-//! the token buckets only report borrowing when a burst actually spends
-//! capacity that idle shard-mates banked in earlier rounds.
+//! independent datapath counters: the [`AsyncIngressStats`] datagrams
+//! never exceed one round budget per round, a manual re-home returns
+//! exactly the partial records it drained, and steals stay a subset of
+//! migrations.
 //!
 //! [`AsyncIngressStats`]: endbox::server::AsyncIngressStats
 
@@ -184,8 +183,8 @@ fn adaptive_schedule_controller_on_mixed_traffic() {
 }
 
 /// The control plane's counters against independent datapath counters,
-/// under a heavy-tailed mix: every round drained under one budget of
-/// `DEFAULT_SHARD_BUDGET × C`, which covered every drained datagram, and
+/// under a heavy-tailed mix: every round drained at most one budget of
+/// `DEFAULT_SHARD_BUDGET × C`, and
 /// the dispatch law's steals are a subset of its migrations, which do
 /// not count manual re-homes.
 #[test]
@@ -209,14 +208,9 @@ fn controller_stats_reconcile_with_datapath_counters() {
     let ingress = scenario.async_stats();
     assert_eq!(ingress.datagrams, drained_total);
     assert!(ingress.rounds >= 1, "the event loop never ran: {ingress:?}");
-    assert_eq!(
-        ingress.budget_grants,
-        ingress.rounds * (DEFAULT_SHARD_BUDGET * 2) as u64,
-        "one budget of DEFAULT_SHARD_BUDGET × C per round: {ingress:?}"
-    );
     assert!(
-        ingress.budget_grants >= ingress.datagrams,
-        "drained datagrams exceeded the granted budget: {ingress:?}"
+        ingress.datagrams <= ingress.rounds * (DEFAULT_SHARD_BUDGET * 2) as u64,
+        "drained more than one budget of DEFAULT_SHARD_BUDGET × C per round: {ingress:?}"
     );
     let (migrations, steals) = (scenario.server.migrations(), scenario.server.steals());
     assert!(
@@ -253,45 +247,4 @@ fn manual_remap_drains_inflight_partial_and_preserves_outcome() {
         assert_eq!(drained, 1, "the parked partial must drain with the move");
         assert_eq!(remapped.server.shard_of(0), 1);
     });
-}
-
-/// The token buckets' borrowing contract: a steady trickle never
-/// borrows (every socket stays inside its fair share), while a burst
-/// after a trickle spends the capacity idle shard-mates banked —
-/// `tokens_borrowed` moves only then.
-#[test]
-fn token_buckets_borrow_only_after_banked_carryover() {
-    let mut scenario: ShardedScenario = Scenario::enterprise(8, UseCase::Nop)
-        .seed(0xadc1)
-        .async_ingress(true)
-        .build_sharded(1)
-        .unwrap();
-
-    // Trickle round: one record per peer; everyone is far under fair
-    // share, so nothing is borrowed — but every peer banks unclaimed
-    // tokens.
-    let mut sent = 0;
-    for client in 0..8 {
-        sent += send_records(&mut scenario, "ctrl", client, 1, 0);
-    }
-    pump_until(&mut scenario, sent);
-    let steady = scenario.async_stats();
-    assert_eq!(
-        steady.tokens_borrowed, 0,
-        "a steady trickle must not borrow: {steady:?}"
-    );
-
-    // Burst round: one peer floods far past its per-round fair share
-    // while shard-mates trickle; the flood drains in full against the
-    // banked carryover and the excess is accounted as borrowed.
-    let mut sent = send_records(&mut scenario, "ctrl", 0, 200, 1);
-    for client in 1..8 {
-        sent += send_records(&mut scenario, "ctrl", client, 1, 1);
-    }
-    pump_until(&mut scenario, sent);
-    let burst = scenario.async_stats();
-    assert!(
-        burst.tokens_borrowed > 0,
-        "a burst after a trickle must spend banked tokens: {burst:?}"
-    );
 }

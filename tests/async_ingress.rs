@@ -241,14 +241,22 @@ fn flooding_peer_defers_while_shard_mates_ride_every_round() {
         first_peers.iter().filter(|&&p| p == 0).count() < FLOOD,
         "the flood must not drain in one budgeted round"
     );
+    // The even split is work-conserving: what the trickling sockets
+    // leave unclaimed goes to the flood, so a binding round drains its
+    // whole budget of `DEFAULT_SHARD_BUDGET × C`.
+    assert_eq!(
+        first_round.len(),
+        DEFAULT_SHARD_BUDGET * 4,
+        "a binding round drains exactly its budget"
+    );
     let stats = async_.async_stats();
     assert!(
         stats.deferred_rounds >= 1,
         "budget exhaustion must be observable: {stats:?}"
     );
-    // Once the flood has spent its banked tokens, the rest of the budget
-    // still drains in bulk calls: at most one short call per ready
-    // socket beyond the bulk-32 minimum.
+    // Once the trickles run dry, the rest of the budget still drains in
+    // bulk calls: at most one short call per ready socket beyond the
+    // bulk-32 minimum.
     let ready_sockets = 3;
     let bulk_calls = first_round.len().div_ceil(DEFAULT_RECV_BULK) + ready_sockets;
     assert!(

@@ -1,6 +1,6 @@
 //! Parity and accounting tests for the syscall-batched transport: bulk
-//! `recv_many` ingress, the TX-batching egress stage and the OS-socket
-//! backend.
+//! `recv_many` ingress, egress through the server's TX socket and the
+//! OS-socket backend.
 //!
 //! The named tests replay [`support::Schedule`]s — the deterministic
 //! interleaving classes of `tests/rx_interleaving.rs` and
@@ -166,9 +166,10 @@ fn bulk_ingress_amortises_io_calls_without_changing_results() {
     }
 }
 
-/// Egress mirror: server→client batches ride the TX-batching stage (one
-/// bulk `send_many` per destination per flush) and must put exactly the
-/// fragments of a direct `send_batch_to_client` on the wire, in order.
+/// Egress mirror: server→client batches leave the server's TX socket
+/// through one `send_all` (one bulk `send_many` on the virtual wire) and
+/// must put exactly the fragments of a direct `send_batch_to_client` on
+/// the wire, in order.
 #[test]
 fn tx_batched_egress_is_byte_identical_to_direct_fragments() {
     let build = || {
@@ -198,15 +199,13 @@ fn tx_batched_egress_is_byte_identical_to_direct_fragments() {
         .send_batch_to_client(direct.session_id(1), &packets)
         .unwrap();
     let got = batched.egress_batch_to_client(1, &packets).unwrap();
-    assert_eq!(got, want, "TX batching must not alter wire bytes");
+    assert_eq!(got, want, "the TX socket must not alter wire bytes");
 
     let stats = batched.tx_stats();
-    assert_eq!(stats.enqueued, want.len() as u64);
     assert_eq!(stats.sent, want.len() as u64);
-    assert_eq!(stats.flushes, 1);
     assert_eq!(
         stats.io_calls, 1,
-        "one destination, one flush -> one bulk send: {stats:?}"
+        "one record batch, one bulk send: {stats:?}"
     );
     assert_eq!(stats.partial_sends, 0, "virtual wire never splits a bulk");
 }
@@ -251,7 +250,7 @@ fn os_socket_backend_survives_deep_queues_and_bulk_drains() {
 }
 
 /// Egress between moves over real loopback UDP: every server seal and
-/// ping rides the TX batcher to the client's socket and must be the
+/// ping rides the server's TX socket to the client's socket and must be the
 /// reference's wire bytes, at every starting grid point.
 #[test]
 fn os_socket_egress_matches_reference_across_moves() {

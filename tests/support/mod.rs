@@ -221,7 +221,7 @@ pub enum Step {
     Flush,
     /// The server seals `n_packets` towards `client` as one `DataBatch`
     /// record — `send_batch_to_client`, and through the event loop
-    /// `ShardedScenario::egress_batch_to_client` (TX batcher, wire,
+    /// `ShardedScenario::egress_batch_to_client` (TX socket, wire,
     /// client socket). Its wire datagrams, or its error, join
     /// [`Replay::egress`]. A sharded run first flushes the datagrams still
     /// buffered, so the seal sees every earlier verdict, as the

@@ -4,15 +4,13 @@
 //!
 //! The fault-injection tests decorate each backend with
 //! [`ShortSendWire`], forcing short `send_many` returns mid-batch, and
-//! assert the tail-in-place retry paths ([`UdpEndpoint::send_all`]'s
-//! bounded-stall loop, [`TxBatcher`]'s queue-head requeue) never
-//! reorder, drop or duplicate a datagram, and that `send_all` gives up
+//! assert that the one tail-in-place retry path,
+//! [`UdpEndpoint::send_all`]'s bounded-stall loop, never reorders, drops
+//! or duplicates a datagram, reports one call per attempt, and gives up
 //! after [`MAX_SEND_STALLS`] stalls with the unsent tail still in the
-//! caller's vector. The reconciliation test pins that both egress paths
-//! put identical bytes on the wire.
+//! caller's vector.
 
 use endbox::scenario::Scenario;
-use endbox::server::TxBatcher;
 use endbox::use_cases::UseCase;
 use endbox_netsim::net::{
     NetError, OsWire, ShortSendWire, Transport, TransportKind, UdpEndpoint, VirtualWire,
@@ -56,7 +54,8 @@ fn drain(ep: &UdpEndpoint) -> Vec<Vec<u8>> {
 
 /// Forced short `send_many` returns mid-batch on every backend: the
 /// [`UdpEndpoint::send_all`] stall-retry loop must ship the tail in
-/// place — the receiver sees every datagram exactly once, in order.
+/// place — the receiver sees every datagram exactly once, in order —
+/// and report one `send_many` call per short send plus the final one.
 #[test]
 fn short_send_tails_retry_in_order_through_send_all() {
     for wire in faulty_wires() {
@@ -69,8 +68,9 @@ fn short_send_tails_retry_in_order_through_send_all() {
         wire.push_short_send(0);
         wire.push_short_send(1);
         let mut batch: Vec<Vec<u8>> = (0u8..10).map(|i| vec![i; 8]).collect();
-        sender.send_all(1, &mut batch).unwrap();
+        let calls = sender.send_all(1, &mut batch).unwrap();
         assert!(batch.is_empty(), "{backend}: every datagram ships");
+        assert_eq!(calls, 3 + 1, "{backend}: three short sends, then one");
         assert_eq!(wire.pending_faults(), 0, "{backend}: all faults consumed");
         let got: Vec<u8> = drain(&receiver)
             .iter()
@@ -124,92 +124,6 @@ fn send_all_gives_up_after_the_stall_bound_keeping_the_tail() {
         assert_eq!(wire.pending_faults(), 0);
         let got: Vec<u8> = drain(&receiver).iter().map(|p| p[0]).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4], "{backend}: no drop, no dup");
-    }
-}
-
-/// The same fault shape through the TX-batching egress stage: a partial
-/// flush leaves the tail at the head of its queue, the next flush ships
-/// it, and per-destination FIFO order survives on every backend.
-#[test]
-fn short_send_tails_stay_queued_in_order_through_tx_batcher() {
-    for wire in faulty_wires() {
-        let backend = wire.backend();
-        let dst_a = wire.bind(1).unwrap();
-        let dst_b = wire.bind(2).unwrap();
-        let mut tx = TxBatcher::new(wire.bind(100).unwrap());
-        tx.enqueue(1, (0u8..6).map(|i| vec![i; 4]));
-        tx.enqueue(2, (10u8..14).map(|i| vec![i; 4]));
-        // First flush: destination 1 ships only 2 of 6, destination 2
-        // only 1 of 4; the tails stay queued in place.
-        wire.push_short_send(2);
-        wire.push_short_send(1);
-        let shipped = tx.flush().unwrap();
-        assert_eq!(shipped, 3, "{backend}: partial flush ships the caps");
-        assert_eq!(tx.pending(), 7, "{backend}: tails stay queued");
-        let mid = tx.stats();
-        assert_eq!(mid.partial_sends, 2, "{backend}: both queues went short");
-        // Second flush ships everything that is left, unfaulted.
-        let rest = tx.flush().unwrap();
-        assert_eq!(rest, 7);
-        assert_eq!(tx.pending(), 0);
-        let stats = tx.stats();
-        assert_eq!(stats.sent, 10);
-        assert_eq!(
-            stats.io_calls, 4,
-            "{backend}: two destinations x two flushes"
-        );
-        let firsts = |ep: &UdpEndpoint| drain(ep).iter().map(|p| p[0]).collect::<Vec<u8>>();
-        assert_eq!(
-            firsts(&dst_a),
-            (0u8..6).collect::<Vec<_>>(),
-            "{backend}: destination 1 FIFO survives the partial flush"
-        );
-        assert_eq!(
-            firsts(&dst_b),
-            (10u8..14).collect::<Vec<_>>(),
-            "{backend}: destination 2 FIFO survives the partial flush"
-        );
-    }
-}
-
-/// The two egress paths agree on the wire: shipping the same fragments
-/// through [`UdpEndpoint::send_all`] (one call per record batch, the
-/// client links' path) and through a flush-until-empty [`TxBatcher`]
-/// (the server's path) puts identical bytes on the wire, in order, even
-/// under an injected partial send.
-#[test]
-fn tx_batcher_reconciles_with_send_all_wire_bytes() {
-    for wire in faulty_wires() {
-        let via_send_all = wire.bind(1).unwrap();
-        let via_batcher = wire.bind(2).unwrap();
-        let sender = wire.bind(100).unwrap();
-        let mut tx = TxBatcher::new(wire.bind(101).unwrap());
-        // Three "record batches" of 4 datagrams each; both paths see the
-        // identical payloads and the identical mid-batch fault.
-        let batches: Vec<Vec<Vec<u8>>> = (0u8..3)
-            .map(|b| (0u8..4).map(|i| vec![b * 16 + i; 6]).collect())
-            .collect();
-        wire.push_short_send(2);
-        for batch in &batches {
-            sender.send_all(1, &mut batch.clone()).unwrap();
-        }
-        wire.push_short_send(2);
-        for batch in &batches {
-            tx.enqueue(2, batch.clone());
-            while tx.pending() > 0 {
-                tx.flush().unwrap();
-            }
-        }
-        let t = tx.stats();
-        assert_eq!(t.sent, 12);
-        assert_eq!(t.partial_sends, 1);
-        let sent = drain(&via_send_all);
-        assert_eq!(sent.len(), 12);
-        assert_eq!(
-            sent,
-            drain(&via_batcher),
-            "both egress paths put identical bytes on the wire, in order"
-        );
     }
 }
 
