@@ -189,7 +189,7 @@ pub trait Element: std::fmt::Debug + Send {
         batch: &mut PacketBatch,
         ctx: &mut ElementContext<'_>,
     ) {
-        for pkt in batch.drain() {
+        for pkt in batch.drain(..) {
             self.process(port, pkt, ctx);
         }
     }

@@ -86,7 +86,7 @@ impl Element for Classifier {
         batch: &mut PacketBatch,
         ctx: &mut ElementContext<'_>,
     ) {
-        for pkt in batch.drain() {
+        for pkt in batch.drain(..) {
             if let Some(port) = self.classify(pkt.bytes()) {
                 ctx.output(port, pkt);
             }
@@ -255,7 +255,7 @@ impl Element for CheckIpHeader {
         batch: &mut PacketBatch,
         ctx: &mut ElementContext<'_>,
     ) {
-        for pkt in batch.drain() {
+        for pkt in batch.drain(..) {
             match Ipv4Header::parse(pkt.bytes()) {
                 Ok(_) => ctx.output(0, pkt),
                 Err(_) => {

@@ -114,7 +114,7 @@ impl Element for IdsMatcher {
             .map(|pkt| ctx.env.cost.ids_cycles(pkt.app_payload().len(), amplified))
             .sum();
         ctx.env.meter.add(cycles);
-        for pkt in batch.drain() {
+        for pkt in batch.drain(..) {
             self.scan_one(pkt, ctx);
         }
     }

@@ -223,7 +223,7 @@ impl Element for IpFilter {
         ctx.env
             .meter
             .add(ctx.env.cost.fw_cycles(self.rules.len()) * batch.len() as u64);
-        for pkt in batch.drain() {
+        for pkt in batch.drain(..) {
             self.classify_one(pkt, ctx);
         }
     }

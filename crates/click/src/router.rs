@@ -463,7 +463,7 @@ impl Router {
             };
         };
 
-        for (slot, mut pkt) in batch.drain().enumerate() {
+        for (slot, mut pkt) in batch.drain(..).enumerate() {
             let slot = slot as u32;
             pkt.meta.batch_slot = Some(slot);
             self.pending[entry].push_back(PendingPacket {
@@ -635,7 +635,7 @@ impl Router {
             }
         }
         BatchOutput {
-            emitted: PacketBatch::from(emitted),
+            emitted,
             verdicts,
             accepted,
             dropped,
@@ -869,7 +869,7 @@ mod tests {
             single_emitted.extend(out.emitted);
         }
 
-        let out = batched.process_batch(PacketBatch::from(packets));
+        let out = batched.process_batch(packets);
         assert_eq!(out.verdicts, single_verdicts);
         assert_eq!(out.accepted, 5);
         assert_eq!(out.dropped, 3);
@@ -900,7 +900,7 @@ mod tests {
             single.process(p);
         }
         meter_b.take();
-        batched.process_batch(PacketBatch::from(packets));
+        batched.process_batch(packets);
         assert_eq!(
             meter_a.take(),
             meter_b.take(),
@@ -971,7 +971,7 @@ mod tests {
         for p in packets.iter().cloned() {
             single_emitted.extend(single.process(p).emitted);
         }
-        let out = batched.process_batch(PacketBatch::from(packets));
+        let out = batched.process_batch(packets);
 
         let batch_bytes: Vec<&[u8]> = out.emitted.iter().map(Packet::bytes).collect();
         let single_bytes: Vec<&[u8]> = single_emitted.iter().map(Packet::bytes).collect();

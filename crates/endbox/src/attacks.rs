@@ -294,15 +294,17 @@ pub fn interface_attack(scenario: &mut Scenario) -> AttackOutcome {
     }
     // 2. Malformed record with an oversized length field (Iago-style).
     let mut evil_payload = vec![0u8; 40];
-    evil_payload[0] = 3; // Data opcode
     evil_payload[17] = 0xff; // absurd length field
     let record = Record {
-        opcode: Opcode::Data,
+        opcode: Opcode::DataBatch,
         session_id: scenario.session_id(0),
         packet_id: 2,
         payload: evil_payload,
     };
-    match scenario.clients[0].enclave_app().process_ingress(&record) {
+    match scenario.clients[0]
+        .enclave_app()
+        .process_ingress_batch(&record)
+    {
         Ok(_) => AttackOutcome::Breached("malformed record processed"),
         Err(_) => AttackOutcome::Defended(
             "ecall parameters are sanity-checked; undeclared calls rejected",

@@ -2,6 +2,12 @@
 //! sockets, config fetching) wrapped around the trusted
 //! [`crate::enclave_app::EnclaveApp`].
 //!
+//! Traffic leaves through [`EndBoxClient::send_packet`] (one `Data`
+//! record per packet, the paper's baseline) or
+//! [`EndBoxClient::send_batch`] (one `DataBatch` record), and arrives
+//! through one doorway, [`EndBoxClient::receive_datagram_batch`]: the
+//! server seals only `DataBatch` and `Ping` records for a client.
+//!
 //! The same type also models a *vanilla OpenVPN client*
 //! ([`TrustLevel::Untrusted`]): identical protocol logic with no enclave
 //! charges and no Click — the baseline of Fig. 8.
@@ -15,7 +21,6 @@ use endbox_crypto::schnorr::VerifyingKey;
 use endbox_netsim::cost::{CostModel, CycleMeter};
 use endbox_netsim::time::SharedClock;
 use endbox_netsim::Packet;
-use endbox_netsim::PacketBatch;
 use endbox_sgx::attestation::{CpuIdentity, IasSimulator, QuotingEnclave};
 use endbox_sgx::SgxMode;
 use endbox_vpn::channel::CipherSuite;
@@ -308,7 +313,7 @@ impl EndBoxClient {
             self.cost.vpn_per_write * packets.len() as u64
                 + (self.cost.memcpy_per_byte * total_bytes as f64) as u64,
         );
-        let result = self.app.process_egress_batch(PacketBatch::from(packets))?;
+        let result = self.app.process_egress_batch(packets)?;
         self.stats.dropped_egress += result.dropped as u64;
         match result.record {
             None => Ok(Vec::new()),
@@ -316,29 +321,26 @@ impl EndBoxClient {
         }
     }
 
-    /// Receives one wire datagram on the batched path; returns every
-    /// packet delivered once a full record reassembles. Handles plain
-    /// `Data`, batched `DataBatch` and `Ping` records, so a receive loop
-    /// can be pointed at a mixed stream.
+    /// Receives one wire datagram — the client's one receive doorway;
+    /// returns every packet delivered once a full record reassembles.
+    /// Everything the server seals for a client is a `DataBatch` (one
+    /// ingress ecall for the whole record) or a `Ping`; any other record
+    /// is rejected before it reaches the enclave.
     ///
     /// # Errors
     ///
-    /// Authentication/replay/fragmentation failures.
+    /// Authentication/replay/fragmentation failures, and
+    /// [`endbox_vpn::VpnError::Malformed`] for a record the server never
+    /// sends a client.
     pub fn receive_datagram_batch(&mut self, datagram: &[u8]) -> Result<Vec<Packet>, EndBoxError> {
         self.meter.add(self.cost.vpn_per_fragment);
         let Some(bytes) = self.reassembler.push(datagram)? else {
             return Ok(Vec::new());
         };
         let record = Record::from_vec(bytes)?;
-        self.dispatch_record(&record)
-    }
-
-    /// Shared data-path dispatch for reassembled records (both receive
-    /// entry points), including stats/meter accounting.
-    fn dispatch_record(&mut self, record: &Record) -> Result<Vec<Packet>, EndBoxError> {
         match record.opcode {
             Opcode::DataBatch => {
-                let result = self.app.process_ingress_batch(record)?;
+                let result = self.app.process_ingress_batch(&record)?;
                 let delivered = result.packets;
                 self.stats.received += delivered.len() as u64;
                 self.stats.dropped_ingress += (result.frames - delivered.len()) as u64;
@@ -347,23 +349,8 @@ impl EndBoxClient {
                     .add(self.cost.vpn_per_write * delivered.len() as u64);
                 Ok(delivered)
             }
-            Opcode::Data => {
-                let delivered = self.app.process_ingress(record)?;
-                match delivered {
-                    Some(pkt) => {
-                        self.stats.received += 1;
-                        // Untrusted side: write to the application/tun.
-                        self.meter.add(self.cost.vpn_per_write);
-                        Ok(vec![pkt])
-                    }
-                    None => {
-                        self.stats.dropped_ingress += 1;
-                        Ok(Vec::new())
-                    }
-                }
-            }
             Opcode::Ping => {
-                let msg = self.app.process_ping(record)?;
+                let msg = self.app.process_ping(&record)?;
                 self.note_announcement(&msg);
                 Ok(Vec::new())
             }
@@ -371,31 +358,6 @@ impl EndBoxClient {
                 "unexpected record on data path",
             ))),
         }
-    }
-
-    /// Receives one wire datagram; returns a packet when a full record
-    /// reassembles, decrypts, and passes the middlebox. (Batched
-    /// `DataBatch` records go through
-    /// [`EndBoxClient::receive_datagram_batch`].)
-    ///
-    /// # Errors
-    ///
-    /// Authentication/replay/fragmentation failures.
-    pub fn receive_datagram(&mut self, datagram: &[u8]) -> Result<Option<Packet>, EndBoxError> {
-        self.meter.add(self.cost.vpn_per_fragment);
-        let Some(bytes) = self.reassembler.push(datagram)? else {
-            return Ok(None);
-        };
-        let record = Record::from_vec(bytes)?;
-        if record.opcode == Opcode::DataBatch {
-            // A batched record can deliver several packets; this
-            // single-packet entry point cannot represent that without
-            // silently dropping the rest.
-            return Err(EndBoxError::Vpn(endbox_vpn::VpnError::Malformed(
-                "batched record on single-packet receive path",
-            )));
-        }
-        Ok(self.dispatch_record(&record)?.pop())
     }
 
     fn note_announcement(&mut self, msg: &PingMessage) {

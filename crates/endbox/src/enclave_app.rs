@@ -8,6 +8,13 @@
 //! §IV-A); the `batched_ecalls(false)` configuration reproduces the
 //! unoptimised TaLoS-style variant (one boundary crossing per crypto
 //! operation) for the §V-G ablation.
+//!
+//! Egress has two ecall bodies: the per-packet `Data` record
+//! ([`EnclaveApp::process_egress`], the paper's baseline) and the batched
+//! `DataBatch` record ([`EnclaveApp::process_egress_batch`]). Ingress has
+//! one: everything the server seals for a client is a `DataBatch`, so
+//! [`EnclaveApp::process_ingress_batch`] is the only decrypt-and-Click
+//! body.
 
 use crate::ca::EnrollmentResponse;
 use crate::config_update::SignedConfig;
@@ -29,7 +36,7 @@ use endbox_vpn::handshake::{
 };
 use endbox_vpn::ping::PingMessage;
 use endbox_vpn::proto::{Opcode, Record};
-use endbox_vpn::{Certificate, VpnError};
+use endbox_vpn::Certificate;
 
 /// Configuration for the enclave application.
 #[derive(Debug, Clone)]
@@ -490,7 +497,7 @@ impl EnclaveApp {
                     return Err(EndBoxError::NotReady("no established channel"));
                 }
                 let n = batch.len();
-                let total_bytes = batch.total_bytes();
+                let total_bytes: usize = batch.iter().map(Packet::len).sum();
                 // One boundary crossing for the whole batch: fixed partition
                 // overhead paid once, the copy cost per byte as usual.
                 services.charge(
@@ -532,63 +539,13 @@ impl EnclaveApp {
         result
     }
 
-    /// Processes one ingress record: open, then Click (unless the packet
-    /// carries the client-to-client flag), then deliver.
-    ///
-    /// # Errors
-    ///
-    /// Authentication/replay failures from the channel.
-    pub fn process_ingress(&mut self, record: &Record) -> Result<Option<Packet>, EndBoxError> {
-        let result = self
-            .enclave
-            .ecall("ecall_packet_decrypt", |state, services| {
-                let channel = state
-                    .channel
-                    .as_mut()
-                    .ok_or(EndBoxError::NotReady("no established channel"))?;
-                // Decrypt into one of the pool's own buffers, which then
-                // backs the packet as it is — the server shards'
-                // single-record path, mirrored.
-                let mut payload = state.pool.take(record.payload.len());
-                if let Err(e) = channel.open_into(record, &mut payload) {
-                    state.pool.give(payload);
-                    return Err(e.into());
-                }
-                services.charge(
-                    services.cost_model().partition_per_packet
-                        + (services.cost_model().partition_per_byte * payload.len() as f64) as u64,
-                );
-                services.charge_epc_traffic(payload.len());
-                let packet = Packet::from_vec_in(&state.pool, payload)
-                    .map_err(|_| EndBoxError::Vpn(VpnError::Malformed("bad tunnelled packet")))?;
-
-                if state.c2c_flagging && packet.tos() == QOS_ENDBOX_PROCESSED {
-                    // Flagged by the sending EndBox client: skip re-processing.
-                    // The flag is trustworthy because all records are
-                    // integrity-protected (§IV-A).
-                    state.c2c_bypassed += 1;
-                    return Ok(Some(packet));
-                }
-                let out = state.click.process(packet);
-                if !out.accepted {
-                    state.dropped += 1;
-                    return Ok(None);
-                }
-                state.accepted += 1;
-                Ok(out.emitted.into_iter().next())
-            })?;
-        if !self.batched {
-            self.charge_unbatched_crypto_calls()?;
-        }
-        result
-    }
-
-    /// Processes an ingress `DataBatch` record in **one** enclave
-    /// transition: open once into frame handles (no per-frame copy),
-    /// materialise pool-backed packets in one pass — the same
-    /// `open_batch_frames` + pooled-materialisation ingress the server
-    /// shards use — then run every non-bypassed packet through Click as a
-    /// single batch. Delivered packets keep the batch's original order.
+    /// Processes an ingress `DataBatch` record — the enclave's one
+    /// ingress ecall — in **one** enclave transition: open once into frame
+    /// handles (no per-frame copy), materialise pool-backed packets in one
+    /// pass — the same `open_batch_frames` + pooled-materialisation
+    /// ingress the server shards use — then run every non-bypassed packet
+    /// through Click as a single batch. Delivered packets keep the batch's
+    /// original order.
     ///
     /// # Errors
     ///

@@ -201,8 +201,9 @@ pub struct Measured {
     /// the per-socket queue depth at drain time. `1.0` through
     /// [`Doorway::Call`].
     pub datagrams_per_call: f64,
-    /// The event loop's counters at the end of the run, budget and token
-    /// grants included — all zeros through [`Doorway::Call`].
+    /// The event loop's counters at the end of the run (wake-ups,
+    /// rounds, datagrams, deferred rounds, I/O calls) — all zeros
+    /// through [`Doorway::Call`].
     pub ingress: AsyncIngressStats,
     /// Peers the sharded server's dispatch law moved
     /// ([`crate::server::ShardedEndBoxServer::migrations`]); zero on the

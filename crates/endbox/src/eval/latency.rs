@@ -5,12 +5,10 @@ use super::deploy::{measure, Deployment, MeasureSpec};
 use crate::use_cases::UseCase;
 use endbox_netsim::http::{PageCatalogue, PageLoadModel};
 use endbox_netsim::pipeline::{unloaded_latency, Leg};
+use endbox_netsim::resource::{CLASS_A_HZ, CLASS_B_HZ};
 use endbox_netsim::stats::cdf_points;
 use endbox_netsim::time::SimDuration;
 use rand::SeedableRng;
-
-const CLASS_A_HZ: u64 = 3_500_000_000;
-const CLASS_B_HZ: u64 = 3_300_000_000;
 
 /// Baseline one-way Internet latency to the paper's "fixed location"
 /// (fits the 10.8 ms direct ping RTT).

@@ -27,10 +27,10 @@
 //! [`crate::eval::CLAIMS`].
 
 use super::table::{cells, Table};
+use super::throughput::replay_mbps;
 use crate::scenario::Scenario;
 use crate::use_cases::UseCase;
-use endbox_netsim::pipeline::{run_single_flow, PacketCharge};
-use endbox_netsim::resource::{Link, MachineSpec};
+use endbox_netsim::pipeline::PacketCharge;
 use endbox_netsim::traffic::benign_payload;
 use endbox_netsim::Packet;
 use rand::SeedableRng;
@@ -120,17 +120,6 @@ pub struct NfChainStats {
     pub conformed: u64,
     /// Copies produced by the accounting `Tee` branch.
     pub fanout_copies: u64,
-}
-
-fn replay_mbps(charge: PacketCharge) -> f64 {
-    let mut link = Link::ten_gbps();
-    run_single_flow(
-        MachineSpec::class_a(),
-        MachineSpec::class_a(),
-        &mut link,
-        std::iter::repeat_n(charge, 2_000),
-    )
-    .mbps
 }
 
 fn handler_u64(scenario: &mut Scenario, element: &str, handler: &str) -> u64 {

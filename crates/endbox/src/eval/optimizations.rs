@@ -1,18 +1,17 @@
 //! §V-G: evaluation of the three §IV-A optimisations plus the
 //! trusted-time sampling ablation.
 
+use super::throughput::replay_mbps;
 use crate::scenario::Scenario;
 use crate::use_cases::UseCase;
 use endbox_click::element::ElementEnv;
 use endbox_click::Router;
-use endbox_netsim::pipeline::{run_single_flow, PacketCharge};
-use endbox_netsim::resource::{Link, MachineSpec};
+use endbox_netsim::pipeline::PacketCharge;
+use endbox_netsim::resource::{CLASS_A_HZ, CLASS_B_HZ};
 use endbox_netsim::traffic::benign_payload;
 use endbox_netsim::Packet;
 use endbox_vpn::channel::CipherSuite;
 use rand::SeedableRng;
-
-const CLASS_A_HZ: u64 = 3_500_000_000;
 
 /// Result of the enclave-transition optimisation ablation.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,17 +56,6 @@ fn measure_with(scenario: &mut Scenario, payload_len: usize, samples: usize) -> 
         server_cycles: server_meter.take() / samples as u64,
         dropped: false,
     }
-}
-
-fn replay_mbps(charge: PacketCharge) -> f64 {
-    let mut link = Link::ten_gbps();
-    run_single_flow(
-        MachineSpec::class_a(),
-        MachineSpec::class_a(),
-        &mut link,
-        std::iter::repeat_n(charge, 2_000),
-    )
-    .mbps
 }
 
 /// Ablation 1: one ecall per packet vs one call per crypto operation
@@ -163,7 +151,7 @@ pub fn c2c_ablation() -> C2cAblation {
         let server_cycles = ms.take() / n;
         let net_us = 4.0 * 30.0; // four LAN link traversals
         (client_cycles as f64 / CLASS_A_HZ as f64 * 1e9
-            + server_cycles as f64 / 3_300_000_000.0f64 * 1e9
+            + server_cycles as f64 / CLASS_B_HZ as f64 * 1e9
             + net_us * 1e3)
             / 1e6
     };

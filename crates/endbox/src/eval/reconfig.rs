@@ -4,11 +4,9 @@
 use crate::scenario::Scenario;
 use crate::use_cases::UseCase;
 use endbox_netsim::pipeline::{unloaded_latency, Leg};
+use endbox_netsim::resource::{CLASS_A_HZ, CLASS_B_HZ};
 use endbox_netsim::time::SimDuration;
 use endbox_netsim::CostModel;
-
-const CLASS_A_HZ: u64 = 3_500_000_000;
-const CLASS_B_HZ: u64 = 3_300_000_000;
 
 /// Table II row: phase timings in milliseconds (`None` = phase does not
 /// exist for that system).

@@ -3,7 +3,7 @@
 
 use super::deploy::{measure, Deployment, MeasureSpec};
 use crate::use_cases::UseCase;
-use endbox_netsim::pipeline::{run_single_flow, ThroughputResult};
+use endbox_netsim::pipeline::{run_single_flow, PacketCharge};
 use endbox_netsim::resource::{Link, MachineSpec};
 
 /// Packets replayed through the timing layer per data point.
@@ -26,38 +26,32 @@ pub struct ThroughputPoint {
     pub mbps: f64,
 }
 
-/// Runs one single-flow measurement (two class-A machines, 10 Gbps link —
-/// the §V-D setup).
-pub fn single_flow_mbps(deployment: Deployment, payload: usize) -> f64 {
-    let charge = measure(&MeasureSpec::single_flow(
-        deployment,
-        payload,
-        MEASURE_SAMPLES,
-    ))
-    .charge;
+/// Replays one packet's charge [`REPLAY_PACKETS`] times as a single flow
+/// between two class-A machines over a 10 Gbps link (the §V-D setup) and
+/// returns the goodput in Mbps.
+pub(crate) fn replay_mbps(charge: PacketCharge) -> f64 {
     let mut link = Link::ten_gbps();
-    let result: ThroughputResult = run_single_flow(
+    run_single_flow(
         MachineSpec::class_a(),
         MachineSpec::class_a(),
         &mut link,
         std::iter::repeat_n(charge, REPLAY_PACKETS),
-    );
-    result.mbps
+    )
+    .mbps
+}
+
+/// Runs one single-flow measurement (two class-A machines, 10 Gbps link —
+/// the §V-D setup).
+pub fn single_flow_mbps(deployment: Deployment, payload: usize) -> f64 {
+    let spec = MeasureSpec::single_flow(deployment, payload, MEASURE_SAMPLES);
+    replay_mbps(measure(&spec).charge)
 }
 
 /// Like [`single_flow_mbps`], but on the batched datapath: `batch`
 /// packets per enclave transition and per sealed record.
 pub fn single_flow_mbps_batched(deployment: Deployment, payload: usize, batch: usize) -> f64 {
     let spec = MeasureSpec::batched_flow(deployment, payload, MEASURE_SAMPLES, batch);
-    let charge = measure(&spec).charge;
-    let mut link = Link::ten_gbps();
-    let result: ThroughputResult = run_single_flow(
-        MachineSpec::class_a(),
-        MachineSpec::class_a(),
-        &mut link,
-        std::iter::repeat_n(charge, REPLAY_PACKETS),
-    );
-    result.mbps
+    replay_mbps(measure(&spec).charge)
 }
 
 /// The payload sizes of Fig. 8 (the 64 KB point is capped at the IPv4

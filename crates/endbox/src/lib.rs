@@ -13,7 +13,9 @@
 //!   the VPN data channel and all keys live inside an [`endbox_sgx`]
 //!   enclave; exactly **one ecall per packet** on the data path (§IV-A).
 //! * [`client`] — the partitioned EndBox client (Fig. 3): untrusted
-//!   fragmentation/encapsulation around the trusted core.
+//!   fragmentation/encapsulation around the trusted core, with one
+//!   receive doorway (`DataBatch` and `Ping` records only — everything a
+//!   server seals for a client).
 //! * [`server`] — the EndBox VPN server: sole entry point to the managed
 //!   network, certificate gatekeeping, config-version enforcement, QoS
 //!   flag sanitisation.

@@ -901,10 +901,10 @@ impl Scenario {
         let forwarded = self.send_packet_from_client(from, packet)?;
         let datagrams = self
             .server
-            .send_to_client(self.session_ids[to], &forwarded)?;
+            .send_batch_to_client(self.session_ids[to], &[forwarded])?;
         let mut delivered = None;
         for d in &datagrams {
-            if let Some(p) = self.clients[to].receive_datagram(d)? {
+            if let Some(p) = self.clients[to].receive_datagram_batch(d)?.pop() {
                 delivered = Some(p);
             }
         }
@@ -956,7 +956,7 @@ impl Scenario {
         // Step 4: server ping announces the version.
         let ping = self.server.make_ping(self.session_ids[idx])?;
         for frag in &ping {
-            self.clients[idx].receive_datagram(frag)?;
+            self.clients[idx].receive_datagram_batch(frag)?;
         }
         // Steps 5–8: client fetches and applies.
         self.clients[idx].fetch_and_apply_update(&self.config_server)?;
@@ -1063,33 +1063,6 @@ impl ShardedScenario {
     /// Panics if async ingress is off.
     pub fn backlog(&self) -> usize {
         self.sockets().front_end.backlog()
-    }
-
-    /// Re-homes `peer` onto shard `to` by hand: the peer's state moves,
-    /// quiesced and drained (see [`ShardedEndBoxServer::remap_peer`]).
-    /// With the event-driven front-end attached its socket stays where
-    /// it is — the front-end reads placement from the server. `to` is
-    /// taken modulo the live shard count. Returns the drained
-    /// partial-record count. No law calls it — the dispatch law moves
-    /// peers for balance through the same relocation — so it exists only
-    /// for the adversarial `Step::Remap` schedules in `tests/`.
-    pub fn remap_peer(&mut self, peer: u64, to: usize) -> usize {
-        // Clamp against the *live* shard count: a resize may have shrunk
-        // the server since the caller captured its target index, and
-        // `remap_peer` (deliberately) panics on stale indices.
-        let to = to % self.server.shard_count();
-        self.server.remap_peer(peer, to)
-    }
-
-    /// Resizes the server to `shards` shard threads online (see
-    /// [`ShardedEndBoxServer::resize`]). Returns `(peers moved, in-flight
-    /// partials drained)`. With the event-driven front-end attached, no
-    /// socket moves; new shards fill through the dispatch law. The
-    /// resize law makes exactly
-    /// this call on its own; the manual hook exists for the
-    /// `Step::Resize` schedules in `tests/`.
-    pub fn resize_shards(&mut self, shards: usize) -> (usize, usize) {
-        self.server.resize(shards)
     }
 
     /// Sets the bulk size of ingress `recv_many` calls (see
@@ -1365,7 +1338,7 @@ mod tests {
         ];
         for (ping, datagrams, client) in relayed {
             for frag in &ping {
-                client.receive_datagram(frag).unwrap();
+                client.receive_datagram_batch(frag).unwrap();
             }
             let mut delivered = Vec::new();
             for d in &datagrams {

@@ -509,7 +509,9 @@ impl ShardedEndBoxServer {
     /// quiescence contract), returning the number of in-flight partial
     /// records that moved along. Only legal between `receive_datagrams`
     /// calls. No law calls it: balance is the dispatch law's, which
-    /// counts its own moves in [`ShardedEndBoxServer::migrations`].
+    /// counts its own moves in [`ShardedEndBoxServer::migrations`]. It
+    /// exists for the adversarial `Step::Remap` schedules in `tests/`,
+    /// which take their target modulo the live shard count themselves.
     ///
     /// # Panics
     ///

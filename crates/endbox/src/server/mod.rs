@@ -76,7 +76,7 @@ use endbox_vpn::channel::CipherSuite;
 use endbox_vpn::frag::Fragmenter;
 use endbox_vpn::handshake::HandshakeConfig;
 use endbox_vpn::ping::PingMessage;
-use endbox_vpn::proto::{Opcode, Record};
+use endbox_vpn::proto::Record;
 use endbox_vpn::server::VpnServer;
 use endbox_vpn::shard::{ConfigPolicy, ShardEvent};
 use endbox_vpn::VpnError;
@@ -327,7 +327,7 @@ impl<Rx> Server<Rx> {
             }
             ShardEvent::Batch { session_id, batch } => {
                 let packets = match self.click.as_mut() {
-                    None => batch.into_vec(),
+                    None => batch,
                     // The whole batch crosses to the Click process at
                     // once; packets it drops are filtered out.
                     Some(click) => {
@@ -378,23 +378,6 @@ impl<Rx> Server<Rx> {
 // and callers see plain inherent methods on either server.
 #[allow(private_bounds)]
 impl<Rx: ShardSessions> Server<Rx> {
-    /// Seals and fragments a packet towards a client (ingress direction).
-    ///
-    /// # Errors
-    ///
-    /// [`EndBoxError::Vpn`] for unknown sessions.
-    pub fn send_to_client(
-        &mut self,
-        session_id: u64,
-        packet: &Packet,
-    ) -> Result<Vec<Vec<u8>>, EndBoxError> {
-        self.io.charge_egress(1, packet.len());
-        let record = self
-            .vpn
-            .seal_to_client(session_id, Opcode::Data, packet.bytes())?;
-        Ok(self.io.fragment(&record))
-    }
-
     /// Seals several packets towards a client as **one** `DataBatch`
     /// record (ingress direction, §IV batching), then fragments it.
     ///

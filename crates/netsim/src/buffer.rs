@@ -14,9 +14,9 @@
 //!   Retention is bounded in bytes ([`DEFAULT_MAX_BYTES`]). [`PoolStats`]
 //!   exposes fresh-allocation vs reuse counters so benchmarks can
 //!   *measure* the win instead of asserting it.
-//! * [`PacketBatch`] — an ordered collection of packets moved through the
-//!   stack as one unit: one router invocation, one enclave transition,
-//!   one sealed VPN record for many tun-level packets.
+//! * [`PacketBatch`] — a plain `Vec<Packet>` moved through the stack as
+//!   one unit: one router invocation, one enclave transition, one sealed
+//!   VPN record for many tun-level packets.
 //!
 //! # Invariants
 //!
@@ -241,125 +241,7 @@ pub fn recycle_packets<I: IntoIterator<Item = Packet>>(packets: I) {
 /// time in order — the batched router/VPN/EndBox paths are required (and
 /// property-tested) to produce byte-identical results — but it crosses
 /// each layer boundary once instead of once per packet.
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct PacketBatch {
-    packets: Vec<Packet>,
-}
-
-impl PacketBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty batch with room for `n` packets.
-    pub fn with_capacity(n: usize) -> Self {
-        PacketBatch {
-            packets: Vec::with_capacity(n),
-        }
-    }
-
-    /// Appends a packet, keeping arrival order.
-    pub fn push(&mut self, pkt: Packet) {
-        self.packets.push(pkt);
-    }
-
-    /// Removes and returns the last packet.
-    pub fn pop(&mut self) -> Option<Packet> {
-        self.packets.pop()
-    }
-
-    /// Number of packets in the batch.
-    pub fn len(&self) -> usize {
-        self.packets.len()
-    }
-
-    /// True if the batch holds no packets.
-    pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
-    }
-
-    /// Total payload bytes across the batch.
-    pub fn total_bytes(&self) -> usize {
-        self.packets.iter().map(Packet::len).sum()
-    }
-
-    /// Iterates over the packets in order.
-    pub fn iter(&self) -> std::slice::Iter<'_, Packet> {
-        self.packets.iter()
-    }
-
-    /// Iterates mutably over the packets in order.
-    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, Packet> {
-        self.packets.iter_mut()
-    }
-
-    /// Drains all packets in order, keeping the batch's allocation.
-    pub fn drain(&mut self) -> std::vec::Drain<'_, Packet> {
-        self.packets.drain(..)
-    }
-
-    /// Removes all packets (allocation retained for reuse).
-    pub fn clear(&mut self) {
-        self.packets.clear();
-    }
-
-    /// Consumes the batch, returning the underlying vector.
-    pub fn into_vec(self) -> Vec<Packet> {
-        self.packets
-    }
-
-    /// Borrows the packets as a slice.
-    pub fn as_slice(&self) -> &[Packet] {
-        &self.packets
-    }
-}
-
-impl From<Vec<Packet>> for PacketBatch {
-    fn from(packets: Vec<Packet>) -> Self {
-        PacketBatch { packets }
-    }
-}
-
-impl FromIterator<Packet> for PacketBatch {
-    fn from_iter<I: IntoIterator<Item = Packet>>(iter: I) -> Self {
-        PacketBatch {
-            packets: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<Packet> for PacketBatch {
-    fn extend<I: IntoIterator<Item = Packet>>(&mut self, iter: I) {
-        self.packets.extend(iter);
-    }
-}
-
-impl IntoIterator for PacketBatch {
-    type Item = Packet;
-    type IntoIter = std::vec::IntoIter<Packet>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.packets.into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a PacketBatch {
-    type Item = &'a Packet;
-    type IntoIter = std::slice::Iter<'a, Packet>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.packets.iter()
-    }
-}
-
-impl std::ops::Index<usize> for PacketBatch {
-    type Output = Packet;
-
-    fn index(&self, i: usize) -> &Packet {
-        &self.packets[i]
-    }
-}
+pub type PacketBatch = Vec<Packet>;
 
 #[cfg(test)]
 mod tests {
@@ -514,20 +396,5 @@ mod tests {
         assert!(!buf.is_empty());
         pool.give(buf);
         assert_eq!(pool.stats().returned, 1);
-    }
-
-    #[test]
-    fn batch_preserves_order() {
-        let mut batch = PacketBatch::new();
-        for port in [5u16, 9, 2] {
-            batch.push(Packet::udp(addr(1), addr(2), 1, port, b"x"));
-        }
-        let ports: Vec<Option<u16>> = batch.iter().map(|p| p.dst_port()).collect();
-        assert_eq!(ports, vec![Some(5), Some(9), Some(2)]);
-        assert_eq!(batch.len(), 3);
-        assert_eq!(batch.total_bytes(), 3 * (20 + 8 + 1));
-        let drained: Vec<Packet> = batch.drain().collect();
-        assert_eq!(drained.len(), 3);
-        assert!(batch.is_empty());
     }
 }

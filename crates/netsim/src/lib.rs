@@ -9,8 +9,9 @@
 //!   packet type that flows through the real Click router and VPN code.
 //! * [`buffer`] — the batched zero-copy datapath substrate:
 //!   [`buffer::BufferPool`] recycles packet backing stores and
-//!   [`buffer::PacketBatch`] moves many packets through each layer
-//!   boundary (router, enclave, VPN record) as one unit.
+//!   [`buffer::PacketBatch`] (a `Vec<Packet>`) moves many packets
+//!   through each layer boundary (router, enclave, VPN record) as one
+//!   unit.
 //! * [`net`] — a vendored non-blocking socket/reactor layer behind a
 //!   pluggable [`net::Transport`] trait: the deterministic in-process
 //!   [`net::VirtualWire`] (global arrival stamping) and a real loopback

@@ -9,6 +9,11 @@ use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// Core clock of the paper's class A machines (§V-B).
+pub const CLASS_A_HZ: u64 = 3_500_000_000;
+/// Core clock of the paper's class B machines (§V-B).
+pub const CLASS_B_HZ: u64 = 3_300_000_000;
+
 /// Static description of a machine class.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineSpec {
@@ -29,7 +34,7 @@ impl MachineSpec {
         MachineSpec {
             name: "class A (Xeon v5, SGX)",
             cores: 4,
-            freq_hz: 3_500_000_000,
+            freq_hz: CLASS_A_HZ,
             ht_factor: 1.3,
         }
     }
@@ -39,7 +44,7 @@ impl MachineSpec {
         MachineSpec {
             name: "class B (Xeon v2)",
             cores: 4,
-            freq_hz: 3_300_000_000,
+            freq_hz: CLASS_B_HZ,
             ht_factor: 1.3,
         }
     }

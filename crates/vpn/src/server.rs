@@ -102,9 +102,10 @@ impl Responder {
 }
 
 /// The front-end's send halves, one per live session: the only place a
-/// server seals. A half is inserted when its session is established and
-/// dropped where the session is forgotten (a `Disconnected` verdict), so
-/// sealing to an unknown or departed session is
+/// server seals, and it seals two record kinds — `DataBatch` (all data
+/// towards a client) and `Ping`. A half is inserted when its session is
+/// established and dropped where the session is forgotten (a
+/// `Disconnected` verdict), so sealing to an unknown or departed session is
 /// [`VpnError::UnknownSession`] — the same verdict on both servers.
 /// Seals are issued one at a time by the single front-end caller, so the
 /// packet-id sequence, the derived IVs and every byte are the same
@@ -130,16 +131,6 @@ impl SendTable {
             .ok_or(VpnError::UnknownSession(session_id))
     }
 
-    /// Seals a payload to a client.
-    fn seal(
-        &mut self,
-        session_id: u64,
-        opcode: Opcode,
-        payload: &[u8],
-    ) -> Result<Record, VpnError> {
-        Ok(self.half(session_id)?.seal(opcode, session_id, payload))
-    }
-
     /// Seals several payloads to a client as one `DataBatch` record,
     /// framed straight into the record body.
     fn seal_batch(&mut self, session_id: u64, payloads: &[&[u8]]) -> Result<Record, VpnError> {
@@ -154,7 +145,8 @@ impl SendTable {
         policy: ConfigPolicy,
         now_ns: u64,
     ) -> Result<Record, VpnError> {
-        self.seal(session_id, Opcode::Ping, &policy.ping(now_ns).to_bytes())
+        let ping = policy.ping(now_ns).to_bytes();
+        Ok(self.half(session_id)?.seal(Opcode::Ping, session_id, &ping))
     }
 }
 
@@ -256,20 +248,6 @@ impl VpnServer {
                 Ok(event)
             }
         }
-    }
-
-    /// Seals a payload to a client.
-    ///
-    /// # Errors
-    ///
-    /// [`VpnError::UnknownSession`] for bad ids.
-    pub fn seal_to_client(
-        &mut self,
-        session_id: u64,
-        opcode: Opcode,
-        payload: &[u8],
-    ) -> Result<Record, VpnError> {
-        self.sends.seal(session_id, opcode, payload)
     }
 
     /// Seals several payloads to a client as one `DataBatch` record (§IV

@@ -220,8 +220,8 @@ fn controller_stats_reconcile_with_datapath_counters() {
 
     // A manual re-home pair moves the peer but is no dispatch-law
     // migration: `migrations()` counts the law's own moves only.
-    scenario.remap_peer(1, 0);
-    scenario.remap_peer(1, 1);
+    scenario.server.remap_peer(1, 0);
+    scenario.server.remap_peer(1, 1);
     assert_eq!(scenario.server.shard_of(1), 1);
     assert_eq!(scenario.server.migrations(), migrations);
 }
@@ -243,7 +243,7 @@ fn manual_remap_drains_inflight_partial_and_preserves_outcome() {
     // one in-flight partial drains and reinstalls, and the tail completes
     // the record at the new home.
     assert_relocation_keeps_partial(build, 0, |remapped| {
-        let drained = remapped.remap_peer(0, 1);
+        let drained = remapped.server.remap_peer(0, 1);
         assert_eq!(drained, 1, "the parked partial must drain with the move");
         assert_eq!(remapped.server.shard_of(0), 1);
     });

@@ -91,7 +91,7 @@ fn assert_parity(name: &str, config: &str, packets: Vec<Packet>) {
     let single_cycles = meter_single.take();
 
     meter_batch.take();
-    let out = router_batch.process_batch(PacketBatch::from(packets));
+    let out = router_batch.process_batch(packets);
     let batch_cycles = meter_batch.take();
 
     let batch_emitted: Vec<Vec<u8>> = out.emitted.iter().map(|p| p.bytes().to_vec()).collect();

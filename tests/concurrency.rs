@@ -120,9 +120,7 @@ fn bidirectional_threads_echo_through_server() {
     let receiver = thread::spawn(move || {
         let mut received = 0u32;
         while let Ok(datagram) = at_client_1.recv() {
-            if client_1.receive_datagram(&datagram).unwrap().is_some() {
-                received += 1;
-            }
+            received += client_1.receive_datagram_batch(&datagram).unwrap().len() as u32;
         }
         received
     });
@@ -134,7 +132,11 @@ fn bidirectional_threads_echo_through_server() {
             .receive_datagram(wire.peer, &wire.bytes)
             .unwrap()
         {
-            for d in scenario.server.send_to_client(session_1, &packet).unwrap() {
+            for d in scenario
+                .server
+                .send_batch_to_client(session_1, &[packet])
+                .unwrap()
+            {
                 to_client_1.send(d).unwrap();
             }
         }

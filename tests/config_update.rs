@@ -452,7 +452,7 @@ fn hot_swap_during_resize_drain_recovers_every_inflight_packet() {
     // The resize drain fires: the shrink retires shard 1 and the parked
     // partial migrates to the survivor. The drain is now "in flight" —
     // reassembly state has moved but the record is still incomplete.
-    let (_, drained) = scenario.resize_shards(1);
+    let (_, drained) = scenario.server.resize(1);
     assert_eq!(drained, 1, "the parked partial must ride the shrink");
 
     // Mid-drain, the operator hot-swaps a config whose router holds a

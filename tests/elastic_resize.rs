@@ -298,7 +298,7 @@ fn remap_rx_peer_rejects_stale_shard_index() {
         .seed(0xe1c1)
         .build_sharded(4)
         .unwrap();
-    scenario.resize_shards(2);
+    scenario.server.resize(2);
     scenario.server.remap_peer(0, 5);
 }
 
@@ -320,7 +320,7 @@ fn shrink_drains_inflight_partial_and_preserves_outcome() {
     // so the peer moves to shard 0 — partial and all. The tail then
     // completes the record there.
     assert_relocation_keeps_partial(build, 1, |resized| {
-        let (moved, drained) = resized.resize_shards(1);
+        let (moved, drained) = resized.server.resize(1);
         assert_eq!(moved, 1, "only peer 1 lived on the retiring shard");
         assert_eq!(drained, 1, "the parked partial must move with its peer");
         let stats = resized.server.resize_stats();
@@ -352,7 +352,7 @@ fn worker_resize_migrates_sessions_and_keeps_serving() {
 
     // 4 peers, each with its bound session, on 4 shards; shrinking to 1
     // retires three shards and every peer and session on them must move.
-    let (moved, _) = scenario.resize_shards(1);
+    let (moved, _) = scenario.server.resize(1);
     assert_eq!(moved, 3, "three of four shards retire");
     let stats = scenario.server.resize_stats();
     assert_eq!(stats.shrinks, 1);
@@ -369,7 +369,7 @@ fn worker_resize_migrates_sessions_and_keeps_serving() {
     pump_until(&mut scenario, sent);
 
     // Grow back: fresh shards, nothing needs to move for a grow.
-    let (moved, _) = scenario.resize_shards(8);
+    let (moved, _) = scenario.server.resize(8);
     assert_eq!(moved, 0, "a grow retires nothing: moved {moved}");
     assert_eq!(scenario.server.resize_stats().grows, 1);
 

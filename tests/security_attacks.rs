@@ -4,7 +4,10 @@
 use endbox::attacks::run_all;
 use endbox::scenario::Scenario;
 use endbox::use_cases::UseCase;
+use endbox::EndBoxError;
+use endbox_vpn::frag::Fragmenter;
 use endbox_vpn::proto::{Opcode, Record};
+use endbox_vpn::VpnError;
 
 #[test]
 fn full_attack_battery_defended() {
@@ -97,7 +100,7 @@ fn truncated_and_garbage_datagrams_never_panic() {
 fn client_ingress_rejects_garbage_without_panicking() {
     let mut s = Scenario::enterprise(1, UseCase::Nop).build().unwrap();
     for garbage in [vec![0u8; 3], vec![0xffu8; 40], vec![0x42u8; 2_000]] {
-        let _ = s.clients[0].receive_datagram(&garbage); // must not panic
+        let _ = s.clients[0].receive_datagram_batch(&garbage); // must not panic
     }
     s.send_from_client(0, b"still alive too").unwrap();
 }
@@ -113,4 +116,59 @@ fn dos_on_own_enclave_is_self_limiting() {
     // The neighbour and the network are unaffected.
     s.send_from_client(1, b"neighbour unaffected").unwrap();
     assert_eq!(s.server.session_count(), 2);
+}
+
+/// The client has one receive doorway, and it admits only what a server
+/// seals for a client: `DataBatch` and `Ping`. A fragmented `Data`
+/// record is turned away after reassembly and before any ecall, so it
+/// costs no enclave transition and leaves the replay window alone: the
+/// next genuine batch still delivers.
+#[test]
+fn client_doorway_rejects_data_records_before_the_enclave() {
+    let mut s = Scenario::enterprise(1, UseCase::Nop).build().unwrap();
+    let sid = s.session_id(0);
+    let record = Record {
+        opcode: Opcode::Data,
+        session_id: sid,
+        packet_id: 1,
+        payload: vec![0x5a; 300],
+    };
+    let fragments = Fragmenter::new().fragment_record(&record, 64);
+    assert!(fragments.len() > 1, "the record must arrive in pieces");
+    let ecalls = s.clients[0].enclave_app().transition_counters().ecalls;
+    let (last, head) = fragments.split_last().unwrap();
+    for fragment in head {
+        let delivered = s.clients[0].receive_datagram_batch(fragment).unwrap();
+        assert!(delivered.is_empty());
+    }
+    assert!(matches!(
+        s.clients[0].receive_datagram_batch(last),
+        Err(EndBoxError::Vpn(VpnError::Malformed(
+            "unexpected record on data path"
+        )))
+    ));
+    assert_eq!(
+        s.clients[0].enclave_app().transition_counters().ecalls,
+        ecalls,
+        "a rejected record must not reach the enclave"
+    );
+
+    let packet = endbox_netsim::Packet::tcp(
+        Scenario::network_addr(),
+        Scenario::client_addr(0),
+        80,
+        40_000,
+        0,
+        b"genuine batch after the rejected record",
+    );
+    let mut delivered = Vec::new();
+    for d in s.server.send_batch_to_client(sid, &[packet]).unwrap() {
+        delivered.extend(s.clients[0].receive_datagram_batch(&d).unwrap());
+    }
+    assert_eq!(delivered.len(), 1);
+    assert_eq!(
+        delivered[0].app_payload(),
+        b"genuine batch after the rejected record"
+    );
+    assert!(endbox::attacks::interface_attack(&mut s).defended());
 }

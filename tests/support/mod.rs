@@ -197,17 +197,17 @@ pub enum Step {
     },
     /// Re-home `client`'s peer onto shard `to` at this exact schedule
     /// position, via the manual control-plane hook
-    /// ([`ShardedScenario::remap_peer`]: the peer's reassembler and bound
+    /// (`ShardedEndBoxServer::remap_peer`: the peer's reassembler and bound
     /// sessions move, quiesced, in-flight partial records included; its
     /// server socket stays in the one poll group). `to` is taken
-    /// modulo the run's shard count so one schedule drives every grid
+    /// modulo the live shard count so one schedule drives every grid
     /// point. A no-op for the single-threaded reference — the parity
     /// claim is precisely that re-homing never changes outcomes, only
     /// where the work happens.
     Remap { client: usize, to: usize },
     /// Resize the sharded server to `shards` shards at this exact
     /// schedule position, via the manual elasticity hook
-    /// ([`ShardedScenario::resize_shards`]: a shrink moves every peer of
+    /// (`ShardedEndBoxServer::resize`: a shrink moves every peer of
     /// a retiring shard, quiesced, to its home under the new count).
     /// Clamped to `1..=8`. Like [`Step::Remap`], buffered datagrams are
     /// deliberately NOT flushed first — they arrive after the move,
@@ -640,12 +640,16 @@ pub fn run(schedule: &Schedule, geometry: impl Into<Geometry>, cfg: &RunCfg) -> 
                         // a peer that has not produced traffic yet.
                         s.send_wire_datagrams(peer, Vec::new());
                     }
-                    s.remap_peer(peer, to);
+                    // Against the *live* shard count: a resize may have
+                    // shrunk the server since the schedule was drawn, and
+                    // `remap_peer` (deliberately) panics on stale indices.
+                    let to = to % s.server.shard_count();
+                    s.server.remap_peer(peer, to);
                 }
             }
             Step::Resize { shards } => {
                 if let Under::Sharded(s) = &mut under {
-                    s.resize_shards(shards.clamp(1, 8));
+                    s.server.resize(shards.clamp(1, 8));
                 }
             }
             Step::Egress { client, n_packets } => {
