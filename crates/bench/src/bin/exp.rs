@@ -28,7 +28,7 @@ use endbox::eval::{Table, ARTIFACTS, CLAIMS};
 use std::process::ExitCode;
 
 /// The catalogue: `(name, what it reproduces, runner)`.
-const EXPERIMENTS: [(&str, &str, fn()); 17] = [
+const EXPERIMENTS: [(&str, &str, fn()); 16] = [
     (
         "fig6_pageload",
         "Fig. 6: page-load time CDF with and without EndBox",
@@ -73,11 +73,6 @@ const EXPERIMENTS: [(&str, &str, fn()); 17] = [
         "async_ingress",
         "event-driven vs call-driven ingress -> BENCH_async.json",
         || artifact("async"),
-    ),
-    (
-        "syscall_batch",
-        "bulk vs per-datagram socket I/O -> BENCH_wire.json",
-        || artifact("wire"),
     ),
     (
         "adaptive_control",

@@ -13,7 +13,7 @@
 use crate::client::TrustLevel;
 use crate::eval::scalability::{heavy_tail_batch_sizes, heavy_tail_weights};
 use crate::scenario::{Ingress, Network, Scenario};
-use crate::server::{AsyncIngressStats, DEFAULT_RECV_BULK};
+use crate::server::AsyncIngressStats;
 use crate::use_cases::UseCase;
 use endbox_click::element::ElementEnv;
 use endbox_click::Router;
@@ -133,9 +133,6 @@ pub struct MeasureSpec {
     pub zipf: bool,
     /// Ingress doorway.
     pub doorway: Doorway,
-    /// Datagrams per bulk `recv_many` call of the event loop (`1` is the
-    /// per-datagram transport shape).
-    pub recv_bulk: usize,
 }
 
 impl MeasureSpec {
@@ -152,7 +149,6 @@ impl MeasureSpec {
             per_peer: 1,
             zipf: false,
             doorway: Doorway::Call,
-            recv_bulk: DEFAULT_RECV_BULK,
         }
     }
 
@@ -196,11 +192,6 @@ pub struct Measured {
     /// `1.0` through [`Doorway::Call`]: a call-driven front-end pays one
     /// wakeup per datagram by definition.
     pub wakeups_per_datagram: f64,
-    /// Datagrams moved per socket call — the amortisation input to
-    /// [`endbox_netsim::pipeline::SyscallBatchModel::bulk`], bounded by
-    /// the per-socket queue depth at drain time. `1.0` through
-    /// [`Doorway::Call`].
-    pub datagrams_per_call: f64,
     /// The event loop's counters at the end of the run (wake-ups,
     /// rounds, datagrams, deferred rounds, I/O calls) — all zeros
     /// through [`Doorway::Call`].
@@ -215,7 +206,7 @@ pub struct Measured {
 /// builds it, runs one warm-up round (first-use costs stay out of the
 /// steady state) and `spec.samples` metered rounds, and condenses the
 /// meters into a per-packet [`PacketCharge`] plus the event loop's
-/// amortisation ratios. Shard threads charge the shared server meter, so
+/// wakeup amortisation. Shard threads charge the shared server meter, so
 /// the per-packet *total* is geometry-independent — sharding wins are
 /// modelled by the timing layer's lanes, fed by this charge.
 ///
@@ -233,7 +224,6 @@ pub fn measure(spec: &MeasureSpec) -> Measured {
             return Measured {
                 charge: measure_vanilla_click(uc, spec.payload_len, spec.samples),
                 wakeups_per_datagram: 1.0,
-                datagrams_per_call: 1.0,
                 ingress: AsyncIngressStats::default(),
                 migrations: 0,
             }
@@ -264,9 +254,6 @@ pub fn measure(spec: &MeasureSpec) -> Measured {
             let mut scenario = builder
                 .build_sharded(shards)
                 .expect("sharded deployment must build");
-            if event_loop {
-                scenario.set_recv_bulk(spec.recv_bulk);
-            }
             measure_on(spec, &mut scenario, |s| {
                 (event_loop.then(|| s.async_stats()), s.server.migrations())
             })
@@ -311,13 +298,12 @@ where
 
     let packets = (spec.samples * sizes.iter().sum::<usize>()) as u64;
     let server_cycles = s.server_meter.take();
-    let (mut wakeups_per_datagram, mut datagrams_per_call) = (1.0, 1.0);
+    let mut wakeups_per_datagram = 1.0;
     let (ingress, migrations) = counters(s);
     if let (Some(warm), Some(stats)) = (warm, ingress) {
         let drained = stats.datagrams - warm.datagrams;
         assert_eq!(drained as usize, datagrams, "every datagram drained");
         wakeups_per_datagram = (stats.wakeups - warm.wakeups) as f64 / drained.max(1) as f64;
-        datagrams_per_call = drained as f64 / (stats.io_calls - warm.io_calls).max(1) as f64;
     }
     let client_cycles: u64 = client_meters.iter().map(CycleMeter::take).sum();
     let charge = PacketCharge {
@@ -331,7 +317,6 @@ where
     Measured {
         charge,
         wakeups_per_datagram,
-        datagrams_per_call,
         ingress: ingress.unwrap_or_default(),
         migrations,
     }
@@ -505,7 +490,7 @@ mod tests {
             samples: 2,
             ..MeasureSpec::sharded(1)
         });
-        assert_eq!((m.wakeups_per_datagram, m.datagrams_per_call), (1.0, 1.0));
+        assert_eq!(m.wakeups_per_datagram, 1.0);
         assert_eq!((m.ingress, m.migrations), (AsyncIngressStats::default(), 0));
     }
 }

@@ -22,12 +22,11 @@ pub type Artifact = (&'static str, fn() -> Table);
 /// Every committed artifact. The runs are deterministic, so the
 /// committed files regenerate byte-identical (pinned by
 /// `tests/bench_golden.rs`).
-pub const ARTIFACTS: [Artifact; 8] = [
+pub const ARTIFACTS: [Artifact; 7] = [
     ("fig10", scalability::fig10_sharded),
     ("heavytail", scalability::heavy_tail),
     ("rx", scalability::rx_scaling),
     ("async", scalability::async_ingress),
-    ("wire", scalability::syscall_batch),
     ("adaptive", scalability::adaptive_control),
     ("elastic", scalability::elastic_resize),
     ("nf", nf_catalogue::nf_catalogue),
@@ -70,7 +69,7 @@ const FIXED_RUNGS: &[&str] = &[
 /// The headline claims — the only place their thresholds are written.
 /// `exp check` and `tests/bench_golden.rs` evaluate every row on the
 /// regenerated tables; `docs/architecture.md` §7 lists the same rows.
-pub const CLAIMS: [Claim; 10] = [
+pub const CLAIMS: [Claim; 9] = [
     at_peak(
         "fig10",
         "4 worker shards over 1 at 60 clients (batched EndBox-SGX)",
@@ -94,12 +93,6 @@ pub const CLAIMS: [Claim; 10] = [
         "event-driven over call-driven front-end at 120 peers (small records)",
         gbps("mode", "event-driven", &["call-driven"], true),
         1.3,
-    ),
-    at_peak(
-        "wire",
-        "bulk-32 `recv_many` over per-datagram receives at 120 peers (small records)",
-        gbps("bulk", "32", &["1"], true),
-        1.5,
     ),
     Claim {
         artifact: "adaptive",

@@ -1,8 +1,8 @@
 //! Fig. 10 — server-side aggregate throughput and CPU usage as the number
 //! of clients grows (200 Mbps offered per client, 1 500 B packets) — and
 //! the scaling experiments this repository adds on top: run-to-completion
-//! shards, peer migration, the event-driven front-end, bulk socket I/O,
-//! the self-tuning controller and online resizing.
+//! shards, peer migration, the event-driven front-end, the self-tuning
+//! controller and online resizing.
 //!
 //! Every experiment is the same two steps: [`measure`] the per-packet
 //! charge of one real stack (the [`MeasureSpec`] says which), then
@@ -17,7 +17,7 @@ use crate::use_cases::UseCase;
 use endbox_netsim::cost::CostModel;
 use endbox_netsim::pipeline::{
     run_scalability, AsyncFrontEndModel, PacketCharge, ScalabilityConfig, ScalabilityResult,
-    ShardLanes, SyscallBatchModel,
+    ShardLanes,
 };
 use endbox_netsim::resource::MachineSpec;
 use endbox_netsim::time::SimDuration;
@@ -47,15 +47,6 @@ pub const SMALL_MIX_PER_CLIENT_BPS: u64 = 20_000_000;
 
 /// Peer counts of the small-record sweeps.
 const SMALL_MIX_CLIENTS: [usize; 6] = [20, 40, 60, 80, 100, 120];
-
-/// Peer counts of the syscall-boundary sweep.
-const BOUNDARY_CLIENTS: [usize; 3] = [40, 80, 120];
-
-/// Bulk sizes swept by the syscall-batching comparison: `1` is the
-/// per-datagram transport (one `recvfrom` per wire datagram), the rest
-/// hand the kernel a `recvmmsg`-shaped vector of up to N datagrams per
-/// crossing.
-pub const WIRE_BULK_SIZES: [usize; 4] = [1, 8, 32, 128];
 
 /// Off-peak client count of the offered-load traces.
 pub const TRACE_BASE: usize = 10;
@@ -431,84 +422,6 @@ pub fn async_ingress() -> Table {
                 keys.chain(perf(&m.charge, &r))
                     .chain(cells![wakeups_per_packet]),
             );
-        }
-    }
-    table
-}
-
-/// The bulk-draining measurement behind [`syscall_batch`]: the
-/// event-driven small-record mix, queued twice as deep per peer as
-/// [`async_ingress_spec`] (a call cannot move more than is waiting),
-/// drained with `recv_many(bulk)`, 2 shards. (A socket's
-/// token allowance is its share of the group budget — hundreds of
-/// datagrams here — so the fairness grain never caps the measured
-/// amortisation.)
-pub fn boundary_spec(bulk: usize) -> MeasureSpec {
-    MeasureSpec {
-        doorway: Doorway::EventLoop,
-        recv_bulk: bulk,
-        ..small_record_mix(2, 8, 16)
-    }
-}
-
-/// One bulk size's rows: measures [`boundary_spec`] and replays it with
-/// the calibrated per-syscall cost spread over the measured
-/// datagrams-per-call ratio on the shard lanes
-/// ([`SyscallBatchModel::per_datagram`] at bulk 1,
-/// [`SyscallBatchModel::bulk`] above it; a measured ratio below 1.0 —
-/// the final empty dry-check call per socket — is clamped: a syscall
-/// never moves less than one datagram).
-///
-/// Yields, per peer count, `(clients, [gbps, mpps, server_cpu,
-/// datagrams_per_call])`.
-fn boundary_rows(bulk: usize) -> Vec<(usize, Vec<Cell>)> {
-    let m = measure(&boundary_spec(bulk));
-    let cost = CostModel::calibrated();
-    let model = if bulk <= 1 {
-        SyscallBatchModel::per_datagram(cost.syscall_per_call)
-    } else {
-        SyscallBatchModel::bulk(cost.syscall_per_call, m.datagrams_per_call.max(1.0))
-    };
-    let shards = ShardLanes {
-        syscalls: Some(model),
-        ..ShardLanes::new(2)
-    };
-    let cfg = lanes(
-        SMALL_MIX_PER_CLIENT_BPS,
-        m.charge.payload_bytes,
-        Some(shards),
-    );
-    BOUNDARY_CLIENTS
-        .into_iter()
-        .map(|n| {
-            let r = replay(m.charge, &cfg, n, false);
-            let measured = perf(&m.charge, &r).chain(cells![model.datagrams_per_call]);
-            (n, measured.collect())
-        })
-        .collect()
-}
-
-/// `BENCH_wire.json` — syscall-batched transport: the small-record mix
-/// drained with `recv_many` vectors of every size in
-/// [`WIRE_BULK_SIZES`]. The metered per-datagram work is identical at
-/// every bulk size; only the kernel crossings it needs move.
-pub fn syscall_batch() -> Table {
-    let mut table = Table::new(
-        "wire",
-        mix_title(
-            "syscall-batched transport comparison",
-            &format!("2 shards, recv_many bulk sizes {WIRE_BULK_SIZES:?}"),
-        ),
-        &columns(&["bulk", "clients", "shards"], &[("datagrams_per_call", 4)]),
-        (
-            &["bulk"],
-            "clients",
-            &["mpps", "server_cpu", "datagrams_per_call"],
-        ),
-    );
-    for bulk in WIRE_BULK_SIZES {
-        for (n, measured) in boundary_rows(bulk) {
-            table.push(cells![bulk, n, 2usize].chain(measured));
         }
     }
     table
@@ -892,30 +805,6 @@ mod tests {
             let m = measure(&controlled_spec(c));
             assert!(m.migrations >= 1, "C = {c}: {m:?}");
         }
-    }
-
-    #[test]
-    fn bulk_socket_io_amortises_syscalls_on_the_small_record_mix() {
-        // With 16 datagrams queued per peer socket at drain time, a
-        // bulk-32 `recv_many` front-end moves many datagrams per call,
-        // while the per-datagram front-end cannot exceed one (its
-        // dry-check tail even drags it slightly below).
-        let one = measure(&boundary_spec(1));
-        let bulk = measure(&boundary_spec(32));
-        assert!(
-            one.datagrams_per_call <= 1.0,
-            "{:.3}",
-            one.datagrams_per_call
-        );
-        assert!(
-            bulk.datagrams_per_call >= 8.0,
-            "bulk-32 must amortise across deep queues: {:.3}",
-            bulk.datagrams_per_call
-        );
-        // The drained application work is bulk-invariant: identical
-        // record mix, identical fragment shape.
-        assert_eq!(one.charge.fragments, bulk.charge.fragments);
-        assert_eq!(one.charge.payload_bytes, bulk.charge.payload_bytes);
     }
 
     #[test]

@@ -503,9 +503,9 @@ const SERVER_TX_PORT: u64 = 1 << 62;
 pub struct TxBatchStats {
     /// Datagrams shipped onto the wire.
     pub sent: u64,
-    /// Bulk `send_many` calls issued (each one "syscall").
-    /// `sent / io_calls` is the egress syscall amortisation — the TX
-    /// mirror of [`AsyncIngressStats::io_calls`].
+    /// Bulk `send_many` calls issued — the TX mirror of
+    /// [`AsyncIngressStats::io_calls`]. Not a syscall count: the OS
+    /// backend makes one `send_to` per datagram in each call.
     pub io_calls: u64,
     /// `send_many` calls that shipped only part of their batch (OS
     /// socket backpressure); [`UdpEndpoint::send_all`] retried the tail
@@ -1063,18 +1063,6 @@ impl ShardedScenario {
     /// Panics if async ingress is off.
     pub fn backlog(&self) -> usize {
         self.sockets().front_end.backlog()
-    }
-
-    /// Sets the bulk size of ingress `recv_many` calls (see
-    /// [`AsyncFrontEnd::set_recv_bulk`]; `1` = per-datagram transport
-    /// shape). Results are identical at every setting; only
-    /// [`AsyncIngressStats::io_calls`] moves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if async ingress is off.
-    pub fn set_recv_bulk(&mut self, bulk: usize) {
-        self.wired().0.front_end.set_recv_bulk(bulk);
     }
 
     /// The wire backend name (`"virtual"` or `"os-socket"` — see

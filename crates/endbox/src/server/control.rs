@@ -12,7 +12,7 @@
 //! once per round — and only while the law is armed, since over the OS
 //! transport each socket's depth probe is a `peek_from` syscall.
 
-use super::frontend::{AsyncFrontEnd, DEFAULT_RECV_BULK};
+use super::frontend::AsyncFrontEnd;
 use super::ShardedEndBoxServer;
 
 /// EWMA smoothing factor for the resize law's demand signal (same
@@ -20,10 +20,13 @@ use super::ShardedEndBoxServer;
 /// dominate, one quiet round does not erase a burst).
 const DEMAND_EWMA_ALPHA: f64 = 0.5;
 
-/// Smoothed backlog per shard the resize law sizes the server for: one
-/// bulk receive's worth of queued work per shard per round is "full" —
-/// less means capacity is idle, more means the server is behind demand.
-pub const RESIZE_TARGET_DEMAND: f64 = DEFAULT_RECV_BULK as f64;
+/// Smoothed backlog per shard the resize law sizes the server for: 32
+/// queued datagrams per shard per round is "full" — less means capacity
+/// is idle, more means the server is behind demand. Small against a
+/// round's [`super::DEFAULT_SHARD_BUDGET`] of 1024 per shard, so the law
+/// adds shards while each round still drains the whole backlog, before
+/// backpressure has to defer anything.
+pub const RESIZE_TARGET_DEMAND: f64 = 32.0;
 
 /// Consecutive rounds the demanded shard count must exceed the live one
 /// before the law grows the pool (growth debounce).

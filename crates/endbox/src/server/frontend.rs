@@ -30,18 +30,11 @@ pub struct AsyncIngressStats {
     /// flooding peer from monopolising a dispatch. Never exceeds
     /// [`AsyncIngressStats::rounds`].
     pub deferred_rounds: u64,
-    /// Bulk `recv_many` calls issued against registered sockets (each
-    /// one "syscall"). `datagrams / io_calls` is the syscall
-    /// amortisation the bulk transport achieved — the measured input to
-    /// the timing-layer
-    /// [`endbox_netsim::pipeline::SyscallBatchModel`]. A per-datagram
-    /// front-end (`recv_bulk == 1`) pays roughly one call per datagram;
-    /// a bulk one pays one per batch.
+    /// `recv_many` calls issued against registered sockets: at most one
+    /// per ready socket per drain pass, so `datagrams / io_calls` is how
+    /// much each visit to a socket drained.
     pub io_calls: u64,
 }
-
-/// Default `recv_many` vector length: 32 datagrams per bulk call.
-pub const DEFAULT_RECV_BULK: usize = 32;
 
 /// Datagram budget per shard per pump round: a round may drain
 /// `DEFAULT_SHARD_BUDGET × C`, split evenly over the ready sockets that
@@ -134,9 +127,6 @@ pub struct AsyncFrontEnd {
     /// Round-robin cursor over slot order (fairness across rounds: the
     /// next round starts scanning after the last drained socket).
     rr: usize,
-    /// Max datagrams moved per bulk `recv_many` call (the `recvmmsg`
-    /// vector length).
-    recv_bulk: usize,
     rounds: u64,
     datagrams: u64,
     deferred_rounds: u64,
@@ -144,8 +134,8 @@ pub struct AsyncFrontEnd {
     /// The resize law's state.
     pub(super) control: Control,
     /// Per-round buffers, reused: the poll's events, their slots, which
-    /// of those ran dry, one bulk receive, and the round's drained
-    /// datagrams.
+    /// of those ran dry, one `recv_many`'s datagrams, and the round's
+    /// drained datagrams.
     events: Vec<Event>,
     ready: Vec<usize>,
     dry: Vec<bool>,
@@ -166,7 +156,6 @@ impl AsyncFrontEnd {
             poll: endbox_netsim::net::PollGroup::new(),
             sockets: Vec::new(),
             rr: 0,
-            recv_bulk: DEFAULT_RECV_BULK,
             rounds: 0,
             datagrams: 0,
             deferred_rounds: 0,
@@ -186,17 +175,6 @@ impl AsyncFrontEnd {
         self.poll
             .register(&endpoint, endbox_netsim::net::Token(slot));
         self.sockets.push((peer, endpoint));
-    }
-
-    /// Max datagrams moved per bulk `recv_many` call — the `recvmmsg`
-    /// vector length. `1` degenerates to the per-datagram transport
-    /// shape (one call per datagram); larger values amortise the
-    /// syscall boundary over the batch. Drained datagrams and their
-    /// dispatch order are **identical** at every setting (the bulk op
-    /// is contractually equivalent to N singles); only
-    /// [`AsyncIngressStats::io_calls`] moves.
-    pub fn set_recv_bulk(&mut self, bulk: usize) {
-        self.recv_bulk = bulk.max(1);
     }
 
     /// Front-end counters.
@@ -249,13 +227,11 @@ impl AsyncFrontEnd {
         // Scheduling passes: round-robin over the ready sockets, each
         // socket still holding data taking at most an even split of the
         // remaining budget per pass, until the budget is spent or every
-        // ready socket is dry. Each socket is drained with bulk
-        // `recv_many` calls of up to `recv_bulk` datagrams — the
-        // datagrams and their order are identical to the per-datagram
-        // shape; only the call count changes. A socket that returns
-        // short (`got < want`) is dry for the rest of this round: later
-        // passes skip it instead of paying a zero-yield `recv_many`, so
-        // `io_calls` counts only calls that could have moved data.
+        // ready socket is dry. A visit is one `recv_many` for the
+        // socket's whole share: it either fills the share or finds the
+        // socket dry (`got < quota`), and a dry socket is skipped for the
+        // rest of this round instead of paying a zero-yield call. A share
+        // never exceeds the budget: the visited socket is one of `wet`.
         let ready = self.ready.len();
         let mut wet = ready;
         self.dry.clear();
@@ -270,25 +246,19 @@ impl AsyncFrontEnd {
                 let slot = self.ready[idx];
                 let quota = (budget / wet).max(1);
                 let (peer, ep) = &self.sockets[slot];
-                let mut taken = 0;
-                while taken < quota && budget > 0 {
-                    let want = self.recv_bulk.min(quota - taken).min(budget);
-                    self.scratch.clear();
-                    let got = ep.recv_many(want, &mut self.scratch);
-                    self.io_calls += 1;
-                    for d in self.scratch.drain(..) {
-                        self.drained.push((d.seq, *peer, d.payload));
-                    }
-                    taken += got;
-                    budget -= got;
-                    if got < want {
-                        self.dry[idx] = true;
-                        wet -= 1;
-                        break; // socket dry until the next round
-                    }
+                self.scratch.clear();
+                let got = ep.recv_many(quota, &mut self.scratch);
+                self.io_calls += 1;
+                for d in self.scratch.drain(..) {
+                    self.drained.push((d.seq, *peer, d.payload));
                 }
-                if taken > 0 {
-                    drained_this_pass += taken;
+                budget -= got;
+                if got < quota {
+                    self.dry[idx] = true; // socket dry until the next round
+                    wet -= 1;
+                }
+                if got > 0 {
+                    drained_this_pass += got;
                     last_drained = Some(slot);
                 }
                 if budget == 0 {

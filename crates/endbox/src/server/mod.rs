@@ -93,7 +93,7 @@ pub use control::{
     RESIZE_TARGET_DEMAND,
 };
 pub use dispatch::{ResizeStats, ShardedEndBoxServer};
-pub use frontend::{AsyncFrontEnd, AsyncIngressStats, DEFAULT_RECV_BULK, DEFAULT_SHARD_BUDGET};
+pub use frontend::{AsyncFrontEnd, AsyncIngressStats, DEFAULT_SHARD_BUDGET};
 pub use reference::EndBoxServer;
 pub use rx::ShardStats;
 

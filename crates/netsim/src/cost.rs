@@ -121,17 +121,6 @@ pub struct CostModel {
     /// [`crate::pipeline::AsyncFrontEndModel`]). A call-driven front-end
     /// pays it per datagram (one blocking receive per wire datagram).
     pub event_loop_wakeup: u64,
-    /// Per-*call* cost of crossing the kernel boundary for socket I/O:
-    /// syscall entry/exit (trap, register save/restore, spectre
-    /// mitigations) plus waking the blocked receiver's scheduler path.
-    /// A per-datagram transport pays this once per datagram; the bulk
-    /// `sendmmsg`/`recvmmsg` shape pays it once per *batch* of up to
-    /// `n` datagrams, which is the whole saving modelled by
-    /// [`crate::pipeline::SyscallBatchModel`]. Kept separate from
-    /// `socket_recv_fixed`/`socket_send_fixed` (per-datagram buffer
-    /// bookkeeping, paid either way) so one measured charge replays
-    /// honestly under every bulk size.
-    pub syscall_per_call: u64,
 
     // --- Click ------------------------------------------------------------
     /// Handing a packet from OpenVPN/kernel to a server-side Click process
@@ -212,7 +201,6 @@ impl CostModel {
             socket_send_fixed: 3_500,
             socket_per_byte: 0.3,
             event_loop_wakeup: 18_000,
-            syscall_per_call: 21_000,
 
             click_fetch_per_packet: 900,
             click_fetch_per_byte: 3.0,

@@ -50,10 +50,9 @@
 //!   [`CostModel::socket_per_byte`]) to a [`CycleMeter`], so socket I/O
 //!   shows up in measured [`PacketCharge`](crate::pipeline::PacketCharge)s
 //!   like every other layer. Bulk calls charge the **same per-datagram
-//!   costs** as N single calls — the per-*call* syscall saving is priced
-//!   by the timing layer ([`crate::pipeline::SyscallBatchModel`] /
-//!   [`CostModel::syscall_per_call`]), not metered here, so one measured
-//!   charge replays honestly under every bulk size.
+//!   costs** as N single calls: the OS backend's bulk calls are loops of
+//!   one `send_to`/`recv_from` per datagram, so a bulk call saves no
+//!   kernel crossing and there is no per-call saving to price.
 //! * [`PollGroup`] — a level-triggered readiness poller over registered
 //!   endpoints. [`PollGroup::poll`] scans in registration order (no OS,
 //!   no timing races: readiness is deterministic given the send order)
@@ -80,6 +79,7 @@
 
 use crate::buffer::{BufferPool, PoolStats};
 use crate::cost::{CostModel, CycleMeter};
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -347,6 +347,14 @@ pub const OS_WIRE_HEADER_LEN: usize = 16;
 /// fragment the VPN layer emits, with headroom).
 const OS_MAX_DATAGRAM: usize = 16 * 1024;
 
+thread_local! {
+    /// The OS backend's receive frame, one per thread (a per-endpoint
+    /// frame would cost 16 KiB per socket): every `recv_from` lands
+    /// here, zero-filled once, and only the payload is copied out.
+    static OS_RECV_FRAME: RefCell<Box<[u8]>> =
+        RefCell::new(vec![0; OS_MAX_DATAGRAM].into_boxed_slice());
+}
+
 #[derive(Debug, Default)]
 struct OsRegistry {
     /// Wire port → the socket's loopback address.
@@ -359,13 +367,14 @@ struct OsRegistry {
 /// counter and carried in a [`OS_WIRE_HEADER_LEN`]-byte header, so the
 /// re-merge-by-`seq` ordering contract matches [`VirtualWire`] exactly.
 ///
-/// Receive buffers are drawn from the wire's [`BufferPool`] and handed
-/// to the caller as the datagram payload (header stripped in place) —
-/// zero additional user-space copies, no per-datagram allocation once
-/// the pool is warm. Callers return finished payloads via
-/// [`OsWire::pool`] to keep the loop allocation-free;
-/// [`OsWire::pool_stats`] reconciles what was handed out against what
-/// came back.
+/// Each datagram is received into a per-thread scratch frame, and its
+/// payload is copied once into a buffer drawn from the wire's
+/// [`BufferPool`] at the payload's size — no per-receive zero-fill, no
+/// 16 KiB of capacity riding along with a small payload, and no
+/// per-datagram allocation once the pool is warm. Callers return
+/// finished payloads via [`OsWire::pool`] to keep the loop
+/// allocation-free; [`OsWire::pool_stats`] reconciles what was handed
+/// out against what came back.
 ///
 /// Cloning is cheap and clones share the wire (registry, stamp counter
 /// and pool).
@@ -501,38 +510,26 @@ impl WireEndpoint for OsEndpoint {
     }
 
     fn recv_many(&self, max: usize, out: &mut Vec<Datagram>) -> usize {
-        let mut taken = 0;
-        while taken < max {
-            let mut buf = self.wire.pool.take(OS_MAX_DATAGRAM);
-            buf.resize(OS_MAX_DATAGRAM, 0);
-            match self.socket.recv_from(&mut buf) {
-                Ok((n, _)) if n >= OS_WIRE_HEADER_LEN => {
-                    buf.truncate(n);
-                    let seq = u64::from_be_bytes(buf[0..8].try_into().expect("8 bytes"));
-                    let src = u64::from_be_bytes(buf[8..16].try_into().expect("8 bytes"));
-                    // Strip the header in place: the pooled buffer itself
-                    // becomes the payload (no second copy, no fresh
-                    // allocation).
-                    buf.drain(..OS_WIRE_HEADER_LEN);
-                    out.push(Datagram {
-                        src,
-                        seq,
-                        payload: buf,
-                    });
-                    taken += 1;
-                }
-                Ok(_) => {
-                    // Runt frame (not ours): drop it, recycle the buffer.
-                    self.wire.pool.give(buf);
-                }
-                Err(_) => {
+        OS_RECV_FRAME.with_borrow_mut(|frame| {
+            let mut taken = 0;
+            while taken < max {
+                match self.socket.recv_from(frame) {
+                    Ok((n, _)) if n >= OS_WIRE_HEADER_LEN => {
+                        let seq = u64::from_be_bytes(frame[0..8].try_into().expect("8 bytes"));
+                        let src = u64::from_be_bytes(frame[8..16].try_into().expect("8 bytes"));
+                        let mut payload = self.wire.pool.take(n - OS_WIRE_HEADER_LEN);
+                        payload.extend_from_slice(&frame[OS_WIRE_HEADER_LEN..n]);
+                        out.push(Datagram { src, seq, payload });
+                        taken += 1;
+                    }
+                    // Runt frame (not ours): skip it.
+                    Ok(_) => {}
                     // WouldBlock or transient error: the socket is dry.
-                    self.wire.pool.give(buf);
-                    break;
+                    Err(_) => break,
                 }
             }
-        }
-        taken
+            taken
+        })
     }
 
     fn pending(&self) -> usize {
@@ -712,8 +709,7 @@ impl UdpEndpoint {
     /// backpressure) leaves the unsent tail in `payloads` for retry.
     ///
     /// Metering charges the same per-datagram socket costs as N single
-    /// sends — the per-call syscall saving is the timing layer's to
-    /// price ([`crate::pipeline::SyscallBatchModel`]).
+    /// sends: the OS backend makes one `send_to` per datagram either way.
     ///
     /// # Errors
     ///
@@ -778,9 +774,9 @@ impl UdpEndpoint {
     /// Bulk receive (`recvmmsg` shape): appends up to `max` waiting
     /// datagrams to `out` in queue order with **one** backend call.
     /// Returns how many were taken; a short count means the socket is
-    /// dry. Datagram payloads move by ownership (virtual backend) or
-    /// arrive in pool-recycled buffers (OS backend) — no copies either
-    /// way.
+    /// dry. Datagram payloads move by ownership (virtual backend) or are
+    /// copied once, out of the receive frame into pool-recycled buffers
+    /// (OS backend).
     pub fn recv_many(&self, max: usize, out: &mut Vec<Datagram>) -> usize {
         let start = out.len();
         let n = self.inner.recv_many(max, out);
@@ -1070,6 +1066,43 @@ mod tests {
             stats.returned + stats.discarded,
             "pool reconciles after payload return: {stats:?} (held {held})"
         );
+    }
+
+    #[test]
+    fn os_receive_sizes_payloads_to_fit_and_skips_runts() {
+        if !OsWire::available() {
+            eprintln!("skipping: loopback sockets unavailable in this environment");
+            return;
+        }
+        let wire = OsWire::new();
+        let a = Transport::bind(&wire, 1).unwrap();
+        let b = Transport::bind(&wire, 2).unwrap();
+        let recv_one = || {
+            for _ in 0..1_000 {
+                if let Some(d) = b.try_recv() {
+                    return d;
+                }
+                std::thread::yield_now();
+            }
+            panic!("datagram never arrived");
+        };
+        a.send_to(2, vec![7; 100]).unwrap();
+        let d = recv_one();
+        assert_eq!(d.payload, vec![7; 100]);
+        assert!(
+            d.payload.capacity() < OS_MAX_DATAGRAM,
+            "a 100 B payload holds {} B of capacity",
+            d.payload.capacity()
+        );
+        // A runt from a socket outside the wire is skipped, and the
+        // datagram queued behind it arrives intact.
+        let addr = wire.registry.lock().unwrap().by_port[&2];
+        let foreign = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        foreign.send_to(&[0xee; 5], addr).unwrap();
+        a.send_to(2, b"after the runt".to_vec()).unwrap();
+        let d = recv_one();
+        assert_eq!((d.src, d.payload.as_slice()), (1, &b"after the runt"[..]));
+        assert!(!b.readable(), "the runt was consumed, not left queued");
     }
 
     #[test]

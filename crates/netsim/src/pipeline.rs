@@ -20,20 +20,18 @@
 //!   lane, plus its share of the socket front-end's cost: the
 //!   event-loop wakeup charge ([`ShardLanes::wakeups`]), per datagram
 //!   when call-driven and amortised over the measured drain batch when
-//!   event-driven, and the per-call kernel-crossing charge
-//!   ([`ShardLanes::syscalls`]), amortised over the measured bulk
-//!   `recv_many` batch size. Peers home at `client mod C`; with
+//!   event-driven. Peers home at `client mod C`; with
 //!   [`ShardLanes::migrate`] a peer moves to the least-backlogged lane
 //!   when its own falls behind (one rule, [`MIGRATION_BACKLOG_JOBS`]).
 //!
 //! # Compatibility invariant
 //!
-//! The socket models exist only on shard lanes, so a model that would be
+//! The socket model exists only on shard lanes, so a model that would be
 //! ignored cannot be written down. Each refinement is an `Option`, and
 //! `None` keeps the coarser model **bit-identical** (regression-tested
 //! below): no shard lanes is the paper's one-process-per-client server,
-//! no socket model prices wakeups and kernel crossings at zero. Shipped
-//! figures never move when a refinement is added to the model.
+//! no socket model prices wakeups at zero. Shipped figures never move
+//! when a refinement is added to the model.
 
 use crate::resource::{Link, Machine, MachineSpec};
 use crate::time::{SimDuration, SimTime};
@@ -186,14 +184,6 @@ pub struct ShardLanes {
     /// drains (see [`AsyncFrontEndModel`]). `None`: socket wakeups are
     /// free (bit-identical to the model without them).
     pub wakeups: Option<AsyncFrontEndModel>,
-    /// `Some(m)`: price the kernel-boundary crossings of socket I/O. Each
-    /// packet charges `m.per_packet_cycles(fragments)` on its shard lane —
-    /// the per-call syscall cost divided by how many datagrams each bulk
-    /// `recv_many` call moves (see [`SyscallBatchModel`]). `None`:
-    /// syscall crossings are free (bit-identical to the model without
-    /// them), matching the `net` layer's metering, which charges
-    /// per-datagram socket costs but never the per-call boundary cost.
-    pub syscalls: Option<SyscallBatchModel>,
 }
 
 impl ShardLanes {
@@ -203,16 +193,14 @@ impl ShardLanes {
             c,
             migrate: false,
             wakeups: None,
-            syscalls: None,
         }
     }
 
     /// The socket front-end's cycles for one packet of `fragments` wire
-    /// datagrams on its shard lane: the event-loop wakeup share plus the
-    /// amortised kernel crossing. A model left `None` is free.
+    /// datagrams on its shard lane: the event-loop wakeup share (free
+    /// with no model).
     fn socket_cycles(&self, fragments: usize) -> u64 {
-        let wakeups = self.wakeups.map_or(0, |m| m.per_packet_cycles(fragments));
-        wakeups + self.syscalls.map_or(0, |m| m.per_packet_cycles(fragments))
+        self.wakeups.map_or(0, |m| m.per_packet_cycles(fragments))
     }
 }
 
@@ -264,71 +252,6 @@ impl AsyncFrontEndModel {
     pub fn per_packet_cycles(&self, fragments: usize) -> u64 {
         (self.wakeup_cycles as f64 * self.wakeups_per_datagram * fragments.max(1) as f64).round()
             as u64
-    }
-}
-
-/// Timing model of the syscall boundary under bulk socket I/O.
-///
-/// Every socket receive crosses the kernel boundary
-/// ([`crate::cost::CostModel::syscall_per_call`]): trap, register
-/// save/restore, mitigation flushes, scheduler wake of the blocked
-/// reader. A **per-datagram** transport (`try_recv`/`send_to`) pays
-/// that once per wire datagram; the **bulk** `sendmmsg`/`recvmmsg`
-/// shape (`UdpEndpoint::recv_many`/`send_many`) pays it once per call
-/// and moves `datagrams_per_call` datagrams with it — the measured
-/// amortisation ratio of a real `AsyncFrontEnd` run (its
-/// `AsyncIngressStats::io_calls` counter against datagrams drained).
-/// The per-datagram socket costs themselves
-/// (`socket_recv_fixed`/`socket_per_byte`) are identical in both
-/// shapes and already live in the measured [`PacketCharge`]; only the
-/// per-call boundary cost differs, and that is what this model prices
-/// — the direct analogue of [`AsyncFrontEndModel`] for the syscall
-/// boundary instead of the event loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SyscallBatchModel {
-    /// Cycles per kernel crossing
-    /// ([`crate::cost::CostModel::syscall_per_call`]).
-    pub call_cycles: u64,
-    /// Wire datagrams moved per call: 1.0 for the per-datagram
-    /// transport shape, the measured `datagrams / io_calls` ratio for a
-    /// bulk front-end (bounded above by the configured bulk size, and
-    /// below it whenever sockets run dry mid-batch).
-    pub datagrams_per_call: f64,
-}
-
-impl SyscallBatchModel {
-    /// The per-datagram baseline: one kernel crossing per datagram.
-    pub fn per_datagram(call_cycles: u64) -> Self {
-        SyscallBatchModel {
-            call_cycles,
-            datagrams_per_call: 1.0,
-        }
-    }
-
-    /// The bulk model with a measured amortisation ratio.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `datagrams_per_call < 1.0` — a call cannot move less
-    /// than one datagram on a productive front-end.
-    pub fn bulk(call_cycles: u64, datagrams_per_call: f64) -> Self {
-        assert!(
-            datagrams_per_call >= 1.0,
-            "a syscall moves at least one datagram, got {datagrams_per_call}"
-        );
-        SyscallBatchModel {
-            call_cycles,
-            datagrams_per_call,
-        }
-    }
-
-    /// Amortised syscall cycles charged per packet on its shard lane: a
-    /// packet spanning `fragments` wire datagrams pays the per-call
-    /// cost divided by the datagrams each call moves, once per
-    /// datagram.
-    pub fn per_packet_cycles(&self, fragments: usize) -> u64 {
-        (self.call_cycles as f64 * fragments.max(1) as f64 / self.datagrams_per_call.max(1.0))
-            .round() as u64
     }
 }
 
@@ -898,12 +821,7 @@ mod tests {
             wakeups: Some(AsyncFrontEndModel::call_driven(18_000)),
             ..ShardLanes::new(4)
         };
-        assert_eq!(small_records(c, 120, wakeups), plain, "wakeups");
-        let syscalls = ShardLanes {
-            syscalls: Some(SyscallBatchModel::per_datagram(18_000)),
-            ..ShardLanes::new(4)
-        };
-        assert_eq!(small_records(c, 120, syscalls), plain, "syscalls");
+        assert_eq!(small_records(c, 120, wakeups), plain);
     }
 
     #[test]
@@ -941,54 +859,6 @@ mod tests {
             "event-driven must beat call-driven >=1.3x on a wakeup-bound mix: \
              {call:.3} vs {event:.3} Gbps"
         );
-    }
-
-    #[test]
-    fn syscall_model_absent_is_a_noop() {
-        let c = charge(1500, 20_000, 29_000);
-        let run = |syscalls| {
-            let lanes = ShardLanes {
-                syscalls,
-                ..ShardLanes::new(2)
-            };
-            small_records(c, 16, lanes)
-        };
-        let free = run(Some(SyscallBatchModel::bulk(0, 1.0)));
-        assert_eq!(run(None), free, "zero call cycles must price nothing");
-    }
-
-    #[test]
-    fn bulk_syscalls_recover_a_syscall_bound_ingress() {
-        // Small records, many peers: per-datagram kernel crossings rival
-        // the per-packet server work and the shard lanes saturate; a bulk
-        // transport moving ~30 datagrams per call must recover well over
-        // 1.5x.
-        let c = charge(296, 20_000, 36_000);
-        let tput = |m| {
-            let lanes = ShardLanes {
-                syscalls: Some(m),
-                ..ShardLanes::new(2)
-            };
-            small_records(c, 120, lanes).gbps
-        };
-        let per_datagram = tput(SyscallBatchModel::per_datagram(21_000));
-        let bulk = tput(SyscallBatchModel::bulk(21_000, 30.0));
-        assert!(
-            bulk >= 1.5 * per_datagram,
-            "bulk syscalls must beat per-datagram >=1.5x on a syscall-bound mix: \
-             {per_datagram:.3} vs {bulk:.3} Gbps"
-        );
-    }
-
-    #[test]
-    fn syscall_amortisation_is_monotone_in_bulk_ratio() {
-        let m = |r| SyscallBatchModel::bulk(21_000, r).per_packet_cycles(1);
-        assert_eq!(m(1.0), 21_000);
-        assert!(m(8.0) < m(2.0));
-        assert!(m(128.0) < m(32.0));
-        // Fragmenting packets pay per datagram, amortised the same way.
-        let frag = SyscallBatchModel::bulk(21_000, 4.0);
-        assert_eq!(frag.per_packet_cycles(8), 42_000);
     }
 
     #[test]

@@ -30,8 +30,8 @@ use endbox::scenario::{Scenario, ShardedScenario};
 use endbox::server::DEFAULT_SHARD_BUDGET;
 use endbox::use_cases::UseCase;
 use support::{
-    assert_parity_bulk, assert_relocation_keeps_partial, pump_until, send_records, PeerMap,
-    Schedule, Step,
+    assert_parity, assert_relocation_keeps_partial, pump_until, send_records, PeerMap, RunCfg,
+    Schedule, Step, GRID,
 };
 
 /// A partial record parked in its reassembler, then a crafted
@@ -72,7 +72,7 @@ fn adaptive_schedule_remap_races_disconnect() {
         })
         .step(Step::Remap { client: 1, to: 0 })
         .step(Step::Single { client: 0 });
-    assert_parity_bulk(&schedule);
+    assert_parity(&schedule, &GRID, &[RunCfg::event_loop()]);
 }
 
 /// A split record whose head is already inside the reassembler when its
@@ -111,7 +111,7 @@ fn adaptive_schedule_split_record_straddles_remap() {
         .step(Step::Replay)
         .step(Step::Remap { client: 0, to: 3 })
         .step(Step::Single { client: 0 });
-    assert_parity_bulk(&schedule);
+    assert_parity(&schedule, &GRID, &[RunCfg::event_loop()]);
 }
 
 /// The adversarial colliding placement (`PeerMap::Stride(4)`: every peer
@@ -141,7 +141,7 @@ fn adaptive_schedule_remap_spreads_colliding_peers() {
         .step(Step::Replay)
         .step(Step::Remap { client: 0, to: 1 })
         .step(Step::Single { client: 1 });
-    assert_parity_bulk(&schedule);
+    assert_parity(&schedule, &GRID, &[RunCfg::event_loop()]);
 }
 
 /// Mixed traffic (batches, pings, a split record, a replayed batch) with
@@ -179,7 +179,7 @@ fn adaptive_schedule_controller_on_mixed_traffic() {
             n_packets: 3,
         })
         .step(Step::Single { client: 2 });
-    assert_parity_bulk(&schedule);
+    assert_parity(&schedule, &GRID, &[RunCfg::event_loop()]);
 }
 
 /// The control plane's counters against independent datapath counters,

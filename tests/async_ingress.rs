@@ -25,7 +25,7 @@
 mod support;
 
 use endbox::scenario::Scenario;
-use endbox::server::{Delivery, DEFAULT_RECV_BULK, DEFAULT_SHARD_BUDGET};
+use endbox::server::{Delivery, DEFAULT_SHARD_BUDGET};
 use endbox::use_cases::UseCase;
 use endbox_netsim::Packet;
 use support::{
@@ -254,14 +254,14 @@ fn flooding_peer_defers_while_shard_mates_ride_every_round() {
         stats.deferred_rounds >= 1,
         "budget exhaustion must be observable: {stats:?}"
     );
-    // Once the trickles run dry, the rest of the budget still drains in
-    // bulk calls: at most one short call per ready socket beyond the
-    // bulk-32 minimum.
-    let ready_sockets = 3;
-    let bulk_calls = first_round.len().div_ceil(DEFAULT_RECV_BULK) + ready_sockets;
+    // At most one `recv_many` per ready socket per drain pass. The first
+    // pass visits all three sockets and the trickles run dry in it; the
+    // second hands the flood what is left of the budget, a call boundary
+    // in the middle of its queue.
+    let (ready_sockets, passes) = (3, 2);
     assert!(
-        stats.io_calls as usize <= bulk_calls,
-        "the tail must drain in bulk calls: {} calls for {} datagrams",
+        stats.io_calls as usize <= ready_sockets * passes,
+        "one call per ready socket per pass: {} calls for {} datagrams",
         stats.io_calls,
         first_round.len()
     );

@@ -1,17 +1,12 @@
-//! Parity and accounting tests for the syscall-batched transport: bulk
-//! `recv_many` ingress, egress through the server's TX socket and the
-//! OS-socket backend.
+//! Parity tests for the socket boundary: `recv_many` ingress, egress
+//! through the server's TX socket and the OS-socket backend.
 //!
 //! The named tests replay [`support::Schedule`]s — the deterministic
 //! interleaving classes of `tests/rx_interleaving.rs` and
-//! `tests/async_ingress.rs` — through the event-driven front-end with an
-//! explicit ingress bulk size (`ShardedScenario::set_recv_bulk`): `1` is
-//! the per-datagram transport the previous PRs shipped, `2` forces call
-//! boundaries in the middle of every deep socket queue, `32` is the
-//! production `recvmmsg`-shaped bulk. Outcomes must be byte-identical to
-//! the single-threaded reference server across the whole
-//! `(shards, bulk)` grid — bulk size may only ever move the *call
-//! count*, never the results.
+//! `tests/async_ingress.rs` — through the event-driven front-end, which
+//! drains each ready socket's share of a round in one `recv_many` call.
+//! Outcomes must be byte-identical to the single-threaded reference
+//! server at every shard count of the grid.
 //!
 //! The OS-socket tests run the same schedules over real loopback UDP
 //! sockets ([`endbox_netsim::net::OsWire`]) behind the identical
@@ -27,14 +22,10 @@ use endbox::scenario::Scenario;
 use endbox::use_cases::UseCase;
 use endbox_netsim::net::{OsWire, TransportKind};
 use endbox_netsim::Packet;
-use support::{
-    assert_parity, assert_parity_bulk, egress_schedule, run, send_records, Geometry, PeerMap,
-    RunCfg, Schedule, Step, GRID,
-};
+use support::{assert_parity, egress_schedule, PeerMap, RunCfg, Schedule, Step, GRID};
 
-/// `grid` over the **OS-socket** backend (real loopback UDP), at both the
-/// per-datagram and the production bulk size. Skips (with a note)
-/// when the sandbox forbids loopback sockets — set
+/// `grid` over the **OS-socket** backend (real loopback UDP). Skips
+/// (with a note) when the sandbox forbids loopback sockets — set
 /// `ENDBOX_REQUIRE_OS_SOCKET=1` to turn the skip into a failure.
 fn assert_parity_os(schedule: &Schedule, grid: &[usize]) {
     if !OsWire::available() {
@@ -47,17 +38,13 @@ fn assert_parity_os(schedule: &Schedule, grid: &[usize]) {
         );
         return;
     }
-    let cfgs = [1, 32].map(|bulk| {
-        RunCfg::event_loop()
-            .bulk(bulk)
-            .transport(TransportKind::OsSocket)
-    });
-    assert_parity(schedule, grid, &cfgs);
+    let cfg = RunCfg::event_loop().transport(TransportKind::OsSocket);
+    assert_parity(schedule, grid, &[cfg]);
 }
 
 /// Splits through the record header and 1-byte fragments, partial
 /// records straddling poll rounds, a replayed Disconnect — the
-/// adversarial framing schedule — through every bulk size on the full
+/// adversarial framing schedule — through the event loop on the full
 /// grid.
 #[test]
 fn bulk_sizes_are_outcome_invariant_on_adversarial_framing() {
@@ -93,13 +80,14 @@ fn bulk_sizes_are_outcome_invariant_on_adversarial_framing() {
             hi: 5,
         })
         .step(Step::Single { client: 0 });
-    assert_parity_bulk(&schedule);
+    assert_parity(&schedule, &GRID, &[RunCfg::event_loop()]);
 }
 
 /// Deep per-socket queues (one peer floods 12 datagrams per flush while
-/// collided stride-4 peers trickle): bulk 2 must cut every queue into
-/// many calls, bulk 32 must swallow each queue whole, and neither may
-/// change a single outcome.
+/// collided stride-4 peers trickle) drain one call per socket and change
+/// no outcome. Call boundaries in the middle of a queue, where the round
+/// budget splits it, are pinned by the flood test of
+/// `tests/async_ingress.rs`.
 #[test]
 fn bulk_call_boundaries_mid_queue_preserve_outcomes() {
     let mut schedule = Schedule::new("bulk-deep-queues", 3, 0xb1_02).peers(PeerMap::Stride(4));
@@ -114,56 +102,7 @@ fn bulk_call_boundaries_mid_queue_preserve_outcomes() {
             schedule = schedule.step(Step::Flush);
         }
     }
-    assert_parity_bulk(&schedule);
-}
-
-/// The bulk knob moves exactly one observable: the ingress io-call
-/// count. Same traffic at bulk 1 vs bulk 32 → identical outcomes and
-/// datagram counts, strictly fewer `recv_many` calls.
-#[test]
-fn bulk_ingress_amortises_io_calls_without_changing_results() {
-    let schedule = Schedule::new("bulk-io-call-accounting", 2, 0xb1_03)
-        .step(Step::Batch {
-            client: 0,
-            n_packets: 4,
-        })
-        .step(Step::Single { client: 1 })
-        .step(Step::Single { client: 0 })
-        .step(Step::Single { client: 1 });
-    let (reference, _) = run(&schedule, Geometry::Reference, &RunCfg::call());
-
-    let drain = |bulk: usize| {
-        let mut scenario = Scenario::enterprise(2, UseCase::Nop)
-            .seed(0xb1_03)
-            .async_ingress(true)
-            .build_sharded(2)
-            .unwrap();
-        scenario.set_recv_bulk(bulk);
-        // Queue everything, then drain in one event-loop run so the
-        // amortisation has a deep backlog to work on.
-        for client in 0..2 {
-            send_records(&mut scenario, "amortise", client, 8, 0);
-        }
-        let outs = scenario.pump_async().len();
-        (outs, scenario.async_stats())
-    };
-    let (outs_1, stats_1) = drain(1);
-    let (outs_32, stats_32) = drain(32);
-    assert_eq!(outs_1, outs_32, "bulk size must not change delivery");
-    assert_eq!(stats_1.datagrams, stats_32.datagrams);
-    assert!(
-        stats_32.io_calls * 2 < stats_1.io_calls,
-        "bulk-32 must need far fewer socket calls: {} vs {}",
-        stats_32.io_calls,
-        stats_1.io_calls
-    );
-
-    // And the schedule-level outcomes match the reference at both sizes
-    // (the accounting run above used its own traffic).
-    for bulk in [1, 32] {
-        let cfg = RunCfg::event_loop().bulk(bulk);
-        assert_eq!(run(&schedule, 2, &cfg).0, reference);
-    }
+    assert_parity(&schedule, &GRID, &[RunCfg::event_loop()]);
 }
 
 /// Egress mirror: server→client batches leave the server's TX socket
@@ -213,7 +152,7 @@ fn tx_batched_egress_is_byte_identical_to_direct_fragments() {
 /// The OS-socket backend behind the same transport API: adversarial
 /// framing schedules over real loopback UDP deliver byte-identical
 /// results to the single-threaded reference (and hence to the virtual
-/// wire, which the bulk grid pins against the same reference).
+/// wire, which the grid pins against the same reference).
 #[test]
 fn os_socket_backend_matches_virtual_wire_byte_for_byte() {
     let schedule = Schedule::new("os-backend-parity", 2, 0xb1_05)

@@ -13,7 +13,7 @@
 //! grid, configured by a [`RunCfg`]: which doorway (direct
 //! `receive_datagrams` calls, or the **event-driven** socket front-end,
 //! where a [`Step::Flush`] becomes a poll-round boundary instead of a
-//! batch boundary), which `recv_many` bulk size and which wire backend.
+//! batch boundary), and which wire backend.
 //! One loop drives both servers; the reference has no relocation, no
 //! shard threads to stall and no event loop, so [`Step::Remap`],
 //! [`Step::Resize`], the stalls and the doorway do nothing there, and its
@@ -51,11 +51,6 @@ use endbox_vpn::wire::Writer;
 /// The shard counts `C` the grid covers.
 pub const GRID: [usize; 4] = [1, 2, 4, 8];
 
-/// Ingress `recv_many` bulk sizes the bulk parity grid covers: the
-/// per-datagram transport shape (1), a tiny bulk that forces call
-/// boundaries mid-queue (2), and the production default (32).
-pub const BULK_GRID: [usize; 3] = [1, 2, 32];
-
 /// Where [`run`] replays a schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Geometry {
@@ -91,9 +86,6 @@ pub enum Doorway {
 #[derive(Debug, Clone, Copy)]
 pub struct RunCfg {
     pub doorway: Doorway,
-    /// Ingress `recv_many` bulk size (`1` = the per-datagram transport
-    /// shape); `None` leaves the production default. Event loop only.
-    pub recv_bulk: Option<usize>,
     /// The wire backend behind the sockets. Event loop only. Over
     /// [`TransportKind::OsSocket`] the schedule rides real loopback UDP
     /// (only where `OsWire::available`). Placement reads routed bytes,
@@ -112,19 +104,11 @@ impl RunCfg {
         }
     }
 
-    /// The event loop over the virtual wire at the default bulk size.
+    /// The event loop over the virtual wire.
     pub fn event_loop() -> RunCfg {
         RunCfg {
             doorway: Doorway::EventLoop,
-            recv_bulk: None,
             transport: TransportKind::Virtual,
-        }
-    }
-
-    pub fn bulk(self, recv_bulk: usize) -> RunCfg {
-        RunCfg {
-            recv_bulk: Some(recv_bulk),
-            ..self
         }
     }
 
@@ -589,14 +573,11 @@ pub fn run(schedule: &Schedule, geometry: impl Into<Geometry>, cfg: &RunCfg) -> 
     let mut under = match geometry.into() {
         Geometry::Reference => Under::Reference(Box::new(builder.build().unwrap())),
         Geometry::Sharded(shards) => {
-            let mut scenario = builder
+            let scenario = builder
                 .async_ingress(cfg.doorway == Doorway::EventLoop)
                 .transport(cfg.transport)
                 .build_sharded(shards)
                 .unwrap();
-            if let Some(bulk) = cfg.recv_bulk {
-                scenario.set_recv_bulk(bulk);
-            }
             for &(shard, micros) in &schedule.stalls {
                 if shard < shards {
                     scenario.server.set_stall_micros(shard, micros);
@@ -919,13 +900,4 @@ pub fn assert_parity(schedule: &Schedule, grid: &[usize], cfgs: &[RunCfg]) -> (u
         }
     }
     (migrations, steals)
-}
-
-/// [`assert_parity`] over the full grid at every [`BULK_GRID`] size,
-/// through the event loop over the virtual wire: the bulk shape may only
-/// ever move the call count, and every control-plane decision lands at a
-/// round boundary, so neither may move an outcome.
-pub fn assert_parity_bulk(schedule: &Schedule) {
-    let cfgs = BULK_GRID.map(|bulk| RunCfg::event_loop().bulk(bulk));
-    assert_parity(schedule, &GRID, &cfgs);
 }

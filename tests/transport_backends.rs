@@ -1,22 +1,18 @@
-//! Fault-injection and accounting tests that hold on every wire
-//! backend: the in-process [`VirtualWire`] and, where the environment
-//! can bind loopback sockets, [`OsWire`].
+//! Fault-injection tests that hold on every wire backend: the
+//! in-process [`VirtualWire`] and, where the environment can bind
+//! loopback sockets, [`OsWire`].
 //!
-//! The fault-injection tests decorate each backend with
-//! [`ShortSendWire`], forcing short `send_many` returns mid-batch, and
-//! assert that the one tail-in-place retry path,
-//! [`UdpEndpoint::send_all`]'s bounded-stall loop, never reorders, drops
-//! or duplicates a datagram, reports one call per attempt, and gives up
-//! after [`MAX_SEND_STALLS`] stalls with the unsent tail still in the
-//! caller's vector.
+//! The tests decorate each backend with [`ShortSendWire`], forcing
+//! short `send_many` returns mid-batch, and assert that the one
+//! tail-in-place retry path, [`UdpEndpoint::send_all`]'s bounded-stall
+//! loop, never reorders, drops or duplicates a datagram, reports one
+//! call per attempt, and gives up after [`MAX_SEND_STALLS`] stalls with
+//! the unsent tail still in the caller's vector.
 
-use endbox::scenario::Scenario;
-use endbox::use_cases::UseCase;
 use endbox_netsim::net::{
     NetError, OsWire, ShortSendWire, Transport, TransportKind, UdpEndpoint, VirtualWire,
     MAX_SEND_STALLS,
 };
-use endbox_netsim::Packet;
 use std::sync::Arc;
 
 /// The backends this environment can run.
@@ -124,62 +120,5 @@ fn send_all_gives_up_after_the_stall_bound_keeping_the_tail() {
         assert_eq!(wire.pending_faults(), 0);
         let got: Vec<u8> = drain(&receiver).iter().map(|p| p[0]).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4], "{backend}: no drop, no dup");
-    }
-}
-
-/// Regression pin for the bulk-128 plateau (ISSUE 7 satellite): the
-/// measured datagrams-per-call ratio saturates at the **per-socket
-/// queue depth at drain time**, not at the bulk size — a `recv_many`
-/// cannot move more than is waiting. With the dry-socket skip in
-/// `AsyncFrontEnd::pump`, a bulk at or above the depth moves each queue
-/// in exactly one call (`got < want` marks the socket dry; no zero-yield
-/// re-check), so bulk 32 and bulk 128 are call-for-call identical on
-/// 8-deep queues: the `BENCH_wire.json` plateau is queue-depth
-/// saturation, documented in `docs/architecture.md` §6.
-#[test]
-fn datagrams_per_call_saturates_at_queue_depth_not_bulk_size() {
-    const DEPTH: u32 = 8;
-    let run = |kind: TransportKind, bulk: usize| {
-        let mut scenario = Scenario::enterprise(2, UseCase::Nop)
-            .seed(0xc2_04)
-            .async_ingress(true)
-            .transport(kind)
-            .build_sharded(2)
-            .unwrap();
-        scenario.set_recv_bulk(bulk);
-        for client in 0..2usize {
-            for seq in 0..DEPTH {
-                let pkt = Packet::tcp(
-                    Scenario::client_addr(client),
-                    Scenario::network_addr(),
-                    48_000 + client as u16,
-                    5_001,
-                    seq,
-                    format!("saturate {client} {seq}").as_bytes(),
-                );
-                let sealed = scenario.clients[client].send_packet(pkt).unwrap();
-                assert_eq!(sealed.len(), 1, "single-fragment records");
-                scenario.send_wire_datagrams(client as u64, sealed);
-            }
-        }
-        let outs = scenario.pump_async().len();
-        assert_eq!(outs as u32, 2 * DEPTH);
-        scenario.async_stats()
-    };
-    for kind in backends() {
-        let at_32 = run(kind, 32);
-        let at_128 = run(kind, 128);
-        // At or above the depth: one call per 8-deep socket queue — the
-        // ratio is the queue depth, and raising the bulk cannot move it.
-        assert_eq!(at_32.io_calls, 2, "one recv_many per drained socket");
-        assert_eq!(at_32.io_calls, at_128.io_calls);
-        assert_eq!(at_32.datagrams, at_128.datagrams);
-        let ratio = at_32.datagrams as f64 / at_32.io_calls as f64;
-        assert_eq!(ratio, DEPTH as f64, "saturation point == queue depth");
-        // Below the depth the call count is governed by the bulk size
-        // (ceil(depth/bulk) full vectors + one short dry-marking call when
-        // the last vector fills exactly).
-        let at_4 = run(kind, 4);
-        assert_eq!(at_4.io_calls, 6, "8-deep at bulk 4: 4+4+dry per socket");
     }
 }
