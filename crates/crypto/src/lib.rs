@@ -14,13 +14,21 @@
 //!   ([`modes::cbc_encrypt_then_mac_in_place`]).
 //! * [`ghash`] — GHASH and GMAC (SP 800-38D): the integrity-only suite's
 //!   record tag.
-//! * [`x25519`] — Diffie-Hellman over Curve25519 (RFC 7748).
+//! * [`x25519`] — Diffie-Hellman over Curve25519 (RFC 7748): a
+//!   Montgomery ladder for shared secrets, and a fixed-base path for
+//!   public keys (the base point's multiples on the equivalent Edwards
+//!   curve, tabulated once per process).
 //! * [`schnorr`] — Schnorr signatures over the multiplicative group of
 //!   GF(2^255 − 19); used for the certificate authority, quote signing and
 //!   configuration-file signing. (The real system used RSA/ECDSA via
 //!   LibreSSL; Schnorr keeps the same protocol shape with far less code.)
-//! * [`u256`] — fixed-width 256-bit arithmetic shared by the two previous
-//!   modules.
+//!   Powers of the generator come from a fixed-base comb built once per
+//!   process.
+//! * [`field`] — GF(2^255 − 19) in radix 2^51, the one field of the two
+//!   previous modules, with a per-thread count of its multiplications
+//!   ([`field::mul_count`]).
+//! * [`u256`] — fixed-width 256-bit integers, and the Schnorr exponents
+//!   modulo `p − 1`.
 //!
 //! All primitives are deterministic and dependency-free; randomness is
 //! always passed in by the caller (`rand::RngCore`), which keeps the whole
@@ -68,6 +76,7 @@
 
 pub mod aes;
 pub mod error;
+pub mod field;
 pub mod ghash;
 pub mod hex;
 pub mod hmac;

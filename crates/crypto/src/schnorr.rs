@@ -5,19 +5,49 @@
 //! LibreSSL stack (RSA/ECDSA certificates); this reproduction uses textbook
 //! Schnorr in `Z_p^*` with `p = 2^255 − 19` and generator `g = 2`, which
 //! keeps the protocol shape (sign/verify with public-key certificates) while
-//! staying within the from-scratch big-integer code of [`crate::u256`].
+//! staying within the from-scratch arithmetic of [`crate::field`] (the
+//! group) and [`crate::u256`] (the exponents, mod `p − 1`).
+//!
+//! `g^x` — key generation, the signing nonce's commitment and the left
+//! side of verification — reads a fixed-base comb for `g`, built once per
+//! process: 63 field multiplications. `vk^e` in verification uses 4-bit
+//! fixed windows ([`Fe::pow`]).
 //!
 //! This is a *simulation-grade* scheme: `p − 1` is not prime, so the group
 //! has small subgroups and the scheme must not be used outside this
-//! reproduction.
+//! reproduction. Like the square-and-multiply it replaced, the comb's
+//! table index follows the secret exponent's digits, so its memory
+//! access pattern depends on the key and the nonce.
 
+use crate::field::{self, Fe};
 use crate::sha256::Sha256;
-use crate::u256::{P25519, P25519_MINUS_1, U256};
+use crate::u256::{P25519_MINUS_1, U256};
 use crate::CryptoError;
+use std::sync::OnceLock;
 
-/// Generator of the group.
-fn g() -> U256 {
-    U256::from(2u64)
+/// `g^x` for the generator `g = 2`, from a comb of 64 rows of 16:
+/// row `i` holds `g^(j·16^i)` for `j` in `0..16` (40 KiB), so `x`'s hex
+/// digits `x_i` pick `∏ row_i[x_i]`.
+fn g_pow(x: &U256) -> U256 {
+    static COMB: OnceLock<Vec<[Fe; 16]>> = OnceLock::new();
+    let comb = COMB.get_or_init(|| {
+        let mut base = Fe::from_u64(2);
+        (0..64)
+            .map(|_| {
+                let mut row = [Fe::ONE; 16];
+                for j in 1..16 {
+                    row[j] = row[j - 1] * base;
+                }
+                base = row[15] * base;
+                row
+            })
+            .collect()
+    });
+    let mut acc = comb[0][field::nibble(x, 0)];
+    for (i, row) in comb.iter().enumerate().skip(1) {
+        acc = acc * row[field::nibble(x, i)];
+    }
+    acc.to_u256()
 }
 
 /// A Schnorr signing key.
@@ -59,7 +89,7 @@ impl SigningKey {
                 break candidate;
             }
         };
-        let vk = VerifyingKey(P25519.pow(g(), sk));
+        let vk = VerifyingKey(g_pow(&sk));
         SigningKey { sk, vk }
     }
 
@@ -75,7 +105,7 @@ impl SigningKey {
         if sk.is_zero() {
             sk = U256::ONE;
         }
-        let vk = VerifyingKey(P25519.pow(g(), sk));
+        let vk = VerifyingKey(g_pow(&sk));
         SigningKey { sk, vk }
     }
 
@@ -100,13 +130,12 @@ impl SigningKey {
         if sk.is_zero() || sk >= P25519_MINUS_1.modulus() {
             return Err(CryptoError::InvalidKey);
         }
-        let vk = VerifyingKey(P25519.pow(g(), sk));
+        let vk = VerifyingKey(g_pow(&sk));
         Ok(SigningKey { sk, vk })
     }
 
     /// Signs `msg`.
     pub fn sign(&self, msg: &[u8], rng: &mut impl rand::RngCore) -> Signature {
-        let p = P25519;
         let q = P25519_MINUS_1;
         let k = loop {
             let candidate = q.random(rng);
@@ -114,7 +143,7 @@ impl SigningKey {
                 break candidate;
             }
         };
-        let r = p.pow(g(), k);
+        let r = g_pow(&k);
         let e = challenge(&r, &self.vk, msg);
         let s = q.add(k, q.mul(e, self.sk));
         Signature { r, s }
@@ -128,14 +157,13 @@ impl VerifyingKey {
     ///
     /// Returns [`CryptoError::InvalidSignature`] if verification fails.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> Result<(), CryptoError> {
-        let p = P25519;
-        if sig.r.is_zero() || sig.r >= p.modulus() || sig.s >= P25519_MINUS_1.modulus() {
+        if sig.r.is_zero() || sig.r >= field::P || sig.s >= P25519_MINUS_1.modulus() {
             return Err(CryptoError::InvalidSignature);
         }
         let e = challenge(&sig.r, self, msg);
-        let lhs = p.pow(g(), sig.s);
-        let rhs = p.mul(sig.r, p.pow(self.0, e));
-        if lhs == rhs {
+        let lhs = g_pow(&sig.s);
+        let rhs = Fe::from_u256(sig.r) * Fe::from_u256(self.0).pow(&e);
+        if lhs == rhs.to_u256() {
             Ok(())
         } else {
             Err(CryptoError::InvalidSignature)
@@ -155,7 +183,7 @@ impl VerifyingKey {
     /// element (zero or ≥ p).
     pub fn from_bytes(bytes: &[u8; PUBLIC_KEY_LEN]) -> Result<Self, CryptoError> {
         let v = U256::from_bytes_be(bytes);
-        if v.is_zero() || v >= P25519.modulus() {
+        if v.is_zero() || v >= field::P {
             return Err(CryptoError::InvalidKey);
         }
         Ok(VerifyingKey(v))
@@ -179,7 +207,7 @@ impl Signature {
     pub fn from_bytes(bytes: &[u8; SIGNATURE_LEN]) -> Result<Self, CryptoError> {
         let r = U256::from_bytes_be(bytes[..32].try_into().unwrap());
         let s = U256::from_bytes_be(bytes[32..].try_into().unwrap());
-        if r.is_zero() || r >= P25519.modulus() || s >= P25519_MINUS_1.modulus() {
+        if r.is_zero() || r >= field::P || s >= P25519_MINUS_1.modulus() {
             return Err(CryptoError::InvalidSignature);
         }
         Ok(Signature { r, s })
@@ -199,6 +227,7 @@ fn challenge(r: &U256, vk: &VerifyingKey, msg: &[u8]) -> U256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hex;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -270,6 +299,49 @@ mod tests {
             .unwrap();
         assert!(SigningKey::from_bytes(&[0u8; 32]).is_err());
         assert!(SigningKey::from_bytes(&[0xff; 32]).is_err());
+    }
+
+    #[test]
+    fn known_answers() {
+        // Captured from the square-and-multiply `pow` the comb replaced.
+        let mut rng = rng();
+        let key = SigningKey::generate(&mut rng);
+        assert_eq!(
+            hex::encode(&key.to_bytes()),
+            "6cb8ad4703b360a1ae17533239e499a16104d9866d113a7e15780b2e0c2ec716"
+        );
+        assert_eq!(
+            hex::encode(&key.verifying_key().to_bytes()),
+            "11bca49e98a780a0b7e7fcd72f72681472ae60a0fbd2319a49a712e5696e68d5"
+        );
+        let sig = key.sign(b"endbox known answer", &mut rng);
+        assert_eq!(
+            hex::encode(&sig.to_bytes()),
+            "685c2e3814ca0a2d2c5ed53e2d7c4c71209fd9645390bfc307db4fcd83c5e181\
+             78c99843cb7b9f6d67d2cd9f6cb374304c09c1422fbf2af9ea2be405b70ea20a"
+        );
+        key.verifying_key()
+            .verify(b"endbox known answer", &sig)
+            .unwrap();
+        assert_eq!(
+            hex::encode(&SigningKey::from_seed(&[7u8; 32]).verifying_key().to_bytes()),
+            "154d8b6af3fcbd38265fe36f73e48bfcbbb399369f95e1cde5fd87ea2eea76f9"
+        );
+    }
+
+    #[test]
+    fn comb_matches_windowed_pow() {
+        let mut rng = rng();
+        for x in [
+            U256::ZERO,
+            U256::ONE,
+            P25519_MINUS_1.modulus().wrapping_sub(U256::ONE),
+        ]
+        .into_iter()
+        .chain((0..16).map(|_| P25519_MINUS_1.random(&mut rng)))
+        {
+            assert_eq!(g_pow(&x), Fe::from_u64(2).pow(&x).to_u256());
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Fixed-width 256-bit unsigned arithmetic with fast reduction modulo
-//! pseudo-Mersenne primes of the form `2^255 - c`.
+//! Fixed-width 256-bit unsigned integers, and the exponent arithmetic
+//! of [`schnorr`](crate::schnorr): integers modulo `p − 1 = 2^255 − 20`
+//! with the pseudo-Mersenne fold `2^255 ≡ 20`.
 //!
-//! [`x25519`](crate::x25519) uses `c = 19` (the Curve25519 field) and
-//! [`schnorr`](crate::schnorr) uses `c = 19` for the group and `c = 20`
-//! (= p − 1) for the exponents.
+//! The field GF(2^255 − 19) itself is [`field`](crate::field).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -97,26 +96,6 @@ impl U256 {
         self.0 == [0; 4]
     }
 
-    /// Returns bit `i` (0 = least significant).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 256`.
-    pub fn bit(&self, i: usize) -> bool {
-        assert!(i < 256);
-        (self.0[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    /// Index of the highest set bit, or `None` for zero.
-    pub fn highest_bit(&self) -> Option<usize> {
-        for i in (0..4).rev() {
-            if self.0[i] != 0 {
-                return Some(i * 64 + 63 - self.0[i].leading_zeros() as usize);
-            }
-        }
-        None
-    }
-
     /// Addition with carry-out.
     pub fn overflowing_add(self, other: U256) -> (U256, bool) {
         let mut out = [0u64; 4];
@@ -179,8 +158,6 @@ pub struct SpecialModulus {
     modulus: U256,
 }
 
-/// The Curve25519 base field prime, `p = 2^255 − 19`.
-pub const P25519: SpecialModulus = SpecialModulus::new(19);
 /// The Schnorr exponent modulus, `p − 1 = 2^255 − 20`.
 pub const P25519_MINUS_1: SpecialModulus = SpecialModulus::new(20);
 
@@ -269,46 +246,9 @@ impl SpecialModulus {
         }
     }
 
-    /// `(a - b) mod m`; inputs must already be reduced.
-    pub fn sub(&self, a: U256, b: U256) -> U256 {
-        debug_assert!(a < self.modulus && b < self.modulus);
-        if a >= b {
-            a.wrapping_sub(b)
-        } else {
-            self.modulus.wrapping_sub(b).overflowing_add(a).0
-        }
-    }
-
     /// `(a * b) mod m`; inputs must already be reduced.
     pub fn mul(&self, a: U256, b: U256) -> U256 {
         self.reduce_wide(a.widening_mul(b))
-    }
-
-    /// `a^2 mod m`.
-    pub fn square(&self, a: U256) -> U256 {
-        self.mul(a, a)
-    }
-
-    /// `base^exp mod m` by square-and-multiply.
-    pub fn pow(&self, base: U256, exp: U256) -> U256 {
-        let base = self.reduce(base);
-        let mut acc = U256::ONE;
-        let Some(top) = exp.highest_bit() else {
-            return U256::ONE;
-        };
-        for i in (0..=top).rev() {
-            acc = self.square(acc);
-            if exp.bit(i) {
-                acc = self.mul(acc, base);
-            }
-        }
-        acc
-    }
-
-    /// Multiplicative inverse via Fermat: `a^(m-2) mod m` (m must be prime).
-    pub fn invert(&self, a: U256) -> U256 {
-        let exp = self.modulus.wrapping_sub(U256::from(2));
-        self.pow(a, exp)
     }
 
     /// Samples a uniformly random value in `[0, m)`.
@@ -325,39 +265,39 @@ impl SpecialModulus {
     }
 }
 
+/// Naive bit-by-bit long division reduction, the test oracle of the
+/// fold here and of [`field`](crate::field).
+#[cfg(test)]
+pub(crate) fn naive_reduce_wide(w: [u64; 8], m: U256) -> U256 {
+    let mut rem = U256::ZERO;
+    for bit in (0..512).rev() {
+        // rem = rem * 2 + bit
+        let carry_out = rem.0[3] >> 63;
+        let mut r = U256([rem.0[0] << 1, 0, 0, 0]);
+        for i in 1..4 {
+            r.0[i] = (rem.0[i] << 1) | (rem.0[i - 1] >> 63);
+        }
+        let b = (w[bit / 64] >> (bit % 64)) & 1;
+        r.0[0] |= b;
+        rem = r;
+        if carry_out != 0 || rem >= m {
+            rem = rem.wrapping_sub(m);
+        }
+    }
+    rem
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Naive bit-by-bit long division reduction used as an oracle.
-    fn naive_reduce_wide(w: [u64; 8], m: U256) -> U256 {
-        let mut rem = U256::ZERO;
-        for bit in (0..512).rev() {
-            // rem = rem * 2 + bit
-            let carry_out = rem.0[3] >> 63;
-            let mut r = U256([rem.0[0] << 1, 0, 0, 0]);
-            for i in 1..4 {
-                r.0[i] = (rem.0[i] << 1) | (rem.0[i - 1] >> 63);
-            }
-            let b = (w[bit / 64] >> (bit % 64)) & 1;
-            r.0[0] |= b;
-            rem = r;
-            if carry_out != 0 || rem >= m {
-                rem = rem.wrapping_sub(m);
-            }
-        }
-        rem
-    }
-
     #[test]
     fn modulus_constants() {
-        // 2^255 - 19 ends in ...ffed little-endian.
-        let p = P25519.modulus().to_bytes_le();
-        assert_eq!(p[0], 0xed);
-        assert_eq!(p[31], 0x7f);
+        // 2^255 - 20 ends in ...ffec little-endian.
         let q = P25519_MINUS_1.modulus().to_bytes_le();
         assert_eq!(q[0], 0xec);
+        assert_eq!(q[31], 0x7f);
     }
 
     #[test]
@@ -368,33 +308,11 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_small() {
-        let m = P25519;
-        let a = U256::from(5u64);
-        let b = U256::from(7u64);
-        assert_eq!(m.add(a, b), U256::from(12u64));
-        assert_eq!(m.sub(a, b), m.modulus().wrapping_sub(U256::from(2u64)));
-    }
-
-    #[test]
-    fn pow_matches_repeated_mul() {
-        let m = P25519;
-        let g = U256::from(3u64);
-        let mut acc = U256::ONE;
-        for e in 0..20u64 {
-            assert_eq!(m.pow(g, U256::from(e)), acc);
-            acc = m.mul(acc, g);
-        }
-    }
-
-    #[test]
-    fn fermat_inverse() {
-        let m = P25519;
-        for x in [2u64, 3, 12345, 0xffff_ffff] {
-            let x = U256::from(x);
-            let inv = m.invert(x);
-            assert_eq!(m.mul(x, inv), U256::ONE);
-        }
+    fn add_wraps_at_the_modulus() {
+        let m = P25519_MINUS_1;
+        assert_eq!(m.add(U256::from(5u64), U256::from(7u64)), U256::from(12u64));
+        let minus_one = m.modulus().wrapping_sub(U256::ONE);
+        assert_eq!(m.add(minus_one, U256::from(3u64)), U256::from(2u64));
     }
 
     fn arb_u256() -> impl Strategy<Value = U256> {
@@ -407,23 +325,16 @@ mod tests {
         #[test]
         fn fold_reduction_matches_long_division(a in arb_u256(), b in arb_u256()) {
             let w = a.widening_mul(b);
-            for m in [P25519, P25519_MINUS_1] {
+            for m in [SpecialModulus::new(19), P25519_MINUS_1] {
                 prop_assert_eq!(m.reduce_wide(w), naive_reduce_wide(w, m.modulus()));
             }
         }
 
         #[test]
         fn mul_commutes(a in arb_u256(), b in arb_u256()) {
-            let m = P25519;
+            let m = P25519_MINUS_1;
             let (a, b) = (m.reduce(a), m.reduce(b));
             prop_assert_eq!(m.mul(a, b), m.mul(b, a));
-        }
-
-        #[test]
-        fn add_sub_inverse(a in arb_u256(), b in arb_u256()) {
-            let m = P25519;
-            let (a, b) = (m.reduce(a), m.reduce(b));
-            prop_assert_eq!(m.sub(m.add(a, b), b), a);
         }
 
         #[test]

@@ -111,6 +111,9 @@ struct TrustedState {
     subject: String,
     identity: Option<SigningKey>,
     enc_secret: Option<[u8; 32]>,
+    /// `x25519::public_key(enc_secret)`, kept so the report does not
+    /// re-derive it.
+    enc_public: Option<[u8; 32]>,
     certificate: Option<Certificate>,
     config_key: Option<[u8; 32]>,
     click: Router,
@@ -174,6 +177,7 @@ impl EnclaveApp {
             subject: cfg.subject,
             identity: None,
             enc_secret: None,
+            enc_public: None,
             certificate: None,
             config_key: None,
             click,
@@ -230,18 +234,15 @@ impl EnclaveApp {
             .ecall("ecall_keypair_generate", |state, services| {
                 let identity = SigningKey::generate(services.rng());
                 let (enc_secret, enc_public) = x25519::keypair(services.rng());
-                let mut user_data = [0u8; 64];
-                user_data[..32].copy_from_slice(&identity.verifying_key().to_bytes());
-                user_data[32..].copy_from_slice(&enc_public);
                 state.identity = Some(identity);
                 state.enc_secret = Some(enc_secret);
-                user_data
+                state.enc_public = Some(enc_public);
             })?;
         let report = self
             .enclave
             .ecall("ecall_report_create", |state, services| {
                 let identity = state.identity.as_ref().expect("generated above");
-                let enc_public = x25519::public_key(state.enc_secret.as_ref().unwrap());
+                let enc_public = state.enc_public.expect("generated above");
                 let mut user_data = [0u8; 64];
                 user_data[..32].copy_from_slice(&identity.verifying_key().to_bytes());
                 user_data[32..].copy_from_slice(&enc_public);
@@ -338,6 +339,7 @@ impl EnclaveApp {
                 }
                 state.identity = Some(identity);
                 state.enc_secret = Some(enc_secret);
+                state.enc_public = Some(x25519::public_key(&enc_secret));
                 state.config_key = Some(config_key);
                 state.certificate = Some(certificate);
                 Ok(())

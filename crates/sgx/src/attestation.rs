@@ -22,18 +22,24 @@ pub const USER_DATA_LEN: usize = 64;
 #[derive(Clone)]
 pub struct CpuIdentity {
     fuse_seed: [u8; 32],
+    /// The EPID-stand-in attestation signing key, derived from the seed
+    /// once.
+    attestation_key: SigningKey,
 }
 
 impl std::fmt::Debug for CpuIdentity {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("CpuIdentity { fuse_seed: <redacted> }")
+        f.write_str("CpuIdentity { fuse_seed: <redacted>, attestation_key: <redacted> }")
     }
 }
 
 impl CpuIdentity {
     /// Creates a CPU identity from a manufacturing seed.
     pub fn from_seed(seed: [u8; 32]) -> Self {
-        CpuIdentity { fuse_seed: seed }
+        CpuIdentity {
+            fuse_seed: seed,
+            attestation_key: SigningKey::from_seed(&hmac_sha256(&seed, b"sgx-attestation-key")),
+        }
     }
 
     /// The fuse seed (only the SGX model itself should use this).
@@ -46,15 +52,10 @@ impl CpuIdentity {
         hmac_sha256(&self.fuse_seed, b"sgx-report-key")
     }
 
-    /// The EPID-stand-in attestation signing key.
-    fn attestation_key(&self) -> SigningKey {
-        SigningKey::from_seed(&hmac_sha256(&self.fuse_seed, b"sgx-attestation-key"))
-    }
-
     /// Public half of the attestation key, as provisioned to Intel (here:
     /// registered with the [`IasSimulator`]).
     pub fn attestation_public(&self) -> VerifyingKey {
-        self.attestation_key().verifying_key()
+        self.attestation_key.verifying_key()
     }
 }
 
@@ -155,7 +156,7 @@ impl QuotingEnclave {
             return Err(EnclaveError::AttestationFailed("report MAC invalid"));
         }
         let msg = quote_message(&report.measurement, &report.user_data);
-        let signature = self.cpu.attestation_key().sign(&msg, rng);
+        let signature = self.cpu.attestation_key.sign(&msg, rng);
         Ok(Quote {
             measurement: report.measurement,
             user_data: report.user_data,
@@ -387,5 +388,19 @@ mod tests {
         // User data (the enclave public key in EndBox) survives the chain.
         assert_eq!(avr.user_data, [42u8; USER_DATA_LEN]);
         assert_eq!(avr.measurement, Measurement::of(b"e", b""));
+    }
+
+    #[test]
+    fn debug_redacts_the_fused_keys() {
+        let cpu = CpuIdentity::from_seed([5u8; 32]);
+        let shown = format!("{cpu:?}");
+        assert_eq!(
+            shown,
+            "CpuIdentity { fuse_seed: <redacted>, attestation_key: <redacted> }"
+        );
+        assert_eq!(
+            cpu.attestation_public(),
+            CpuIdentity::from_seed([5u8; 32]).attestation_public()
+        );
     }
 }

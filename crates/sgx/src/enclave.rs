@@ -243,7 +243,9 @@ pub struct EnclaveBuilder {
     cost: CostModel,
     meter: CycleMeter,
     epc_capacity: usize,
-    cpu: CpuIdentity,
+    /// `None` until [`EnclaveBuilder::cpu`]: the default platform's key
+    /// is derived only if the enclave is built on it.
+    cpu: Option<CpuIdentity>,
     clock: SharedClock,
     rng_seed: u64,
 }
@@ -261,7 +263,7 @@ impl EnclaveBuilder {
             cost: CostModel::calibrated(),
             meter: CycleMeter::new(),
             epc_capacity: crate::epc::DEFAULT_CAPACITY,
-            cpu: CpuIdentity::from_seed([0u8; 32]),
+            cpu: None,
             clock: SharedClock::new(),
             rng_seed: 0x5eed,
         }
@@ -314,7 +316,7 @@ impl EnclaveBuilder {
 
     /// The platform this enclave runs on.
     pub fn cpu(mut self, cpu: CpuIdentity) -> Self {
-        self.cpu = cpu;
+        self.cpu = Some(cpu);
         self
     }
 
@@ -347,7 +349,9 @@ impl EnclaveBuilder {
             cost: self.cost,
             meter: self.meter,
             epc,
-            cpu: self.cpu,
+            cpu: self
+                .cpu
+                .unwrap_or_else(|| CpuIdentity::from_seed([0u8; 32])),
             trusted_time,
             declared_ocalls: self.declared_ocalls.into_iter().collect(),
             counters: CallCounters::default(),

@@ -145,8 +145,8 @@ fn adaptive_schedule_remap_spreads_colliding_peers() {
 }
 
 /// Mixed traffic (batches, pings, a split record, a replayed batch) with
-/// stalled shards and **no** manual remaps: the budget and token laws and
-/// the dispatch law run against ordinary adversarial interleaving and
+/// stalled shards and **no** manual remaps: the event loop's drain rule
+/// and the dispatch law run against ordinary adversarial interleaving and
 /// must not move a single outcome.
 #[test]
 fn adaptive_schedule_controller_on_mixed_traffic() {

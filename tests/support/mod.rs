@@ -19,8 +19,9 @@
 //! [`Step::Resize`], the stalls and the doorway do nothing there, and its
 //! `receive_datagrams` runs each datagram to completion in order. The
 //! dispatch law — the one law that places peers, on the bytes the server
-//! routed — and, through the event loop, the budget and token laws run
-//! in every sharded configuration; there is nothing to select. [`assert_parity`] asserts byte-identical outcomes between the
+//! routed — and, through the event loop, the drain rule (one round
+//! budget, shared fairly among ready sockets) run in every sharded
+//! configuration; there is nothing to select. [`assert_parity`] asserts byte-identical outcomes between the
 //! reference and every grid point × configuration it is given. Because
 //! the sharded server re-merges by input index and answers escalations
 //! in input order (and the event loop re-merges drained datagrams by
