@@ -3,7 +3,7 @@
 use crate::error::ClickError;
 use endbox_netsim::cost::{CostModel, CycleMeter};
 use endbox_netsim::time::SharedClock;
-use endbox_netsim::{Packet, PacketBatch};
+use endbox_netsim::Packet;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -102,8 +102,7 @@ impl Default for ElementEnv {
     }
 }
 
-/// Per-invocation context handed to [`Element::process`] and
-/// [`Element::process_batch`].
+/// Per-invocation context handed to [`Element::process`].
 ///
 /// Both scratch vectors are *borrowed* from the router so their
 /// allocations persist across packets and batches — the hot path performs
@@ -155,8 +154,10 @@ pub type ElementState = Vec<(String, String)>;
 /// A Click element.
 ///
 /// Implementations process packets arriving on input ports and push
-/// results to output ports via the [`ElementContext`]. The trait is
-/// object-safe; routers hold `Box<dyn Element>`.
+/// results to output ports via the [`ElementContext`]. [`Element::process`]
+/// is the only way a packet enters an element: the router's batch
+/// traversal calls it once per packet of each run it schedules. The trait
+/// is object-safe; routers hold `Box<dyn Element>`.
 pub trait Element: std::fmt::Debug + Send {
     /// The class name as written in configurations.
     fn class_name(&self) -> &'static str;
@@ -173,26 +174,6 @@ pub trait Element: std::fmt::Debug + Send {
 
     /// Processes a packet arriving on `port`.
     fn process(&mut self, port: usize, pkt: Packet, ctx: &mut ElementContext<'_>);
-
-    /// Processes a whole batch arriving on `port`, draining `batch`.
-    ///
-    /// The default implementation loops over [`Element::process`] in
-    /// order, so overriding is purely an optimisation. Overrides (the hot
-    /// elements: `Classifier`, `IPFilter`, `CheckIPHeader`, `IDSMatcher`)
-    /// must stay observably equivalent to the sequential loop: same
-    /// outputs in the same order, same handler-visible state, and the
-    /// same *total* cycle charge (batching may coalesce meter updates,
-    /// not change their sum).
-    fn process_batch(
-        &mut self,
-        port: usize,
-        batch: &mut PacketBatch,
-        ctx: &mut ElementContext<'_>,
-    ) {
-        for pkt in batch.drain(..) {
-            self.process(port, pkt, ctx);
-        }
-    }
 
     /// Reads a named handler (Click's read handlers, e.g. `Counter.count`).
     fn read_handler(&self, _name: &str) -> Option<String> {

@@ -2,7 +2,7 @@
 
 use crate::element::{Element, ElementContext, ElementEnv, ElementState};
 use endbox_netsim::packet::{IpProtocol, Ipv4Header};
-use endbox_netsim::{Packet, PacketBatch};
+use endbox_netsim::Packet;
 use std::net::Ipv4Addr;
 
 /// Byte-pattern classifier (Click's `Classifier`). Each argument is a
@@ -76,21 +76,6 @@ impl Element for Classifier {
             ctx.output(port, pkt);
         }
         // No match: dropped.
-    }
-
-    /// Vectorised fast path: classifies the whole batch in one tight loop
-    /// with no per-packet virtual dispatch.
-    fn process_batch(
-        &mut self,
-        _port: usize,
-        batch: &mut PacketBatch,
-        ctx: &mut ElementContext<'_>,
-    ) {
-        for pkt in batch.drain(..) {
-            if let Some(port) = self.classify(pkt.bytes()) {
-                ctx.output(port, pkt);
-            }
-        }
     }
 }
 
@@ -247,25 +232,6 @@ impl Element for CheckIpHeader {
         }
     }
 
-    /// Vectorised fast path: header validation over the whole batch in one
-    /// tight loop.
-    fn process_batch(
-        &mut self,
-        _port: usize,
-        batch: &mut PacketBatch,
-        ctx: &mut ElementContext<'_>,
-    ) {
-        for pkt in batch.drain(..) {
-            match Ipv4Header::parse(pkt.bytes()) {
-                Ok(_) => ctx.output(0, pkt),
-                Err(_) => {
-                    self.bad += 1;
-                    ctx.output(1, pkt);
-                }
-            }
-        }
-    }
-
     fn read_handler(&self, name: &str) -> Option<String> {
         (name == "bad").then(|| self.bad.to_string())
     }
@@ -350,27 +316,6 @@ mod tests {
         let mut ctx = ElementContext::new(&mut outputs, &mut emitted, &env);
         elem.process(0, p, &mut ctx);
         outputs
-    }
-
-    #[test]
-    fn classifier_batch_matches_sequential() {
-        let env = ElementEnv::default();
-        let args = ["9/06".to_string(), "9/11".to_string(), "-".to_string()];
-        let mut seq = Classifier::factory(&args, &env).unwrap();
-        let mut bat = Classifier::factory(&args, &env).unwrap();
-        let packets = [pkt(6), pkt(17), pkt(1), pkt(6)];
-
-        let mut seq_ports = Vec::new();
-        for p in packets.iter().cloned() {
-            seq_ports.extend(run(seq.as_mut(), p).into_iter().map(|(port, _)| port));
-        }
-        let mut outputs = Vec::new();
-        let mut emitted = Vec::new();
-        let mut ctx = ElementContext::new(&mut outputs, &mut emitted, &env);
-        let mut batch: PacketBatch = packets.into_iter().collect();
-        bat.process_batch(0, &mut batch, &mut ctx);
-        let bat_ports: Vec<usize> = outputs.iter().map(|(port, _)| *port).collect();
-        assert_eq!(bat_ports, seq_ports);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! backed by the [`endbox_snort`] engine.
 
 use crate::element::{Element, ElementContext, ElementEnv, ElementState};
-use endbox_netsim::{Packet, PacketBatch};
+use endbox_netsim::Packet;
 use endbox_snort::engine::{CompiledRules, PacketView};
 use endbox_snort::rule::parse_rules;
 
@@ -57,10 +57,23 @@ impl IdsMatcher {
     pub fn rule_count(&self) -> usize {
         self.compiled.rule_count()
     }
+}
 
-    /// Scans one packet and routes it (no meter charge — callers charge).
-    fn scan_one(&mut self, pkt: Packet, ctx: &mut ElementContext<'_>) {
+impl Element for IdsMatcher {
+    fn class_name(&self) -> &'static str {
+        "IDSMatcher"
+    }
+
+    fn n_outputs(&self) -> usize {
+        2
+    }
+
+    fn process(&mut self, _port: usize, pkt: Packet, ctx: &mut ElementContext<'_>) {
+        let amplified = ctx.env.in_enclave && ctx.env.hardware_mode;
         let payload = pkt.app_payload();
+        ctx.env
+            .meter
+            .add(ctx.env.cost.ids_cycles(payload.len(), amplified));
         self.scanned_bytes += payload.len() as u64;
         let header = pkt.header();
         let view = PacketView {
@@ -78,44 +91,6 @@ impl IdsMatcher {
             ctx.output(1, pkt);
         } else {
             ctx.output(0, pkt);
-        }
-    }
-}
-
-impl Element for IdsMatcher {
-    fn class_name(&self) -> &'static str {
-        "IDSMatcher"
-    }
-
-    fn n_outputs(&self) -> usize {
-        2
-    }
-
-    fn process(&mut self, _port: usize, pkt: Packet, ctx: &mut ElementContext<'_>) {
-        let amplified = ctx.env.in_enclave && ctx.env.hardware_mode;
-        ctx.env
-            .meter
-            .add(ctx.env.cost.ids_cycles(pkt.app_payload().len(), amplified));
-        self.scan_one(pkt, ctx);
-    }
-
-    /// Vectorised fast path: the per-packet scan costs are summed and
-    /// charged in one meter update, and the Aho–Corasick automaton stays
-    /// hot in cache across the batch.
-    fn process_batch(
-        &mut self,
-        _port: usize,
-        batch: &mut PacketBatch,
-        ctx: &mut ElementContext<'_>,
-    ) {
-        let amplified = ctx.env.in_enclave && ctx.env.hardware_mode;
-        let cycles: u64 = batch
-            .iter()
-            .map(|pkt| ctx.env.cost.ids_cycles(pkt.app_payload().len(), amplified))
-            .sum();
-        ctx.env.meter.add(cycles);
-        for pkt in batch.drain(..) {
-            self.scan_one(pkt, ctx);
         }
     }
 
@@ -172,51 +147,6 @@ mod tests {
         let mut ctx = ElementContext::new(&mut outputs, &mut emitted, env);
         elem.process(0, p, &mut ctx);
         outputs
-    }
-
-    #[test]
-    fn batch_scan_matches_sequential_costs_and_outcomes() {
-        let env_a = ElementEnv::default();
-        let env_b = ElementEnv::default();
-        let rule = r#"drop tcp any any -> any any (msg:"worm"; content:"EB-WORM"; sid:7777;)"#;
-        let mut seq = IdsMatcher::factory(&[rule.to_string()], &env_a).unwrap();
-        let mut bat = IdsMatcher::factory(&[rule.to_string()], &env_b).unwrap();
-        let packets = [
-            tcp(b"benign data"),
-            tcp(b"xx EB-WORM xx"),
-            tcp(b"more benign bytes here"),
-        ];
-
-        env_a.meter.take();
-        let mut seq_ports = Vec::new();
-        for p in packets.iter().cloned() {
-            seq_ports.extend(
-                run_with_env(seq.as_mut(), p, &env_a)
-                    .into_iter()
-                    .map(|(port, _)| port),
-            );
-        }
-        let seq_cycles = env_a.meter.take();
-
-        env_b.meter.take();
-        let mut outputs = Vec::new();
-        let mut emitted = Vec::new();
-        let mut ctx = ElementContext::new(&mut outputs, &mut emitted, &env_b);
-        let mut batch: PacketBatch = packets.into_iter().collect();
-        bat.process_batch(0, &mut batch, &mut ctx);
-        let bat_cycles = env_b.meter.take();
-        let bat_ports: Vec<usize> = outputs.iter().map(|(port, _)| *port).collect();
-
-        assert_eq!(bat_ports, seq_ports);
-        assert_eq!(
-            bat_cycles, seq_cycles,
-            "summed batch charge equals per-packet charges"
-        );
-        assert_eq!(seq.read_handler("drops"), bat.read_handler("drops"));
-        assert_eq!(
-            seq.read_handler("scanned_bytes"),
-            bat.read_handler("scanned_bytes")
-        );
     }
 
     #[test]

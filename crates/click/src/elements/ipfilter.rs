@@ -14,7 +14,7 @@
 
 use crate::element::{Element, ElementContext, ElementEnv};
 use endbox_netsim::packet::IpProtocol;
-use endbox_netsim::{Packet, PacketBatch};
+use endbox_netsim::Packet;
 use std::net::Ipv4Addr;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,24 +104,6 @@ impl IpFilter {
     pub fn rule_count(&self) -> usize {
         self.rules.len()
     }
-
-    fn classify_one(&mut self, pkt: Packet, ctx: &mut ElementContext<'_>) {
-        let action = self
-            .rules
-            .iter()
-            .find(|r| r.matches(&pkt))
-            .map_or(FilterAction::Allow, |r| r.action);
-        match action {
-            FilterAction::Allow => {
-                self.allowed += 1;
-                ctx.output(0, pkt);
-            }
-            FilterAction::Deny => {
-                self.denied += 1;
-                ctx.output(1, pkt);
-            }
-        }
-    }
 }
 
 fn parse_rule(text: &str) -> Result<FilterRule, String> {
@@ -208,23 +190,20 @@ impl Element for IpFilter {
 
     fn process(&mut self, _port: usize, pkt: Packet, ctx: &mut ElementContext<'_>) {
         ctx.env.meter.add(ctx.env.cost.fw_cycles(self.rules.len()));
-        self.classify_one(pkt, ctx);
-    }
-
-    /// Vectorised fast path: one rule-cost meter charge for the whole
-    /// batch, one tight classification loop (identical totals and
-    /// per-packet outcomes to the sequential path).
-    fn process_batch(
-        &mut self,
-        _port: usize,
-        batch: &mut PacketBatch,
-        ctx: &mut ElementContext<'_>,
-    ) {
-        ctx.env
-            .meter
-            .add(ctx.env.cost.fw_cycles(self.rules.len()) * batch.len() as u64);
-        for pkt in batch.drain(..) {
-            self.classify_one(pkt, ctx);
+        let action = self
+            .rules
+            .iter()
+            .find(|r| r.matches(&pkt))
+            .map_or(FilterAction::Allow, |r| r.action);
+        match action {
+            FilterAction::Allow => {
+                self.allowed += 1;
+                ctx.output(0, pkt);
+            }
+            FilterAction::Deny => {
+                self.denied += 1;
+                ctx.output(1, pkt);
+            }
         }
     }
 
@@ -363,37 +342,6 @@ mod tests {
         let mut ctx = crate::element::ElementContext::new(&mut outputs, &mut emitted, &env);
         f.process(0, tcp(80), &mut ctx);
         assert_eq!(env.meter.read(), env.cost.fw_cycles(16));
-    }
-
-    #[test]
-    fn batch_fast_path_matches_sequential() {
-        let env = ElementEnv::default();
-        let rules = vec!["deny dst port 23".to_string(), "allow all".to_string()];
-        let mut seq = IpFilter::factory(&rules, &env).unwrap();
-        let mut bat = IpFilter::factory(&rules, &env).unwrap();
-        let packets: Vec<Packet> = [23u16, 80, 23, 443].iter().map(|&p| tcp(p)).collect();
-
-        let mut seq_ports = Vec::new();
-        for p in packets.iter().cloned() {
-            for (port, _) in run(seq.as_mut(), p) {
-                seq_ports.push(port);
-            }
-        }
-
-        env.meter.take();
-        let mut outputs = Vec::new();
-        let mut emitted = Vec::new();
-        let mut ctx = ElementContext::new(&mut outputs, &mut emitted, &env);
-        let mut batch: PacketBatch = packets.into_iter().collect();
-        bat.process_batch(0, &mut batch, &mut ctx);
-        let bat_ports: Vec<usize> = outputs.iter().map(|(p, _)| *p).collect();
-        assert_eq!(bat_ports, seq_ports);
-        assert_eq!(
-            env.meter.take(),
-            env.cost.fw_cycles(2) * 4,
-            "one coalesced charge"
-        );
-        assert_eq!(bat.read_handler("denied").as_deref(), Some("2"));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! click layer is meant to host ("analysing, filtering, and manipulating
 //! network traffic", §II-B). All three are order-sensitive: their
 //! routing decisions depend on the exact packet arrival order, which the
-//! batched router's order-preserving scheduler now guarantees matches
-//! the single-packet path (see `crate::router` module docs).
+//! batched router's order-preserving scheduler guarantees matches
+//! pushing the packets one at a time (see `crate::router` module docs).
 
 use crate::element::{Element, ElementContext, ElementEnv, ElementState};
 use endbox_netsim::packet::IpProtocol;

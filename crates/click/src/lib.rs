@@ -11,7 +11,8 @@
 //!   export/import for hot-swapping.
 //! * [`registry`] — maps class names to element factories.
 //! * [`router`] — instantiates a configuration into an element graph,
-//!   pushes packets through it, exposes read/write handlers, and
+//!   pushes batches of packets through it in one order-preserving
+//!   traversal, exposes read/write handlers, and
 //!   implements **hot-swapping from in-memory configuration** (the EndBox
 //!   adaptation: "we adapt the hot-swapping mechanism to work with
 //!   configuration files stored in memory", §IV).
@@ -33,7 +34,8 @@
 //!     ElementEnv::default(),
 //! ).unwrap();
 //! let pkt = Packet::udp(Ipv4Addr::new(10,0,0,1), Ipv4Addr::new(10,0,1,1), 1, 2, b"hi");
-//! let out = router.process(pkt);
+//! let out = router.process_batch(vec![pkt]);
+//! assert_eq!(out.accepted, 1);
 //! assert_eq!(out.emitted.len(), 1);
 //! assert_eq!(router.read_handler("c", "count").as_deref(), Some("1"));
 //! ```
@@ -49,4 +51,4 @@ pub mod router;
 
 pub use element::{Element, ElementContext, ElementEnv};
 pub use error::ClickError;
-pub use router::{Router, RouterOutput};
+pub use router::Router;

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 pub type ElementFactory = fn(&[String], &ElementEnv) -> Result<Box<dyn Element>, String>;
 
 /// A registry of element classes.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct ElementRegistry {
     factories: HashMap<String, ElementFactory>,
 }

@@ -1,44 +1,48 @@
 //! The router: instantiates a parsed configuration into an element graph,
-//! pushes packets (singly or as whole batches) through it, and hot-swaps
-//! configurations at runtime.
+//! pushes batches of packets through it, and hot-swaps configurations at
+//! runtime.
 //!
 //! # Batched datapath
 //!
-//! [`Router::process`] pushes one packet; [`Router::process_batch`]
-//! pushes a whole [`PacketBatch`] with one graph traversal, calling each
-//! element's [`Element::process_batch`] over every packet queued at that
-//! element. All per-traversal state (the work queues, the per-element
-//! pending queues, the output scratch, the sequence keys described below)
-//! lives in the `Router` and is recycled across calls: in steady state a
+//! [`Router::process_batch`] is the router's one traversal: a whole
+//! [`PacketBatch`] goes through the graph at once, and a single packet is
+//! a batch of one. Packets are queued per element and each element's
+//! [`Element::process`] is called once per packet of every run the
+//! scheduler picks. All per-traversal state (the per-element pending
+//! queues, the output scratch, the sequence keys described below) lives
+//! in the `Router` and is recycled across calls: in steady state a
 //! traversal allocates only the [`BatchOutput`] it returns, whatever the
 //! batch length and however many hops the graph has.
 //!
 //! ## Order preservation
 //!
 //! Batch processing is observably equivalent to pushing the same packets
-//! one at a time for **arbitrary graphs**, including fan-out (`Tee`) and
-//! fan-out paths that *re-merge* into order-sensitive stateful elements
-//! (e.g. two `Tee` branches feeding one `RoundRobinSwitch`): per-element
-//! arrival order, handler-visible element state, total cycle charges,
-//! and the emitted byte sequence all match the single-packet path.
+//! one at a time, each run breadth-first to completion, for **arbitrary
+//! graphs**, including fan-out (`Tee`) and fan-out paths that *re-merge*
+//! into order-sensitive stateful elements (e.g. two `Tee` branches
+//! feeding one `RoundRobinSwitch`): per-element arrival order,
+//! handler-visible element state, total cycle charges, and the emitted
+//! byte sequence all match.
 //!
 //! The scheduler achieves this by tagging every in-flight packet with a
 //! hierarchical sequence key `(batch_slot, emission_path)` — the path
 //! records, hop by hop, which output of its parent each packet was — and
 //! ordering keys *shortlex* per slot (shorter paths first, then
-//! lexicographic), which is exactly the breadth-first order the
-//! single-packet traversal visits events in. Each element's pending
-//! queue is kept key-sorted; each step runs the element whose queued
-//! front key is globally minimal, over the longest front run that no
-//! other queued packet can still preempt (bounded by the smallest front
-//! key among elements with a graph path into it). Linear pipelines and
-//! independent fan-out sinks therefore still process whole batches per
-//! element; only genuine re-merge points degrade to the interleaving the
-//! single-packet path would produce.
+//! lexicographic), which is exactly the order a breadth-first walk of one
+//! packet visits events in. Each element's pending queue is kept
+//! key-sorted; each step runs the element whose queued front key is
+//! globally minimal, over the longest front run that no other queued
+//! packet can still preempt (bounded by the smallest front key among
+//! elements with a graph path into it). Linear pipelines and independent
+//! fan-out sinks therefore still process whole batches per element; only
+//! genuine re-merge points degrade to the interleaving one-at-a-time
+//! pushes would produce.
 //!
-//! The invariant is pinned by `tests/batch_parity.rs` (a property-test
-//! grid over random fan-out/re-merge graphs with stateful elements) and
-//! by `fan_out_batch_remerge_order_is_pinned` below.
+//! The invariant is pinned by `tests/batch_parity.rs`, which compares
+//! this scheduler against an independent breadth-first walk built from
+//! the public element API (a property-test grid over random
+//! fan-out/re-merge graphs with stateful elements), and by
+//! `fan_out_batch_remerge_order_is_pinned` below.
 
 use crate::config::ConfigGraph;
 use crate::element::{Element, ElementContext, ElementEnv};
@@ -48,20 +52,6 @@ use endbox_netsim::packet::Verdict;
 use endbox_netsim::{Packet, PacketBatch};
 use std::cmp::Ordering;
 use std::collections::VecDeque;
-
-/// Result of pushing one packet through the router.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouterOutput {
-    /// Packets emitted by `ToDevice` elements (verdict `Accept`).
-    pub emitted: Vec<Packet>,
-    /// True if at least one packet was emitted — the signal the modified
-    /// `ToDevice` gives OpenVPN (§IV).
-    pub accepted: bool,
-    /// Packets discarded because an element pushed them to an unconnected
-    /// output port. Previously these vanished silently; the counter makes
-    /// configuration gaps observable.
-    pub dropped: u64,
-}
 
 /// Result of pushing a [`PacketBatch`] through the router.
 #[derive(Debug)]
@@ -82,8 +72,8 @@ impl BatchOutput {
     /// First emitted packet per input slot (slot-indexed; `None` for
     /// inputs with no emission), with the batch-slot annotation cleared.
     ///
-    /// This mirrors the single-packet hot path, which seals exactly the
-    /// *first* emission of each accepted packet.
+    /// The datapath keeps exactly the *first* emission of each accepted
+    /// packet: the client seals it, the server delivers it.
     ///
     /// Packets not kept — non-first emissions for a slot, and packets
     /// whose slot annotation is missing or out of range (possible after a
@@ -123,7 +113,7 @@ impl BatchOutput {
 }
 
 /// Hierarchical sequence key ordering in-flight packets of a batch
-/// traversal by their single-packet traversal order.
+/// traversal by the order one-at-a-time pushes would visit them in.
 ///
 /// `slot` is the packet's position in the input batch; the key's *path*
 /// records, hop by hop, the sibling index each descendant was assigned
@@ -132,7 +122,7 @@ impl BatchOutput {
 /// locate this key's — which is emptied at the start of every traversal,
 /// so a key costs no allocation. Keys compare *shortlex* within a slot —
 /// shorter paths first, then lexicographic — which is exactly the order
-/// the single-packet breadth-first traversal visits events in, and keys
+/// a breadth-first walk of one packet visits events in, and keys
 /// are globally unique per traversal (each packet instance is processed
 /// once).
 #[derive(Debug, Clone, Copy)]
@@ -258,15 +248,17 @@ pub struct Router {
     hotswaps: u64,
     /// Transitive closure of the element graph (recomputed on hot-swap).
     reach: Vec<Vec<bool>>,
-    /// Single-packet traversal worklist (allocation reused across calls).
-    scratch_queue: VecDeque<(usize, usize, Packet)>,
+    /// The classes this router builds from, kept for hot-swaps.
+    registry: ElementRegistry,
     /// Element-output scratch handed to every `ElementContext`.
     scratch_outputs: Vec<(usize, Packet)>,
     /// Per-element key-sorted pending queues for batch traversal. Kept in
     /// `self` (not moved out) during traversal so an element panic leaves
     /// in-flight packets observable and recyclable instead of lost.
     pending: Vec<VecDeque<PendingPacket>>,
-    /// Batch handed to `Element::process_batch` (allocation reused).
+    /// The run being handed to `Element::process`, popped off its
+    /// pending queue whole before the first call, so an element panic
+    /// strands only packets queued outside the run (allocation reused).
     scratch_batch: PacketBatch,
     /// Packets dropped at unconnected ports during a batch traversal,
     /// recycled to their pools in one `give_many` at the end instead of
@@ -354,10 +346,11 @@ impl Router {
     /// Propagates parse, class-lookup, configuration and connection
     /// errors.
     pub fn from_config(config_text: &str, env: ElementEnv) -> Result<Router, ClickError> {
-        Self::from_config_with_registry(config_text, env, &ElementRegistry::standard())
+        Self::build_with(config_text, env, ElementRegistry::standard())
     }
 
-    /// Same as [`Router::from_config`] with a caller-provided registry.
+    /// Same as [`Router::from_config`] with a caller-provided registry,
+    /// which the router keeps: hot-swaps build through it too.
     ///
     /// # Errors
     ///
@@ -367,8 +360,16 @@ impl Router {
         env: ElementEnv,
         registry: &ElementRegistry,
     ) -> Result<Router, ClickError> {
+        Self::build_with(config_text, env, registry.clone())
+    }
+
+    fn build_with(
+        config_text: &str,
+        env: ElementEnv,
+        registry: ElementRegistry,
+    ) -> Result<Router, ClickError> {
         let graph = ConfigGraph::parse(config_text)?;
-        let built = build(&graph, registry, &env)?;
+        let built = build(&graph, &registry, &env)?;
         let n = built.elements.len();
         let mut pending = Vec::with_capacity(n);
         pending.resize_with(n, VecDeque::new);
@@ -383,7 +384,7 @@ impl Router {
             config_text: config_text.to_string(),
             hotswaps: 0,
             reach,
-            scratch_queue: VecDeque::with_capacity(4),
+            registry,
             scratch_outputs: Vec::with_capacity(4),
             pending,
             scratch_batch: PacketBatch::new(),
@@ -393,59 +394,14 @@ impl Router {
         })
     }
 
-    /// Pushes one packet into the router at its `FromDevice` entry and runs
-    /// it to completion. Returns emitted packets, the accept/reject
-    /// verdict, and the unconnected-port drop count.
-    pub fn process(&mut self, pkt: Packet) -> RouterOutput {
-        let mut emitted = Vec::new();
-        let mut dropped = 0u64;
-        let Some(entry) = self.entry else {
-            // No FromDevice: nothing to do, packet rejected.
-            return RouterOutput {
-                emitted,
-                accepted: false,
-                dropped,
-            };
-        };
-        // Scratch buffers are moved out of `self` for the traversal so the
-        // element calls can borrow `self.elements` mutably; their
-        // allocations return afterwards.
-        let mut queue = std::mem::take(&mut self.scratch_queue);
-        let mut outputs = std::mem::take(&mut self.scratch_outputs);
-        queue.push_back((entry, 0, pkt));
-        while let Some((idx, port, pkt)) = queue.pop_front() {
-            self.env.meter.add(self.env.cost.click_element_base);
-            let mut ctx = ElementContext::new(&mut outputs, &mut emitted, &self.env);
-            self.elements[idx].process(port, pkt, &mut ctx);
-            for (out_port, mut out_pkt) in outputs.drain(..) {
-                match self.out_edges[idx].get(out_port).copied().flatten() {
-                    Some((to, to_port)) => queue.push_back((to, to_port, out_pkt)),
-                    None => {
-                        // Packet pushed to an unconnected port: dropped.
-                        out_pkt.meta.verdict = Verdict::Drop;
-                        dropped += 1;
-                    }
-                }
-            }
-        }
-        self.scratch_queue = queue;
-        self.scratch_outputs = outputs;
-        let accepted = !emitted.is_empty();
-        RouterOutput {
-            emitted,
-            accepted,
-            dropped,
-        }
-    }
-
-    /// Pushes a whole batch through the router in one traversal.
+    /// Pushes a whole batch through the router in one traversal; a single
+    /// packet is a batch of one.
     ///
-    /// Packets are queued per element and handed to
-    /// [`Element::process_batch`] in runs, so hot elements amortise their
-    /// fixed costs across the batch, while the key-ordered scheduler
+    /// Packets are queued per element and run through
+    /// [`Element::process`] in runs, while the key-ordered scheduler
     /// keeps every element's arrival order — and hence its state and the
-    /// emitted sequence — identical to N single [`Router::process`]
-    /// calls. See the module docs for the scheduling discipline.
+    /// emitted sequence — identical to pushing the packets one at a time.
+    /// See the module docs for the scheduling discipline.
     pub fn process_batch(&mut self, mut batch: PacketBatch) -> BatchOutput {
         let n_in = batch.len();
         let mut emitted: Vec<Packet> = Vec::with_capacity(n_in);
@@ -454,7 +410,7 @@ impl Router {
         // packets queued; recover them before seeding the new batch.
         self.drain_stale_pending();
         let Some(entry) = self.entry else {
-            batch.clear();
+            endbox_netsim::recycle_packets(batch.drain(..));
             return BatchOutput {
                 emitted: PacketBatch::new(),
                 verdicts: vec![Verdict::Drop; n_in],
@@ -554,17 +510,19 @@ impl Router {
                 .add(self.env.cost.click_element_base * work.len() as u64);
             let emitted_before = emitted.len();
             let mut ctx = ElementContext::new(&mut outputs, &mut emitted, &self.env);
-            self.elements[idx].process_batch(port, &mut work, &mut ctx);
+            for pkt in work.drain(..) {
+                self.elements[idx].process(port, pkt, &mut ctx);
+            }
 
             // Emissions carry the key of the event that produced them;
-            // the final stable sort restores single-packet order.
+            // the final stable sort restores one-at-a-time order.
             for pkt in &emitted[emitted_before..] {
                 keys.emitted
                     .push(keys.run[event_of_slot(&keys.run, pkt.meta.batch_slot)].key);
             }
 
             // Outputs extend their parent's path by the next sibling
-            // index, in drain order — the order the single-packet path
+            // index, in drain order — the order a one-at-a-time push
             // would have enqueued them in.
             for (out_port, mut out_pkt) in outputs.drain(..) {
                 let ev = event_of_slot(&keys.run, out_pkt.meta.batch_slot);
@@ -596,7 +554,7 @@ impl Router {
         self.scratch_batch = work;
         self.scratch_drops = drops;
 
-        // Restore the single-packet emission order: stable argsort by the
+        // Restore the one-at-a-time emission order: stable argsort by the
         // producing event's key (ties — several emissions from one event —
         // keep their call order; the index tie-break makes the order
         // total, so the allocation-free unstable sort is stable here).
@@ -652,9 +610,8 @@ impl Router {
     /// Any parse/build error for the new configuration; the router is
     /// unchanged in that case.
     pub fn hot_swap(&mut self, new_config: &str) -> Result<(), ClickError> {
-        let registry = ElementRegistry::standard();
         let graph = ConfigGraph::parse(new_config)?;
-        let mut built = build(&graph, &registry, &self.env)?;
+        let mut built = build(&graph, &self.registry, &self.env)?;
 
         // Charge the hot-swap cost model (Table II): parse + instantiate,
         // plus device setup when this Click owns its devices (vanilla).
@@ -791,13 +748,18 @@ mod tests {
         )
     }
 
+    /// Pushes one packet: a batch of one.
+    fn one(r: &mut Router, pkt: Packet) -> BatchOutput {
+        r.process_batch(vec![pkt])
+    }
+
     #[test]
     fn nop_config_forwards() {
         let mut r =
             Router::from_config("FromDevice(tun0) -> ToDevice(tun0);", ElementEnv::default())
                 .unwrap();
-        let out = r.process(pkt());
-        assert!(out.accepted);
+        let out = one(&mut r, pkt());
+        assert_eq!(out.accepted, 1);
         assert_eq!(out.emitted.len(), 1);
         assert_eq!(out.emitted[0].meta.verdict, Verdict::Accept);
     }
@@ -806,8 +768,8 @@ mod tests {
     fn discard_rejects() {
         let mut r =
             Router::from_config("FromDevice(tun0) -> Discard;", ElementEnv::default()).unwrap();
-        let out = r.process(pkt());
-        assert!(!out.accepted);
+        let out = one(&mut r, pkt());
+        assert_eq!(out.accepted, 0);
         assert!(out.emitted.is_empty());
     }
 
@@ -820,8 +782,8 @@ mod tests {
             ElementEnv::default(),
         )
         .unwrap();
-        let out = r.process(pkt()); // dst port 2 -> denied
-        assert!(!out.accepted);
+        let out = one(&mut r, pkt()); // dst port 2 -> denied
+        assert_eq!(out.accepted, 0);
         assert_eq!(out.dropped, 1, "unconnected-port drop must be observable");
         assert_eq!(r.read_handler("f", "denied").as_deref(), Some("1"));
 
@@ -833,79 +795,9 @@ mod tests {
             99,
             b"x",
         );
-        let out = r.process(ok);
-        assert!(out.accepted);
+        let out = one(&mut r, ok);
+        assert_eq!(out.accepted, 1);
         assert_eq!(out.dropped, 0);
-    }
-
-    #[test]
-    fn batch_matches_single_packet_path() {
-        let config = "FromDevice(t) -> c :: Counter \
-                      -> f :: IPFilter(deny dst port 2, allow all) -> ToDevice(t);";
-        let mut single = Router::from_config(config, ElementEnv::default()).unwrap();
-        let mut batched = Router::from_config(config, ElementEnv::default()).unwrap();
-
-        let packets: Vec<Packet> = (0..8)
-            .map(|i| {
-                Packet::udp(
-                    Ipv4Addr::new(10, 0, 0, 1),
-                    Ipv4Addr::new(10, 0, 1, 1),
-                    1,
-                    if i % 3 == 0 { 2 } else { 40 + i }, // every third denied
-                    b"payload",
-                )
-            })
-            .collect();
-
-        let mut single_emitted = Vec::new();
-        let mut single_verdicts = Vec::new();
-        for p in packets.iter().cloned() {
-            let out = single.process(p);
-            single_verdicts.push(if out.accepted {
-                Verdict::Accept
-            } else {
-                Verdict::Drop
-            });
-            single_emitted.extend(out.emitted);
-        }
-
-        let out = batched.process_batch(packets);
-        assert_eq!(out.verdicts, single_verdicts);
-        assert_eq!(out.accepted, 5);
-        assert_eq!(out.dropped, 3);
-        let batch_bytes: Vec<&[u8]> = out.emitted.iter().map(Packet::bytes).collect();
-        let single_bytes: Vec<&[u8]> = single_emitted.iter().map(Packet::bytes).collect();
-        assert_eq!(batch_bytes, single_bytes);
-        // Element state (Counter) evolved identically.
-        assert_eq!(
-            single.read_handler("c", "count"),
-            batched.read_handler("c", "count")
-        );
-    }
-
-    #[test]
-    fn batch_charges_same_cycles_as_singles() {
-        let config = "FromDevice(t) -> f :: IPFilter(deny dst port 2, allow all) \
-                      -> ids :: IDSMatcher(COMMUNITY 20) -> ToDevice(t); ids[1] -> Discard;";
-        let env_a = ElementEnv::default();
-        let meter_a = env_a.meter.clone();
-        let mut single = Router::from_config(config, env_a).unwrap();
-        let env_b = ElementEnv::default();
-        let meter_b = env_b.meter.clone();
-        let mut batched = Router::from_config(config, env_b).unwrap();
-
-        let packets: Vec<Packet> = (0..6).map(|_| pkt()).collect();
-        meter_a.take();
-        for p in packets.iter().cloned() {
-            single.process(p);
-        }
-        meter_b.take();
-        batched.process_batch(packets);
-        assert_eq!(
-            meter_a.take(),
-            meter_b.take(),
-            "batching must not change cycle totals"
-        );
     }
 
     #[test]
@@ -925,7 +817,7 @@ mod tests {
     #[test]
     fn fan_out_batch_remerge_order_is_pinned() {
         // Pin of the order-preservation invariant at a fan-out: a Tee
-        // into two ToDevices emits exactly as N single `process` calls
+        // into two ToDevices emits exactly as N one-packet batches
         // would — per input slot, both branch emissions together (Tee
         // pushes its clone ports first, then port 0), slots in input
         // order. This is the order the module docs promise and the
@@ -940,7 +832,7 @@ mod tests {
         assert_eq!(
             slots,
             vec![Some(0), Some(0), Some(1), Some(1), Some(2), Some(2)],
-            "emissions interleave per input slot, matching the single-packet path"
+            "emissions interleave per input slot, matching one-at-a-time pushes"
         );
         assert_eq!(out.accepted, 3);
         // And the slot-indexed re-merge picks the *first* emission of each
@@ -949,38 +841,6 @@ mod tests {
         let first_slots: Vec<Option<u32>> = firsts.iter().map(|p| p.meta.batch_slot).collect();
         assert_eq!(first_slots, vec![None, None, None], "annotation cleared");
         assert_eq!(firsts.len(), 3);
-    }
-
-    #[test]
-    fn fan_out_remerge_into_round_robin_matches_single_path() {
-        // The re-merge bug this PR fixes: two Tee branches of different
-        // depth re-merging into one order-sensitive RoundRobinSwitch.
-        // Batched and single-packet routers must make identical routing
-        // decisions (same `next` evolution, same per-port counts).
-        let config = "rr :: RoundRobinSwitch(2); \
-                      FromDevice(t) -> tee :: Tee(2); \
-                      tee[0] -> c0 :: Counter -> rr; \
-                      tee[1] -> rr; \
-                      rr[0] -> a :: Counter -> ToDevice(t); \
-                      rr[1] -> b :: Counter -> ToDevice(t);";
-        let mut single = Router::from_config(config, ElementEnv::default()).unwrap();
-        let mut batched = Router::from_config(config, ElementEnv::default()).unwrap();
-
-        let packets: Vec<Packet> = (0..7).map(|_| pkt()).collect();
-        let mut single_emitted = Vec::new();
-        for p in packets.iter().cloned() {
-            single_emitted.extend(single.process(p).emitted);
-        }
-        let out = batched.process_batch(packets);
-
-        let batch_bytes: Vec<&[u8]> = out.emitted.iter().map(Packet::bytes).collect();
-        let single_bytes: Vec<&[u8]> = single_emitted.iter().map(Packet::bytes).collect();
-        assert_eq!(batch_bytes, single_bytes, "byte-identical emission order");
-        for (name, handler) in [("c0", "count"), ("a", "count"), ("b", "count")] {
-            let s = single.read_handler(name, handler);
-            let b = batched.read_handler(name, handler);
-            assert_eq!(s, b, "{name}.{handler} diverged");
-        }
     }
 
     #[test]
@@ -1088,6 +948,38 @@ mod tests {
     }
 
     #[test]
+    fn entryless_router_recycles_its_input_under_one_lock() {
+        use endbox_netsim::BufferPool;
+        // A graph without `FromDevice` (which a signed config update can
+        // install) drops every input; the buffers go back in one
+        // `give_many` like every other router drop.
+        let mut r = Router::from_config("c :: Counter -> Discard;", ElementEnv::default()).unwrap();
+        let pool = BufferPool::new();
+        let batch: PacketBatch = (0..6)
+            .map(|_| {
+                Packet::udp_in(
+                    &pool,
+                    Ipv4Addr::new(10, 0, 0, 1),
+                    Ipv4Addr::new(10, 0, 1, 1),
+                    1,
+                    2,
+                    b"no entry",
+                )
+            })
+            .collect();
+        let before = pool.stats();
+        let out = r.process_batch(batch);
+        assert_eq!(out.verdicts, vec![Verdict::Drop; 6]);
+        let after = pool.stats();
+        assert_eq!(after.returned - before.returned, 6, "all buffers recycled");
+        assert_eq!(
+            after.batched_ops - before.batched_ops,
+            1,
+            "one pool lock for the whole dropped input"
+        );
+    }
+
+    #[test]
     fn empty_batch_is_a_noop() {
         let mut r =
             Router::from_config("FromDevice(t) -> ToDevice(t);", ElementEnv::default()).unwrap();
@@ -1114,7 +1006,7 @@ mod tests {
             ElementEnv::default(),
         )
         .unwrap();
-        let out = r.process(pkt());
+        let out = one(&mut r, pkt());
         assert_eq!(out.emitted.len(), 2);
     }
 
@@ -1125,8 +1017,8 @@ mod tests {
             ElementEnv::default(),
         )
         .unwrap();
-        r.process(pkt());
-        r.process(pkt());
+        one(&mut r, pkt());
+        one(&mut r, pkt());
         assert_eq!(r.read_handler("c", "count").as_deref(), Some("2"));
         r.write_handler("c", "reset", "").unwrap();
         assert_eq!(r.read_handler("c", "count").as_deref(), Some("0"));
@@ -1141,7 +1033,7 @@ mod tests {
             ElementEnv::default(),
         )
         .unwrap();
-        r.process(pkt());
+        one(&mut r, pkt());
         r.hot_swap("FromDevice(t) -> c :: Counter -> f :: IPFilter(allow all) -> ToDevice(t);")
             .unwrap();
         assert_eq!(
@@ -1149,7 +1041,7 @@ mod tests {
             Some("1"),
             "state transferred"
         );
-        r.process(pkt());
+        one(&mut r, pkt());
         assert_eq!(r.read_handler("c", "count").as_deref(), Some("2"));
         assert_eq!(r.hotswap_count(), 1);
     }
@@ -1163,7 +1055,7 @@ mod tests {
             .hot_swap("FromDevice(t) -> NoSuchElement -> ToDevice(t);")
             .is_err());
         assert_eq!(r.config_text(), old);
-        assert!(r.process(pkt()).accepted, "old config still works");
+        assert_eq!(one(&mut r, pkt()).accepted, 1, "old config still works");
         assert_eq!(r.hotswap_count(), 0);
     }
 
@@ -1228,8 +1120,8 @@ mod tests {
             ElementEnv::default(),
         )
         .unwrap();
-        let out = r.process(pkt());
-        assert!(out.accepted);
+        let out = one(&mut r, pkt());
+        assert_eq!(out.accepted, 1);
         assert_eq!(r.read_handler("ids", "alerts").as_deref(), Some("0"));
         assert_eq!(r.read_handler("ts", "conformed").as_deref(), Some("1"));
     }
@@ -1242,7 +1134,7 @@ mod tests {
         let mut r = Router::from_config("FromDevice(t) -> Counter -> Counter -> ToDevice(t);", env)
             .unwrap();
         meter.take();
-        r.process(pkt());
+        one(&mut r, pkt());
         // 4 elements traversed.
         assert_eq!(meter.read(), 4 * cost.click_element_base);
     }

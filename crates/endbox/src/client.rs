@@ -4,9 +4,10 @@
 //!
 //! Traffic leaves through [`EndBoxClient::send_packet`] (one `Data`
 //! record per packet, the paper's baseline) or
-//! [`EndBoxClient::send_batch`] (one `DataBatch` record), and arrives
-//! through one doorway, [`EndBoxClient::receive_datagram_batch`]: the
-//! server seals only `DataBatch` and `Ping` records for a client.
+//! [`EndBoxClient::send_batch`] (one `DataBatch` record); both take the
+//! one egress ecall and the same untrusted half. It arrives through one
+//! doorway, [`EndBoxClient::receive_datagram_batch`]: the server seals
+//! only `DataBatch` and `Ping` records for a client.
 //!
 //! The same type also models a *vanilla OpenVPN client*
 //! ([`TrustLevel::Untrusted`]): identical protocol logic with no enclave
@@ -14,7 +15,7 @@
 
 use crate::ca::CertificateAuthority;
 use crate::config_update::ConfigServer;
-use crate::enclave_app::{EgressResult, EnclaveApp, EnclaveAppConfig};
+use crate::enclave_app::{EnclaveApp, EnclaveAppConfig};
 use crate::error::EndBoxError;
 use endbox_click::element::FlowId;
 use endbox_crypto::schnorr::VerifyingKey;
@@ -268,26 +269,15 @@ impl EndBoxClient {
         self.session_id
     }
 
-    /// Sends one IP packet through the middlebox and tunnel. Returns the
-    /// wire datagrams (possibly several fragments), or an empty vector if
-    /// the middlebox dropped the packet.
+    /// Sends one IP packet through the middlebox and tunnel as one `Data`
+    /// record. Returns the wire datagrams (possibly several fragments), or
+    /// an empty vector if the middlebox dropped the packet.
     ///
     /// # Errors
     ///
     /// [`EndBoxError::NotReady`] before connecting.
     pub fn send_packet(&mut self, packet: Packet) -> Result<Vec<Vec<u8>>, EndBoxError> {
-        self.stats.sent += 1;
-        // Untrusted side: tun read + user-space bookkeeping.
-        self.meter.add(
-            self.cost.vpn_per_write + (self.cost.memcpy_per_byte * packet.len() as f64) as u64,
-        );
-        match self.app.process_egress(packet)? {
-            EgressResult::Dropped => {
-                self.stats.dropped_egress += 1;
-                Ok(Vec::new())
-            }
-            EgressResult::Sealed(record) => Ok(self.fragment_record(&record)),
-        }
+        self.send_sealed(vec![packet], Opcode::Data)
     }
 
     /// Sends a whole batch of IP packets through the middlebox and tunnel
@@ -306,6 +296,16 @@ impl EndBoxClient {
         if packets.is_empty() {
             return Ok(Vec::new());
         }
+        self.send_sealed(packets, Opcode::DataBatch)
+    }
+
+    /// The untrusted half of a send: tun reads, the egress ecall sealing
+    /// one `opcode` record, then fragmentation.
+    fn send_sealed(
+        &mut self,
+        packets: Vec<Packet>,
+        opcode: Opcode,
+    ) -> Result<Vec<Vec<u8>>, EndBoxError> {
         self.stats.sent += packets.len() as u64;
         let total_bytes: usize = packets.iter().map(Packet::len).sum();
         // Untrusted side: one tun read + bookkeeping per packet.
@@ -313,7 +313,7 @@ impl EndBoxClient {
             self.cost.vpn_per_write * packets.len() as u64
                 + (self.cost.memcpy_per_byte * total_bytes as f64) as u64,
         );
-        let result = self.app.process_egress_batch(packets)?;
+        let result = self.app.process_egress(packets, opcode)?;
         self.stats.dropped_egress += result.dropped as u64;
         match result.record {
             None => Ok(Vec::new()),

@@ -9,12 +9,12 @@
 //! unoptimised TaLoS-style variant (one boundary crossing per crypto
 //! operation) for the §V-G ablation.
 //!
-//! Egress has two ecall bodies: the per-packet `Data` record
-//! ([`EnclaveApp::process_egress`], the paper's baseline) and the batched
-//! `DataBatch` record ([`EnclaveApp::process_egress_batch`]). Ingress has
-//! one: everything the server seals for a client is a `DataBatch`, so
-//! [`EnclaveApp::process_ingress_batch`] is the only decrypt-and-Click
-//! body.
+//! Each direction has one ecall body. Egress,
+//! [`EnclaveApp::process_egress`], runs Click over the packets and seals
+//! the record its caller names: a per-packet `Data` record (the paper's
+//! baseline) or a batched `DataBatch` record. Ingress,
+//! [`EnclaveApp::process_ingress_batch`], opens a `DataBatch`: everything
+//! the server seals for a client is one.
 
 use crate::ca::EnrollmentResponse;
 use crate::config_update::SignedConfig;
@@ -75,21 +75,12 @@ pub struct EnclaveAppConfig {
     pub rng_seed: u64,
 }
 
-/// Result of processing an egress packet.
-#[derive(Debug)]
-pub enum EgressResult {
-    /// Packet accepted by the middlebox; sealed record ready for
-    /// fragmentation and transmission.
-    Sealed(Record),
-    /// Packet rejected by the middlebox (firewall/IDS drop).
-    Dropped,
-}
-
 /// Result of processing an egress batch in one enclave transition.
 #[derive(Debug)]
 pub struct EgressBatchResult {
-    /// One sealed `DataBatch` record covering every accepted packet, or
-    /// `None` when the middlebox dropped the whole batch.
+    /// The sealed record (`Data` or `DataBatch`, as asked) covering every
+    /// accepted packet, or `None` when the middlebox dropped the whole
+    /// batch.
     pub record: Option<Record>,
     /// Input packets accepted by the middlebox.
     pub accepted: usize,
@@ -430,68 +421,34 @@ impl EnclaveApp {
 
     // --- data path ----------------------------------------------------------
 
-    /// Processes one egress IP packet: Click middlebox, then seal. One
-    /// ecall in batched mode.
+    /// Processes egress packets in **one** enclave transition, the
+    /// enclave's one egress ecall: the packets cross the boundary once
+    /// (the fixed partition cost paid once), traverse Click as one
+    /// [`PacketBatch`], and the accepted ones are sealed into one record
+    /// of kind `opcode`. `Data` carries a single packet — the paper's
+    /// baseline, "one ecall per packet". `DataBatch` carries the whole
+    /// batch under one IV/MAC and one fixed crypto charge — the §IV
+    /// batching optimisation taken to "one ecall per batch".
     ///
     /// # Errors
     ///
-    /// [`EndBoxError::NotReady`] before the handshake completes.
-    pub fn process_egress(&mut self, packet: Packet) -> Result<EgressResult, EndBoxError> {
-        let result = self
-            .enclave
-            .ecall("ecall_packet_encrypt", |state, services| {
-                if state.channel.is_none() {
-                    return Err(EndBoxError::NotReady("no established channel"));
-                }
-                // Copying the packet across the boundary costs partition
-                // overhead plus EPC traffic in hardware mode.
-                services.charge(
-                    services.cost_model().partition_per_packet
-                        + (services.cost_model().partition_per_byte * packet.len() as f64) as u64,
-                );
-                services.charge_epc_traffic(packet.len());
-
-                let out = state.click.process(packet);
-                if !out.accepted {
-                    state.dropped += 1;
-                    return Ok(EgressResult::Dropped);
-                }
-                state.accepted += 1;
-                let mut accepted_packet = out
-                    .emitted
-                    .into_iter()
-                    .next()
-                    .expect("accepted implies one emitted");
-                if state.c2c_flagging {
-                    // Mark as already-processed so a receiving EndBox client
-                    // can skip Click (§IV-A).
-                    accepted_packet.set_tos(QOS_ENDBOX_PROCESSED);
-                }
-                let channel = state.channel.as_mut().unwrap();
-                let record = channel.seal(Opcode::Data, state.session_id, accepted_packet.bytes());
-                Ok(EgressResult::Sealed(record))
-            })?;
-        if !self.batched {
-            self.charge_unbatched_crypto_calls()?;
-        }
-        result
-    }
-
-    /// Processes a whole egress batch in **one** enclave transition: the
-    /// batch crosses the boundary once (amortising the fixed partition
-    /// cost), traverses Click as one [`PacketBatch`], and every accepted
-    /// packet is sealed into a single `DataBatch` record (one IV/MAC and
-    /// one fixed crypto charge for the whole batch — the §IV batching
-    /// optimisation taken from "one ecall per packet" to "one ecall per
-    /// batch").
-    ///
-    /// # Errors
-    ///
-    /// [`EndBoxError::NotReady`] before the handshake completes.
-    pub fn process_egress_batch(
+    /// [`EndBoxError::NotReady`] before the handshake completes;
+    /// [`endbox_vpn::VpnError::Malformed`], before any ecall, for an
+    /// opcode other than `Data` or `DataBatch`, or a `Data` record asked
+    /// to carry other than one packet.
+    pub fn process_egress(
         &mut self,
         batch: PacketBatch,
+        opcode: Opcode,
     ) -> Result<EgressBatchResult, EndBoxError> {
+        match (opcode, batch.len()) {
+            (Opcode::Data, 1) | (Opcode::DataBatch, _) => {}
+            _ => {
+                return Err(EndBoxError::Vpn(endbox_vpn::VpnError::Malformed(
+                    "egress seals one packet per Data record, or a DataBatch",
+                )))
+            }
+        }
         let result = self
             .enclave
             .ecall("ecall_packet_encrypt", |state, services| {
@@ -500,8 +457,8 @@ impl EnclaveApp {
                 }
                 let n = batch.len();
                 let total_bytes: usize = batch.iter().map(Packet::len).sum();
-                // One boundary crossing for the whole batch: fixed partition
-                // overhead paid once, the copy cost per byte as usual.
+                // Copying the packets across the boundary costs partition
+                // overhead plus EPC traffic in hardware mode.
                 services.charge(
                     services.cost_model().partition_per_packet
                         + (services.cost_model().partition_per_byte * total_bytes as f64) as u64,
@@ -522,13 +479,19 @@ impl EnclaveApp {
                 }
                 let mut emitted = out.into_first_emissions();
                 if state.c2c_flagging {
+                    // Mark as already-processed so a receiving EndBox client
+                    // can skip Click (§IV-A).
                     for pkt in &mut emitted {
                         pkt.set_tos(QOS_ENDBOX_PROCESSED);
                     }
                 }
-                let payloads: Vec<&[u8]> = emitted.iter().map(Packet::bytes).collect();
                 let channel = state.channel.as_mut().unwrap();
-                let record = channel.seal_batch(state.session_id, &payloads);
+                let record = if opcode == Opcode::Data {
+                    channel.seal(Opcode::Data, state.session_id, emitted[0].bytes())
+                } else {
+                    let payloads: Vec<&[u8]> = emitted.iter().map(Packet::bytes).collect();
+                    channel.seal_batch(state.session_id, &payloads)
+                };
                 Ok(EgressBatchResult {
                     record: Some(record),
                     accepted,

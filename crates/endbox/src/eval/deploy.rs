@@ -397,14 +397,14 @@ fn measure_vanilla_click(use_case: UseCase, payload_len: usize, samples: usize) 
         0,
         &payload,
     );
-    router.process(pkt.clone()); // warm-up
+    router.process_batch(vec![pkt.clone()]); // warm-up
     meter.take();
     for _ in 0..samples {
         // Kernel hands the packet to the Click process and back.
         meter.add(
             cost.click_fetch_per_packet + (cost.click_fetch_per_byte * pkt.len() as f64) as u64,
         );
-        router.process(pkt.clone());
+        router.process_batch(vec![pkt.clone()]);
     }
     let server_cycles = meter.take() / samples as u64;
 

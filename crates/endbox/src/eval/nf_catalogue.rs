@@ -3,8 +3,8 @@
 //! PR 9 made `Router::process_batch` order-preserving across arbitrary
 //! fan-out/re-merge graphs, which unblocks running *stateful* network
 //! functions — NAT, rate limiting, connection tracking — on the batched
-//! path: their flow tables observe packets in exactly the order the
-//! single-packet path would feed them, so batching is purely a
+//! path: their flow tables observe packets in exactly the order
+//! one-at-a-time pushes would feed them, so batching is purely a
 //! boundary-cost optimisation and never a semantic change.
 //!
 //! This experiment installs a realistic stateful chain (connection

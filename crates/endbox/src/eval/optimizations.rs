@@ -321,7 +321,7 @@ pub fn sampling_sweep() -> Vec<SamplingPoint> {
             let n = 5_000u64;
             meter.take();
             for _ in 0..n {
-                router.process(pkt.clone());
+                router.process_batch(vec![pkt.clone()]);
             }
             SamplingPoint {
                 sample_interval: interval,

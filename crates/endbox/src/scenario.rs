@@ -1185,6 +1185,27 @@ mod tests {
     }
 
     #[test]
+    fn egress_seals_exactly_one_packet_per_data_record() {
+        // The one egress body seals a `Data` record around one packet;
+        // asking it to carry more is refused before any ecall.
+        use endbox_vpn::proto::Opcode;
+        let mut s = Scenario::enterprise(1, UseCase::Nop).build().unwrap();
+        let packets = client_packets(0, &[b"one".to_vec(), b"two".to_vec()]);
+        let app = s.clients[0].enclave_app();
+        let ecalls = app.transition_counters().ecalls;
+        assert!(matches!(
+            app.process_egress(packets.clone(), Opcode::Data),
+            Err(EndBoxError::Vpn(endbox_vpn::VpnError::Malformed(_)))
+        ));
+        assert_eq!(app.transition_counters().ecalls, ecalls);
+        let sealed = app
+            .process_egress(packets[..1].to_vec(), Opcode::Data)
+            .unwrap();
+        assert_eq!(sealed.record.map(|r| r.opcode), Some(Opcode::Data));
+        assert_eq!(app.transition_counters().ecalls, ecalls + 1);
+    }
+
+    #[test]
     fn batched_send_delivers_everything_in_order() {
         let mut s = Scenario::enterprise(1, UseCase::Firewall).build().unwrap();
         let payloads: Vec<Vec<u8>> = (0..10)

@@ -312,33 +312,18 @@ impl<Rx> Server<Rx> {
                 session_id,
                 mut packet,
             } => {
-                if let Some(click) = self.click.as_mut() {
-                    self.io.charge_click_handoff(1, packet.len());
-                    let out = click.process(packet);
-                    if !out.accepted {
-                        self.click_dropped += 1;
-                        return Err(EndBoxError::PacketDropped);
-                    }
-                    packet = out.emitted.into_iter().next().expect("accepted");
+                if self.click.is_some() {
+                    packet = self
+                        .click_step(vec![packet])
+                        .pop()
+                        .ok_or(EndBoxError::PacketDropped)?;
                 }
                 self.io.charge_delivery(1);
                 self.delivered += 1;
                 Ok(Delivery::Packet { session_id, packet })
             }
             ShardEvent::Batch { session_id, batch } => {
-                let packets = match self.click.as_mut() {
-                    None => batch,
-                    // The whole batch crosses to the Click process at
-                    // once; packets it drops are filtered out.
-                    Some(click) => {
-                        let total: usize = batch.iter().map(Packet::len).sum();
-                        self.io.charge_click_handoff(batch.len(), total);
-                        let n = batch.len();
-                        let out = click.process_batch(batch);
-                        self.click_dropped += (n - out.accepted) as u64;
-                        out.into_first_emissions()
-                    }
-                };
+                let packets = self.click_step(batch);
                 self.io.charge_delivery(packets.len());
                 self.delivered += packets.len() as u64;
                 Ok(Delivery::PacketBatch {
@@ -357,6 +342,21 @@ impl<Rx> Server<Rx> {
             // thread owns the peer.
             ShardEvent::Disconnected { session_id } => Ok(Delivery::Disconnected { session_id }),
         }
+    }
+
+    /// The server-side Click step: the packets cross to the Click process
+    /// at once, and those it drops are filtered out (and counted). With no
+    /// server-side Click they pass through untouched.
+    fn click_step(&mut self, packets: Vec<Packet>) -> Vec<Packet> {
+        let Some(click) = self.click.as_mut() else {
+            return packets;
+        };
+        let total: usize = packets.iter().map(Packet::len).sum();
+        self.io.charge_click_handoff(packets.len(), total);
+        let n = packets.len();
+        let out = click.process_batch(packets);
+        self.click_dropped += (n - out.accepted) as u64;
+        out.into_first_emissions()
     }
 
     /// Sanitises a packet arriving from *outside* the managed network:

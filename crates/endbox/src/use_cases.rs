@@ -134,8 +134,8 @@ mod tests {
         for uc in UseCase::all() {
             let mut router =
                 Router::from_config(&uc.click_config(), ElementEnv::default()).unwrap();
-            let out = router.process(pkt());
-            assert!(out.accepted, "{uc} must forward benign traffic");
+            let out = router.process_batch(vec![pkt()]);
+            assert_eq!(out.accepted, 1, "{uc} must forward benign traffic");
         }
     }
 
@@ -151,7 +151,7 @@ mod tests {
         let mut router =
             Router::from_config(&UseCase::Firewall.click_config(), ElementEnv::default()).unwrap();
         assert_eq!(router.read_handler("fw", "rules").as_deref(), Some("16"));
-        router.process(pkt());
+        router.process_batch(vec![pkt()]);
         assert_eq!(router.read_handler("fw", "allowed").as_deref(), Some("1"));
     }
 
@@ -160,7 +160,7 @@ mod tests {
         let mut router =
             Router::from_config(&UseCase::Idps.click_config(), ElementEnv::default()).unwrap();
         assert_eq!(router.read_handler("ids", "rules").as_deref(), Some("377"));
-        router.process(pkt());
+        router.process_batch(vec![pkt()]);
         assert_eq!(router.read_handler("ids", "alerts").as_deref(), Some("0"));
     }
 
@@ -178,9 +178,9 @@ mod tests {
             0,
             b"xx EB-MAL-0000 xx",
         );
-        let out = router.process(evil);
+        let out = router.process_batch(vec![evil]);
         // sid 1000000 is a drop rule (0 % 11 == 0): packet must not pass.
-        assert!(!out.accepted);
+        assert_eq!(out.accepted, 0);
     }
 
     #[test]

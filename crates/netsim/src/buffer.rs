@@ -21,7 +21,7 @@
 //! # Invariants
 //!
 //! * A batch preserves packet order across every layer boundary; batch
-//!   processing is byte-identical to N single-packet calls
+//!   processing is byte-identical to pushing the packets one at a time
 //!   (property-tested in `tests/batch_parity.rs`).
 //! * A pooled packet's backing store returns to its pool on drop
 //!   ([`PoolStats::reuse_fraction`] measures the recycling on both the

@@ -406,6 +406,38 @@ fn interrupted_batch_drains_on_next_traversal_without_a_swap() {
     );
 }
 
+#[test]
+fn hot_swap_builds_through_the_routers_own_registry() {
+    use endbox_click::element::ElementEnv;
+    use endbox_click::registry::ElementRegistry;
+    use endbox_click::Router;
+
+    let mut registry = ElementRegistry::standard();
+    registry.register("PanicAfter", panic_after_factory);
+    let mut router = Router::from_config_with_registry(
+        "FromDevice(t) -> p :: PanicAfter(5) -> ToDevice(t);",
+        ElementEnv::default(),
+        &registry,
+    )
+    .unwrap();
+    // The new config keeps the custom class: the swap must resolve it
+    // through the registry the router was built with, not the standard
+    // one.
+    router
+        .hot_swap("FromDevice(t) -> c :: Counter -> p :: PanicAfter(5) -> ToDevice(t);")
+        .expect("a custom class survives a hot-swap");
+    assert_eq!(router.hotswap_count(), 1);
+    let out = router.process_batch(vec![endbox_netsim::Packet::udp(
+        std::net::Ipv4Addr::new(10, 0, 0, 1),
+        std::net::Ipv4Addr::new(10, 0, 1, 1),
+        7,
+        8,
+        b"after swap",
+    )]);
+    assert_eq!(out.accepted, 1, "the swapped graph runs");
+    assert_eq!(router.read_handler("c", "count").as_deref(), Some("1"));
+}
+
 #[path = "support/mod.rs"]
 #[allow(dead_code)]
 mod support;
