@@ -284,13 +284,14 @@ pub fn downgrade_attack() -> AttackOutcome {
 /// §V-A "Interface attacks": calling undeclared enclave entry points and
 /// feeding malformed parameters.
 pub fn interface_attack(scenario: &mut Scenario) -> AttackOutcome {
-    // 1. Undeclared ecall (arbitrary code-path probing).
-    match scenario.clients[0]
-        .enclave_app()
-        .try_raw_ecall("ecall_read_arbitrary_memory")
-    {
-        Err(EndBoxError::Enclave(EnclaveError::UndeclaredCall(_))) => {}
-        _ => return AttackOutcome::Breached("undeclared ecall reachable"),
+    // 1. Undeclared ecalls (arbitrary code-path probing): a name no
+    // enclave has, and a name from the paper's TaLoS-style library surface
+    // that this enclave implements no body for.
+    for name in ["ecall_read_arbitrary_memory", "ecall_ssl_read"] {
+        match scenario.clients[0].enclave_app().try_raw_ecall(name) {
+            Err(EndBoxError::Enclave(EnclaveError::UndeclaredCall(_))) => {}
+            _ => return AttackOutcome::Breached("undeclared ecall reachable"),
+        }
     }
     // 2. Malformed record with an oversized length field (Iago-style).
     let mut evil_payload = vec![0u8; 40];

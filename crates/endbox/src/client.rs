@@ -137,6 +137,8 @@ pub struct EndBoxClient {
     meter: CycleMeter,
     clock: SharedClock,
     session_id: Option<u64>,
+    /// A configuration version the server announced and this client has
+    /// not applied yet (Fig. 5 step 5).
     pending_update: Option<u64>,
     /// Traffic counters.
     pub stats: ClientStats,
@@ -365,12 +367,6 @@ impl EndBoxClient {
         if msg.config_version > current {
             self.pending_update = Some(msg.config_version);
         }
-    }
-
-    /// A configuration version announced by the server that we have not
-    /// applied yet (Fig. 5 step 5).
-    pub fn pending_update(&self) -> Option<u64> {
-        self.pending_update
     }
 
     /// Fetches and applies a pending update from the config server

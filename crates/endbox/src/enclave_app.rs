@@ -19,7 +19,7 @@
 use crate::ca::EnrollmentResponse;
 use crate::config_update::SignedConfig;
 use crate::error::EndBoxError;
-use crate::interface;
+use crate::interface::Ecall;
 use endbox_click::element::{ElementEnv, FlowId, SessionKeyStore};
 use endbox_click::Router;
 use endbox_crypto::schnorr::{SigningKey, VerifyingKey};
@@ -29,7 +29,7 @@ use endbox_netsim::packet::QOS_ENDBOX_PROCESSED;
 use endbox_netsim::time::SharedClock;
 use endbox_netsim::{BufferPool, Packet, PacketBatch, PoolStats};
 use endbox_sgx::attestation::{CpuIdentity, Report};
-use endbox_sgx::{Enclave, EnclaveBuilder, SgxMode};
+use endbox_sgx::{Enclave, EnclaveBuilder, EnclaveError, EnclaveServices, SgxMode};
 use endbox_vpn::channel::{CipherSuite, DataChannel};
 use endbox_vpn::handshake::{
     client_complete, client_start, ClientState, HandshakeConfig, ServerHello,
@@ -118,7 +118,6 @@ struct TrustedState {
     ca_public: VerifyingKey,
     c2c_flagging: bool,
     tls_keys: SessionKeyStore,
-    server_required_version: u64,
     accepted: u64,
     dropped: u64,
     c2c_bypassed: u64,
@@ -143,7 +142,6 @@ impl std::fmt::Debug for TrustedState {
 pub struct EnclaveApp {
     enclave: Enclave<TrustedState>,
     batched: bool,
-    cost: CostModel,
 }
 
 impl EnclaveApp {
@@ -182,7 +180,6 @@ impl EnclaveApp {
             ca_public: cfg.ca_public,
             c2c_flagging: cfg.c2c_flagging,
             tls_keys,
-            server_required_version: 0,
             accepted: 0,
             dropped: 0,
             c2c_bypassed: 0,
@@ -191,8 +188,7 @@ impl EnclaveApp {
         let enclave = EnclaveBuilder::new(b"endbox-client-enclave-v1")
             .embedded_config(&cfg.ca_public.to_bytes())
             .mode(cfg.mode)
-            .declare_ecalls(interface::all_ecalls())
-            .declare_ocalls(interface::OCALLS)
+            .declare_ecalls(Ecall::ALL.iter().map(|e| e.name()))
             .cost_model(cfg.cost.clone())
             .meter(cfg.meter.clone())
             .cpu(cfg.cpu)
@@ -208,7 +204,6 @@ impl EnclaveApp {
         Ok(EnclaveApp {
             enclave,
             batched: cfg.batched_ecalls,
-            cost: cfg.cost,
         })
     }
 
@@ -221,24 +216,21 @@ impl EnclaveApp {
     ///
     /// Enclave interface errors.
     pub fn begin_enrollment(&mut self) -> Result<Report, EndBoxError> {
-        self.enclave
-            .ecall("ecall_keypair_generate", |state, services| {
-                let identity = SigningKey::generate(services.rng());
-                let (enc_secret, enc_public) = x25519::keypair(services.rng());
-                state.identity = Some(identity);
-                state.enc_secret = Some(enc_secret);
-                state.enc_public = Some(enc_public);
-            })?;
-        let report = self
-            .enclave
-            .ecall("ecall_report_create", |state, services| {
-                let identity = state.identity.as_ref().expect("generated above");
-                let enc_public = state.enc_public.expect("generated above");
-                let mut user_data = [0u8; 64];
-                user_data[..32].copy_from_slice(&identity.verifying_key().to_bytes());
-                user_data[32..].copy_from_slice(&enc_public);
-                services.create_report(user_data)
-            })?;
+        self.ecall(Ecall::KeypairGenerate, |state, services| {
+            let identity = SigningKey::generate(services.rng());
+            let (enc_secret, enc_public) = x25519::keypair(services.rng());
+            state.identity = Some(identity);
+            state.enc_secret = Some(enc_secret);
+            state.enc_public = Some(enc_public);
+        })?;
+        let report = self.ecall(Ecall::ReportCreate, |state, services| {
+            let identity = state.identity.as_ref().expect("generated above");
+            let enc_public = state.enc_public.expect("generated above");
+            let mut user_data = [0u8; 64];
+            user_data[..32].copy_from_slice(&identity.verifying_key().to_bytes());
+            user_data[32..].copy_from_slice(&enc_public);
+            services.create_report(user_data)
+        })?;
         Ok(report)
     }
 
@@ -254,47 +246,46 @@ impl EnclaveApp {
         response: &EnrollmentResponse,
         now_secs: u64,
     ) -> Result<Vec<u8>, EndBoxError> {
-        self.enclave
-            .ecall("ecall_enrollment_finish", |state, services| {
-                let identity = state
-                    .identity
-                    .as_ref()
-                    .ok_or(EndBoxError::Enrollment("no key pair"))?;
-                if response.certificate.public_key != identity.verifying_key() {
-                    return Err(EndBoxError::Enrollment("certificate key mismatch"));
-                }
-                if response.certificate.subject != state.subject {
-                    return Err(EndBoxError::Enrollment("certificate subject mismatch"));
-                }
-                response
-                    .certificate
-                    .verify(&state.ca_public, now_secs)
-                    .map_err(|_| EndBoxError::Enrollment("CA signature invalid"))?;
-                // Unwrap the symmetric config key (X25519 KEM).
-                let enc_secret = *state
-                    .enc_secret
-                    .as_ref()
-                    .ok_or(EndBoxError::Enrollment("no enc key"))?;
-                let config_key = response
-                    .unwrap_config_key(&enc_secret)
-                    .ok_or(EndBoxError::Enrollment("config key unwrap failed"))?;
-                state.certificate = Some(response.certificate.clone());
-                state.config_key = Some(config_key);
+        self.ecall(Ecall::EnrollmentFinish, |state, services| {
+            let identity = state
+                .identity
+                .as_ref()
+                .ok_or(EndBoxError::Enrollment("no key pair"))?;
+            if response.certificate.public_key != identity.verifying_key() {
+                return Err(EndBoxError::Enrollment("certificate key mismatch"));
+            }
+            if response.certificate.subject != state.subject {
+                return Err(EndBoxError::Enrollment("certificate subject mismatch"));
+            }
+            response
+                .certificate
+                .verify(&state.ca_public, now_secs)
+                .map_err(|_| EndBoxError::Enrollment("CA signature invalid"))?;
+            // Unwrap the symmetric config key (X25519 KEM).
+            let enc_secret = *state
+                .enc_secret
+                .as_ref()
+                .ok_or(EndBoxError::Enrollment("no enc key"))?;
+            let config_key = response
+                .unwrap_config_key(&enc_secret)
+                .ok_or(EndBoxError::Enrollment("config key unwrap failed"))?;
+            state.certificate = Some(response.certificate.clone());
+            state.config_key = Some(config_key);
 
-                // Seal (identity secret, certificate, config key) — §III-C
-                // step 7: "the enclave persistently stores the generated key
-                // pair as well as the certificate using the SGX sealing
-                // feature". The blob only unseals on the same CPU inside the
-                // same enclave code.
-                let mut blob = Vec::new();
-                blob.extend_from_slice(&identity.to_bytes());
-                blob.extend_from_slice(&enc_secret);
-                blob.extend_from_slice(&config_key);
-                let cert_bytes = response.certificate.to_bytes();
-                blob.extend_from_slice(&(cert_bytes.len() as u32).to_be_bytes());
-                blob.extend_from_slice(&cert_bytes);
-                Ok(services.seal(&blob))
-            })?
+            // Seal (identity secret, certificate, config key) — §III-C
+            // step 7: "the enclave persistently stores the generated key
+            // pair as well as the certificate using the SGX sealing
+            // feature". The blob only unseals on the same CPU inside the
+            // same enclave code.
+            let mut blob = Vec::new();
+            blob.extend_from_slice(&identity.to_bytes());
+            blob.extend_from_slice(&enc_secret);
+            blob.extend_from_slice(&config_key);
+            let cert_bytes = response.certificate.to_bytes();
+            blob.extend_from_slice(&(cert_bytes.len() as u32).to_be_bytes());
+            blob.extend_from_slice(&cert_bytes);
+            Ok(services.seal(&blob))
+        })?
     }
 
     /// Restores enrollment state from a sealed blob produced by
@@ -307,34 +298,33 @@ impl EnclaveApp {
     /// [`EndBoxError::Enrollment`] if the blob fails to unseal (wrong CPU
     /// or different enclave code) or is malformed.
     pub fn restore_enrollment(&mut self, sealed: &[u8]) -> Result<(), EndBoxError> {
-        self.enclave
-            .ecall("ecall_sealed_state_restore", |state, services| {
-                let blob = services
-                    .unseal(sealed)
-                    .map_err(|_| EndBoxError::Enrollment("sealed state failed to unseal"))?;
-                if blob.len() < 32 + 32 + 32 + 4 {
-                    return Err(EndBoxError::Enrollment("sealed state truncated"));
-                }
-                let identity = SigningKey::from_bytes(&blob[..32].try_into().unwrap())
-                    .map_err(|_| EndBoxError::Enrollment("sealed identity invalid"))?;
-                let enc_secret: [u8; 32] = blob[32..64].try_into().unwrap();
-                let config_key: [u8; 32] = blob[64..96].try_into().unwrap();
-                let cert_len = u32::from_be_bytes(blob[96..100].try_into().unwrap()) as usize;
-                if blob.len() < 100 + cert_len {
-                    return Err(EndBoxError::Enrollment("sealed state truncated"));
-                }
-                let certificate = Certificate::from_bytes(&blob[100..100 + cert_len])
-                    .map_err(|_| EndBoxError::Enrollment("sealed certificate invalid"))?;
-                if certificate.public_key != identity.verifying_key() {
-                    return Err(EndBoxError::Enrollment("sealed state inconsistent"));
-                }
-                state.identity = Some(identity);
-                state.enc_secret = Some(enc_secret);
-                state.enc_public = Some(x25519::public_key(&enc_secret));
-                state.config_key = Some(config_key);
-                state.certificate = Some(certificate);
-                Ok(())
-            })?
+        self.ecall(Ecall::SealedStateRestore, |state, services| {
+            let blob = services
+                .unseal(sealed)
+                .map_err(|_| EndBoxError::Enrollment("sealed state failed to unseal"))?;
+            if blob.len() < 32 + 32 + 32 + 4 {
+                return Err(EndBoxError::Enrollment("sealed state truncated"));
+            }
+            let identity = SigningKey::from_bytes(&blob[..32].try_into().unwrap())
+                .map_err(|_| EndBoxError::Enrollment("sealed identity invalid"))?;
+            let enc_secret: [u8; 32] = blob[32..64].try_into().unwrap();
+            let config_key: [u8; 32] = blob[64..96].try_into().unwrap();
+            let cert_len = u32::from_be_bytes(blob[96..100].try_into().unwrap()) as usize;
+            if blob.len() < 100 + cert_len {
+                return Err(EndBoxError::Enrollment("sealed state truncated"));
+            }
+            let certificate = Certificate::from_bytes(&blob[100..100 + cert_len])
+                .map_err(|_| EndBoxError::Enrollment("sealed certificate invalid"))?;
+            if certificate.public_key != identity.verifying_key() {
+                return Err(EndBoxError::Enrollment("sealed state inconsistent"));
+            }
+            state.identity = Some(identity);
+            state.enc_secret = Some(enc_secret);
+            state.enc_public = Some(x25519::public_key(&enc_secret));
+            state.config_key = Some(config_key);
+            state.certificate = Some(certificate);
+            Ok(())
+        })?
     }
 
     // --- handshake ----------------------------------------------------------
@@ -345,36 +335,35 @@ impl EnclaveApp {
     ///
     /// [`EndBoxError::NotReady`] before enrollment.
     pub fn handshake_start(&mut self) -> Result<Record, EndBoxError> {
-        self.enclave
-            .ecall("ecall_handshake_start", |state, services| {
-                let identity = state
-                    .identity
-                    .clone()
-                    .ok_or(EndBoxError::NotReady("not enrolled: no identity"))?;
-                let certificate = state
-                    .certificate
-                    .clone()
-                    .ok_or(EndBoxError::NotReady("not enrolled: no certificate"))?;
-                let cfg = HandshakeConfig {
-                    identity,
-                    certificate,
-                    ca_public: state.ca_public,
-                    min_version: state.min_version,
-                };
-                let (hello, pending) = client_start(
-                    &cfg,
-                    state.offered_version,
-                    state.config_version,
-                    services.rng(),
-                );
-                state.pending_handshake = Some(pending);
-                Ok(Record {
-                    opcode: Opcode::HandshakeInit,
-                    session_id: 0,
-                    packet_id: 0,
-                    payload: hello.to_bytes(),
-                })
-            })?
+        self.ecall(Ecall::HandshakeStart, |state, services| {
+            let identity = state
+                .identity
+                .clone()
+                .ok_or(EndBoxError::NotReady("not enrolled: no identity"))?;
+            let certificate = state
+                .certificate
+                .clone()
+                .ok_or(EndBoxError::NotReady("not enrolled: no certificate"))?;
+            let cfg = HandshakeConfig {
+                identity,
+                certificate,
+                ca_public: state.ca_public,
+                min_version: state.min_version,
+            };
+            let (hello, pending) = client_start(
+                &cfg,
+                state.offered_version,
+                state.config_version,
+                services.rng(),
+            );
+            state.pending_handshake = Some(pending);
+            Ok(Record {
+                opcode: Opcode::HandshakeInit,
+                session_id: 0,
+                packet_id: 0,
+                payload: hello.to_bytes(),
+            })
+        })?
     }
 
     /// Completes the handshake from the server's response. The minimum
@@ -385,38 +374,35 @@ impl EnclaveApp {
     ///
     /// Handshake validation failures.
     pub fn handshake_complete(&mut self, response: &Record) -> Result<u64, EndBoxError> {
-        let cost = self.cost.clone();
-        self.enclave
-            .ecall("ecall_handshake_complete", |state, services| {
-                let hello = ServerHello::from_bytes(&response.payload)?;
-                let pending = state
-                    .pending_handshake
-                    .take()
-                    .ok_or(EndBoxError::NotReady("no handshake in progress"))?;
-                let cfg = HandshakeConfig {
-                    identity: state
-                        .identity
-                        .clone()
-                        .ok_or(EndBoxError::NotReady("no identity"))?,
-                    certificate: state
-                        .certificate
-                        .clone()
-                        .ok_or(EndBoxError::NotReady("no certificate"))?,
-                    ca_public: state.ca_public,
-                    min_version: state.min_version,
-                };
-                let now_secs = services.trusted_now().as_secs_f64() as u64;
-                let keys = client_complete(&cfg, &pending, &hello, now_secs)?;
-                state.channel = Some(DataChannel::client(
-                    &keys,
-                    state.suite,
-                    services_meter(services),
-                    cost.clone(),
-                ));
-                state.session_id = hello.session_id;
-                state.server_required_version = hello.required_config_version;
-                Ok(hello.session_id)
-            })?
+        self.ecall(Ecall::HandshakeComplete, |state, services| {
+            let hello = ServerHello::from_bytes(&response.payload)?;
+            let pending = state
+                .pending_handshake
+                .take()
+                .ok_or(EndBoxError::NotReady("no handshake in progress"))?;
+            let cfg = HandshakeConfig {
+                identity: state
+                    .identity
+                    .clone()
+                    .ok_or(EndBoxError::NotReady("no identity"))?,
+                certificate: state
+                    .certificate
+                    .clone()
+                    .ok_or(EndBoxError::NotReady("no certificate"))?,
+                ca_public: state.ca_public,
+                min_version: state.min_version,
+            };
+            let now_secs = services.trusted_now().as_secs_f64() as u64;
+            let keys = client_complete(&cfg, &pending, &hello, now_secs)?;
+            state.channel = Some(DataChannel::client(
+                &keys,
+                state.suite,
+                services.meter_handle(),
+                services.cost_model().clone(),
+            ));
+            state.session_id = hello.session_id;
+            Ok(hello.session_id)
+        })?
     }
 
     // --- data path ----------------------------------------------------------
@@ -449,55 +435,53 @@ impl EnclaveApp {
                 )))
             }
         }
-        let result = self
-            .enclave
-            .ecall("ecall_packet_encrypt", |state, services| {
-                if state.channel.is_none() {
-                    return Err(EndBoxError::NotReady("no established channel"));
-                }
-                let n = batch.len();
-                let total_bytes: usize = batch.iter().map(Packet::len).sum();
-                // Copying the packets across the boundary costs partition
-                // overhead plus EPC traffic in hardware mode.
-                services.charge(
-                    services.cost_model().partition_per_packet
-                        + (services.cost_model().partition_per_byte * total_bytes as f64) as u64,
-                );
-                services.charge_epc_traffic(total_bytes);
+        let result = self.ecall(Ecall::PacketEncrypt, |state, services| {
+            if state.channel.is_none() {
+                return Err(EndBoxError::NotReady("no established channel"));
+            }
+            let n = batch.len();
+            let total_bytes: usize = batch.iter().map(Packet::len).sum();
+            // Copying the packets across the boundary costs partition
+            // overhead plus EPC traffic in hardware mode.
+            services.charge(
+                services.cost_model().partition_per_packet
+                    + (services.cost_model().partition_per_byte * total_bytes as f64) as u64,
+            );
+            services.charge_epc_traffic(total_bytes);
 
-                let out = state.click.process_batch(batch);
-                let accepted = out.accepted;
-                let dropped = n - accepted;
-                state.accepted += accepted as u64;
-                state.dropped += dropped as u64;
-                if accepted == 0 {
-                    return Ok(EgressBatchResult {
-                        record: None,
-                        accepted,
-                        dropped,
-                    });
-                }
-                let mut emitted = out.into_first_emissions();
-                if state.c2c_flagging {
-                    // Mark as already-processed so a receiving EndBox client
-                    // can skip Click (§IV-A).
-                    for pkt in &mut emitted {
-                        pkt.set_tos(QOS_ENDBOX_PROCESSED);
-                    }
-                }
-                let channel = state.channel.as_mut().unwrap();
-                let record = if opcode == Opcode::Data {
-                    channel.seal(Opcode::Data, state.session_id, emitted[0].bytes())
-                } else {
-                    let payloads: Vec<&[u8]> = emitted.iter().map(Packet::bytes).collect();
-                    channel.seal_batch(state.session_id, &payloads)
-                };
-                Ok(EgressBatchResult {
-                    record: Some(record),
+            let out = state.click.process_batch(batch);
+            let accepted = out.accepted;
+            let dropped = n - accepted;
+            state.accepted += accepted as u64;
+            state.dropped += dropped as u64;
+            if accepted == 0 {
+                return Ok(EgressBatchResult {
+                    record: None,
                     accepted,
                     dropped,
-                })
-            })?;
+                });
+            }
+            let mut emitted = out.into_first_emissions();
+            if state.c2c_flagging {
+                // Mark as already-processed so a receiving EndBox client
+                // can skip Click (§IV-A).
+                for pkt in &mut emitted {
+                    pkt.set_tos(QOS_ENDBOX_PROCESSED);
+                }
+            }
+            let channel = state.channel.as_mut().unwrap();
+            let record = if opcode == Opcode::Data {
+                channel.seal(Opcode::Data, state.session_id, emitted[0].bytes())
+            } else {
+                let payloads: Vec<&[u8]> = emitted.iter().map(Packet::bytes).collect();
+                channel.seal_batch(state.session_id, &payloads)
+            };
+            Ok(EgressBatchResult {
+                record: Some(record),
+                accepted,
+                dropped,
+            })
+        })?;
         if !self.batched {
             self.charge_unbatched_crypto_calls()?;
         }
@@ -519,57 +503,55 @@ impl EnclaveApp {
         &mut self,
         record: &Record,
     ) -> Result<IngressBatchResult, EndBoxError> {
-        let result = self
-            .enclave
-            .ecall("ecall_packet_decrypt", |state, services| {
-                let channel = state
-                    .channel
-                    .as_mut()
-                    .ok_or(EndBoxError::NotReady("no established channel"))?;
-                let batch_frames = channel.open_batch_frames(record)?;
-                let frames = batch_frames.len();
-                let total_bytes = batch_frames.total_bytes();
-                services.charge(
-                    services.cost_model().partition_per_packet
-                        + (services.cost_model().partition_per_byte * total_bytes as f64) as u64,
-                );
-                services.charge_epc_traffic(total_bytes);
+        let result = self.ecall(Ecall::PacketDecrypt, |state, services| {
+            let channel = state
+                .channel
+                .as_mut()
+                .ok_or(EndBoxError::NotReady("no established channel"))?;
+            let batch_frames = channel.open_batch_frames(record)?;
+            let frames = batch_frames.len();
+            let total_bytes = batch_frames.total_bytes();
+            services.charge(
+                services.cost_model().partition_per_packet
+                    + (services.cost_model().partition_per_byte * total_bytes as f64) as u64,
+            );
+            services.charge_epc_traffic(total_bytes);
 
-                // One pass, one copy: frames go straight from the decrypted
-                // blob into pool-recycled buffers, and a malformed frame
-                // aborts the whole batch before any counters move.
-                let packets = endbox_vpn::shard::materialize_frames(&state.pool, batch_frames)
-                    .map_err(EndBoxError::Vpn)?;
+            // One pass, one copy: frames go straight from the decrypted
+            // blob into pool-recycled buffers, and a malformed frame
+            // aborts the whole batch before any counters move.
+            let packets = endbox_vpn::shard::materialize_frames(&state.pool, batch_frames)
+                .map_err(EndBoxError::Vpn)?;
 
-                // Split the batch into flagged (client-to-client bypass) and
-                // Click-bound packets, remembering each Click packet's
-                // original position so delivery order is preserved.
-                let mut delivered: Vec<Option<Packet>> = (0..frames).map(|_| None).collect();
-                let mut to_click = PacketBatch::with_capacity(frames);
-                let mut click_origin = Vec::with_capacity(frames);
-                for (i, packet) in packets.into_iter().enumerate() {
-                    if state.c2c_flagging && packet.tos() == QOS_ENDBOX_PROCESSED {
-                        state.c2c_bypassed += 1;
-                        delivered[i] = Some(packet);
-                    } else {
-                        click_origin.push(i);
-                        to_click.push(packet);
-                    }
+            // Split the batch into flagged (client-to-client bypass) and
+            // Click-bound packets, remembering each Click packet's
+            // original position so delivery order is preserved.
+            let mut delivered: Vec<Option<Packet>> = (0..frames).map(|_| None).collect();
+            let mut to_click = PacketBatch::with_capacity(frames);
+            let mut click_origin = Vec::with_capacity(frames);
+            for (i, packet) in packets.into_iter().enumerate() {
+                if state.c2c_flagging && packet.tos() == QOS_ENDBOX_PROCESSED {
+                    state.c2c_bypassed += 1;
+                    delivered[i] = Some(packet);
+                } else {
+                    click_origin.push(i);
+                    to_click.push(packet);
                 }
-                let n_click = to_click.len();
-                let out = state.click.process_batch(to_click);
-                state.accepted += out.accepted as u64;
-                state.dropped += (n_click - out.accepted) as u64;
-                for (slot, pkt) in out.first_emissions_by_slot().into_iter().enumerate() {
-                    if let Some(pkt) = pkt {
-                        delivered[click_origin[slot]] = Some(pkt);
-                    }
+            }
+            let n_click = to_click.len();
+            let out = state.click.process_batch(to_click);
+            state.accepted += out.accepted as u64;
+            state.dropped += (n_click - out.accepted) as u64;
+            for (slot, pkt) in out.first_emissions_by_slot().into_iter().enumerate() {
+                if let Some(pkt) = pkt {
+                    delivered[click_origin[slot]] = Some(pkt);
                 }
-                Ok(IngressBatchResult {
-                    packets: delivered.into_iter().flatten().collect(),
-                    frames,
-                })
-            })?;
+            }
+            Ok(IngressBatchResult {
+                packets: delivered.into_iter().flatten().collect(),
+                frames,
+            })
+        })?;
         if !self.batched {
             self.charge_unbatched_crypto_calls()?;
         }
@@ -583,14 +565,10 @@ impl EnclaveApp {
     /// final, packet-id bookkeeping and RNG reads. Twelve extra
     /// transitions per packet on top of the combined call (§IV-A / §V-G
     /// ablation; the paper reports the batched layout is 4.4x faster).
+    /// The work itself runs in the combined call, so the twelve have no
+    /// body.
     fn charge_unbatched_crypto_calls(&mut self) -> Result<(), EndBoxError> {
-        for _ in 0..6 {
-            self.enclave.ecall("ecall_mac_generate", |_, _| ())?;
-        }
-        for _ in 0..5 {
-            self.enclave.ecall("ecall_mac_verify", |_, _| ())?;
-        }
-        self.enclave.ecall("ecall_crypto_self_test", |_, _| ())?;
+        self.enclave.empty_transitions(12)?;
         Ok(())
     }
 
@@ -602,7 +580,7 @@ impl EnclaveApp {
     ///
     /// [`EndBoxError::NotReady`] before the handshake completes.
     pub fn build_ping(&mut self) -> Result<Record, EndBoxError> {
-        self.enclave.ecall("ecall_ping_build", |state, services| {
+        self.ecall(Ecall::PingBuild, |state, services| {
             let now = services.trusted_now().as_nanos();
             let msg = PingMessage {
                 config_version: state.config_version,
@@ -625,27 +603,14 @@ impl EnclaveApp {
     ///
     /// Authentication failures for crafted pings.
     pub fn process_ping(&mut self, record: &Record) -> Result<PingMessage, EndBoxError> {
-        self.enclave.ecall("ecall_ping_process", |state, _| {
+        self.ecall(Ecall::PingProcess, |state, _| {
             let channel = state
                 .channel
                 .as_mut()
                 .ok_or(EndBoxError::NotReady("no channel"))?;
             let payload = channel.open(record)?;
-            let msg = PingMessage::from_bytes(&payload)?;
-            if msg.config_version > state.server_required_version {
-                state.server_required_version = msg.config_version;
-            }
-            Ok(msg)
+            Ok(PingMessage::from_bytes(&payload)?)
         })?
-    }
-
-    /// Latest configuration version announced by the server.
-    pub fn server_required_version(&mut self) -> u64 {
-        self.enclave
-            .ecall("ecall_config_version_read", |state, _| {
-                state.server_required_version
-            })
-            .unwrap_or(0)
     }
 
     /// Verifies, decrypts and applies a configuration update, hot-swapping
@@ -656,49 +621,47 @@ impl EnclaveApp {
     /// [`EndBoxError::ConfigUpdate`] on bad signatures, version replay, or
     /// undecryptable payloads.
     pub fn apply_config(&mut self, signed: &SignedConfig) -> Result<(), EndBoxError> {
-        self.enclave
-            .ecall("ecall_config_apply", |state, services| {
-                services.charge(services.cost_model().sig_verify);
+        self.ecall(Ecall::ConfigApply, |state, services| {
+            services.charge(services.cost_model().sig_verify);
+            signed
+                .verify(&state.ca_public)
+                .map_err(|_| EndBoxError::ConfigUpdate("signature invalid"))?;
+            // Monotonic version check: rejecting old versions prevents
+            // replaying stale configurations (§III-E).
+            if signed.version <= state.config_version {
+                return Err(EndBoxError::ConfigUpdate("version not newer (replay?)"));
+            }
+            let inner = if signed.encrypted {
+                let key = state
+                    .config_key
+                    .as_ref()
+                    .ok_or(EndBoxError::ConfigUpdate("no config key installed"))?;
+                services.charge(services.cost_model().crypto_cycles(signed.payload.len()));
                 signed
-                    .verify(&state.ca_public)
-                    .map_err(|_| EndBoxError::ConfigUpdate("signature invalid"))?;
-                // Monotonic version check: rejecting old versions prevents
-                // replaying stale configurations (§III-E).
-                if signed.version <= state.config_version {
-                    return Err(EndBoxError::ConfigUpdate("version not newer (replay?)"));
-                }
-                let inner = if signed.encrypted {
-                    let key = state
-                        .config_key
-                        .as_ref()
-                        .ok_or(EndBoxError::ConfigUpdate("no config key installed"))?;
-                    services.charge(services.cost_model().crypto_cycles(signed.payload.len()));
-                    signed
-                        .decrypt(key)
-                        .ok_or(EndBoxError::ConfigUpdate("decryption failed"))?
-                } else {
-                    signed.payload.clone()
-                };
-                // The version is also embedded *inside* the (possibly
-                // encrypted) payload; both must agree.
-                let (inner_version, click_text) = SignedConfig::split_inner(&inner)
-                    .ok_or(EndBoxError::ConfigUpdate("malformed config body"))?;
-                if inner_version != signed.version {
-                    return Err(EndBoxError::ConfigUpdate("inner/outer version mismatch"));
-                }
-                state
-                    .click
-                    .hot_swap(click_text)
-                    .map_err(|_| EndBoxError::ConfigUpdate("config rejected by Click"))?;
-                state.config_version = signed.version;
-                Ok(())
-            })?
+                    .decrypt(key)
+                    .ok_or(EndBoxError::ConfigUpdate("decryption failed"))?
+            } else {
+                signed.payload.clone()
+            };
+            // The version is also embedded *inside* the (possibly
+            // encrypted) payload; both must agree.
+            let (inner_version, click_text) = SignedConfig::split_inner(&inner)
+                .ok_or(EndBoxError::ConfigUpdate("malformed config body"))?;
+            if inner_version != signed.version {
+                return Err(EndBoxError::ConfigUpdate("inner/outer version mismatch"));
+            }
+            state
+                .click
+                .hot_swap(click_text)
+                .map_err(|_| EndBoxError::ConfigUpdate("config rejected by Click"))?;
+            state.config_version = signed.version;
+            Ok(())
+        })?
     }
 
     /// The config version currently applied.
     pub fn config_version(&mut self) -> u64 {
-        self.enclave
-            .ecall("ecall_config_version_read", |state, _| state.config_version)
+        self.ecall(Ecall::ConfigVersionRead, |state, _| state.config_version)
             .unwrap_or(0)
     }
 
@@ -711,7 +674,7 @@ impl EnclaveApp {
     ///
     /// Enclave interface errors.
     pub fn register_tls_key(&mut self, flow: FlowId, key: [u8; 16]) -> Result<(), EndBoxError> {
-        self.enclave.ecall("ecall_tls_key_register", |state, _| {
+        self.ecall(Ecall::TlsKeyRegister, |state, _| {
             state.tls_keys.register(flow, key);
         })?;
         Ok(())
@@ -721,36 +684,32 @@ impl EnclaveApp {
 
     /// Reads a Click handler inside the enclave.
     pub fn click_read_handler(&mut self, element: &str, handler: &str) -> Option<String> {
-        self.enclave
-            .ecall("ecall_click_read_handler", |state, _| {
-                state.click.read_handler(element, handler)
-            })
-            .ok()
-            .flatten()
+        self.ecall(Ecall::ClickReadHandler, |state, _| {
+            state.click.read_handler(element, handler)
+        })
+        .ok()
+        .flatten()
     }
 
     /// Recycling counters of the in-enclave ingress buffer pool (the
     /// client-side counterpart of the server shards' pool stats, so both
     /// ends of the tunnel report ingress reuse).
     ///
-    /// Rides the `ecall_click_element_count` introspection transition —
-    /// the same counters ecall [`EnclaveApp::packet_counters`] uses — so
-    /// the declared interface keeps the paper's exact 70-call shape
-    /// (§IV-B; the attack battery pins it). Like the other counter reads,
-    /// a destroyed enclave yields default (all-zero) stats.
+    /// Rides the counters ecall [`EnclaveApp::packet_counters`] uses,
+    /// [`Ecall::ClickElementCount`]: one introspection row serves both
+    /// reads. Like the other counter reads, a destroyed enclave yields
+    /// default (all-zero) stats.
     pub fn ingress_pool_stats(&mut self) -> PoolStats {
-        self.enclave
-            .ecall("ecall_click_element_count", |state, _| state.pool.stats())
+        self.ecall(Ecall::ClickElementCount, |state, _| state.pool.stats())
             .unwrap_or_default()
     }
 
     /// (accepted, dropped, c2c-bypassed) packet counters.
     pub fn packet_counters(&mut self) -> (u64, u64, u64) {
-        self.enclave
-            .ecall("ecall_click_element_count", |state, _| {
-                (state.accepted, state.dropped, state.c2c_bypassed)
-            })
-            .unwrap_or((0, 0, 0))
+        self.ecall(Ecall::ClickElementCount, |state, _| {
+            (state.accepted, state.dropped, state.c2c_bypassed)
+        })
+        .unwrap_or((0, 0, 0))
     }
 
     /// The enclave measurement (for attestation tests).
@@ -769,8 +728,17 @@ impl EnclaveApp {
         self.enclave.destroy();
     }
 
-    /// Direct access to the raw enclave (attack tests poke at the
-    /// interface).
+    /// Runs `body` inside the enclave as the ecall `row`: the only way
+    /// the host reaches trusted state, so every body runs under a row.
+    fn ecall<R>(
+        &mut self,
+        row: Ecall,
+        body: impl FnOnce(&mut TrustedState, &mut EnclaveServices) -> R,
+    ) -> Result<R, EnclaveError> {
+        self.enclave.ecall(row.name(), body)
+    }
+
+    /// Number of ecall names the enclave declares: one per [`Ecall`] row.
     pub fn raw_enclave_ecall_names(&self) -> usize {
         self.enclave.declared_ecall_count()
     }
@@ -785,9 +753,4 @@ impl EnclaveApp {
         self.enclave.ecall(name, |_, _| ())?;
         Ok(())
     }
-}
-
-/// All in-enclave work is charged to the same client-machine meter.
-fn services_meter(services: &endbox_sgx::EnclaveServices) -> CycleMeter {
-    services.meter_handle()
 }

@@ -1,134 +1,67 @@
 //! The EndBox enclave interface declaration.
 //!
-//! §IV-B: "The enclave interface of ENDBOX consists of 90 calls: 70 ecalls
-//! and 20 ocalls. Most of the ecalls are called only during initialisation
-//! of OpenVPN and Click. ENDBOX defines only 4 ecalls that are executed
-//! during normal operation: (i) packet en- and decryption; and
-//! (ii) message authentication code (MAC) generation and verification."
-//!
-//! The name lists below reproduce that interface shape. The
-//! [`endbox_sgx`] enclave rejects any call not declared here, which is the
-//! defence against interface attacks evaluated in §V-A.
+//! §IV-B gives the paper's enclave 90 calls: 70 ecalls, 20 ocalls, and 4
+//! ecalls on the hot path. This model declares exactly the ecalls that
+//! have a body in [`crate::enclave_app::EnclaveApp`]: one [`Ecall`] row
+//! each, and no ocalls (nothing in the model leaves the enclave). The
+//! [`endbox_sgx`] enclave rejects any call not declared here, so a name
+//! without a body is refused too, which is the defence against interface
+//! attacks evaluated in §V-A. `docs/architecture.md` §8 maps the paper's
+//! 90 calls onto these rows.
 
-/// The four hot-path ecalls (§IV-B).
-pub const RUNTIME_ECALLS: [&str; 4] = [
-    "ecall_packet_encrypt", // egress: Click + seal, one call per packet
-    "ecall_packet_decrypt", // ingress: open + Click, one call per packet
-    "ecall_mac_generate",   // control-channel MAC
-    "ecall_mac_verify",     // control-channel MAC check
-];
+macro_rules! ecalls {
+    ($($(#[$doc:meta])* $row:ident => $name:literal,)+) => {
+        /// One row per ecall the enclave implements.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Ecall {
+            $($(#[$doc])* $row,)+
+        }
 
-/// Initialisation-time ecalls (OpenVPN + Click + TaLoS-style library
-/// surface), 66 calls so that the total interface matches the paper's 70.
-pub const INIT_ECALLS: [&str; 66] = [
-    // --- enclave / OpenVPN bring-up ---
-    "ecall_openvpn_init",
-    "ecall_openvpn_set_options",
-    "ecall_openvpn_set_remote",
-    "ecall_openvpn_set_mtu",
-    "ecall_openvpn_set_keepalive",
-    "ecall_openvpn_set_cipher",
-    "ecall_openvpn_set_min_tls_version",
-    "ecall_crypto_self_test",
-    "ecall_entropy_seed",
-    "ecall_time_sync",
-    // --- attestation & key management (Fig. 4) ---
-    "ecall_keypair_generate",
-    "ecall_report_create",
-    "ecall_enrollment_finish",
-    "ecall_sealed_state_store",
-    "ecall_sealed_state_restore",
-    "ecall_certificate_install",
-    "ecall_certificate_read",
-    "ecall_config_key_install",
-    // --- control channel / handshake ---
-    "ecall_handshake_start",
-    "ecall_handshake_complete",
-    "ecall_session_reset",
-    "ecall_session_teardown",
-    "ecall_ping_build",
-    "ecall_ping_process",
-    // --- Click life cycle ---
-    "ecall_click_init",
-    "ecall_click_configure",
-    "ecall_click_hotswap",
-    "ecall_click_read_handler",
-    "ecall_click_write_handler",
-    "ecall_click_element_count",
-    "ecall_click_reset_counters",
-    // --- configuration updates (Fig. 5) ---
-    "ecall_config_verify",
-    "ecall_config_decrypt",
-    "ecall_config_apply",
-    "ecall_config_version_read",
-    // --- TLS key forwarding (§III-D) ---
-    "ecall_tls_key_register",
-    "ecall_tls_key_flush",
-    "ecall_tls_session_count",
-    // --- TaLoS/LibreSSL-style library calls (subset EndBox uses) ---
-    "ecall_ssl_library_init",
-    "ecall_ssl_ctx_new",
-    "ecall_ssl_ctx_free",
-    "ecall_ssl_ctx_set_verify",
-    "ecall_ssl_ctx_use_certificate",
-    "ecall_ssl_ctx_use_private_key",
-    "ecall_ssl_ctx_set_cipher_list",
-    "ecall_ssl_new",
-    "ecall_ssl_free",
-    "ecall_ssl_set_fd",
-    "ecall_ssl_connect",
-    "ecall_ssl_accept",
-    "ecall_ssl_read",
-    "ecall_ssl_write",
-    "ecall_ssl_shutdown",
-    "ecall_ssl_get_error",
-    "ecall_ssl_pending",
-    "ecall_ssl_get_peer_certificate",
-    "ecall_ssl_get_version",
-    "ecall_bio_new",
-    "ecall_bio_free",
-    "ecall_bio_read",
-    "ecall_bio_write",
-    "ecall_evp_cleanup",
-    "ecall_rand_status",
-    "ecall_x509_verify",
-    "ecall_x509_free",
-    "ecall_x509_get_subject",
-];
+        impl Ecall {
+            /// Every row, in declaration order.
+            pub const ALL: &'static [Ecall] = &[$(Ecall::$row,)+];
 
-/// The 20 declared ocalls (§IV-B: "The ocalls perform different tasks,
-/// among them managing untrusted memory and accessing (encrypted)
-/// configuration files").
-pub const OCALLS: [&str; 20] = [
-    "ocall_untrusted_alloc",
-    "ocall_untrusted_free",
-    "ocall_config_file_read",
-    "ocall_config_file_stat",
-    "ocall_log_write",
-    "ocall_clock_gettime",
-    "ocall_socket_send",
-    "ocall_socket_recv",
-    "ocall_socket_select",
-    "ocall_tun_write",
-    "ocall_tun_read",
-    "ocall_management_notify",
-    "ocall_sealed_blob_store",
-    "ocall_sealed_blob_load",
-    "ocall_quote_request",
-    "ocall_dns_resolve",
-    "ocall_random_bytes",
-    "ocall_getpid",
-    "ocall_sleep",
-    "ocall_abort",
-];
+            /// The name the enclave declares this row under.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(Ecall::$row => $name,)+
+                }
+            }
+        }
+    };
+}
 
-/// Every declared ecall name (70 total).
-pub fn all_ecalls() -> Vec<&'static str> {
-    RUNTIME_ECALLS
-        .iter()
-        .chain(INIT_ECALLS.iter())
-        .copied()
-        .collect()
+ecalls! {
+    /// Fig. 4 step 1: generate the identity and encryption key pairs.
+    KeypairGenerate => "ecall_keypair_generate",
+    /// Fig. 4 step 2: the report binding the public keys.
+    ReportCreate => "ecall_report_create",
+    /// Fig. 4 steps 6–7: install the certificate and config key, seal them.
+    EnrollmentFinish => "ecall_enrollment_finish",
+    /// §III-C: restore enrollment from the sealed blob after a restart.
+    SealedStateRestore => "ecall_sealed_state_restore",
+    /// The VPN handshake's ClientHello.
+    HandshakeStart => "ecall_handshake_start",
+    /// The ServerHello, checked against the minimum version in the enclave.
+    HandshakeComplete => "ecall_handshake_complete",
+    /// Egress hot path: Click, then seal (§IV-B).
+    PacketEncrypt => "ecall_packet_encrypt",
+    /// Ingress hot path: open, then Click (§IV-B).
+    PacketDecrypt => "ecall_packet_decrypt",
+    /// Fig. 5 step 9: the ping proving the config version.
+    PingBuild => "ecall_ping_build",
+    /// §III-E: authenticate a server ping.
+    PingProcess => "ecall_ping_process",
+    /// Fig. 5 steps 6–8: verify, decrypt and hot-swap a configuration.
+    ConfigApply => "ecall_config_apply",
+    /// The configuration version applied.
+    ConfigVersionRead => "ecall_config_version_read",
+    /// §III-D: a TLS session key forwarded by the patched library.
+    TlsKeyRegister => "ecall_tls_key_register",
+    /// Read a Click handler.
+    ClickReadHandler => "ecall_click_read_handler",
+    /// Packet and ingress-pool counters.
+    ClickElementCount => "ecall_click_element_count",
 }
 
 #[cfg(test)]
@@ -137,18 +70,14 @@ mod tests {
     use std::collections::HashSet;
 
     #[test]
-    fn interface_matches_paper_counts() {
-        assert_eq!(all_ecalls().len(), 70, "paper: 70 ecalls");
-        assert_eq!(OCALLS.len(), 20, "paper: 20 ocalls");
-        assert_eq!(all_ecalls().len() + OCALLS.len(), 90, "paper: 90 calls");
-        assert_eq!(RUNTIME_ECALLS.len(), 4, "paper: 4 runtime ecalls");
+    fn table_has_fifteen_rows() {
+        assert_eq!(Ecall::ALL.len(), 15);
     }
 
     #[test]
     fn no_duplicate_names() {
-        let ecalls: HashSet<&str> = all_ecalls().into_iter().collect();
-        assert_eq!(ecalls.len(), 70);
-        let ocalls: HashSet<&str> = OCALLS.iter().copied().collect();
-        assert_eq!(ocalls.len(), 20);
+        let names: HashSet<&str> = Ecall::ALL.iter().map(|e| e.name()).collect();
+        assert_eq!(names.len(), Ecall::ALL.len());
+        assert!(names.iter().all(|n| n.starts_with("ecall_")));
     }
 }

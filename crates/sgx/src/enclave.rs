@@ -1,11 +1,10 @@
-//! The enclave container: life cycle, named ecall/ocall interface with
+//! The enclave container: life cycle, a named ecall interface with
 //! transition accounting, and the in-enclave service surface (sealing,
 //! reports, trusted time, EPC).
 //!
-//! EndBox "defines only 4 ecalls that are executed during normal
-//! operation" out of a 90-call interface (§IV-B); this module enforces
-//! that the interface is *closed*: invoking an undeclared call fails, and
-//! every call charges its transition cost to the shared [`CycleMeter`].
+//! The interface is *closed*: invoking an undeclared ecall fails, and
+//! every transition charges its cost to the shared [`CycleMeter`].
+//! Nothing in the model leaves the enclave, so there are no ocalls.
 
 use crate::attestation::{CpuIdentity, Report, USER_DATA_LEN};
 use crate::epc::EpcAllocator;
@@ -22,10 +21,8 @@ use std::collections::HashSet;
 /// Transition counters for the enclave interface.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CallCounters {
-    /// Number of ecalls executed.
+    /// Number of ecall transitions made.
     pub ecalls: u64,
-    /// Number of ocalls executed.
-    pub ocalls: u64,
 }
 
 /// Services available to code running *inside* the enclave.
@@ -38,8 +35,6 @@ pub struct EnclaveServices {
     epc: EpcAllocator,
     cpu: CpuIdentity,
     trusted_time: TrustedTime,
-    declared_ocalls: HashSet<String>,
-    counters: CallCounters,
     rng: rand::rngs::StdRng,
 }
 
@@ -77,22 +72,6 @@ impl EnclaveServices {
     /// that charge costs themselves, e.g. the VPN data channel).
     pub fn meter_handle(&self) -> CycleMeter {
         self.meter.clone()
-    }
-
-    /// Performs an ocall: leaves the enclave, runs `f` untrusted, returns.
-    /// Charges one transition and counts it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnclaveError::UndeclaredCall`] for names missing from the
-    /// interface declaration.
-    pub fn ocall<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> Result<R, EnclaveError> {
-        if !self.declared_ocalls.contains(name) {
-            return Err(EnclaveError::UndeclaredCall(name.to_string()));
-        }
-        self.counters.ocalls += 1;
-        self.meter.add(self.mode.transition_cycles(&self.cost));
-        Ok(f())
     }
 
     /// Creates a local-attestation report binding `user_data` to this
@@ -169,6 +148,7 @@ pub struct Enclave<T> {
     state: T,
     services: EnclaveServices,
     declared_ecalls: HashSet<String>,
+    counters: CallCounters,
     life: LifeCycle,
 }
 
@@ -192,11 +172,31 @@ impl<T> Enclave<T> {
         if !self.declared_ecalls.contains(name) {
             return Err(EnclaveError::UndeclaredCall(name.to_string()));
         }
-        self.services.counters.ecalls += 1;
-        self.services
-            .meter
-            .add(self.services.mode.transition_cycles(&self.services.cost));
+        self.transit(1);
         Ok(f(&mut self.state, &mut self.services))
+    }
+
+    /// Makes `n` ecall transitions that run no body: counted and charged
+    /// exactly as `n` empty declared ecalls, but reachable under no name.
+    /// The §IV-A ablation prices its per-crypto-operation crossings so.
+    ///
+    /// # Errors
+    ///
+    /// [`EnclaveError::Destroyed`] after [`Enclave::destroy`].
+    pub fn empty_transitions(&mut self, n: u64) -> Result<(), EnclaveError> {
+        if self.life == LifeCycle::Destroyed {
+            return Err(EnclaveError::Destroyed);
+        }
+        self.transit(n);
+        Ok(())
+    }
+
+    fn transit(&mut self, n: u64) {
+        self.counters.ecalls += n;
+        let services = &self.services;
+        services
+            .meter
+            .add(n * services.mode.transition_cycles(&services.cost));
     }
 
     /// Destroys the enclave; further ecalls fail. (An attacker controlling
@@ -218,10 +218,10 @@ impl<T> Enclave<T> {
 
     /// Transition counters.
     pub fn counters(&self) -> CallCounters {
-        self.services.counters
+        self.counters
     }
 
-    /// Number of declared ecalls (paper: 70).
+    /// Number of declared ecalls.
     pub fn declared_ecall_count(&self) -> usize {
         self.declared_ecalls.len()
     }
@@ -239,7 +239,6 @@ pub struct EnclaveBuilder {
     embedded_config: Vec<u8>,
     mode: SgxMode,
     declared_ecalls: Vec<String>,
-    declared_ocalls: Vec<String>,
     cost: CostModel,
     meter: CycleMeter,
     epc_capacity: usize,
@@ -259,7 +258,6 @@ impl EnclaveBuilder {
             embedded_config: Vec::new(),
             mode: SgxMode::Hardware,
             declared_ecalls: Vec::new(),
-            declared_ocalls: Vec::new(),
             cost: CostModel::calibrated(),
             meter: CycleMeter::new(),
             epc_capacity: crate::epc::DEFAULT_CAPACITY,
@@ -285,13 +283,6 @@ impl EnclaveBuilder {
     /// Declares the ecall interface.
     pub fn declare_ecalls<'a>(mut self, names: impl IntoIterator<Item = &'a str>) -> Self {
         self.declared_ecalls
-            .extend(names.into_iter().map(str::to_string));
-        self
-    }
-
-    /// Declares the ocall interface.
-    pub fn declare_ocalls<'a>(mut self, names: impl IntoIterator<Item = &'a str>) -> Self {
-        self.declared_ocalls
             .extend(names.into_iter().map(str::to_string));
         self
     }
@@ -353,8 +344,6 @@ impl EnclaveBuilder {
                 .cpu
                 .unwrap_or_else(|| CpuIdentity::from_seed([0u8; 32])),
             trusted_time,
-            declared_ocalls: self.declared_ocalls.into_iter().collect(),
-            counters: CallCounters::default(),
             rng: rand::rngs::StdRng::seed_from_u64(self.rng_seed),
         };
         let state = init(&mut services);
@@ -362,6 +351,7 @@ impl EnclaveBuilder {
             state,
             services,
             declared_ecalls: self.declared_ecalls.into_iter().collect(),
+            counters: CallCounters::default(),
             life: LifeCycle::Alive,
         }
     }
@@ -375,7 +365,6 @@ mod tests {
         let meter = CycleMeter::new();
         let e = EnclaveBuilder::new(b"test-enclave")
             .declare_ecalls(["increment", "get"])
-            .declare_ocalls(["log"])
             .meter(meter.clone())
             .build(|_| 0u64);
         (e, meter)
@@ -401,25 +390,27 @@ mod tests {
     }
 
     #[test]
-    fn undeclared_ocall_rejected() {
-        let (mut e, _) = enclave();
-        let res = e
-            .ecall("increment", |_, svc| {
-                svc.ocall("exfiltrate", || ()).is_err()
-            })
-            .unwrap();
-        assert!(res);
-    }
-
-    #[test]
-    fn declared_ocall_charges_transition() {
-        let (mut e, meter) = enclave();
-        meter.take();
-        e.ecall("increment", |_, svc| svc.ocall("log", || 42).unwrap())
-            .unwrap();
-        let cost = CostModel::calibrated();
-        assert_eq!(meter.read(), 2 * cost.ecall_hw); // 1 ecall + 1 ocall
-        assert_eq!(e.counters().ocalls, 1);
+    fn empty_transitions_charge_and_count_as_empty_ecalls() {
+        for mode in [SgxMode::Hardware, SgxMode::Simulation] {
+            let build = |meter: &CycleMeter| {
+                EnclaveBuilder::new(b"x")
+                    .mode(mode)
+                    .declare_ecalls(["f"])
+                    .meter(meter.clone())
+                    .build(|_| ())
+            };
+            let (meter_a, meter_b) = (CycleMeter::new(), CycleMeter::new());
+            let (mut a, mut b) = (build(&meter_a), build(&meter_b));
+            for _ in 0..12 {
+                a.ecall("f", |_, _| ()).unwrap();
+            }
+            b.empty_transitions(12).unwrap();
+            assert_eq!(meter_b.read(), meter_a.read(), "{mode:?}");
+            assert_eq!(b.counters(), a.counters(), "{mode:?}");
+            assert_eq!(b.counters().ecalls, 12);
+            b.destroy();
+            assert_eq!(b.empty_transitions(1), Err(EnclaveError::Destroyed));
+        }
     }
 
     #[test]

@@ -6,18 +6,11 @@ use std::fmt;
 /// Errors from enclave operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EnclaveError {
-    /// The enclave has not been initialised yet.
-    NotInitialized,
     /// The enclave was destroyed.
     Destroyed,
-    /// An ecall/ocall name not present in the declared interface was
+    /// An ecall name not present in the declared interface was
     /// invoked (interface attacks, §V-A, are rejected here).
     UndeclaredCall(String),
-    /// An interface sanity check on call parameters failed (Iago-style
-    /// attack rejected, §IV-B).
-    ParameterCheckFailed(String),
-    /// EPC allocation failed outright (beyond even paging).
-    EpcExhausted,
     /// Sealed blob failed authentication or was sealed by another enclave.
     UnsealFailed,
     /// Attestation verification failed.
@@ -27,15 +20,10 @@ pub enum EnclaveError {
 impl fmt::Display for EnclaveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EnclaveError::NotInitialized => f.write_str("enclave not initialised"),
             EnclaveError::Destroyed => f.write_str("enclave destroyed"),
             EnclaveError::UndeclaredCall(name) => {
                 write!(f, "call `{name}` is not part of the enclave interface")
             }
-            EnclaveError::ParameterCheckFailed(what) => {
-                write!(f, "interface parameter check failed: {what}")
-            }
-            EnclaveError::EpcExhausted => f.write_str("enclave page cache exhausted"),
             EnclaveError::UnsealFailed => f.write_str("sealed data failed authentication"),
             EnclaveError::AttestationFailed(why) => write!(f, "attestation failed: {why}"),
         }

@@ -4,9 +4,10 @@
 //! mechanisms; this crate reproduces each one explicitly instead of relying
 //! on SGX hardware (unavailable here):
 //!
-//! * [`enclave`] — enclave life cycle, a *named* ecall/ocall interface
-//!   (EndBox exposes 70 ecalls + 20 ocalls, §IV-B) with input sanitisation
-//!   hooks, and per-transition cycle accounting.
+//! * [`enclave`] — enclave life cycle, a closed, *named* ecall interface
+//!   (EndBox declares one name per ecall body; the paper's 70 ecalls and
+//!   20 ocalls, §IV-B, are mapped onto them in `docs/architecture.md`
+//!   §8), and per-transition cycle accounting.
 //! * [`epc`] — the 128 MB enclave page cache with paging penalties (§II-C).
 //! * [`measurement`] — MRENCLAVE-style code measurements.
 //! * [`sealing`] — sealed storage keyed by CPU fuse key + measurement.
@@ -47,7 +48,7 @@ pub enum SgxMode {
 }
 
 impl SgxMode {
-    /// Cycle cost of one ecall/ocall transition pair in this mode.
+    /// Cycle cost of one ecall transition pair (enter and exit) in this mode.
     pub fn transition_cycles(self, cost: &endbox_netsim::CostModel) -> u64 {
         match self {
             SgxMode::Hardware => cost.ecall_hw,
