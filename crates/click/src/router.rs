@@ -104,11 +104,31 @@ impl BatchOutput {
 
     /// First emitted packet of each accepted input, in input order, with
     /// the batch-slot annotation cleared.
-    pub fn into_first_emissions(self) -> Vec<Packet> {
-        self.first_emissions_by_slot()
-            .into_iter()
-            .flatten()
-            .collect()
+    ///
+    /// When the emitted batch already is that — every packet annotated
+    /// with an in-range slot, the slots strictly increasing, as a linear
+    /// graph that forwards or drops each packet leaves it — it is
+    /// returned as it is, without allocating.
+    pub fn into_first_emissions(mut self) -> Vec<Packet> {
+        let mut next = 0;
+        let one_per_slot_in_order = self.emitted.iter().all(|pkt| match pkt.meta.batch_slot {
+            Some(slot) if (next..self.verdicts.len()).contains(&(slot as usize)) => {
+                next = slot as usize + 1;
+                true
+            }
+            _ => false,
+        });
+        if !one_per_slot_in_order {
+            return self
+                .first_emissions_by_slot()
+                .into_iter()
+                .flatten()
+                .collect();
+        }
+        for pkt in &mut self.emitted {
+            pkt.meta.batch_slot = None;
+        }
+        self.emitted
     }
 }
 

@@ -122,15 +122,6 @@ impl Aes128 {
         }
     }
 
-    /// The AES-NI expansion, when this key runs on that backend.
-    #[cfg(target_arch = "x86_64")]
-    pub(crate) fn ni(&self) -> Option<&crate::hw::AesNi> {
-        match &self.backend {
-            Backend::AesNi(hw) => Some(hw),
-            Backend::Portable(_) => None,
-        }
-    }
-
     /// Encrypts a single 16-byte block.
     pub fn encrypt_block(&self, block: &[u8; BLOCK_LEN]) -> [u8; BLOCK_LEN] {
         match &self.backend {

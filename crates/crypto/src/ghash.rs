@@ -1,28 +1,34 @@
-//! GHASH and GMAC (NIST SP 800-38D), on one of two backends.
+//! GHASH, GMAC and AES-128-GCM (NIST SP 800-38D), on one of two
+//! GHASH backends.
 //!
-//! GMAC is GCM with an empty plaintext: the tag over additional
-//! authenticated data `A` under the 96-bit nonce `N` is
+//! GCM encrypts a plaintext `P` with CTR and authenticates it together
+//! with additional data `A` under the 96-bit nonce `N`:
 //!
 //! ```text
 //! H  = E_K(0¹²⁸)
 //! J0 = N ‖ 0x00000001
-//! T  = GHASH_H(A ‖ 0-pad to a whole block ‖ [8·len(A)]₆₄ ‖ [0]₆₄) ⊕ E_K(J0)
+//! C  = P ⊕ E_K(inc32(J0)) ‖ E_K(inc32²(J0)) ‖ …
+//! T  = GHASH_H(A ‖ 0-pad ‖ C ‖ 0-pad ‖ [8·len(A)]₆₄ ‖ [8·len(C)]₆₄) ⊕ E_K(J0)
 //! ```
 //!
 //! where `GHASH_H(X₁ … Xₘ)` is `Y₀ = 0, Yᵢ = (Yᵢ₋₁ ⊕ Xᵢ)·H` in GF(2¹²⁸)
 //! with the spec's bit order (the first bit of a block is the coefficient
-//! of x⁰) and the polynomial x¹²⁸ + x⁷ + x² + x + 1. A nonce must never
-//! repeat under one key: the data channel uses `0³² ‖ packet_id₆₄`, and a
-//! direction's packet ids come from one counter.
+//! of x⁰) and the polynomial x¹²⁸ + x⁷ + x² + x + 1. GMAC is GCM with an
+//! empty plaintext. A nonce must never repeat under one key — under CTR a
+//! repeated nonce leaks the XOR of two plaintexts: the data channel uses
+//! `0³² ‖ packet_id₆₄`, and a direction's packet ids come from one
+//! counter.
 //!
 //! * **PCLMULQDQ** (`crate::hw`, x86-64 only): a [`GhashKey`] holds
 //!   H¹..H⁸, computed once, and multiplies eight blocks per reduction.
 //! * **Portable**: [`mul`], the spec's Algorithm 1 one bit at a time — the
-//!   only path on CPUs without a carry-less multiplier, and the oracle
-//!   the kernel is tested against.
+//!   only path on CPUs without a carry-less multiplier (slow: every
+//!   block costs 128 shift-and-XOR steps), and the oracle the kernel is
+//!   tested against.
 //!
 //! [`GhashKey::new`] picks the backend once, from the CPU; nothing else
-//! selects it.
+//! selects it. The CTR half is [`Aes128`]'s own (eight blocks in flight on
+//! AES-NI).
 
 use crate::aes::{Aes128, BLOCK_LEN, KEY_LEN};
 
@@ -189,56 +195,88 @@ impl<'k> Ghash<'k> {
     }
 }
 
-/// GMAC under one AES-128 key: the key schedule and the GHASH key of
-/// `H = E_K(0¹²⁸)`, both built once by [`Gmac::new`].
+/// The longest plaintext GCM encrypts under one nonce: 2³² − 2 blocks
+/// (SP 800-38D). [`Gcm::keystream_xor`]'s counter carries into all 128
+/// bits where GCM's `inc32` wraps the low 32; below this bound the two
+/// never differ.
+pub const MAX_TEXT_LEN: u64 = ((1 << 32) - 2) * BLOCK_LEN as u64;
+
+/// AES-128-GCM under one key: the key schedule and the GHASH key of
+/// `H = E_K(0¹²⁸)`, both built once by [`Gcm::new`]. Sealing is
+/// [`Gcm::keystream_xor`] then [`Gcm::tag`] over the ciphertext; opening
+/// is the tag over the ciphertext, compared, then the keystream. GMAC is
+/// the tag with no ciphertext.
 ///
 /// ```
-/// use endbox_crypto::{ghash::Gmac, hex};
+/// use endbox_crypto::{ghash::Gcm, hex};
 /// // McGrew–Viega GCM test case 1: K = 0, IV = 0, nothing to protect.
-/// let tag = Gmac::new(&[0; 16]).tag(&[0; 12], &[]);
+/// let tag = Gcm::new(&[0; 16]).tag(&[0; 12], &[], &[]);
 /// assert_eq!(hex::encode(&tag), "58e2fccefa7e3061367f1d57a4e7455a");
 /// ```
 #[derive(Clone)]
-pub struct Gmac {
+pub struct Gcm {
     aes: Aes128,
     ghash: GhashKey,
 }
 
-impl std::fmt::Debug for Gmac {
+impl std::fmt::Debug for Gcm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Gmac { key: <redacted> }")
+        f.write_str("Gcm { key: <redacted> }")
     }
 }
 
-impl Gmac {
+/// `J0 = nonce ‖ [counter]₃₂`.
+fn counter_block(nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; BLOCK_LEN] {
+    let mut block = [0u8; BLOCK_LEN];
+    block[..NONCE_LEN].copy_from_slice(nonce);
+    block[NONCE_LEN..].copy_from_slice(&counter.to_be_bytes());
+    block
+}
+
+impl Gcm {
     /// Expands `key` and derives its hash subkey.
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
         let aes = Aes128::new(key);
         let ghash = GhashKey::new(&aes.encrypt_block(&[0; BLOCK_LEN]));
-        Gmac { aes, ghash }
+        Gcm { aes, ghash }
     }
 
-    /// The tag over `A = aad[0] ‖ aad[1] ‖ …` under `nonce`.
-    pub fn tag(&self, nonce: &[u8; NONCE_LEN], aad: &[&[u8]]) -> [u8; TAG_LEN] {
+    /// The tag over `A = aad[0] ‖ aad[1] ‖ …` and the ciphertext `C`
+    /// under `nonce`.
+    pub fn tag(&self, nonce: &[u8; NONCE_LEN], aad: &[&[u8]], ciphertext: &[u8]) -> [u8; TAG_LEN] {
         let mut g = Ghash::new(&self.ghash);
-        let mut len = 0u64;
+        let mut aad_len = 0u64;
         for part in aad {
             g.update(part);
-            len += part.len() as u64;
+            aad_len += part.len() as u64;
         }
         g.pad();
+        g.update(ciphertext);
+        g.pad();
         let mut lengths = [0u8; BLOCK_LEN];
-        lengths[..8].copy_from_slice(&(8 * len).to_be_bytes());
+        lengths[..8].copy_from_slice(&(8 * aad_len).to_be_bytes());
+        lengths[8..].copy_from_slice(&(8 * ciphertext.len() as u64).to_be_bytes());
         g.update(&lengths);
-        let mut j0 = [0u8; BLOCK_LEN];
-        j0[..NONCE_LEN].copy_from_slice(nonce);
-        j0[BLOCK_LEN - 1] = 1;
-        let mask = self.aes.encrypt_block(&j0);
+        let mask = self.aes.encrypt_block(&counter_block(nonce, 1));
         let mut tag = g.finalize();
         for (t, m) in tag.iter_mut().zip(mask) {
             *t ^= m;
         }
         tag
+    }
+
+    /// XORs the keystream of `nonce` — CTR from `inc32(J0)` — into `data`
+    /// in place: encryption and decryption alike.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is longer than [`MAX_TEXT_LEN`].
+    pub fn keystream_xor(&self, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
+        assert!(
+            data.len() as u64 <= MAX_TEXT_LEN,
+            "GCM encrypts at most 2^32 - 2 blocks under one nonce"
+        );
+        self.aes.ctr_xor(&counter_block(nonce, 2), data);
     }
 }
 
@@ -261,9 +299,9 @@ mod tests {
     /// GHASH entry, on the detected backend and on the portable one.
     #[test]
     fn gcm_test_cases_1_and_2() {
-        let gmac = Gmac::new(&[0; 16]);
+        let gcm = Gcm::new(&[0; 16]);
         assert_eq!(
-            hex::encode(&gmac.tag(&[0; 12], &[])),
+            hex::encode(&gcm.tag(&[0; 12], &[], &[])),
             "58e2fccefa7e3061367f1d57a4e7455a"
         );
 
@@ -288,34 +326,75 @@ mod tests {
         }
     }
 
-    /// A GMAC tag from the portable pieces alone: the oracle.
-    fn portable_tag(key: &[u8; 16], nonce: &[u8; 12], header: &[u8], body: &[u8]) -> [u8; 16] {
+    /// A GCM key whose GHASH runs on the portable backend.
+    fn portable_gcm(key: &[u8; 16]) -> Gcm {
         let aes = Aes128::portable(key);
-        let gmac = Gmac {
+        Gcm {
             ghash: GhashKey::portable(&aes.encrypt_block(&[0; 16])),
             aes,
-        };
-        gmac.tag(nonce, &[header, body])
+        }
+    }
+
+    /// McGrew–Viega test cases 3 (a 64 B plaintext, no AAD) and 4 (its
+    /// first 60 B behind 20 B of AAD), sealed and opened through
+    /// [`Gcm::keystream_xor`] and [`Gcm::tag`], with GHASH on the detected
+    /// backend (PCLMULQDQ where the CPU has it) and on the portable one.
+    #[test]
+    fn gcm_test_cases_3_and_4() {
+        let key = hex::decode_array::<16>("feffe9928665731c6d6a8f9467308308").unwrap();
+        let nonce = hex::decode_array::<12>("cafebabefacedbaddecaf888").unwrap();
+        let plaintext = hex::decode(
+            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
+             1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
+        )
+        .unwrap();
+        let ciphertext = "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
+                          21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985";
+        let aad = hex::decode("feedfacedeadbeeffeedfacedeadbeefabaddad2").unwrap();
+        let cases: [(&[u8], usize, &str); 2] = [
+            (&[], 64, "4d5c2af327cd64a62cf35abd2ba6fab4"),
+            (&aad, 60, "5bc94fbc3221a5db94fae95ae7121a47"),
+        ];
+        for gcm in [Gcm::new(&key), portable_gcm(&key)] {
+            for (aad, len, tag) in cases {
+                let mut data = plaintext[..len].to_vec();
+                gcm.keystream_xor(&nonce, &mut data);
+                assert_eq!(hex::encode(&data), ciphertext[..2 * len], "{len} B");
+                assert_eq!(hex::encode(&gcm.tag(&nonce, &[aad], &data)), tag, "{len} B");
+                gcm.keystream_xor(&nonce, &mut data);
+                assert_eq!(data, plaintext[..len]);
+            }
+        }
+    }
+
+    /// A GMAC tag from the portable pieces alone: the oracle.
+    fn portable_tag(key: &[u8; 16], nonce: &[u8; 12], header: &[u8], body: &[u8]) -> [u8; 16] {
+        portable_gcm(key).tag(nonce, &[header, body], &[])
     }
 
     /// Every length 0..=260 behind every header of 0..=15 bytes — the
     /// eight-block group, the whole-block tail and the partial last block
     /// all cross their boundaries — through the detected backend and the
-    /// portable one.
+    /// portable one, as GMAC's AAD and as GCM's ciphertext.
     #[test]
     fn kernel_matches_oracle_at_every_length_and_header() {
         let key = [0x3cu8; 16];
         let nonce = [0x91u8; 12];
         let bytes: Vec<u8> = (0..276u16).map(|i| (i * 13 + 5) as u8).collect();
-        let gmac = Gmac::new(&key);
+        let (gcm, portable) = (Gcm::new(&key), portable_gcm(&key));
         for p in 0..=15 {
             let (header, rest) = bytes.split_at(p);
             for len in 0..=260 {
                 let body = &rest[..len];
                 assert_eq!(
-                    gmac.tag(&nonce, &[header, body]),
+                    gcm.tag(&nonce, &[header, body], &[]),
                     portable_tag(&key, &nonce, header, body),
                     "header {p}, body {len}"
+                );
+                assert_eq!(
+                    gcm.tag(&nonce, &[header], body),
+                    portable.tag(&nonce, &[header], body),
+                    "header {p}, ciphertext {len}"
                 );
             }
         }
@@ -326,11 +405,15 @@ mod tests {
     #[test]
     fn power_table_rebuilt_gives_the_same_tags() {
         let key = hex::decode_array::<16>("feffe9928665731c6d6a8f9467308308").unwrap();
-        let (a, b) = (Gmac::new(&key), Gmac::new(&key));
+        let (a, b) = (Gcm::new(&key), Gcm::new(&key));
         let body: Vec<u8> = (0..1000u16).map(|i| (i * 7) as u8).collect();
         for len in [0, 1, 16, 127, 128, 129, 1000] {
             let aad: [&[u8]; 2] = [b"\x06header!!", &body[..len]];
-            assert_eq!(a.tag(&[7; 12], &aad), b.tag(&[7; 12], &aad), "len {len}");
+            assert_eq!(
+                a.tag(&[7; 12], &aad, &[]),
+                b.tag(&[7; 12], &aad, &[]),
+                "len {len}"
+            );
         }
     }
 
@@ -348,8 +431,8 @@ mod tests {
 
     #[test]
     fn debug_redacts_keys() {
-        let gmac = Gmac::new(&[0u8; 16]);
-        assert!(!format!("{gmac:?}").contains("[0, 0"));
+        let gcm = Gcm::new(&[0u8; 16]);
+        assert!(!format!("{gcm:?}").contains("[0, 0"));
     }
 
     /// The kernel against the oracle on random keys, nonces, 1–15 byte
@@ -380,7 +463,7 @@ mod tests {
                 message.extend_from_slice(&body);
                 prop_assert_eq!(ghash(&hw, &message), ghash(&GhashKey::portable(&h), &message));
                 prop_assert_eq!(
-                    Gmac::new(&key).tag(nonce, &[&header, &body]),
+                    Gcm::new(&key).tag(nonce, &[&header, &body], &[]),
                     portable_tag(&key, nonce, &header, &body)
                 );
             }

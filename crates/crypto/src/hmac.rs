@@ -1,6 +1,5 @@
 //! HMAC-SHA256 (RFC 2104) and HKDF (RFC 5869).
 
-use crate::aes::{Aes128, BLOCK_LEN as AES_BLOCK_LEN};
 use crate::sha256::{sha256, Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Streaming HMAC-SHA256.
@@ -29,26 +28,15 @@ pub struct HmacSha256 {
 impl HmacSha256 {
     /// Creates an HMAC context keyed with `key` (any length).
     pub fn new(key: &[u8]) -> Self {
-        Self::keyed(key, Sha256::new)
-    }
-
-    /// A context whose hashers run the scalar compression function (the
-    /// reference in backend-equality tests).
-    #[cfg(test)]
-    pub(crate) fn portable(key: &[u8]) -> Self {
-        Self::keyed(key, Sha256::portable)
-    }
-
-    fn keyed(key: &[u8], hasher: fn() -> Sha256) -> Self {
         let mut k = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
             k[..DIGEST_LEN].copy_from_slice(&sha256(key));
         } else {
             k[..key.len()].copy_from_slice(key);
         }
-        let mut inner = hasher();
+        let mut inner = Sha256::new();
         inner.update(&k.map(|b| b ^ 0x36));
-        let mut outer = hasher();
+        let mut outer = Sha256::new();
         outer.update(&k.map(|b| b ^ 0x5c));
         HmacSha256 { inner, outer }
     }
@@ -56,19 +44,6 @@ impl HmacSha256 {
     /// Absorbs message bytes.
     pub fn update(&mut self, data: &[u8]) {
         self.inner.update(data);
-    }
-
-    /// CBC-encrypts `data[from..]` in place, then absorbs all of `data`
-    /// ([`Sha256::update_cbc_encrypting`]: one stitched loop on AES-NI and
-    /// SHA-NI).
-    pub(crate) fn update_cbc_encrypting(
-        &mut self,
-        aes: &Aes128,
-        iv: &[u8; AES_BLOCK_LEN],
-        data: &mut [u8],
-        from: usize,
-    ) {
-        self.inner.update_cbc_encrypting(aes, iv, data, from);
     }
 
     /// Returns the 32-byte tag.

@@ -1,30 +1,22 @@
-//! x86-64 hardware kernels: AES-NI for AES-128, SHA-NI for SHA-256, the
-//! two stitched into one loop for the data channel's seal, and PCLMULQDQ
-//! for GHASH.
+//! x86-64 hardware kernels: AES-NI for AES-128, SHA-NI for SHA-256, and
+//! PCLMULQDQ for GHASH.
 //!
-//! Five kernels: the AES-128 key schedule and the CBC and CTR loops
+//! Four kernels: the AES-128 key schedule and the CBC and CTR loops
 //! (serial CBC encrypt; eight blocks in flight for CBC decrypt and for
-//! CTR, whose 128-bit big-endian counter blocks are independent); the
-//! SHA-256 compression function, whose round sequence is one per-block
-//! body ([`sha256_block`]); [`AesNi::cbc_encrypt_then_compress`], the
-//! CBC+HMAC suite's seal, which compresses the oldest complete 64-byte
-//! block of the MAC input through that same body while the AES rounds of
-//! the next 64 bytes of CBC are issued between its round groups — so the
-//! `aesenc` chain and the `sha256rnds2` chain, each latency-bound and on
-//! different ports, run side by side instead of back to back, with the
-//! bytes of the CBC loop followed by the compression; and
-//! [`ClMul::absorb`], GHASH for the integrity-only suite's GMAC: the
-//! powers H¹..H⁸ are computed once per key, and eight blocks are
-//! multiplied by H⁸..H¹, summed unreduced and reduced once.
+//! CTR, whose 128-bit big-endian counter blocks are independent — the
+//! CTR loop is the keystream of the data channel's AES-GCM); the SHA-256
+//! compression function ([`sha256_block`]); and [`ClMul::absorb`], the
+//! GHASH of both data-channel suites: the powers H¹..H⁸ are computed once
+//! per key, and eight blocks are multiplied by H⁸..H¹, summed unreduced
+//! and reduced once.
 //!
 //! This is the only module in the workspace that contains `unsafe`. The
 //! fence is the type system: every `#[target_feature]` function is private
 //! to this file and is only called through a value ([`AesNi`], [`ShaNi`],
 //! [`ClMul`]) whose sole constructor runs `is_x86_feature_detected!`
-//! first, so safe code cannot reach an instruction the CPU lacks; the
-//! stitched kernel needs both of the first two. The only other unsafe
-//! operations are the unaligned 16-byte loads and stores, which go
-//! through [`load`]/[`store`] on `[u8; 16]` references.
+//! first, so safe code cannot reach an instruction the CPU lacks. The
+//! only other unsafe operations are the unaligned 16-byte loads and
+//! stores, which go through [`load`]/[`store`] on `[u8; 16]` references.
 //!
 //! The portable code in [`crate::aes`], [`crate::sha256`] and
 //! [`crate::ghash`] is the reference these kernels are tested against
@@ -124,36 +116,6 @@ impl AesNi {
     pub(crate) fn ctr_xor(&self, counter: &[u8; 16], data: &mut [u8]) {
         // SAFETY: `self` exists, so `new` detected the `aes` feature.
         unsafe { self.ctr_xor_impl(counter, data) }
-    }
-
-    /// CBC-encrypts `data[from..]` in place and, in the same loop,
-    /// compresses the whole 64-byte blocks of the message `prefix ‖ data`
-    /// (after encryption) into the SHA-256 `state`, so the bytes are
-    /// exactly those of `cbc_encrypt` followed by [`ShaNi::compress`].
-    /// `_sha` proves the SHA extensions; returns the number of message
-    /// bytes compressed, a multiple of 64.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data[from..]` is not a whole number of blocks or
-    /// `prefix` is a whole block or more.
-    pub(crate) fn cbc_encrypt_then_compress(
-        &self,
-        _sha: ShaNi,
-        iv: &[u8; 16],
-        data: &mut [u8],
-        from: usize,
-        state: &mut [u32; 8],
-        prefix: &[u8],
-    ) -> usize {
-        assert!(
-            from <= data.len() && (data.len() - from).is_multiple_of(16),
-            "CBC works on whole blocks"
-        );
-        assert!(prefix.len() < 64, "a prefix is less than one block");
-        // SAFETY: `self` exists, so `AesNi::new` detected `aes`; `_sha`
-        // exists, so `ShaNi::detect` saw `sha`, `ssse3` and `sse4.1`.
-        unsafe { self.cbc_encrypt_then_compress_impl(iv, data, from, state, prefix) }
     }
 
     #[target_feature(enable = "aes")]
@@ -257,87 +219,6 @@ impl AesNi {
                 *b ^= k;
             }
         }
-    }
-
-    /// The stitched seal: CBC-encrypts `data[from..]` (whole blocks) under
-    /// `iv` and compresses the whole 64-byte blocks of the message
-    /// `prefix ‖ data` — `data` as it reads once encrypted — into `state`,
-    /// in one loop. A turn compresses the oldest message block whose bytes
-    /// are all final and issues the 40 AES rounds of the next four CBC
-    /// blocks between its 16 round groups, so the `aesenc` chain and the
-    /// `sha256rnds2` chain — each latency-bound, on different ports —
-    /// advance together. A turn with no final message block (the first) or
-    /// fewer than four blocks left to encrypt (the last) runs one chain
-    /// alone. Returns how many message bytes were compressed (a multiple
-    /// of 64); the caller keeps the rest.
-    #[target_feature(enable = "aes,sha,ssse3,sse4.1")]
-    fn cbc_encrypt_then_compress_impl(
-        &self,
-        iv: &[u8; 16],
-        data: &mut [u8],
-        from: usize,
-        state: &mut [u32; 8],
-        prefix: &[u8],
-    ) -> usize {
-        let p = prefix.len();
-        let blocks = (p + data.len()) / 64;
-        let cbc_blocks = (data.len() - from) / 16;
-        let mut s = sha256_load_state(state);
-        let mut chain = load(iv);
-        let (mut encrypted, mut hashed) = (0, 0);
-        loop {
-            // Message bytes that are final: the prefix, `data[..from]`, and
-            // every block encrypted so far.
-            let ready = p + from + 16 * encrypted;
-            if hashed < blocks && 64 * (hashed + 1) <= ready {
-                let at = 64 * hashed;
-                let words = if at >= p {
-                    quarters(&data[at - p..at - p + 64])
-                } else {
-                    // Only the first block can straddle `prefix` and `data`.
-                    let mut first = [0u8; 64];
-                    first[..p].copy_from_slice(prefix);
-                    first[p..].copy_from_slice(&data[..64 - p]);
-                    quarters(&first)
-                };
-                hashed += 1;
-                if cbc_blocks - encrypted < 4 {
-                    s = sha256_block(s, words, |_| {});
-                    continue;
-                }
-                // The stitched turn: four CBC blocks, their 40 rounds
-                // spread over the 16 round groups of this compression.
-                let group = &mut data[from + 16 * encrypted..from + 16 * encrypted + 64];
-                let mut st = chain; // set at g = 0
-                s = sha256_block(s, words, |g| {
-                    let (b, rk) = (block_mut(group, g / 4), &self.enc);
-                    match g % 4 {
-                        0 => {
-                            st = _mm_xor_si128(_mm_xor_si128(load(b), chain), rk[0]);
-                            st = _mm_aesenc_si128(_mm_aesenc_si128(st, rk[1]), rk[2]);
-                        }
-                        1 => st = aesenc3(st, &rk[3..6]),
-                        2 => st = aesenc3(st, &rk[6..9]),
-                        _ => {
-                            chain = _mm_aesenclast_si128(_mm_aesenc_si128(st, rk[9]), rk[10]);
-                            store(b, chain);
-                        }
-                    }
-                });
-                encrypted += 4;
-            } else if encrypted < cbc_blocks {
-                for _ in 0..4.min(cbc_blocks - encrypted) {
-                    let b = block_mut(&mut data[from..], encrypted);
-                    chain = self.encrypt_m128([_mm_xor_si128(load(b), chain)])[0];
-                    store(b, chain);
-                    encrypted += 1;
-                }
-            } else {
-                break;
-            }
-        }
-        *state = sha256_store_state(s);
-        64 * blocks
     }
 
     #[target_feature(enable = "aes")]
@@ -519,10 +400,9 @@ fn gf128_reduce([lo, mid, hi]: [__m128i; 3]) -> __m128i {
     _mm_xor_si128(hi, _mm_xor_si128(lo, b))
 }
 
-/// Four rounds on message words W[4g..4g+4] (`$w`), group index `$g`,
-/// with `$between($g)` issued between the two round pairs.
+/// Four rounds on message words W[4g..4g+4] (`$w`), group index `$g`.
 macro_rules! rounds4 {
-    ($s0:ident, $s1:ident, $w:expr, $g:expr, $between:ident) => {{
+    ($s0:ident, $s1:ident, $w:expr, $g:expr) => {{
         let k: &[u32; 4] = crate::sha256::K[4 * $g..4 * $g + 4]
             .try_into()
             .expect("four constants");
@@ -531,7 +411,6 @@ macro_rules! rounds4 {
             _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32),
         );
         $s1 = _mm_sha256rnds2_epu32($s1, $s0, wk);
-        $between($g);
         $s0 = _mm_sha256rnds2_epu32($s0, $s1, _mm_shuffle_epi32::<0x0e>(wk));
     }};
 }
@@ -544,13 +423,6 @@ macro_rules! schedule {
             $cur,
         );
     }};
-}
-
-/// Three AES rounds.
-#[inline]
-#[target_feature(enable = "aes")]
-fn aesenc3(st: __m128i, rk: &[__m128i]) -> __m128i {
-    _mm_aesenc_si128(_mm_aesenc_si128(_mm_aesenc_si128(st, rk[0]), rk[1]), rk[2])
 }
 
 /// The four 16-byte quarters of a 64-byte message block.
@@ -587,67 +459,58 @@ fn sha256_store_state([s0, s1]: [__m128i; 2]) -> [u32; 8] {
 }
 
 /// One SHA-256 compression of the message block `words` (its four
-/// 16-byte quarters as loaded, in order) into `[s0, s1]`: the round
-/// sequence, written once for [`ShaNi::compress`] and for the stitched
-/// seal. `between(g)` runs in the middle of round group `g` (0..16) — the
-/// stitched seal issues its AES rounds there, so the two dependency
-/// chains are interleaved instruction by instruction; `compress` passes
-/// nothing.
+/// 16-byte quarters as loaded, in order) into `[s0, s1]`.
 #[inline]
 #[target_feature(enable = "sha,ssse3,sse4.1")]
-fn sha256_block(
-    [mut s0, mut s1]: [__m128i; 2],
-    words: [__m128i; 4],
-    mut between: impl FnMut(usize),
-) -> [__m128i; 2] {
+fn sha256_block([mut s0, mut s1]: [__m128i; 2], words: [__m128i; 4]) -> [__m128i; 2] {
     // Big-endian words within each 32-bit lane.
     let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
     let (save0, save1) = (s0, s1);
     let [mut w0, mut w1, mut w2, mut w3] = words.map(|w| _mm_shuffle_epi8(w, bswap));
 
-    rounds4!(s0, s1, w0, 0, between);
-    rounds4!(s0, s1, w1, 1, between);
+    rounds4!(s0, s1, w0, 0);
+    rounds4!(s0, s1, w1, 1);
     w0 = _mm_sha256msg1_epu32(w0, w1);
-    rounds4!(s0, s1, w2, 2, between);
+    rounds4!(s0, s1, w2, 2);
     w1 = _mm_sha256msg1_epu32(w1, w2);
-    rounds4!(s0, s1, w3, 3, between);
+    rounds4!(s0, s1, w3, 3);
     schedule!(w2, w3, w0);
     w2 = _mm_sha256msg1_epu32(w2, w3);
 
-    rounds4!(s0, s1, w0, 4, between);
+    rounds4!(s0, s1, w0, 4);
     schedule!(w3, w0, w1);
     w3 = _mm_sha256msg1_epu32(w3, w0);
-    rounds4!(s0, s1, w1, 5, between);
+    rounds4!(s0, s1, w1, 5);
     schedule!(w0, w1, w2);
     w0 = _mm_sha256msg1_epu32(w0, w1);
-    rounds4!(s0, s1, w2, 6, between);
+    rounds4!(s0, s1, w2, 6);
     schedule!(w1, w2, w3);
     w1 = _mm_sha256msg1_epu32(w1, w2);
-    rounds4!(s0, s1, w3, 7, between);
+    rounds4!(s0, s1, w3, 7);
     schedule!(w2, w3, w0);
     w2 = _mm_sha256msg1_epu32(w2, w3);
 
-    rounds4!(s0, s1, w0, 8, between);
+    rounds4!(s0, s1, w0, 8);
     schedule!(w3, w0, w1);
     w3 = _mm_sha256msg1_epu32(w3, w0);
-    rounds4!(s0, s1, w1, 9, between);
+    rounds4!(s0, s1, w1, 9);
     schedule!(w0, w1, w2);
     w0 = _mm_sha256msg1_epu32(w0, w1);
-    rounds4!(s0, s1, w2, 10, between);
+    rounds4!(s0, s1, w2, 10);
     schedule!(w1, w2, w3);
     w1 = _mm_sha256msg1_epu32(w1, w2);
-    rounds4!(s0, s1, w3, 11, between);
+    rounds4!(s0, s1, w3, 11);
     schedule!(w2, w3, w0);
     w2 = _mm_sha256msg1_epu32(w2, w3);
 
-    rounds4!(s0, s1, w0, 12, between);
+    rounds4!(s0, s1, w0, 12);
     schedule!(w3, w0, w1);
     w3 = _mm_sha256msg1_epu32(w3, w0);
-    rounds4!(s0, s1, w1, 13, between);
+    rounds4!(s0, s1, w1, 13);
     schedule!(w0, w1, w2);
-    rounds4!(s0, s1, w2, 14, between);
+    rounds4!(s0, s1, w2, 14);
     schedule!(w1, w2, w3);
-    rounds4!(s0, s1, w3, 15, between);
+    rounds4!(s0, s1, w3, 15);
 
     [_mm_add_epi32(s0, save0), _mm_add_epi32(s1, save1)]
 }
@@ -656,7 +519,7 @@ fn sha256_block(
 fn sha256_compress(state: &mut [u32; 8], blocks: &[u8]) {
     let mut s = sha256_load_state(state);
     for chunk in blocks.chunks_exact(64) {
-        s = sha256_block(s, quarters(chunk), |_| {});
+        s = sha256_block(s, quarters(chunk));
     }
     *state = sha256_store_state(s);
 }

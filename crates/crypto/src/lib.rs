@@ -8,12 +8,10 @@
 //! * [`sha256`] — SHA-256 (FIPS 180-4), streaming and one-shot.
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104), keyed once into ipad/opad
 //!   midstates, and a small HKDF (RFC 5869).
-//! * [`aes`] / [`modes`] — AES-128 (FIPS 197) with CBC (PKCS#7, in place
-//!   or `Vec`-returning) and CTR, and the data channel's CBC+HMAC seal:
-//!   CBC-encrypt-then-HMAC in one pass
-//!   ([`modes::cbc_encrypt_then_mac_in_place`]).
-//! * [`ghash`] — GHASH and GMAC (SP 800-38D): the integrity-only suite's
-//!   record tag.
+//! * [`aes`] / [`modes`] — AES-128 (FIPS 197) with CBC (PKCS#7) and CTR.
+//! * [`ghash`] — GHASH and AES-128-GCM (SP 800-38D): the data channel's
+//!   one AEAD, which seals the enterprise suite's records and, as GMAC,
+//!   tags the integrity-only suite's.
 //! * [`x25519`] — Diffie-Hellman over Curve25519 (RFC 7748): a
 //!   Montgomery ladder for shared secrets, and a fixed-base path for
 //!   public keys (the base point's multiples on the equivalent Edwards
@@ -36,8 +34,7 @@
 //!
 //! # Two backends, chosen by the CPU
 //!
-//! AES-128, SHA-256 and GHASH — the record crypto of the data channel —
-//! each have two implementations with identical outputs. On x86-64,
+//! AES-128, SHA-256 and GHASH each have two implementations with identical outputs. On x86-64,
 //! [`aes::Aes128::new`] uses AES-NI when `is_x86_feature_detected!("aes")`,
 //! [`sha256::Sha256::new`] uses the SHA extensions when `sha`, `ssse3`
 //! and `sse4.1` are all present, and [`ghash::GhashKey::new`] uses the
@@ -46,15 +43,23 @@
 //! one bit at a time). The choice is made from the CPU alone, once per
 //! key schedule or hasher: there is no cargo feature, environment
 //! variable or parameter that selects a backend.
-//! Measured on the benchmark host through `modes::cbc_encrypt`,
-//! `modes::cbc_decrypt` and `hmac::hmac_sha256` on one 23 KB record:
-//! about 0.7 / 0.1 / 0.8 ns/B on the hardware path against 10.9 / 20.9 /
-//! 4.2 ns/B on the portable one (`docs/architecture.md` §6).
 //!
-//! Where a key runs on AES-NI and its MAC on the SHA extensions, the seal
-//! runs both in one stitched loop: 1.5–1.8x the sequential
-//! encrypt-then-MAC on a 23 KB record, measured on that host (a 2-vCPU
-//! Xeon VM); otherwise it is that sequence.
+//! Measured on the benchmark host (a 2-vCPU Xeon VM) on one 23 KB
+//! record, the `bulk_nop` batch of 16×1460 B:
+//!
+//! | operation | hardware path | portable path |
+//! |---|---|---|
+//! | [`ghash::Gcm`] seal (CTR, then GHASH over the ciphertext) | 0.26–0.32 ns/B | not measured |
+//! | [`ghash::Gcm`] open (GHASH, then CTR into a copy) | 0.28–0.31 ns/B | not measured |
+//! | GHASH alone | 0.13–0.14 ns/B | ≈ 17 ns/B ([`ghash::mul`], bit-serial) |
+//! | `modes::cbc_encrypt` | ≈ 0.7 ns/B | 10.9 ns/B |
+//! | `modes::cbc_decrypt` | ≈ 0.1 ns/B | 20.9 ns/B |
+//! | `hmac::hmac_sha256` | ≈ 0.7 ns/B | 4.2 ns/B |
+//!
+//! On a CPU without AES-NI or PCLMULQDQ the record crypto falls back to
+//! the portable AES and the bit-serial GHASH, two orders of magnitude
+//! slower; nothing on the benchmark host runs that path
+//! (`docs/architecture.md` §6).
 //!
 //! The intrinsics are the crate's only `unsafe` code and live in one
 //! private module (`hw`); the crate root denies `unsafe_code` everywhere

@@ -1,118 +1,14 @@
 //! Block cipher modes for AES-128: CBC with PKCS#7 padding, and CTR.
 //!
-//! EndBox's data channel uses AES-128-CBC with an HMAC-SHA256 tag (matching
-//! OpenVPN's default static configuration in the paper); the TLS shim, and
-//! the `TLSDecrypt` element that reads its records, use CTR
-//! ([`ctr_xor`]: eight blocks in flight on AES-NI) for application-record
-//! protection.
-//!
-//! A record is sealed with [`cbc_encrypt_then_mac_in_place`]: its contract
-//! is [`cbc_encrypt_in_place`] followed by [`HmacSha256::update`] over the
-//! whole buffer, and on AES-NI + SHA-NI it runs the two as one stitched
-//! loop instead of one after the other. Without those extensions it is
-//! that composition.
+//! The paper's OpenVPN protects records with AES-128-CBC and an
+//! HMAC-SHA256 tag; here CBC serves the enclave's sealed storage and the
+//! signed configuration update, and the data channel runs AES-GCM
+//! ([`crate::ghash::Gcm`]) on [`ctr_xor`]'s keystream. The TLS shim, and
+//! the `TLSDecrypt` element that reads its records, use CTR too (eight
+//! blocks in flight on AES-NI).
 
 use crate::aes::{Aes128, BLOCK_LEN};
-use crate::hmac::HmacSha256;
 use crate::CryptoError;
-
-/// Pads `buf[from..]` with PKCS#7 and encrypts it with AES-128-CBC where
-/// it lies; `buf[..from]` (a header, an IV) is left alone. Afterwards
-/// `buf[from..]` is a non-zero multiple of the block size.
-///
-/// This is how a record is sealed in one buffer: the caller writes the IV
-/// and the plaintext into `buf`, encrypts from `from`, then appends the
-/// tag — no second copy of the payload is ever made.
-///
-/// # Panics
-///
-/// Panics if `from > buf.len()`.
-pub fn cbc_encrypt_in_place(aes: &Aes128, iv: &[u8; BLOCK_LEN], buf: &mut Vec<u8>, from: usize) {
-    pad_pkcs7(buf, from);
-    aes.cbc_encrypt_blocks(iv, &mut buf[from..]);
-}
-
-/// Encrypt-then-MAC in one pass: exactly
-/// `cbc_encrypt_in_place(aes, iv, buf, from); mac.update(buf)`.
-///
-/// `buf[from..]` is padded with PKCS#7 and encrypted where it lies, and
-/// then all of `buf` — the bytes before `from` (an IV) included — is
-/// absorbed into `mac`, after whatever `mac` has absorbed already (a
-/// record header); a tail short of a SHA-256 block stays buffered in
-/// `mac` for [`HmacSha256::finalize`] or a further `update`. On a CPU
-/// with AES-NI and SHA-NI the encryption and the MAC run in one stitched
-/// loop — each SHA-256 compression of the oldest complete message block
-/// carries the AES rounds of the next 64 bytes of CBC — so neither
-/// latency-bound chain waits for the other; otherwise this *is* the
-/// composition above.
-///
-/// ```
-/// use endbox_crypto::{aes::Aes128, hmac::HmacSha256, modes};
-/// let aes = Aes128::new(&[7u8; 16]);
-/// let iv = [9u8; 16];
-/// let keyed = HmacSha256::new(b"mac key");
-///
-/// let mut fused = iv.to_vec();
-/// fused.extend_from_slice(b"attack at dawn");
-/// let mut mac = keyed.clone();
-/// modes::cbc_encrypt_then_mac_in_place(&aes, &iv, &mut fused, 16, &mut mac);
-///
-/// let mut apart = iv.to_vec();
-/// apart.extend_from_slice(b"attack at dawn");
-/// modes::cbc_encrypt_in_place(&aes, &iv, &mut apart, 16);
-/// let mut reference = keyed.clone();
-/// reference.update(&apart);
-/// assert_eq!((fused, mac.finalize()), (apart, reference.finalize()));
-/// ```
-///
-/// # Panics
-///
-/// Panics if `from > buf.len()`.
-pub fn cbc_encrypt_then_mac_in_place(
-    aes: &Aes128,
-    iv: &[u8; BLOCK_LEN],
-    buf: &mut Vec<u8>,
-    from: usize,
-    mac: &mut HmacSha256,
-) {
-    pad_pkcs7(buf, from);
-    mac.update_cbc_encrypting(aes, iv, buf, from);
-}
-
-/// Pads `buf[from..]` to a non-zero multiple of the block size.
-fn pad_pkcs7(buf: &mut Vec<u8>, from: usize) {
-    let pad = BLOCK_LEN - ((buf.len() - from) % BLOCK_LEN);
-    buf.resize(buf.len() + pad, pad as u8);
-}
-
-/// Decrypts AES-128-CBC `data` where it lies and checks the PKCS#7
-/// padding. Returns the plaintext length: the plaintext is
-/// `data[..len]`, the bytes after it are padding.
-///
-/// # Errors
-///
-/// [`CryptoError::InvalidLength`] if `data` is empty or not a multiple of
-/// the block size (nothing is written), [`CryptoError::InvalidPadding`]
-/// if the padding is malformed.
-pub fn cbc_decrypt_in_place(
-    aes: &Aes128,
-    iv: &[u8; BLOCK_LEN],
-    data: &mut [u8],
-) -> Result<usize, CryptoError> {
-    if data.is_empty() || !data.len().is_multiple_of(BLOCK_LEN) {
-        return Err(CryptoError::InvalidLength);
-    }
-    aes.cbc_decrypt_blocks(iv, data);
-    let pad = data[data.len() - 1] as usize;
-    if pad == 0 || pad > BLOCK_LEN {
-        return Err(CryptoError::InvalidPadding);
-    }
-    let len = data.len() - pad;
-    if !data[len..].iter().all(|&b| b as usize == pad) {
-        return Err(CryptoError::InvalidPadding);
-    }
-    Ok(len)
-}
 
 /// Encrypts `plaintext` with AES-128-CBC and PKCS#7 padding.
 ///
@@ -127,9 +23,11 @@ pub fn cbc_decrypt_in_place(
 /// assert_eq!(pt, b"attack at dawn");
 /// ```
 pub fn cbc_encrypt(aes: &Aes128, iv: &[u8; BLOCK_LEN], plaintext: &[u8]) -> Vec<u8> {
-    let mut data = Vec::with_capacity(plaintext.len() + BLOCK_LEN);
+    let pad = BLOCK_LEN - plaintext.len() % BLOCK_LEN;
+    let mut data = Vec::with_capacity(plaintext.len() + pad);
     data.extend_from_slice(plaintext);
-    cbc_encrypt_in_place(aes, iv, &mut data, 0);
+    data.resize(plaintext.len() + pad, pad as u8);
+    aes.cbc_encrypt_blocks(iv, &mut data);
     data
 }
 
@@ -145,8 +43,19 @@ pub fn cbc_decrypt(
     iv: &[u8; BLOCK_LEN],
     ciphertext: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
+    if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(BLOCK_LEN) {
+        return Err(CryptoError::InvalidLength);
+    }
     let mut out = ciphertext.to_vec();
-    let len = cbc_decrypt_in_place(aes, iv, &mut out)?;
+    aes.cbc_decrypt_blocks(iv, &mut out);
+    let pad = out[out.len() - 1] as usize;
+    if pad == 0 || pad > BLOCK_LEN {
+        return Err(CryptoError::InvalidPadding);
+    }
+    let len = out.len() - pad;
+    if !out[len..].iter().all(|&b| b as usize == pad) {
+        return Err(CryptoError::InvalidPadding);
+    }
     out.truncate(len);
     Ok(out)
 }
@@ -194,147 +103,6 @@ mod tests {
         let mut blocks = hex::decode(want).unwrap();
         aes.cbc_decrypt_blocks(&iv, &mut blocks);
         assert_eq!(blocks, pt);
-    }
-
-    #[test]
-    fn in_place_matches_wrappers_at_every_length() {
-        let aes = nist_key();
-        let iv = [0x24u8; 16];
-        for len in 0..=64usize {
-            let pt: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
-            let ct = cbc_encrypt(&aes, &iv, &pt);
-
-            // Encrypt behind a header that must survive untouched.
-            let mut buf = b"header".to_vec();
-            buf.extend_from_slice(&pt);
-            cbc_encrypt_in_place(&aes, &iv, &mut buf, 6);
-            assert_eq!(&buf[..6], b"header", "len {len}");
-            assert_eq!(&buf[6..], &ct[..], "len {len}");
-
-            let body = &mut buf[6..];
-            let n = cbc_decrypt_in_place(&aes, &iv, body).unwrap();
-            assert_eq!(&body[..n], &pt[..], "len {len}");
-            assert_eq!(cbc_decrypt(&aes, &iv, &ct).unwrap(), pt, "len {len}");
-        }
-    }
-
-    /// `(buf, tag, tag after a further update)` from the fused entry, for
-    /// plaintext `body` behind the bytes `header`, after `prefix` has been
-    /// absorbed into the MAC.
-    fn fused(
-        aes: &Aes128,
-        keyed: &HmacSha256,
-        iv: &[u8; 16],
-        prefix: &[u8],
-        header: &[u8],
-        body: &[u8],
-    ) -> (Vec<u8>, [u8; 32], [u8; 32]) {
-        let mut buf = [header, body].concat();
-        let mut mac = keyed.clone();
-        mac.update(prefix);
-        cbc_encrypt_then_mac_in_place(aes, iv, &mut buf, header.len(), &mut mac);
-        let tag = mac.clone().finalize();
-        mac.update(b"resumed");
-        (buf, tag, mac.finalize())
-    }
-
-    /// The same from the composition on the portable backends, given the
-    /// buffer `cbc_encrypt_in_place` left: the MAC over `prefix ‖ sealed`,
-    /// then over `prefix ‖ sealed ‖ "resumed"`.
-    fn composed(mac_key: &[u8], prefix: &[u8], sealed: Vec<u8>) -> (Vec<u8>, [u8; 32], [u8; 32]) {
-        let mut mac = HmacSha256::portable(mac_key);
-        mac.update(prefix);
-        mac.update(&sealed);
-        let tag = mac.clone().finalize();
-        mac.update(b"resumed");
-        (sealed, tag, mac.finalize())
-    }
-
-    fn portable_cbc(key: &[u8; 16], iv: &[u8; 16], header: &[u8], body: &[u8]) -> Vec<u8> {
-        let mut sealed = [header, body].concat();
-        cbc_encrypt_in_place(&Aes128::portable(key), iv, &mut sealed, header.len());
-        sealed
-    }
-
-    /// Every plaintext length 0..=320 and every MAC prefix of 0..=63
-    /// buffered bytes, behind no header and behind a 16-byte IV: the fused
-    /// entry on the detected backends (the stitched kernel on a CPU with
-    /// AES-NI and SHA-NI) equals the composition on the scalar ones, and
-    /// so does the fused entry on the scalar backends (the fallback), at
-    /// every length for the prefixes that bracket a block boundary.
-    #[test]
-    fn fused_seal_matches_composition_at_every_length_and_prefix() {
-        let key = hex::decode_array::<16>("000102030405060708090a0b0c0d0e0f").unwrap();
-        let iv = [0x24u8; 16];
-        let mac_key = b"record mac key";
-        let (aes, keyed) = (Aes128::new(&key), HmacSha256::new(mac_key));
-        let (scalar_aes, scalar_keyed) = (Aes128::portable(&key), HmacSha256::portable(mac_key));
-        let prefix: Vec<u8> = (0..63u8).map(|i| i.wrapping_mul(29) ^ 0xa7).collect();
-        let body: Vec<u8> = (0..320u16).map(|i| (i * 7 + 3) as u8).collect();
-        for header in [&[][..], &iv[..]] {
-            for len in 0..=body.len() {
-                let sealed = portable_cbc(&key, &iv, header, &body[..len]);
-                for p in 0..=prefix.len() {
-                    let want = composed(mac_key, &prefix[..p], sealed.clone());
-                    let got = fused(&aes, &keyed, &iv, &prefix[..p], header, &body[..len]);
-                    assert_eq!(got, want, "prefix {p}, header {}, body {len}", header.len());
-                    if [0, 1, 9, 47, 48, 63].contains(&p) {
-                        let scalar = fused(
-                            &scalar_aes,
-                            &scalar_keyed,
-                            &iv,
-                            &prefix[..p],
-                            header,
-                            &body[..len],
-                        );
-                        assert_eq!(scalar, want, "scalar, prefix {p}, body {len}");
-                    }
-                }
-            }
-        }
-    }
-
-    mod fused_seal_agrees {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(96))]
-
-            /// Random keys, IVs, MAC prefixes and lengths up to 4 KiB, on
-            /// the detected backends and on the scalar ones.
-            #[test]
-            fn with_its_composition(
-                key in prop::array::uniform16(any::<u8>()),
-                iv in prop::array::uniform16(any::<u8>()),
-                mac_key in prop::collection::vec(any::<u8>(), 0..80),
-                prefix in prop::collection::vec(any::<u8>(), 0..64),
-                with_iv in any::<bool>(),
-                body in prop::collection::vec(any::<u8>(), 0..4097),
-            ) {
-                let header = if with_iv { &iv[..] } else { &[][..] };
-                let want = composed(&mac_key, &prefix, portable_cbc(&key, &iv, header, &body));
-                let (aes, keyed) = (Aes128::new(&key), HmacSha256::new(&mac_key));
-                prop_assert_eq!(fused(&aes, &keyed, &iv, &prefix, header, &body), want.clone());
-                let (aes, keyed) = (Aes128::portable(&key), HmacSha256::portable(&mac_key));
-                prop_assert_eq!(fused(&aes, &keyed, &iv, &prefix, header, &body), want);
-            }
-        }
-    }
-
-    #[test]
-    fn in_place_decrypt_rejects_bad_lengths_without_writing() {
-        let aes = nist_key();
-        let mut data = [0x5au8; 17];
-        assert_eq!(
-            cbc_decrypt_in_place(&aes, &[0; 16], &mut data),
-            Err(CryptoError::InvalidLength)
-        );
-        assert_eq!(data, [0x5au8; 17]);
-        assert_eq!(
-            cbc_decrypt_in_place(&aes, &[0; 16], &mut []),
-            Err(CryptoError::InvalidLength)
-        );
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! reference the hardware path is tested against — on the scalar
 //! implementation below.
 
-use crate::aes::{Aes128, BLOCK_LEN as AES_BLOCK_LEN};
-
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
 /// Internal block size in bytes.
@@ -98,46 +96,6 @@ impl Sha256 {
         self.compress(blocks);
         self.buffer[..tail.len()].copy_from_slice(tail);
         self.buffered = tail.len();
-    }
-
-    /// Encrypts `data[from..]` (whole blocks) in place with AES-128-CBC
-    /// under `aes` and `iv`, then absorbs all of `data` — exactly
-    /// `aes.cbc_encrypt_blocks(iv, &mut data[from..]); self.update(data)`.
-    /// When the key runs on AES-NI and this hasher on the SHA extensions
-    /// the two run as one stitched loop, buffered bytes included; otherwise
-    /// it is that composition.
-    pub(crate) fn update_cbc_encrypting(
-        &mut self,
-        aes: &Aes128,
-        iv: &[u8; AES_BLOCK_LEN],
-        data: &mut [u8],
-        from: usize,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if let (Some(sha), Some(ni)) = (self.hw, aes.ni()) {
-            let p = self.buffered;
-            let hashed = ni.cbc_encrypt_then_compress(
-                sha,
-                iv,
-                data,
-                from,
-                &mut self.state,
-                &self.buffer[..p],
-            );
-            self.total_len = self.total_len.wrapping_add(data.len() as u64);
-            // The message was `buffer[..p] ‖ data`; buffer what follows its
-            // compressed blocks.
-            let (kept, tail) = if hashed == 0 {
-                (p, &data[..])
-            } else {
-                (0, &data[hashed - p..])
-            };
-            self.buffer[kept..kept + tail.len()].copy_from_slice(tail);
-            self.buffered = kept + tail.len();
-            return;
-        }
-        aes.cbc_encrypt_blocks(iv, &mut data[from..]);
-        self.update(data);
     }
 
     /// Consumes the hasher and returns the 32-byte digest.

@@ -230,7 +230,7 @@ pub fn downgrade_attack() -> AttackOutcome {
             ca_public: ca.public_key(),
             min_version: PROTOCOL_V1,
         },
-        suite: endbox_vpn::CipherSuite::Aes128CbcHmac,
+        suite: endbox_vpn::CipherSuite::Aes128Gcm,
         server_click: None,
         cost: endbox_netsim::CostModel::calibrated(),
         meter: endbox_netsim::cost::CycleMeter::new(),

@@ -93,7 +93,7 @@ impl EndBoxClientConfig {
         EndBoxClientConfig {
             subject: subject.to_string(),
             trust: TrustLevel::Hardware,
-            suite: CipherSuite::Aes128CbcHmac,
+            suite: CipherSuite::Aes128Gcm,
             click_config: Some("FromDevice(tun0) -> ToDevice(tun0);".to_string()),
             config_version: 1,
             offered_version: PROTOCOL_V2,

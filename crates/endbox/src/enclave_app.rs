@@ -45,7 +45,7 @@ pub struct EnclaveAppConfig {
     pub subject: String,
     /// Execution mode (hardware vs SDK simulation).
     pub mode: SgxMode,
-    /// Data-channel suite (enterprise: CBC+HMAC; ISP: integrity-only).
+    /// Data-channel suite (enterprise: AES-128-GCM; ISP: integrity-only).
     pub suite: CipherSuite,
     /// Initial Click configuration.
     pub click_config: String,

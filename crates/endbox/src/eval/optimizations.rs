@@ -94,7 +94,7 @@ pub struct IspAblation {
 /// integrity protection (§IV-A).
 pub fn isp_ablation() -> IspAblation {
     let mut enc = Scenario::enterprise(1, UseCase::Nop)
-        .suite(CipherSuite::Aes128CbcHmac)
+        .suite(CipherSuite::Aes128Gcm)
         .build()
         .unwrap();
     let mut int = Scenario::enterprise(1, UseCase::Nop)

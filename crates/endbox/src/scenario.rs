@@ -233,7 +233,7 @@ impl ScenarioBuilder {
         let mut ca = CertificateAuthority::new(ias.public_key(), &mut rng);
 
         let suite = self.suite_override.unwrap_or(match self.kind {
-            ScenarioKind::Enterprise => CipherSuite::Aes128CbcHmac,
+            ScenarioKind::Enterprise => CipherSuite::Aes128Gcm,
             ScenarioKind::Isp => CipherSuite::IntegrityOnly,
         });
         let client_click = self

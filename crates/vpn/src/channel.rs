@@ -1,35 +1,36 @@
 //! The data channel: authenticated encryption of tunnel payloads.
 //!
-//! Suite choices reproduce the paper's options: AES-128-CBC + HMAC-SHA256
-//! (OpenVPN's configuration in the evaluation), integrity-only protection
-//! for the ISP scenario ("AES-128-CBC packet encryption is optional …
+//! Two suites on one AEAD. The paper's OpenVPN protects each record with
+//! AES-128-CBC + HMAC-SHA256 (§IV-A); the enterprise suite here is
+//! AES-128-GCM, the AEAD OpenVPN's own data channel moved to in 2.4 and
+//! LightBox uses for its middlebox channel. The ISP scenario's
+//! integrity-only suite ("AES-128-CBC packet encryption is optional …
 //! the fact that egress traffic is analysed by Click needs to be ensured
-//! by applying integrity protection", §IV-A), which is GMAC. Both
-//! authenticate every byte of a record.
+//! by applying integrity protection", §IV-A) is GMAC, GCM with nothing
+//! encrypted. Both authenticate every byte of a record. The cost model
+//! still prices the enterprise suite as the paper's CBC+HMAC
+//! ([`CostModel::crypto_cycles`]): it prices the paper's testbed, not
+//! this cipher.
 //!
 //! # One buffer per record
 //!
-//! A sealed CBC+HMAC payload is `[IV ‖ ciphertext ‖ tag32]`; an
-//! integrity-only one is `[body ‖ tag16]`. `seal` builds it in the one
-//! `Vec` the [`Record`] will own. CBC+HMAC: IV first, the plaintext (for
-//! a batch, the frames straight from [`frame::encode_into`]) after it,
-//! then PKCS#7 padding, CBC encryption and the MAC in one pass where the
-//! bytes lie ([`cbc_encrypt_then_mac_in_place`]: on AES-NI + SHA-NI each
-//! 64 bytes encrypted are hashed while the next 64 encrypt), and the tag
-//! appended. Integrity-only: the plaintext, then its GMAC tag — GCM with
-//! an empty plaintext under the direction's encryption key, over
-//! `A = opcode ‖ packet_id ‖ body` (the bytes the HMAC covers), with
-//! `J0 = 0³² ‖ packet_id ‖ 0x00000001`; the nonce is unique because the
-//! keys are per direction and the packet ids come from the one
-//! [`SendHalf`] counter. `open` checks the tag over the borrowed body
-//! **first** and touches neither the replay window nor any output buffer
-//! until it verifies — a forged record learns nothing from padding — then
-//! decrypts (or copies) into a recycled buffer: the caller's
-//! ([`DataChannel::open_into`]) or, for batches, one that [`BatchFrames`]
-//! returns to the channel when it is dropped. Every key-dependent state
-//! (the HMAC ipad/opad midstates for the records and the IV derivation,
-//! GMAC's AES schedule and GHASH powers) is computed once, when the
-//! channel is built, and each half holds only what its suite uses.
+//! A sealed payload is `[body ‖ tag16]` in both suites — no IV, no
+//! padding. The nonce is `0³² ‖ packet_id`, so
+//! `J0 = 0³² ‖ packet_id ‖ 0x00000001`; it is unique because the keys are
+//! per direction and the packet ids come from the one [`SendHalf`]
+//! counter. `seal` builds the payload in the one `Vec` the [`Record`]
+//! will own: the plaintext (for a batch, the frames straight from
+//! [`frame::encode_into`]), then, under AES-GCM, the keystream from
+//! `J0 + 1` XORed in where the bytes lie and the tag over
+//! `A = opcode ‖ packet_id` and `C = body`; integrity-only, the tag over
+//! `A = opcode ‖ packet_id ‖ body` and no `C`. `open` checks the tag over
+//! the borrowed body **first** and touches neither the replay window nor
+//! any output buffer until it verifies, then copies the body into a
+//! recycled buffer — the caller's ([`DataChannel::open_into`]) or, for
+//! batches, one that [`BatchFrames`] returns to the channel when it is
+//! dropped — and, under AES-GCM, XORs the keystream out of it. The key
+//! schedule and GHASH powers of each direction are computed once, when
+//! the channel is built.
 //!
 //! # Two halves
 //!
@@ -43,11 +44,9 @@
 use crate::error::VpnError;
 use crate::proto::{frame, Opcode, Record};
 use crate::replay::ReplayWindow;
-use endbox_crypto::aes::{Aes128, BLOCK_LEN};
 use endbox_crypto::ct_eq;
-use endbox_crypto::ghash::{self, Gmac};
-use endbox_crypto::hmac::{hkdf, HmacSha256};
-use endbox_crypto::modes::{cbc_decrypt_in_place, cbc_encrypt_then_mac_in_place};
+use endbox_crypto::ghash::{self, Gcm, TAG_LEN};
+use endbox_crypto::hmac::hkdf;
 use endbox_netsim::cost::{CostModel, CycleMeter};
 use endbox_netsim::BufferPool;
 use std::sync::Arc;
@@ -55,22 +54,40 @@ use std::sync::Arc;
 /// Data-channel protection level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CipherSuite {
-    /// AES-128-CBC encryption + HMAC-SHA256 (enterprise default).
+    /// AES-128-GCM: the body encrypted, the record authenticated
+    /// (enterprise default).
     #[default]
-    Aes128CbcHmac,
-    /// GMAC only (AES-GCM with an empty plaintext, keyed with the
-    /// direction's encryption key, the packet id as nonce); the payload
-    /// travels in clear (ISP mode, §IV-A).
+    Aes128Gcm,
+    /// GMAC only (AES-GCM with an empty plaintext); the payload travels
+    /// in clear (ISP mode, §IV-A).
     IntegrityOnly,
 }
 
-/// Keys for one direction of a session.
+impl CipherSuite {
+    /// The enterprise suite under the name it had while it was
+    /// AES-128-CBC + HMAC-SHA256. Kept only for the wall-clock
+    /// benchmark's sources, which name it; it goes with ROADMAP item 9's
+    /// seam.
+    #[doc(hidden)]
+    #[allow(non_upper_case_globals)]
+    pub const Aes128CbcHmac: CipherSuite = CipherSuite::Aes128Gcm;
+
+    /// The tag of a record's wire `body`: the ciphertext under AES-GCM,
+    /// the plaintext, bound as AAD behind the header, under GMAC.
+    fn tag(self, gcm: &Gcm, opcode: Opcode, packet_id: u64, body: &[u8]) -> [u8; TAG_LEN] {
+        let header = header(opcode, packet_id);
+        match self {
+            CipherSuite::Aes128Gcm => gcm.tag(&nonce(packet_id), &[&header], body),
+            CipherSuite::IntegrityOnly => gcm.tag(&nonce(packet_id), &[&header, body], &[]),
+        }
+    }
+}
+
+/// The key of one direction of a session.
 #[derive(Clone)]
 pub struct DirectionKeys {
-    /// AES-128 encryption key.
+    /// AES-128 key of both suites.
     pub enc: [u8; 16],
-    /// HMAC key.
-    pub mac: [u8; 32],
 }
 
 impl std::fmt::Debug for DirectionKeys {
@@ -95,26 +112,25 @@ impl SessionKeys {
         let mut salt = Vec::with_capacity(64);
         salt.extend_from_slice(client_nonce);
         salt.extend_from_slice(server_nonce);
-        let c2s_enc: [u8; 16] = hkdf(&salt, shared, b"endbox c2s enc");
-        let c2s_mac: [u8; 32] = hkdf(&salt, shared, b"endbox c2s mac");
-        let s2c_enc: [u8; 16] = hkdf(&salt, shared, b"endbox s2c enc");
-        let s2c_mac: [u8; 32] = hkdf(&salt, shared, b"endbox s2c mac");
         SessionKeys {
             client_to_server: DirectionKeys {
-                enc: c2s_enc,
-                mac: c2s_mac,
+                enc: hkdf(&salt, shared, b"endbox c2s enc"),
             },
             server_to_client: DirectionKeys {
-                enc: s2c_enc,
-                mac: s2c_mac,
+                enc: hkdf(&salt, shared, b"endbox s2c enc"),
             },
         }
     }
 }
 
-/// HMAC-SHA256 tag of a CBC record.
-const HMAC_TAG_LEN: usize = 32;
-const IV_LEN: usize = 16;
+/// The longest body a record seals. The wire header states the payload
+/// length, tag included, in a `u32` ([`Record::header`]), so no longer
+/// record can travel. GCM's counter is `inc32`, which wraps within the
+/// low 32 bits, while the keystream's CTR carries into all 128; the two
+/// agree for any body shorter than 2³² − 2 blocks
+/// ([`ghash::MAX_TEXT_LEN`]), which this bound is far below.
+const MAX_BODY_LEN: usize = u32::MAX as usize - TAG_LEN;
+const _: () = assert!((MAX_BODY_LEN as u64) < ghash::MAX_TEXT_LEN);
 
 /// Decrypt-buffer capacity a channel keeps between records: a few
 /// maximum-size batch blobs, so callers holding several [`BatchFrames`]
@@ -194,81 +210,34 @@ struct Suite {
 impl Suite {
     fn charge(&self, bytes: usize) {
         let cycles = match self.kind {
-            CipherSuite::Aes128CbcHmac => self.cost.crypto_cycles(bytes),
+            CipherSuite::Aes128Gcm => self.cost.crypto_cycles(bytes),
             CipherSuite::IntegrityOnly => self.cost.integrity_only_cycles(bytes),
         };
         self.meter.add(cycles);
     }
 }
 
-/// The keys one direction's suite uses, expanded once when the channel is
-/// built, and nothing the suite does not use.
-#[derive(Debug)]
-enum Keys<Iv> {
-    /// CBC+HMAC: the AES schedule, the record MAC's midstates and what
-    /// the half needs for IVs — in a send half the HMAC, keyed with the
-    /// encryption key, that derives each record's IV; in a receive half
-    /// nothing (the IV travels in the record).
-    Cbc {
-        aes: Aes128,
-        mac: HmacSha256,
-        iv_mac: Iv,
-    },
-    /// GMAC under the direction's encryption key: its AES schedule and
-    /// the GHASH key of `H = E_K(0)`.
-    Gmac(Gmac),
-}
-
-impl<Iv> Keys<Iv> {
-    fn new(suite: CipherSuite, keys: &DirectionKeys, iv_mac: impl FnOnce(&[u8; 16]) -> Iv) -> Self {
-        match suite {
-            CipherSuite::Aes128CbcHmac => Keys::Cbc {
-                aes: Aes128::new(&keys.enc),
-                mac: HmacSha256::new(&keys.mac),
-                iv_mac: iv_mac(&keys.enc),
-            },
-            CipherSuite::IntegrityOnly => Keys::Gmac(Gmac::new(&keys.enc)),
-        }
-    }
-
-    fn tag_len(&self) -> usize {
-        match self {
-            Keys::Cbc { .. } => HMAC_TAG_LEN,
-            Keys::Gmac(_) => ghash::TAG_LEN,
-        }
-    }
-
-    /// Whether `tag` is this suite's tag of the record's
-    /// `opcode ‖ packet_id ‖ body`, compared in constant time.
-    fn verify(&self, opcode: Opcode, packet_id: u64, body: &[u8], tag: &[u8]) -> bool {
-        match self {
-            Keys::Cbc { mac, .. } => ct_eq(&hmac_tag(mac, opcode, packet_id, body), tag),
-            Keys::Gmac(gmac) => ct_eq(&gmac_tag(gmac, opcode, packet_id, body), tag),
-        }
-    }
-}
-
 /// The send direction of a channel: everything sealing touches and
-/// nothing else — the send keys and the packet-id counter. On the server
+/// nothing else — the send key and the packet-id counter. On the server
 /// it lives with the front-end thread that seals egress
 /// (`server::SendTable`), apart from the [`RecvHalf`] a worker owns.
 ///
 /// Not `Clone`, and the only place a direction's packet ids come from:
-/// GMAC's nonce is the packet id, so this is what its uniqueness rests on.
+/// the nonce is the packet id, so this is what its uniqueness rests on.
 #[derive(Debug)]
 pub struct SendHalf {
-    keys: Keys<HmacSha256>,
+    gcm: Gcm,
     next_id: u64,
     suite: Suite,
 }
 
 /// The receive direction of a channel: everything opening touches — the
-/// receive keys, the replay window and the recycled decrypt buffers. On
+/// receive key, the replay window and the recycled decrypt buffers. On
 /// the server it is what a [`crate::shard::ServerSession`] carries from
 /// worker to worker.
 #[derive(Debug)]
 pub struct RecvHalf {
-    keys: Keys<()>,
+    gcm: Gcm,
     replay: ReplayWindow,
     /// Decrypt buffers of opened batch records, between uses.
     blobs: BufferPool,
@@ -282,9 +251,8 @@ pub struct RecvHalf {
 ///
 /// Everything that depends only on the session keys is expanded **once
 /// per direction** at channel construction and cached: the AES key
-/// schedules, the keyed HMAC contexts (cloned per record) and GMAC's
-/// GHASH key (H and its powers). `seal`/`open` must never re-run a key
-/// expansion on the per-record hot path.
+/// schedule and the GHASH key (H and its powers). `seal`/`open` must
+/// never re-run a key expansion on the per-record hot path.
 #[derive(Debug)]
 pub struct DataChannel {
     send: SendHalf,
@@ -338,12 +306,12 @@ impl DataChannel {
         };
         DataChannel {
             send: SendHalf {
-                keys: Keys::new(suite.kind, send, |enc| HmacSha256::new(enc)),
+                gcm: Gcm::new(&send.enc),
                 next_id: 1,
                 suite: suite.clone(),
             },
             recv: RecvHalf {
-                keys: Keys::new(suite.kind, recv, |_| ()),
+                gcm: Gcm::new(&recv.enc),
                 replay: ReplayWindow::new(),
                 blobs: BufferPool::with_byte_limit(BLOB_RETENTION_BYTES),
                 suite,
@@ -422,7 +390,7 @@ impl SendHalf {
     }
 
     /// Seals several tunnel packets into **one** [`Opcode::DataBatch`]
-    /// record (the §IV batching optimisation): one IV, one MAC and one
+    /// record (the §IV batching optimisation): one nonce, one tag and one
     /// fixed per-record crypto charge amortised across the whole batch,
     /// instead of one of each per packet. The frames are written straight
     /// into the record body — no intermediate blob.
@@ -435,9 +403,13 @@ impl SendHalf {
     }
 
     /// Builds the sealed payload in one buffer: `write` appends the
-    /// `plain_len` plaintext bytes — after the IV, where they are then
-    /// padded, encrypted and MACed, or (GMAC) where they stay — and the
-    /// tag follows them.
+    /// `plain_len` plaintext bytes, the suite encrypts them where they
+    /// lie (AES-GCM) or leaves them (GMAC), and the tag follows them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plain_len` exceeds [`MAX_BODY_LEN`]: the record's
+    /// length would not fit its wire header.
     fn seal_with(
         &mut self,
         opcode: Opcode,
@@ -445,28 +417,17 @@ impl SendHalf {
         plain_len: usize,
         write: impl FnOnce(&mut Vec<u8>),
     ) -> Record {
+        assert!(plain_len <= MAX_BODY_LEN, "record body too long to seal");
         let packet_id = self.next_id;
         self.next_id += 1;
         self.suite.charge(plain_len);
-        let body = match &self.keys {
-            Keys::Cbc { aes, mac, iv_mac } => {
-                let mut body = Vec::with_capacity(IV_LEN + plain_len + BLOCK_LEN + HMAC_TAG_LEN);
-                let iv = derive_iv(iv_mac, packet_id);
-                body.extend_from_slice(&iv);
-                write(&mut body);
-                let mut mac = mac_after_header(mac, opcode, packet_id);
-                cbc_encrypt_then_mac_in_place(aes, &iv, &mut body, IV_LEN, &mut mac);
-                body.extend_from_slice(&mac.finalize());
-                body
-            }
-            Keys::Gmac(gmac) => {
-                let mut body = Vec::with_capacity(plain_len + ghash::TAG_LEN);
-                write(&mut body);
-                let tag = gmac_tag(gmac, opcode, packet_id, &body);
-                body.extend_from_slice(&tag);
-                body
-            }
-        };
+        let mut body = Vec::with_capacity(plain_len + TAG_LEN);
+        write(&mut body);
+        if self.suite.kind == CipherSuite::Aes128Gcm {
+            self.gcm.keystream_xor(&nonce(packet_id), &mut body);
+        }
+        let tag = self.suite.kind.tag(&self.gcm, opcode, packet_id, &body);
+        body.extend_from_slice(&tag);
         Record {
             opcode,
             session_id,
@@ -474,15 +435,6 @@ impl SendHalf {
             payload: body,
         }
     }
-}
-
-/// Deterministic per-packet IV of the CBC suite (unique per packet id).
-fn derive_iv(iv_mac: &HmacSha256, packet_id: u64) -> [u8; IV_LEN] {
-    let mut m = iv_mac.clone();
-    m.update(b"iv");
-    m.update(&packet_id.to_be_bytes());
-    let d = m.finalize();
-    d[..IV_LEN].try_into().unwrap()
 }
 
 impl RecvHalf {
@@ -501,48 +453,35 @@ impl RecvHalf {
     }
 
     /// [`RecvHalf::open`] into a buffer the caller recycles: `out` is
-    /// cleared, then holds exactly the plaintext. The tag (HMAC or GMAC)
-    /// is verified on the borrowed record body before anything else
-    /// happens, so a record that fails authentication moves neither the
-    /// replay window nor a byte of `out`; on any error `out` is left
-    /// empty.
+    /// cleared, then holds exactly the plaintext. The tag is verified on
+    /// the borrowed record body before anything else happens, so a
+    /// record that fails authentication moves neither the replay window
+    /// nor a byte of `out`; on any error `out` is left empty.
     ///
     /// # Errors
     ///
     /// See [`RecvHalf::open`].
     pub fn open_into(&mut self, record: &Record, out: &mut Vec<u8>) -> Result<(), VpnError> {
         out.clear();
-        let tag_len = self.keys.tag_len();
-        if record.payload.len() < tag_len {
+        let Some(body_len) = record.payload.len().checked_sub(TAG_LEN) else {
             return Err(VpnError::Malformed("sealed payload too short"));
+        };
+        if body_len > MAX_BODY_LEN {
+            return Err(VpnError::Malformed("sealed payload too long"));
         }
-        let (body, tag) = record.payload.split_at(record.payload.len() - tag_len);
-        if !self.keys.verify(record.opcode, record.packet_id, body, tag) {
+        let (body, tag) = record.payload.split_at(body_len);
+        let kind = self.suite.kind;
+        let expected = kind.tag(&self.gcm, record.opcode, record.packet_id, body);
+        if !ct_eq(&expected, tag) {
             return Err(VpnError::AuthenticationFailed);
         }
         if !self.replay.accept(record.packet_id) {
             return Err(VpnError::Replay);
         }
         self.suite.charge(body.len());
-        match &self.keys {
-            Keys::Cbc { aes, .. } => {
-                if body.len() < IV_LEN + BLOCK_LEN {
-                    return Err(VpnError::Malformed("ciphertext too short"));
-                }
-                let (iv, ciphertext) = body.split_at(IV_LEN);
-                let iv: &[u8; IV_LEN] = iv.try_into().expect("split at IV_LEN");
-                out.extend_from_slice(ciphertext);
-                match cbc_decrypt_in_place(aes, iv, out) {
-                    Ok(len) => out.truncate(len),
-                    Err(_) => {
-                        out.clear();
-                        return Err(VpnError::AuthenticationFailed);
-                    }
-                }
-            }
-            Keys::Gmac(_) => {
-                out.extend_from_slice(body);
-            }
+        out.extend_from_slice(body);
+        if kind == CipherSuite::Aes128Gcm {
+            self.gcm.keystream_xor(&nonce(record.packet_id), out);
         }
         Ok(())
     }
@@ -588,32 +527,17 @@ fn header(opcode: Opcode, packet_id: u64) -> [u8; 9] {
     h
 }
 
-/// The record MAC context with the header bound in, the body still to
-/// come.
-fn mac_after_header(keyed: &HmacSha256, opcode: Opcode, packet_id: u64) -> HmacSha256 {
-    let mut m = keyed.clone();
-    m.update(&header(opcode, packet_id));
-    m
-}
-
-fn hmac_tag(keyed: &HmacSha256, opcode: Opcode, packet_id: u64, body: &[u8]) -> [u8; HMAC_TAG_LEN] {
-    let mut m = mac_after_header(keyed, opcode, packet_id);
-    m.update(body);
-    m.finalize()
-}
-
-/// The GMAC tag of an integrity-only record: `A = opcode ‖ packet_id ‖
-/// body`, the same bytes the HMAC covers, under the nonce
-/// `0³² ‖ packet_id` (so `J0 = 0³² ‖ packet_id ‖ 0x00000001`).
-fn gmac_tag(gmac: &Gmac, opcode: Opcode, packet_id: u64, body: &[u8]) -> [u8; ghash::TAG_LEN] {
+/// A record's 96-bit nonce: `0³² ‖ packet_id`.
+fn nonce(packet_id: u64) -> [u8; ghash::NONCE_LEN] {
     let mut nonce = [0u8; ghash::NONCE_LEN];
     nonce[4..].copy_from_slice(&packet_id.to_be_bytes());
-    gmac.tag(&nonce, &[&header(opcode, packet_id), body])
+    nonce
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use endbox_crypto::aes::Aes128;
 
     fn keys() -> SessionKeys {
         SessionKeys::derive(&[7u8; 32], &[1u8; 32], &[2u8; 32])
@@ -633,12 +557,11 @@ mod tests {
     fn directional_keys_differ() {
         let k = keys();
         assert_ne!(k.client_to_server.enc, k.server_to_client.enc);
-        assert_ne!(k.client_to_server.mac, k.server_to_client.mac);
     }
 
     #[test]
     fn seal_open_roundtrip_all_suites() {
-        for suite in [CipherSuite::Aes128CbcHmac, CipherSuite::IntegrityOnly] {
+        for suite in [CipherSuite::Aes128Gcm, CipherSuite::IntegrityOnly] {
             let (mut c, mut s) = pair(suite);
             let rec = c.seal(Opcode::Data, 9, b"tunnelled ip packet");
             assert_eq!(rec.session_id, 9);
@@ -656,7 +579,7 @@ mod tests {
     /// seals exactly the bytes the unsplit channel would have.
     #[test]
     fn split_halves_interoperate_with_the_client_pair() {
-        for suite in [CipherSuite::Aes128CbcHmac, CipherSuite::IntegrityOnly] {
+        for suite in [CipherSuite::Aes128Gcm, CipherSuite::IntegrityOnly] {
             let (mut c, s) = pair(suite);
             let (_, mut whole) = pair(suite);
             let (mut send, mut recv) = s.split();
@@ -677,8 +600,8 @@ mod tests {
     }
 
     #[test]
-    fn cbc_hides_plaintext_integrity_only_does_not() {
-        let (mut c, _) = pair(CipherSuite::Aes128CbcHmac);
+    fn gcm_hides_plaintext_integrity_only_does_not() {
+        let (mut c, _) = pair(CipherSuite::Aes128Gcm);
         let rec = c.seal(Opcode::Data, 1, b"supersecretpayload");
         assert!(!rec
             .payload
@@ -695,7 +618,7 @@ mod tests {
 
     #[test]
     fn tampering_detected() {
-        for suite in [CipherSuite::Aes128CbcHmac, CipherSuite::IntegrityOnly] {
+        for suite in [CipherSuite::Aes128Gcm, CipherSuite::IntegrityOnly] {
             let (mut c, mut s) = pair(suite);
             let mut rec = c.seal(Opcode::Data, 1, b"payload payload payload");
             rec.payload[3] ^= 0x40;
@@ -709,15 +632,17 @@ mod tests {
 
     #[test]
     fn opcode_is_bound_into_tag() {
-        let (mut c, mut s) = pair(CipherSuite::IntegrityOnly);
-        let mut rec = c.seal(Opcode::Data, 1, b"x");
-        rec.opcode = Opcode::Ping; // confuse data with control traffic
-        assert_eq!(s.open(&rec), Err(VpnError::AuthenticationFailed));
+        for suite in [CipherSuite::Aes128Gcm, CipherSuite::IntegrityOnly] {
+            let (mut c, mut s) = pair(suite);
+            let mut rec = c.seal(Opcode::Data, 1, b"x");
+            rec.opcode = Opcode::Ping; // confuse data with control traffic
+            assert_eq!(s.open(&rec), Err(VpnError::AuthenticationFailed));
+        }
     }
 
     #[test]
     fn replayed_records_rejected() {
-        let (mut c, mut s) = pair(CipherSuite::Aes128CbcHmac);
+        let (mut c, mut s) = pair(CipherSuite::Aes128Gcm);
         let rec = c.seal(Opcode::Data, 1, b"once only");
         s.open(&rec).unwrap();
         assert_eq!(s.open(&rec), Err(VpnError::Replay));
@@ -725,49 +650,23 @@ mod tests {
 
     #[test]
     fn packet_id_tampering_detected() {
-        let (mut c, mut s) = pair(CipherSuite::Aes128CbcHmac);
+        let (mut c, mut s) = pair(CipherSuite::Aes128Gcm);
         let mut rec = c.seal(Opcode::Data, 1, b"payload");
         rec.packet_id += 1; // try to evade replay window
         assert_eq!(s.open(&rec), Err(VpnError::AuthenticationFailed));
     }
 
     /// Tag before anything else: whatever is wrong with a record — tag,
-    /// body, truncation, a CBC body that is not whole blocks — the
-    /// verdict is the one the parent gave, the replay window has not moved
-    /// (the genuine record still opens afterwards) and the caller's
-    /// recycled buffer holds nothing, least of all its previous plaintext.
-    /// In both suites: the CBC cases reach into the IV and the block
-    /// structure; the GMAC record is cut below its 16-byte tag.
+    /// body, truncation — the verdict is the one the parent gave, the
+    /// replay window has not moved (the genuine record still opens
+    /// afterwards) and the caller's recycled buffer holds nothing, least
+    /// of all its previous plaintext. Both suites lay a record out as
+    /// `[body ‖ tag16]`, so one list of damages serves both.
     #[test]
     fn rejected_records_touch_neither_window_nor_buffer() {
-        let (auth, short) = (
-            VpnError::AuthenticationFailed,
-            VpnError::Malformed("sealed payload too short"),
-        );
+        let auth = VpnError::AuthenticationFailed;
         type Damage = fn(&mut Vec<u8>);
-        let cbc: Vec<(&str, Damage, VpnError)> = vec![
-            ("tag bit", |p| *p.last_mut().unwrap() ^= 1, auth.clone()),
-            ("body bit", |p| p[IV_LEN + 3] ^= 0x10, auth.clone()),
-            ("iv bit", |p| p[0] ^= 0x80, auth.clone()),
-            (
-                "cut below IV + one block",
-                |p| p.truncate(IV_LEN + 8 + HMAC_TAG_LEN),
-                auth.clone(),
-            ),
-            (
-                "cut below a tag",
-                |p| p.truncate(HMAC_TAG_LEN - 1),
-                short.clone(),
-            ),
-            (
-                "body not whole blocks",
-                |p| {
-                    p.remove(IV_LEN + 5);
-                },
-                auth.clone(),
-            ),
-        ];
-        let gmac: Vec<(&str, Damage, VpnError)> = vec![
+        let cases: Vec<(&str, Damage, VpnError)> = vec![
             ("tag bit", |p| *p.last_mut().unwrap() ^= 1, auth.clone()),
             ("body bit", |p| p[3] ^= 0x10, auth.clone()),
             (
@@ -780,21 +679,22 @@ mod tests {
             ("tag dropped", |p| p.truncate(100), auth.clone()),
             (
                 "cut below a 16 B tag",
-                |p| p.truncate(ghash::TAG_LEN - 1),
-                short,
+                |p| p.truncate(TAG_LEN - 1),
+                VpnError::Malformed("sealed payload too short"),
             ),
         ];
-        for (suite, cases) in [
-            (CipherSuite::Aes128CbcHmac, cbc),
-            (CipherSuite::IntegrityOnly, gmac),
-        ] {
+        for suite in [CipherSuite::Aes128Gcm, CipherSuite::IntegrityOnly] {
             let (mut c, mut s) = pair(suite);
             let genuine = c.seal(Opcode::Data, 1, &[0x61; 100]);
             let mut out = b"plaintext of the previous record".to_vec();
-            for (what, damage, want) in cases {
+            for (what, damage, want) in &cases {
                 let mut rec = genuine.clone();
                 damage(&mut rec.payload);
-                assert_eq!(s.open_into(&rec, &mut out), Err(want), "{suite:?}: {what}");
+                assert_eq!(
+                    s.open_into(&rec, &mut out),
+                    Err(want.clone()),
+                    "{suite:?}: {what}"
+                );
                 assert!(out.is_empty(), "{suite:?}: {what}");
                 assert!(s.replay_is_empty(), "{suite:?}: {what}: window moved");
                 out.extend_from_slice(b"plaintext of the previous record");
@@ -804,57 +704,11 @@ mod tests {
         }
     }
 
-    /// The same for records whose MAC *verifies* but whose body the CBC
-    /// suite cannot decrypt — forged with the CBC suite's own HMAC key
-    /// over bodies that are too short, not whole blocks, or badly padded:
-    /// the error is the parent's, and no plaintext or stale byte comes
-    /// out.
-    #[test]
-    fn authentic_but_undecryptable_bodies_yield_no_bytes() {
-        let k = keys();
-        let mut s = DataChannel::server(
-            &k,
-            CipherSuite::Aes128CbcHmac,
-            CycleMeter::new(),
-            CostModel::calibrated(),
-        );
-        let keyed = HmacSha256::new(&k.client_to_server.mac);
-        let authentic = |packet_id: u64, body: Vec<u8>| {
-            let mut payload = body.clone();
-            payload.extend_from_slice(&hmac_tag(&keyed, Opcode::Data, packet_id, &body));
-            Record {
-                opcode: Opcode::Data,
-                session_id: 1,
-                packet_id,
-                payload,
-            }
-        };
-        let mut out = b"stale".to_vec();
-        let short = authentic(1, vec![7; 10]);
-        assert_eq!(
-            s.open_into(&short, &mut out),
-            Err(VpnError::Malformed("ciphertext too short"))
-        );
-        assert!(out.is_empty());
-        let ragged = authentic(2, vec![7; IV_LEN + 24]);
-        assert_eq!(
-            s.open_into(&ragged, &mut out),
-            Err(VpnError::AuthenticationFailed)
-        );
-        assert!(out.is_empty());
-        let bad_padding = authentic(3, vec![7; IV_LEN + 32]);
-        assert_eq!(
-            s.open_into(&bad_padding, &mut out),
-            Err(VpnError::AuthenticationFailed)
-        );
-        assert!(out.is_empty());
-    }
-
     /// A batch blob is on loan: dropping the frames hands it back, and the
     /// next record decrypts into the same allocation.
     #[test]
     fn batch_blob_returns_to_its_channel() {
-        let (mut c, mut s) = pair(CipherSuite::Aes128CbcHmac);
+        let (mut c, mut s) = pair(CipherSuite::Aes128Gcm);
         let payloads: Vec<&[u8]> = vec![&[1; 700], &[2; 700]];
         let frames = s.open_batch_frames(&c.seal_batch(1, &payloads)).unwrap();
         let first = frames.frame(0).as_ptr();
@@ -872,59 +726,89 @@ mod tests {
         assert_eq!(s.recv.blobs.stats().discarded, 0);
     }
 
-    /// The sealed payload is built in the one buffer the record owns, and
-    /// its bytes are what the parent's blob → padded copy → body copy
-    /// produced: IV, then CBC of the framed batch, then the tag over both.
+    /// The sealed payload is built in the one buffer the record owns,
+    /// and its bytes are AES-GCM's: the framed batch encrypted, then its
+    /// tag — no IV and no padding, 16 B of overhead.
     #[test]
-    fn seal_batch_layout_is_iv_ciphertext_tag() {
-        use endbox_crypto::hmac::HmacSha256;
-        use endbox_crypto::modes::cbc_encrypt;
-        let k = keys();
-        let (mut c, _) = pair(CipherSuite::Aes128CbcHmac);
+    fn seal_batch_layout_is_ciphertext_tag() {
+        let (mut c, _) = pair(CipherSuite::Aes128Gcm);
         let payloads: Vec<&[u8]> = vec![b"first packet", b"", b"third tunnelled packet"];
+        let plaintext = frame::encode(&payloads);
         let rec = c.seal_batch(7, &payloads);
-
-        let mut m = HmacSha256::new(&k.client_to_server.enc);
-        m.update(b"iv");
-        m.update(&1u64.to_be_bytes());
-        let iv: [u8; 16] = m.finalize()[..16].try_into().unwrap();
-        let aes = Aes128::new(&k.client_to_server.enc);
-        let mut want = iv.to_vec();
-        want.extend(cbc_encrypt(&aes, &iv, &frame::encode(&payloads)));
-        let mut m = HmacSha256::new(&k.client_to_server.mac);
-        m.update(&[Opcode::DataBatch.to_u8()]);
-        m.update(&1u64.to_be_bytes());
-        m.update(&want);
-        want.extend(m.finalize());
-        assert_eq!(rec.payload, want);
+        assert_eq!(rec.payload.len(), plaintext.len() + TAG_LEN);
+        assert_eq!(rec.payload, gcm_oracle(Opcode::DataBatch, 1, &plaintext));
     }
 
-    /// The GMAC tag of an integrity-only client record from the spec's
-    /// pieces alone: `H = E_K(0)`, GHASH one bit at a time through
-    /// [`ghash::mul`] over `opcode ‖ packet_id ‖ body`, zero-padded, and
-    /// its length block, masked with `E_K(0³² ‖ packet_id ‖ 1)`.
-    fn gmac_oracle(rec: &Record) -> [u8; 16] {
-        let aes = Aes128::new(&keys().client_to_server.enc);
+    /// GHASH from the spec's pieces alone: `H = E_K(0)` for the client's
+    /// key, and Algorithm 1 one bit at a time through [`ghash::mul`] over
+    /// `blocks` (whole blocks, already padded).
+    fn ghash_oracle(aes: &Aes128, blocks: &[u8]) -> [u8; 16] {
         let h = aes.encrypt_block(&[0; 16]);
-        let body = &rec.payload[..rec.payload.len() - 16];
-        let mut a = vec![rec.opcode.to_u8()];
-        a.extend_from_slice(&rec.packet_id.to_be_bytes());
-        a.extend_from_slice(body);
-        let bits = 8 * a.len() as u64;
-        a.resize(a.len().div_ceil(16) * 16, 0);
-        a.extend_from_slice(&bits.to_be_bytes());
-        a.extend_from_slice(&[0; 8]);
         let mut y = [0u8; 16];
-        for x in a.chunks_exact(16) {
+        for x in blocks.chunks_exact(16) {
             for (y, x) in y.iter_mut().zip(x) {
                 *y ^= x;
             }
             y = ghash::mul(&y, &h);
         }
-        let mut j0 = [0u8; 16];
-        j0[4..12].copy_from_slice(&rec.packet_id.to_be_bytes());
-        j0[15] = 1;
-        for (y, m) in y.iter_mut().zip(aes.encrypt_block(&j0)) {
+        y
+    }
+
+    /// `E_K(0³² ‖ packet_id ‖ [i]₃₂)` under the client's key.
+    fn counter_oracle(aes: &Aes128, packet_id: u64, i: u32) -> [u8; 16] {
+        let mut block = [0u8; 16];
+        block[4..12].copy_from_slice(&packet_id.to_be_bytes());
+        block[12..].copy_from_slice(&i.to_be_bytes());
+        aes.encrypt_block(&block)
+    }
+
+    /// `bytes` zero-padded to whole blocks.
+    fn padded(bytes: &[u8]) -> Vec<u8> {
+        let mut v = bytes.to_vec();
+        v.resize(bytes.len().div_ceil(16) * 16, 0);
+        v
+    }
+
+    /// The sealed payload of an AES-GCM client record from the spec's
+    /// pieces alone: the plaintext XORed block by block with
+    /// `E_K(0³² ‖ packet_id ‖ i)` for `i = 2, 3, …`, then the tag —
+    /// [`ghash_oracle`] over `opcode ‖ packet_id`, zero-padded, the
+    /// ciphertext, zero-padded, and the length block, masked with
+    /// `E_K(J0)`.
+    fn gcm_oracle(opcode: Opcode, packet_id: u64, plaintext: &[u8]) -> Vec<u8> {
+        let aes = Aes128::new(&keys().client_to_server.enc);
+        let mut sealed: Vec<u8> = Vec::with_capacity(plaintext.len() + 16);
+        for (i, p) in plaintext.chunks(16).enumerate() {
+            let k = counter_oracle(&aes, packet_id, i as u32 + 2);
+            sealed.extend(p.iter().zip(k).map(|(p, k)| p ^ k));
+        }
+        let mut a = vec![opcode.to_u8()];
+        a.extend_from_slice(&packet_id.to_be_bytes());
+        let mut x = padded(&a);
+        x.extend(padded(&sealed));
+        x.extend_from_slice(&(8 * a.len() as u64).to_be_bytes());
+        x.extend_from_slice(&(8 * sealed.len() as u64).to_be_bytes());
+        let y = ghash_oracle(&aes, &x);
+        let mask = counter_oracle(&aes, packet_id, 1);
+        sealed.extend(y.iter().zip(mask).map(|(y, m)| y ^ m));
+        sealed
+    }
+
+    /// The GMAC tag of an integrity-only client record from the spec's
+    /// pieces alone: [`ghash_oracle`] over `opcode ‖ packet_id ‖ body`,
+    /// zero-padded, and its length block, masked with
+    /// `E_K(0³² ‖ packet_id ‖ 1)`.
+    fn gmac_oracle(rec: &Record) -> [u8; 16] {
+        let aes = Aes128::new(&keys().client_to_server.enc);
+        let body = &rec.payload[..rec.payload.len() - 16];
+        let mut a = vec![rec.opcode.to_u8()];
+        a.extend_from_slice(&rec.packet_id.to_be_bytes());
+        a.extend_from_slice(body);
+        let mut x = padded(&a);
+        x.extend_from_slice(&(8 * a.len() as u64).to_be_bytes());
+        x.extend_from_slice(&[0; 8]);
+        let mut y = ghash_oracle(&aes, &x);
+        for (y, m) in y.iter_mut().zip(counter_oracle(&aes, rec.packet_id, 1)) {
             *y ^= m;
         }
         y
@@ -933,20 +817,21 @@ mod tests {
     /// The sealed bytes of one fixed-key client channel, pinned to the
     /// SHA-256 of every record it seals: `seal` at every length 0..=300,
     /// `seal_batch` in the three benchmark shapes (16×1460, 8×256, 4×64)
-    /// and a `Ping`, per suite. The CBC+HMAC digest was recorded on the
-    /// sequential encrypt-then-MAC seal, before the stitched one replaced
-    /// it; the integrity-only digest when that suite became GMAC, and
-    /// every one of its tags is recomputed here by the bit-serial
-    /// [`gmac_oracle`] — so both pin the wire bytes themselves, not only
-    /// agreement with the kernels a seal is built from.
+    /// and a `Ping`, per suite. The AES-GCM digest was recorded when that
+    /// suite replaced CBC+HMAC, and every one of its records is rebuilt
+    /// here, ciphertext and tag, by the bit-serial [`gcm_oracle`]; the
+    /// integrity-only digest when that suite became GMAC, and every one
+    /// of its tags is recomputed by [`gmac_oracle`] — so both pin the
+    /// wire bytes themselves, not only agreement with the kernels a seal
+    /// is built from.
     #[test]
     fn sealed_bytes_match_the_recorded_digest() {
         use endbox_crypto::hex;
         use endbox_crypto::sha256::Sha256;
         let recorded = [
             (
-                CipherSuite::Aes128CbcHmac,
-                "6fef7cc419b2532b5cb0ad15682c9a77878719e646476ad72a39693a9b7380ee",
+                CipherSuite::Aes128Gcm,
+                "6ef7a40583c325aa628bc9a0af21b841f28fe690573ee68023287fe4f191fbe7",
             ),
             (
                 CipherSuite::IntegrityOnly,
@@ -956,10 +841,18 @@ mod tests {
         for (suite, want) in recorded {
             let (mut c, _) = pair(suite);
             let mut h = Sha256::new();
-            let mut absorb = |rec: Record| {
-                if suite == CipherSuite::IntegrityOnly {
-                    let tag = &rec.payload[rec.payload.len() - 16..];
-                    assert_eq!(tag, gmac_oracle(&rec), "packet id {}", rec.packet_id);
+            let mut absorb = |rec: Record, plaintext: &[u8]| {
+                match suite {
+                    CipherSuite::Aes128Gcm => assert_eq!(
+                        rec.payload,
+                        gcm_oracle(rec.opcode, rec.packet_id, plaintext),
+                        "packet id {}",
+                        rec.packet_id
+                    ),
+                    CipherSuite::IntegrityOnly => {
+                        let tag = &rec.payload[rec.payload.len() - 16..];
+                        assert_eq!(tag, gmac_oracle(&rec), "packet id {}", rec.packet_id);
+                    }
                 }
                 h.update(&[rec.opcode.to_u8()]);
                 h.update(&rec.session_id.to_be_bytes());
@@ -969,23 +862,23 @@ mod tests {
             };
             for len in 0..=300usize {
                 let plaintext: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
-                absorb(c.seal(Opcode::Data, 5, &plaintext));
+                absorb(c.seal(Opcode::Data, 5, &plaintext), &plaintext);
             }
             for (count, size) in [(16usize, 1460usize), (8, 256), (4, 64)] {
                 let packets: Vec<Vec<u8>> = (0..count)
                     .map(|p| (0..size).map(|i| (i ^ (p * 7 + size)) as u8).collect())
                     .collect();
                 let refs: Vec<&[u8]> = packets.iter().map(Vec::as_slice).collect();
-                absorb(c.seal_batch(5, &refs));
+                absorb(c.seal_batch(5, &refs), &frame::encode(&refs));
             }
-            absorb(c.seal(Opcode::Ping, 5, b"ping"));
+            absorb(c.seal(Opcode::Ping, 5, b"ping"), b"ping");
             assert_eq!(hex::encode(&h.finalize()), want, "{suite:?}");
         }
     }
 
     #[test]
     fn batch_seal_open_roundtrip() {
-        for suite in [CipherSuite::Aes128CbcHmac, CipherSuite::IntegrityOnly] {
+        for suite in [CipherSuite::Aes128Gcm, CipherSuite::IntegrityOnly] {
             let (mut c, mut s) = pair(suite);
             let payloads: Vec<&[u8]> = vec![b"first packet", b"", b"third tunnelled packet"];
             let rec = c.seal_batch(7, &payloads);
@@ -1008,7 +901,7 @@ mod tests {
         let meter_single = CycleMeter::new();
         let mut single = DataChannel::client(
             &k,
-            CipherSuite::Aes128CbcHmac,
+            CipherSuite::Aes128Gcm,
             meter_single.clone(),
             cost.clone(),
         );
@@ -1020,7 +913,7 @@ mod tests {
         let meter_batch = CycleMeter::new();
         let mut batched = DataChannel::client(
             &k,
-            CipherSuite::Aes128CbcHmac,
+            CipherSuite::Aes128Gcm,
             meter_batch.clone(),
             cost.clone(),
         );
@@ -1039,7 +932,7 @@ mod tests {
 
     #[test]
     fn batch_open_rejects_wrong_opcode_and_tampering() {
-        let (mut c, mut s) = pair(CipherSuite::Aes128CbcHmac);
+        let (mut c, mut s) = pair(CipherSuite::Aes128Gcm);
         let rec = c.seal(Opcode::Data, 1, b"plain data record");
         assert!(
             s.open_batch_frames(&rec).is_err(),
@@ -1084,7 +977,7 @@ mod tests {
                 payload in prop::collection::vec(any::<u8>(), 0..2048),
                 suite_idx in 0usize..2,
             ) {
-                let suite = [CipherSuite::Aes128CbcHmac, CipherSuite::IntegrityOnly][suite_idx];
+                let suite = [CipherSuite::Aes128Gcm, CipherSuite::IntegrityOnly][suite_idx];
                 let (mut c, mut s) = pair(suite);
                 let rec = c.seal(Opcode::Data, 1, &payload);
                 prop_assert_eq!(s.open(&rec).unwrap(), payload);
@@ -1101,7 +994,7 @@ mod tests {
                 suite_idx in 0usize..2,
                 bit_idx in any::<prop::sample::Index>(),
             ) {
-                let suite = [CipherSuite::Aes128CbcHmac, CipherSuite::IntegrityOnly][suite_idx];
+                let suite = [CipherSuite::Aes128Gcm, CipherSuite::IntegrityOnly][suite_idx];
                 let (mut c, mut s) = pair(suite);
                 let genuine = c.seal(Opcode::Data, 1, &payload);
                 let mut rec = genuine.clone();
@@ -1141,9 +1034,8 @@ mod tests {
         let k = keys();
         let meter = CycleMeter::new();
         let cost = CostModel::calibrated();
-        let mut c1 =
-            DataChannel::client(&k, CipherSuite::Aes128CbcHmac, meter.clone(), cost.clone());
-        let mut c2 = DataChannel::client(&k, CipherSuite::Aes128CbcHmac, meter, cost);
+        let mut c1 = DataChannel::client(&k, CipherSuite::Aes128Gcm, meter.clone(), cost.clone());
+        let mut c2 = DataChannel::client(&k, CipherSuite::Aes128Gcm, meter, cost);
         let rec = c1.seal(Opcode::Data, 1, b"hello");
         // A client cannot open another client's traffic (keys are
         // directional).

@@ -405,8 +405,8 @@ mod tests {
             server_keys.client_to_server.enc
         );
         assert_eq!(
-            client_keys.server_to_client.mac,
-            server_keys.server_to_client.mac
+            client_keys.server_to_client.enc,
+            server_keys.server_to_client.enc
         );
         assert_eq!(info.subject, "client-1");
         assert_eq!(info.config_version, 3);

@@ -345,7 +345,7 @@ mod tests {
         let (server_cfg, client_cfg, rng) = configs();
         let server = VpnServer::new(
             server_cfg,
-            CipherSuite::Aes128CbcHmac,
+            CipherSuite::Aes128Gcm,
             CycleMeter::new(),
             CostModel::calibrated(),
             1,
@@ -407,7 +407,7 @@ mod tests {
         let keys: SessionKeys = client_complete(client_cfg, &state, &shello, 0).unwrap();
         let channel = DataChannel::client(
             &keys,
-            CipherSuite::Aes128CbcHmac,
+            CipherSuite::Aes128Gcm,
             CycleMeter::new(),
             CostModel::calibrated(),
         );

@@ -374,13 +374,8 @@ mod tests {
         let keys = SessionKeys::derive(&[7u8; 32], &[1u8; 32], &[2u8; 32]);
         let meter = CycleMeter::new();
         let cost = CostModel::calibrated();
-        let mut c = DataChannel::client(
-            &keys,
-            CipherSuite::Aes128CbcHmac,
-            meter.clone(),
-            cost.clone(),
-        );
-        let mut s = DataChannel::server(&keys, CipherSuite::Aes128CbcHmac, meter, cost);
+        let mut c = DataChannel::client(&keys, CipherSuite::Aes128Gcm, meter.clone(), cost.clone());
+        let mut s = DataChannel::server(&keys, CipherSuite::Aes128Gcm, meter, cost);
         let pkts: Vec<Packet> = (0..4)
             .map(|i| {
                 Packet::udp(
@@ -417,7 +412,7 @@ mod tests {
         let pool = BufferPool::new();
         let keys = SessionKeys::derive(&[7u8; 32], &[1u8; 32], &[2u8; 32]);
         let cost = CostModel::calibrated();
-        for suite in [CipherSuite::Aes128CbcHmac, CipherSuite::IntegrityOnly] {
+        for suite in [CipherSuite::Aes128Gcm, CipherSuite::IntegrityOnly] {
             let mut c = DataChannel::client(&keys, suite, CycleMeter::new(), cost.clone());
             let mut s = DataChannel::server(&keys, suite, CycleMeter::new(), cost.clone());
             let pkts: Vec<Packet> = (0..16)
@@ -456,13 +451,8 @@ mod tests {
         let keys = SessionKeys::derive(&[7u8; 32], &[1u8; 32], &[2u8; 32]);
         let meter = CycleMeter::new();
         let cost = CostModel::calibrated();
-        let mut c = DataChannel::client(
-            &keys,
-            CipherSuite::Aes128CbcHmac,
-            meter.clone(),
-            cost.clone(),
-        );
-        let mut s = DataChannel::server(&keys, CipherSuite::Aes128CbcHmac, meter, cost);
+        let mut c = DataChannel::client(&keys, CipherSuite::Aes128Gcm, meter.clone(), cost.clone());
+        let mut s = DataChannel::server(&keys, CipherSuite::Aes128Gcm, meter, cost);
         let good = Packet::udp(
             std::net::Ipv4Addr::new(10, 0, 0, 1),
             std::net::Ipv4Addr::new(10, 0, 1, 1),

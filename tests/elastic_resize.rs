@@ -230,20 +230,27 @@ fn schedule_egress_across_resizes_and_disconnect() {
     assert_parity_elastic(&schedule);
 }
 
-/// Under the integrity-only suite a record's GMAC nonce is its packet id,
-/// so no `(session, direction, packet id)` may repeat among the records
-/// the clients seal and the server's send table seals — across the
-/// resizes that move receive halves, the disconnect and the pings of the
-/// egress schedule, at every starting grid point through both doorways
-/// (where the outcomes also match the reference's).
+/// In both suites a record's nonce is its packet id — GMAC's under the
+/// integrity-only suite, and AES-GCM's under the enterprise one, where a
+/// repeat would also leak the XOR of two plaintexts — so no
+/// `(session, direction, packet id)` may repeat among the records the
+/// clients seal and the server's send table seals: across the resizes
+/// that move receive halves, the disconnect and the pings of the egress
+/// schedule, at every starting grid point through both doorways (where
+/// the outcomes also match the reference's).
 #[test]
 fn isp_nonces_never_repeat_across_moves() {
-    let schedule = egress_schedule().isp();
-    let (reference, _) = run(&schedule, Geometry::Reference, &RunCfg::call());
+    for schedule in [egress_schedule().isp(), egress_schedule()] {
+        assert_nonces_never_repeat(&schedule);
+    }
+}
+
+fn assert_nonces_never_repeat(schedule: &Schedule) {
+    let (reference, _) = run(schedule, Geometry::Reference, &RunCfg::call());
     let mut runs = vec![reference];
     for cfg in [RunCfg::call(), RunCfg::event_loop()] {
         for point in GRID {
-            let (got, _) = run(&schedule, point, &cfg);
+            let (got, _) = run(schedule, point, &cfg);
             assert_eq!(got, runs[0], "C={point} under {cfg:?}");
             runs.push(got);
         }
@@ -272,15 +279,17 @@ fn isp_nonces_never_repeat_across_moves() {
         // Six client batches and singles; eleven server seals and pings
         // less the two refused after client 2's Disconnect.
         assert_eq!(sealed.len(), 6 + 9);
-        // In clear: this is the integrity-only suite.
-        assert!(sealed
+        // In clear under the integrity-only suite only.
+        let in_clear = sealed
             .iter()
-            .any(|(r, _)| r.payload.windows(12).any(|w| w == b"egress round")));
+            .any(|(r, _)| r.payload.windows(12).any(|w| w == b"egress round"));
+        assert_eq!(in_clear, schedule.isp, "{}", schedule.name);
         let mut seen = HashSet::new();
         for (record, direction) in &sealed {
             assert!(
                 seen.insert((record.session_id, *direction, record.packet_id)),
-                "nonce repeated: session {} {direction} packet id {}",
+                "{}: nonce repeated: session {} {direction} packet id {}",
+                schedule.name,
                 record.session_id,
                 record.packet_id
             );

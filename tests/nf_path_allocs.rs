@@ -1,7 +1,8 @@
 //! Pins the allocation behaviour of the client enclave's NF path: a scan
-//! that finds nothing allocates nothing, and a batch traversal allocates
+//! that finds nothing allocates nothing, a batch traversal allocates
 //! only its result, however long the batch and however many hops the
-//! graph has.
+//! graph has, and handing a benign batch's emissions on to the seal
+//! allocates nothing.
 
 #[path = "support/counting_alloc.rs"]
 #[allow(dead_code)]
@@ -88,4 +89,33 @@ fn batch_traversal_allocations_do_not_depend_on_batch_length_or_hop_count() {
     );
     // What is left is the result: the emitted batch and the verdicts.
     assert!(per_graph[0] <= 2, "{per_graph:?}");
+}
+
+/// The client's egress ecall keeps the first emission of each accepted
+/// packet (`BatchOutput::into_first_emissions`). After a NOP or firewall
+/// graph that passes every packet, the emitted batch already holds one
+/// emission per slot in slot order, and goes on as it is: no slot-indexed
+/// table, no second `Vec`.
+#[test]
+fn first_emissions_of_a_benign_batch_allocate_nothing() {
+    for use_case in [UseCase::Nop, UseCase::Firewall] {
+        let mut router = Router::from_config(&use_case.click_config(), ElementEnv::default())
+            .expect("use-case configuration instantiates");
+        let payload = clean_payload(1460);
+        let input: PacketBatch = (0..16)
+            .map(|i| Packet::tcp(SRC, DST, 40000 + i, 80, 0, &payload))
+            .collect();
+        let out = router.process_batch(input);
+        assert_eq!(out.accepted, 16, "{use_case:?}: benign traffic passes");
+        let (firsts, allocations) = allocations_in(|| out.into_first_emissions());
+        assert_eq!(allocations, 0, "{use_case:?}");
+        assert_eq!(firsts.len(), 16);
+        assert!(firsts.iter().all(|p| p.meta.batch_slot.is_none()));
+        let ports: Vec<u16> = firsts.iter().map(|p| p.src_port().unwrap()).collect();
+        assert_eq!(
+            ports,
+            (40000..40016).collect::<Vec<u16>>(),
+            "{use_case:?}: input order"
+        );
+    }
 }

@@ -47,7 +47,7 @@ fn server(w: &mut World) -> EndBoxServer {
             ca_public: w.ca.public_key(),
             min_version: PROTOCOL_V1,
         },
-        suite: CipherSuite::Aes128CbcHmac,
+        suite: CipherSuite::Aes128Gcm,
         server_click: None,
         cost: CostModel::calibrated(),
         meter: CycleMeter::new(),
