@@ -3,7 +3,9 @@
 //! * **AES-NI** (`crate::hw`, x86-64 only): key schedule, `aesenc`/`aesdec`
 //!   rounds and the CBC and CTR loops run on the CPU's AES unit — serial
 //!   CBC encrypt (CBC chains every block on the previous one), eight
-//!   blocks in flight for CBC decrypt and for CTR.
+//!   blocks in flight for CBC decrypt and for CTR. Where the CPU also has
+//!   VAES (with AVX2 and VPCLMULQDQ), CTR runs 16 blocks per iteration,
+//!   two per 256-bit instruction.
 //! * **Portable**: the byte-oriented implementation below — clear, and an
 //!   order of magnitude slower (a `gmul` loop per `inv_mix_columns` byte).
 //!   It is the only path on CPUs without AES-NI and the reference the
@@ -120,6 +122,15 @@ impl Aes128 {
         Aes128 {
             backend: Backend::Portable(Portable::new(key)),
         }
+    }
+
+    /// An expansion pinned to the 128-bit AES-NI loops, or `None` without
+    /// AES-NI: on a VAES host the 128-bit CTR loop is still tested.
+    #[cfg(all(test, target_arch = "x86_64"))]
+    pub(crate) fn narrow(key: &[u8; KEY_LEN]) -> Option<Self> {
+        Some(Aes128 {
+            backend: Backend::AesNi(crate::hw::AesNi::narrow(key)?),
+        })
     }
 
     /// Encrypts a single 16-byte block.
@@ -441,28 +452,100 @@ mod tests {
                 prop_assert_eq!(a, data);
             }
 
-            /// CTR from a counter whose low 32-bit word is at most 300
-            /// below all ones, so a record of up to 4 KiB (256 blocks)
-            /// often carries out of the word — and out of all 128 bits
-            /// when the rest of the block is all ones too.
+            /// CTR from a counter at most 300 below all ones in its low
+            /// 32 bits, its low 64 bits or all 128, so a record of up to
+            /// 4 KiB (256 blocks) often carries out of that word: the
+            /// 256-bit loop's 64-bit add must hand the 64- and 128-bit
+            /// carries to the 128-bit loop. Every hardware path this CPU
+            /// runs against the portable one.
             #[test]
             fn ctr_across_a_low_word_carry(
                 key in prop::array::uniform16(any::<u8>()),
                 counter in prop::array::uniform16(any::<u8>()),
-                below in 0u32..300,
-                all_ones in any::<bool>(),
+                below in 0u64..300,
+                word in 0usize..3,
                 data in prop::collection::vec(any::<u8>(), 0..4097),
             ) {
-                let Some(hw) = crate::hw::AesNi::new(&key) else {
-                    return;
-                };
-                let mut counter = if all_ones { [0xff; BLOCK_LEN] } else { counter };
-                counter[12..].copy_from_slice(&(u32::MAX - below).to_be_bytes());
-                let (mut a, mut b) = (data.clone(), data.clone());
-                hw.ctr_xor(&counter, &mut a);
-                Portable::new(&key).ctr_xor(&counter, &mut b);
-                prop_assert_eq!(a, b);
+                let mut counter = counter;
+                match word {
+                    0 => counter[12..].copy_from_slice(&(u32::MAX - below as u32).to_be_bytes()),
+                    1 => counter[8..].copy_from_slice(&(u64::MAX - below).to_be_bytes()),
+                    _ => counter = (u128::MAX - below as u128).to_be_bytes(),
+                }
+                let mut expected = data.clone();
+                Portable::new(&key).ctr_xor(&counter, &mut expected);
+                for (path, hw) in hw_paths(&key) {
+                    let mut out = data.clone();
+                    hw.ctr_xor(&counter, &mut out);
+                    prop_assert_eq!(&out, &expected, "{}", path);
+                }
             }
+        }
+
+        /// The hardware CTR paths this CPU runs, by name: the 128-bit
+        /// AES-NI loop, and the 256-bit VAES loop where the CPU has it.
+        fn hw_paths(key: &[u8; 16]) -> Vec<(&'static str, crate::hw::AesNi)> {
+            let narrow = crate::hw::AesNi::narrow(key).map(|hw| ("128-bit", hw));
+            let wide = crate::hw::AesNi::new(key)
+                .filter(crate::hw::AesNi::is_wide)
+                .map(|hw| ("256-bit", hw));
+            narrow.into_iter().chain(wide).collect()
+        }
+
+        /// Every length 0..=1100, and one block either side of each
+        /// multiple of 256 up to 4 KiB — the 256-byte group, the 8-block
+        /// group and the partial last block all cross their boundaries —
+        /// from counters below a 32-bit, a 64-bit and the 128-bit wrap,
+        /// on every hardware path against the portable one. Names the
+        /// paths it compared: on a CPU without VAES only the 128-bit one
+        /// runs, and never one path against itself.
+        #[test]
+        fn ctr_paths_agree_at_every_length() {
+            let key = [0xa7u8; 16];
+            let portable = Portable::new(&key);
+            let paths = hw_paths(&key);
+            let names: Vec<&str> = paths.iter().map(|(name, _)| *name).collect();
+            eprintln!("CTR paths compared with the portable one: {names:?}");
+            assert!(paths
+                .iter()
+                .all(|(name, hw)| hw.is_wide() == (*name == "256-bit")));
+            let lens = (0..=1100).chain(
+                (512..=4096)
+                    .step_by(256)
+                    .flat_map(|n| [n - 17, n - 1, n, n + 1, n + 16]),
+            );
+            let bytes: Vec<u8> = (0..4200u32).map(|i| (i * 31 + 7) as u8).collect();
+            let counters = [
+                0x0102_0304_0506_0708_090a_0b0c_ffff_ffe0u128,
+                0x0102_0304_0506_0708_ffff_ffff_ffff_ffe0,
+                u128::MAX - 0x1f,
+            ];
+            for len in lens {
+                for counter in counters {
+                    let counter = counter.to_be_bytes();
+                    let mut expected = bytes[..len].to_vec();
+                    portable.ctr_xor(&counter, &mut expected);
+                    for (name, hw) in &paths {
+                        let mut out = bytes[..len].to_vec();
+                        hw.ctr_xor(&counter, &mut out);
+                        assert_eq!(out, expected, "{name}, {len} B");
+                    }
+                }
+            }
+        }
+
+        /// A path is chosen by the CPU alone: the 256-bit one whenever
+        /// AVX2, VAES and VPCLMULQDQ are all present.
+        #[test]
+        fn wide_path_runs_where_the_cpu_has_it() {
+            let wide = crate::hw::wide_detected();
+            let names: Vec<&str> = hw_paths(&[0; 16]).iter().map(|(name, _)| *name).collect();
+            let expected: &[&str] = match (is_x86_feature_detected!("aes"), wide) {
+                (false, _) => &[],
+                (true, false) => &["128-bit"],
+                (true, true) => &["128-bit", "256-bit"],
+            };
+            assert_eq!(names, expected);
         }
     }
 

@@ -20,7 +20,9 @@
 //! counter.
 //!
 //! * **PCLMULQDQ** (`crate::hw`, x86-64 only): a [`GhashKey`] holds
-//!   H¹..H⁸, computed once, and multiplies eight blocks per reduction.
+//!   H¹..H¹⁶, computed once, and multiplies eight blocks per reduction —
+//!   16 per reduction, two per 256-bit instruction, where the CPU also
+//!   has VPCLMULQDQ (with AVX2 and VAES).
 //! * **Portable**: [`mul`], the spec's Algorithm 1 one bit at a time — the
 //!   only path on CPUs without a carry-less multiplier (slow: every
 //!   block costs 128 shift-and-XOR steps), and the oracle the kernel is
@@ -28,7 +30,7 @@
 //!
 //! [`GhashKey::new`] picks the backend once, from the CPU; nothing else
 //! selects it. The CTR half is [`Aes128`]'s own (eight blocks in flight on
-//! AES-NI).
+//! AES-NI, 16 on VAES).
 
 use crate::aes::{Aes128, BLOCK_LEN, KEY_LEN};
 
@@ -66,17 +68,15 @@ fn mul_u128(x: u128, y: u128) -> u128 {
 }
 
 /// A GHASH key: the hash subkey H and, on the carry-less multiplier, its
-/// first eight powers — everything that depends on H, computed once.
+/// first 16 powers — everything that depends on H, computed once.
 #[derive(Clone)]
 pub struct GhashKey {
-    backend: Backend,
-}
-
-#[derive(Clone)]
-enum Backend {
+    /// H read big-endian: the portable backend's operand.
+    h: u128,
+    /// The power table, when the CPU has a carry-less multiplier; the
+    /// portable backend runs when it is `None`.
     #[cfg(target_arch = "x86_64")]
-    ClMul(crate::hw::ClMul),
-    Portable(u128),
+    clmul: Option<crate::hw::ClMul>,
 }
 
 impl std::fmt::Debug for GhashKey {
@@ -89,14 +89,10 @@ impl GhashKey {
     /// Prepares the hash subkey `h`, on the carry-less multiplier when the
     /// CPU has one.
     pub fn new(h: &[u8; BLOCK_LEN]) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(hw) = crate::hw::ClMul::new(h) {
-            return GhashKey {
-                backend: Backend::ClMul(hw),
-            };
-        }
         GhashKey {
-            backend: Backend::Portable(u128::from_be_bytes(*h)),
+            h: u128::from_be_bytes(*h),
+            #[cfg(target_arch = "x86_64")]
+            clmul: crate::hw::ClMul::new(h),
         }
     }
 
@@ -105,24 +101,34 @@ impl GhashKey {
     #[cfg(test)]
     pub(crate) fn portable(h: &[u8; BLOCK_LEN]) -> Self {
         GhashKey {
-            backend: Backend::Portable(u128::from_be_bytes(*h)),
+            h: u128::from_be_bytes(*h),
+            #[cfg(target_arch = "x86_64")]
+            clmul: None,
         }
+    }
+
+    /// A key pinned to the 128-bit carry-less multiply loop, or `None`
+    /// when the CPU has no carry-less multiplier.
+    #[cfg(all(test, target_arch = "x86_64"))]
+    pub(crate) fn narrow(h: &[u8; BLOCK_LEN]) -> Option<Self> {
+        Some(GhashKey {
+            h: u128::from_be_bytes(*h),
+            clmul: Some(crate::hw::ClMul::narrow(h)?),
+        })
     }
 
     /// Absorbs whole blocks into the accumulator `y`.
     fn absorb(&self, y: &mut [u8; BLOCK_LEN], blocks: &[u8]) {
-        match &self.backend {
-            #[cfg(target_arch = "x86_64")]
-            Backend::ClMul(hw) => hw.absorb(y, blocks),
-            Backend::Portable(h) => {
-                let mut acc = u128::from_be_bytes(*y);
-                for x in blocks.chunks_exact(BLOCK_LEN) {
-                    let x = u128::from_be_bytes(x.try_into().expect("one block"));
-                    acc = mul_u128(acc ^ x, *h);
-                }
-                *y = acc.to_be_bytes();
-            }
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hw) = &self.clmul {
+            return hw.absorb(y, blocks);
         }
+        let mut acc = u128::from_be_bytes(*y);
+        for x in blocks.chunks_exact(BLOCK_LEN) {
+            let x = u128::from_be_bytes(x.try_into().expect("one block"));
+            acc = mul_u128(acc ^ x, self.h);
+        }
+        *y = acc.to_be_bytes();
     }
 }
 
@@ -284,7 +290,6 @@ impl Gcm {
 mod tests {
     use super::*;
     use crate::hex;
-    use crate::modes::ctr_xor;
 
     /// GHASH of `bytes`, zero-padded, through the streaming entry.
     fn ghash(key: &GhashKey, bytes: &[u8]) -> [u8; 16] {
@@ -293,40 +298,7 @@ mod tests {
         g.finalize()
     }
 
-    /// McGrew–Viega test cases 1 and 2 (K = 0, IV = 0): the empty
-    /// message, then one zero block of plaintext. Case 2 runs GCM's
-    /// encryption through CTR from `inc32(J0)` and its tag through the
-    /// GHASH entry, on the detected backend and on the portable one.
-    #[test]
-    fn gcm_test_cases_1_and_2() {
-        let gcm = Gcm::new(&[0; 16]);
-        assert_eq!(
-            hex::encode(&gcm.tag(&[0; 12], &[], &[])),
-            "58e2fccefa7e3061367f1d57a4e7455a"
-        );
-
-        let aes = Aes128::new(&[0; 16]);
-        let h = aes.encrypt_block(&[0; 16]);
-        let mut j0 = [0u8; 16];
-        j0[15] = 1;
-        let mut counter = j0;
-        counter[15] = 2;
-        let mut c = [0u8; 16];
-        ctr_xor(&aes, &counter, &mut c);
-        assert_eq!(hex::encode(&c), "0388dace60b6a392f328c2b971b2fe78");
-        let mut input = c.to_vec();
-        input.extend_from_slice(&0u64.to_be_bytes());
-        input.extend_from_slice(&128u64.to_be_bytes());
-        for key in [GhashKey::new(&h), GhashKey::portable(&h)] {
-            let mut tag = ghash(&key, &input);
-            for (t, m) in tag.iter_mut().zip(aes.encrypt_block(&j0)) {
-                *t ^= m;
-            }
-            assert_eq!(hex::encode(&tag), "ab6e47d42cec13bdf53a67b21257bddf");
-        }
-    }
-
-    /// A GCM key whose GHASH runs on the portable backend.
+    /// A GCM key whose AES and GHASH run on the portable backends.
     fn portable_gcm(key: &[u8; 16]) -> Gcm {
         let aes = Aes128::portable(key);
         Gcm {
@@ -335,10 +307,63 @@ mod tests {
         }
     }
 
+    /// A GCM key on the 128-bit AES-NI and PCLMULQDQ loops, or `None`
+    /// when the CPU lacks either unit.
+    #[cfg(target_arch = "x86_64")]
+    fn narrow_gcm(key: &[u8; 16]) -> Option<Gcm> {
+        let aes = Aes128::narrow(key)?;
+        let ghash = GhashKey::narrow(&aes.encrypt_block(&[0; 16]))?;
+        Some(Gcm { aes, ghash })
+    }
+
+    /// Every path this CPU runs, by name: the portable oracle, the
+    /// 128-bit loops, and the 256-bit VAES and VPCLMULQDQ loops — the
+    /// last two only where the CPU has them, so no path is ever compared
+    /// with itself.
+    fn gcm_paths(key: &[u8; 16]) -> Vec<(&'static str, Gcm)> {
+        let mut paths = vec![("portable", portable_gcm(key))];
+        #[cfg(target_arch = "x86_64")]
+        {
+            paths.extend(narrow_gcm(key).map(|gcm| ("128-bit", gcm)));
+            let gcm = Gcm::new(key);
+            let wide = matches!(&gcm.ghash.clmul, Some(hw) if hw.is_wide());
+            if wide {
+                paths.push(("256-bit", gcm));
+            }
+        }
+        let names: Vec<&str> = paths.iter().map(|(name, _)| *name).collect();
+        eprintln!("GCM paths compared: {names:?}");
+        paths
+    }
+
+    /// McGrew–Viega test cases 1 (K = 0, IV = 0, nothing to protect) and
+    /// 2 (one zero block of plaintext), sealed and opened through
+    /// [`Gcm::keystream_xor`] and [`Gcm::tag`] on every path.
+    #[test]
+    fn gcm_test_cases_1_and_2() {
+        let cases = [
+            (0, "", "58e2fccefa7e3061367f1d57a4e7455a"),
+            (
+                16,
+                "0388dace60b6a392f328c2b971b2fe78",
+                "ab6e47d42cec13bdf53a67b21257bddf",
+            ),
+        ];
+        for (path, gcm) in gcm_paths(&[0; 16]) {
+            for (len, ciphertext, tag) in cases {
+                let mut data = vec![0u8; len];
+                gcm.keystream_xor(&[0; 12], &mut data);
+                assert_eq!(hex::encode(&data), ciphertext, "{path}, {len} B");
+                assert_eq!(hex::encode(&gcm.tag(&[0; 12], &[], &data)), tag, "{path}");
+                gcm.keystream_xor(&[0; 12], &mut data);
+                assert_eq!(data, vec![0u8; len], "{path}");
+            }
+        }
+    }
+
     /// McGrew–Viega test cases 3 (a 64 B plaintext, no AAD) and 4 (its
     /// first 60 B behind 20 B of AAD), sealed and opened through
-    /// [`Gcm::keystream_xor`] and [`Gcm::tag`], with GHASH on the detected
-    /// backend (PCLMULQDQ where the CPU has it) and on the portable one.
+    /// [`Gcm::keystream_xor`] and [`Gcm::tag`] on every path.
     #[test]
     fn gcm_test_cases_3_and_4() {
         let key = hex::decode_array::<16>("feffe9928665731c6d6a8f9467308308").unwrap();
@@ -355,14 +380,18 @@ mod tests {
             (&[], 64, "4d5c2af327cd64a62cf35abd2ba6fab4"),
             (&aad, 60, "5bc94fbc3221a5db94fae95ae7121a47"),
         ];
-        for gcm in [Gcm::new(&key), portable_gcm(&key)] {
+        for (path, gcm) in gcm_paths(&key) {
             for (aad, len, tag) in cases {
                 let mut data = plaintext[..len].to_vec();
                 gcm.keystream_xor(&nonce, &mut data);
-                assert_eq!(hex::encode(&data), ciphertext[..2 * len], "{len} B");
-                assert_eq!(hex::encode(&gcm.tag(&nonce, &[aad], &data)), tag, "{len} B");
+                assert_eq!(hex::encode(&data), ciphertext[..2 * len], "{path}, {len} B");
+                assert_eq!(
+                    hex::encode(&gcm.tag(&nonce, &[aad], &data)),
+                    tag,
+                    "{path}, {len} B"
+                );
                 gcm.keystream_xor(&nonce, &mut data);
-                assert_eq!(data, plaintext[..len]);
+                assert_eq!(data, plaintext[..len], "{path}");
             }
         }
     }
@@ -372,30 +401,36 @@ mod tests {
         portable_gcm(key).tag(nonce, &[header, body], &[])
     }
 
-    /// Every length 0..=260 behind every header of 0..=15 bytes — the
-    /// eight-block group, the whole-block tail and the partial last block
-    /// all cross their boundaries — through the detected backend and the
-    /// portable one, as GMAC's AAD and as GCM's ciphertext.
+    /// Every length 0..=800 behind every header of 0..=15 bytes — the
+    /// 16-block and eight-block groups, the whole-block tail and the
+    /// partial last block all cross their boundaries, past three 256-byte
+    /// groups — on every hardware path against the portable one, as
+    /// GMAC's AAD and as GCM's ciphertext.
     #[test]
     fn kernel_matches_oracle_at_every_length_and_header() {
         let key = [0x3cu8; 16];
         let nonce = [0x91u8; 12];
-        let bytes: Vec<u8> = (0..276u16).map(|i| (i * 13 + 5) as u8).collect();
-        let (gcm, portable) = (Gcm::new(&key), portable_gcm(&key));
+        let bytes: Vec<u8> = (0..816u16).map(|i| (i * 13 + 5) as u8).collect();
+        let mut paths = gcm_paths(&key);
+        let (_, portable) = paths.remove(0);
         for p in 0..=15 {
             let (header, rest) = bytes.split_at(p);
-            for len in 0..=260 {
+            for len in 0..=800 {
                 let body = &rest[..len];
-                assert_eq!(
-                    gcm.tag(&nonce, &[header, body], &[]),
-                    portable_tag(&key, &nonce, header, body),
-                    "header {p}, body {len}"
-                );
-                assert_eq!(
-                    gcm.tag(&nonce, &[header], body),
-                    portable.tag(&nonce, &[header], body),
-                    "header {p}, ciphertext {len}"
-                );
+                let gmac = portable.tag(&nonce, &[header, body], &[]);
+                let gcm = portable.tag(&nonce, &[header], body);
+                for (path, hw) in &paths {
+                    assert_eq!(
+                        hw.tag(&nonce, &[header, body], &[]),
+                        gmac,
+                        "{path}: header {p}, body {len}"
+                    );
+                    assert_eq!(
+                        hw.tag(&nonce, &[header], body),
+                        gcm,
+                        "{path}: header {p}, ciphertext {len}"
+                    );
+                }
             }
         }
     }
@@ -435,7 +470,7 @@ mod tests {
         assert!(!format!("{gcm:?}").contains("[0, 0"));
     }
 
-    /// The kernel against the oracle on random keys, nonces, 1–15 byte
+    /// The kernels against the oracle on random keys, nonces, 1–15 byte
     /// headers and bodies up to 4 KiB. The hardware half is skipped on a
     /// CPU without a carry-less multiplier.
     #[cfg(target_arch = "x86_64")]
@@ -454,18 +489,57 @@ mod tests {
                 body in prop::collection::vec(any::<u8>(), 0..4097),
             ) {
                 let h = Aes128::new(&key).encrypt_block(&[0; 16]);
-                let Some(hw) = crate::hw::ClMul::new(&h) else {
-                    return;
-                };
-                let hw = GhashKey { backend: Backend::ClMul(hw) };
                 let nonce: &[u8; 12] = nonce[..12].try_into().unwrap();
                 let mut message = header.clone();
                 message.extend_from_slice(&body);
-                prop_assert_eq!(ghash(&hw, &message), ghash(&GhashKey::portable(&h), &message));
+                let expected = ghash(&GhashKey::portable(&h), &message);
+                for (path, hw) in hw_keys(&h) {
+                    prop_assert_eq!(ghash(&hw, &message), expected, "{}", path);
+                }
                 prop_assert_eq!(
                     Gcm::new(&key).tag(nonce, &[&header, &body], &[]),
                     portable_tag(&key, nonce, &header, &body)
                 );
+            }
+        }
+
+        /// The hardware GHASH keys this CPU runs, by name.
+        fn hw_keys(h: &[u8; 16]) -> Vec<(&'static str, GhashKey)> {
+            let narrow = GhashKey::narrow(h).map(|key| ("128-bit", key));
+            let wide = Some(GhashKey::new(h))
+                .filter(|key| matches!(&key.clmul, Some(hw) if hw.is_wide()))
+                .map(|key| ("256-bit", key));
+            narrow.into_iter().chain(wide).collect()
+        }
+
+        /// Each hardware path against the bit-serial [`mul`], one block
+        /// at a time, for every block count 0..=40 and for 1 461 blocks
+        /// (a 23 KB record), from a nonzero accumulator: the groups of 16
+        /// and of eight, their tails, and the accumulator's entry into
+        /// the first product all in play. Names the paths it compared.
+        #[test]
+        fn absorb_matches_bit_serial_mul_at_every_block_count() {
+            let h = [0x66u8; 16];
+            let keys = hw_keys(&h);
+            let names: Vec<&str> = keys.iter().map(|(name, _)| *name).collect();
+            eprintln!("GHASH paths compared with ghash::mul: {names:?}");
+            let bytes: Vec<u8> = (0..1461 * 16).map(|i: u32| (i * 29 + 3) as u8).collect();
+            let y0 = [0xc3u8; 16];
+            for blocks in (0..=40).chain([1461]) {
+                let data = &bytes[..16 * blocks];
+                let mut expected = y0;
+                for x in data.chunks_exact(16) {
+                    let mut sum = expected;
+                    for (s, b) in sum.iter_mut().zip(x) {
+                        *s ^= b;
+                    }
+                    expected = mul(&sum, &h);
+                }
+                for (path, key) in &keys {
+                    let mut y = y0;
+                    key.absorb(&mut y, data);
+                    assert_eq!(y, expected, "{path}, {blocks} blocks");
+                }
             }
         }
     }

@@ -40,21 +40,26 @@
 //! and `sse4.1` are all present, and [`ghash::GhashKey::new`] uses the
 //! carry-less multiplier (PCLMULQDQ) with `ssse3`; otherwise, and on
 //! every other architecture, the portable scalar code runs (for GHASH,
-//! one bit at a time). The choice is made from the CPU alone, once per
-//! key schedule or hasher: there is no cargo feature, environment
-//! variable or parameter that selects a backend.
+//! one bit at a time). Where the CPU also has AVX2, VAES and VPCLMULQDQ
+//! (Ice Lake, Zen 3 and later), the same two constructors pick the
+//! 256-bit form of the data channel's two loops: CTR and GHASH then run
+//! two blocks per instruction, 16 per iteration; the 128-bit loops stay
+//! the hardware path on older AES-NI CPUs. The choice is made from the
+//! CPU alone, once per key schedule or hasher: there is no cargo
+//! feature, environment variable or parameter that selects a backend.
 //!
-//! Measured on the benchmark host (a 2-vCPU Xeon VM) on one 23 KB
-//! record, the `bulk_nop` batch of 16×1460 B:
+//! Measured on the benchmark host (a 2-vCPU Xeon VM with VAES), pinned
+//! to one CPU, on one 23 KB record, the `bulk_nop` batch of 16×1460 B:
 //!
-//! | operation | hardware path | portable path |
-//! |---|---|---|
-//! | [`ghash::Gcm`] seal (CTR, then GHASH over the ciphertext) | 0.26–0.32 ns/B | not measured |
-//! | [`ghash::Gcm`] open (GHASH, then CTR into a copy) | 0.28–0.31 ns/B | not measured |
-//! | GHASH alone | 0.13–0.14 ns/B | ≈ 17 ns/B ([`ghash::mul`], bit-serial) |
-//! | `modes::cbc_encrypt` | ≈ 0.7 ns/B | 10.9 ns/B |
-//! | `modes::cbc_decrypt` | ≈ 0.1 ns/B | 20.9 ns/B |
-//! | `hmac::hmac_sha256` | ≈ 0.7 ns/B | 4.2 ns/B |
+//! | operation | 256-bit (VAES, VPCLMULQDQ) | 128-bit (AES-NI, PCLMULQDQ) | portable path |
+//! |---|---|---|---|
+//! | [`ghash::Gcm`] seal (CTR, then GHASH over the ciphertext) | 0.13–0.17 ns/B | 0.26–0.41 ns/B | not measured |
+//! | [`ghash::Gcm`] open (GHASH, then CTR into a copy) | 0.14–0.16 ns/B | 0.28–0.34 ns/B | not measured |
+//! | GHASH alone | 0.07–0.08 ns/B | 0.13–0.19 ns/B | ≈ 17 ns/B ([`ghash::mul`], bit-serial) |
+//! | CTR alone | 0.06–0.08 ns/B | 0.16–0.21 ns/B | not measured |
+//! | `modes::cbc_encrypt` | — | ≈ 0.7 ns/B | 10.9 ns/B |
+//! | `modes::cbc_decrypt` | — | ≈ 0.1 ns/B | 20.9 ns/B |
+//! | `hmac::hmac_sha256` | — | ≈ 0.7 ns/B | 4.2 ns/B |
 //!
 //! On a CPU without AES-NI or PCLMULQDQ the record crypto falls back to
 //! the portable AES and the bit-serial GHASH, two orders of magnitude
@@ -63,8 +68,9 @@
 //!
 //! The intrinsics are the crate's only `unsafe` code and live in one
 //! private module (`hw`); the crate root denies `unsafe_code` everywhere
-//! else. Unit tests call both backends directly and require byte-equal
-//! results on random keys, IVs and lengths.
+//! else. Unit tests call every backend directly — the portable code, the
+//! 128-bit loops (pinned even on a VAES CPU) and the 256-bit loops —
+//! and require byte-equal results on random keys, IVs and lengths.
 //!
 //! # Example
 //!

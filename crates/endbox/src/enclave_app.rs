@@ -473,8 +473,7 @@ impl EnclaveApp {
             let record = if opcode == Opcode::Data {
                 channel.seal(Opcode::Data, state.session_id, emitted[0].bytes())
             } else {
-                let payloads: Vec<&[u8]> = emitted.iter().map(Packet::bytes).collect();
-                channel.seal_batch(state.session_id, &payloads)
+                channel.seal_batch(state.session_id, emitted.iter().map(Packet::bytes))
             };
             Ok(EgressBatchResult {
                 record: Some(record),

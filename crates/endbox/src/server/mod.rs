@@ -391,8 +391,9 @@ impl<Rx: ShardSessions> Server<Rx> {
     ) -> Result<Vec<Vec<u8>>, EndBoxError> {
         let total: usize = packets.iter().map(Packet::len).sum();
         self.io.charge_egress(packets.len(), total);
-        let payloads: Vec<&[u8]> = packets.iter().map(Packet::bytes).collect();
-        let record = self.vpn.seal_batch_to_client(session_id, &payloads)?;
+        let record = self
+            .vpn
+            .seal_batch_to_client(session_id, packets.iter().map(Packet::bytes))?;
         Ok(self.io.fragment(&record))
     }
 

@@ -337,7 +337,12 @@ impl DataChannel {
 
     /// Seals several tunnel packets into one record
     /// ([`SendHalf::seal_batch`]).
-    pub fn seal_batch(&mut self, session_id: u64, payloads: &[&[u8]]) -> Record {
+    pub fn seal_batch<I>(&mut self, session_id: u64, payloads: I) -> Record
+    where
+        I: IntoIterator,
+        I::IntoIter: Clone,
+        I::Item: AsRef<[u8]>,
+    {
         self.send.seal_batch(session_id, payloads)
     }
 
@@ -393,10 +398,16 @@ impl SendHalf {
     /// record (the §IV batching optimisation): one nonce, one tag and one
     /// fixed per-record crypto charge amortised across the whole batch,
     /// instead of one of each per packet. The frames are written straight
-    /// into the record body — no intermediate blob.
-    pub fn seal_batch(&mut self, session_id: u64, payloads: &[&[u8]]) -> Record {
-        let total: usize = payloads.iter().map(|p| p.len()).sum();
-        let plain_len = frame::overhead(payloads.len()) + total;
+    /// into the record body — no intermediate blob. `payloads` is any
+    /// clonable iterator of byte slices ([`frame::encode_into`]).
+    pub fn seal_batch<I>(&mut self, session_id: u64, payloads: I) -> Record
+    where
+        I: IntoIterator,
+        I::IntoIter: Clone,
+        I::Item: AsRef<[u8]>,
+    {
+        let payloads = payloads.into_iter();
+        let plain_len = frame::encoded_len(payloads.clone());
         self.seal_with(Opcode::DataBatch, session_id, plain_len, |body| {
             frame::encode_into(body, payloads);
         })

@@ -12,9 +12,9 @@
 //! * [`handshake`] — a TLS-style control-channel handshake: X25519 key
 //!   agreement authenticated by certificates, with minimum-version
 //!   enforcement on both sides (downgrade defence, §V-A).
-//! * [`channel`] — the data channel: AES-128-CBC + HMAC-SHA256 (OpenVPN's
-//!   classic protection) and an integrity-only mode for the ISP scenario
-//!   (§IV-A).
+//! * [`channel`] — the data channel: AES-128-GCM (the AEAD OpenVPN's own
+//!   data channel moved to from the paper's AES-128-CBC + HMAC-SHA256) and
+//!   an integrity-only mode, GMAC, for the ISP scenario (§IV-A).
 //! * [`replay`] — OpenVPN's sliding-window replay protection (§V-A:
 //!   "the ENDBOX server detects this, due to OpenVPN's implementation of
 //!   packet replay protection").

@@ -61,15 +61,36 @@ pub mod frame {
         4 + 4 * n
     }
 
+    /// Packets and payload bytes in `payloads`.
+    fn count_and_total<P: AsRef<[u8]>>(payloads: impl Iterator<Item = P>) -> (usize, usize) {
+        payloads.fold((0, 0), |(n, total), p| (n + 1, total + p.as_ref().len()))
+    }
+
+    /// Length of the encoding of `payloads`.
+    pub fn encoded_len<P: AsRef<[u8]>>(payloads: impl Iterator<Item = P>) -> usize {
+        let (n, total) = count_and_total(payloads);
+        overhead(n) + total
+    }
+
     /// Appends the encoding of `payloads` to `out`, after whatever it
-    /// already holds — the data channel writes a batch straight behind
-    /// the record's IV this way, so the frames are never copied again
-    /// before they are encrypted.
-    pub fn encode_into(out: &mut Vec<u8>, payloads: &[&[u8]]) {
-        let total: usize = payloads.iter().map(|p| p.len()).sum();
-        out.reserve(overhead(payloads.len()) + total);
-        out.extend_from_slice(&(payloads.len() as u32).to_be_bytes());
+    /// already holds — the data channel writes a batch straight into the
+    /// record body this way, so the frames are never copied again before
+    /// they are encrypted. `payloads` is walked twice (the count leads
+    /// the frames), so it is any clonable iterator of byte slices: a
+    /// `&[&[u8]]`, or the packets' bytes mapped as they lie, with no
+    /// table of slices built first.
+    pub fn encode_into<I>(out: &mut Vec<u8>, payloads: I)
+    where
+        I: IntoIterator,
+        I::IntoIter: Clone,
+        I::Item: AsRef<[u8]>,
+    {
+        let payloads = payloads.into_iter();
+        let (n, total) = count_and_total(payloads.clone());
+        out.reserve(overhead(n) + total);
+        out.extend_from_slice(&(n as u32).to_be_bytes());
         for p in payloads {
+            let p = p.as_ref();
             out.extend_from_slice(&(p.len() as u32).to_be_bytes());
             out.extend_from_slice(p);
         }
@@ -154,10 +175,11 @@ pub mod frame {
 
         #[test]
         fn encode_into_appends_behind_a_prefix() {
-            let mut buf = b"sixteen byte iv!".to_vec();
-            encode_into(&mut buf, &[b"aaaa", b"b"]);
-            assert_eq!(&buf[..16], b"sixteen byte iv!");
-            assert_eq!(&buf[16..], &encode(&[b"aaaa", b"b"])[..]);
+            let payloads: [&[u8]; 2] = [b"aaaa", b"b"];
+            let mut buf = b"sixteen byte pre".to_vec();
+            encode_into(&mut buf, payloads);
+            assert_eq!(&buf[..16], b"sixteen byte pre");
+            assert_eq!(&buf[16..], &encode(&payloads)[..]);
         }
     }
 }

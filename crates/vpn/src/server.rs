@@ -133,7 +133,12 @@ impl SendTable {
 
     /// Seals several payloads to a client as one `DataBatch` record,
     /// framed straight into the record body.
-    fn seal_batch(&mut self, session_id: u64, payloads: &[&[u8]]) -> Result<Record, VpnError> {
+    fn seal_batch<I>(&mut self, session_id: u64, payloads: I) -> Result<Record, VpnError>
+    where
+        I: IntoIterator,
+        I::IntoIter: Clone,
+        I::Item: AsRef<[u8]>,
+    {
         Ok(self.half(session_id)?.seal_batch(session_id, payloads))
     }
 
@@ -256,11 +261,16 @@ impl VpnServer {
     /// # Errors
     ///
     /// [`VpnError::UnknownSession`] for bad ids.
-    pub fn seal_batch_to_client(
+    pub fn seal_batch_to_client<I>(
         &mut self,
         session_id: u64,
-        payloads: &[&[u8]],
-    ) -> Result<Record, VpnError> {
+        payloads: I,
+    ) -> Result<Record, VpnError>
+    where
+        I: IntoIterator,
+        I::IntoIter: Clone,
+        I::Item: AsRef<[u8]>,
+    {
         self.sends.seal_batch(session_id, payloads)
     }
 

@@ -119,3 +119,35 @@ fn first_emissions_of_a_benign_batch_allocate_nothing() {
         );
     }
 }
+
+/// A warm NOP client sealing a 16 × 1460 B batch: the tun-side and
+/// enclave-side bookkeeping, the Click traversal, the one sealed record
+/// and its fragments. The seal takes the emitted packets' bytes as they
+/// lie — no table of payload slices is built per batch — so the count is
+/// pinned exactly.
+#[test]
+fn warm_nop_send_batch_allocation_count_is_pinned() {
+    use endbox::scenario::Scenario;
+    let mut s = Scenario::enterprise(1, UseCase::Nop).build().unwrap();
+    let payload = clean_payload(1460);
+    let batch = || -> Vec<Packet> {
+        (0..16)
+            .map(|i| Packet::tcp(SRC, DST, 40000 + i, 80, 0, &payload))
+            .collect()
+    };
+    // Warm-up: pools, scratch and the fragmenter reach their steady size.
+    for _ in 0..8 {
+        assert!(!s.clients[0].send_batch(batch()).unwrap().is_empty());
+    }
+    let counts: Vec<u64> = (0..4)
+        .map(|_| {
+            let input = batch();
+            let (datagrams, allocations) = allocations_in(|| s.clients[0].send_batch(input));
+            assert!(!datagrams.unwrap().is_empty());
+            allocations
+        })
+        .collect();
+    // Eight while the egress ecall collected the payload slices into a
+    // `Vec<&[u8]>` before sealing.
+    assert_eq!(counts, [7; 4]);
+}
